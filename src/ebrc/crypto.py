@@ -33,11 +33,6 @@ def digest(*parts: bytes, domain: bytes = b"msg") -> bytes:
     return h.digest()
 
 
-def digest_int(*parts: bytes, domain: bytes = b"int") -> int:
-    """Digest reduced to an unsigned integer (used for seeding RNG streams)."""
-    return int.from_bytes(digest(*parts, domain=domain), "big")
-
-
 def pack(*parts) -> bytes:
     """Canonical byte encoding of mixed int/str/bytes/bool fields.
 

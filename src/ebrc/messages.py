@@ -5,6 +5,15 @@ per-tag counting, and a ``signed_payload()`` whose digest the sender signs.
 Byzantine transforms re-sign mutated copies with the sender's own key, so
 signature checks pass and misbehavior must be caught by content checks or
 quorum math, mirroring real deployments.
+
+A broadcast hands the same frozen object to every receiver, so each message
+carries a signature memo: a slot outside the dataclass fields, left out of
+``==``, ``hash``, ``repr`` and ``asdict``. It holds ``(registry, signer_id)``
+and is set only by ``signed()`` or by a successful ``signature_ok()``. A
+``dataclasses.replace`` copy is a new object and starts without it, so any
+changed field, forged sender or copied signature is checked in full. The memo
+answers only for the very registry object and signer it records; any other
+check takes the full ``KeyRegistry.verify`` path.
 """
 
 from __future__ import annotations
@@ -21,8 +30,14 @@ CONSENSUS_TAGS = ("preprepare", "prepare", "commit", "reply")
 MEMBERSHIP_TAGS = ("erequest", "exit_commit", "change", "urequest", "join_commit")
 
 
+class Message:
+    """Base of every wire message; its one slot is the signature memo."""
+
+    __slots__ = ("_verified_by",)
+
+
 @dataclass(frozen=True, slots=True)
-class Request:
+class Request(Message):
     """Client transaction submission, broadcast to the whole network."""
 
     TAG: ClassVar[str] = "request"
@@ -37,7 +52,7 @@ class Request:
 
 
 @dataclass(frozen=True, slots=True)
-class ForwardedRequest:
+class ForwardedRequest(Message):
     """Request relayed to the master by a node outside the committee."""
 
     TAG: ClassVar[str] = "request_fwd"
@@ -54,7 +69,7 @@ class ForwardedRequest:
 
 
 @dataclass(frozen=True, slots=True)
-class Prepare:
+class Prepare(Message):
     """Master proposal carrying the transaction batch (two-phase protocol)."""
 
     TAG: ClassVar[str] = "prepare"
@@ -71,7 +86,7 @@ class Prepare:
 
 
 @dataclass(frozen=True, slots=True)
-class Commit:
+class Commit(Message):
     """Validation vote; a block commits on 2f+1 matching valid commits."""
 
     TAG: ClassVar[str] = "commit"
@@ -91,7 +106,7 @@ class Commit:
 
 
 @dataclass(frozen=True, slots=True)
-class Reply:
+class Reply(Message):
     """Per-replica confirmation to the client (f+1 matching confirms a tx)."""
 
     TAG: ClassVar[str] = "reply"
@@ -111,7 +126,7 @@ class Reply:
 
 
 @dataclass(frozen=True, slots=True)
-class ViewChange:
+class ViewChange(Message):
     """Vote to depose the current master; adopted at 2f+1 distinct reporters.
 
     Carries the height because view numbers restart every epoch, so the
@@ -129,7 +144,7 @@ class ViewChange:
 
 
 @dataclass(frozen=True, slots=True)
-class Report:
+class Report(Message):
     """Accusation with evidence kind; confirmed at f+1 distinct reporters."""
 
     TAG: ClassVar[str] = "report"
@@ -144,7 +159,7 @@ class Report:
 
 
 @dataclass(frozen=True, slots=True)
-class BlockAnnounce:
+class BlockAnnounce(Message):
     """Round-end dissemination of a committed block to the whole network."""
 
     TAG: ClassVar[str] = "block_announce"
@@ -163,7 +178,7 @@ class BlockAnnounce:
 
 
 @dataclass(frozen=True, slots=True)
-class VrfConnect:
+class VrfConnect(Message):
     """Selectee's sortition announcement (public key + proof) for an epoch."""
 
     TAG: ClassVar[str] = "vrf_connect"
@@ -180,7 +195,7 @@ class VrfConnect:
 # --- Classic three-phase baseline ---
 
 @dataclass(frozen=True, slots=True)
-class PrePrepare:
+class PrePrepare(Message):
     """Primary's proposal in the three-phase baseline."""
 
     TAG: ClassVar[str] = "preprepare"
@@ -197,7 +212,7 @@ class PrePrepare:
 
 
 @dataclass(frozen=True, slots=True)
-class PbftPrepare:
+class PbftPrepare(Message):
     """Backup's echo of the pre-prepare (digest only)."""
 
     TAG: ClassVar[str] = "prepare"
@@ -212,7 +227,7 @@ class PbftPrepare:
 
 
 @dataclass(frozen=True, slots=True)
-class PbftCommit:
+class PbftCommit(Message):
     """Commit vote in the three-phase baseline."""
 
     TAG: ClassVar[str] = "commit"
@@ -229,7 +244,7 @@ class PbftCommit:
 # --- Membership (dynamic join/exit) ---
 
 @dataclass(frozen=True, slots=True)
-class ExitRequest:
+class ExitRequest(Message):
     """Member announces departure effective at ``effective_height``."""
 
     TAG: ClassVar[str] = "erequest"
@@ -242,7 +257,7 @@ class ExitRequest:
 
 
 @dataclass(frozen=True, slots=True)
-class ExitCommit:
+class ExitCommit(Message):
     """Exit finalization co-signed by the leaver and the master."""
 
     TAG: ClassVar[str] = "exit_commit"
@@ -260,7 +275,7 @@ class ExitCommit:
 
 
 @dataclass(frozen=True, slots=True)
-class ChangeNotice:
+class ChangeNotice(Message):
     """Master invites the best candidate to join the consensus set."""
 
     TAG: ClassVar[str] = "change"
@@ -274,7 +289,7 @@ class ChangeNotice:
 
 
 @dataclass(frozen=True, slots=True)
-class JoinRequest:
+class JoinRequest(Message):
     """Candidate's upgrade request carrying its claimed reputation."""
 
     TAG: ClassVar[str] = "urequest"
@@ -288,7 +303,7 @@ class JoinRequest:
 
 
 @dataclass(frozen=True, slots=True)
-class JoinCommit:
+class JoinCommit(Message):
     """Member's confirmation that the candidate may join."""
 
     TAG: ClassVar[str] = "join_commit"
@@ -303,8 +318,21 @@ class JoinCommit:
 
 def signed(message, registry, signer_id: int):
     """Return a copy of ``message`` signed by ``signer_id``."""
-    return replace(message, signature=registry.sign(signer_id, message.signed_payload()))
+    copy = replace(message, signature=registry.sign(signer_id, message.signed_payload()))
+    object.__setattr__(copy, "_verified_by", (registry, signer_id))
+    return copy
 
 
 def signature_ok(message, registry, signer_id: int) -> bool:
-    return registry.verify(signer_id, message.signed_payload(), message.signature)
+    """True if ``message.signature`` is ``signer_id``'s signature of its payload.
+
+    Answered from the memo when ``registry`` and ``signer_id`` are the ones it
+    records; otherwise verified in full, and a success is memoized.
+    """
+    memo = getattr(message, "_verified_by", None)
+    if memo is not None and memo[0] is registry and memo[1] == signer_id:
+        return True
+    if not registry.verify(signer_id, message.signed_payload(), message.signature):
+        return False
+    object.__setattr__(message, "_verified_by", (registry, signer_id))
+    return True

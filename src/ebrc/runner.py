@@ -682,7 +682,7 @@ class ScenarioRunner:
                 self.result.stalled_memberships.append(
                     {"node": accused, "height": next_height, "forced": True}
                 )
-            elif plan.expel is not None:
+            elif plan.expel:
                 forced.add(accused)
                 if plan.promote is not None:
                     due_joins.add(plan.promote)

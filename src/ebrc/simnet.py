@@ -104,6 +104,16 @@ def _digest_prefix(message) -> str:
     return ""
 
 
+# What one send puts on a link: the message object, its tag, its digest
+# prefix and the latency factor. Built once per distinct outbound object.
+_Wire = Tuple[object, str, str, float]
+
+
+def _wire(message, latency_factor: float = 1.0) -> _Wire:
+    tag = getattr(type(message), "TAG", type(message).__name__.lower())
+    return (message, tag, _digest_prefix(message), latency_factor)
+
+
 def _equivocation_variant(message, registry: KeyRegistry):
     """Second proposal half the committee will see: the batch minus its tail.
 
@@ -187,66 +197,69 @@ class Simulation:
     def send(self, sender: int, targets: Sequence[int], message) -> None:
         round_index = self.round_provider()
         profile = self.byzantine.get(sender)
-        plan = self._outbound_plan(profile, sender, targets, message)
-        for target, variant, latency_factor in plan:
-            if variant is None:
+        for target, wire in self._outbound_plan(profile, targets, message):
+            if wire is None:
                 self.counters.suppressed += 1
                 continue
-            self._transmit(sender, target, variant, latency_factor, round_index)
+            self._transmit(sender, target, wire, round_index)
 
     def _outbound_plan(
         self,
         profile: Optional[ByzantineProfile],
-        sender: int,
         targets: Sequence[int],
         message,
-    ) -> List[Tuple[int, Optional[object], float]]:
-        plain = [(t, message, 1.0) for t in targets]
-        if profile is None:
-            return plain
-        # Connectivity proofs are exempt from silence and laziness: a node
-        # attacking the consensus phase still wants a committee seat.
-        is_connect = isinstance(message, VrfConnect)
-        if profile.behavior == "silent":
-            if is_connect:
-                return plain
-            return [(t, None, 1.0) for t in targets]
-        if profile.behavior == "lazy":
-            if is_connect:
-                return plain
-            return [(t, message, profile.latency_factor) for t in targets]
-        if profile.behavior == "corrupt_digest":
-            mangled = _corrupted_digest(message, self.registry)
-            return [(t, mangled, 1.0) for t in targets]
-        if profile.behavior == "corrupt_proof":
-            return [(t, _corrupted_proof(message), 1.0) for t in targets]
-        if profile.behavior == "equivocate":
-            variant = _equivocation_variant(message, self.registry)
-            if variant is None:
-                return plain
-            ordered = sorted(targets)
-            return [
-                (t, message if i % 2 == 0 else variant, 1.0)
-                for i, t in enumerate(ordered)
-            ]
-        return plain
+    ) -> List[Tuple[int, Optional[_Wire]]]:
+        """Pair each target with what goes out to it (None: suppressed).
 
-    def _transmit(self, sender: int, target: int, message, latency_factor: float, round_index: int) -> None:
+        Each distinct outbound object gets one ``_Wire``, shared by all the
+        targets that receive it.
+        """
+        if profile is None or (
+            profile.behavior in ("silent", "lazy") and isinstance(message, VrfConnect)
+        ):
+            # Connectivity proofs are exempt from silence and laziness: a node
+            # attacking the consensus phase still wants a committee seat.
+            plain = _wire(message)
+            return [(t, plain) for t in targets]
+        if profile.behavior == "silent":
+            return [(t, None) for t in targets]
+        if profile.behavior == "lazy":
+            slow = _wire(message, profile.latency_factor)
+            return [(t, slow) for t in targets]
+        if profile.behavior == "corrupt_digest":
+            mangled = _wire(_corrupted_digest(message, self.registry))
+            return [(t, mangled) for t in targets]
+        if profile.behavior == "corrupt_proof":
+            mangled = _wire(_corrupted_proof(message))
+            return [(t, mangled) for t in targets]
+        # equivocate, the one behavior left
+        original = _wire(message)
+        variant = _equivocation_variant(message, self.registry)
+        if variant is None:
+            return [(t, original) for t in targets]
+        other = _wire(variant)
+        return [
+            (t, original if i % 2 == 0 else other)
+            for i, t in enumerate(sorted(targets))
+        ]
+
+    def _transmit(self, sender: int, target: int, wire: _Wire, round_index: int) -> None:
         if target == sender:
             raise ValueError("self-delivery is not modeled")
-        tag = getattr(type(message), "TAG", type(message).__name__.lower())
+        message, tag, digest_prefix, latency_factor = wire
         self.counters.note_sent(tag, round_index, sender)
         rng = self._link_rng(sender, target)
-        dropped = self.network.partitioned(self.now, sender, target) or (
-            self.network.drop_rate > 0.0 and rng.random() < self.network.drop_rate
-        )
+        network = self.network
+        dropped = bool(network.partitions) and network.partitioned(self.now, sender, target)
+        if not dropped and network.drop_rate > 0.0:
+            dropped = rng.random() < network.drop_rate
         self.trace.append(
             TraceRecord(
                 time_us=self.now,
                 sender=sender,
                 target=target,
                 tag=tag,
-                digest_prefix=_digest_prefix(message),
+                digest_prefix=digest_prefix,
                 round_index=round_index,
                 delivered=not dropped,
             )
@@ -254,9 +267,9 @@ class Simulation:
         if dropped:
             self.counters.dropped += 1
             return
-        latency = float(self.network.base_latency_us)
-        if self.network.jitter_us:
-            latency += rng.random() * self.network.jitter_us
+        latency = float(network.base_latency_us)
+        if network.jitter_us:
+            latency += rng.random() * network.jitter_us
         self._push(self.now + int(latency * latency_factor), ("deliver", target, sender, message))
 
     def _link_rng(self, sender: int, target: int) -> random.Random:
@@ -277,9 +290,6 @@ class Simulation:
 
     def pending(self) -> bool:
         return bool(self._heap)
-
-    def peek_time(self) -> Optional[int]:
-        return self._heap[0][0] if self._heap else None
 
     def step_one(self) -> bool:
         """Process the single next event; False when the heap is empty."""

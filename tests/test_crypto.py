@@ -1,5 +1,6 @@
 """Deterministic signature and sortition primitives."""
 
+import dataclasses
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from ebrc.crypto import (
     digest,
     pack,
 )
+from ebrc.messages import Commit, signature_ok, signed
 
 
 @pytest.fixture()
@@ -157,3 +159,76 @@ class TestSeedDerivation:
             derive_seed(b"short")
         with pytest.raises(ValueError):
             derive_seed("not-bytes")
+
+
+class TestSignatureMemo:
+    """``signature_ok`` answers from the memo only for what ``signed`` made."""
+
+    @pytest.fixture()
+    def verify_calls(self, monkeypatch):
+        calls = []
+        original = KeyRegistry.verify
+
+        def counting(self, owner_id, payload, signature):
+            calls.append(owner_id)
+            return original(self, owner_id, payload, signature)
+
+        monkeypatch.setattr(KeyRegistry, "verify", counting)
+        return calls
+
+    @staticmethod
+    def commit(sender=0, **fields):
+        values = dict(
+            view=0, timestamp=5, digest=b"d" * 32, sequence=1, valid=True, sender=sender
+        )
+        values.update(fields)
+        return Commit(**values)
+
+    def test_signed_message_passes_without_verify(self, registry, verify_calls):
+        message = signed(self.commit(), registry, 0)
+        assert all(signature_ok(message, registry, 0) for _ in range(5))
+        assert verify_calls == []
+
+    def test_signer_other_than_claimed_sender_fails(self, registry, verify_calls):
+        message = signed(self.commit(sender=1), registry, 2)
+        assert not signature_ok(message, registry, message.sender)
+        assert verify_calls == [1]
+
+    def test_replaced_copy_with_old_signature_fails(self, registry, verify_calls):
+        message = signed(self.commit(), registry, 0)
+        forged = dataclasses.replace(message, digest=b"e" * 32)
+        assert forged.signature == message.signature
+        assert not signature_ok(forged, registry, 0)
+        assert verify_calls == [0]
+
+    def test_other_registry_takes_the_full_path(self, registry, verify_calls):
+        other = KeyRegistry(seed=b"another-registry")
+        for node in range(4):
+            other.register(node)
+        message = signed(self.commit(), registry, 0)
+        assert not signature_ok(message, other, 0)
+        assert verify_calls == [0]
+        # The failed check leaves the memo for the signing registry intact.
+        assert signature_ok(message, registry, 0)
+        assert verify_calls == [0]
+
+    def test_hand_built_junk_signature_fails(self, registry, verify_calls):
+        message = self.commit(signature=b"junk")
+        assert not signature_ok(message, registry, 0)
+        assert not signature_ok(message, registry, 0)
+        assert verify_calls == [0, 0]
+
+    def test_unchanged_copy_verified_once_then_memoized(self, registry, verify_calls):
+        copy = dataclasses.replace(signed(self.commit(), registry, 0))
+        assert signature_ok(copy, registry, 0)
+        assert signature_ok(copy, registry, 0)
+        assert verify_calls == [0]
+
+    def test_memo_changes_neither_equality_nor_hash(self, registry):
+        message = signed(self.commit(), registry, 0)
+        bare = dataclasses.replace(message)
+        assert message == bare
+        assert hash(message) == hash(bare)
+        assert repr(message) == repr(bare)
+        assert dataclasses.asdict(message) == dataclasses.asdict(bare)
+        assert "_verified_by" not in {f.name for f in dataclasses.fields(message)}

@@ -1,0 +1,51 @@
+"""Byte-identity of every shipped preset: a speed change never moves an outcome.
+
+Each shipped preset JSON is run at its own seed, serialized the way
+``ebrc run --trace`` writes it (report JSON, then trace CSV), and the SHA-256
+of that text is compared with the value pinned here. A change that is meant
+to alter simulated outcomes re-pins these hashes and says why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from ebrc import harness, presets
+
+GOLDEN_SHA256 = {
+    "churn_exit_m11": "3005955a16e72648dfc905e5836aa882422048f3db875b80f5516d5a323fe131",
+    "churn_join_m7": "1ac260a0f00d02da5cf4cf02d89b3c4c2d62256303d425b547c7790691b5ba93",
+    "compare_byz_ebrc_n10": "2f0aa825e9876ba023d5d2f955c83ed7e700b1ced71115055c47213a4dc859bd",
+    "compare_byz_pbft_n10": "452e9bfb0dcada66277a6a01f6c735a7a504bee0701d666b5407e00d3b7b5cc0",
+    "djep_exit_m26": "f780d34d137e50d89a9b83aca5dfedf47492e44856844fb76868aeeaf5e9fb4c",
+    "djep_join_m25": "adb2a285e57889eba84ce078ba29410116940168c20d22fa3ae01f68a324b030",
+    "election_corrupt_proof_n6": "2e46d7c7b75e8ae40531c836a126da055d06339f1b881f273f1002fa06fde099",
+    "law_ebrc_n4": "29f4b169820507a1a24769877c49e81fb5c1dfe5e8e3861b50568a708efa9e35",
+    "law_pbft_n4": "979622f701b89a5ec5d4764308afe35dc3653816dc211f1e33d4777cfc6bb197",
+    "pbft_viewchange_n26": "9245a60b60547f39283a75c7a53fef8f9ead80d0ae96961c962675de3a3af26c",
+    "safety_corrupt_digest_m10": "2793e564706d84a36f5b85f8ade441420bd5e224fbe5af48976f1e7e3605be91",
+    "safety_corrupt_digest_m13": "86dc928f238845ee034cf8e9a56d630a58555be11f46b43913ef8f3703aeb414",
+    "safety_corrupt_digest_m4": "825c90ecaab7dace2c0a0dc94d304b80197020e7c3c2798a3871f787a78a6d6a",
+    "safety_corrupt_digest_m7": "f10ba13aa481ad7bd042d4149619360852d37e6853778b33e952250d506ded07",
+    "safety_equivocate_m10": "3a87e1b0f4243fba013b9cabd6291c8bd223cfa087cbabf083a4f1bfdc2ea49e",
+    "safety_equivocate_m13": "bca7e747f27943e455fd64a7f85854801ced21a79fe4722fa196830b95440d9b",
+    "safety_equivocate_m4": "028ad527149f845313291868afd0fd1e6ee2352d89f4e80b7749a9a91570bc31",
+    "safety_equivocate_m7": "4a31cd461953629ad33f725db542621b06886a081d1c10dc87bddceefd829c98",
+    "safety_silent_m10": "b0a673d09a61c83398772b05a32ee65e33389710a41534ee6a75813f03b63beb",
+    "safety_silent_m13": "34816452af1da679eeee6cfc72445e2b28302dfd8207fc1ac10c17f65ad788ab",
+    "safety_silent_m4": "fb68737cf23591649b4d3c9a847e63fe29ceb61bb9ebe0dbca0e9b86e649d86c",
+    "safety_silent_m7": "a11e1d9d5129e58d173ea9b1abf56380a2db087c9bda263085ba5d5468ad18f8",
+}
+
+
+def test_every_shipped_preset_is_pinned():
+    assert sorted(GOLDEN_SHA256) == presets.names()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_report_and_trace_bytes_unchanged(name):
+    report, result = harness.run_scenario_with_result(presets.load(name))
+    text = harness.report_json(
+        {"schema_version": harness.SCHEMA_VERSION, "reports": [report.to_dict()]}
+    ) + harness.trace_csv(result.trace)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SHA256[name]

@@ -329,3 +329,121 @@ class TestCounters:
         assert sim.counters.per_tag["prepare"] == 1
         assert sim.counters.round_senders[7] == {0, 1}
         assert all(r.round_index == 7 for r in sim.trace)
+
+
+class TestFanOut:
+    """One broadcast, five receivers: trace rows and deliveries pinned in order.
+
+    Rows are (time_us, target, tag, digest_prefix, round_index, delivered);
+    deliveries are (target, time_us, tag, digest prefix of what arrived).
+    """
+
+    TARGETS = [5, 1, 4, 2, 3]
+    JITTER = NetworkModel(base_latency_us=2_000, jitter_us=1_000)
+
+    def run(self, seed, network, byzantine, sends):
+        reg = make_registry(6)
+        sim = Simulation(seed, network, reg, byzantine)
+        sim.round_provider = lambda: 3
+        deliveries = []
+        sim.on_deliver = lambda target, now, m: deliveries.append(
+            (target, now, m.TAG, m.digest[:4].hex())
+        )
+        for at_us, message in sends(reg):
+            sim.schedule_send(at_us, 0, self.TARGETS, message)
+        drain(sim)
+        rows = [
+            (r.time_us, r.target, r.tag, r.digest_prefix, r.round_index, r.delivered)
+            for r in sim.trace
+        ]
+        return rows, deliveries
+
+    @staticmethod
+    def three_request_prepare(reg):
+        return make_prepare(reg, payloads=(b"a", b"b", b"c"))
+
+    @staticmethod
+    def counting_commit(reg):
+        commit = Commit(
+            view=0, timestamp=0, digest=bytes(range(32)), sequence=1, valid=True, sender=0
+        )
+        return signed(commit, reg, 0)
+
+    def test_equivocating_broadcast_two_variants(self):
+        rows, deliveries = self.run(
+            b"fan-out", self.JITTER, {0: ByzantineProfile("equivocate")},
+            lambda reg: [(0, self.three_request_prepare(reg))],
+        )
+        assert rows == [
+            (0, 1, "prepare", "169f6f1d", 3, True),
+            (0, 2, "prepare", "fd62c4d1", 3, True),
+            (0, 3, "prepare", "169f6f1d", 3, True),
+            (0, 4, "prepare", "fd62c4d1", 3, True),
+            (0, 5, "prepare", "169f6f1d", 3, True),
+        ]
+        assert deliveries == [
+            (1, 2414, "prepare", "169f6f1d"),
+            (3, 2496, "prepare", "169f6f1d"),
+            (2, 2505, "prepare", "fd62c4d1"),
+            (5, 2564, "prepare", "169f6f1d"),
+            (4, 2699, "prepare", "fd62c4d1"),
+        ]
+
+    def test_corrupt_digest_broadcast(self):
+        rows, deliveries = self.run(
+            b"fan-out", self.JITTER, {0: ByzantineProfile("corrupt_digest")},
+            lambda reg: [(0, self.three_request_prepare(reg)), (1_000, self.counting_commit(reg))],
+        )
+        assert rows == [
+            (0, t, "prepare", "e99f6f1d", 3, True) for t in self.TARGETS
+        ] + [
+            (1_000, t, "commit", "ff010203", 3, True) for t in self.TARGETS
+        ]
+        assert deliveries == [
+            (1, 2414, "prepare", "e99f6f1d"),
+            (3, 2496, "prepare", "e99f6f1d"),
+            (2, 2505, "prepare", "e99f6f1d"),
+            (5, 2564, "prepare", "e99f6f1d"),
+            (4, 2699, "prepare", "e99f6f1d"),
+            (3, 3039, "commit", "ff010203"),
+            (4, 3171, "commit", "ff010203"),
+            (1, 3428, "commit", "ff010203"),
+            (2, 3681, "commit", "ff010203"),
+            (5, 3700, "commit", "ff010203"),
+        ]
+
+    def test_lossy_network_with_partition_window(self):
+        # Node 3 is cut off for the first 12 ms; the 5% drops hit the links
+        # to 4 (third send) and to 1 (fourth send). A partitioned link draws
+        # nothing from its RNG, so node 3's first delivery time depends on it.
+        network = NetworkModel(
+            base_latency_us=2_000, jitter_us=1_000, drop_rate=0.05,
+            partitions=((0, 12_000, frozenset({3})),),
+        )
+        rows, deliveries = self.run(
+            b"fan-out-3", network, None,
+            lambda reg: [(i * 5_000, self.counting_commit(reg)) for i in range(4)],
+        )
+        dropped = {(0, 3), (5_000, 3), (10_000, 4), (10_000, 3), (15_000, 1)}
+        assert rows == [
+            (at, t, "commit", "00010203", 3, (at, t) not in dropped)
+            for at in (0, 5_000, 10_000, 15_000)
+            for t in self.TARGETS
+        ]
+        assert deliveries == [
+            (2, 2404, "commit", "00010203"),
+            (1, 2436, "commit", "00010203"),
+            (4, 2589, "commit", "00010203"),
+            (5, 2618, "commit", "00010203"),
+            (4, 7063, "commit", "00010203"),
+            (1, 7089, "commit", "00010203"),
+            (2, 7724, "commit", "00010203"),
+            (5, 7829, "commit", "00010203"),
+            (1, 12089, "commit", "00010203"),
+            (2, 12608, "commit", "00010203"),
+            (5, 12838, "commit", "00010203"),
+            (3, 17307, "commit", "00010203"),
+            (4, 17437, "commit", "00010203"),
+            (5, 17638, "commit", "00010203"),
+            (2, 17709, "commit", "00010203"),
+        ]
