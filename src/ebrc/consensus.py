@@ -1,10 +1,19 @@
-"""Replica state machines: the two-phase committee protocol and the
+"""Replica state machines: the two-phase committee protocol (EBRC) and the
 three-phase PBFT baseline.
 
 Both replicas are deterministic event-driven state machines: ``step(now,
 event)`` consumes one delivered message or timer tick and returns the
 messages to send plus the timers to arm. All nondeterminism (latency, jitter,
 Byzantine transforms) lives in the network layer, never here.
+
+Both run on one core, ``_ReplicaBase``: request intake and timer arming, the
+leader's proposal, the quorum commit and the advance to the next height, the
+2f+1 ViewChange adoption with its f+1 straggler join, and round-end announce
+adoption. A protocol states its voting group, who votes, the leader of a
+(height, view) and whether the view advances with every block. On top of
+that, EBRC adds its single Commit vote, forwarding of requests from outside
+the committee, a Report against an invalid proposal and the DJEP exit/join
+flows; PBFT adds its prepare phase and the prepared certificate.
 
 Quorum bookkeeping is keyed per view. A vote tally that ignored views could
 mix votes for the same digest across a view change and double-commit under
@@ -132,7 +141,18 @@ class StepResult:
 
 
 class _ReplicaBase:
-    """State shared by both protocol variants."""
+    """The replica core both protocols share.
+
+    A subclass states four things: its voting group (``committee``), whether
+    this node votes (``is_member``), the leader of the current (height, view)
+    (``leader_id``) and whether the view advances with every block
+    (``VIEW_PER_BLOCK``). It also names its proposal message (``PROPOSAL``),
+    casts its own votes on an accepted proposal (``_vote``) and routes
+    messages to handlers by exact type (``_HANDLERS``).
+    """
+
+    PROPOSAL: type
+    VIEW_PER_BLOCK: bool
 
     def __init__(
         self,
@@ -149,6 +169,8 @@ class _ReplicaBase:
         self.view_timeout_us = view_timeout_us
         self.block_tx_cap = block_tx_cap
 
+        self.committee: Tuple[int, ...] = ()
+        self.f = 0
         self.height = 1  # next block height to commit; genesis occupies 0
         self.view = 0
         self.ledger: Dict[int, Block] = {0: GENESIS_BLOCK}
@@ -162,17 +184,53 @@ class _ReplicaBase:
         # ("incompletion", node, height) / ("quorum_conflict", ...) / ...
         self.observations: List[Tuple] = []
 
-    def _arm_once(self, result: "StepResult", kind: str, delay_us: int) -> None:
+        self.proposal = None
+        self.commit_tallies: Dict[int, Dict[bytes, Set[int]]] = {}
+        self.commit_sent_views: Set[int] = set()
+        self.proposed_views: Set[int] = set()
+        self.viewchange_tallies: Dict[Tuple[int, int], Set[int]] = {}
+        self.viewchanges_sent: Set[Tuple[int, int]] = set()
+        self.view_change_count = 0
+
+    # -- roles --
+
+    @property
+    def is_leader(self) -> bool:
+        return self.is_member and self.leader_id() == self.node_id
+
+    def _to_peers(self, message) -> List[Tuple[int, object]]:
+        return [(peer, message) for peer in self.committee if peer != self.node_id]
+
+    # -- timers --
+
+    def _arm_once(self, result: StepResult, kind: str, delay_us: int) -> None:
         key = (kind, self.height, self.view)
         if key in self.timer_armed:
             return
         self.timer_armed.add(key)
         result.timers.append((delay_us, TimerTick(kind, self.height, self.view)))
 
-    def _prune_timer_keys(self) -> None:
-        self.timer_armed = {key for key in self.timer_armed if key[1] >= self.height}
+    def _arm_for_pending(self, result: StepResult) -> None:
+        """Buffered requests arm the leader's batch window, unless it has
+        already proposed in this view, or every other member's watchdog."""
+        if not self.is_member or not self.request_buffer:
+            return
+        if not self.is_leader:
+            self._arm_once(result, "round", self.view_timeout_us)
+        elif self.view not in self.proposed_views:
+            self._arm_once(result, "batch", self.batch_window_us)
 
-    # -- request intake shared by both protocols --
+    def _on_timer(self, now: int, tick: TimerTick) -> StepResult:
+        if tick.height != self.height or tick.view != self.view:
+            return StepResult()  # stale timer
+        if tick.kind == "batch":
+            return self._propose(now)
+        result = StepResult()
+        if tick.kind == "round" and self.height not in self.ledger:
+            self._start_view_change(self.view + 1, result)
+        return result
+
+    # -- requests and proposals --
 
     def _accept_request(self, request: Request) -> bool:
         if request.digest in self.seen_requests:
@@ -186,6 +244,38 @@ class _ReplicaBase:
         self.seen_requests.add(request.digest)
         self.request_buffer[request.digest] = request
         return True
+
+    def _on_request(self, now: int, request: Request) -> StepResult:
+        result = StepResult()
+        if self._accept_request(request):
+            self._arm_for_pending(result)
+        return result
+
+    def _propose(self, now: int) -> StepResult:
+        result = StepResult()
+        if not self.is_leader or self.view in self.proposed_views:
+            return result
+        batch = canonical_batch(self.request_buffer, self.block_tx_cap)
+        if not batch:
+            return result
+        self.proposed_views.add(self.view)
+        self.proposal = signed(
+            self.PROPOSAL(
+                height=self.height,
+                view=self.view,
+                timestamp=now,
+                batch=batch,
+                digest=batch_digest_of(batch),
+                sender=self.node_id,
+            ),
+            self.registry,
+            self.node_id,
+        )
+        result.sends.extend(self._to_peers(self.proposal))
+        # The leader also expects the round to finish; arm its own watchdog.
+        self._arm_once(result, "round", self.view_timeout_us)
+        self._vote(now, result)
+        return result
 
     def _validate_proposal_content(self, batch: Tuple[Request, ...], digest_field: bytes) -> bool:
         if not batch or len(batch) > self.block_tx_cap:
@@ -201,24 +291,63 @@ class _ReplicaBase:
                 return False
         return digest_field == batch_digest_of(batch)
 
-    def _commit_block(self, batch: Tuple[Request, ...], view: int, committers: Tuple[int, ...]) -> Block:
-        digests = tuple(r.digest for r in batch)
+    def _on_proposal(self, now: int, proposal) -> StepResult:
+        result = StepResult()
+        if (
+            not self.is_member
+            or proposal.height != self.height
+            or proposal.view != self.view  # stale or future view: dropped silently
+            or proposal.sender != self.leader_id()
+            or proposal.sender == self.node_id
+            or not signature_ok(proposal, self.registry, proposal.sender)
+        ):
+            return result
+        if not self._validate_proposal_content(proposal.batch, proposal.digest):
+            self._reject_proposal(proposal, result)
+            return result
+        self.proposal = proposal
+        self._vote(now, result)
+        return result
+
+    def _reject_proposal(self, proposal, result: StepResult) -> None:
+        """A provably bad proposal deposes its leader."""
+        self._start_view_change(self.view + 1, result)
+
+    # -- commit and advance --
+
+    def _next_block(self, batch_digests: Sequence[bytes], tx_count: int, committers: Tuple[int, ...]) -> Block:
+        # The digest covers chain position and contents only; view and
+        # committers are this node's own record.
         previous = self.ledger[self.height - 1].block_digest
-        block = Block(
+        return Block(
             height=self.height,
-            view=view,
+            view=self.view,
             previous_hash=previous,
-            batch_digests=digests,
-            tx_count=len(batch),
-            block_digest=block_digest_of(previous, self.height, digests),
+            batch_digests=tuple(batch_digests),
+            tx_count=tx_count,
+            block_digest=block_digest_of(previous, self.height, batch_digests),
             committers=committers,
         )
-        self.ledger[self.height] = block
-        for d in digests:
-            self.request_buffer.pop(d, None)
-        return block
 
-    def _replies_for(self, batch: Tuple[Request, ...], now: int, committee_size: int) -> List[Tuple[int, object]]:
+    def adopt_block(self, block: Block) -> None:
+        """Append the block at the current height (never overwrites) and move
+        to the next height."""
+        if block.height in self.ledger:
+            return
+        if block.height != self.height:
+            return
+        self.ledger[block.height] = block
+        for d in block.batch_digests:
+            self.request_buffer.pop(d, None)
+        self.height += 1
+
+    def _reset_round(self) -> None:
+        self.proposal = None
+        self.commit_tallies.clear()
+        self.commit_sent_views.clear()
+        self.proposed_views.clear()
+
+    def _replies_for(self, batch: Tuple[Request, ...], now: int) -> List[Tuple[int, object]]:
         sends: List[Tuple[int, object]] = []
         for client_id in sorted({r.client_id for r in batch}):
             reply = signed(
@@ -226,7 +355,7 @@ class _ReplicaBase:
                     client_id=client_id,
                     timestamp=now,
                     digest=batch_digest_of(batch),
-                    committee_size=committee_size,
+                    committee_size=len(self.committee),
                     valid=True,
                     sender=self.node_id,
                 ),
@@ -236,16 +365,105 @@ class _ReplicaBase:
             sends.append((client_id, reply))
         return sends
 
-    def adopt_block(self, block: Block) -> None:
-        """Fill a ledger hole from a round-end announce (never overwrites)."""
-        if block.height in self.ledger:
+    def _try_commit(self, now: int, result: StepResult) -> None:
+        tally = self.commit_tallies.get(self.view)
+        if not tally:
             return
-        if block.height != self.height:
+        try:
+            winner = check_quorum(tally, self.f)
+        except QuorumConflict as exc:
+            self.observations.append(("quorum_conflict", self.node_id, self.height, str(exc)))
             return
-        self.ledger[block.height] = block
-        for d in block.batch_digests:
-            self.request_buffer.pop(d, None)
-        self.height += 1
+        if winner is None or self.proposal is None or self.proposal.digest != winner:
+            return  # no quorum, or a quorum without the matching proposal payload
+        batch = self.proposal.batch
+        committers = tuple(sorted(tally[winner]))
+        self.adopt_block(self._next_block([r.digest for r in batch], len(batch), committers))
+        result.sends.extend(self._replies_for(batch, now))
+        if self.VIEW_PER_BLOCK:
+            self.view += 1
+        self._reset_round()
+        self.viewchange_tallies = {
+            key: senders for key, senders in self.viewchange_tallies.items() if key[0] >= self.height
+        }
+        self.timer_armed = {key for key in self.timer_armed if key[1] >= self.height}
+        self._arm_for_pending(result)
+
+    # -- view change --
+
+    def _start_view_change(self, proposed_view: int, result: StepResult) -> None:
+        # A repeated call for the same key re-broadcasts: the only caller
+        # that can repeat is the watchdog chain (one tick per timeout
+        # window), so under message loss this is the retry path.
+        key = (self.height, proposed_view)
+        self.viewchanges_sent.add(key)
+        vc = signed(
+            ViewChange(height=self.height, proposed_view=proposed_view, reporter=self.node_id),
+            self.registry,
+            self.node_id,
+        )
+        self.viewchange_tallies.setdefault(key, set()).add(self.node_id)
+        result.sends.extend(self._to_peers(vc))
+        result.timers.append((self.view_timeout_us, TimerTick("round", self.height, self.view)))
+        self._maybe_adopt_view(proposed_view, result)
+
+    def _on_viewchange(self, now: int, vc: ViewChange) -> StepResult:
+        result = StepResult()
+        if (
+            not self.is_member
+            or vc.height != self.height
+            or vc.proposed_view <= self.view
+            or vc.reporter not in self.committee
+            or not signature_ok(vc, self.registry, vc.reporter)
+        ):
+            return result
+        key = (vc.height, vc.proposed_view)
+        self.viewchange_tallies.setdefault(key, set()).add(vc.reporter)
+        # Join a view change once f+1 peers vouch for it, even before our own
+        # timer fires; prevents straggler deadlock.
+        if len(self.viewchange_tallies[key]) >= self.f + 1 and key not in self.viewchanges_sent:
+            self._start_view_change(vc.proposed_view, result)
+        self._maybe_adopt_view(vc.proposed_view, result)
+        return result
+
+    def _maybe_adopt_view(self, proposed_view: int, result: StepResult) -> None:
+        senders = self.viewchange_tallies.get((self.height, proposed_view), set())
+        if len(senders) < 2 * self.f + 1 or proposed_view <= self.view:
+            return
+        self.observations.append(("incompletion", self.leader_id(), self.height))
+        self.view_change_count += 1
+        self.view = proposed_view
+        self.proposal = None
+        # The pending request batch is retained in the buffer; the new leader
+        # re-proposes it from there.
+        if self.is_leader and self.request_buffer:
+            self._arm_once(result, "batch", self.batch_window_us)
+        else:
+            self._arm_once(result, "round", self.view_timeout_us)
+
+    # -- round-end announce --
+
+    def _on_announce(self, now: int, event: BlockAnnounce) -> StepResult:
+        """Fill a ledger hole from a round-end announce of the next block."""
+        if not signature_ok(event, self.registry, event.sender) or event.height != self.height:
+            return StepResult()
+        block = self._next_block(event.batch_digests, event.tx_count, ())
+        if block.block_digest != event.block_digest:
+            return StepResult()
+        self.adopt_block(block)
+        if self.is_member:
+            if self.VIEW_PER_BLOCK:
+                self.view += 1
+            self._reset_round()
+        return StepResult()
+
+    # Handlers every replica has; each subclass's table adds its own.
+    _HANDLERS = {
+        TimerTick: _on_timer,
+        Request: _on_request,
+        ViewChange: _on_viewchange,
+        BlockAnnounce: _on_announce,
+    }
 
 
 class EbrcReplica(_ReplicaBase):
@@ -257,41 +475,27 @@ class EbrcReplica(_ReplicaBase):
     the clients, and (height, view) both advance, rotating the master.
     """
 
-    def __init__(self, node_id, registry, *, batch_window_us, view_timeout_us, block_tx_cap) -> None:
-        super().__init__(
-            node_id,
-            registry,
-            batch_window_us=batch_window_us,
-            view_timeout_us=view_timeout_us,
-            block_tx_cap=block_tx_cap,
-        )
-        self.committee: Tuple[int, ...] = ()
+    PROPOSAL = Prepare
+    VIEW_PER_BLOCK = True
+
+    def __init__(self, node_id, registry, **settings) -> None:
+        super().__init__(node_id, registry, **settings)
         self.candidates: Tuple[int, ...] = ()
-        self.f = 0
         self.epoch = 0
         self.table_reputation: Dict[int, float] = {}
-        self.proposal: Optional[Prepare] = None
-        self.commit_tallies: Dict[int, Dict[bytes, Set[int]]] = {}
-        self.commit_sent_views: Set[int] = set()
-        self.proposed_views: Set[int] = set()
-        self.viewchange_tallies: Dict[Tuple[int, int], Set[int]] = {}
-        self.viewchanges_sent: Set[Tuple[int, int]] = set()
-        self.view_change_count = 0
-        self.forwarded: Set[bytes] = set()
         self.membership = djep.MembershipState()
 
-    # -- role helpers --
+    # -- roles --
 
     @property
     def is_member(self) -> bool:
         return self.node_id in self.committee
 
-    def master_id(self) -> int:
+    def leader_id(self) -> int:
         return self.committee[select_master(self.height, self.view, self.f)]
 
-    @property
-    def is_master(self) -> bool:
-        return self.is_member and self.master_id() == self.node_id
+    master_id = leader_id
+    is_master = _ReplicaBase.is_leader
 
     def set_committee(
         self,
@@ -310,15 +514,14 @@ class EbrcReplica(_ReplicaBase):
         self.epoch = epoch
         self.table_reputation = dict(table_reputation)
         self.view = 0
-        self.proposal = None
-        self.commit_tallies.clear()
-        self.commit_sent_views.clear()
-        self.proposed_views.clear()
+        self._reset_round()
         self.viewchange_tallies.clear()
         self.viewchanges_sent.clear()
         self.timer_armed.clear()
         self.membership = djep.MembershipState()
-        return self._arm_for_pending(now)
+        result = StepResult()
+        self._arm_for_pending(result)
+        return result
 
     def apply_membership(
         self,
@@ -340,321 +543,83 @@ class EbrcReplica(_ReplicaBase):
         if joining and view_hint is not None:
             self.view = view_hint
 
-    def _arm_for_pending(self, now: int) -> StepResult:
-        result = StepResult()
-        if not self.is_member or not self.request_buffer:
-            return result
-        if self.is_master:
-            self._arm_once(result, "batch", self.batch_window_us)
-        else:
-            self._arm_once(result, "round", self.view_timeout_us)
-        return result
-
-    # -- main event dispatch --
-
     def step(self, now: int, event) -> StepResult:
-        if isinstance(event, TimerTick):
-            return self._on_timer(now, event)
-        if isinstance(event, Request):
-            return self._on_request(now, event)
-        if isinstance(event, ForwardedRequest):
-            if signature_ok(event, self.registry, event.forwarder):
-                return self._on_request(now, event.request)
-            return StepResult()
-        if isinstance(event, Prepare):
-            return self._on_prepare(now, event)
-        if isinstance(event, Commit):
-            return self._on_commit(now, event)
-        if isinstance(event, ViewChange):
-            return self._on_viewchange(now, event)
-        if isinstance(event, BlockAnnounce):
-            return self._on_announce(event)
-        if isinstance(event, ExitRequest):
-            return self._on_exit_request(now, event)
-        if isinstance(event, ExitCommit):
-            return self._on_exit_commit(event)
-        if isinstance(event, ChangeNotice):
-            return self._on_change(now, event)
-        if isinstance(event, JoinRequest):
-            return self._on_join_request(now, event)
-        if isinstance(event, JoinCommit):
-            return self._on_join_commit(event)
-        if isinstance(event, (Reply, Report)):
-            return StepResult()  # replies/report tallying happen off-replica
-        logger.debug("node %d: unhandled event %r", self.node_id, type(event).__name__)
-        return StepResult()
+        handler = self._HANDLERS.get(type(event))
+        return handler(self, now, event) if handler else StepResult()
 
-    # -- request / batch --
+    # -- requests, prepare and commit --
 
     def _on_request(self, now: int, request: Request) -> StepResult:
+        if self.is_member:
+            return super()._on_request(now, request)
+        # Outside the committee: forward a fresh request once, toward the
+        # current master.
         result = StepResult()
-        fresh = self._accept_request(request)
-        if not self.is_member:
-            # Outside the committee: forward once toward the current master.
-            if fresh and self.committee and request.digest not in self.forwarded:
-                self.forwarded.add(request.digest)
-                fwd = signed(
-                    ForwardedRequest(request=request, forwarder=self.node_id),
-                    self.registry,
-                    self.node_id,
-                )
-                result.sends.append((self.master_id(), fwd))
-            return result
-        if not fresh:
-            return result
-        if self.is_master:
-            if self.view not in self.proposed_views:
-                self._arm_once(result, "batch", self.batch_window_us)
-        else:
-            self._arm_once(result, "round", self.view_timeout_us)
-        return result
-
-    def _on_timer(self, now: int, tick: TimerTick) -> StepResult:
-        if tick.height != self.height or tick.view != self.view:
-            return StepResult()  # stale timer
-        if tick.kind == "batch":
-            return self._propose(now)
-        if tick.kind == "round":
-            if self.height in self.ledger:
-                return StepResult()
-            return self._start_view_change(now, self.view + 1)
-        return StepResult()
-
-    def _propose(self, now: int) -> StepResult:
-        result = StepResult()
-        if not self.is_master or self.view in self.proposed_views:
-            return result
-        batch = canonical_batch(self.request_buffer, self.block_tx_cap)
-        if not batch:
-            return result
-        self.proposed_views.add(self.view)
-        prepare = signed(
-            Prepare(
-                height=self.height,
-                view=self.view,
-                timestamp=now,
-                batch=batch,
-                digest=batch_digest_of(batch),
-                sender=self.node_id,
-            ),
-            self.registry,
-            self.node_id,
-        )
-        self.proposal = prepare
-        for peer in self.committee:
-            if peer != self.node_id:
-                result.sends.append((peer, prepare))
-        result.sends.extend(self._broadcast_commit(now, prepare.digest))
-        # The master also expects the round to finish; arm its own watchdog.
-        self._arm_once(result, "round", self.view_timeout_us)
-        self._try_commit(now, result)
-        return result
-
-    # -- prepare / commit --
-
-    def _on_prepare(self, now: int, prepare: Prepare) -> StepResult:
-        result = StepResult()
-        if not self.is_member:
-            return result
-        if prepare.height != self.height or prepare.view != self.view:
-            return result  # stale or future view: dropped silently
-        if prepare.sender != self.master_id():
-            return result
-        if not signature_ok(prepare, self.registry, prepare.sender):
-            logger.debug("node %d: prepare signature failure", self.node_id)
-            return result
-        if not self._validate_proposal_content(prepare.batch, prepare.digest):
-            # Provably bad proposal: depose and report the master.
-            report = signed(
-                Report(
-                    accused=prepare.sender,
-                    evidence_kind="invalid-proposal",
-                    round_index=self.height,
-                    reporter=self.node_id,
-                ),
+        if self._accept_request(request) and self.committee:
+            fwd = signed(
+                ForwardedRequest(request=request, forwarder=self.node_id),
                 self.registry,
                 self.node_id,
             )
-            for peer in self.committee:
-                if peer != self.node_id:
-                    result.sends.append((peer, report))
-            vc = self._start_view_change(now, self.view + 1)
-            result.sends.extend(vc.sends)
-            result.timers.extend(vc.timers)
-            return result
-        self.proposal = prepare
-        result.sends.extend(self._broadcast_commit(now, prepare.digest))
-        self._try_commit(now, result)
+            result.sends.append((self.master_id(), fwd))
         return result
 
-    def _broadcast_commit(self, now: int, digest_value: bytes) -> List[Tuple[int, object]]:
-        if self.view in self.commit_sent_views:
-            return []
-        self.commit_sent_views.add(self.view)
-        commit = signed(
-            Commit(
-                view=self.view,
-                timestamp=now,
-                digest=digest_value,
-                sequence=self.height,
-                valid=True,
-                sender=self.node_id,
-            ),
-            self.registry,
-            self.node_id,
-        )
-        tally = self.commit_tallies.setdefault(self.view, {})
-        tally.setdefault(digest_value, set()).add(self.node_id)
-        return [(peer, commit) for peer in self.committee if peer != self.node_id]
+    def _on_forwarded(self, now: int, event: ForwardedRequest) -> StepResult:
+        if signature_ok(event, self.registry, event.forwarder):
+            return self._on_request(now, event.request)
+        return StepResult()
 
-    def _on_commit(self, now: int, commit: Commit) -> StepResult:
-        result = StepResult()
-        if not self.is_member or commit.sequence != self.height:
-            return result
-        if not commit.valid:
-            return result
-        if commit.sender not in self.committee:
-            return result
-        if not signature_ok(commit, self.registry, commit.sender):
-            return result
-        tally = self.commit_tallies.setdefault(commit.view, {})
-        tally.setdefault(commit.digest, set()).add(commit.sender)
-        self._try_commit(now, result)
-        return result
-
-    def _try_commit(self, now: int, result: StepResult) -> None:
-        tally = self.commit_tallies.get(self.view)
-        if not tally:
-            return
-        try:
-            winner = check_quorum(tally, self.f)
-        except QuorumConflict as exc:
-            self.observations.append(("quorum_conflict", self.node_id, self.height, str(exc)))
-            return
-        if winner is None:
-            return
-        if self.proposal is None or self.proposal.digest != winner:
-            return  # quorum observed without the matching proposal payload
-        committers = tuple(sorted(tally[winner]))
-        batch = self.proposal.batch
-        view = self.view
-        self._commit_block(batch, view, committers)
-        result.sends.extend(self._replies_for(batch, now, len(self.committee)))
-        self._advance_round(now, result)
-
-    def _advance_round(self, now: int, result: StepResult) -> None:
-        self.height += 1
-        self.view += 1
-        self.proposal = None
-        self.commit_tallies.clear()
-        self.commit_sent_views.clear()
-        self.proposed_views.clear()
-        self.viewchange_tallies = {
-            key: senders for key, senders in self.viewchange_tallies.items() if key[0] >= self.height
-        }
-        self._prune_timer_keys()
-        armed = self._arm_for_pending(now)
-        result.sends.extend(armed.sends)
-        result.timers.extend(armed.timers)
-
-    # -- view change --
-
-    def _start_view_change(self, now: int, proposed_view: int) -> StepResult:
-        # A repeated call for the same key re-broadcasts: the only caller
-        # that can repeat is the watchdog chain (one tick per timeout
-        # window), so under message loss this is the retry path.
-        result = StepResult()
-        key = (self.height, proposed_view)
-        self.viewchanges_sent.add(key)
-        vc = signed(
-            ViewChange(
-                height=self.height,
-                proposed_view=proposed_view,
+    def _report(self, accused: int, evidence_kind: str) -> List[Tuple[int, object]]:
+        report = signed(
+            Report(
+                accused=accused,
+                evidence_kind=evidence_kind,
+                round_index=self.height,
                 reporter=self.node_id,
             ),
             self.registry,
             self.node_id,
         )
-        self.viewchange_tallies.setdefault(key, set()).add(self.node_id)
-        for peer in self.committee:
-            if peer != self.node_id:
-                result.sends.append((peer, vc))
-        result.timers.append((self.view_timeout_us, TimerTick("round", self.height, self.view)))
-        self._maybe_adopt_view(now, proposed_view, result)
-        return result
+        return self._to_peers(report)
 
-    def _on_viewchange(self, now: int, vc: ViewChange) -> StepResult:
+    def _reject_proposal(self, proposal: Prepare, result: StepResult) -> None:
+        # Report the master as well as deposing it.
+        result.sends.extend(self._report(proposal.sender, "invalid-proposal"))
+        super()._reject_proposal(proposal, result)
+
+    def _vote(self, now: int, result: StepResult) -> None:
+        if self.view not in self.commit_sent_views:
+            self.commit_sent_views.add(self.view)
+            digest_value = self.proposal.digest
+            commit = signed(
+                Commit(
+                    view=self.view,
+                    timestamp=now,
+                    digest=digest_value,
+                    sequence=self.height,
+                    valid=True,
+                    sender=self.node_id,
+                ),
+                self.registry,
+                self.node_id,
+            )
+            self.commit_tallies.setdefault(self.view, {}).setdefault(digest_value, set()).add(self.node_id)
+            result.sends.extend(self._to_peers(commit))
+        self._try_commit(now, result)
+
+    def _on_commit(self, now: int, commit: Commit) -> StepResult:
         result = StepResult()
-        if not self.is_member:
-            return result
-        if vc.height != self.height or vc.proposed_view <= self.view:
-            return result
-        if vc.reporter not in self.committee:
-            return result
-        if not signature_ok(vc, self.registry, vc.reporter):
-            return result
-        key = (vc.height, vc.proposed_view)
-        self.viewchange_tallies.setdefault(key, set()).add(vc.reporter)
-        # Join a view change once f+1 peers vouch for it, even before our own
-        # timer fires; prevents straggler deadlock.
         if (
-            len(self.viewchange_tallies[key]) >= self.f + 1
-            and key not in self.viewchanges_sent
+            not self.is_member
+            or commit.sequence != self.height
+            or not commit.valid
+            or commit.sender not in self.committee
+            or not signature_ok(commit, self.registry, commit.sender)
         ):
-            join = self._start_view_change(now, vc.proposed_view)
-            result.sends.extend(join.sends)
-            result.timers.extend(join.timers)
-        self._maybe_adopt_view(now, vc.proposed_view, result)
+            return result
+        self.commit_tallies.setdefault(commit.view, {}).setdefault(commit.digest, set()).add(commit.sender)
+        self._try_commit(now, result)
         return result
-
-    def _maybe_adopt_view(self, now: int, proposed_view: int, result: StepResult) -> None:
-        key = (self.height, proposed_view)
-        senders = self.viewchange_tallies.get(key, set())
-        if len(senders) < 2 * self.f + 1 or proposed_view <= self.view:
-            return
-        ousted = self.master_id()
-        self.observations.append(("incompletion", ousted, self.height))
-        self.view_change_count += 1
-        self.view = proposed_view
-        self.proposal = None
-        # The pending request batch is retained in the buffer; the new master
-        # re-proposes it from there.
-        if self.is_master and self.request_buffer:
-            self._arm_once(result, "batch", self.batch_window_us)
-        else:
-            self._arm_once(result, "round", self.view_timeout_us)
-
-    # -- round-end announce --
-
-    def _on_announce(self, event: BlockAnnounce) -> StepResult:
-        if not signature_ok(event, self.registry, event.sender):
-            return StepResult()
-        if event.height != self.height:
-            return StepResult()
-        previous = self.ledger[self.height - 1].block_digest
-        expected = block_digest_of(previous, event.height, event.batch_digests)
-        if expected != event.block_digest:
-            return StepResult()
-        block = Block(
-            height=event.height,
-            view=self.view,
-            previous_hash=previous,
-            batch_digests=tuple(event.batch_digests),
-            tx_count=event.tx_count,
-            block_digest=event.block_digest,
-            committers=(),
-        )
-        self.ledger[block.height] = block
-        for d in block.batch_digests:
-            self.request_buffer.pop(d, None)
-        self.height += 1
-        if self.is_member:
-            self.view += 1
-            self.proposal = None
-            self.commit_tallies.clear()
-            self.commit_sent_views.clear()
-            self.proposed_views.clear()
-        return StepResult()
 
     # -- membership flows --
 
@@ -712,9 +677,9 @@ class EbrcReplica(_ReplicaBase):
             self.registry,
             self.node_id,
         )
-        return [(peer, commit) for peer in self.committee if peer != self.node_id]
+        return self._to_peers(commit)
 
-    def _on_exit_commit(self, event: ExitCommit) -> StepResult:
+    def _on_exit_commit(self, now: int, event: ExitCommit) -> StepResult:
         if not self.is_member:
             return StepResult()
         if not signature_ok(event, self.registry, event.master_id):
@@ -750,19 +715,7 @@ class EbrcReplica(_ReplicaBase):
             return result
         expected = self.table_reputation.get(event.node_id)
         if event.node_id not in self.candidates or expected is None or expected != event.reputation:
-            report = signed(
-                Report(
-                    accused=event.node_id,
-                    evidence_kind="reputation-mismatch",
-                    round_index=self.height,
-                    reporter=self.node_id,
-                ),
-                self.registry,
-                self.node_id,
-            )
-            for peer in self.committee:
-                if peer != self.node_id:
-                    result.sends.append((peer, report))
+            result.sends.extend(self._report(event.node_id, "reputation-mismatch"))
             return result
         self.membership.pending_joins[event.node_id] = event.effective_height
         confirm = signed(
@@ -783,7 +736,7 @@ class EbrcReplica(_ReplicaBase):
             result.sends.extend(self._finalize_exit(leaver, effective))
         return result
 
-    def _on_join_commit(self, event: JoinCommit) -> StepResult:
+    def _on_join_commit(self, now: int, event: JoinCommit) -> StepResult:
         if event.candidate_id != self.node_id:
             return StepResult()
         if not signature_ok(event, self.registry, event.sender):
@@ -794,144 +747,77 @@ class EbrcReplica(_ReplicaBase):
             self.membership.pending_joins[self.node_id] = event.effective_height
         return StepResult()
 
+    # Replies and reports reach replicas but are tallied off-replica; they
+    # fall through the table like any other unhandled type.
+    _HANDLERS = {
+        **_ReplicaBase._HANDLERS,
+        Request: _on_request,
+        ForwardedRequest: _on_forwarded,
+        Prepare: _ReplicaBase._on_proposal,
+        Commit: _on_commit,
+        ExitRequest: _on_exit_request,
+        ExitCommit: _on_exit_commit,
+        ChangeNotice: _on_change,
+        JoinRequest: _on_join_request,
+        JoinCommit: _on_join_commit,
+    }
+
 
 class PbftReplica(_ReplicaBase):
     """Classic three-phase baseline with a stable primary (p = v mod n).
 
     Pre-prepare from the primary, prepare echoes from the backups, commit
     votes from everyone; prepared = pre-prepare + 2f matching prepares,
-    committed = 2f+1 matching commits. The primary only rotates on view
-    change. No checkpointing, no NEW-VIEW certificate: the same 2f+1
-    ViewChange adoption rule as the committee protocol stands in for it.
+    committed = 2f+1 matching commits. The whole group is the committee, and
+    the primary only rotates on view change. No checkpointing, no NEW-VIEW
+    certificate: the same 2f+1 ViewChange adoption rule as the committee
+    protocol stands in for it.
     """
 
-    def __init__(self, node_id, registry, *, batch_window_us, view_timeout_us, block_tx_cap, group: Sequence[int]) -> None:
-        super().__init__(
-            node_id,
-            registry,
-            batch_window_us=batch_window_us,
-            view_timeout_us=view_timeout_us,
-            block_tx_cap=block_tx_cap,
-        )
-        self.group = tuple(group)
-        self.f = (len(self.group) - 1) // 3
-        self.proposal: Optional[PrePrepare] = None
+    PROPOSAL = PrePrepare
+    VIEW_PER_BLOCK = False
+    is_member = True
+
+    def __init__(self, node_id, registry, *, group: Sequence[int], **settings) -> None:
+        super().__init__(node_id, registry, **settings)
+        self.committee = tuple(group)
+        self.f = (len(self.committee) - 1) // 3
         self.prepare_tallies: Dict[int, Dict[bytes, Set[int]]] = {}
-        self.commit_tallies: Dict[int, Dict[bytes, Set[int]]] = {}
         self.prepare_sent_views: Set[int] = set()
-        self.commit_sent_views: Set[int] = set()
-        self.proposed_views: Set[int] = set()
-        self.viewchange_tallies: Dict[Tuple[int, int], Set[int]] = {}
-        self.viewchanges_sent: Set[Tuple[int, int]] = set()
-        self.view_change_count = 0
 
-    def primary_id(self) -> int:
-        return self.group[self.view % len(self.group)]
+    def leader_id(self) -> int:
+        return self.committee[self.view % len(self.committee)]
 
-    @property
-    def is_primary(self) -> bool:
-        return self.primary_id() == self.node_id
+    primary_id = leader_id
+    is_primary = _ReplicaBase.is_leader
 
     def step(self, now: int, event) -> StepResult:
-        if isinstance(event, TimerTick):
-            return self._on_timer(now, event)
-        if isinstance(event, Request):
-            return self._on_request(now, event)
-        if isinstance(event, PrePrepare):
-            return self._on_preprepare(now, event)
-        if isinstance(event, PbftPrepare):
-            return self._on_prepare(now, event)
-        if isinstance(event, PbftCommit):
-            return self._on_commit(now, event)
-        if isinstance(event, ViewChange):
-            return self._on_viewchange(now, event)
-        if isinstance(event, BlockAnnounce):
-            return self._on_announce(event)
-        if isinstance(event, (Reply, Report)):
-            return StepResult()
-        return StepResult()
+        handler = self._HANDLERS.get(type(event))
+        return handler(self, now, event) if handler else StepResult()
 
-    def _on_request(self, now: int, request: Request) -> StepResult:
-        result = StepResult()
-        if not self._accept_request(request):
-            return result
-        if self.is_primary:
-            if self.view not in self.proposed_views:
-                self._arm_once(result, "batch", self.batch_window_us)
-        else:
-            self._arm_once(result, "round", self.view_timeout_us)
-        return result
+    def _reset_round(self) -> None:
+        super()._reset_round()
+        self.prepare_tallies.clear()
+        self.prepare_sent_views.clear()
 
-    def _on_timer(self, now: int, tick: TimerTick) -> StepResult:
-        if tick.height != self.height or tick.view != self.view:
-            return StepResult()
-        if tick.kind == "batch":
-            return self._propose(now)
-        if tick.kind == "round":
-            if self.height in self.ledger:
-                return StepResult()
-            return self._start_view_change(now, self.view + 1)
-        return StepResult()
-
-    def _propose(self, now: int) -> StepResult:
-        result = StepResult()
-        if not self.is_primary or self.view in self.proposed_views:
-            return result
-        batch = canonical_batch(self.request_buffer, self.block_tx_cap)
-        if not batch:
-            return result
-        self.proposed_views.add(self.view)
-        preprepare = signed(
-            PrePrepare(
-                height=self.height,
-                view=self.view,
-                timestamp=now,
-                batch=batch,
-                digest=batch_digest_of(batch),
-                sender=self.node_id,
-            ),
-            self.registry,
-            self.node_id,
-        )
-        self.proposal = preprepare
-        for peer in self.group:
-            if peer != self.node_id:
-                result.sends.append((peer, preprepare))
-        self._arm_once(result, "round", self.view_timeout_us)
-        self._maybe_send_commit(now, result)
-        return result
-
-    def _on_preprepare(self, now: int, msg: PrePrepare) -> StepResult:
-        result = StepResult()
-        if msg.height != self.height or msg.view != self.view:
-            return result
-        if msg.sender != self.primary_id() or self.is_primary:
-            return result
-        if not signature_ok(msg, self.registry, msg.sender):
-            return result
-        if not self._validate_proposal_content(msg.batch, msg.digest):
-            report_vc = self._start_view_change(now, self.view + 1)
-            result.sends.extend(report_vc.sends)
-            result.timers.extend(report_vc.timers)
-            return result
-        self.proposal = msg
-        if self.view not in self.prepare_sent_views:
+    def _vote(self, now: int, result: StepResult) -> None:
+        # Backups echo the pre-prepare; the primary's own pre-prepare stands
+        # in for its prepare.
+        if not self.is_primary and self.view not in self.prepare_sent_views:
             self.prepare_sent_views.add(self.view)
+            digest_value = self.proposal.digest
             prepare = signed(
-                PbftPrepare(height=self.height, view=self.view, digest=msg.digest, sender=self.node_id),
+                PbftPrepare(height=self.height, view=self.view, digest=digest_value, sender=self.node_id),
                 self.registry,
                 self.node_id,
             )
-            self.prepare_tallies.setdefault(self.view, {}).setdefault(msg.digest, set()).add(self.node_id)
-            for peer in self.group:
-                if peer != self.node_id:
-                    result.sends.append((peer, prepare))
+            self.prepare_tallies.setdefault(self.view, {}).setdefault(digest_value, set()).add(self.node_id)
+            result.sends.extend(self._to_peers(prepare))
         self._maybe_send_commit(now, result)
-        return result
 
     def _on_prepare(self, now: int, msg: PbftPrepare) -> StepResult:
         result = StepResult()
-        if msg.height != self.height or msg.sender not in self.group:
+        if msg.height != self.height or msg.sender not in self.committee:
             return result
         if not signature_ok(msg, self.registry, msg.sender):
             return result
@@ -963,125 +849,22 @@ class PbftReplica(_ReplicaBase):
             self.node_id,
         )
         self.commit_tallies.setdefault(self.view, {}).setdefault(self.proposal.digest, set()).add(self.node_id)
-        for peer in self.group:
-            if peer != self.node_id:
-                result.sends.append((peer, commit))
-        self._maybe_execute(now, result)
+        result.sends.extend(self._to_peers(commit))
+        self._try_commit(now, result)
 
     def _on_commit(self, now: int, msg: PbftCommit) -> StepResult:
         result = StepResult()
-        if msg.height != self.height or msg.sender not in self.group:
+        if msg.height != self.height or msg.sender not in self.committee:
             return result
         if not signature_ok(msg, self.registry, msg.sender):
             return result
         self.commit_tallies.setdefault(msg.view, {}).setdefault(msg.digest, set()).add(msg.sender)
-        self._maybe_execute(now, result)
+        self._try_commit(now, result)
         return result
 
-    def _maybe_execute(self, now: int, result: StepResult) -> None:
-        tally = self.commit_tallies.get(self.view)
-        if not tally:
-            return
-        try:
-            winner = check_quorum(tally, self.f)
-        except QuorumConflict as exc:
-            self.observations.append(("quorum_conflict", self.node_id, self.height, str(exc)))
-            return
-        if winner is None or self.proposal is None or self.proposal.digest != winner:
-            return
-        committers = tuple(sorted(tally[winner]))
-        batch = self.proposal.batch
-        self._commit_block(batch, self.view, committers)
-        result.sends.extend(self._replies_for(batch, now, len(self.group)))
-        self.height += 1
-        self.proposal = None
-        self.prepare_tallies.clear()
-        self.commit_tallies.clear()
-        self.prepare_sent_views.clear()
-        self.commit_sent_views.clear()
-        self.proposed_views.clear()
-        self.viewchange_tallies = {
-            key: senders for key, senders in self.viewchange_tallies.items() if key[0] >= self.height
-        }
-        self._prune_timer_keys()
-        if self.request_buffer:
-            if self.is_primary:
-                self._arm_once(result, "batch", self.batch_window_us)
-            else:
-                self._arm_once(result, "round", self.view_timeout_us)
-
-    def _start_view_change(self, now: int, proposed_view: int) -> StepResult:
-        result = StepResult()
-        key = (self.height, proposed_view)
-        self.viewchanges_sent.add(key)
-        vc = signed(
-            ViewChange(height=self.height, proposed_view=proposed_view, reporter=self.node_id),
-            self.registry,
-            self.node_id,
-        )
-        self.viewchange_tallies.setdefault(key, set()).add(self.node_id)
-        for peer in self.group:
-            if peer != self.node_id:
-                result.sends.append((peer, vc))
-        result.timers.append((self.view_timeout_us, TimerTick("round", self.height, self.view)))
-        self._maybe_adopt_view(now, proposed_view, result)
-        return result
-
-    def _on_viewchange(self, now: int, vc: ViewChange) -> StepResult:
-        result = StepResult()
-        if vc.height != self.height or vc.proposed_view <= self.view:
-            return result
-        if vc.reporter not in self.group:
-            return result
-        if not signature_ok(vc, self.registry, vc.reporter):
-            return result
-        key = (vc.height, vc.proposed_view)
-        self.viewchange_tallies.setdefault(key, set()).add(vc.reporter)
-        if len(self.viewchange_tallies[key]) >= self.f + 1 and key not in self.viewchanges_sent:
-            join = self._start_view_change(now, vc.proposed_view)
-            result.sends.extend(join.sends)
-            result.timers.extend(join.timers)
-        self._maybe_adopt_view(now, vc.proposed_view, result)
-        return result
-
-    def _maybe_adopt_view(self, now: int, proposed_view: int, result: StepResult) -> None:
-        key = (self.height, proposed_view)
-        senders = self.viewchange_tallies.get(key, set())
-        if len(senders) < 2 * self.f + 1 or proposed_view <= self.view:
-            return
-        self.observations.append(("incompletion", self.primary_id(), self.height))
-        self.view_change_count += 1
-        self.view = proposed_view
-        self.proposal = None
-        if self.is_primary and self.request_buffer:
-            self._arm_once(result, "batch", self.batch_window_us)
-        else:
-            self._arm_once(result, "round", self.view_timeout_us)
-
-    def _on_announce(self, event: BlockAnnounce) -> StepResult:
-        if not signature_ok(event, self.registry, event.sender):
-            return StepResult()
-        if event.height != self.height:
-            return StepResult()
-        previous = self.ledger[self.height - 1].block_digest
-        if block_digest_of(previous, event.height, event.batch_digests) != event.block_digest:
-            return StepResult()
-        self.ledger[event.height] = Block(
-            height=event.height,
-            view=self.view,
-            previous_hash=previous,
-            batch_digests=tuple(event.batch_digests),
-            tx_count=event.tx_count,
-            block_digest=event.block_digest,
-            committers=(),
-        )
-        for d in event.batch_digests:
-            self.request_buffer.pop(d, None)
-        self.height += 1
-        self.proposal = None
-        self.prepare_tallies.clear()
-        self.commit_tallies.clear()
-        self.prepare_sent_views.clear()
-        self.commit_sent_views.clear()
-        self.proposed_views.clear()
-        return StepResult()
+    _HANDLERS = {
+        **_ReplicaBase._HANDLERS,
+        PrePrepare: _ReplicaBase._on_proposal,
+        PbftPrepare: _on_prepare,
+        PbftCommit: _on_commit,
+    }

@@ -63,16 +63,20 @@ class MessageCounts:
     total: int
     by_tag: Dict[str, int]
     by_round: Dict[int, int]
+    delivered: int
 
 
 def count_messages(trace: Sequence[TraceRecord]) -> MessageCounts:
-    """Tally sent messages from a trace, grouped by tag and by round."""
+    """Tally sent messages from a trace, grouped by tag and by round, and
+    the rows marked delivered."""
     by_tag: Dict[str, int] = {}
     by_round: Dict[int, int] = {}
+    delivered = 0
     for record in trace:
         by_tag[record.tag] = by_tag.get(record.tag, 0) + 1
         by_round[record.round_index] = by_round.get(record.round_index, 0) + 1
-    return MessageCounts(total=len(trace), by_tag=by_tag, by_round=by_round)
+        delivered += record.delivered
+    return MessageCounts(total=len(trace), by_tag=by_tag, by_round=by_round, delivered=delivered)
 
 
 @dataclass(slots=True)
@@ -204,10 +208,9 @@ def verify_consistency(report: MetricsReport, result: RunResult) -> None:
         )
     if counts.by_tag != counters.per_tag:
         raise ConsistencyError("per-tag counts from trace disagree with counters")
-    delivered = sum(1 for r in result.trace if r.delivered)
-    if delivered != counters.delivered:
+    if counts.delivered != counters.delivered:
         raise ConsistencyError(
-            f"delivered rows {delivered} != delivered counter {counters.delivered}"
+            f"delivered rows {counts.delivered} != delivered counter {counters.delivered}"
         )
     committed_tx = sum(b["tx_count"] for b in result.blocks)
     if result.duration_ms > 0:

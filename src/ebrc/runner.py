@@ -656,17 +656,15 @@ class ScenarioRunner:
         due_exits: Set[int] = set()
         for node in self.honest_ids:
             replica = self.replicas[node]
-            if isinstance(replica, EbrcReplica) and replica.is_member:
-                for leaver, h in replica.membership.pending_exits.items():
-                    if h <= next_height:
-                        due_exits.add(leaver)
+            if replica.is_member:
+                due_exits.update(replica.membership.due_exits(next_height))
+        # A join is due only once the joiner itself holds 2f+1 confirmations;
+        # members also record the joins they confirm, so theirs do not count.
         due_joins: Set[int] = set()
         for node in self.node_ids:
-            replica = self.replicas[node]
-            if isinstance(replica, EbrcReplica):
-                h = replica.membership.pending_joins.get(node)
-                if h is not None and h <= next_height:
-                    due_joins.add(node)
+            h = self.replicas[node].membership.pending_joins.get(node)
+            if h is not None and h <= next_height:
+                due_joins.add(node)
 
         table_reputation = {n: rec.reputation for n, rec in self.table.items()}
         forced: Set[int] = set()
@@ -718,11 +716,10 @@ class ScenarioRunner:
         applied = applied_exits + applied_joins
         for node in sorted(self.replicas):
             replica = self.replicas[node]
-            if isinstance(replica, EbrcReplica):
-                replica.apply_membership(
-                    new_committee, new_candidates, new_f, view_hint=self._view_hint
-                )
-                replica.membership.clear_applied(applied)
+            replica.apply_membership(
+                new_committee, new_candidates, new_f, view_hint=self._view_hint
+            )
+            replica.membership.clear_applied(applied)
 
         for leaver in applied_exits:
             kind = "replace" if leaver in forced else "exit"

@@ -91,9 +91,10 @@ class Counters:
     per_tag: Dict[str, int] = field(default_factory=dict)
     round_senders: Dict[int, Set[int]] = field(default_factory=dict)
 
-    def note_sent(self, tag: str, round_index: int, sender: int) -> None:
-        self.sent += 1
-        self.per_tag[tag] = self.per_tag.get(tag, 0) + 1
+    def note_sent(self, tag: str, round_index: int, sender: int, count: int) -> None:
+        """Record one send that puts ``count`` messages on the wire."""
+        self.sent += count
+        self.per_tag[tag] = self.per_tag.get(tag, 0) + count
         self.round_senders.setdefault(round_index, set()).add(sender)
 
 
@@ -196,11 +197,13 @@ class Simulation:
 
     def send(self, sender: int, targets: Sequence[int], message) -> None:
         round_index = self.round_provider()
-        profile = self.byzantine.get(sender)
-        for target, wire in self._outbound_plan(profile, targets, message):
-            if wire is None:
-                self.counters.suppressed += 1
-                continue
+        plan = self._outbound_plan(self.byzantine.get(sender), targets, message)
+        self.counters.suppressed += len(targets) - len(plan)
+        if not plan:
+            return  # nothing went out: the sender must not count as active
+        # Every wire of one send has the same tag: variants keep the type.
+        self.counters.note_sent(plan[0][1][1], round_index, sender, len(plan))
+        for target, wire in plan:
             self._transmit(sender, target, wire, round_index)
 
     def _outbound_plan(
@@ -208,8 +211,9 @@ class Simulation:
         profile: Optional[ByzantineProfile],
         targets: Sequence[int],
         message,
-    ) -> List[Tuple[int, Optional[_Wire]]]:
-        """Pair each target with what goes out to it (None: suppressed).
+    ) -> List[Tuple[int, _Wire]]:
+        """Pair each target with what goes out to it; a suppressed send
+        pairs none.
 
         Each distinct outbound object gets one ``_Wire``, shared by all the
         targets that receive it.
@@ -222,7 +226,7 @@ class Simulation:
             plain = _wire(message)
             return [(t, plain) for t in targets]
         if profile.behavior == "silent":
-            return [(t, None) for t in targets]
+            return []
         if profile.behavior == "lazy":
             slow = _wire(message, profile.latency_factor)
             return [(t, slow) for t in targets]
@@ -247,7 +251,6 @@ class Simulation:
         if target == sender:
             raise ValueError("self-delivery is not modeled")
         message, tag, digest_prefix, latency_factor = wire
-        self.counters.note_sent(tag, round_index, sender)
         rng = self._link_rng(sender, target)
         network = self.network
         dropped = bool(network.partitions) and network.partitioned(self.now, sender, target)

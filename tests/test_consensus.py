@@ -584,3 +584,92 @@ class TestPbftViewChange:
         assert tags.count("prepare") == 3
         assert tags.count("commit") == 0
 
+
+
+class TestPbftSharedPaths:
+    """PBFT side of the paths both replicas share: announce adoption, the
+    f+1 straggler join, view-change membership and stale timer ticks."""
+
+    def finished_round(self):
+        replicas, reg = make_group(4)
+        pump = Pump(replicas)
+        request = make_request(reg)
+        for node, rep in replicas.items():
+            pump.absorb(node, rep.step(0, request))
+        pump.fire(0, "batch", now=BATCH_US)
+        pump.deliver_all(now=BATCH_US)
+        return replicas, reg, request, replicas[0].ledger[1]
+
+    def laggard(self, reg, request):
+        # A backup that buffered the request but saw none of the round.
+        rep = make_group(4, registry=reg)[0][3]
+        rep.step(0, request)
+        return rep
+
+    def announce(self, reg, block, **overrides):
+        fields = dict(
+            height=1, block_digest=block.block_digest,
+            batch_digests=block.batch_digests, tx_count=block.tx_count, sender=0,
+        )
+        fields.update(overrides)
+        return signed(BlockAnnounce(**fields), reg, 0)
+
+    def test_laggard_adopts_announced_block(self):
+        _, reg, request, block = self.finished_round()
+        laggard = self.laggard(reg, request)
+        result = laggard.step(0, self.announce(reg, block))
+        assert result.sends == [] and result.timers == []
+        assert laggard.ledger[1].block_digest == block.block_digest
+        assert laggard.height == 2
+        assert laggard.view == 0  # the PBFT view does not advance per block
+        assert laggard.request_buffer == {}
+
+    def test_tampered_announce_rejected(self):
+        _, reg, request, block = self.finished_round()
+        laggard = self.laggard(reg, request)
+        laggard.step(0, self.announce(reg, block, block_digest=b"\x00" * 32))
+        assert 1 not in laggard.ledger
+        assert laggard.height == 1
+        assert request.digest in laggard.request_buffer
+
+    def test_future_height_announce_ignored(self):
+        _, reg, request, block = self.finished_round()
+        laggard = self.laggard(reg, request)
+        laggard.step(0, self.announce(reg, block, height=5))
+        assert laggard.height == 1
+        assert sorted(laggard.ledger) == [0]
+
+    def test_straggler_joins_at_f_plus_1_votes(self):
+        replicas, reg = make_group(4)
+        request = make_request(reg)
+        replicas[3].step(0, request)
+        vc_a = signed(ViewChange(height=1, proposed_view=1, reporter=1), reg, 1)
+        vc_b = signed(ViewChange(height=1, proposed_view=1, reporter=2), reg, 2)
+        first = replicas[3].step(0, vc_a)
+        assert first.sends == []
+        second = replicas[3].step(0, vc_b)
+        own = [m for _, m in second.sends if isinstance(m, ViewChange)]
+        assert len(own) == 3 and all(m.reporter == 3 for m in own)
+        # Own vote was the third: the 2f+1 adoption happens in the same step.
+        assert replicas[3].view == 1
+        assert replicas[3].view_change_count == 1
+        assert replicas[3].primary_id() == 1
+        assert ("incompletion", 0, 1) in replicas[3].observations
+
+    def test_viewchange_from_outsider_ignored(self):
+        replicas, reg = make_group(4)
+        reg.register(77)
+        vc = signed(ViewChange(height=1, proposed_view=1, reporter=77), reg, 77)
+        result = replicas[0].step(0, vc)
+        assert result.sends == [] and result.timers == []
+        assert replicas[0].viewchange_tallies == {}
+
+    def test_stale_timer_tick_is_inert(self):
+        replicas, _, _, _ = self.finished_round()
+        for node, rep in replicas.items():
+            for tick in (TimerTick("round", 1, 0), TimerTick("batch", 1, 0),
+                         TimerTick("round", 2, 3)):
+                result = rep.step(TIMEOUT_US, tick)
+                assert result.sends == [] and result.timers == []
+            assert (rep.height, rep.view, rep.view_change_count) == (2, 0, 0)
+            assert rep.viewchange_tallies == {}

@@ -1,0 +1,25 @@
+"""The shipped demos run to completion.
+
+Each demo is executed in-process as a script, so it drives the real replica,
+network and harness paths end to end. ``protocol_comparison.py`` is left out
+on purpose: it takes about 10 s, which the fast test tier cannot afford.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize(
+    "script, expected",
+    [
+        ("consensus_round.py", "committed"),
+        ("membership_churn.py", "membership messages"),
+    ],
+)
+def test_demo_completes(script, expected, capsys):
+    runpy.run_path(str(DEMOS / script), run_name="__main__")
+    assert expected in capsys.readouterr().out

@@ -330,6 +330,21 @@ class TestCounters:
         assert sim.counters.round_senders[7] == {0, 1}
         assert all(r.round_index == 7 for r in sim.trace)
 
+    def test_suppressed_sender_not_active_and_split_send_counted_per_target(self):
+        # A silent member's send leaves no trace in the round's senders;
+        # an equivocating broadcast counts one message per receiver.
+        sim, _, reg = make_sim(byzantine={
+            0: ByzantineProfile("silent"), 1: ByzantineProfile("equivocate"),
+        })
+        sim.round_provider = lambda: 3
+        sim.send(0, [1, 2, 3], make_commit(reg))
+        sim.send(1, [0, 2, 3], make_prepare(reg, sender=1))
+        drain(sim)
+        assert sim.counters.round_senders == {3: {1}}
+        assert sim.counters.per_tag == {"prepare": 3}
+        assert (sim.counters.sent, sim.counters.suppressed) == (3, 3)
+        assert len({r.digest_prefix for r in sim.trace}) == 2
+
 
 class TestFanOut:
     """One broadcast, five receivers: trace rows and deliveries pinned in order.
