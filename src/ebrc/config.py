@@ -181,6 +181,11 @@ class ScenarioConfig:
                 f"byzantine.node_ids: {len(self.byzantine.node_ids)} faulty nodes exceed "
                 f"floor((n-1)/3) = {budget}; set allow_over_threshold for stress runs"
             )
+        # PBFT keeps one fixed replica group: it has no join/exit flow.
+        if self.protocol == "pbft" and self.exits:
+            raise ConfigError("exits: membership changes are EBRC-only; pbft has a fixed group")
+        if self.protocol == "pbft" and self.replace_faulty:
+            raise ConfigError("replace_faulty: membership changes are EBRC-only; pbft has a fixed group")
         for i, script in enumerate(self.exits):
             script.validate(f"exits[{i}]")
             if script.node_id not in all_ids:

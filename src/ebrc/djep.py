@@ -102,22 +102,6 @@ def replace_faulty(
     return ReplacementPlan(expel=True, promote=candidate, stalled=False)
 
 
-# Message budget of each flow, committee size m:
-#   exit alone:   1 ERequest + (m-1) ExitCommit            = m
-#   promotion:    1 Change + m URequest + m JoinCommit     = 2m + 1
-#   exit + join:  both flows                               = 3m + 1
-def exit_message_count(size: int) -> int:
-    return size
-
-
-def join_message_count(size: int) -> int:
-    return 2 * size + 1
-
-
-def exit_with_promotion_message_count(size: int) -> int:
-    return exit_message_count(size) + join_message_count(size)
-
-
 @dataclass(slots=True)
 class MembershipState:
     """Per-replica record of in-flight membership transitions.
@@ -136,9 +120,6 @@ class MembershipState:
 
     def due_exits(self, height: int) -> List[int]:
         return sorted(n for n, h in self.pending_exits.items() if h <= height)
-
-    def due_joins(self, height: int) -> List[int]:
-        return sorted(n for n, h in self.pending_joins.items() if h <= height)
 
     def clear_applied(self, nodes: Sequence[int]) -> None:
         for n in nodes:

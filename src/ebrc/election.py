@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, Vrf
+from .crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, Vrf, derive_seed
 from .reputation import BehaviorTable
 
 #: Elections are retried with a re-derived seed at most this many times.
@@ -218,3 +218,28 @@ def form_committee(
     )
     assignment.validate()
     return assignment, reports
+
+
+def elect_committee(
+    table: BehaviorTable,
+    config: ElectionConfig,
+    seed: bytes,
+    registry: KeyRegistry,
+    **options,
+) -> Tuple[CommitteeAssignment, List[Tuple[int, str]], bytes, int]:
+    """Run ``form_committee``, re-deriving the seed after each ElectionFailed.
+
+    Returns (assignment, misbehavior reports, the seed that succeeded, the
+    number of retries). ``options`` go to ``form_committee`` unchanged. The
+    last ElectionFailed propagates after MAX_ELECTION_RETRIES + 1 failures.
+    """
+    retries = 0
+    while True:
+        try:
+            assignment, reports = form_committee(table, config, seed, registry, **options)
+            return assignment, reports, seed, retries
+        except ElectionFailed:
+            retries += 1
+            if retries > MAX_ELECTION_RETRIES:
+                raise
+            seed = derive_seed(seed)

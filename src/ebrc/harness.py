@@ -18,13 +18,8 @@ from scipy import stats
 
 from . import reputation
 from .config import ScenarioConfig
-from .crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, derive_seed, digest, pack
-from .election import (
-    MAX_ELECTION_RETRIES,
-    ElectionConfig,
-    ElectionFailed,
-    form_committee,
-)
+from .crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, digest, pack
+from .election import ElectionConfig, ElectionFailed, elect_committee
 from .runner import RunResult, ScenarioRunner
 from .simnet import TraceRecord
 
@@ -367,16 +362,11 @@ def fairness_experiment(
     failed_epochs = 0
     for epoch in range(epochs):
         epoch_seed = digest(base, epoch.to_bytes(8, "big"), domain=b"fairness-epoch")
-        assignment = None
-        for _ in range(MAX_ELECTION_RETRIES + 1):
-            try:
-                assignment, _reports = form_committee(
-                    table, config, epoch_seed, registry, epoch=epoch
-                )
-                break
-            except ElectionFailed:
-                epoch_seed = derive_seed(epoch_seed)
-        if assignment is None:
+        try:
+            assignment, _, _, _ = elect_committee(
+                table, config, epoch_seed, registry, epoch=epoch
+            )
+        except ElectionFailed:
             failed_epochs += 1
             continue
         for node in assignment.consensus_nodes:

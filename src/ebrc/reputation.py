@@ -399,7 +399,7 @@ def update_behavior_table(
             record.consensus_participations += 1
             record.reported_evil_count += 1
         elif isinstance(event, DepositSlash):
-            record.deposit *= 1.0 - event.fraction
+            updated[event.node_id] = slash_deposit(record, event.fraction)
         elif isinstance(event, TransactionsProcessed):
             record.tx_size_history.append(event.count)
         elif isinstance(event, ActivitySample):

@@ -18,12 +18,7 @@ from . import djep, reputation
 from .config import ScenarioConfig
 from .consensus import EbrcReplica, PbftReplica, tx_digest
 from .crypto import KeyRegistry, SimulatedVrf, derive_seed, digest, pack
-from .election import (
-    MAX_ELECTION_RETRIES,
-    ElectionConfig,
-    ElectionFailed,
-    form_committee,
-)
+from .election import ElectionConfig, elect_committee
 from .messages import (
     MEMBERSHIP_TAGS,
     BlockAnnounce,
@@ -49,6 +44,10 @@ EXIT_LEAD_BLOCKS = 2
 
 def _ms_to_us(value_ms: float) -> int:
     return int(round(value_ms * US_PER_MS))
+
+
+def _skip(*_) -> None:
+    pass
 
 
 @dataclass(slots=True)
@@ -83,8 +82,6 @@ class RunResult:
     safety_violation: bool = False
     safety_details: List[str] = field(default_factory=list)
     stalled_memberships: List[dict] = field(default_factory=list)
-    final_reputation: Dict[int, float] = field(default_factory=dict)
-    final_growth: Dict[int, float] = field(default_factory=dict)
 
 
 class ScenarioRunner:
@@ -116,27 +113,27 @@ class ScenarioRunner:
         self.sim.on_timer = self._timer
         self.sim.round_provider = lambda: self.current_round
 
-        batch_us = _ms_to_us(config.batch_window_ms)
-        timeout_us = _ms_to_us(config.view_timeout_ms)
-        self.replicas: Dict[int, object] = {}
-        for node in self.node_ids:
-            if config.protocol == "pbft":
-                self.replicas[node] = PbftReplica(
-                    node,
-                    self.registry,
-                    batch_window_us=batch_us,
-                    view_timeout_us=timeout_us,
-                    block_tx_cap=config.block_tx_cap,
-                    group=self.node_ids,
-                )
-            else:
-                self.replicas[node] = EbrcReplica(
-                    node,
-                    self.registry,
-                    batch_window_us=batch_us,
-                    view_timeout_us=timeout_us,
-                    block_tx_cap=config.block_tx_cap,
-                )
+        settings = dict(
+            batch_window_us=_ms_to_us(config.batch_window_ms),
+            view_timeout_us=_ms_to_us(config.view_timeout_ms),
+            block_tx_cap=config.block_tx_cap,
+        )
+        # The one protocol seam. EBRC runs a committee lifecycle: an election
+        # at each epoch start, DJEP transitions after each committed round and
+        # a reputation update at each epoch end. PBFT's committee is its whole
+        # group, fixed for the run, so it skips all three. Both keep the
+        # per-round accountability; only EBRC's reputation update reads it.
+        if config.protocol == "ebrc":
+            self.replicas = {n: EbrcReplica(n, self.registry, **settings) for n in self.node_ids}
+            self._open_epoch = self._elect
+            self._after_commit = self._apply_membership_transitions
+            self._close_epoch = self._end_epoch
+        else:
+            self.replicas = {
+                n: PbftReplica(n, self.registry, group=self.node_ids, **settings)
+                for n in self.node_ids
+            }
+            self._open_epoch = self._after_commit = self._close_epoch = _skip
 
         self.byz_ids: Set[int] = set(config.byzantine.node_ids)
         self.honest_ids = [n for n in self.node_ids if n not in self.byz_ids]
@@ -266,8 +263,7 @@ class ScenarioRunner:
             for _ in range(config.rounds_per_epoch):
                 round_index += 1
                 self._run_round(round_index)
-            if config.protocol == "ebrc":
-                self._end_epoch()
+            self._close_epoch()
         self._finalize()
         return self.result
 
@@ -283,8 +279,7 @@ class ScenarioRunner:
             self.sim.byzantine = {n: profile for n in config.byzantine.node_ids}
         else:
             self.sim.byzantine = {}
-        if config.protocol == "ebrc":
-            self._elect(epoch)
+        self._open_epoch(epoch)
 
     def _tip_block(self):
         holder = max(self.honest_ids, key=lambda n: (max(self.replicas[n].ledger), -n))
@@ -293,41 +288,24 @@ class ScenarioRunner:
 
     def _elect(self, epoch: int) -> None:
         config = self.config
-        seed = derive_seed(self._tip_block().block_digest)
         corrupt: Set[int] = set()
         if config.byzantine.behavior == "corrupt_proof" and config.byzantine.active(epoch):
             corrupt = set(config.byzantine.node_ids)
         next_height = max(self.replicas[n].height for n in self.honest_ids)
-        retries = 0
-        while True:
-            try:
-                assignment, proof_reports = form_committee(
-                    self.table,
-                    self._election_config(),
-                    seed,
-                    self.registry,
-                    corrupt_proofs=corrupt,
-                    epoch=epoch,
-                    initial_height=next_height,
-                )
-                break
-            except ElectionFailed as exc:
-                retries += 1
-                if retries > MAX_ELECTION_RETRIES:
-                    raise
-                logger.debug("epoch %d election retry %d: %s", epoch, retries, exc)
-                seed = derive_seed(seed)
+        assignment, proof_reports, seed, retries = elect_committee(
+            self.table,
+            self._election_config(),
+            derive_seed(self._tip_block().block_digest),
+            self.registry,
+            corrupt_proofs=corrupt,
+            epoch=epoch,
+            initial_height=next_height,
+        )
 
         for accused, kind in proof_reports:
             # An invalid sortition proof is publicly verifiable, so it convicts
             # without needing a reporter quorum.
-            self._epoch_events.append(reputation.ConfirmedReport(accused, kind))
-            self._epoch_events.append(
-                reputation.DepositSlash(accused, self.config.slash_fraction)
-            )
-            self.result.confirmed_reports.append(
-                {"node": accused, "kind": kind, "epoch": epoch, "reporters": []}
-            )
+            self._convict(accused, kind, epoch=epoch, reporters=[])
 
         self.committee = list(assignment.consensus_nodes)
         self.candidates = list(assignment.candidates)
@@ -449,7 +427,7 @@ class ScenarioRunner:
             self.result.aborted_rounds += 1
         view_changes = self._drain_observations(target_height)
         if holder is not None:
-            self._apply_membership_transitions()
+            self._after_commit()
             self._inject_scripted_exits(round_index)
         self.result.rounds.append(
             RoundRecord(
@@ -531,8 +509,6 @@ class ScenarioRunner:
         self.sim.run_until(self.sim.now + settle)
 
     def _note_round_outcomes(self, committee: Sequence[int], round_index: int, block) -> None:
-        if self.config.protocol != "ebrc":
-            return
         senders = self.sim.counters.round_senders.get(round_index, set())
         convicted = {node for (node, h) in self._conviction_seen if h == block.height}
         for member in committee:
@@ -540,8 +516,7 @@ class ScenarioRunner:
                 continue  # the view change already recorded its incompletion
             if self.config.detect_silent and member not in senders:
                 self._failed[member] = self._failed.get(member, 0) + 1
-                if self.config.replace_faulty:
-                    self._plan_replacement(member)
+                self._plan_replacement(member)
             else:
                 self._served[member] = self._served.get(member, 0) + 1
                 self._epoch_events.append(
@@ -572,10 +547,8 @@ class ScenarioRunner:
                             self._adoptions_per_height.get(at_height, 0) + 1
                         )
                         self.result.view_changes_total += 1
-                        if self.config.protocol == "ebrc":
-                            self._failed[ousted] = self._failed.get(ousted, 0) + 1
-                            if self.config.replace_faulty:
-                                self._plan_replacement(ousted)
+                        self._failed[ousted] = self._failed.get(ousted, 0) + 1
+                        self._plan_replacement(ousted)
                 elif kind == "membership_stalled":
                     self.result.stalled_memberships.append(
                         {"node": entry[1], "height": entry[2]}
@@ -586,25 +559,20 @@ class ScenarioRunner:
             reporters = self._report_tally[key]
             if len(reporters) >= self.f + 1:
                 accused, kind, at_height = key
-                self._epoch_events.append(reputation.ConfirmedReport(accused, kind))
-                self._epoch_events.append(
-                    reputation.DepositSlash(accused, self.config.slash_fraction)
-                )
-                self.result.confirmed_reports.append(
-                    {
-                        "node": accused,
-                        "kind": kind,
-                        "height": at_height,
-                        "reporters": sorted(reporters),
-                    }
-                )
-                if self.config.replace_faulty:
-                    self._plan_replacement(accused)
+                self._convict(accused, kind, height=at_height, reporters=sorted(reporters))
+                self._plan_replacement(accused)
                 del self._report_tally[key]
         return self._adoptions_per_height.get(height, 0)
 
+    def _convict(self, accused: int, kind: str, **row) -> None:
+        """Record a confirmed misbehavior: a reputation penalty, a deposit
+        slash and a ``confirmed_reports`` row locating it."""
+        self._epoch_events.append(reputation.ConfirmedReport(accused, kind))
+        self._epoch_events.append(reputation.DepositSlash(accused, self.config.slash_fraction))
+        self.result.confirmed_reports.append({"node": accused, "kind": kind, **row})
+
     def _plan_replacement(self, accused: int) -> None:
-        if self.config.protocol == "ebrc" and accused in self.committee:
+        if self.config.replace_faulty and accused in self.committee:
             self._replacements.add(accused)
 
     # -- membership --
@@ -642,16 +610,14 @@ class ScenarioRunner:
     def _current_master(self) -> int:
         for node in self.honest_ids:
             replica = self.replicas[node]
-            if isinstance(replica, EbrcReplica) and replica.is_member:
-                return replica.master_id()
+            if replica.is_member:
+                return replica.leader_id()
         return self.committee[0]
 
     def _membership_message_count(self) -> int:
         return sum(self.sim.counters.per_tag.get(tag, 0) for tag in MEMBERSHIP_TAGS)
 
     def _apply_membership_transitions(self) -> None:
-        if self.config.protocol != "ebrc":
-            return
         next_height = max(self.replicas[n].height for n in self.honest_ids)
         due_exits: Set[int] = set()
         for node in self.honest_ids:
@@ -770,13 +736,6 @@ class ScenarioRunner:
             duration_us = self._last_completion_us - self._first_submit_us
             result.duration_ms = duration_us / US_PER_MS
             result.tps = committed_tx / (duration_us / 1_000_000.0)
-        if self.config.protocol == "ebrc":
-            result.final_reputation = {
-                n: rec.reputation for n, rec in sorted(self.table.items())
-            }
-            result.final_growth = {
-                n: rec.growth_rate for n, rec in sorted(self.table.items())
-            }
 
     def _check_ledger_agreement(self) -> None:
         digests: Dict[int, bytes] = {}

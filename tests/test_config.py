@@ -1,10 +1,12 @@
 """Scenario schema: fail-closed parsing, validation messages, JSON round-trips."""
 
 import dataclasses
+import json
 
 import pytest
 
 from ebrc import presets
+from ebrc.cli import main
 from ebrc.config import (
     ByzantineConfig,
     ConfigError,
@@ -99,6 +101,31 @@ class TestValidation:
         config = valid(node_count=4, exits=(ExitScript(round_index=1, node_id=9),))
         with pytest.raises(ConfigError, match="exits"):
             config.validate()
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("exits", dict(exits=(ExitScript(round_index=1, node_id=3),))),
+            ("replace_faulty", dict(replace_faulty=True)),
+        ],
+    )
+    def test_membership_fields_are_ebrc_only(self, field, overrides):
+        with pytest.raises(ConfigError, match=f"{field}: .*EBRC-only"):
+            valid(protocol="pbft", node_count=7, **overrides).validate()
+        valid(protocol="ebrc", node_count=7, **overrides).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("exits", [{"round_index": 1, "node_id": 3}]), ("replace_faulty", True)],
+    )
+    def test_pbft_membership_file_is_usage_error(self, tmp_path, capsys, field, value):
+        data = presets.load("law_pbft_n4").to_dict()
+        data.update({"node_count": 7, "rounds_per_epoch": 4, field: value})
+        scenario = tmp_path / "pbft_membership.json"
+        scenario.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_poison_counts_and_range(self):
         with pytest.raises(ConfigError, match="poison"):

@@ -10,10 +10,7 @@ from ebrc.djep import (
     committee_fault_budget,
     committee_with_join,
     committee_without,
-    exit_message_count,
     exit_preserves_floor,
-    exit_with_promotion_message_count,
-    join_message_count,
     process_exit,
     promotion_candidate,
     replace_faulty,
@@ -144,25 +141,22 @@ class TestReplacement:
 class TestMessageBudget:
     def test_exit_alone(self):
         for m in (4, 11, 25, 26):
-            assert exit_message_count(m) == exit_messages(m) == m
+            assert exit_messages(m) == m
 
     def test_join_flow(self):
         for m in (4, 11, 25):
-            assert join_message_count(m) == join_messages(m) == 2 * m + 1
+            assert join_messages(m) == 2 * m + 1
 
     def test_combined_flow(self):
         for m in (4, 25):
-            assert exit_with_promotion_message_count(m) == 3 * m + 1
+            assert exit_messages(m) + join_messages(m) == 3 * m + 1
 
 
 class TestMembershipState:
     def test_due_lists_sorted_and_thresholded(self):
         state = MembershipState()
         state.pending_exits = {5: 10, 2: 8, 9: 20}
-        state.pending_joins = {7: 10}
         assert state.due_exits(10) == [2, 5]
-        assert state.due_joins(9) == []
-        assert state.due_joins(10) == [7]
 
     def test_clear_applied_drops_all_tracking(self):
         state = MembershipState()
@@ -263,7 +257,7 @@ class TestExitWithPromotion:
         assert pump.counts["JoinRequest"] == 4
         assert pump.counts["JoinCommit"] == 4
         assert pump.counts["ExitCommit"] == 3
-        assert sum(pump.counts.values()) == exit_with_promotion_message_count(4)
+        assert sum(pump.counts.values()) == exit_messages(4) + join_messages(4) == 13
 
     def test_best_candidate_invited(self):
         replicas, pump = self.run_flow()

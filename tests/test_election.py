@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebrc import election
 from ebrc.crypto import GENESIS_SEED, KeyRegistry, SimulatedVrf, VRF_RANGE, derive_seed
 from ebrc.election import (
+    MAX_ELECTION_RETRIES,
     MIN_COMMITTEE,
     CommitteeAssignment,
     ElectionConfig,
     ElectionFailed,
+    elect_committee,
     eligible_nodes,
     form_committee,
     is_eligible,
@@ -215,6 +218,37 @@ class TestFormCommittee:
         table = equal_table(3, reg)
         with pytest.raises(ElectionFailed):
             form_committee(table, self.config(), GENESIS_SEED, reg)
+
+    def test_elect_committee_retries_with_derived_seeds(self):
+        reg = make_registry(8)
+        table = equal_table(8, reg)
+        config = self.config(sortition_threshold=0.3)
+        seed, failures = GENESIS_SEED, 0
+        while True:
+            try:
+                expected, _ = form_committee(table, config, seed, reg)
+                break
+            except ElectionFailed:
+                failures += 1
+                seed = derive_seed(seed)
+        assert failures >= 1
+        assignment, reports, final_seed, retries = elect_committee(table, config, GENESIS_SEED, reg)
+        assert (assignment, reports, final_seed, retries) == (expected, [], seed, failures)
+
+    def test_elect_committee_gives_up_after_max_retries(self, monkeypatch):
+        reg = make_registry(3)
+        table = equal_table(3, reg)
+        seeds = []
+
+        def counting(table, config, seed, registry, **options):
+            seeds.append(seed)
+            return form_committee(table, config, seed, registry, **options)
+
+        monkeypatch.setattr(election, "form_committee", counting)
+        with pytest.raises(ElectionFailed):
+            elect_committee(table, self.config(), GENESIS_SEED, reg)
+        assert len(seeds) == MAX_ELECTION_RETRIES + 1
+        assert all(b == derive_seed(a) for a, b in zip(seeds, seeds[1:]))
 
     def test_fault_budget_formula(self):
         reg = make_registry(20)

@@ -4,13 +4,20 @@ Each shipped preset JSON is run at its own seed, serialized the way
 ``ebrc run --trace`` writes it (report JSON, then trace CSV), and the SHA-256
 of that text is compared with the value pinned here. A change that is meant
 to alter simulated outcomes re-pins these hashes and says why in CHANGES.md.
+
+No shipped preset sets ``replace_faulty``, so three variants pin the forced
+replacement path as well: a silent member replaced by a candidate, an
+equivocating member replaced after a view change, and a full-membership
+committee whose replacements stall for want of a candidate.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from ebrc import harness, presets
+from ebrc.config import ByzantineConfig
 
 GOLDEN_SHA256 = {
     "churn_exit_m11": "3005955a16e72648dfc905e5836aa882422048f3db875b80f5516d5a323fe131",
@@ -38,14 +45,45 @@ GOLDEN_SHA256 = {
 }
 
 
+FORCED_REPLACEMENT_SHA256 = {
+    # churn_join_m7 logs replace 6 + join 7 at height 2.
+    "churn_join_m7_silent_6": "26b33f1b6240d303fb91cdff31d3fd4f99b78ce344db1f4ba5712f4794a4910a",
+    # churn_join_m7 logs replace 3 + join 7 at height 3, after one view change.
+    "churn_join_m7_equivocate_3": "9dc0e326d7e36b0f126b7a8be4302eaea778c44a702aaf320a3a305ac7428de6",
+    # safety_silent_m7 has no candidates: every forced removal stalls.
+    "safety_silent_m7": "16c2c2b24c7bcb593aeb3a954e44f8639bf2833826e48a48541683069f127696",
+}
+
+
+def forced_replacement_config(name):
+    if name == "safety_silent_m7":
+        return dataclasses.replace(presets.load(name), replace_faulty=True)
+    _, behavior, node = name.rsplit("_", 2)
+    return dataclasses.replace(
+        presets.load("churn_join_m7"),
+        exits=(),
+        replace_faulty=True,
+        byzantine=ByzantineConfig(node_ids=(int(node),), behavior=behavior),
+    )
+
+
+def output_sha256(config):
+    report, result = harness.run_scenario_with_result(config)
+    text = harness.report_json(
+        {"schema_version": harness.SCHEMA_VERSION, "reports": [report.to_dict()]}
+    ) + harness.trace_csv(result.trace)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def test_every_shipped_preset_is_pinned():
     assert sorted(GOLDEN_SHA256) == presets.names()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_report_and_trace_bytes_unchanged(name):
-    report, result = harness.run_scenario_with_result(presets.load(name))
-    text = harness.report_json(
-        {"schema_version": harness.SCHEMA_VERSION, "reports": [report.to_dict()]}
-    ) + harness.trace_csv(result.trace)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SHA256[name]
+    assert output_sha256(presets.load(name)) == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(FORCED_REPLACEMENT_SHA256))
+def test_forced_replacement_bytes_unchanged(name):
+    assert output_sha256(forced_replacement_config(name)) == FORCED_REPLACEMENT_SHA256[name]
