@@ -1,5 +1,9 @@
 """Scenario configuration: dataclasses, fail-closed dict parsing, JSON I/O.
 
+The dataclasses are the whole schema. Parsing, serialization and the
+unknown-key check walk their fields and type annotations, so each field's
+name, type and default is stated once, in its class.
+
 Unknown keys are rejected with the offending field path rather than ignored,
 so a typo in a scenario file fails loudly instead of silently running the
 default it was meant to override.
@@ -7,11 +11,14 @@ default it was meant to override.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
+import functools
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from .reputation import DEFAULT_DEPOSIT_CAP, DEFAULT_SLASH_FRACTION, ReputationWeights
 from .simnet import BYZANTINE_BEHAVIORS
@@ -200,213 +207,102 @@ class ScenarioConfig:
     # -- serialization --
 
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "name": self.name,
-            "protocol": self.protocol,
-            "node_count": self.node_count,
-            "seed": self.seed,
-            "target_committee_size": self.target_committee_size,
-            "omega": self.omega,
-            "eligibility_percentile": self.eligibility_percentile,
-            "consensus_percentile": self.consensus_percentile,
-            "connect_window_ms": self.connect_window_ms,
-            "weights": dataclasses.asdict(self.weights),
-            "complement_fault_rates": self.complement_fault_rates,
-            "slash_fraction": self.slash_fraction,
-            "deposit_cap": self.deposit_cap,
-            "deposits": {str(k): v for k, v in sorted(self.deposits.items())},
-            "poison": {
-                "node_ids": list(self.poison.node_ids),
-                "participations": self.poison.participations,
-                "evil_count": self.poison.evil_count,
-                "incomplete_count": self.poison.incomplete_count,
-            },
-            "epochs": self.epochs,
-            "rounds_per_epoch": self.rounds_per_epoch,
-            "block_tx_cap": self.block_tx_cap,
-            "load": self.load,
-            "payload_bytes": self.payload_bytes,
-            "client_count": self.client_count,
-            "batch_window_ms": self.batch_window_ms,
-            "view_timeout_ms": self.view_timeout_ms,
-            "round_deadline_ms": self.round_deadline_ms,
-            "network": {
-                "base_latency_ms": self.network.base_latency_ms,
-                "jitter_ms": self.network.jitter_ms,
-                "drop_rate": self.network.drop_rate,
-                "partitions": [
-                    [start, end, list(nodes)] for start, end, nodes in self.network.partitions
-                ],
-            },
-            "byzantine": {
-                "node_ids": list(self.byzantine.node_ids),
-                "behavior": self.byzantine.behavior,
-                "latency_factor": self.byzantine.latency_factor,
-                "activation": list(self.byzantine.activation) if self.byzantine.activation else None,
-            },
-            "allow_over_threshold": self.allow_over_threshold,
-            "exits": [{"round_index": s.round_index, "node_id": s.node_id} for s in self.exits],
-            "replace_faulty": self.replace_faulty,
-            "detect_silent": self.detect_silent,
-        }
+        return _to_json(self)
+
+
+def _to_json(value: Any) -> Any:
+    """JSON form of a schema value: dataclasses become objects with one key
+    per field, tuples become lists and int-keyed mappings get string keys in
+    sorted order."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_to_json(item) for item in value]
+    if isinstance(value, Mapping):
+        return {str(k): _to_json(v) for k, v in sorted(value.items())}
+    return value
+
+
+@functools.cache
+def _field_types(cls: type) -> Dict[str, Any]:
+    # Resolving the string annotations costs far more than a parse, so once
+    # per class.
+    return typing.get_type_hints(cls)
+
+
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def _parse(kind: Any, value: Any, path: str) -> Any:
+    """Read ``value`` as the annotated type ``kind``; ConfigError names ``path``."""
+    if dataclasses.is_dataclass(kind):
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{path or 'scenario'}: expected an object")
+        fields = dataclasses.fields(kind)
+        unknown = sorted(set(value) - {f.name for f in fields})
+        if unknown:
+            raise ConfigError(f"{_join(path or 'scenario', unknown[0])}: unknown field")
+        types = _field_types(kind)
+        kwargs = {}
+        for f in fields:
+            if f.name in value:
+                kwargs[f.name] = _parse(types[f.name], value[f.name], _join(path, f.name))
+            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"{_join(path, f.name)}: required field missing")
+        return kind(**kwargs)
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is typing.Union:  # Optional[X]
+        if value is None:
+            return None
+        return _parse(args[0], value, path)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{path}: expected a list of {len(args)} items, got {len(value)}")
+        return tuple(_parse(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    if origin is collections.abc.Mapping:
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
+        key_type, value_type = args
+        out = {}
+        for key, item in value.items():
+            try:
+                parsed_key = key_type(key)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{path}.{key}: key must be {key_type.__name__}") from None
+            out[parsed_key] = _parse(value_type, item, f"{path}.{key}")
         return out
-
-
-def _require_keys(data: Mapping[str, Any], allowed: set, path: str) -> None:
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}: unknown field")
-
-
-def _coerce_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected integer, got {type(value).__name__}")
-    return value
-
-
-def _coerce_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected number, got {type(value).__name__}")
-    return float(value)
-
-
-def _coerce_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected boolean, got {type(value).__name__}")
-    return value
-
-
-def _parse_network(data: Mapping[str, Any], path: str = "network") -> NetworkConfig:
-    allowed = {"base_latency_ms", "jitter_ms", "drop_rate", "partitions"}
-    _require_keys(data, allowed, path)
-    partitions: List[Tuple[float, float, Tuple[int, ...]]] = []
-    for i, row in enumerate(data.get("partitions", [])):
-        if not isinstance(row, (list, tuple)) or len(row) != 3:
-            raise ConfigError(f"{path}.partitions[{i}]: expected [start_ms, end_ms, [nodes]]")
-        start = _coerce_number(row[0], f"{path}.partitions[{i}][0]")
-        end = _coerce_number(row[1], f"{path}.partitions[{i}][1]")
-        nodes = tuple(_coerce_int(n, f"{path}.partitions[{i}][2]") for n in row[2])
-        partitions.append((start, end, nodes))
-    return NetworkConfig(
-        base_latency_ms=_coerce_number(data.get("base_latency_ms", 2.0), f"{path}.base_latency_ms"),
-        jitter_ms=_coerce_number(data.get("jitter_ms", 1.0), f"{path}.jitter_ms"),
-        drop_rate=_coerce_number(data.get("drop_rate", 0.0), f"{path}.drop_rate"),
-        partitions=tuple(partitions),
-    )
-
-
-def _parse_byzantine(data: Mapping[str, Any], path: str = "byzantine") -> ByzantineConfig:
-    allowed = {"node_ids", "behavior", "latency_factor", "activation"}
-    _require_keys(data, allowed, path)
-    activation = data.get("activation")
-    if activation is not None:
-        if not isinstance(activation, (list, tuple)) or len(activation) != 2:
-            raise ConfigError(f"{path}.activation: expected [first_epoch, last_epoch]")
-        activation = (
-            _coerce_int(activation[0], f"{path}.activation[0]"),
-            _coerce_int(activation[1], f"{path}.activation[1]"),
-        )
-    return ByzantineConfig(
-        node_ids=tuple(_coerce_int(n, f"{path}.node_ids") for n in data.get("node_ids", [])),
-        behavior=data.get("behavior", "silent"),
-        latency_factor=_coerce_number(data.get("latency_factor", 4.0), f"{path}.latency_factor"),
-        activation=activation,
-    )
-
-
-def _parse_weights(data: Mapping[str, Any], path: str = "weights") -> ReputationWeights:
-    defaults = ReputationWeights()
-    allowed = set(dataclasses.asdict(defaults))
-    _require_keys(data, allowed, path)
-    kwargs = {
-        name: _coerce_number(data[name], f"{path}.{name}") for name in data
-    }
-    return dataclasses.replace(defaults, **kwargs)
-
-
-def _parse_poison(data: Mapping[str, Any], path: str = "poison") -> PoisonConfig:
-    allowed = {"node_ids", "participations", "evil_count", "incomplete_count"}
-    _require_keys(data, allowed, path)
-    return PoisonConfig(
-        node_ids=tuple(_coerce_int(n, f"{path}.node_ids") for n in data.get("node_ids", [])),
-        participations=_coerce_int(data.get("participations", 10), f"{path}.participations"),
-        evil_count=_coerce_int(data.get("evil_count", 3), f"{path}.evil_count"),
-        incomplete_count=_coerce_int(data.get("incomplete_count", 0), f"{path}.incomplete_count"),
-    )
-
-
-_TOP_LEVEL_KEYS = {
-    "name", "protocol", "node_count", "seed",
-    "target_committee_size", "omega", "eligibility_percentile",
-    "consensus_percentile", "connect_window_ms",
-    "weights", "complement_fault_rates", "slash_fraction", "deposit_cap",
-    "deposits", "poison",
-    "epochs", "rounds_per_epoch", "block_tx_cap", "load", "payload_bytes",
-    "client_count",
-    "batch_window_ms", "view_timeout_ms", "round_deadline_ms",
-    "network", "byzantine", "allow_over_threshold", "exits",
-    "replace_faulty", "detect_silent",
-}
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{path}: expected boolean, got {type(value).__name__}")
+        return value
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: expected integer, got {type(value).__name__}")
+        return value
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{path}: expected number, got {type(value).__name__}")
+        return float(value)
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: expected string, got {type(value).__name__}")
+        return value
+    raise TypeError(f"{path}: no parser for annotation {kind!r}")
 
 
 def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
-    """Parse and validate a scenario; raises ConfigError with a field path."""
-    if not isinstance(data, Mapping):
-        raise ConfigError("scenario: expected a JSON object")
-    _require_keys(data, _TOP_LEVEL_KEYS, "scenario")
+    """Parse and validate a scenario; raises ConfigError with a field path.
 
-    deposits: Dict[int, float] = {}
-    for key, value in data.get("deposits", {}).items():
-        try:
-            node = int(key)
-        except (TypeError, ValueError):
-            raise ConfigError(f"deposits.{key}: node id must be an integer") from None
-        deposits[node] = _coerce_number(value, f"deposits.{key}")
-
-    exits: List[ExitScript] = []
-    for i, row in enumerate(data.get("exits", [])):
-        if not isinstance(row, Mapping):
-            raise ConfigError(f"exits[{i}]: expected an object")
-        _require_keys(row, {"round_index", "node_id"}, f"exits[{i}]")
-        exits.append(
-            ExitScript(
-                round_index=_coerce_int(row.get("round_index"), f"exits[{i}].round_index"),
-                node_id=_coerce_int(row.get("node_id"), f"exits[{i}].node_id"),
-            )
-        )
-
-    config = ScenarioConfig(
-        name=str(data.get("name", "scenario")),
-        protocol=str(data.get("protocol", "ebrc")),
-        node_count=_coerce_int(data.get("node_count", 4), "node_count"),
-        seed=_coerce_int(data.get("seed", 0), "seed"),
-        target_committee_size=_coerce_int(data.get("target_committee_size", 4), "target_committee_size"),
-        omega=_coerce_number(data.get("omega", 0.4), "omega"),
-        eligibility_percentile=_coerce_number(data.get("eligibility_percentile", 0.85), "eligibility_percentile"),
-        consensus_percentile=_coerce_number(data.get("consensus_percentile", 0.5), "consensus_percentile"),
-        connect_window_ms=_coerce_number(data.get("connect_window_ms", 5.0), "connect_window_ms"),
-        weights=_parse_weights(data.get("weights", {})),
-        complement_fault_rates=_coerce_bool(data.get("complement_fault_rates", True), "complement_fault_rates"),
-        slash_fraction=_coerce_number(data.get("slash_fraction", DEFAULT_SLASH_FRACTION), "slash_fraction"),
-        deposit_cap=_coerce_number(data.get("deposit_cap", DEFAULT_DEPOSIT_CAP), "deposit_cap"),
-        deposits=deposits,
-        poison=_parse_poison(data.get("poison", {})),
-        epochs=_coerce_int(data.get("epochs", 1), "epochs"),
-        rounds_per_epoch=_coerce_int(data.get("rounds_per_epoch", 20), "rounds_per_epoch"),
-        block_tx_cap=_coerce_int(data.get("block_tx_cap", 15), "block_tx_cap"),
-        load=_coerce_int(data.get("load", 15), "load"),
-        payload_bytes=_coerce_int(data.get("payload_bytes", 64), "payload_bytes"),
-        client_count=_coerce_int(data.get("client_count", 1), "client_count"),
-        batch_window_ms=_coerce_number(data.get("batch_window_ms", 2.0), "batch_window_ms"),
-        view_timeout_ms=_coerce_number(data.get("view_timeout_ms", 40.0), "view_timeout_ms"),
-        round_deadline_ms=_coerce_number(data.get("round_deadline_ms", 2000.0), "round_deadline_ms"),
-        network=_parse_network(data.get("network", {})),
-        byzantine=_parse_byzantine(data.get("byzantine", {})),
-        allow_over_threshold=_coerce_bool(data.get("allow_over_threshold", False), "allow_over_threshold"),
-        exits=tuple(exits),
-        replace_faulty=_coerce_bool(data.get("replace_faulty", False), "replace_faulty"),
-        detect_silent=_coerce_bool(data.get("detect_silent", True), "detect_silent"),
-    )
+    The keys, their types and their defaults are those of ``ScenarioConfig``
+    and its nested dataclasses; an unknown key is an error, a missing one
+    takes the field default.
+    """
+    config = _parse(ScenarioConfig, data, "")
     config.validate()
     return config
 

@@ -40,7 +40,6 @@ class ElectionConfig:
     target_committee_size: int = MIN_COMMITTEE
     eligibility_percentile: float = 0.85
     consensus_percentile: float = 0.5
-    connect_window_ms: Optional[float] = None
 
     def validate(self) -> None:
         if not (0.0 < self.sortition_threshold <= 1.0):
@@ -51,8 +50,6 @@ class ElectionConfig:
             raise ValueError(
                 "need 0 < consensus_percentile <= eligibility_percentile <= 1"
             )
-        if self.connect_window_ms is not None and self.connect_window_ms <= 0:
-            raise ValueError("connect_window_ms must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,14 +102,6 @@ def _ranked(table: BehaviorTable, key) -> List[int]:
     ]
 
 
-def rank_by_reputation(table: BehaviorTable) -> List[int]:
-    return _ranked(table, lambda record: record.reputation)
-
-
-def rank_by_growth(table: BehaviorTable) -> List[int]:
-    return _ranked(table, lambda record: record.growth_rate)
-
-
 def _top_slice(table: BehaviorTable, key, keep: int) -> Set[int]:
     """Ids whose key value ties or beats the value at the keep-th rank.
 
@@ -135,13 +124,6 @@ def eligible_nodes(table: BehaviorTable, eligibility_percentile: float) -> Set[i
     by_reputation = _top_slice(table, lambda record: record.reputation, keep)
     by_growth = _top_slice(table, lambda record: record.growth_rate, keep)
     return by_reputation & by_growth
-
-
-def is_eligible(node_id: int, table: BehaviorTable, eligibility_percentile: float = 0.85) -> bool:
-    """True iff the node ranks inside the top slice by reputation and growth."""
-    if node_id not in table:
-        return False
-    return node_id in eligible_nodes(table, eligibility_percentile)
 
 
 def form_committee(

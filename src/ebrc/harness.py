@@ -34,13 +34,6 @@ EMPTY_COMMITTEE_NOTE = (
 
 # --- elementary metric ops ---
 
-def compute_latency(submit_time: float, complete_time: float) -> float:
-    """Confirmation latency: completion minus submission, simulated ms."""
-    if complete_time < submit_time:
-        raise ValueError("complete_time precedes submit_time")
-    return complete_time - submit_time
-
-
 def compute_tps(committed_tx_total: int, interval_seconds: float) -> Optional[float]:
     """Committed transactions per simulated second; None when the interval
     is empty (throughput is undefined, reported as absent)."""
@@ -185,6 +178,7 @@ def build_report(result: RunResult) -> MetricsReport:
         blocks=list(result.blocks),
         safety_violation=result.safety_violation,
         safety_details=list(result.safety_details),
+        notes=list(result.notes),
     )
 
 

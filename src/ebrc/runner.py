@@ -10,7 +10,6 @@ scenario configuration.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -31,8 +30,6 @@ from .messages import (
     signature_ok,
 )
 from .simnet import ByzantineProfile, Counters, NetworkModel, Simulation, TraceRecord
-
-logger = logging.getLogger(__name__)
 
 US_PER_MS = 1_000
 
@@ -82,6 +79,7 @@ class RunResult:
     safety_violation: bool = False
     safety_details: List[str] = field(default_factory=list)
     stalled_memberships: List[dict] = field(default_factory=list)
+    notes: List[str] = field(default_factory=list)
 
 
 class ScenarioRunner:
@@ -412,6 +410,10 @@ class ScenarioRunner:
                 self.result.latency_samples_ms.append(latency_ms)
                 self._last_completion_us = done
             self._announce(holder, target_height)
+        # Drain first: a member ousted by a view change this round already has
+        # its incompletion recorded, and the outcome tally must see that.
+        view_changes = self._drain_observations(target_height)
+        if holder is not None:
             self._note_round_outcomes(committee_at_start, round_index, block)
             self.result.committed_rounds += 1
             self.result.blocks.append(
@@ -423,12 +425,10 @@ class ScenarioRunner:
                     "committers": list(block.committers),
                 }
             )
-        else:
-            self.result.aborted_rounds += 1
-        view_changes = self._drain_observations(target_height)
-        if holder is not None:
             self._after_commit()
             self._inject_scripted_exits(round_index)
+        else:
+            self.result.aborted_rounds += 1
         self.result.rounds.append(
             RoundRecord(
                 round_index=round_index,
@@ -583,7 +583,10 @@ class ScenarioRunner:
                 continue
             exiter = script.node_id
             if exiter not in self.committee:
-                logger.warning("scripted exit for non-member %d skipped", exiter)
+                self.result.notes.append(
+                    f"scripted exit of node {exiter} after round {round_index} skipped: "
+                    "not a consensus node"
+                )
                 continue
             height = max(self.replicas[n].height for n in self.honest_ids)
             effective = height + EXIT_LEAD_BLOCKS

@@ -73,3 +73,13 @@ def join_messages(m: int) -> int:
     """One change notice, a join request to every member, and a confirmation
     from every member; m is the committee size during the handshake."""
     return 1 + m + m
+
+
+def rank_by_reputation(table) -> list:
+    """Node ids by descending current reputation, ties toward the lower id."""
+    return sorted(table, key=lambda node: (-table[node].reputation, node))
+
+
+def rank_by_growth(table) -> list:
+    """Node ids by descending growth rate, ties toward the lower id."""
+    return sorted(table, key=lambda node: (-table[node].growth_rate, node))

@@ -167,15 +167,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match=fragment):
             scenario_from_dict(data)
 
-    def test_type_errors_carry_paths(self):
-        with pytest.raises(ConfigError, match="seed"):
-            scenario_from_dict({"seed": "zero"})
-        with pytest.raises(ConfigError, match="seed"):
-            scenario_from_dict({"seed": True})  # bool is not an integer here
-        with pytest.raises(ConfigError, match="omega"):
-            scenario_from_dict({"omega": "high"})
-        with pytest.raises(ConfigError, match="detect_silent"):
-            scenario_from_dict({"detect_silent": 1})
+    @pytest.mark.parametrize(
+        "data, fragment",
+        [
+            ({"seed": "zero"}, "seed: expected integer"),
+            ({"seed": True}, "seed: expected integer"),  # bool is not an integer here
+            ({"omega": "high"}, "omega"),
+            ({"detect_silent": 1}, "detect_silent"),
+            ({"name": 5}, "name: expected string"),
+            ({"protocol": 1}, "protocol: expected string"),
+            ({"exits": [{"node_id": 1}]}, r"exits\[0\]\.round_index"),
+        ],
+        ids=["seed_str", "seed_bool", "omega", "detect_silent", "name", "protocol", "exit_missing"],
+    )
+    def test_type_errors_carry_paths(self, data, fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            scenario_from_dict(data)
 
     def test_malformed_partition_row(self):
         with pytest.raises(ConfigError, match=r"network\.partitions\[0\]"):
@@ -198,6 +205,7 @@ class TestParsing:
         assert config.protocol == "ebrc"
         assert config.node_count == 4
         assert config.network.base_latency_ms == 2.0
+        assert config == ScenarioConfig()
 
     def test_validation_runs_on_parse(self):
         with pytest.raises(ConfigError, match="node_count"):
@@ -296,6 +304,21 @@ class TestPresets:
         for config in configs:
             config.validate()
             assert scenario_from_dict(config.to_dict()) == config
+
+    def test_shipped_files_match_builders(self, tmp_path):
+        configs = list(presets.all_safety_presets())
+        configs += [
+            presets.djep_exit_preset(),
+            presets.djep_join_preset(),
+            presets.pbft_viewchange_preset(),
+        ]
+        configs += list(presets.law_pair(4))
+        configs += list(presets.comparison_pair(10, byzantine=True))
+        assert sorted(c.name for c in configs) == presets.names()
+        for config in configs:
+            target = tmp_path / f"{config.name}.json"
+            save_scenario(config, target)
+            assert target.read_bytes() == presets.path(config.name).read_bytes(), config.name
 
     def test_safety_matrix_shape(self):
         configs = presets.all_safety_presets()

@@ -15,11 +15,9 @@ from ebrc.election import (
     elect_committee,
     eligible_nodes,
     form_committee,
-    is_eligible,
-    rank_by_growth,
-    rank_by_reputation,
 )
 from ebrc.reputation import new_record, update_behavior_table
+from oracles import rank_by_growth, rank_by_reputation
 
 
 def make_registry(n: int) -> KeyRegistry:
@@ -51,16 +49,16 @@ class TestEligibility:
         reg = make_registry(20)
         scores = [1.0 - i * 0.01 for i in range(20)]
         table = table_with_scores(reg, scores)
-        assert is_eligible(0, table, 0.85)
+        assert 0 in eligible_nodes(table, 0.85)
 
     def test_bottom_band_ineligible(self):
         # Rank 18 of 20 by reputation sits below the 85th-percentile cut.
         reg = make_registry(20)
         scores = [1.0 - i * 0.01 for i in range(20)]
         table = table_with_scores(reg, scores)
-        assert not is_eligible(17, table, 0.85)
-        assert not is_eligible(18, table, 0.85)
-        assert not is_eligible(19, table, 0.85)
+        assert 17 not in eligible_nodes(table, 0.85)
+        assert 18 not in eligible_nodes(table, 0.85)
+        assert 19 not in eligible_nodes(table, 0.85)
 
     def test_requires_both_rankings(self):
         # Strong reputation with weak growth is still ineligible: the gate
@@ -70,17 +68,24 @@ class TestEligibility:
         growths = [0.5] * 20
         growths[4] = -0.4  # rank 5 by reputation, last by growth
         table = table_with_scores(reg, scores, growths)
-        assert not is_eligible(4, table, 0.85)
+        assert 4 not in eligible_nodes(table, 0.85)
 
     def test_unknown_node_ineligible(self):
         reg = make_registry(4)
-        assert not is_eligible(99, equal_table(4, reg), 0.85)
+        assert 99 not in eligible_nodes(equal_table(4, reg), 0.85)
 
     def test_tie_break_by_node_id(self):
         reg = make_registry(4)
         table = equal_table(4, reg)
         assert rank_by_reputation(table) == [0, 1, 2, 3]
         assert rank_by_growth(table) == [0, 1, 2, 3]
+        # The election orders its consensus nodes the same way.
+        config = ElectionConfig(
+            sortition_threshold=1.0, eligibility_percentile=1.0, consensus_percentile=1.0
+        )
+        mixed = table_with_scores(reg, [0.3, 0.9, 0.9, 0.7])
+        assignment, _ = form_committee(mixed, config, GENESIS_SEED, reg)
+        assert list(assignment.consensus_nodes) == rank_by_reputation(mixed) == [1, 2, 3, 0]
 
     def test_cutoff_float_artifact(self):
         # floor(20 * 0.85) must be 17, not 16, despite 0.85 * 20 = 16.999...

@@ -1,5 +1,6 @@
 """Metrics, reports, fairness studies, serialization, and the CLI."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,12 +8,11 @@ import scipy.stats
 
 from ebrc import presets
 from ebrc.cli import main
-from ebrc.config import NetworkConfig, ScenarioConfig, save_scenario
+from ebrc.config import ExitScript, NetworkConfig, ScenarioConfig, save_scenario
 from ebrc.messages import CONSENSUS_TAGS
 from ebrc.harness import (
     ConsistencyError,
     compare_reports,
-    compute_latency,
     compute_tps,
     count_messages,
     empty_committee_probability,
@@ -25,6 +25,7 @@ from ebrc.harness import (
     trace_csv,
     verify_consistency,
 )
+from ebrc.runner import ScenarioRunner
 from ebrc.simnet import TraceRecord
 
 from oracles import chi_square_uniform
@@ -53,12 +54,6 @@ def tiny_config(**overrides) -> ScenarioConfig:
 
 
 class TestElementaryOps:
-    def test_latency(self):
-        assert compute_latency(100.0, 250.0) == 150.0
-        assert compute_latency(7.0, 7.0) == 0.0
-        with pytest.raises(ValueError):
-            compute_latency(10.0, 5.0)
-
     def test_tps(self):
         assert compute_tps(500, 10.0) == 50.0
         assert compute_tps(0, 10.0) == 0.0
@@ -153,6 +148,27 @@ class TestReportPipeline:
         assert all(isinstance(k, str) for k in payload["messages_by_round"])
         assert all(isinstance(k, str) for k in payload["election_counts"])
         json.dumps(payload)  # must be JSON-clean
+
+
+class TestRunnerAccountability:
+    def test_ousted_silent_member_has_one_incompletion_per_round(self):
+        # Nodes 5 and 6 are silent in every one of the 6 committed rounds; a
+        # round where a view change also ousts one must count it once.
+        runner = ScenarioRunner(presets.load("safety_silent_m7"))
+        result = runner.run()
+        assert result.committed_rounds == 6
+        assert [runner.table[n].incomplete_count for n in (5, 6)] == [6, 6]
+
+    def test_skipped_scripted_exit_is_noted(self):
+        ebrc, _ = presets.comparison_pair(10, byzantine=False)
+        config = dataclasses.replace(ebrc, exits=(ExitScript(round_index=1, node_id=7),))
+        report, result = run_scenario_with_result(config)
+        assert 7 in result.election_log[0]["candidates"]
+        assert report.membership_flows == []
+        assert report.notes == [
+            "scripted exit of node 7 after round 1 skipped: not a consensus node"
+        ]
+        assert json.loads(report_json(report.to_dict()))["notes"] == report.notes
 
 
 class TestCompare:
