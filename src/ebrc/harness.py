@@ -21,7 +21,7 @@ from .config import ScenarioConfig
 from .crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, digest, pack
 from .election import ElectionConfig, ElectionFailed, elect_committee
 from .runner import RunResult, ScenarioRunner
-from .simnet import TraceRecord
+from .simnet import RECEIVER_ROW_FIELDS, TraceRecord, receiver_rows
 
 SCHEMA_VERSION = 1
 
@@ -51,20 +51,22 @@ class MessageCounts:
     total: int
     by_tag: Dict[str, int]
     by_round: Dict[int, int]
-    delivered: int
+    not_dropped: int
 
 
-def count_messages(trace: Sequence[TraceRecord]) -> MessageCounts:
-    """Tally sent messages from a trace, grouped by tag and by round, and
-    the rows marked delivered."""
+def count_messages(trace: Iterable[TraceRecord]) -> MessageCounts:
+    """Tally sent messages from a trace of sends, one message per target,
+    grouped by tag and by round, and the messages the network did not drop."""
+    total = not_dropped = 0
     by_tag: Dict[str, int] = {}
     by_round: Dict[int, int] = {}
-    delivered = 0
     for record in trace:
-        by_tag[record.tag] = by_tag.get(record.tag, 0) + 1
-        by_round[record.round_index] = by_round.get(record.round_index, 0) + 1
-        delivered += record.delivered
-    return MessageCounts(total=len(trace), by_tag=by_tag, by_round=by_round, delivered=delivered)
+        count = len(record.targets)
+        total += count
+        not_dropped += count - len(record.dropped)
+        by_tag[record.tag] = by_tag.get(record.tag, 0) + count
+        by_round[record.round_index] = by_round.get(record.round_index, 0) + count
+    return MessageCounts(total=total, by_tag=by_tag, by_round=by_round, not_dropped=not_dropped)
 
 
 @dataclass(slots=True)
@@ -137,7 +139,7 @@ class MetricsReport:
 
 def build_report(result: RunResult) -> MetricsReport:
     config = result.config
-    counts = count_messages(result.trace)
+    counters = result.counters
     latencies = list(result.latency_samples_ms)
     mean_latency = float(np.mean(latencies)) if latencies else None
     median_latency = float(np.median(latencies)) if latencies else None
@@ -165,9 +167,9 @@ def build_report(result: RunResult) -> MetricsReport:
         p95_latency_ms=p95_latency,
         tps=result.tps,
         duration_ms=result.duration_ms,
-        total_messages=counts.total,
-        messages_by_tag=dict(sorted(counts.by_tag.items())),
-        messages_by_round=dict(sorted(counts.by_round.items())),
+        total_messages=counters.sent,
+        messages_by_tag=dict(sorted(counters.per_tag.items())),
+        messages_by_round=dict(sorted(counters.per_round.items())),
         election_counts=dict(sorted(result.election_counts.items())),
         view_changes_total=result.view_changes_total,
         max_view_changes_per_height=result.max_view_changes_per_height,
@@ -190,16 +192,24 @@ def verify_consistency(report: MetricsReport, result: RunResult) -> None:
     """Two-path check: metrics recomputed from the raw trace/blocks must
     match the values accumulated during the run."""
     counters = result.counters
+    if not counters.conserved(result.in_flight):
+        raise ConsistencyError(
+            f"sent {counters.sent} != delivered {counters.delivered} + dropped "
+            f"{counters.dropped} + in flight {result.in_flight}"
+        )
     counts = count_messages(result.trace)
     if counts.total != counters.sent:
         raise ConsistencyError(
-            f"trace rows {counts.total} != sent counter {counters.sent}"
+            f"trace messages {counts.total} != sent counter {counters.sent}"
         )
     if counts.by_tag != counters.per_tag:
         raise ConsistencyError("per-tag counts from trace disagree with counters")
-    if counts.delivered != counters.delivered:
+    if counts.by_round != counters.per_round:
+        raise ConsistencyError("per-round counts from trace disagree with counters")
+    if counts.not_dropped != counters.delivered + result.in_flight:
         raise ConsistencyError(
-            f"delivered rows {counts.delivered} != delivered counter {counters.delivered}"
+            f"not-dropped messages {counts.not_dropped} != delivered counter "
+            f"{counters.delivered} + in flight {result.in_flight}"
         )
     committed_tx = sum(b["tx_count"] for b in result.blocks)
     if result.duration_ms > 0:
@@ -495,23 +505,12 @@ def write_metrics_csv(path: str, reports: Sequence[MetricsReport]) -> None:
 
 
 def trace_csv(trace: Iterable[TraceRecord]) -> str:
+    """One CSV row per receiver, each send's targets in plan order;
+    ``delivered`` is 1 unless the network dropped the message."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["time_us", "sender", "target", "tag", "digest_prefix", "round_index", "delivered"]
-    )
-    for record in trace:
-        writer.writerow(
-            [
-                record.time_us,
-                record.sender,
-                record.target,
-                record.tag,
-                record.digest_prefix,
-                record.round_index,
-                "1" if record.delivered else "0",
-            ]
-        )
+    writer.writerow(RECEIVER_ROW_FIELDS)
+    writer.writerows(receiver_rows(trace))
     return buffer.getvalue()
 
 

@@ -68,7 +68,8 @@ class RunResult:
     tps: Optional[float] = None
     latency_samples_ms: List[float] = field(default_factory=list)
     counters: Counters = field(default_factory=Counters)
-    trace: List[TraceRecord] = field(default_factory=list)
+    trace: List[TraceRecord] = field(default_factory=list)  # one record per send
+    in_flight: int = 0  # deliveries still on the heap at run end
     election_log: List[dict] = field(default_factory=list)
     election_counts: Dict[int, int] = field(default_factory=dict)
     membership_log: List[dict] = field(default_factory=list)
@@ -107,9 +108,6 @@ class ScenarioRunner:
             ),
         )
         self.sim = Simulation(self.run_seed, self.network, self.registry)
-        self.sim.on_deliver = self._deliver
-        self.sim.on_timer = self._timer
-        self.sim.round_provider = lambda: self.current_round
 
         settings = dict(
             batch_window_us=_ms_to_us(config.batch_window_ms),
@@ -119,13 +117,12 @@ class ScenarioRunner:
         # The one protocol seam. EBRC runs a committee lifecycle: an election
         # at each epoch start, DJEP transitions after each committed round and
         # a reputation update at each epoch end. PBFT's committee is its whole
-        # group, fixed for the run, so it skips all three. Both keep the
+        # group, fixed for the run, so it skips all three: it shadows the
+        # class's hooks (at the end of the class) with a plain function, which
+        # keeps the runner free of bound methods of itself. Both keep the
         # per-round accountability; only EBRC's reputation update reads it.
         if config.protocol == "ebrc":
             self.replicas = {n: EbrcReplica(n, self.registry, **settings) for n in self.node_ids}
-            self._open_epoch = self._elect
-            self._after_commit = self._apply_membership_transitions
-            self._close_epoch = self._end_epoch
         else:
             self.replicas = {
                 n: PbftReplica(n, self.registry, group=self.node_ids, **settings)
@@ -255,14 +252,24 @@ class ScenarioRunner:
 
     def run(self) -> RunResult:
         config = self.config
-        round_index = 0
-        for epoch in range(config.epochs):
-            self._begin_epoch(epoch)
-            for _ in range(config.rounds_per_epoch):
-                round_index += 1
-                self._run_round(round_index)
-            self._close_epoch()
-        self._finalize()
+        sim = self.sim
+        # The simulation calls back into the runner only while it runs. Once
+        # unhooked, a finished runner and its simulation form no reference
+        # cycle, so reference counting frees them with their last reference.
+        sim.on_deliver = self._deliver
+        sim.on_timer = self._timer
+        sim.round_provider = lambda: self.current_round
+        try:
+            round_index = 0
+            for epoch in range(config.epochs):
+                self._begin_epoch(epoch)
+                for _ in range(config.rounds_per_epoch):
+                    round_index += 1
+                    self._run_round(round_index)
+                self._close_epoch()
+            self._finalize()
+        finally:
+            sim.on_deliver = sim.on_timer = sim.round_provider = _skip
         return self.result
 
     # -- epochs --
@@ -727,6 +734,7 @@ class ScenarioRunner:
         result = self.result
         result.counters = self.sim.counters
         result.trace = self.sim.trace
+        result.in_flight = self.sim.in_flight()
         result.membership_flows = list(self._membership_flows)
         if self._adoptions_per_height:
             result.max_view_changes_per_height = max(self._adoptions_per_height.values())
@@ -752,6 +760,11 @@ class ScenarioRunner:
                     self.result.safety_details.append(
                         f"ledger divergence at height {height}: node {node}"
                     )
+
+    # EBRC's committee lifecycle hooks; a PBFT runner shadows them (__init__).
+    _open_epoch = _elect
+    _after_commit = _apply_membership_transitions
+    _close_epoch = _end_epoch
 
 
 def run(config: ScenarioConfig) -> RunResult:

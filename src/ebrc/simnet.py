@@ -18,7 +18,20 @@ import dataclasses
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import repeat
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from .crypto import KeyRegistry, digest
 from .messages import (
@@ -71,15 +84,42 @@ class NetworkModel:
         return False
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One send that put anything on the wire.
+
+    ``targets`` is in plan order: the order the send went out in, which is
+    the order of the caller's target list except for an equivocating split,
+    which goes out to the sorted targets. ``digest_prefix`` is one string,
+    or one string per target when equivocation split the send into two
+    variants. ``dropped`` holds the targets whose message the network
+    dropped, in plan order.
+    """
+
     time_us: int
     sender: int
-    target: int
+    targets: Tuple[int, ...]
     tag: str
-    digest_prefix: str
+    digest_prefix: Union[str, Tuple[str, ...]]
     round_index: int
-    delivered: bool
+    dropped: Tuple[int, ...]
+
+
+# One receiver's row of a trace; ``delivered`` is 1 when the network did not
+# drop the message, else 0.
+RECEIVER_ROW_FIELDS = (
+    "time_us", "sender", "target", "tag", "digest_prefix", "round_index", "delivered",
+)
+
+
+def receiver_rows(trace: Iterable[TraceRecord]) -> Iterator[Tuple]:
+    """Expand per-send records into one row per receiver, in plan order."""
+    for time_us, sender, targets, tag, prefix, round_index, dropped in trace:
+        prefixes = prefix if isinstance(prefix, tuple) else repeat(prefix)
+        for target, target_prefix in zip(targets, prefixes):
+            yield (
+                time_us, sender, target, tag, target_prefix, round_index,
+                0 if dropped and target in dropped else 1,
+            )
 
 
 @dataclass(slots=True)
@@ -89,13 +129,19 @@ class Counters:
     dropped: int = 0
     suppressed: int = 0
     per_tag: Dict[str, int] = field(default_factory=dict)
+    per_round: Dict[int, int] = field(default_factory=dict)
     round_senders: Dict[int, Set[int]] = field(default_factory=dict)
 
     def note_sent(self, tag: str, round_index: int, sender: int, count: int) -> None:
         """Record one send that puts ``count`` messages on the wire."""
         self.sent += count
         self.per_tag[tag] = self.per_tag.get(tag, 0) + count
+        self.per_round[round_index] = self.per_round.get(round_index, 0) + count
         self.round_senders.setdefault(round_index, set()).add(sender)
+
+    def conserved(self, in_flight: int) -> bool:
+        """Every sent message was delivered, dropped or is still in flight."""
+        return self.sent == self.delivered + self.dropped + in_flight
 
 
 def _digest_prefix(message) -> str:
@@ -173,7 +219,7 @@ class Simulation:
         self.byzantine = dict(byzantine or {})
         self.now = 0
         self.counters = Counters()
-        self.trace: List[TraceRecord] = []
+        self.trace: List[TraceRecord] = []  # one record per send on the wire
         self.on_deliver: Callable[[int, int, object], None] = lambda target, now, event: None
         self.on_timer: Callable[[int, int, object], None] = lambda target, now, tick: None
         # Reported each send so trace rows carry the active round index.
@@ -196,84 +242,72 @@ class Simulation:
         self._push(max(at_us, self.now), ("send", sender, tuple(targets), message))
 
     def send(self, sender: int, targets: Sequence[int], message) -> None:
+        wires = self._outbound_wires(self.byzantine.get(sender), message)
+        if not wires or not targets:
+            # Nothing went out: the sender must not count as active.
+            self.counters.suppressed += len(targets)
+            return
         round_index = self.round_provider()
-        plan = self._outbound_plan(self.byzantine.get(sender), targets, message)
-        self.counters.suppressed += len(targets) - len(plan)
-        if not plan:
-            return  # nothing went out: the sender must not count as active
         # Every wire of one send has the same tag: variants keep the type.
-        self.counters.note_sent(plan[0][1][1], round_index, sender, len(plan))
-        for target, wire in plan:
-            self._transmit(sender, target, wire, round_index)
+        _, tag, prefix, _ = wires[0]
+        if len(wires) == 1:
+            plan = tuple(targets)
+        else:
+            # Equivocation: the sorted targets alternate between the variants.
+            plan = tuple(sorted(targets))
+            prefix = tuple(wires[i % 2][2] for i in range(len(plan)))
+        if sender in plan:
+            raise ValueError("self-delivery is not modeled")
+        dropped = []
+        for i, target in enumerate(plan):
+            if self._transmit(sender, target, wires[i % len(wires)]):
+                dropped.append(target)
+        self.counters.note_sent(tag, round_index, sender, len(plan))
+        self.trace.append(
+            TraceRecord(self.now, sender, plan, tag, prefix, round_index, tuple(dropped))
+        )
 
-    def _outbound_plan(
-        self,
-        profile: Optional[ByzantineProfile],
-        targets: Sequence[int],
-        message,
-    ) -> List[Tuple[int, _Wire]]:
-        """Pair each target with what goes out to it; a suppressed send
-        pairs none.
-
-        Each distinct outbound object gets one ``_Wire``, shared by all the
-        targets that receive it.
-        """
+    def _outbound_wires(self, profile: Optional[ByzantineProfile], message) -> List[_Wire]:
+        """What one send puts on the wire: nothing when it is suppressed, one
+        wire shared by every target, or two variants when the sender
+        equivocates."""
         if profile is None or (
             profile.behavior in ("silent", "lazy") and isinstance(message, VrfConnect)
         ):
             # Connectivity proofs are exempt from silence and laziness: a node
             # attacking the consensus phase still wants a committee seat.
-            plain = _wire(message)
-            return [(t, plain) for t in targets]
+            return [_wire(message)]
         if profile.behavior == "silent":
             return []
         if profile.behavior == "lazy":
-            slow = _wire(message, profile.latency_factor)
-            return [(t, slow) for t in targets]
+            return [_wire(message, profile.latency_factor)]
         if profile.behavior == "corrupt_digest":
-            mangled = _wire(_corrupted_digest(message, self.registry))
-            return [(t, mangled) for t in targets]
+            return [_wire(_corrupted_digest(message, self.registry))]
         if profile.behavior == "corrupt_proof":
-            mangled = _wire(_corrupted_proof(message))
-            return [(t, mangled) for t in targets]
+            return [_wire(_corrupted_proof(message))]
         # equivocate, the one behavior left
-        original = _wire(message)
         variant = _equivocation_variant(message, self.registry)
         if variant is None:
-            return [(t, original) for t in targets]
-        other = _wire(variant)
-        return [
-            (t, original if i % 2 == 0 else other)
-            for i, t in enumerate(sorted(targets))
-        ]
+            return [_wire(message)]
+        return [_wire(message), _wire(variant)]
 
-    def _transmit(self, sender: int, target: int, wire: _Wire, round_index: int) -> None:
-        if target == sender:
-            raise ValueError("self-delivery is not modeled")
-        message, tag, digest_prefix, latency_factor = wire
+    def _transmit(self, sender: int, target: int, wire: _Wire) -> bool:
+        """Put one message on the link to ``target``; True when the network
+        dropped it."""
+        message, _, _, latency_factor = wire
         rng = self._link_rng(sender, target)
         network = self.network
         dropped = bool(network.partitions) and network.partitioned(self.now, sender, target)
         if not dropped and network.drop_rate > 0.0:
             dropped = rng.random() < network.drop_rate
-        self.trace.append(
-            TraceRecord(
-                time_us=self.now,
-                sender=sender,
-                target=target,
-                tag=tag,
-                digest_prefix=digest_prefix,
-                round_index=round_index,
-                delivered=not dropped,
-            )
-        )
         if dropped:
             self.counters.dropped += 1
-            return
+            return True
         latency = float(network.base_latency_us)
         if network.jitter_us:
             latency += rng.random() * network.jitter_us
         self._push(self.now + int(latency * latency_factor), ("deliver", target, sender, message))
+        return False
 
     def _link_rng(self, sender: int, target: int) -> random.Random:
         key = (sender, target)
@@ -320,6 +354,9 @@ class Simulation:
                 return
             self.step_one()
 
+    def in_flight(self) -> int:
+        """Deliveries still on the heap."""
+        return sum(1 for _, _, item in self._heap if item[0] == "deliver")
+
     def conservation_ok(self) -> bool:
-        in_flight = sum(1 for _, _, item in self._heap if item[0] == "deliver")
-        return self.counters.sent == self.counters.delivered + self.counters.dropped + in_flight
+        return self.counters.conserved(self.in_flight())

@@ -1,14 +1,23 @@
-"""Shared helpers for replica-level tests: key setup and a message pump."""
+"""Shared helpers for tests: key setup, a message pump and trace rows."""
 
-from collections import Counter, deque
+from collections import Counter, deque, namedtuple
 
 from ebrc.consensus import EbrcReplica, PbftReplica, StepResult, tx_digest
 from ebrc.crypto import KeyRegistry
 from ebrc.messages import Request, signed
+from ebrc.simnet import RECEIVER_ROW_FIELDS, receiver_rows
 
 CLIENT = 100
 BATCH_US = 2_000
 TIMEOUT_US = 40_000
+
+
+Row = namedtuple("Row", RECEIVER_ROW_FIELDS)
+
+
+def trace_rows(trace):
+    """A trace's receiver rows, as ``trace.csv`` writes them, with named fields."""
+    return [Row(*row) for row in receiver_rows(trace)]
 
 
 def make_registry(n: int) -> KeyRegistry:

@@ -1,7 +1,9 @@
 """Metrics, reports, fairness studies, serialization, and the CLI."""
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import pytest
 import scipy.stats
@@ -28,6 +30,7 @@ from ebrc.harness import (
 from ebrc.runner import ScenarioRunner
 from ebrc.simnet import TraceRecord
 
+from driver import trace_rows
 from oracles import chi_square_uniform
 
 FAST = NetworkConfig(base_latency_ms=2.0, jitter_ms=1.0, drop_rate=0.0)
@@ -93,8 +96,8 @@ class TestFairnessStats:
 class TestCountMessages:
     def row(self, tag, round_index, time_us=0):
         return TraceRecord(
-            time_us=time_us, sender=0, target=1, tag=tag,
-            digest_prefix="", round_index=round_index, delivered=True,
+            time_us=time_us, sender=0, targets=(1,), tag=tag,
+            digest_prefix="", round_index=round_index, dropped=(),
         )
 
     def test_grouping(self):
@@ -136,6 +139,41 @@ class TestReportPipeline:
         with pytest.raises(ConsistencyError):
             verify_consistency(report, result)
 
+    def test_run_ending_with_deliveries_in_flight_passes(self):
+        # A lazy member's slow messages are still on the heap when the run
+        # ends: neither delivered nor dropped, and counted as in flight.
+        config = dataclasses.replace(presets.safety_preset(7, "lazy", 1), name="lazy_m7")
+        report, result = run_scenario_with_result(config)
+        assert result.in_flight > 0
+        assert not report.safety_violation
+        counts = count_messages(result.trace)
+        assert counts.not_dropped == result.counters.delivered + result.in_flight
+
+    @pytest.mark.parametrize(
+        "doctor",
+        ["delivered", "in_flight", "dropped", "dropped_for_delivered", "per_tag", "per_round"],
+    )
+    def test_doctored_outcome_counts_rejected(self, doctor):
+        config = dataclasses.replace(presets.safety_preset(7, "lazy", 1), name="lazy_m7")
+        report, result = run_scenario_with_result(config)
+        if doctor == "per_tag":
+            result.counters.per_tag["commit"] += 1
+        elif doctor == "per_round":
+            result.counters.per_round[1] += 1
+        elif doctor == "delivered":
+            result.counters.delivered += 1
+        elif doctor == "in_flight":
+            result.in_flight += 1
+        elif doctor == "dropped":
+            # The trace agrees with the other counters; only conservation can tell.
+            result.counters.dropped += 1
+        else:
+            # Conservation still holds; only the trace can tell.
+            result.counters.delivered -= 1
+            result.counters.dropped += 1
+        with pytest.raises(ConsistencyError):
+            verify_consistency(report, result)
+
     def test_doctored_latency_rejected(self):
         report, result = run_scenario_with_result(tiny_config())
         report.latency_ms = [v + 1.0 for v in report.latency_ms]
@@ -171,6 +209,23 @@ class TestRunnerAccountability:
         assert json.loads(report_json(report.to_dict()))["notes"] == report.notes
 
 
+class TestRunnerLifetime:
+    @pytest.mark.parametrize("protocol", ["ebrc", "pbft"])
+    def test_finished_run_freed_by_reference_counting(self, protocol):
+        ebrc_config, pbft_config = presets.law_pair(4)
+        config = ebrc_config if protocol == "ebrc" else pbft_config
+        gc.disable()  # only reference counting may free the run
+        try:
+            runner = ScenarioRunner(config)
+            result = runner.run()
+            refs = [weakref.ref(runner), weakref.ref(runner.sim)]
+            del runner
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+        assert result.committed_rounds > 0
+
+
 class TestCompare:
     def test_compare_reports_rows_and_traits(self):
         ebrc_cfg, pbft_cfg = presets.law_pair(4)
@@ -202,22 +257,24 @@ class TestClientStream:
     def test_stream_timestamps_strictly_increase(self):
         config = tiny_config(load=12, block_tx_cap=12, client_count=3, rounds_per_epoch=1)
         _, result = run_scenario_with_result(config)
-        request_times = sorted({r.time_us for r in result.trace if r.tag == "request"})
+        request_times = sorted(
+            {r.time_us for r in trace_rows(result.trace) if r.tag == "request"}
+        )
         assert len(request_times) == 12
         assert all(b - a == 1 for a, b in zip(request_times, request_times[1:]))
 
     def test_clients_cycle_round_robin(self):
         config = tiny_config(load=12, block_tx_cap=12, client_count=3, rounds_per_epoch=1)
         _, result = run_scenario_with_result(config)
-        senders = {r.sender for r in result.trace if r.tag == "request"}
+        senders = {r.sender for r in trace_rows(result.trace) if r.tag == "request"}
         assert senders == {4, 5, 6}  # client ids follow the node range
 
     def test_same_seed_identical_stream(self):
         config = tiny_config(load=6, rounds_per_epoch=1, block_tx_cap=6)
         _, result_a = run_scenario_with_result(config)
         _, result_b = run_scenario_with_result(config)
-        rows_a = [r for r in result_a.trace if r.tag == "request"]
-        rows_b = [r for r in result_b.trace if r.tag == "request"]
+        rows_a = [r for r in trace_rows(result_a.trace) if r.tag == "request"]
+        rows_b = [r for r in trace_rows(result_b.trace) if r.tag == "request"]
         assert rows_a == rows_b
 
 
@@ -245,7 +302,7 @@ class TestSerialization:
         text = trace_csv(result.trace)
         lines = text.strip().split("\n")
         assert lines[0].startswith("time_us,sender,target,tag")
-        assert len(lines) == len(result.trace) + 1
+        assert len(lines) == len(trace_rows(result.trace)) + 1
 
     def test_reports_byte_identical_across_reruns(self):
         config = tiny_config()

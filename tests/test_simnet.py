@@ -19,7 +19,9 @@ from ebrc.simnet import (
     Simulation,
 )
 
-from driver import CLIENT, make_registry, make_request
+from ebrc.harness import count_messages
+
+from driver import CLIENT, make_registry, make_request, trace_rows
 
 
 def make_sim(seed=b"simnet-tests", *, network=None, byzantine=None, registry=None):
@@ -116,6 +118,10 @@ class TestOrdering:
         sim, _, reg = make_sim()
         with pytest.raises(ValueError):
             sim.send(0, [0], make_commit(reg))
+        with pytest.raises(ValueError):
+            sim.send(0, [1, 0], make_commit(reg))
+        # A rejected send puts nothing on the wire, not even to node 1.
+        assert (sim.counters.sent, sim.trace, sim.pending()) == (0, [], False)
 
 
 class TestDeterminism:
@@ -173,7 +179,7 @@ class TestPartitions:
         assert sim.counters.dropped == 1
         assert len(deliveries) == 1
         assert deliveries[0][1] == 17_000
-        assert [r.delivered for r in sim.trace] == [False, True]
+        assert [r.delivered for r in trace_rows(sim.trace)] == [False, True]
 
     def test_partition_isolates_both_directions(self):
         model = NetworkModel(partitions=((0, 100, frozenset({2})),))
@@ -194,7 +200,7 @@ class TestDropLogging:
         assert 0 < sim.counters.dropped < 100
         assert sim.counters.delivered == 100 - sim.counters.dropped
         assert len(deliveries) == sim.counters.delivered
-        traced_drops = sum(1 for r in sim.trace if not r.delivered)
+        traced_drops = sum(1 for r in trace_rows(sim.trace) if not r.delivered)
         assert traced_drops == sim.counters.dropped
 
 
@@ -328,7 +334,8 @@ class TestCounters:
         assert sim.counters.per_tag["commit"] == 2
         assert sim.counters.per_tag["prepare"] == 1
         assert sim.counters.round_senders[7] == {0, 1}
-        assert all(r.round_index == 7 for r in sim.trace)
+        assert sim.counters.per_round == {7: 3}
+        assert all(r.round_index == 7 for r in trace_rows(sim.trace))
 
     def test_suppressed_sender_not_active_and_split_send_counted_per_target(self):
         # A silent member's send leaves no trace in the round's senders;
@@ -343,7 +350,7 @@ class TestCounters:
         assert sim.counters.round_senders == {3: {1}}
         assert sim.counters.per_tag == {"prepare": 3}
         assert (sim.counters.sent, sim.counters.suppressed) == (3, 3)
-        assert len({r.digest_prefix for r in sim.trace}) == 2
+        assert len({r.digest_prefix for r in trace_rows(sim.trace)}) == 2
 
 
 class TestFanOut:
@@ -356,7 +363,7 @@ class TestFanOut:
     TARGETS = [5, 1, 4, 2, 3]
     JITTER = NetworkModel(base_latency_us=2_000, jitter_us=1_000)
 
-    def run(self, seed, network, byzantine, sends):
+    def simulate(self, seed, network, byzantine, sends):
         reg = make_registry(6)
         sim = Simulation(seed, network, reg, byzantine)
         sim.round_provider = lambda: 3
@@ -367,9 +374,13 @@ class TestFanOut:
         for at_us, message in sends(reg):
             sim.schedule_send(at_us, 0, self.TARGETS, message)
         drain(sim)
+        return sim, deliveries
+
+    def run(self, seed, network, byzantine, sends):
+        sim, deliveries = self.simulate(seed, network, byzantine, sends)
         rows = [
             (r.time_us, r.target, r.tag, r.digest_prefix, r.round_index, r.delivered)
-            for r in sim.trace
+            for r in trace_rows(sim.trace)
         ]
         return rows, deliveries
 
@@ -462,3 +473,43 @@ class TestFanOut:
             (5, 17638, "commit", "00010203"),
             (2, 17709, "commit", "00010203"),
         ]
+
+    def test_one_record_per_send(self):
+        # The records behind the pinned rows above: targets in plan order,
+        # one digest prefix per target only when equivocation splits the
+        # send, and the dropped targets in plan order.
+        equivocating, _ = self.simulate(
+            b"fan-out", self.JITTER, {0: ByzantineProfile("equivocate")},
+            lambda reg: [(0, self.three_request_prepare(reg))],
+        )
+        assert equivocating.trace == [
+            (0, 0, (1, 2, 3, 4, 5), "prepare",
+             ("169f6f1d", "fd62c4d1", "169f6f1d", "fd62c4d1", "169f6f1d"), 3, ()),
+        ]
+        corrupt, _ = self.simulate(
+            b"fan-out", self.JITTER, {0: ByzantineProfile("corrupt_digest")},
+            lambda reg: [(0, self.three_request_prepare(reg))],
+        )
+        assert corrupt.trace == [(0, 0, (5, 1, 4, 2, 3), "prepare", "e99f6f1d", 3, ())]
+        network = NetworkModel(
+            base_latency_us=2_000, jitter_us=1_000, drop_rate=0.05,
+            partitions=((0, 12_000, frozenset({3})),),
+        )
+        lossy, _ = self.simulate(
+            b"fan-out-3", network, None,
+            lambda reg: [(i * 5_000, self.counting_commit(reg)) for i in range(4)],
+        )
+        assert [(r.time_us, r.targets, r.digest_prefix, r.dropped) for r in lossy.trace] == [
+            (0, (5, 1, 4, 2, 3), "00010203", (3,)),
+            (5_000, (5, 1, 4, 2, 3), "00010203", (3,)),
+            (10_000, (5, 1, 4, 2, 3), "00010203", (4, 3)),
+            (15_000, (5, 1, 4, 2, 3), "00010203", (1,)),
+        ]
+        for sim in (equivocating, corrupt, lossy):
+            counts = count_messages(sim.trace)
+            counters = sim.counters
+            assert counts.total == counters.sent == sum(len(r.targets) for r in sim.trace)
+            assert counts.by_tag == counters.per_tag
+            assert counts.by_round == counters.per_round
+            assert counts.not_dropped == counters.delivered  # drained: none in flight
+        assert lossy.counters.dropped == 5
