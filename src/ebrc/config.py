@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from .election import MIN_COMMITTEE
 from .reputation import DEFAULT_DEPOSIT_CAP, DEFAULT_SLASH_FRACTION, ReputationWeights
 from .simnet import BYZANTINE_BEHAVIORS
 
@@ -151,12 +152,16 @@ class ScenarioConfig:
             raise ConfigError("node_count: at least 4 nodes are required")
         if self.target_committee_size > self.node_count:
             raise ConfigError("target_committee_size: exceeds node_count")
+        if self.target_committee_size < MIN_COMMITTEE:
+            raise ConfigError(f"target_committee_size: must be >= {MIN_COMMITTEE}")
         if not 0.0 < self.omega <= 1.0:
             raise ConfigError("omega: must lie in (0, 1]")
         for name in ("eligibility_percentile", "consensus_percentile"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ConfigError(f"{name}: must lie in (0, 1]")
+        if self.consensus_percentile > self.eligibility_percentile:
+            raise ConfigError("consensus_percentile: must not exceed eligibility_percentile")
         if self.epochs < 1 or self.rounds_per_epoch < 1:
             raise ConfigError("epochs and rounds_per_epoch must be >= 1")
         if self.block_tx_cap < 1:

@@ -632,25 +632,25 @@ class EbrcReplica(_ReplicaBase):
         if not signature_ok(request, self.registry, request.node_id):
             logger.debug("node %d: forged exit request rejected", self.node_id)
             return result
-        decision = djep.process_exit(
+        plan = djep.plan_removal(
             committee=self.committee,
             f=self.f,
             candidates=self.candidates,
             reputation=self.table_reputation,
             leaver=request.node_id,
         )
-        if decision.stalled:
+        if plan.stalled:
             self.observations.append(("membership_stalled", request.node_id, self.height))
             return result
         self.membership.pending_exits[request.node_id] = request.effective_height
         self.membership.exit_signatures[request.node_id] = request.signature
-        if decision.promote is None:
+        if plan.promote is None:
             result.sends.extend(self._finalize_exit(request.node_id, request.effective_height))
         else:
             # Below the committee floor: promotion runs first, exit finalizes
             # once the candidate is in.
-            self.membership.joins_blocking_exit[decision.promote] = request.node_id
-            result.sends.extend(self._invite(decision.promote, request.effective_height))
+            self.membership.joins_blocking_exit[plan.promote] = request.node_id
+            result.sends.extend(self._invite(plan.promote, request.effective_height))
         return result
 
     def _invite(self, candidate: int, effective_height: int) -> List[Tuple[int, object]]:

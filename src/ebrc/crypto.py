@@ -2,16 +2,15 @@
 
 Every primitive here is keyed BLAKE2b: cheap, reproducible, and verifiable
 through a trusted in-simulation registry rather than real public-key math.
-That is intentional -- runs must replay bit-for-bit, and the sortition
-interface is pluggable so a production VRF could be dropped in behind the
-same surface without touching the protocol logic.
+That is intentional: runs must replay bit-for-bit. The elections use
+``SimulatedVrf`` directly; a production VRF would replace that class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Iterable, Optional, Protocol, Tuple
+from typing import Optional, Tuple
 
 DIGEST_SIZE = 32
 VRF_VALUE_BITS = 8 * DIGEST_SIZE
@@ -116,14 +115,6 @@ class VrfOutput:
 
     value: int
     proof: bytes
-
-
-class Vrf(Protocol):
-    """Pluggable verifiable-random-function surface used by elections."""
-
-    def evaluate(self, secret_key: bytes, seed: bytes) -> VrfOutput: ...
-
-    def verify(self, public_key: bytes, seed: bytes, proof: bytes) -> Tuple[bool, Optional[int]]: ...
 
 
 class SimulatedVrf:

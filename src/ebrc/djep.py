@@ -46,60 +46,35 @@ def committee_without(committee: Sequence[int], leaver: int) -> Tuple[int, ...]:
 
 
 @dataclass(frozen=True, slots=True)
-class ExitDecision:
-    allowed: bool
+class RemovalPlan:
+    remove: bool
     promote: Optional[int]  # candidate to bring in first, if the floor needs it
     stalled: bool  # floor would break and no candidate exists
 
 
-def process_exit(
+def plan_removal(
     *,
     committee: Sequence[int],
     f: int,
     candidates: Sequence[int],
     reputation: Dict[int, float],
     leaver: int,
-) -> ExitDecision:
-    """Decide whether an exit can proceed directly, needs a promotion, or stalls."""
-    if leaver not in committee:
-        return ExitDecision(allowed=False, promote=None, stalled=False)
-    if exit_preserves_floor(len(committee), f):
-        return ExitDecision(allowed=True, promote=None, stalled=False)
-    candidate = promotion_candidate(candidates, reputation)
-    if candidate is None:
-        return ExitDecision(allowed=False, promote=None, stalled=True)
-    return ExitDecision(allowed=True, promote=candidate, stalled=False)
+) -> RemovalPlan:
+    """Decide how a member leaves, by its own exit or by a conviction.
 
-
-@dataclass(frozen=True, slots=True)
-class ReplacementPlan:
-    expel: bool
-    promote: Optional[int]
-    stalled: bool
-
-
-def replace_faulty(
-    *,
-    committee: Sequence[int],
-    f: int,
-    candidates: Sequence[int],
-    reputation: Dict[int, float],
-    accused: int,
-) -> ReplacementPlan:
-    """Plan the forced removal of a convicted member.
-
-    Removal always happens if the floor survives; otherwise a candidate is
-    promoted in the same transition. With no candidate the removal is held
-    (stalled) rather than sacrificing the fault budget.
+    The removal proceeds directly if the floor survives; otherwise the best
+    candidate is promoted in the same transition. With no candidate the
+    removal is held (stalled) rather than sacrificing the fault budget. A
+    node outside the committee has nothing to leave.
     """
-    if accused not in committee:
-        return ReplacementPlan(expel=False, promote=None, stalled=False)
+    if leaver not in committee:
+        return RemovalPlan(remove=False, promote=None, stalled=False)
     if exit_preserves_floor(len(committee), f):
-        return ReplacementPlan(expel=True, promote=None, stalled=False)
+        return RemovalPlan(remove=True, promote=None, stalled=False)
     candidate = promotion_candidate(candidates, reputation)
     if candidate is None:
-        return ReplacementPlan(expel=False, promote=None, stalled=True)
-    return ReplacementPlan(expel=True, promote=candidate, stalled=False)
+        return RemovalPlan(remove=False, promote=None, stalled=True)
+    return RemovalPlan(remove=True, promote=candidate, stalled=False)
 
 
 @dataclass(slots=True)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
-from .crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, Vrf, derive_seed
+from .crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, derive_seed
 from .reputation import BehaviorTable
 
 #: Elections are retried with a re-derived seed at most this many times.
@@ -132,7 +132,6 @@ def form_committee(
     seed: bytes,
     registry: KeyRegistry,
     *,
-    vrf: Optional[Vrf] = None,
     corrupt_proofs: Set[int] = frozenset(),
     epoch: int = 0,
     initial_height: int = 0,
@@ -147,8 +146,7 @@ def form_committee(
     max(4, target_committee_size) verified selectees remain.
     """
     config.validate()
-    if vrf is None:
-        vrf = SimulatedVrf(registry)
+    vrf = SimulatedVrf(registry)
 
     eligible = eligible_nodes(table, config.eligibility_percentile)
     if len(eligible) < MIN_COMMITTEE:

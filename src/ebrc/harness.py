@@ -10,11 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import statistics
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
-from scipy import stats
 
 from . import reputation
 from .config import ScenarioConfig
@@ -33,6 +33,90 @@ EMPTY_COMMITTEE_NOTE = (
 
 
 # --- elementary metric ops ---
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """numpy's float64 pairwise summation, step for step, so a mean or a
+    chi-square statistic rounds as numpy's does: plain below 8 items, eight
+    running sums up to 128, halves above."""
+    count = len(values)
+    if count < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if count <= 128:
+        lanes = list(values[:8])
+        end = count - count % 8
+        for i in range(8, end, 8):
+            for lane in range(8):
+                lanes[lane] += values[i + lane]
+        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+            (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+        )
+        for value in values[end:]:
+            total += value
+        return total
+    half = count // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _mean(values: Sequence[float]) -> float:
+    return _pairwise_sum(values) / len(values)
+
+
+def _percentile_95(values: Sequence[float]) -> float:
+    """numpy's default (linear) percentile at q=95, rounding included."""
+    ordered = sorted(values)
+    index = (len(ordered) - 1) * 0.95
+    below = math.floor(index)
+    above = min(below + 1, len(ordered) - 1)
+    t = index - below
+    low, high = ordered[below], ordered[above]
+    step = high - low
+    if t >= 0.5:
+        return high - step * (1 - t)
+    return low + step * t
+
+
+def _upper_gamma_q(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x), by its power series below
+    x = a + 1 and its continued fraction (modified Lentz) above; exactly 1.0
+    at x = 0."""
+    if x == 0:
+        return 1.0
+    eps = sys.float_info.epsilon
+    prefactor = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        denominator = a
+        while abs(term) >= abs(total) * eps:
+            denominator += 1.0
+            term *= x / denominator
+            total += term
+        return 1.0 - total * prefactor
+    tiny = sys.float_info.min / eps
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    fraction = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        fraction *= delta
+        if abs(delta - 1.0) < eps:
+            return prefactor * fraction
+
 
 def compute_tps(committed_tx_total: int, interval_seconds: float) -> Optional[float]:
     """Committed transactions per simulated second; None when the interval
@@ -78,16 +162,22 @@ class FairnessStats:
 
 
 def fairness_stats(election_counts: Mapping[int, int]) -> FairnessStats:
-    """Chi-square of observed election counts against a uniform expectation."""
+    """Pearson's chi-square of observed election counts against a uniform
+    expectation, and its p-value, the chi-square survival function at
+    len(counts) - 1 degrees of freedom."""
     if len(election_counts) < 2:
         raise ValueError("fairness statistics need at least 2 nodes")
     counts = [election_counts[node] for node in sorted(election_counts)]
     if sum(counts) <= 0:
         raise ValueError("no elections recorded")
-    statistic, p_value = stats.chisquare(counts)
+    expected = sum(counts) / len(counts)
+    deviations = [c - expected for c in counts]
+    # d * d, not d ** 2: pow can round one ulp away from numpy's square.
+    terms = [d * d / expected for d in deviations]
+    statistic = _pairwise_sum(terms)
     return FairnessStats(
-        chi_square=float(statistic),
-        p_value=float(p_value),
+        chi_square=statistic,
+        p_value=_upper_gamma_q((len(counts) - 1) / 2, statistic / 2),
         min_count=min(counts),
         max_count=max(counts),
     )
@@ -141,9 +231,9 @@ def build_report(result: RunResult) -> MetricsReport:
     config = result.config
     counters = result.counters
     latencies = list(result.latency_samples_ms)
-    mean_latency = float(np.mean(latencies)) if latencies else None
-    median_latency = float(np.median(latencies)) if latencies else None
-    p95_latency = float(np.percentile(latencies, 95)) if latencies else None
+    mean_latency = _mean(latencies) if latencies else None
+    median_latency = statistics.median(latencies) if latencies else None
+    p95_latency = _percentile_95(latencies) if latencies else None
     committee_size = config.node_count
     fault_budget = (config.node_count - 1) // 3
     if result.election_log:

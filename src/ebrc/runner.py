@@ -645,18 +645,18 @@ class ScenarioRunner:
         table_reputation = {n: rec.reputation for n, rec in self.table.items()}
         forced: Set[int] = set()
         for accused in sorted(self._replacements):
-            plan = djep.replace_faulty(
+            plan = djep.plan_removal(
                 committee=tuple(self.committee),
                 f=self.f,
                 candidates=tuple(self.candidates),
                 reputation=table_reputation,
-                accused=accused,
+                leaver=accused,
             )
             if plan.stalled:
                 self.result.stalled_memberships.append(
                     {"node": accused, "height": next_height, "forced": True}
                 )
-            elif plan.expel:
+            elif plan.remove:
                 forced.add(accused)
                 if plan.promote is not None:
                     due_joins.add(plan.promote)

@@ -53,6 +53,12 @@ class TestValidation:
             (dict(slash_fraction=1.5), "slash_fraction"),
             (dict(deposit_cap=0.0), "deposit_cap"),
             (dict(deposit_cap=1.0), "deposit_cap"),
+            # Election fields the election itself would reject mid-run.
+            (dict(target_committee_size=3), "target_committee_size"),
+            (
+                dict(node_count=8, eligibility_percentile=0.5, consensus_percentile=0.9),
+                "consensus_percentile",
+            ),
         ],
     )
     def test_field_bounds(self, overrides, fragment):

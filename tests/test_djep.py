@@ -4,16 +4,14 @@ import pytest
 
 from ebrc.consensus import EbrcReplica
 from ebrc.djep import (
-    ExitDecision,
     MembershipState,
-    ReplacementPlan,
+    RemovalPlan,
     committee_fault_budget,
     committee_with_join,
     committee_without,
     exit_preserves_floor,
-    process_exit,
+    plan_removal,
     promotion_candidate,
-    replace_faulty,
 )
 from ebrc.messages import (
     ChangeNotice,
@@ -46,36 +44,34 @@ class TestFaultBudget:
         assert not exit_preserves_floor(7, 2)
 
 
-class TestExitDecision:
+class TestRemovalPlan:
+    """One rule for a member's own exit and for a convicted member's removal."""
+
     reputation = {0: 0.9, 1: 0.8, 2: 0.7, 3: 0.6, 4: 0.5, 7: 0.6, 8: 0.9}
 
-    def test_exit_above_floor_allowed_directly(self):
-        decision = process_exit(
-            committee=(0, 1, 2, 3, 4), f=1, candidates=(7, 8),
-            reputation=self.reputation, leaver=4,
+    @pytest.mark.parametrize(
+        "committee, candidates, leaver, expected",
+        [
+            # Exits.
+            pytest.param((0, 1, 2, 3, 4), (7, 8), 4, (True, None, False), id="exit-above-floor-direct"),
+            pytest.param((0, 1, 2, 3), (7, 8), 3, (True, 8, False), id="exit-at-floor-promotes-best"),
+            pytest.param((0, 1, 2, 3), (), 3, (False, None, True), id="exit-at-floor-no-candidate-stalls"),
+            pytest.param((0, 1, 2, 3), (7,), 9, (False, None, False), id="exit-of-non-member-ignored"),
+            # Forced removals of a convicted member.
+            pytest.param((0, 1, 2, 3, 4), (), 2, (True, None, False), id="expel-above-floor"),
+            pytest.param((0, 1, 2, 3), (7,), 2, (True, 7, False), id="expel-at-floor-promotes"),
+            # Keeping a convicted member beats dropping below the fault floor.
+            pytest.param((0, 1, 2, 3), (), 2, (False, None, True), id="expel-held-without-candidates"),
+            pytest.param((0, 1, 2, 3), (7,), 9, (False, None, False), id="outsider-accusation-no-plan"),
+        ],
+    )
+    def test_plan(self, committee, candidates, leaver, expected):
+        remove, promote, stalled = expected
+        plan = plan_removal(
+            committee=committee, f=1, candidates=candidates,
+            reputation=self.reputation, leaver=leaver,
         )
-        assert decision == ExitDecision(allowed=True, promote=None, stalled=False)
-
-    def test_exit_at_floor_requires_promotion(self):
-        decision = process_exit(
-            committee=(0, 1, 2, 3), f=1, candidates=(7, 8),
-            reputation=self.reputation, leaver=3,
-        )
-        assert decision.allowed and decision.promote == 8
-
-    def test_exit_at_floor_without_candidates_stalls(self):
-        decision = process_exit(
-            committee=(0, 1, 2, 3), f=1, candidates=(),
-            reputation=self.reputation, leaver=3,
-        )
-        assert decision == ExitDecision(allowed=False, promote=None, stalled=True)
-
-    def test_non_member_exit_rejected(self):
-        decision = process_exit(
-            committee=(0, 1, 2, 3), f=1, candidates=(7,),
-            reputation=self.reputation, leaver=9,
-        )
-        assert decision == ExitDecision(allowed=False, promote=None, stalled=False)
+        assert plan == RemovalPlan(remove=remove, promote=promote, stalled=stalled)
 
 
 class TestPromotion:
@@ -103,39 +99,6 @@ class TestPromotion:
     def test_committee_without(self):
         assert committee_without((0, 1, 2, 3), 2) == (0, 1, 3)
         assert committee_without((0, 1), 9) == (0, 1)
-
-
-class TestReplacement:
-    reputation = {0: 0.9, 1: 0.8, 2: 0.7, 3: 0.6, 4: 0.5, 7: 0.6}
-
-    def test_expel_above_floor(self):
-        plan = replace_faulty(
-            committee=(0, 1, 2, 3, 4), f=1, candidates=(),
-            reputation=self.reputation, accused=2,
-        )
-        assert plan == ReplacementPlan(expel=True, promote=None, stalled=False)
-
-    def test_expel_at_floor_promotes(self):
-        plan = replace_faulty(
-            committee=(0, 1, 2, 3), f=1, candidates=(7,),
-            reputation=self.reputation, accused=2,
-        )
-        assert plan == ReplacementPlan(expel=True, promote=7, stalled=False)
-
-    def test_expel_held_without_candidates(self):
-        # Keeping a convicted member beats dropping below the fault floor.
-        plan = replace_faulty(
-            committee=(0, 1, 2, 3), f=1, candidates=(),
-            reputation=self.reputation, accused=2,
-        )
-        assert plan == ReplacementPlan(expel=False, promote=None, stalled=True)
-
-    def test_outsider_accusation_no_plan(self):
-        plan = replace_faulty(
-            committee=(0, 1, 2, 3), f=1, candidates=(7,),
-            reputation=self.reputation, accused=9,
-        )
-        assert plan == ReplacementPlan(expel=False, promote=None, stalled=False)
 
 
 class TestMessageBudget:

@@ -3,12 +3,23 @@
 import dataclasses
 import gc
 import json
+import math
+import os
+import random
+import statistics
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ebrc import presets
+import ebrc
+from ebrc import harness, presets
 from ebrc.cli import main
 from ebrc.config import ExitScript, NetworkConfig, ScenarioConfig, save_scenario
 from ebrc.messages import CONSENSUS_TAGS
@@ -91,6 +102,83 @@ class TestFairnessStats:
             fairness_stats({0: 5})
         with pytest.raises(ValueError):
             fairness_stats({0: 0, 1: 0})
+
+
+class TestStdlibStatistics:
+    """The report's statistics are plain Python; numpy and scipy, which
+    computed them before, serve here as oracles only."""
+
+    def test_import_loads_neither_numpy_nor_scipy(self):
+        src = str(Path(ebrc.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, ebrc, ebrc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    @staticmethod
+    @st.composite
+    def latencies(draw):
+        # Lengths 1-600 run all three branches of the pairwise sum: plain
+        # below 8 items, eight lanes up to 128, halving above.
+        length = draw(st.integers(1, 600))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e7]))
+        values = [rng.random() * scale for _ in range(length)]
+        if draw(st.booleans()):  # ties, as whole-millisecond latencies give
+            values = [round(v) for v in values]
+        return [float(v) for v in values]
+
+    @given(latencies())
+    @settings(max_examples=150, deadline=None)
+    @example([0.5] * 7)
+    @example([float(i) * 0.1 for i in range(128)])
+    @example([1.0 / (i + 1) for i in range(600)])
+    @example([28.415936669394814, 64.0])  # numpy's hi - d*(1 - t) at t >= 0.5
+    def test_latency_statistics_match_numpy_bit_for_bit(self, values):
+        assert harness._mean(values).hex() == float(np.mean(values)).hex()
+        assert statistics.median(values).hex() == float(np.median(values)).hex()
+        assert harness._percentile_95(values).hex() == float(np.percentile(values, 95)).hex()
+
+    @staticmethod
+    @st.composite
+    def election_counts(draw):
+        # Up to 1000 nodes, so up to 999 degrees of freedom; from near-uniform
+        # counts around a mean to heavily skewed ones.
+        nodes = draw(st.integers(2, 1000))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        mean = draw(st.integers(1, 5_000))
+        spread = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+        width = int(mean * spread)
+        return [1 + rng.randint(mean - width, mean + width) for _ in range(nodes)]
+
+    @given(election_counts())
+    @settings(max_examples=150, deadline=None)
+    @example([48, 51, 49, 52])
+    @example([1000, 10, 10, 10])
+    @example([624, 9, 59286, 2, 621, 481, 10, 74379, 5])  # d ** 2 is one ulp off here
+    def test_chi_square_matches_scipy(self, counts):
+        stats = fairness_stats(dict(enumerate(counts)))
+        reference = scipy.stats.chisquare(counts)
+        assert stats.chi_square.hex() == float(reference.statistic).hex()
+        assert math.isclose(
+            stats.p_value, float(reference.pvalue), rel_tol=1e-11, abs_tol=sys.float_info.min
+        )
+
+    @given(st.integers(1, 999), st.floats(0.0, 3.0), st.floats(0.0, 60.0))
+    @settings(max_examples=300, deadline=None)
+    def test_p_value_matches_chi2_survival(self, df, spread, offset):
+        # x from 0 to 3 df, and the far tail of the small-df cases.
+        x = spread * df + offset
+        reference = float(scipy.stats.chi2.sf(x, df))
+        p_value = harness._upper_gamma_q(df / 2, x / 2)
+        # Below the normal range a float keeps too few bits for a relative bound.
+        assert math.isclose(p_value, reference, rel_tol=1e-11, abs_tol=sys.float_info.min)
 
 
 class TestCountMessages:
