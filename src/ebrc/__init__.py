@@ -5,6 +5,8 @@ Layers, bottom up:
 
 - ``crypto``: hash-based simulated signatures and a verifiable random
   function with deterministic, seed-stable outputs.
+- ``messages``: the wire messages, all signed by one rule: the class name
+  and every field but ``signature``, in field order.
 - ``reputation``: weighted behavior scoring (offline rate, evil rate,
   transaction h-index, latency, deposit, join age) and its update rules.
 - ``election``: reputation-gated sortition that splits winners into a
@@ -15,6 +17,8 @@ Layers, bottom up:
   members to leave and candidates to be promoted without a re-election.
 - ``simnet``: discrete-event network with latency, jitter, drops,
   partitions, Byzantine transforms, and a full message trace.
+- ``config``: the scenario schema, its JSON round-trip and validation.
+- ``presets``: shipped scenario files and builders for sweeps.
 - ``runner``: scenario orchestration (epochs, rounds, load injection,
   elections, membership churn) producing a structured result.
 - ``harness``: metrics, reports, protocol comparison, fairness studies,
@@ -34,7 +38,6 @@ from .config import (
 )
 from .harness import (
     MetricsReport,
-    compare,
     compare_reports,
     empty_committee_probability,
     fairness_experiment,
@@ -42,7 +45,7 @@ from .harness import (
     run_scenario,
     run_scenario_with_result,
 )
-from .runner import RunResult, ScenarioRunner, run
+from .runner import RunResult, ScenarioRunner
 
 __all__ = [
     "ByzantineConfig",
@@ -55,7 +58,6 @@ __all__ = [
     "load_scenario",
     "save_scenario",
     "MetricsReport",
-    "compare",
     "compare_reports",
     "empty_committee_probability",
     "fairness_experiment",
@@ -64,7 +66,6 @@ __all__ = [
     "run_scenario_with_result",
     "RunResult",
     "ScenarioRunner",
-    "run",
 ]
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from .djep import committee_fault_budget
 from .election import MIN_COMMITTEE
 from .reputation import DEFAULT_DEPOSIT_CAP, DEFAULT_SLASH_FRACTION, ReputationWeights
 from .simnet import BYZANTINE_BEHAVIORS
@@ -187,7 +188,7 @@ class ScenarioConfig:
         for nid in self.byzantine.node_ids:
             if nid not in all_ids:
                 raise ConfigError(f"byzantine.node_ids: {nid} outside 0..{self.node_count - 1}")
-        budget = (self.node_count - 1) // 3
+        budget = committee_fault_budget(self.node_count)
         if len(self.byzantine.node_ids) > budget and not self.allow_over_threshold:
             raise ConfigError(
                 f"byzantine.node_ids: {len(self.byzantine.node_ids)} faulty nodes exceed "

@@ -7,13 +7,15 @@ messages to send plus the timers to arm. All nondeterminism (latency, jitter,
 Byzantine transforms) lives in the network layer, never here.
 
 Both run on one core, ``_ReplicaBase``: request intake and timer arming, the
-leader's proposal, the quorum commit and the advance to the next height, the
-2f+1 ViewChange adoption with its f+1 straggler join, and round-end announce
-adoption. A protocol states its voting group, who votes, the leader of a
-(height, view) and whether the view advances with every block. On top of
-that, EBRC adds its single Commit vote, forwarding of requests from outside
-the committee, a Report against an invalid proposal and the DJEP exit/join
-flows; PBFT adds its prepare phase and the prepared certificate.
+leader's proposal, the vote path (sign, count and broadcast a node's own
+vote; admit, count and tally a peer's), the quorum commit and the advance to
+the next height, the 2f+1 ViewChange adoption with its f+1 straggler join,
+and round-end announce adoption. A protocol states its voting group, who
+votes, the leader of a (height, view), whether the view advances with every
+block and which votes it builds. On top of that, EBRC adds forwarding of
+requests from outside the committee, a Report against an invalid proposal
+and the DJEP exit/join flows; PBFT adds its prepare phase and the prepared
+certificate.
 
 Quorum bookkeeping is keyed per view. A vote tally that ignored views could
 mix votes for the same digest across a view change and double-commit under
@@ -116,6 +118,11 @@ def check_quorum(tally: Dict[bytes, Set[int]], f: int) -> Optional[bytes]:
     return winners[0] if winners else None
 
 
+def _count(tallies: Dict[int, Dict[bytes, Set[int]]], vote) -> None:
+    """Record ``vote`` in per-view tallies: view -> digest -> senders."""
+    tallies.setdefault(vote.view, {}).setdefault(vote.digest, set()).add(vote.sender)
+
+
 def tx_digest(payload: bytes) -> bytes:
     return digest(payload, domain=b"tx")
 
@@ -147,8 +154,10 @@ class _ReplicaBase:
     this node votes (``is_member``), the leader of the current (height, view)
     (``leader_id``) and whether the view advances with every block
     (``VIEW_PER_BLOCK``). It also names its proposal message (``PROPOSAL``),
-    casts its own votes on an accepted proposal (``_vote``) and routes
-    messages to handlers by exact type (``_HANDLERS``).
+    builds its votes on an accepted proposal (``_vote``) and routes messages
+    to handlers by exact type (``_HANDLERS``). Every vote takes one path
+    here: ``_cast`` sends the node's own, ``_admit`` and ``_count`` take a
+    peer's, and ``_on_commit`` serves both protocols' commit votes.
     """
 
     PROPOSAL: type
@@ -312,6 +321,37 @@ class _ReplicaBase:
     def _reject_proposal(self, proposal, result: StepResult) -> None:
         """A provably bad proposal deposes its leader."""
         self._start_view_change(self.view + 1, result)
+
+    # -- votes --
+
+    def _cast(self, vote, sent_views: Set[int], tallies: Dict, result: StepResult) -> None:
+        """Cast this node's one vote of the view: sign it, count it as its own
+        and send it to every peer."""
+        sent_views.add(self.view)
+        vote = signed(vote, self.registry, self.node_id)
+        _count(tallies, vote)
+        result.sends.extend(self._to_peers(vote))
+
+    def _admit(self, vote, height: int) -> bool:
+        """A received vote counts when this node votes, it is for the current
+        height and a committee member signed it."""
+        return (
+            self.is_member
+            and height == self.height
+            and vote.sender in self.committee
+            and signature_ok(vote, self.registry, vote.sender)
+        )
+
+    def _admit_commit(self, commit) -> bool:
+        """``_admit`` at the commit's height field (EBRC overrides it)."""
+        return self._admit(commit, commit.height)
+
+    def _on_commit(self, now: int, commit) -> StepResult:
+        result = StepResult()
+        if self._admit_commit(commit):
+            _count(self.commit_tallies, commit)
+            self._try_commit(now, result)
+        return result
 
     # -- commit and advance --
 
@@ -589,37 +629,20 @@ class EbrcReplica(_ReplicaBase):
 
     def _vote(self, now: int, result: StepResult) -> None:
         if self.view not in self.commit_sent_views:
-            self.commit_sent_views.add(self.view)
-            digest_value = self.proposal.digest
-            commit = signed(
-                Commit(
-                    view=self.view,
-                    timestamp=now,
-                    digest=digest_value,
-                    sequence=self.height,
-                    valid=True,
-                    sender=self.node_id,
-                ),
-                self.registry,
-                self.node_id,
+            commit = Commit(
+                view=self.view,
+                timestamp=now,
+                digest=self.proposal.digest,
+                sequence=self.height,
+                valid=True,
+                sender=self.node_id,
             )
-            self.commit_tallies.setdefault(self.view, {}).setdefault(digest_value, set()).add(self.node_id)
-            result.sends.extend(self._to_peers(commit))
+            self._cast(commit, self.commit_sent_views, self.commit_tallies, result)
         self._try_commit(now, result)
 
-    def _on_commit(self, now: int, commit: Commit) -> StepResult:
-        result = StepResult()
-        if (
-            not self.is_member
-            or commit.sequence != self.height
-            or not commit.valid
-            or commit.sender not in self.committee
-            or not signature_ok(commit, self.registry, commit.sender)
-        ):
-            return result
-        self.commit_tallies.setdefault(commit.view, {}).setdefault(commit.digest, set()).add(commit.sender)
-        self._try_commit(now, result)
-        return result
+    def _admit_commit(self, commit: Commit) -> bool:
+        # A Commit names its height ``sequence``, and only a valid one counts.
+        return commit.valid and self._admit(commit, commit.sequence)
 
     # -- membership flows --
 
@@ -754,7 +777,7 @@ class EbrcReplica(_ReplicaBase):
         Request: _on_request,
         ForwardedRequest: _on_forwarded,
         Prepare: _ReplicaBase._on_proposal,
-        Commit: _on_commit,
+        Commit: _ReplicaBase._on_commit,
         ExitRequest: _on_exit_request,
         ExitCommit: _on_exit_commit,
         ChangeNotice: _on_change,
@@ -781,7 +804,7 @@ class PbftReplica(_ReplicaBase):
     def __init__(self, node_id, registry, *, group: Sequence[int], **settings) -> None:
         super().__init__(node_id, registry, **settings)
         self.committee = tuple(group)
-        self.f = (len(self.committee) - 1) // 3
+        self.f = djep.committee_fault_budget(len(self.committee))
         self.prepare_tallies: Dict[int, Dict[bytes, Set[int]]] = {}
         self.prepare_sent_views: Set[int] = set()
 
@@ -804,25 +827,17 @@ class PbftReplica(_ReplicaBase):
         # Backups echo the pre-prepare; the primary's own pre-prepare stands
         # in for its prepare.
         if not self.is_primary and self.view not in self.prepare_sent_views:
-            self.prepare_sent_views.add(self.view)
-            digest_value = self.proposal.digest
-            prepare = signed(
-                PbftPrepare(height=self.height, view=self.view, digest=digest_value, sender=self.node_id),
-                self.registry,
-                self.node_id,
+            prepare = PbftPrepare(
+                height=self.height, view=self.view, digest=self.proposal.digest, sender=self.node_id
             )
-            self.prepare_tallies.setdefault(self.view, {}).setdefault(digest_value, set()).add(self.node_id)
-            result.sends.extend(self._to_peers(prepare))
+            self._cast(prepare, self.prepare_sent_views, self.prepare_tallies, result)
         self._maybe_send_commit(now, result)
 
-    def _on_prepare(self, now: int, msg: PbftPrepare) -> StepResult:
+    def _on_prepare(self, now: int, prepare: PbftPrepare) -> StepResult:
         result = StepResult()
-        if msg.height != self.height or msg.sender not in self.committee:
-            return result
-        if not signature_ok(msg, self.registry, msg.sender):
-            return result
-        self.prepare_tallies.setdefault(msg.view, {}).setdefault(msg.digest, set()).add(msg.sender)
-        self._maybe_send_commit(now, result)
+        if self._admit(prepare, prepare.height):
+            _count(self.prepare_tallies, prepare)
+            self._maybe_send_commit(now, result)
         return result
 
     def _prepared(self) -> bool:
@@ -837,34 +852,15 @@ class PbftReplica(_ReplicaBase):
     def _maybe_send_commit(self, now: int, result: StepResult) -> None:
         if self.view in self.commit_sent_views or not self._prepared():
             return
-        self.commit_sent_views.add(self.view)
-        commit = signed(
-            PbftCommit(
-                height=self.height,
-                view=self.view,
-                digest=self.proposal.digest,
-                sender=self.node_id,
-            ),
-            self.registry,
-            self.node_id,
+        commit = PbftCommit(
+            height=self.height, view=self.view, digest=self.proposal.digest, sender=self.node_id
         )
-        self.commit_tallies.setdefault(self.view, {}).setdefault(self.proposal.digest, set()).add(self.node_id)
-        result.sends.extend(self._to_peers(commit))
+        self._cast(commit, self.commit_sent_views, self.commit_tallies, result)
         self._try_commit(now, result)
-
-    def _on_commit(self, now: int, msg: PbftCommit) -> StepResult:
-        result = StepResult()
-        if msg.height != self.height or msg.sender not in self.committee:
-            return result
-        if not signature_ok(msg, self.registry, msg.sender):
-            return result
-        self.commit_tallies.setdefault(msg.view, {}).setdefault(msg.digest, set()).add(msg.sender)
-        self._try_commit(now, result)
-        return result
 
     _HANDLERS = {
         **_ReplicaBase._HANDLERS,
         PrePrepare: _ReplicaBase._on_proposal,
         PbftPrepare: _on_prepare,
-        PbftCommit: _on_commit,
+        PbftCommit: _ReplicaBase._on_commit,
     }

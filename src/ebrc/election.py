@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import List, Set, Tuple
 
 from .crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, derive_seed
+from .djep import committee_fault_budget
 from .reputation import BehaviorTable
 
 #: Elections are retried with a re-derived seed at most this many times.
@@ -78,7 +79,7 @@ class CommitteeAssignment:
         m = len(self.consensus_nodes)
         if m < MIN_COMMITTEE:
             raise ValueError("consensus-node set smaller than the minimum committee")
-        if self.f != (m - 1) // 3:
+        if self.f != committee_fault_budget(m):
             raise ValueError("f inconsistent with committee size")
         groups = (set(self.consensus_nodes), set(self.candidates), set(self.spares))
         if sum(len(g) for g in groups) != len(set().union(*groups)):
@@ -186,7 +187,7 @@ def form_committee(
     consensus = tuple(verified[:n_cons])
     candidates = tuple(verified[n_cons:n_elig])
     spares = tuple(verified[n_elig:])
-    f = (len(consensus) - 1) // 3
+    f = committee_fault_budget(len(consensus))
     assignment = CommitteeAssignment(
         epoch=epoch,
         seed=seed,

@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from . import reputation
 from .config import ScenarioConfig
 from .crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, digest, pack
+from .djep import committee_fault_budget
 from .election import ElectionConfig, ElectionFailed, elect_committee
 from .runner import RunResult, ScenarioRunner
 from .simnet import RECEIVER_ROW_FIELDS, TraceRecord, receiver_rows
@@ -235,7 +236,7 @@ def build_report(result: RunResult) -> MetricsReport:
     median_latency = statistics.median(latencies) if latencies else None
     p95_latency = _percentile_95(latencies) if latencies else None
     committee_size = config.node_count
-    fault_budget = (config.node_count - 1) // 3
+    fault_budget = committee_fault_budget(config.node_count)
     if result.election_log:
         committee_size = len(result.election_log[0]["consensus_nodes"])
         fault_budget = result.election_log[0]["f"]
@@ -381,11 +382,6 @@ def compare_reports(reports: Sequence[MetricsReport]) -> dict:
             for protocol in sorted({r["protocol"] for r in rows})
         },
     }
-
-
-def compare(configs: Sequence[ScenarioConfig]) -> dict:
-    """Run each scenario and lay the measured quantities side by side."""
-    return compare_reports([run_scenario(config) for config in configs])
 
 
 # --- fairness experiments ---

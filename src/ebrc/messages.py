@@ -1,10 +1,16 @@
 """Wire messages exchanged through the simulated network.
 
 Every message is a frozen dataclass with a ``TAG`` used for trace lines and
-per-tag counting, and a ``signed_payload()`` whose digest the sender signs.
-Byzantine transforms re-sign mutated copies with the sender's own key, so
-signature checks pass and misbehavior must be caught by content checks or
-quorum math, mirroring real deployments.
+per-tag counting. Byzantine transforms re-sign mutated copies with the
+sender's own key, so signature checks pass and misbehavior must be caught by
+content checks or quorum math, mirroring real deployments.
+
+One signing rule covers every message: ``signed_payload()`` packs the class
+name, then every dataclass field but ``signature``, in field order. A nested
+message enters as its own payload, a tuple element by element and a float as
+``float.hex()``, so no field is left unbound and two classes with equal field
+values (``Prepare`` and ``PrePrepare``, ``PbftPrepare`` and ``PbftCommit``)
+sign different bytes.
 
 A broadcast hands the same frozen object to every receiver, so each message
 carries a signature memo: a slot outside the dataclass fields, left out of
@@ -18,8 +24,9 @@ check takes the full ``KeyRegistry.verify`` path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import ClassVar, Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from functools import cache
+from typing import ClassVar, Tuple
 
 from .crypto import pack
 
@@ -27,13 +34,34 @@ from .crypto import pack
 # forwards, replies to clients, elections, membership, and block announces are
 # traced and counted under their own tags.
 CONSENSUS_TAGS = ("preprepare", "prepare", "commit", "reply")
-MEMBERSHIP_TAGS = ("erequest", "exit_commit", "change", "urequest", "join_commit")
 
 
 class Message:
     """Base of every wire message; its one slot is the signature memo."""
 
     __slots__ = ("_verified_by",)
+
+    def signed_payload(self) -> bytes:
+        """The bytes the sender signs: the class name and every field but
+        ``signature``, in field order."""
+        cls = type(self)
+        return pack(cls.__name__, *[_signable(getattr(self, name)) for name in _signed_fields(cls)])
+
+
+@cache
+def _signed_fields(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.name != "signature")
+
+
+def _signable(value):
+    """A field value in a form ``pack`` accepts."""
+    if isinstance(value, Message):
+        return value.signed_payload()
+    if isinstance(value, tuple):
+        return tuple(_signable(item) for item in value)
+    if isinstance(value, float):
+        return value.hex()
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,9 +74,6 @@ class Request(Message):
     digest: bytes
     client_id: int
     signature: bytes = b""
-
-    def signed_payload(self) -> bytes:
-        return pack(self.TAG, self.timestamp, self.payload, self.digest, self.client_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,9 +89,6 @@ class ForwardedRequest(Message):
     def digest(self) -> bytes:
         return self.request.digest
 
-    def signed_payload(self) -> bytes:
-        return pack(self.TAG, self.request.signed_payload(), self.forwarder)
-
 
 @dataclass(frozen=True, slots=True)
 class Prepare(Message):
@@ -80,9 +102,6 @@ class Prepare(Message):
     digest: bytes
     sender: int
     signature: bytes = b""
-
-    def signed_payload(self) -> bytes:
-        return pack(self.TAG, self.height, self.view, self.timestamp, self.digest, self.sender)
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,12 +117,6 @@ class Commit(Message):
     sender: int
     signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
-        return pack(
-            self.TAG, self.view, self.timestamp, self.digest,
-            self.sequence, self.valid, self.sender,
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Reply(Message):
@@ -117,12 +130,6 @@ class Reply(Message):
     valid: bool
     sender: int
     signature: bytes = b""
-
-    def signed_payload(self) -> bytes:
-        return pack(
-            self.TAG, self.client_id, self.timestamp, self.digest,
-            self.committee_size, self.valid, self.sender,
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,9 +146,6 @@ class ViewChange(Message):
     reporter: int
     signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
-        return pack(self.TAG, self.height, self.proposed_view, self.reporter)
-
 
 @dataclass(frozen=True, slots=True)
 class Report(Message):
@@ -153,9 +157,6 @@ class Report(Message):
     round_index: int
     reporter: int
     signature: bytes = b""
-
-    def signed_payload(self) -> bytes:
-        return pack(self.TAG, self.accused, self.evidence_kind, self.round_index, self.reporter)
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,12 +171,6 @@ class BlockAnnounce(Message):
     sender: int
     signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
-        return pack(
-            self.TAG, self.height, self.block_digest,
-            tuple(self.batch_digests), self.tx_count, self.sender,
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class VrfConnect(Message):
@@ -187,9 +182,6 @@ class VrfConnect(Message):
     public_key: bytes
     proof: bytes
     signature: bytes = b""
-
-    def signed_payload(self) -> bytes:
-        return pack(self.TAG, self.epoch, self.node_id, self.public_key, self.proof)
 
 
 # --- Classic three-phase baseline ---
@@ -207,9 +199,6 @@ class PrePrepare(Message):
     sender: int
     signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
-        return pack(self.TAG, self.height, self.view, self.timestamp, self.digest, self.sender)
-
 
 @dataclass(frozen=True, slots=True)
 class PbftPrepare(Message):
@@ -221,9 +210,6 @@ class PbftPrepare(Message):
     digest: bytes
     sender: int
     signature: bytes = b""
-
-    def signed_payload(self) -> bytes:
-        return pack("pbft-" + self.TAG, self.height, self.view, self.digest, self.sender)
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,9 +223,6 @@ class PbftCommit(Message):
     sender: int
     signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
-        return pack("pbft-" + self.TAG, self.height, self.view, self.digest, self.sender)
-
 
 # --- Membership (dynamic join/exit) ---
 
@@ -251,9 +234,6 @@ class ExitRequest(Message):
     node_id: int
     effective_height: int
     signature: bytes = b""
-
-    def signed_payload(self) -> bytes:
-        return pack(self.TAG, self.node_id, self.effective_height)
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,12 +247,6 @@ class ExitCommit(Message):
     master_id: int
     signature: bytes = b""  # master's signature
 
-    def signed_payload(self) -> bytes:
-        return pack(
-            self.TAG, self.node_id, self.effective_height,
-            self.member_signature, self.master_id,
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class ChangeNotice(Message):
@@ -283,9 +257,6 @@ class ChangeNotice(Message):
     effective_height: int
     master_id: int
     signature: bytes = b""
-
-    def signed_payload(self) -> bytes:
-        return pack(self.TAG, self.candidate_id, self.effective_height, self.master_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,9 +269,6 @@ class JoinRequest(Message):
     effective_height: int
     signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
-        return pack(self.TAG, self.node_id, f"{self.reputation:.12e}", self.effective_height)
-
 
 @dataclass(frozen=True, slots=True)
 class JoinCommit(Message):
@@ -312,8 +280,9 @@ class JoinCommit(Message):
     sender: int
     signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
-        return pack(self.TAG, self.candidate_id, self.effective_height, self.sender)
+
+# The DJEP exit/join messages: the runner counts and times membership flows by them.
+MEMBERSHIP_TYPES = frozenset({ExitRequest, ExitCommit, ChangeNotice, JoinRequest, JoinCommit})
 
 
 def signed(message, registry, signer_id: int):

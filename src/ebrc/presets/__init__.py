@@ -19,16 +19,13 @@ from ..config import (
     ScenarioConfig,
     load_scenario,
 )
+from ..djep import committee_fault_budget
 
 SAFETY_COMMITTEE_SIZES = (4, 7, 10, 13)
 SAFETY_BEHAVIORS = ("silent", "equivocate", "corrupt_digest")
 SWEEP_NODE_COUNTS = (4, 7, 10, 13, 19, 25, 31)
 
 _FAST_NETWORK = NetworkConfig(base_latency_ms=2.0, jitter_ms=1.0, drop_rate=0.0)
-
-
-def _fault_budget(n: int) -> int:
-    return (n - 1) // 3
 
 
 def safety_preset(committee_size: int, behavior: str, seed: int = 1) -> ScenarioConfig:
@@ -38,7 +35,7 @@ def safety_preset(committee_size: int, behavior: str, seed: int = 1) -> Scenario
     network and the faulty nodes cannot dodge election; two epochs exercise
     the reputation update and re-election path.
     """
-    f = _fault_budget(committee_size)
+    f = committee_fault_budget(committee_size)
     byz = tuple(range(committee_size - f, committee_size))
     return ScenarioConfig(
         name=f"safety_{behavior}_m{committee_size}",
@@ -161,7 +158,7 @@ def comparison_pair(
     within an epoch, keeping liveness unaffected for a like-for-like
     throughput measurement.
     """
-    f = _fault_budget(node_count)
+    f = committee_fault_budget(node_count)
     if byzantine:
         byz = (2,) if node_count == 4 else tuple(range(node_count - f, node_count))
         byz_config = ByzantineConfig(node_ids=byz, behavior="silent")

@@ -19,7 +19,7 @@ from .consensus import EbrcReplica, PbftReplica, tx_digest
 from .crypto import KeyRegistry, SimulatedVrf, derive_seed, digest, pack
 from .election import ElectionConfig, elect_committee
 from .messages import (
-    MEMBERSHIP_TAGS,
+    MEMBERSHIP_TYPES,
     BlockAnnounce,
     ExitRequest,
     Reply,
@@ -135,7 +135,7 @@ class ScenarioRunner:
         self.table = self._initial_table()
         self.committee: List[int] = list(self.node_ids)  # pbft: the whole group
         self.candidates: List[int] = []
-        self.f = (config.node_count - 1) // 3
+        self.f = djep.committee_fault_budget(config.node_count)
 
         self.current_round = 0
         self.result = RunResult(config=config)
@@ -143,6 +143,7 @@ class ScenarioRunner:
 
         # Per-round client completion state.
         self._expected_clients: Set[int] = set()
+        self._clients_waiting = 0  # expected clients not yet in _client_done_at
         self._reply_senders: Dict[int, Dict[bytes, Set[int]]] = {}
         self._client_done_at: Dict[int, int] = {}
 
@@ -213,21 +214,18 @@ class ScenarioRunner:
         for delay_us, tick in result.timers:
             self.sim.schedule_timer(sender, delay_us, tick)
 
-    def _deliver(self, target: int, now: int, message) -> None:
-        tag = getattr(type(message), "TAG", "")
-        if tag in MEMBERSHIP_TAGS:
+    def _deliver(self, target: int, now: int, event) -> None:
+        """Hand a delivered message or a fired timer to its target."""
+        cls = type(event)
+        if cls in MEMBERSHIP_TYPES:
             self._last_membership_delivery_us = now
-        if target in self.replicas:
-            if isinstance(message, Report):
-                self._note_report(message)
-            self._dispatch(target, self.replicas[target].step(now, message))
-        elif target in self.client_ids:
-            self._client_receive(target, now, message)
-
-    def _timer(self, target: int, now: int, tick) -> None:
         replica = self.replicas.get(target)
         if replica is not None:
-            self._dispatch(target, replica.step(now, tick))
+            if cls is Report:
+                self._note_report(event)
+            self._dispatch(target, replica.step(now, event))
+        else:
+            self._client_receive(target, now, event)
 
     def _note_report(self, message: Report) -> None:
         if message.reporter in self.byz_ids:
@@ -247,6 +245,8 @@ class ScenarioRunner:
         senders.add(message.sender)
         if client not in self._client_done_at and len(senders) >= self.f + 1:
             self._client_done_at[client] = now
+            if client in self._expected_clients:
+                self._clients_waiting -= 1
 
     # -- main entry --
 
@@ -256,8 +256,7 @@ class ScenarioRunner:
         # The simulation calls back into the runner only while it runs. Once
         # unhooked, a finished runner and its simulation form no reference
         # cycle, so reference counting frees them with their last reference.
-        sim.on_deliver = self._deliver
-        sim.on_timer = self._timer
+        sim.on_deliver = sim.on_timer = self._deliver
         sim.round_provider = lambda: self.current_round
         try:
             round_index = 0
@@ -466,6 +465,7 @@ class ScenarioRunner:
                 client,
             )
             self.sim.schedule_send(submit_us + k, client, targets, request)
+        self._clients_waiting = len(self._expected_clients)
 
     def _payload(self, round_index: int, k: int) -> bytes:
         base = digest(
@@ -478,7 +478,7 @@ class ScenarioRunner:
         return (base * reps)[: self.config.payload_bytes]
 
     def _round_complete(self) -> bool:
-        return self._expected_clients <= set(self._client_done_at)
+        return self._clients_waiting == 0
 
     def _committed_holder(self, height: int) -> Optional[int]:
         for node in self.honest_ids:
@@ -625,7 +625,8 @@ class ScenarioRunner:
         return self.committee[0]
 
     def _membership_message_count(self) -> int:
-        return sum(self.sim.counters.per_tag.get(tag, 0) for tag in MEMBERSHIP_TAGS)
+        per_tag = self.sim.counters.per_tag
+        return sum(per_tag.get(cls.TAG, 0) for cls in MEMBERSHIP_TYPES)
 
     def _apply_membership_transitions(self) -> None:
         next_height = max(self.replicas[n].height for n in self.honest_ids)
@@ -765,7 +766,3 @@ class ScenarioRunner:
     _open_epoch = _elect
     _after_commit = _apply_membership_transitions
     _close_epoch = _end_epoch
-
-
-def run(config: ScenarioConfig) -> RunResult:
-    return ScenarioRunner(config).run()

@@ -1,0 +1,139 @@
+"""The one signing rule: a signature binds every field of every message."""
+
+import dataclasses
+import math
+import typing
+
+import pytest
+
+from ebrc import messages
+from ebrc.crypto import KeyRegistry
+from ebrc.messages import JoinRequest, Message, Prepare, Request, signature_ok, signed
+
+SIGNER = 0
+
+# Read from the module: ``slots=True`` rebuilds each class, so
+# ``Message.__subclasses__()`` can still list the discarded originals.
+MESSAGE_CLASSES = sorted(
+    (value for value in vars(messages).values()
+     if isinstance(value, type) and issubclass(value, Message) and value is not Message),
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.fixture(scope="module")
+def registry():
+    reg = KeyRegistry(seed=b"test-messages")
+    reg.register(SIGNER)
+    return reg
+
+
+def _request(registry, timestamp: int) -> Request:
+    return signed(
+        Request(timestamp=timestamp, payload=b"tx", digest=b"d" * 32, client_id=SIGNER),
+        registry,
+        SIGNER,
+    )
+
+
+def _sample(tp, registry):
+    """A value of type ``tp`` with room to change: tuples hold two items."""
+    if tp is bool:
+        return True
+    if tp is int:
+        return 7
+    if tp is float:
+        return 0.1
+    if tp is str:
+        return "kind"
+    if tp is bytes:
+        return b"b" * 32
+    if tp is Request:
+        return _request(registry, 5)
+    if typing.get_origin(tp) is tuple:
+        item = typing.get_args(tp)[0]
+        first = _sample(item, registry)
+        return (first, _changed(item, first, registry))
+    raise AssertionError(f"no sample for {tp}")
+
+
+def _changed(tp, value, registry):
+    """The least change of ``value``: one ulp, one more, or the last item dropped."""
+    if tp is bool:
+        return not value
+    if tp is int:
+        return value + 1
+    if tp is float:
+        return math.nextafter(value, math.inf)
+    if tp is str or tp is bytes:
+        return value + value[:1]
+    if tp is Request:
+        return _request(registry, value.timestamp + 1)
+    if typing.get_origin(tp) is tuple:
+        return value[:-1]
+    raise AssertionError(f"no change for {tp}")
+
+
+def _fields(cls):
+    hints = typing.get_type_hints(cls)
+    return [(f.name, hints[f.name]) for f in dataclasses.fields(cls) if f.name != "signature"]
+
+
+def _signed_sample(cls, registry):
+    values = {name: _sample(tp, registry) for name, tp in _fields(cls)}
+    return signed(cls(**values), registry, SIGNER)
+
+
+def test_every_message_class_is_covered():
+    assert len(MESSAGE_CLASSES) == 17
+    for cls in MESSAGE_CLASSES:
+        assert "signature" in {f.name for f in dataclasses.fields(cls)}, cls.__name__
+        # One rule: no class states its own payload.
+        assert "signed_payload" not in vars(cls), cls.__name__
+
+
+@pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda cls: cls.__name__)
+def test_changing_any_field_breaks_the_signature(cls, registry):
+    message = _signed_sample(cls, registry)
+    assert signature_ok(dataclasses.replace(message), registry, SIGNER)
+    for name, tp in _fields(cls):
+        forged = dataclasses.replace(message, **{name: _changed(tp, getattr(message, name), registry)})
+        assert forged.signature == message.signature
+        assert not signature_ok(forged, registry, SIGNER), f"{cls.__name__}.{name} is not signed"
+
+
+def test_classes_with_equal_fields_sign_differently(registry):
+    by_fields = {}
+    for cls in MESSAGE_CLASSES:
+        by_fields.setdefault(tuple(_fields(cls)), []).append(cls)
+    twins = [group for group in by_fields.values() if len(group) > 1]
+    names = sorted(sorted(cls.__name__ for cls in group) for group in twins)
+    assert names == [["PbftCommit", "PbftPrepare"], ["PrePrepare", "Prepare"]]
+    for first, second in twins:
+        message = _signed_sample(first, registry)
+        twin = second(**{f.name: getattr(message, f.name) for f in dataclasses.fields(first)})
+        assert twin.signature == message.signature
+        assert not signature_ok(twin, registry, SIGNER)
+
+
+def test_one_ulp_reputation_claim_is_bound(registry):
+    claim = signed(JoinRequest(node_id=3, reputation=0.7, effective_height=4), registry, SIGNER)
+    forged = dataclasses.replace(claim, reputation=math.nextafter(0.7, 1.0))
+    assert f"{forged.reputation:.12e}" == f"{claim.reputation:.12e}"
+    assert not signature_ok(forged, registry, SIGNER)
+
+
+def test_trimmed_proposal_batch_is_bound(registry):
+    batch = (_request(registry, 1), _request(registry, 2))
+    proposal = signed(
+        Prepare(height=1, view=0, timestamp=3, batch=batch, digest=b"d" * 32, sender=SIGNER),
+        registry,
+        SIGNER,
+    )
+    assert not signature_ok(dataclasses.replace(proposal, batch=batch[:1]), registry, SIGNER)
+
+
+def test_membership_types_match_their_tags():
+    assert sorted(cls.TAG for cls in messages.MEMBERSHIP_TYPES) == [
+        "change", "erequest", "exit_commit", "join_commit", "urequest",
+    ]
