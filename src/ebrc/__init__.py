@@ -20,9 +20,11 @@ Layers, bottom up:
 - ``config``: the scenario schema, its JSON round-trip and validation.
 - ``presets``: shipped scenario files and builders for sweeps.
 - ``runner``: scenario orchestration (epochs, rounds, load injection,
-  elections, membership churn) producing a structured result.
-- ``harness``: metrics, reports, protocol comparison, fairness studies,
-  and file output; ``cli`` exposes it as the ``ebrc`` command.
+  elections, membership churn) producing a structured result, and the
+  genesis behavior table and election settings of a scenario.
+- ``harness``: metrics, reports and their text forms, protocol comparison,
+  fairness studies; ``cli`` exposes it as the ``ebrc`` command and writes
+  the files.
 """
 
 from .config import (

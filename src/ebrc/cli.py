@@ -14,7 +14,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import harness
-from .config import ConfigError, ScenarioConfig, load_scenario
+from .config import load_scenario
 from .election import ElectionFailed
 
 EXIT_OK = 0
@@ -31,9 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 class UsageError(Exception):
-    def __init__(self, message: str) -> None:
-        super().__init__(message)
-        self.message = message
+    """A command line argparse rejected."""
 
 
 def _build_parser() -> _Parser:
@@ -61,17 +59,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(path: str) -> ScenarioConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"scenario file not found: {path}")
-    return load_scenario(path)
-
-
-def _ensure_out(out: Optional[str]) -> Optional[str]:
-    if out is None:
-        return None
+def _write(out: str, name: str, text: str) -> None:
     os.makedirs(out, exist_ok=True)
-    return out
+    with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _summary_line(report: harness.MetricsReport) -> str:
@@ -89,46 +80,40 @@ def _summary_line(report: harness.MetricsReport) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load(args.scenario)
+    config = load_scenario(args.scenario)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
         config.validate()
     report, result = harness.run_scenario_with_result(config)
-    out = _ensure_out(args.out)
-    if out is not None:
-        harness.write_report(
-            os.path.join(out, "report.json"),
-            {"schema_version": harness.SCHEMA_VERSION, "reports": [report.to_dict()]},
-        )
-        harness.write_metrics_csv(os.path.join(out, "metrics.csv"), [report])
+    if args.out is not None:
+        payload = {"schema_version": harness.SCHEMA_VERSION, "reports": [report.to_dict()]}
+        _write(args.out, "report.json", harness.report_json(payload))
+        _write(args.out, "metrics.csv", harness.metrics_csv([report]))
         if args.trace:
-            harness.write_trace(os.path.join(out, "trace.csv"), result.trace)
+            _write(args.out, "trace.csv", harness.trace_csv(result.trace))
     print(_summary_line(report))
     return EXIT_SAFETY if report.safety_violation else EXIT_OK
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    configs = [_load(path) for path in args.scenarios]
+    configs = [load_scenario(path) for path in args.scenarios]
     reports: List[harness.MetricsReport] = []
     violated = False
-    out = _ensure_out(args.out)
     for config in configs:
         report, result = harness.run_scenario_with_result(config)
         reports.append(report)
         violated = violated or report.safety_violation
-        if out is not None and args.trace:
-            harness.write_trace(
-                os.path.join(out, f"trace_{report.name}.csv"), result.trace
-            )
+        if args.out is not None and args.trace:
+            _write(args.out, f"trace_{report.name}.csv", harness.trace_csv(result.trace))
         print(_summary_line(report))
     payload = {
         "schema_version": harness.SCHEMA_VERSION,
         "comparison": harness.compare_reports(reports),
         "reports": [report.to_dict() for report in reports],
     }
-    if out is not None:
-        harness.write_report(os.path.join(out, "report.json"), payload)
-        harness.write_metrics_csv(os.path.join(out, "metrics.csv"), reports)
+    if args.out is not None:
+        _write(args.out, "report.json", harness.report_json(payload))
+        _write(args.out, "metrics.csv", harness.metrics_csv(reports))
     return EXIT_SAFETY if violated else EXIT_OK
 
 
@@ -140,9 +125,8 @@ def _cmd_fairness(args: argparse.Namespace) -> int:
         seed=args.seed,
         omega=args.omega,
     )
-    out = _ensure_out(args.out)
-    if out is not None:
-        harness.write_report(os.path.join(out, "fairness.json"), report)
+    if args.out is not None:
+        _write(args.out, "fairness.json", harness.report_json(report))
     line = (
         f"fairness: nodes={report['node_count']} epochs={report['epochs']} "
         f"poison_odd={report['poison_odd']} chi2={report['chi_square']:.3f} "
@@ -155,22 +139,16 @@ def _cmd_fairness(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"run": _cmd_run, "compare": _cmd_compare, "fairness": _cmd_fairness}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "fairness":
-            return _cmd_fairness(args)
-        parser.error(f"unknown command {args.command!r}")
-        return EXIT_USAGE
-    except UsageError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigError, ValueError) as exc:
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
+    # ConfigError is a ValueError; OSError covers unreadable scenario files
+    # and an --out path that is not a directory.
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ElectionFailed as exc:

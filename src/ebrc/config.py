@@ -209,6 +209,16 @@ class ScenarioConfig:
         for nid in self.deposits:
             if nid not in all_ids:
                 raise ConfigError(f"deposits: node {nid} outside 0..{self.node_count - 1}")
+        # Clients follow the nodes in the id space, and a partition may cut
+        # either off.
+        endpoints = range(self.node_count + self.client_count)
+        for i, (_, _, ids) in enumerate(self.network.partitions):
+            for nid in ids:
+                if nid not in endpoints:
+                    raise ConfigError(
+                        f"network.partitions[{i}]: {nid} outside 0..{len(endpoints) - 1} "
+                        "(nodes, then clients)"
+                    )
 
     # -- serialization --
 

@@ -614,7 +614,7 @@ class EbrcReplica(_ReplicaBase):
             Report(
                 accused=accused,
                 evidence_kind=evidence_kind,
-                round_index=self.height,
+                height=self.height,
                 reporter=self.node_id,
             ),
             self.registry,

@@ -1,4 +1,4 @@
-"""Metric computation, fairness studies, comparisons, and report writing.
+"""Metric computation, fairness studies, comparisons, and report text.
 
 Everything here is a pure function of its inputs: reports carry only
 simulated-time quantities (no wall clocks, no environment), so a scenario
@@ -16,12 +16,11 @@ import sys
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from . import reputation
-from .config import ScenarioConfig
+from .config import PoisonConfig, ScenarioConfig
 from .crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, digest, pack
 from .djep import committee_fault_budget
-from .election import ElectionConfig, ElectionFailed, elect_committee
-from .runner import RunResult, ScenarioRunner
+from .election import ElectionFailed, elect_committee
+from .runner import RunResult, ScenarioRunner, election_config, initial_table
 from .simnet import RECEIVER_ROW_FIELDS, TraceRecord, receiver_rows
 
 SCHEMA_VERSION = 1
@@ -386,24 +385,6 @@ def compare_reports(reports: Sequence[MetricsReport]) -> dict:
 
 # --- fairness experiments ---
 
-def _fairness_table(
-    node_count: int,
-    registry: KeyRegistry,
-    *,
-    poison_odd: bool,
-    weights: reputation.ReputationWeights,
-) -> reputation.BehaviorTable:
-    table: reputation.BehaviorTable = {}
-    for node in range(node_count):
-        table[node] = reputation.new_record(node, registry.public_key(node), 100.0)
-    if poison_odd:
-        for node in range(1, node_count, 2):
-            record = table[node]
-            record.consensus_participations = 10
-            record.reported_evil_count = 3  # evil rate 0.3
-    return reputation.update_behavior_table(table, [], weights=weights)
-
-
 def fairness_experiment(
     node_count: int,
     epochs: int,
@@ -437,14 +418,17 @@ def fairness_experiment(
     registry = KeyRegistry(digest(pack(seed), domain=b"fairness-keys"))
     for node in range(node_count):
         registry.register(node)
-    weights = reputation.ReputationWeights()
-    table = _fairness_table(node_count, registry, poison_odd=poison_odd, weights=weights)
-    config = ElectionConfig(
-        sortition_threshold=omega,
-        target_committee_size=4,
+    # Poisoned nodes carry an evil rate of 3 in 10. The study is never run as
+    # a scenario, so node counts below the scenario minimum are allowed.
+    poisoned = tuple(range(1, node_count, 2)) if poison_odd else ()
+    scenario = ScenarioConfig(
+        node_count=node_count,
+        omega=omega,
         eligibility_percentile=eligibility_percentile,
-        consensus_percentile=0.5,
+        poison=PoisonConfig(node_ids=poisoned, participations=10, evil_count=3),
     )
+    table = initial_table(scenario, registry)
+    config = election_config(scenario)
 
     membership_counts = {node: 0 for node in range(node_count)}
     consensus_counts = {node: 0 for node in range(node_count)}
@@ -533,11 +517,6 @@ def report_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def write_report(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_json(payload))
-
-
 CSV_METRICS = (
     "mean_latency_ms",
     "median_latency_ms",
@@ -585,11 +564,6 @@ def metrics_csv(reports: Sequence[MetricsReport]) -> str:
     return buffer.getvalue()
 
 
-def write_metrics_csv(path: str, reports: Sequence[MetricsReport]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(metrics_csv(reports))
-
-
 def trace_csv(trace: Iterable[TraceRecord]) -> str:
     """One CSV row per receiver, each send's targets in plan order;
     ``delivered`` is 1 unless the network dropped the message."""
@@ -598,8 +572,3 @@ def trace_csv(trace: Iterable[TraceRecord]) -> str:
     writer.writerow(RECEIVER_ROW_FIELDS)
     writer.writerows(receiver_rows(trace))
     return buffer.getvalue()
-
-
-def write_trace(path: str, trace: Iterable[TraceRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trace_csv(trace))

@@ -154,7 +154,7 @@ class Report(Message):
     TAG: ClassVar[str] = "report"
     accused: int
     evidence_kind: str
-    round_index: int
+    height: int
     reporter: int
     signature: bytes = b""
 

@@ -47,6 +47,38 @@ def _skip(*_) -> None:
     pass
 
 
+def initial_table(config: ScenarioConfig, registry: KeyRegistry) -> reputation.BehaviorTable:
+    """Genesis behavior table: capped deposits, poisoned records, and one
+    bootstrap update so the first election reads realized scores."""
+    nodes = range(config.node_count)
+    deposits = reputation.enforce_deposit_caps(
+        {n: float(config.deposits.get(n, 100.0)) for n in nodes}, config.deposit_cap
+    )
+    table = {n: reputation.new_record(n, registry.public_key(n), deposits[n]) for n in nodes}
+    poison = config.poison
+    for node in poison.node_ids:
+        record = table[node]
+        record.consensus_participations = poison.participations
+        record.reported_evil_count = poison.evil_count
+        record.incomplete_count = poison.incomplete_count
+    return reputation.update_behavior_table(
+        table,
+        [],
+        weights=config.weights,
+        complement_fault_rates=config.complement_fault_rates,
+    )
+
+
+def election_config(config: ScenarioConfig) -> ElectionConfig:
+    """The election settings a scenario fixes for every epoch."""
+    return ElectionConfig(
+        sortition_threshold=config.omega,
+        target_committee_size=config.target_committee_size,
+        eligibility_percentile=config.eligibility_percentile,
+        consensus_percentile=config.consensus_percentile,
+    )
+
+
 @dataclass(slots=True)
 class RoundRecord:
     round_index: int
@@ -129,13 +161,13 @@ class ScenarioRunner:
                 for n in self.node_ids
             }
             self._open_epoch = self._after_commit = self._close_epoch = _skip
+        # The runner installs each committee, its candidates and f in every
+        # replica at once, so any one replica holds them for all.
+        self._roster = self.replicas[0]
 
         self.byz_ids: Set[int] = set(config.byzantine.node_ids)
         self.honest_ids = [n for n in self.node_ids if n not in self.byz_ids]
-        self.table = self._initial_table()
-        self.committee: List[int] = list(self.node_ids)  # pbft: the whole group
-        self.candidates: List[int] = []
-        self.f = djep.committee_fault_budget(config.node_count)
+        self.table = initial_table(config, self.registry)
 
         self.current_round = 0
         self.result = RunResult(config=config)
@@ -149,50 +181,22 @@ class ScenarioRunner:
 
         # Accountability and membership state.
         self._report_tally: Dict[Tuple[int, str, int], Set[int]] = {}
-        self._conviction_seen: Set[Tuple[int, int]] = set()
-        self._adoptions_per_height: Dict[int, int] = {}
+        self._ousted: Dict[int, Set[int]] = {}  # height -> members a view change ousted
         self._epoch_events: List[reputation.BehaviorEvent] = []
-        self._served: Dict[int, int] = {}
-        self._failed: Dict[int, int] = {}
         self._replacements: Set[int] = set()
-        self._membership_flows: List[dict] = []
         self._last_membership_delivery_us = 0
         self._view_hint = 0
         self._first_submit_us: Optional[int] = None
         self._last_completion_us: Optional[int] = None
 
-    # -- setup helpers --
+    # -- state readers --
 
-    def _initial_table(self) -> reputation.BehaviorTable:
-        deposits = {n: float(self.config.deposits.get(n, 100.0)) for n in self.node_ids}
-        deposits = reputation.enforce_deposit_caps(deposits, self.config.deposit_cap)
-        table: reputation.BehaviorTable = {}
-        for node in self.node_ids:
-            table[node] = reputation.new_record(
-                node, self.registry.public_key(node), deposits[node]
-            )
-        poison = self.config.poison
-        for node in poison.node_ids:
-            record = table[node]
-            record.consensus_participations = poison.participations
-            record.reported_evil_count = poison.evil_count
-            record.incomplete_count = poison.incomplete_count
-        # Bootstrap pass: realize factor-derived scores (and any poisoning)
-        # before the first election reads the table.
-        return reputation.update_behavior_table(
-            table,
-            [],
-            weights=self.config.weights,
-            complement_fault_rates=self.config.complement_fault_rates,
-        )
+    def _next_height(self) -> int:
+        """The height the most advanced honest replica is working on."""
+        return max(self.replicas[n].height for n in self.honest_ids)
 
-    def _election_config(self) -> ElectionConfig:
-        return ElectionConfig(
-            sortition_threshold=self.config.omega,
-            target_committee_size=self.config.target_committee_size,
-            eligibility_percentile=self.config.eligibility_percentile,
-            consensus_percentile=self.config.consensus_percentile,
-        )
+    def _reputations(self) -> Dict[int, float]:
+        return {n: rec.reputation for n, rec in self.table.items()}
 
     # -- event plumbing --
 
@@ -232,7 +236,7 @@ class ScenarioRunner:
             return
         if not signature_ok(message, self.registry, message.reporter):
             return
-        key = (message.accused, message.evidence_kind, message.round_index)
+        key = (message.accused, message.evidence_kind, message.height)
         self._report_tally.setdefault(key, set()).add(message.reporter)
 
     def _client_receive(self, client: int, now: int, message) -> None:
@@ -243,7 +247,7 @@ class ScenarioRunner:
         buckets = self._reply_senders.setdefault(client, {})
         senders = buckets.setdefault(message.digest, set())
         senders.add(message.sender)
-        if client not in self._client_done_at and len(senders) >= self.f + 1:
+        if client not in self._client_done_at and len(senders) >= self._roster.f + 1:
             self._client_done_at[client] = now
             if client in self._expected_clients:
                 self._clients_waiting -= 1
@@ -295,15 +299,14 @@ class ScenarioRunner:
         corrupt: Set[int] = set()
         if config.byzantine.behavior == "corrupt_proof" and config.byzantine.active(epoch):
             corrupt = set(config.byzantine.node_ids)
-        next_height = max(self.replicas[n].height for n in self.honest_ids)
         assignment, proof_reports, seed, retries = elect_committee(
             self.table,
-            self._election_config(),
+            election_config(config),
             derive_seed(self._tip_block().block_digest),
             self.registry,
             corrupt_proofs=corrupt,
             epoch=epoch,
-            initial_height=next_height,
+            initial_height=self._next_height(),
         )
 
         for accused, kind in proof_reports:
@@ -311,9 +314,6 @@ class ScenarioRunner:
             # without needing a reporter quorum.
             self._convict(accused, kind, epoch=epoch, reporters=[])
 
-        self.committee = list(assignment.consensus_nodes)
-        self.candidates = list(assignment.candidates)
-        self.f = assignment.f
         for node in list(assignment.consensus_nodes) + list(assignment.candidates):
             self.result.election_counts[node] += 1
         self.result.election_log.append(
@@ -354,7 +354,7 @@ class ScenarioRunner:
             self.sim.send(node, [n for n in self.node_ids if n != node], connect)
         self.sim.run_until(self.sim.now + _ms_to_us(config.connect_window_ms))
 
-        table_reputation = {n: rec.reputation for n, rec in self.table.items()}
+        table_reputation = self._reputations()
         for node in self.node_ids:
             step = self.replicas[node].set_committee(
                 assignment.consensus_nodes,
@@ -368,21 +368,12 @@ class ScenarioRunner:
         self._view_hint = 0
 
     def _end_epoch(self) -> None:
-        events: List[reputation.BehaviorEvent] = []
-        for node in sorted(self._served):
-            if self._served[node] > 0:
-                events.append(reputation.Participation(node, rounds=self._served[node]))
-        for node in sorted(self._failed):
-            events.extend(reputation.Incompletion(node) for _ in range(self._failed[node]))
-        events.extend(self._epoch_events)
         self.table = reputation.update_behavior_table(
             self.table,
-            events,
+            self._epoch_events,
             weights=self.config.weights,
             complement_fault_rates=self.config.complement_fault_rates,
         )
-        self._served = {}
-        self._failed = {}
         self._epoch_events = []
 
     # -- rounds --
@@ -390,8 +381,8 @@ class ScenarioRunner:
     def _run_round(self, round_index: int) -> None:
         config = self.config
         self.current_round = round_index
-        target_height = max(self.replicas[n].height for n in self.honest_ids)
-        committee_at_start = list(self.committee)
+        target_height = self._next_height()
+        committee_at_start = self._roster.committee
 
         self._reply_senders = {}
         self._client_done_at = {}
@@ -418,7 +409,7 @@ class ScenarioRunner:
             self._announce(holder, target_height)
         # Drain first: a member ousted by a view change this round already has
         # its incompletion recorded, and the outcome tally must see that.
-        view_changes = self._drain_observations(target_height)
+        self._drain_observations()
         if holder is not None:
             self._note_round_outcomes(committee_at_start, round_index, block)
             self.result.committed_rounds += 1
@@ -441,14 +432,14 @@ class ScenarioRunner:
                 height=target_height,
                 committed=holder is not None,
                 latency_ms=latency_ms,
-                view_changes=view_changes,
+                view_changes=len(self._ousted.get(target_height, ())),
                 tx_count=tx_count,
             )
         )
 
     def _inject_load(self, round_index: int, submit_us: int) -> None:
         config = self.config
-        targets = list(self.committee)
+        targets = list(self._roster.committee)
         self._expected_clients = set()
         for k in range(config.load):
             client = self.client_ids[k % len(self.client_ids)]
@@ -482,7 +473,7 @@ class ScenarioRunner:
 
     def _committed_holder(self, height: int) -> Optional[int]:
         for node in self.honest_ids:
-            if node in self.committee and height in self.replicas[node].ledger:
+            if node in self._roster.committee and height in self.replicas[node].ledger:
                 return node
         for node in self.honest_ids:
             if height in self.replicas[node].ledger:
@@ -517,22 +508,21 @@ class ScenarioRunner:
 
     def _note_round_outcomes(self, committee: Sequence[int], round_index: int, block) -> None:
         senders = self.sim.counters.round_senders.get(round_index, set())
-        convicted = {node for (node, h) in self._conviction_seen if h == block.height}
+        ousted = self._ousted.get(block.height, ())
         for member in committee:
-            if member in convicted:
+            if member in ousted:
                 continue  # the view change already recorded its incompletion
             if self.config.detect_silent and member not in senders:
-                self._failed[member] = self._failed.get(member, 0) + 1
-                self._plan_replacement(member)
+                self._fail(member)
             else:
-                self._served[member] = self._served.get(member, 0) + 1
+                self._epoch_events.append(reputation.Participation(member))
                 self._epoch_events.append(
                     reputation.TransactionsProcessed(member, block.tx_count)
                 )
 
     # -- observations / accountability --
 
-    def _drain_observations(self, height: int) -> int:
+    def _drain_observations(self) -> None:
         for node in sorted(self.replicas):
             replica = self.replicas[node]
             observations = replica.observations
@@ -547,15 +537,10 @@ class ScenarioRunner:
                         f"node {entry[1]} height {entry[2]}: {entry[3]}"
                     )
                 elif kind == "incompletion":
-                    ousted, at_height = entry[1], entry[2]
-                    if (ousted, at_height) not in self._conviction_seen:
-                        self._conviction_seen.add((ousted, at_height))
-                        self._adoptions_per_height[at_height] = (
-                            self._adoptions_per_height.get(at_height, 0) + 1
-                        )
-                        self.result.view_changes_total += 1
-                        self._failed[ousted] = self._failed.get(ousted, 0) + 1
-                        self._plan_replacement(ousted)
+                    ousted = self._ousted.setdefault(entry[2], set())
+                    if entry[1] not in ousted:
+                        ousted.add(entry[1])
+                        self._fail(entry[1])
                 elif kind == "membership_stalled":
                     self.result.stalled_memberships.append(
                         {"node": entry[1], "height": entry[2]}
@@ -564,12 +549,11 @@ class ScenarioRunner:
         # Report confirmation: f+1 distinct honest reporters convict.
         for key in sorted(self._report_tally):
             reporters = self._report_tally[key]
-            if len(reporters) >= self.f + 1:
+            if len(reporters) >= self._roster.f + 1:
                 accused, kind, at_height = key
                 self._convict(accused, kind, height=at_height, reporters=sorted(reporters))
                 self._plan_replacement(accused)
                 del self._report_tally[key]
-        return self._adoptions_per_height.get(height, 0)
 
     def _convict(self, accused: int, kind: str, **row) -> None:
         """Record a confirmed misbehavior: a reputation penalty, a deposit
@@ -578,8 +562,13 @@ class ScenarioRunner:
         self._epoch_events.append(reputation.DepositSlash(accused, self.config.slash_fraction))
         self.result.confirmed_reports.append({"node": accused, "kind": kind, **row})
 
+    def _fail(self, member: int) -> None:
+        """Record a round the member joined but did not complete."""
+        self._epoch_events.append(reputation.Incompletion(member))
+        self._plan_replacement(member)
+
     def _plan_replacement(self, accused: int) -> None:
-        if self.config.replace_faulty and accused in self.committee:
+        if self.config.replace_faulty and accused in self._roster.committee:
             self._replacements.add(accused)
 
     # -- membership --
@@ -589,20 +578,19 @@ class ScenarioRunner:
             if script.round_index != round_index:
                 continue
             exiter = script.node_id
-            if exiter not in self.committee:
+            if exiter not in self._roster.committee:
                 self.result.notes.append(
                     f"scripted exit of node {exiter} after round {round_index} skipped: "
                     "not a consensus node"
                 )
                 continue
-            height = max(self.replicas[n].height for n in self.honest_ids)
-            effective = height + EXIT_LEAD_BLOCKS
+            effective = self._next_height() + EXIT_LEAD_BLOCKS
             request = signed(
                 ExitRequest(node_id=exiter, effective_height=effective),
                 self.registry,
                 exiter,
             )
-            self._membership_flows.append(
+            self.result.membership_flows.append(
                 {
                     "node": exiter,
                     "requested_at_us": self.sim.now,
@@ -622,14 +610,14 @@ class ScenarioRunner:
             replica = self.replicas[node]
             if replica.is_member:
                 return replica.leader_id()
-        return self.committee[0]
+        return self._roster.committee[0]
 
     def _membership_message_count(self) -> int:
         per_tag = self.sim.counters.per_tag
         return sum(per_tag.get(cls.TAG, 0) for cls in MEMBERSHIP_TYPES)
 
     def _apply_membership_transitions(self) -> None:
-        next_height = max(self.replicas[n].height for n in self.honest_ids)
+        next_height = self._next_height()
         due_exits: Set[int] = set()
         for node in self.honest_ids:
             replica = self.replicas[node]
@@ -643,13 +631,14 @@ class ScenarioRunner:
             if h is not None and h <= next_height:
                 due_joins.add(node)
 
-        table_reputation = {n: rec.reputation for n, rec in self.table.items()}
+        roster = self._roster
+        table_reputation = self._reputations()
         forced: Set[int] = set()
         for accused in sorted(self._replacements):
             plan = djep.plan_removal(
-                committee=tuple(self.committee),
-                f=self.f,
-                candidates=tuple(self.candidates),
+                committee=roster.committee,
+                f=roster.f,
+                candidates=roster.candidates,
                 reputation=table_reputation,
                 leaver=accused,
             )
@@ -666,14 +655,14 @@ class ScenarioRunner:
         if not due_exits and not due_joins and not forced:
             return
 
-        new_committee = tuple(self.committee)
+        new_committee = roster.committee
         applied_exits: List[int] = []
         applied_joins: List[int] = []
         for leaver in sorted(due_exits | forced):
             if leaver in new_committee:
                 new_committee = djep.committee_without(new_committee, leaver)
                 applied_exits.append(leaver)
-        new_candidates = list(self.candidates)
+        new_candidates = list(roster.candidates)
         for joiner in sorted(due_joins):
             if joiner in new_committee:
                 continue
@@ -687,9 +676,6 @@ class ScenarioRunner:
             return
         new_f = djep.committee_fault_budget(len(new_committee))
 
-        self.committee = list(new_committee)
-        self.candidates = new_candidates
-        self.f = new_f
         applied = applied_exits + applied_joins
         for node in sorted(self.replicas):
             replica = self.replicas[node]
@@ -698,26 +684,13 @@ class ScenarioRunner:
             )
             replica.membership.clear_applied(applied)
 
-        for leaver in applied_exits:
-            kind = "replace" if leaver in forced else "exit"
+        changes = [("replace" if n in forced else "exit", n) for n in applied_exits]
+        changes += [("join", n) for n in applied_joins]
+        for kind, node in changes:
             self.result.membership_log.append(
-                {
-                    "kind": kind,
-                    "node": leaver,
-                    "height": next_height,
-                    "applied_at_us": self.sim.now,
-                }
+                {"kind": kind, "node": node, "height": next_height, "applied_at_us": self.sim.now}
             )
-        for joiner in applied_joins:
-            self.result.membership_log.append(
-                {
-                    "kind": "join",
-                    "node": joiner,
-                    "height": next_height,
-                    "applied_at_us": self.sim.now,
-                }
-            )
-        for flow in self._membership_flows:
+        for flow in self.result.membership_flows:
             if "settle_ms" in flow or flow["node"] not in applied_exits:
                 continue
             flow["kind"] = "exit+join" if applied_joins else "exit"
@@ -730,15 +703,15 @@ class ScenarioRunner:
     # -- finish --
 
     def _finalize(self) -> None:
-        self._drain_observations(max(self.replicas[n].height for n in self.honest_ids))
+        self._drain_observations()
         self._check_ledger_agreement()
         result = self.result
         result.counters = self.sim.counters
         result.trace = self.sim.trace
         result.in_flight = self.sim.in_flight()
-        result.membership_flows = list(self._membership_flows)
-        if self._adoptions_per_height:
-            result.max_view_changes_per_height = max(self._adoptions_per_height.values())
+        per_height = [len(ousted) for ousted in self._ousted.values()]
+        result.view_changes_total = sum(per_height)
+        result.max_view_changes_per_height = max(per_height, default=0)
         committed_tx = sum(b["tx_count"] for b in result.blocks)
         if (
             self._first_submit_us is not None

@@ -5,7 +5,9 @@ Run from the repository root:
     PYTHONPATH=src python tests/identity_sweep.py
 
 Each shipped preset is re-run at seeds 1..10 and serialized the way
-``ebrc run --trace`` writes it (report JSON, then trace CSV). One line per run
+``ebrc run --trace`` writes it (report JSON, then trace CSV). No shipped
+preset sets ``replace_faulty``, so every EBRC preset is also run with it set,
+at the same seeds, to cover the forced-replacement path. One line per run
 gives the SHA-256 of that text; a run that raises prints the exception
 instead, so a changed failure is caught as well. The last line is the
 SHA-256 of all the lines before it. A refactor that claims byte-identical
@@ -36,10 +38,15 @@ def run_digest(config) -> str:
 
 def main() -> None:
     combined = hashlib.sha256()
-    for name in presets.names():
-        config = presets.load(name)
+    variants = [(name, presets.load(name)) for name in presets.names()]
+    variants += [
+        (f"{name} replace_faulty", dataclasses.replace(config, replace_faulty=True))
+        for name, config in variants
+        if config.protocol == "ebrc"
+    ]
+    for label, config in variants:
         for seed in SEEDS:
-            line = f"{name} seed={seed} {run_digest(dataclasses.replace(config, seed=seed))}"
+            line = f"{label} seed={seed} {run_digest(dataclasses.replace(config, seed=seed))}"
             print(line, flush=True)
             combined.update(line.encode("utf-8") + b"\n")
     print(f"combined {combined.hexdigest()}")

@@ -59,6 +59,11 @@ class TestValidation:
                 dict(node_count=8, eligibility_percentile=0.5, consensus_percentile=0.9),
                 "consensus_percentile",
             ),
+            # Partition ids that are neither a node nor a client.
+            (
+                dict(network=NetworkConfig(partitions=((1.0, 5.0, (99, -1)),))),
+                r"network\.partitions\[0\]",
+            ),
         ],
     )
     def test_field_bounds(self, overrides, fragment):

@@ -9,6 +9,10 @@ No shipped preset sets ``replace_faulty``, so three variants pin the forced
 replacement path as well: a silent member replaced by a candidate, an
 equivocating member replaced after a view change, and a full-membership
 committee whose replacements stall for want of a candidate.
+
+The election-only studies are pinned too, serialized the way ``ebrc
+fairness --out`` writes them: the fairness study with and without poisoned
+odd ids, and the empty-committee Monte Carlo.
 """
 
 import dataclasses
@@ -87,3 +91,24 @@ def test_report_and_trace_bytes_unchanged(name):
 @pytest.mark.parametrize("name", sorted(FORCED_REPLACEMENT_SHA256))
 def test_forced_replacement_bytes_unchanged(name):
     assert output_sha256(forced_replacement_config(name)) == FORCED_REPLACEMENT_SHA256[name]
+
+
+STUDY_SHA256 = {
+    "fairness_n20": "2392601029ae9be489ed352ea5130792587803e9f87c16367b89d34ace683c6e",
+    "fairness_n20_poison_odd": "4332af2f7084aa54a14a3745c771390a17c7f5e8e8f9372b8ec5d858f7155c9f",
+    "empty_committee_n10": "39716251e52bcb7f073998a6bdc5ff52d220e78cdbd7eda2aee2cd4f16352c07",
+}
+
+STUDIES = {
+    "fairness_n20": lambda: harness.fairness_experiment(20, 200, seed=1),
+    "fairness_n20_poison_odd": lambda: harness.fairness_experiment(
+        20, 200, seed=1, poison_odd=True
+    ),
+    "empty_committee_n10": lambda: harness.empty_committee_probability(10, 0.4, 2_000, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STUDY_SHA256))
+def test_study_bytes_unchanged(name):
+    text = harness.report_json(STUDIES[name]())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == STUDY_SHA256[name]

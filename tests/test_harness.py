@@ -512,3 +512,14 @@ class TestCli:
     def test_bad_seed_override_is_usage_error(self, tmp_path, capsys):
         scenario = self.scenario_file(tmp_path)
         assert main(["run", "--scenario", scenario, "--seed", "-3"]) == 1
+
+    def test_scenario_directory_is_usage_error(self, tmp_path, capsys):
+        assert main(["run", "--scenario", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_existing_file_is_usage_error(self, tmp_path, capsys):
+        scenario = self.scenario_file(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert main(["run", "--scenario", scenario, "--out", str(taken)]) == 1
+        assert "error: " in capsys.readouterr().err
