@@ -195,10 +195,7 @@ class _ReplicaBase:
 
         self.proposal = None
         self.commit_tallies: Dict[int, Dict[bytes, Set[int]]] = {}
-        self.commit_sent_views: Set[int] = set()
-        self.proposed_views: Set[int] = set()
         self.viewchange_tallies: Dict[Tuple[int, int], Set[int]] = {}
-        self.viewchanges_sent: Set[Tuple[int, int]] = set()
         self.view_change_count = 0
 
     # -- roles --
@@ -209,6 +206,18 @@ class _ReplicaBase:
 
     def _to_peers(self, message) -> List[Tuple[int, object]]:
         return [(peer, message) for peer in self.committee if peer != self.node_id]
+
+    def _proposed(self) -> bool:
+        """Whether this node has proposed in the current view."""
+        proposal = self.proposal
+        return proposal is not None and proposal.sender == self.node_id and proposal.view == self.view
+
+    def _voted(self, tallies: Dict[int, Dict[bytes, Set[int]]]) -> bool:
+        """Whether ``_cast`` has counted this node's own vote of the view."""
+        for senders in tallies.get(self.view, {}).values():
+            if self.node_id in senders:
+                return True
+        return False
 
     # -- timers --
 
@@ -226,7 +235,7 @@ class _ReplicaBase:
             return
         if not self.is_leader:
             self._arm_once(result, "round", self.view_timeout_us)
-        elif self.view not in self.proposed_views:
+        elif not self._proposed():
             self._arm_once(result, "batch", self.batch_window_us)
 
     def _on_timer(self, now: int, tick: TimerTick) -> StepResult:
@@ -235,20 +244,22 @@ class _ReplicaBase:
         if tick.kind == "batch":
             return self._propose(now)
         result = StepResult()
-        if tick.kind == "round" and self.height not in self.ledger:
-            self._start_view_change(self.view + 1, result)
+        self._start_view_change(self.view + 1, result)
         return result
 
     # -- requests and proposals --
 
+    def _request_ok(self, request: Request) -> bool:
+        """The digest matches the payload and the client signed the request."""
+        return request.digest == tx_digest(request.payload) and signature_ok(
+            request, self.registry, request.client_id
+        )
+
     def _accept_request(self, request: Request) -> bool:
         if request.digest in self.seen_requests:
             return False
-        if request.digest != tx_digest(request.payload):
-            logger.debug("node %d: request with wrong digest dropped", self.node_id)
-            return False
-        if not signature_ok(request, self.registry, request.client_id):
-            logger.debug("node %d: request with bad signature dropped", self.node_id)
+        if not self._request_ok(request):
+            logger.debug("node %d: request with wrong digest or signature dropped", self.node_id)
             return False
         self.seen_requests.add(request.digest)
         self.request_buffer[request.digest] = request
@@ -262,12 +273,11 @@ class _ReplicaBase:
 
     def _propose(self, now: int) -> StepResult:
         result = StepResult()
-        if not self.is_leader or self.view in self.proposed_views:
+        if not self.is_leader or self._proposed():
             return result
         batch = canonical_batch(self.request_buffer, self.block_tx_cap)
         if not batch:
             return result
-        self.proposed_views.add(self.view)
         self.proposal = signed(
             self.PROPOSAL(
                 height=self.height,
@@ -294,9 +304,7 @@ class _ReplicaBase:
             if request.digest in seen:
                 return False
             seen.add(request.digest)
-            if request.digest != tx_digest(request.payload):
-                return False
-            if not signature_ok(request, self.registry, request.client_id):
+            if not self._request_ok(request):
                 return False
         return digest_field == batch_digest_of(batch)
 
@@ -324,10 +332,9 @@ class _ReplicaBase:
 
     # -- votes --
 
-    def _cast(self, vote, sent_views: Set[int], tallies: Dict, result: StepResult) -> None:
+    def _cast(self, vote, tallies: Dict, result: StepResult) -> None:
         """Cast this node's one vote of the view: sign it, count it as its own
         and send it to every peer."""
-        sent_views.add(self.view)
         vote = signed(vote, self.registry, self.node_id)
         _count(tallies, vote)
         result.sends.extend(self._to_peers(vote))
@@ -370,10 +377,8 @@ class _ReplicaBase:
         )
 
     def adopt_block(self, block: Block) -> None:
-        """Append the block at the current height (never overwrites) and move
-        to the next height."""
-        if block.height in self.ledger:
-            return
+        """Append the block at the current height and move to the next one.
+        The ledger holds every lower height, so nothing is overwritten."""
         if block.height != self.height:
             return
         self.ledger[block.height] = block
@@ -384,17 +389,30 @@ class _ReplicaBase:
     def _reset_round(self) -> None:
         self.proposal = None
         self.commit_tallies.clear()
-        self.commit_sent_views.clear()
-        self.proposed_views.clear()
 
-    def _replies_for(self, batch: Tuple[Request, ...], now: int) -> List[Tuple[int, object]]:
+    def _advance(self, block: Block) -> None:
+        """Adopt the block; a member also steps the view and resets the round.
+        Tallies and armed timers of finished heights are pruned."""
+        self.adopt_block(block)
+        if self.is_member:
+            if self.VIEW_PER_BLOCK:
+                self.view += 1
+            self._reset_round()
+        self.viewchange_tallies = {
+            key: senders for key, senders in self.viewchange_tallies.items() if key[0] >= self.height
+        }
+        self.timer_armed = {key for key in self.timer_armed if key[1] >= self.height}
+
+    def _replies_for(
+        self, batch: Tuple[Request, ...], batch_digest: bytes, now: int
+    ) -> List[Tuple[int, object]]:
         sends: List[Tuple[int, object]] = []
         for client_id in sorted({r.client_id for r in batch}):
             reply = signed(
                 Reply(
                     client_id=client_id,
                     timestamp=now,
-                    digest=batch_digest_of(batch),
+                    digest=batch_digest,
                     committee_size=len(self.committee),
                     valid=True,
                     sender=self.node_id,
@@ -418,15 +436,8 @@ class _ReplicaBase:
             return  # no quorum, or a quorum without the matching proposal payload
         batch = self.proposal.batch
         committers = tuple(sorted(tally[winner]))
-        self.adopt_block(self._next_block([r.digest for r in batch], len(batch), committers))
-        result.sends.extend(self._replies_for(batch, now))
-        if self.VIEW_PER_BLOCK:
-            self.view += 1
-        self._reset_round()
-        self.viewchange_tallies = {
-            key: senders for key, senders in self.viewchange_tallies.items() if key[0] >= self.height
-        }
-        self.timer_armed = {key for key in self.timer_armed if key[1] >= self.height}
+        self._advance(self._next_block([r.digest for r in batch], len(batch), committers))
+        result.sends.extend(self._replies_for(batch, winner, now))
         self._arm_for_pending(result)
 
     # -- view change --
@@ -436,7 +447,6 @@ class _ReplicaBase:
         # that can repeat is the watchdog chain (one tick per timeout
         # window), so under message loss this is the retry path.
         key = (self.height, proposed_view)
-        self.viewchanges_sent.add(key)
         vc = signed(
             ViewChange(height=self.height, proposed_view=proposed_view, reporter=self.node_id),
             self.registry,
@@ -457,11 +467,11 @@ class _ReplicaBase:
             or not signature_ok(vc, self.registry, vc.reporter)
         ):
             return result
-        key = (vc.height, vc.proposed_view)
-        self.viewchange_tallies.setdefault(key, set()).add(vc.reporter)
+        senders = self.viewchange_tallies.setdefault((vc.height, vc.proposed_view), set())
+        senders.add(vc.reporter)
         # Join a view change once f+1 peers vouch for it, even before our own
         # timer fires; prevents straggler deadlock.
-        if len(self.viewchange_tallies[key]) >= self.f + 1 and key not in self.viewchanges_sent:
+        if len(senders) >= self.f + 1 and self.node_id not in senders:
             self._start_view_change(vc.proposed_view, result)
         self._maybe_adopt_view(vc.proposed_view, result)
         return result
@@ -488,13 +498,8 @@ class _ReplicaBase:
         if not signature_ok(event, self.registry, event.sender) or event.height != self.height:
             return StepResult()
         block = self._next_block(event.batch_digests, event.tx_count, ())
-        if block.block_digest != event.block_digest:
-            return StepResult()
-        self.adopt_block(block)
-        if self.is_member:
-            if self.VIEW_PER_BLOCK:
-                self.view += 1
-            self._reset_round()
+        if block.block_digest == event.block_digest:
+            self._advance(block)
         return StepResult()
 
     # Handlers every replica has; each subclass's table adds its own.
@@ -556,7 +561,6 @@ class EbrcReplica(_ReplicaBase):
         self.view = 0
         self._reset_round()
         self.viewchange_tallies.clear()
-        self.viewchanges_sent.clear()
         self.timer_armed.clear()
         self.membership = djep.MembershipState()
         result = StepResult()
@@ -628,7 +632,7 @@ class EbrcReplica(_ReplicaBase):
         super()._reject_proposal(proposal, result)
 
     def _vote(self, now: int, result: StepResult) -> None:
-        if self.view not in self.commit_sent_views:
+        if not self._voted(self.commit_tallies):
             commit = Commit(
                 view=self.view,
                 timestamp=now,
@@ -637,7 +641,7 @@ class EbrcReplica(_ReplicaBase):
                 valid=True,
                 sender=self.node_id,
             )
-            self._cast(commit, self.commit_sent_views, self.commit_tallies, result)
+            self._cast(commit, self.commit_tallies, result)
         self._try_commit(now, result)
 
     def _admit_commit(self, commit: Commit) -> bool:
@@ -806,7 +810,6 @@ class PbftReplica(_ReplicaBase):
         self.committee = tuple(group)
         self.f = djep.committee_fault_budget(len(self.committee))
         self.prepare_tallies: Dict[int, Dict[bytes, Set[int]]] = {}
-        self.prepare_sent_views: Set[int] = set()
 
     def leader_id(self) -> int:
         return self.committee[self.view % len(self.committee)]
@@ -821,16 +824,15 @@ class PbftReplica(_ReplicaBase):
     def _reset_round(self) -> None:
         super()._reset_round()
         self.prepare_tallies.clear()
-        self.prepare_sent_views.clear()
 
     def _vote(self, now: int, result: StepResult) -> None:
         # Backups echo the pre-prepare; the primary's own pre-prepare stands
         # in for its prepare.
-        if not self.is_primary and self.view not in self.prepare_sent_views:
+        if not self.is_primary and not self._voted(self.prepare_tallies):
             prepare = PbftPrepare(
                 height=self.height, view=self.view, digest=self.proposal.digest, sender=self.node_id
             )
-            self._cast(prepare, self.prepare_sent_views, self.prepare_tallies, result)
+            self._cast(prepare, self.prepare_tallies, result)
         self._maybe_send_commit(now, result)
 
     def _on_prepare(self, now: int, prepare: PbftPrepare) -> StepResult:
@@ -850,12 +852,12 @@ class PbftReplica(_ReplicaBase):
         return len(senders) >= 2 * self.f
 
     def _maybe_send_commit(self, now: int, result: StepResult) -> None:
-        if self.view in self.commit_sent_views or not self._prepared():
+        if self._voted(self.commit_tallies) or not self._prepared():
             return
         commit = PbftCommit(
             height=self.height, view=self.view, digest=self.proposal.digest, sender=self.node_id
         )
-        self._cast(commit, self.commit_sent_views, self.commit_tallies, result)
+        self._cast(commit, self.commit_tallies, result)
         self._try_commit(now, result)
 
     _HANDLERS = {

@@ -392,7 +392,6 @@ def fairness_experiment(
     poison_odd: bool = False,
     seed: int = 0,
     omega: float = 0.4,
-    eligibility_percentile: Optional[float] = None,
 ) -> dict:
     """Repeated elections over a fixed table, counting who gets seats.
 
@@ -402,18 +401,18 @@ def fairness_experiment(
     uniformity; the consensus counter exposes the reputation rank cut,
     which is what demotes poisoned nodes.
 
-    The unpoisoned experiment defaults to full eligibility so no spare
-    band exists: among equal reputations the candidate/spare boundary can
+    The unpoisoned experiment uses full eligibility so no spare band
+    exists: among equal reputations the candidate/spare boundary can
     only tie-break on node id, which would put a deterministic id bias
     into the membership counter that says nothing about election fairness.
-    The poisoned experiment keeps the protocol default.
+    The poisoned experiment uses the protocol default, 0.85. The report
+    states which one ran.
     """
     if node_count < 2:
         raise ValueError("fairness experiment needs at least 2 nodes")
     if epochs < 1:
         raise ValueError("fairness experiment needs at least 1 epoch")
-    if eligibility_percentile is None:
-        eligibility_percentile = 0.85 if poison_odd else 1.0
+    eligibility_percentile = 0.85 if poison_odd else 1.0
 
     registry = KeyRegistry(digest(pack(seed), domain=b"fairness-keys"))
     for node in range(node_count):

@@ -12,20 +12,12 @@ from importlib import resources
 from pathlib import Path
 from typing import List, Tuple
 
-from ..config import (
-    ByzantineConfig,
-    ExitScript,
-    NetworkConfig,
-    ScenarioConfig,
-    load_scenario,
-)
+from ..config import ByzantineConfig, ExitScript, ScenarioConfig, load_scenario
 from ..djep import committee_fault_budget
 
 SAFETY_COMMITTEE_SIZES = (4, 7, 10, 13)
 SAFETY_BEHAVIORS = ("silent", "equivocate", "corrupt_digest")
 SWEEP_NODE_COUNTS = (4, 7, 10, 13, 19, 25, 31)
-
-_FAST_NETWORK = NetworkConfig(base_latency_ms=2.0, jitter_ms=1.0, drop_rate=0.0)
 
 
 def safety_preset(committee_size: int, behavior: str, seed: int = 1) -> ScenarioConfig:
@@ -39,7 +31,6 @@ def safety_preset(committee_size: int, behavior: str, seed: int = 1) -> Scenario
     byz = tuple(range(committee_size - f, committee_size))
     return ScenarioConfig(
         name=f"safety_{behavior}_m{committee_size}",
-        protocol="ebrc",
         node_count=committee_size,
         seed=seed,
         omega=1.0,
@@ -49,7 +40,6 @@ def safety_preset(committee_size: int, behavior: str, seed: int = 1) -> Scenario
         rounds_per_epoch=3,
         block_tx_cap=3,
         load=3,
-        network=_FAST_NETWORK,
         byzantine=ByzantineConfig(node_ids=byz, behavior=behavior),
     )
 
@@ -63,7 +53,6 @@ def election_corrupt_proof_preset(seed: int = 1) -> ScenarioConfig:
     """
     return ScenarioConfig(
         name="election_corrupt_proof_n6",
-        protocol="ebrc",
         node_count=6,
         seed=seed,
         omega=1.0,
@@ -73,7 +62,6 @@ def election_corrupt_proof_preset(seed: int = 1) -> ScenarioConfig:
         rounds_per_epoch=3,
         block_tx_cap=3,
         load=3,
-        network=_FAST_NETWORK,
         byzantine=ByzantineConfig(node_ids=(5,), behavior="corrupt_proof"),
     )
 
@@ -82,7 +70,6 @@ def churn_exit_preset(seed: int = 1) -> ScenarioConfig:
     """Mid-epoch exit with the quorum floor preserved (11 -> 10 members)."""
     return ScenarioConfig(
         name="churn_exit_m11",
-        protocol="ebrc",
         node_count=11,
         seed=seed,
         omega=1.0,
@@ -92,7 +79,6 @@ def churn_exit_preset(seed: int = 1) -> ScenarioConfig:
         rounds_per_epoch=4,
         block_tx_cap=3,
         load=3,
-        network=_FAST_NETWORK,
         exits=(ExitScript(round_index=1, node_id=7),),
     )
 
@@ -106,7 +92,6 @@ def churn_join_preset(seed: int = 1) -> ScenarioConfig:
     """
     return ScenarioConfig(
         name="churn_join_m7",
-        protocol="ebrc",
         node_count=8,
         seed=seed,
         omega=1.0,
@@ -116,7 +101,6 @@ def churn_join_preset(seed: int = 1) -> ScenarioConfig:
         rounds_per_epoch=4,
         block_tx_cap=3,
         load=3,
-        network=_FAST_NETWORK,
         exits=(ExitScript(round_index=1, node_id=4),),
     )
 
@@ -126,15 +110,12 @@ def law_pair(node_count: int, seed: int = 1) -> Tuple[ScenarioConfig, ScenarioCo
     common = dict(
         node_count=node_count,
         seed=seed,
-        epochs=1,
         rounds_per_epoch=1,
         block_tx_cap=3,
         load=3,
-        network=_FAST_NETWORK,
     )
     ebrc = ScenarioConfig(
         name=f"law_ebrc_n{node_count}",
-        protocol="ebrc",
         omega=1.0,
         eligibility_percentile=1.0,
         consensus_percentile=1.0,
@@ -168,19 +149,15 @@ def comparison_pair(
     common = dict(
         node_count=node_count,
         seed=seed,
-        epochs=1,
         rounds_per_epoch=rounds,
         block_tx_cap=5,
         load=5,
-        network=_FAST_NETWORK,
         byzantine=byz_config,
     )
     ebrc = ScenarioConfig(
         name=f"compare_{tag}_ebrc_n{node_count}",
-        protocol="ebrc",
         omega=1.0,
         eligibility_percentile=1.0,
-        consensus_percentile=0.5,
         **common,
     )
     pbft = ScenarioConfig(name=f"compare_{tag}_pbft_n{node_count}", protocol="pbft", **common)
@@ -191,17 +168,14 @@ def djep_exit_preset(seed: int = 1) -> ScenarioConfig:
     """Exit from a 26-member committee (floor preserved: 25 = 3f+1, f=8)."""
     return ScenarioConfig(
         name="djep_exit_m26",
-        protocol="ebrc",
         node_count=26,
         seed=seed,
         omega=1.0,
         eligibility_percentile=1.0,
         consensus_percentile=1.0,
-        epochs=1,
         rounds_per_epoch=4,
         block_tx_cap=3,
         load=3,
-        network=_FAST_NETWORK,
         exits=(ExitScript(round_index=1, node_id=10),),
     )
 
@@ -211,17 +185,14 @@ def djep_join_preset(seed: int = 1) -> ScenarioConfig:
     24 < 3f+1 = 25, so node 25 is invited before the exit finalizes."""
     return ScenarioConfig(
         name="djep_join_m25",
-        protocol="ebrc",
         node_count=26,
         seed=seed,
         omega=1.0,
         eligibility_percentile=1.0,
         consensus_percentile=25.0 / 26.0,
-        epochs=1,
         rounds_per_epoch=4,
         block_tx_cap=3,
         load=3,
-        network=_FAST_NETWORK,
         exits=(ExitScript(round_index=1, node_id=10),),
     )
 
@@ -233,11 +204,9 @@ def pbft_viewchange_preset(node_count: int = 26, seed: int = 1) -> ScenarioConfi
         protocol="pbft",
         node_count=node_count,
         seed=seed,
-        epochs=1,
         rounds_per_epoch=1,
         block_tx_cap=3,
         load=3,
-        network=_FAST_NETWORK,
         byzantine=ByzantineConfig(node_ids=(0,), behavior="silent"),
     )
 

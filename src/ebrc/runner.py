@@ -149,10 +149,10 @@ class ScenarioRunner:
         # The one protocol seam. EBRC runs a committee lifecycle: an election
         # at each epoch start, DJEP transitions after each committed round and
         # a reputation update at each epoch end. PBFT's committee is its whole
-        # group, fixed for the run, so it skips all three: it shadows the
-        # class's hooks (at the end of the class) with a plain function, which
-        # keeps the runner free of bound methods of itself. Both keep the
-        # per-round accountability; only EBRC's reputation update reads it.
+        # group, fixed for the run, so it skips all three, and records no
+        # behaviour events, which only EBRC's reputation update reads: it
+        # shadows the class's hooks (at the end of the class) with a plain
+        # function, which keeps the runner free of bound methods of itself.
         if config.protocol == "ebrc":
             self.replicas = {n: EbrcReplica(n, self.registry, **settings) for n in self.node_ids}
         else:
@@ -160,7 +160,7 @@ class ScenarioRunner:
                 n: PbftReplica(n, self.registry, group=self.node_ids, **settings)
                 for n in self.node_ids
             }
-            self._open_epoch = self._after_commit = self._close_epoch = _skip
+            self._open_epoch = self._after_commit = self._close_epoch = self._record = _skip
         # The runner installs each committee, its candidates and f in every
         # replica at once, so any one replica holds them for all.
         self._roster = self.replicas[0]
@@ -515,9 +515,9 @@ class ScenarioRunner:
             if self.config.detect_silent and member not in senders:
                 self._fail(member)
             else:
-                self._epoch_events.append(reputation.Participation(member))
-                self._epoch_events.append(
-                    reputation.TransactionsProcessed(member, block.tx_count)
+                self._record(
+                    reputation.Participation(member),
+                    reputation.TransactionsProcessed(member, block.tx_count),
                 )
 
     # -- observations / accountability --
@@ -558,14 +558,20 @@ class ScenarioRunner:
     def _convict(self, accused: int, kind: str, **row) -> None:
         """Record a confirmed misbehavior: a reputation penalty, a deposit
         slash and a ``confirmed_reports`` row locating it."""
-        self._epoch_events.append(reputation.ConfirmedReport(accused, kind))
-        self._epoch_events.append(reputation.DepositSlash(accused, self.config.slash_fraction))
+        self._record(
+            reputation.ConfirmedReport(accused, kind),
+            reputation.DepositSlash(accused, self.config.slash_fraction),
+        )
         self.result.confirmed_reports.append({"node": accused, "kind": kind, **row})
 
     def _fail(self, member: int) -> None:
         """Record a round the member joined but did not complete."""
-        self._epoch_events.append(reputation.Incompletion(member))
+        self._record(reputation.Incompletion(member))
         self._plan_replacement(member)
+
+    def _record(self, *events: reputation.BehaviorEvent) -> None:
+        """Add behaviour events to the epoch's reputation update."""
+        self._epoch_events.extend(events)
 
     def _plan_replacement(self, accused: int) -> None:
         if self.config.replace_faulty and accused in self._roster.committee:
@@ -633,12 +639,15 @@ class ScenarioRunner:
 
         roster = self._roster
         table_reputation = self._reputations()
+        # Plan each forced removal against what the ones before it leave, so
+        # two cannot share one promotion and break the floor.
+        committee, candidates = roster.committee, list(roster.candidates)
         forced: Set[int] = set()
         for accused in sorted(self._replacements):
             plan = djep.plan_removal(
-                committee=roster.committee,
-                f=roster.f,
-                candidates=roster.candidates,
+                committee=committee,
+                f=djep.committee_fault_budget(len(committee)),
+                candidates=candidates,
                 reputation=table_reputation,
                 leaver=accused,
             )
@@ -648,8 +657,11 @@ class ScenarioRunner:
                 )
             elif plan.remove:
                 forced.add(accused)
+                committee = djep.committee_without(committee, accused)
                 if plan.promote is not None:
                     due_joins.add(plan.promote)
+                    committee = djep.committee_with_join(committee, table_reputation, plan.promote)
+                    candidates.remove(plan.promote)
         self._replacements = set()
 
         if not due_exits and not due_joins and not forced:

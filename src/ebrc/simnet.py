@@ -151,16 +151,6 @@ def _digest_prefix(message) -> str:
     return ""
 
 
-# What one send puts on a link: the message object, its tag, its digest
-# prefix and the latency factor. Built once per distinct outbound object.
-_Wire = Tuple[object, str, str, float]
-
-
-def _wire(message, latency_factor: float = 1.0) -> _Wire:
-    tag = getattr(type(message), "TAG", type(message).__name__.lower())
-    return (message, tag, _digest_prefix(message), latency_factor)
-
-
 def _equivocation_variant(message, registry: KeyRegistry):
     """Second proposal half the committee will see: the batch minus its tail.
 
@@ -242,59 +232,58 @@ class Simulation:
         self._push(max(at_us, self.now), ("send", sender, tuple(targets), message))
 
     def send(self, sender: int, targets: Sequence[int], message) -> None:
-        wires = self._outbound_wires(self.byzantine.get(sender), message)
-        if not wires or not targets:
+        profile = self.byzantine.get(sender)
+        if profile and profile.behavior in ("silent", "lazy") and isinstance(message, VrfConnect):
+            # Connectivity proofs are exempt from silence and laziness: a node
+            # attacking the consensus phase still wants a committee seat.
+            profile = None
+        variants = self._outbound(profile, message)
+        if not variants or not targets:
             # Nothing went out: the sender must not count as active.
             self.counters.suppressed += len(targets)
             return
         round_index = self.round_provider()
-        # Every wire of one send has the same tag: variants keep the type.
-        _, tag, prefix, _ = wires[0]
-        if len(wires) == 1:
+        # Variants keep the message type, so one tag serves the whole send.
+        tag = getattr(type(message), "TAG", type(message).__name__.lower())
+        latency_factor = profile.latency_factor if profile and profile.behavior == "lazy" else 1.0
+        prefixes = [_digest_prefix(variant) for variant in variants]
+        if len(variants) == 1:
             plan = tuple(targets)
+            prefix = prefixes[0]
         else:
             # Equivocation: the sorted targets alternate between the variants.
             plan = tuple(sorted(targets))
-            prefix = tuple(wires[i % 2][2] for i in range(len(plan)))
+            prefix = tuple(prefixes[i % 2] for i in range(len(plan)))
         if sender in plan:
             raise ValueError("self-delivery is not modeled")
         dropped = []
         for i, target in enumerate(plan):
-            if self._transmit(sender, target, wires[i % len(wires)]):
+            if self._transmit(sender, target, variants[i % len(variants)], latency_factor):
                 dropped.append(target)
         self.counters.note_sent(tag, round_index, sender, len(plan))
         self.trace.append(
             TraceRecord(self.now, sender, plan, tag, prefix, round_index, tuple(dropped))
         )
 
-    def _outbound_wires(self, profile: Optional[ByzantineProfile], message) -> List[_Wire]:
-        """What one send puts on the wire: nothing when it is suppressed, one
-        wire shared by every target, or two variants when the sender
+    def _outbound(self, profile: Optional[ByzantineProfile], message) -> List[object]:
+        """The message variants one send puts on the wire: none when it is
+        suppressed, one shared by every target, or two when the sender
         equivocates."""
-        if profile is None or (
-            profile.behavior in ("silent", "lazy") and isinstance(message, VrfConnect)
-        ):
-            # Connectivity proofs are exempt from silence and laziness: a node
-            # attacking the consensus phase still wants a committee seat.
-            return [_wire(message)]
+        if profile is None or profile.behavior == "lazy":
+            return [message]
         if profile.behavior == "silent":
             return []
-        if profile.behavior == "lazy":
-            return [_wire(message, profile.latency_factor)]
         if profile.behavior == "corrupt_digest":
-            return [_wire(_corrupted_digest(message, self.registry))]
+            return [_corrupted_digest(message, self.registry)]
         if profile.behavior == "corrupt_proof":
-            return [_wire(_corrupted_proof(message))]
+            return [_corrupted_proof(message)]
         # equivocate, the one behavior left
         variant = _equivocation_variant(message, self.registry)
-        if variant is None:
-            return [_wire(message)]
-        return [_wire(message), _wire(variant)]
+        return [message] if variant is None else [message, variant]
 
-    def _transmit(self, sender: int, target: int, wire: _Wire) -> bool:
+    def _transmit(self, sender: int, target: int, message, latency_factor: float) -> bool:
         """Put one message on the link to ``target``; True when the network
         dropped it."""
-        message, _, _, latency_factor = wire
         rng = self._link_rng(sender, target)
         network = self.network
         dropped = bool(network.partitions) and network.partitioned(self.now, sender, target)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import ebrc
 from ebrc import harness, presets
 from ebrc.cli import main
-from ebrc.config import ExitScript, NetworkConfig, ScenarioConfig, save_scenario
+from ebrc.config import ByzantineConfig, ExitScript, NetworkConfig, ScenarioConfig, save_scenario
 from ebrc.messages import CONSENSUS_TAGS
 from ebrc.harness import (
     ConsistencyError,
@@ -295,6 +295,30 @@ class TestRunnerAccountability:
             "scripted exit of node 7 after round 1 skipped: not a consensus node"
         ]
         assert json.loads(report_json(report.to_dict()))["notes"] == report.notes
+
+    def test_two_convictions_in_one_round_share_no_promotion(self):
+        # Committee 7 (f=2) with one candidate, node 7: silent nodes 5 and 6
+        # are both convicted at height 2. Only one of them can be replaced;
+        # the other stalls, so the committee keeps its 3f+1 = 7 floor.
+        config = dataclasses.replace(
+            presets.churn_join_preset(),
+            byzantine=ByzantineConfig(node_ids=(5, 6), behavior="silent"),
+            replace_faulty=True,
+            exits=(),
+        )
+        runner = ScenarioRunner(config)
+        result = runner.run()
+        at_two = [(e["kind"], e["node"]) for e in result.membership_log if e["height"] == 2]
+        assert at_two == [("replace", 5), ("join", 7)]
+        assert {"node": 6, "height": 2, "forced": True} in result.stalled_memberships
+        assert len(runner.replicas[0].committee) == 7
+
+    @pytest.mark.parametrize("name", ["pbft_viewchange_n26", "compare_byz_pbft_n10"])
+    def test_pbft_run_records_no_behaviour_events(self, name):
+        # Only EBRC's reputation update reads behaviour events.
+        runner = ScenarioRunner(presets.load(name))
+        runner.run()
+        assert runner._epoch_events == []
 
 
 class TestRunnerLifetime:
