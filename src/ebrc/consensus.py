@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .crypto import ZERO_HASH, digest
 from .messages import (
@@ -123,6 +124,13 @@ def _count(tallies: Dict[int, Dict[bytes, Set[int]]], vote) -> None:
     tallies.setdefault(vote.view, {}).setdefault(vote.digest, set()).add(vote.sender)
 
 
+@lru_cache(maxsize=16)
+def _member_set(committee: Tuple[int, ...]) -> FrozenSet[int]:
+    """The committee as a set, for O(1) membership tests. Every replica is
+    handed an equal committee, so they all share one set."""
+    return frozenset(committee)
+
+
 def tx_digest(payload: bytes) -> bytes:
     return digest(payload, domain=b"tx")
 
@@ -179,6 +187,7 @@ class _ReplicaBase:
         self.block_tx_cap = block_tx_cap
 
         self.committee: Tuple[int, ...] = ()
+        self.members: FrozenSet[int] = frozenset()  # _member_set(committee)
         self.f = 0
         self.height = 1  # next block height to commit; genesis occupies 0
         self.view = 0
@@ -345,7 +354,7 @@ class _ReplicaBase:
         return (
             self.is_member
             and height == self.height
-            and vote.sender in self.committee
+            and vote.sender in self.members
             and signature_ok(vote, self.registry, vote.sender)
         )
 
@@ -463,7 +472,7 @@ class _ReplicaBase:
             not self.is_member
             or vc.height != self.height
             or vc.proposed_view <= self.view
-            or vc.reporter not in self.committee
+            or vc.reporter not in self.members
             or not signature_ok(vc, self.registry, vc.reporter)
         ):
             return result
@@ -534,7 +543,7 @@ class EbrcReplica(_ReplicaBase):
 
     @property
     def is_member(self) -> bool:
-        return self.node_id in self.committee
+        return self.node_id in self.members
 
     def leader_id(self) -> int:
         return self.committee[select_master(self.height, self.view, self.f)]
@@ -554,6 +563,7 @@ class EbrcReplica(_ReplicaBase):
     ) -> StepResult:
         """Install a new epoch's committee; views restart at 0."""
         self.committee = tuple(committee)
+        self.members = _member_set(self.committee)
         self.candidates = tuple(candidates)
         self.f = f
         self.epoch = epoch
@@ -582,6 +592,7 @@ class EbrcReplica(_ReplicaBase):
         """
         joining = self.node_id in committee and not self.is_member
         self.committee = tuple(committee)
+        self.members = _member_set(self.committee)
         self.candidates = tuple(candidates)
         self.f = f
         if joining and view_hint is not None:
@@ -654,7 +665,7 @@ class EbrcReplica(_ReplicaBase):
         result = StepResult()
         if not self.is_master:
             return result
-        if request.node_id not in self.committee:
+        if request.node_id not in self.members:
             return result
         if not signature_ok(request, self.registry, request.node_id):
             logger.debug("node %d: forged exit request rejected", self.node_id)
@@ -808,6 +819,7 @@ class PbftReplica(_ReplicaBase):
     def __init__(self, node_id, registry, *, group: Sequence[int], **settings) -> None:
         super().__init__(node_id, registry, **settings)
         self.committee = tuple(group)
+        self.members = _member_set(self.committee)
         self.f = djep.committee_fault_budget(len(self.committee))
         self.prepare_tallies: Dict[int, Dict[bytes, Set[int]]] = {}
 

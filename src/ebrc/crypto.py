@@ -9,8 +9,9 @@ That is intentional: runs must replay bit-for-bit. The elections use
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from hashlib import blake2b
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 DIGEST_SIZE = 32
 VRF_VALUE_BITS = 8 * DIGEST_SIZE
@@ -21,15 +22,37 @@ VRF_RANGE = 1 << VRF_VALUE_BITS
 ZERO_HASH = b"\x00" * DIGEST_SIZE
 
 
-def digest(*parts: bytes, domain: bytes = b"msg") -> bytes:
-    """Length-prefixed, domain-separated BLAKE2b over ``parts``."""
+@lru_cache(maxsize=64)
+def _domain_state(domain: bytes):
+    """A state with the length-prefixed ``domain`` absorbed. Every caller
+    shares it, so ``hasher`` copies it and never updates it; a copy costs
+    less than a new state."""
     h = blake2b(digest_size=DIGEST_SIZE)
     h.update(len(domain).to_bytes(2, "big"))
     h.update(domain)
+    return h
+
+
+def hasher(parts: Sequence[bytes], domain: bytes = b"msg", prefix=None):
+    """The BLAKE2b state that ``digest`` finishes: ``domain``, then each of
+    ``parts``, every one length-prefixed.
+
+    Given ``prefix``, a state this function returned, a copy of it absorbs
+    ``parts`` instead (``domain`` is then already in it, and ``prefix`` is
+    left as it was). Inputs that share their leading parts absorb those once:
+    ``digest(*tail, prefix=hasher(head, domain=d)) == digest(*head, *tail, domain=d)``.
+    """
+    h = (_domain_state(domain) if prefix is None else prefix).copy()
     for part in parts:
         h.update(len(part).to_bytes(4, "big"))
         h.update(part)
-    return h.digest()
+    return h
+
+
+def digest(*parts: bytes, domain: bytes = b"msg", prefix=None) -> bytes:
+    """Length-prefixed, domain-separated BLAKE2b over ``parts``, continuing
+    ``prefix`` when given (see ``hasher``)."""
+    return hasher(parts, domain, prefix).digest()
 
 
 def pack(*parts) -> bytes:

@@ -473,7 +473,7 @@ class ScenarioRunner:
 
     def _committed_holder(self, height: int) -> Optional[int]:
         for node in self.honest_ids:
-            if node in self._roster.committee and height in self.replicas[node].ledger:
+            if node in self._roster.members and height in self.replicas[node].ledger:
                 return node
         for node in self.honest_ids:
             if height in self.replicas[node].ledger:
@@ -574,7 +574,7 @@ class ScenarioRunner:
         self._epoch_events.extend(events)
 
     def _plan_replacement(self, accused: int) -> None:
-        if self.config.replace_faulty and accused in self._roster.committee:
+        if self.config.replace_faulty and accused in self._roster.members:
             self._replacements.add(accused)
 
     # -- membership --
@@ -584,7 +584,7 @@ class ScenarioRunner:
             if script.round_index != round_index:
                 continue
             exiter = script.node_id
-            if exiter not in self._roster.committee:
+            if exiter not in self._roster.members:
                 self.result.notes.append(
                     f"scripted exit of node {exiter} after round {round_index} skipped: "
                     "not a consensus node"

@@ -1,9 +1,12 @@
 """Deterministic discrete-event message network.
 
-Single integer microsecond clock, one global event heap ordered by
-(deliver_time, insertion_seq), per-link latency/drop randomness derived from
-the run seed and the link endpoints. Two runs with the same seed and the same
-replica logic replay the exact same event sequence.
+Single integer microsecond clock and per-link latency/drop randomness
+derived from the run seed and the link endpoints. Every event has a key
+(deliver_time, insertion_seq). Timers and deferred sends enter the event heap
+one by one; a send enters it as one run of its deliveries sorted by key, and
+the heap merges the runs, so events still come out in key order. Two runs
+with the same seed and the same replica logic replay the exact same event
+sequence.
 
 Byzantine behavior is modeled as an outbound transform on the faulty sender's
 messages (suppress, delay, split into signed variants, corrupt the digest and
@@ -18,7 +21,8 @@ import dataclasses
 import heapq
 import random
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import cycle, repeat
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -33,7 +37,7 @@ from typing import (
     Union,
 )
 
-from .crypto import KeyRegistry, digest
+from .crypto import KeyRegistry, digest, hasher
 from .messages import (
     Commit,
     PbftCommit,
@@ -43,6 +47,8 @@ from .messages import (
     VrfConnect,
     signed,
 )
+
+_TIME = itemgetter(0)  # a delivery row's time
 
 BYZANTINE_BEHAVIORS = ("silent", "equivocate", "corrupt_digest", "corrupt_proof", "lazy")
 
@@ -194,7 +200,14 @@ def _corrupted_proof(message):
 
 
 class Simulation:
-    """Event loop: deliveries, timers, and deferred sends in one heap."""
+    """Event loop: deliveries, timers, and deferred sends in one heap.
+
+    A heap entry is ``(time_us, seq, item)``, and no two entries share a key.
+    A timer's or a deferred send's item is a tuple led by its kind. A send's
+    item is ``("deliver", run)``: ``run`` holds the send's undelivered
+    ``(time_us, seq, target, message)`` rows in descending key order, and the
+    entry carries the key of its last row, the next to be delivered.
+    """
 
     def __init__(
         self,
@@ -203,7 +216,6 @@ class Simulation:
         registry: KeyRegistry,
         byzantine: Optional[Dict[int, ByzantineProfile]] = None,
     ) -> None:
-        self.run_seed = run_seed
         self.network = network
         self.registry = registry
         self.byzantine = dict(byzantine or {})
@@ -216,20 +228,22 @@ class Simulation:
         self.round_provider: Callable[[], int] = lambda: 0
         self._heap: List[Tuple[int, int, Tuple]] = []
         self._seq = 0
-        self._link_rngs: Dict[Tuple[int, int], random.Random] = {}
+        self._link_rngs: Dict[int, Dict[int, random.Random]] = {}  # sender -> target -> stream
+        # Every link seed starts with the same domain and run seed.
+        self._link_seed_prefix = hasher((run_seed,), b"link")
 
     # -- scheduling --
 
-    def _push(self, at_us: int, item: Tuple) -> None:
-        heapq.heappush(self._heap, (at_us, self._seq, item))
-        self._seq += 1
-
     def schedule_timer(self, target: int, delay_us: int, tick) -> None:
-        self._push(self.now + max(0, delay_us), ("timer", target, tick))
+        at_us = self.now + max(0, delay_us)
+        heapq.heappush(self._heap, (at_us, self._seq, ("timer", target, tick)))
+        self._seq += 1
 
     def schedule_send(self, at_us: int, sender: int, targets: Sequence[int], message) -> None:
         """Defer a send to a future instant (client traffic injection)."""
-        self._push(max(at_us, self.now), ("send", sender, tuple(targets), message))
+        at_us = max(at_us, self.now)
+        heapq.heappush(self._heap, (at_us, self._seq, ("send", sender, tuple(targets), message)))
+        self._seq += 1
 
     def send(self, sender: int, targets: Sequence[int], message) -> None:
         profile = self.byzantine.get(sender)
@@ -256,13 +270,45 @@ class Simulation:
             prefix = tuple(prefixes[i % 2] for i in range(len(plan)))
         if sender in plan:
             raise ValueError("self-delivery is not modeled")
+        # Each link draws from its own stream: the drop draw (when the link is
+        # not partitioned), then the jitter draw (when the message survives).
+        now = self.now
+        network = self.network
+        partitions, drop_rate = network.partitions, network.drop_rate
+        base_latency, jitter_us = float(network.base_latency_us), network.jitter_us
+        link_rngs = self._link_rngs.get(sender)
+        if link_rngs is None:
+            link_rngs = self._link_rngs[sender] = {}
+        seq = self._seq
         dropped = []
-        for i, target in enumerate(plan):
-            if self._transmit(sender, target, variants[i % len(variants)], latency_factor):
+        run = []
+        for target, outgoing in zip(plan, cycle(variants)):
+            rng = link_rngs.get(target)
+            if rng is None:
+                rng = link_rngs[target] = random.Random(
+                    int.from_bytes(self.link_seed(sender, target), "big")
+                )
+            if (partitions and network.partitioned(now, sender, target)) or (
+                drop_rate > 0.0 and rng.random() < drop_rate
+            ):
                 dropped.append(target)
+                continue
+            latency = base_latency
+            if jitter_us:
+                latency += rng.random() * jitter_us
+            run.append((now + int(latency * latency_factor), seq, target, outgoing))
+            seq += 1
+        self._seq = seq
+        if run:
+            # Rows were made in seq order, and the sort is stable, so rows of
+            # equal time stay in seq order: the run is sorted by key.
+            run.sort(key=_TIME)
+            run.reverse()
+            heapq.heappush(self._heap, (run[-1][0], run[-1][1], ("deliver", run)))
+        self.counters.dropped += len(dropped)
         self.counters.note_sent(tag, round_index, sender, len(plan))
         self.trace.append(
-            TraceRecord(self.now, sender, plan, tag, prefix, round_index, tuple(dropped))
+            TraceRecord(now, sender, plan, tag, prefix, round_index, tuple(dropped))
         )
 
     def _outbound(self, profile: Optional[ByzantineProfile], message) -> List[object]:
@@ -281,36 +327,13 @@ class Simulation:
         variant = _equivocation_variant(message, self.registry)
         return [message] if variant is None else [message, variant]
 
-    def _transmit(self, sender: int, target: int, message, latency_factor: float) -> bool:
-        """Put one message on the link to ``target``; True when the network
-        dropped it."""
-        rng = self._link_rng(sender, target)
-        network = self.network
-        dropped = bool(network.partitions) and network.partitioned(self.now, sender, target)
-        if not dropped and network.drop_rate > 0.0:
-            dropped = rng.random() < network.drop_rate
-        if dropped:
-            self.counters.dropped += 1
-            return True
-        latency = float(network.base_latency_us)
-        if network.jitter_us:
-            latency += rng.random() * network.jitter_us
-        self._push(self.now + int(latency * latency_factor), ("deliver", target, sender, message))
-        return False
-
-    def _link_rng(self, sender: int, target: int) -> random.Random:
-        key = (sender, target)
-        rng = self._link_rngs.get(key)
-        if rng is None:
-            seed_bytes = digest(
-                self.run_seed,
-                sender.to_bytes(8, "big"),
-                target.to_bytes(8, "big"),
-                domain=b"link",
-            )
-            rng = random.Random(int.from_bytes(seed_bytes, "big"))
-            self._link_rngs[key] = rng
-        return rng
+    def link_seed(self, sender: int, target: int) -> bytes:
+        """Seed of the link's random stream:
+        ``digest(run_seed, sender, target, domain=b"link")``, with both ids
+        as 8 big-endian bytes."""
+        return digest(
+            sender.to_bytes(8, "big"), target.to_bytes(8, "big"), prefix=self._link_seed_prefix
+        )
 
     # -- execution --
 
@@ -319,16 +342,26 @@ class Simulation:
 
     def step_one(self) -> bool:
         """Process the single next event; False when the heap is empty."""
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             return False
-        at_us, _, item = heapq.heappop(self._heap)
+        at_us, _, item = heap[0]
         self.now = max(self.now, at_us)
         kind = item[0]
         if kind == "deliver":
-            _, target, sender, message = item
+            run = item[1]
+            _, _, target, message = run.pop()
+            # Advance the run first: while the callback runs, the heap must
+            # hold this run's next key.
+            if run:
+                heapq.heapreplace(heap, (run[-1][0], run[-1][1], item))
+            else:
+                heapq.heappop(heap)
             self.counters.delivered += 1
             self.on_deliver(target, self.now, message)
-        elif kind == "timer":
+            return True
+        heapq.heappop(heap)
+        if kind == "timer":
             _, target, tick = item
             self.on_timer(target, self.now, tick)
         elif kind == "send":
@@ -344,8 +377,8 @@ class Simulation:
             self.step_one()
 
     def in_flight(self) -> int:
-        """Deliveries still on the heap."""
-        return sum(1 for _, _, item in self._heap if item[0] == "deliver")
+        """Deliveries still queued: the rest of every send's run."""
+        return sum(len(item[1]) for _, _, item in self._heap if item[0] == "deliver")
 
     def conservation_ok(self) -> bool:
         return self.counters.conserved(self.in_flight())

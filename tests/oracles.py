@@ -7,8 +7,15 @@ share no logic.
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
 import math
+import random
 from typing import Dict, Sequence
+
+from ebrc.consensus import batch_digest_of
+from ebrc.crypto import digest
+from ebrc.messages import Prepare, PrePrepare, signed
 
 
 def brute_force_h_index(history: Sequence[int]) -> int:
@@ -83,3 +90,98 @@ def rank_by_reputation(table) -> list:
 def rank_by_growth(table) -> list:
     """Node ids by descending growth rate, ties toward the lower id."""
     return sorted(table, key=lambda node: (-table[node].growth_rate, node))
+
+
+class NaiveNetwork:
+    """Reference event loop for ``simnet.Simulation``: one heap entry per
+    delivery, timer and deferred send, keyed (time, insertion number).
+
+    Written from the network model's definition. Each directed link draws
+    from its own ``random.Random``, seeded with the big-endian integer of
+    ``digest(run_seed, sender, target, domain=b"link")``, ids as 8 bytes. A
+    link partitioned at the send instant drops the message and draws nothing.
+    Otherwise the link draws once for a drop when ``drop_rate`` > 0 and, if
+    the message survives, once for jitter when ``jitter_us`` > 0. The latency
+    is ``int((base_latency_us + draw * jitter_us) * factor)``, with the
+    sender's ``lazy`` factor or 1. An ``equivocators`` sender of a proposal of
+    two or more requests sends to its targets in sorted order, alternating
+    the proposal and a re-signed copy whose batch lacks the last request.
+    """
+
+    def __init__(self, run_seed: bytes, registry, *, base_latency_us: int, jitter_us: int,
+                 drop_rate: float = 0.0, partitions=(), lazy=None, equivocators=()) -> None:
+        self.run_seed = run_seed
+        self.registry = registry
+        self.base_latency_us = base_latency_us
+        self.jitter_us = jitter_us
+        self.drop_rate = drop_rate
+        self.partitions = partitions
+        self.lazy = dict(lazy or {})
+        self.equivocators = set(equivocators)
+        self.now = 0
+        self.events = []
+        self.inserted = 0
+        self.rngs = {}
+        self.on_deliver = lambda target, now, message: None
+        self.on_timer = lambda target, now, tick: None
+
+    def _add(self, at_us, event) -> None:
+        heapq.heappush(self.events, (at_us, self.inserted, event))
+        self.inserted += 1
+
+    def _rng(self, sender: int, target: int) -> random.Random:
+        if (sender, target) not in self.rngs:
+            seed = digest(self.run_seed, sender.to_bytes(8, "big"), target.to_bytes(8, "big"),
+                          domain=b"link")
+            self.rngs[sender, target] = random.Random(int.from_bytes(seed, "big"))
+        return self.rngs[sender, target]
+
+    def schedule_timer(self, target: int, delay_us: int, tick) -> None:
+        self._add(self.now + max(0, delay_us), ("timer", target, tick))
+
+    def schedule_send(self, at_us: int, sender: int, targets, message) -> None:
+        self._add(max(at_us, self.now), ("send", sender, list(targets), message))
+
+    def send(self, sender: int, targets, message) -> None:
+        messages = [message]
+        if (sender in self.equivocators and isinstance(message, (Prepare, PrePrepare))
+                and len(message.batch) > 1):
+            shorter = message.batch[:-1]
+            copy = dataclasses.replace(message, batch=shorter, digest=batch_digest_of(shorter),
+                                       signature=b"")
+            messages.append(signed(copy, self.registry, sender))
+            targets = sorted(targets)
+        for i, target in enumerate(targets):
+            rng = self._rng(sender, target)
+            if any(start <= self.now < end and (sender in nodes or target in nodes)
+                   for start, end, nodes in self.partitions):
+                continue
+            if self.drop_rate > 0 and rng.random() < self.drop_rate:
+                continue
+            latency = float(self.base_latency_us)
+            if self.jitter_us > 0:
+                latency += rng.random() * self.jitter_us
+            at_us = self.now + int(latency * self.lazy.get(sender, 1.0))
+            self._add(at_us, ("deliver", target, messages[i % len(messages)]))
+
+    def step_one(self) -> bool:
+        if not self.events:
+            return False
+        at_us, _, event = heapq.heappop(self.events)
+        self.now = max(self.now, at_us)
+        if event[0] == "deliver":
+            self.on_deliver(event[1], self.now, event[2])
+        elif event[0] == "timer":
+            self.on_timer(event[1], self.now, event[2])
+        else:
+            self.send(*event[1:])
+        return True
+
+    def run_until(self, deadline_us: int, stop=None) -> None:
+        while self.events and self.events[0][0] <= deadline_us:
+            if stop is not None and stop():
+                return
+            self.step_one()
+
+    def in_flight(self) -> int:
+        return sum(1 for _, _, event in self.events if event[0] == "deliver")

@@ -462,6 +462,25 @@ class TestCommitGates:
         result = replicas[0].step(0, reply)
         assert result.sends == [] and result.timers == []
 
+    def test_commit_from_member_that_left_ignored(self):
+        replicas, reg = make_committee(5)
+        for replica in replicas.values():
+            replica.apply_membership((0, 1, 2, 3), (), 1)
+        commit = signed(
+            Commit(view=0, timestamp=0, digest=b"d" * 32, sequence=1, valid=True, sender=4),
+            reg, 4,
+        )
+        replicas[0].step(0, commit)
+        assert replicas[0].commit_tallies == {}
+        assert not replicas[4].is_member
+
+    def test_replicas_share_one_member_set(self):
+        ebrc, _ = make_committee(7)
+        pbft, _ = make_group(7)
+        for replicas in (ebrc, pbft):
+            assert replicas[0].members == frozenset(range(7))
+            assert all(r.members is replicas[0].members for r in replicas.values())
+
 
 class TestMultiRoundRotation:
     def test_master_index_advances_by_two_per_commit(self):

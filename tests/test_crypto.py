@@ -14,6 +14,7 @@ from ebrc.crypto import (
     SimulatedVrf,
     derive_seed,
     digest,
+    hasher,
     pack,
 )
 from ebrc.messages import Commit, signature_ok, signed
@@ -39,6 +40,13 @@ class TestDigest:
 
     def test_size(self):
         assert len(digest(b"payload")) == DIGEST_SIZE
+
+    def test_prefix_continues_the_digest(self):
+        head = hasher((b"run-seed",), b"link")
+        untouched = head.digest()
+        assert digest(b"s", b"t", prefix=head) == digest(b"run-seed", b"s", b"t", domain=b"link")
+        assert digest(prefix=head) == untouched
+        assert head.digest() == untouched
 
     def test_pack_type_coverage(self):
         value = pack(1, "s", b"b", True, None, (1, 2))

@@ -3,7 +3,7 @@
 import pytest
 
 from ebrc.consensus import batch_digest_of, tx_digest
-from ebrc.crypto import KeyRegistry
+from ebrc.crypto import KeyRegistry, digest
 from ebrc.messages import (
     Commit,
     Prepare,
@@ -22,6 +22,7 @@ from ebrc.simnet import (
 from ebrc.harness import count_messages
 
 from driver import CLIENT, make_registry, make_request, trace_rows
+from oracles import NaiveNetwork
 
 
 def make_sim(seed=b"simnet-tests", *, network=None, byzantine=None, registry=None):
@@ -164,6 +165,129 @@ class TestConservation:
         drain(sim)
         assert sim.conservation_ok()
         assert sim.counters.delivered == 3
+
+    def test_holds_part_way_through_a_broadcast(self):
+        sim, deliveries, reg = make_sim()
+        sim.send(0, [1, 2, 3], make_commit(reg))
+        assert sim.step_one()
+        assert len(deliveries) == 1
+        assert sim.in_flight() == 2
+        assert sim.conservation_ok()
+
+
+class TestLinkSeeds:
+    def test_link_seed_is_the_link_digest(self):
+        for run_seed in (b"", b"simnet-tests", bytes(range(32))):
+            sim, _, _ = make_sim(run_seed)
+            for sender, target in ((0, 1), (1, 0), (3, 100), (2**40, 7)):
+                expected = digest(
+                    run_seed, sender.to_bytes(8, "big"), target.to_bytes(8, "big"), domain=b"link"
+                )
+                assert sim.link_seed(sender, target) == expected
+
+
+class TestDeliveryOrderOracle:
+    """``Simulation`` against a naive queue with one heap entry per delivery."""
+
+    NODES = tuple(range(6))
+    LAZY, EQUIVOCATOR = 4, 5
+
+    def script(self, sim, reg):
+        """Drive ``sim`` through ties, callbacks, Byzantine senders and cut
+        drains; return every delivery and timer in order, and the cuts."""
+        log = []
+        nodes = self.NODES
+
+        def commit(sender, hop, now):
+            return signed(
+                Commit(view=0, timestamp=now, digest=b"d" * 32, sequence=hop, valid=True,
+                       sender=sender),
+                reg, sender,
+            )
+
+        def on_deliver(target, now, message):
+            log.append((now, target, message))
+            # Even nodes relay a commit once and arm a timer from inside the
+            # callback; the timer defers one more send.
+            if isinstance(message, Commit) and message.sequence == 0 and target % 2 == 0:
+                sim.send(target, [n for n in nodes if n != target], commit(target, 1, now))
+                sim.schedule_timer(target, 1_500, ("tick", now))
+
+        def on_timer(target, now, tick):
+            log.append((now, target, tick))
+            peers = [n for n in nodes if n != target][:3]
+            sim.schedule_send(now + 700, target, peers, commit(target, 2, now))
+
+        sim.on_deliver, sim.on_timer = on_deliver, on_timer
+        for sender in nodes:  # same instant, so equal delivery times without jitter
+            sim.send(sender, [n for n in nodes if n != sender], commit(sender, 0, 0))
+        prepare = make_prepare(reg, payloads=(b"a", b"b", b"c"), sender=self.EQUIVOCATOR)
+        sim.send(self.EQUIVOCATOR, [3, 1, 4, 0, 2], prepare)
+        sim.run_until(2_500)
+        log.append(("deadline cut", sim.now, sim.in_flight()))
+        sim.run_until(10**9, stop=lambda: len(log) >= 60)
+        log.append(("stop cut", sim.now, sim.in_flight()))
+        sim.run_until(10**9)
+        log.append(("drained", sim.now, sim.in_flight()))
+        return log
+
+    def compare(self, seed, base_latency_us, jitter_us, drop_rate=0.0, partitions=()):
+        reg = make_registry(6)
+        network = NetworkModel(base_latency_us, jitter_us, drop_rate, partitions)
+        byzantine = {
+            self.LAZY: ByzantineProfile("lazy"),
+            self.EQUIVOCATOR: ByzantineProfile("equivocate"),
+        }
+        sim = Simulation(seed, network, reg, byzantine)
+        oracle = NaiveNetwork(
+            seed, reg, base_latency_us=base_latency_us, jitter_us=jitter_us,
+            drop_rate=drop_rate, partitions=partitions,
+            lazy={self.LAZY: 4.0}, equivocators={self.EQUIVOCATOR},
+        )
+        log = self.script(sim, reg)
+        assert log == self.script(oracle, reg)
+        assert sim.conservation_ok()
+        return log, sim
+
+    @staticmethod
+    def cuts(log):
+        return [entry for entry in log if isinstance(entry[0], str)]
+
+    @staticmethod
+    def sends_across(log, cut):
+        """The commit sends with deliveries on both sides of the cut entry,
+        each named by its sender, hop and send time."""
+
+        def sends(entries):
+            return {
+                (m.sender, m.sequence, m.timestamp)
+                for _, _, m in entries
+                if isinstance(m, Commit)
+            }
+
+        at = log.index(cut)
+        return sends(log[:at]) & sends(log[at + 1:])
+
+    def test_equal_time_ties_across_sends(self):
+        log, sim = self.compare(b"oracle-ties", 2_000, 0)
+        # Every first-hop message lands at 2 ms but the lazy node's, at 8 ms.
+        assert {now for now, _, _ in log[:30]} == {2_000}
+        assert [now for now, _, m in log if getattr(m, "sender", None) == self.LAZY
+                and m.sequence == 0] == [8_000] * 5
+        # The stop predicate cut a send's run part way: deliveries of one
+        # message fall on both sides of it.
+        assert self.sends_across(log, self.cuts(log)[1])
+        assert self.cuts(log)[0][2] > 0 and self.cuts(log)[-1][2] == 0
+        assert sim.counters.dropped == 0
+
+    def test_drops_partition_and_jitter(self):
+        partitions = ((0, 3_000, frozenset({3})),)
+        log, sim = self.compare(b"oracle-lossy", 2_000, 1_000, 0.1, partitions)
+        assert self.sends_across(log, self.cuts(log)[0])
+        assert sim.counters.dropped > 0
+        # The equivocator's two variants both arrive.
+        proposals = {m.digest for _, _, m in log if isinstance(m, Prepare)}
+        assert len(proposals) == 2
 
 
 class TestPartitions:
@@ -513,3 +637,4 @@ class TestFanOut:
             assert counts.by_round == counters.per_round
             assert counts.not_dropped == counters.delivered  # drained: none in flight
         assert lossy.counters.dropped == 5
+
