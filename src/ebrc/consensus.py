@@ -2,9 +2,12 @@
 three-phase PBFT baseline.
 
 Both replicas are deterministic event-driven state machines: ``step(now,
-event)`` consumes one delivered message or timer tick and returns the
-messages to send plus the timers to arm. All nondeterminism (latency, jitter,
-Byzantine transforms) lives in the network layer, never here.
+event)`` consumes one delivered message or timer tick and returns a
+``StepResult``: the sends to make plus the timers to arm. Each send is one
+``(targets, message)`` entry, so a broadcast is one entry whose targets are the
+committee minus this node, in committee order, and a message to one node is
+``((target,), message)``. All nondeterminism (latency, jitter, Byzantine
+transforms) lives in the network layer, never here.
 
 Both run on one core, ``_ReplicaBase``: request intake and timer arming, the
 leader's proposal, the vote path (sign, count and broadcast a node's own
@@ -27,7 +30,7 @@ votes once per view).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -149,10 +152,19 @@ def batch_digest_of(batch: Sequence[Request]) -> bytes:
     return digest(*[r.digest for r in batch], domain=b"batch")
 
 
-@dataclass(slots=True)
+Send = Tuple[Tuple[int, ...], object]  # (targets, message)
+
+
 class StepResult:
-    sends: List[Tuple[int, object]] = field(default_factory=list)
-    timers: List[Tuple[int, TimerTick]] = field(default_factory=list)
+    """What one step asks of the runner, in order: ``sends`` holds one
+    ``(targets, message)`` entry per send, ``timers`` one ``(delay_us, tick)``
+    entry per timer to arm."""
+
+    __slots__ = ("sends", "timers")
+
+    def __init__(self) -> None:
+        self.sends: List[Send] = []
+        self.timers: List[Tuple[int, TimerTick]] = []
 
 
 class _ReplicaBase:
@@ -188,6 +200,7 @@ class _ReplicaBase:
 
         self.committee: Tuple[int, ...] = ()
         self.members: FrozenSet[int] = frozenset()  # _member_set(committee)
+        self.peers: Tuple[int, ...] = ()  # the committee minus this node: a broadcast's targets
         self.f = 0
         self.height = 1  # next block height to commit; genesis occupies 0
         self.view = 0
@@ -213,8 +226,12 @@ class _ReplicaBase:
     def is_leader(self) -> bool:
         return self.is_member and self.leader_id() == self.node_id
 
-    def _to_peers(self, message) -> List[Tuple[int, object]]:
-        return [(peer, message) for peer in self.committee if peer != self.node_id]
+    def _install(self, committee: Sequence[int]) -> None:
+        """Set the committee and what derives from it: the member set and the
+        peers every broadcast goes to."""
+        self.committee = tuple(committee)
+        self.members = _member_set(self.committee)
+        self.peers = tuple(peer for peer in self.committee if peer != self.node_id)
 
     def _proposed(self) -> bool:
         """Whether this node has proposed in the current view."""
@@ -259,10 +276,16 @@ class _ReplicaBase:
     # -- requests and proposals --
 
     def _request_ok(self, request: Request) -> bool:
-        """The digest matches the payload and the client signed the request."""
-        return request.digest == tx_digest(request.payload) and signature_ok(
-            request, self.registry, request.client_id
-        )
+        """The digest matches the payload and the client signed the request.
+
+        A broadcast request is one object at every replica, so a matching
+        digest is memoized on it, like a good signature (see ``messages``).
+        """
+        if not getattr(request, "_digest_ok", False):
+            if request.digest != tx_digest(request.payload):
+                return False
+            object.__setattr__(request, "_digest_ok", True)
+        return signature_ok(request, self.registry, request.client_id)
 
     def _accept_request(self, request: Request) -> bool:
         if request.digest in self.seen_requests:
@@ -299,7 +322,7 @@ class _ReplicaBase:
             self.registry,
             self.node_id,
         )
-        result.sends.extend(self._to_peers(self.proposal))
+        result.sends.append((self.peers, self.proposal))
         # The leader also expects the round to finish; arm its own watchdog.
         self._arm_once(result, "round", self.view_timeout_us)
         self._vote(now, result)
@@ -346,7 +369,7 @@ class _ReplicaBase:
         and send it to every peer."""
         vote = signed(vote, self.registry, self.node_id)
         _count(tallies, vote)
-        result.sends.extend(self._to_peers(vote))
+        result.sends.append((self.peers, vote))
 
     def _admit(self, vote, height: int) -> bool:
         """A received vote counts when this node votes, it is for the current
@@ -412,10 +435,10 @@ class _ReplicaBase:
         }
         self.timer_armed = {key for key in self.timer_armed if key[1] >= self.height}
 
-    def _replies_for(
-        self, batch: Tuple[Request, ...], batch_digest: bytes, now: int
-    ) -> List[Tuple[int, object]]:
-        sends: List[Tuple[int, object]] = []
+    def _reply(
+        self, batch: Tuple[Request, ...], batch_digest: bytes, now: int, result: StepResult
+    ) -> None:
+        """Send each client with a request in the committed batch one Reply."""
         for client_id in sorted({r.client_id for r in batch}):
             reply = signed(
                 Reply(
@@ -429,8 +452,7 @@ class _ReplicaBase:
                 self.registry,
                 self.node_id,
             )
-            sends.append((client_id, reply))
-        return sends
+            result.sends.append(((client_id,), reply))
 
     def _try_commit(self, now: int, result: StepResult) -> None:
         tally = self.commit_tallies.get(self.view)
@@ -446,7 +468,7 @@ class _ReplicaBase:
         batch = self.proposal.batch
         committers = tuple(sorted(tally[winner]))
         self._advance(self._next_block([r.digest for r in batch], len(batch), committers))
-        result.sends.extend(self._replies_for(batch, winner, now))
+        self._reply(batch, winner, now, result)
         self._arm_for_pending(result)
 
     # -- view change --
@@ -462,7 +484,7 @@ class _ReplicaBase:
             self.node_id,
         )
         self.viewchange_tallies.setdefault(key, set()).add(self.node_id)
-        result.sends.extend(self._to_peers(vc))
+        result.sends.append((self.peers, vc))
         result.timers.append((self.view_timeout_us, TimerTick("round", self.height, self.view)))
         self._maybe_adopt_view(proposed_view, result)
 
@@ -562,8 +584,7 @@ class EbrcReplica(_ReplicaBase):
         now: int,
     ) -> StepResult:
         """Install a new epoch's committee; views restart at 0."""
-        self.committee = tuple(committee)
-        self.members = _member_set(self.committee)
+        self._install(committee)
         self.candidates = tuple(candidates)
         self.f = f
         self.epoch = epoch
@@ -591,8 +612,7 @@ class EbrcReplica(_ReplicaBase):
         chain; ``view_hint`` hands it the current view so its commits count.
         """
         joining = self.node_id in committee and not self.is_member
-        self.committee = tuple(committee)
-        self.members = _member_set(self.committee)
+        self._install(committee)
         self.candidates = tuple(candidates)
         self.f = f
         if joining and view_hint is not None:
@@ -616,7 +636,7 @@ class EbrcReplica(_ReplicaBase):
                 self.registry,
                 self.node_id,
             )
-            result.sends.append((self.master_id(), fwd))
+            result.sends.append(((self.master_id(),), fwd))
         return result
 
     def _on_forwarded(self, now: int, event: ForwardedRequest) -> StepResult:
@@ -624,7 +644,7 @@ class EbrcReplica(_ReplicaBase):
             return self._on_request(now, event.request)
         return StepResult()
 
-    def _report(self, accused: int, evidence_kind: str) -> List[Tuple[int, object]]:
+    def _report(self, accused: int, evidence_kind: str) -> Send:
         report = signed(
             Report(
                 accused=accused,
@@ -635,11 +655,11 @@ class EbrcReplica(_ReplicaBase):
             self.registry,
             self.node_id,
         )
-        return self._to_peers(report)
+        return self.peers, report
 
     def _reject_proposal(self, proposal: Prepare, result: StepResult) -> None:
         # Report the master as well as deposing it.
-        result.sends.extend(self._report(proposal.sender, "invalid-proposal"))
+        result.sends.append(self._report(proposal.sender, "invalid-proposal"))
         super()._reject_proposal(proposal, result)
 
     def _vote(self, now: int, result: StepResult) -> None:
@@ -683,15 +703,15 @@ class EbrcReplica(_ReplicaBase):
         self.membership.pending_exits[request.node_id] = request.effective_height
         self.membership.exit_signatures[request.node_id] = request.signature
         if plan.promote is None:
-            result.sends.extend(self._finalize_exit(request.node_id, request.effective_height))
+            result.sends.append(self._finalize_exit(request.node_id, request.effective_height))
         else:
             # Below the committee floor: promotion runs first, exit finalizes
             # once the candidate is in.
             self.membership.joins_blocking_exit[plan.promote] = request.node_id
-            result.sends.extend(self._invite(plan.promote, request.effective_height))
+            result.sends.append(self._invite(plan.promote, request.effective_height))
         return result
 
-    def _invite(self, candidate: int, effective_height: int) -> List[Tuple[int, object]]:
+    def _invite(self, candidate: int, effective_height: int) -> Send:
         notice = signed(
             ChangeNotice(
                 candidate_id=candidate,
@@ -701,9 +721,9 @@ class EbrcReplica(_ReplicaBase):
             self.registry,
             self.node_id,
         )
-        return [(candidate, notice)]
+        return (candidate,), notice
 
-    def _finalize_exit(self, leaver: int, effective_height: int) -> List[Tuple[int, object]]:
+    def _finalize_exit(self, leaver: int, effective_height: int) -> Send:
         member_sig = self.membership.exit_signatures.get(leaver, b"")
         commit = signed(
             ExitCommit(
@@ -715,7 +735,7 @@ class EbrcReplica(_ReplicaBase):
             self.registry,
             self.node_id,
         )
-        return self._to_peers(commit)
+        return self.peers, commit
 
     def _on_exit_commit(self, now: int, event: ExitCommit) -> StepResult:
         if not self.is_member:
@@ -741,8 +761,7 @@ class EbrcReplica(_ReplicaBase):
             self.registry,
             self.node_id,
         )
-        for peer in self.committee:
-            result.sends.append((peer, join))
+        result.sends.append((self.committee, join))
         return result
 
     def _on_join_request(self, now: int, event: JoinRequest) -> StepResult:
@@ -753,7 +772,7 @@ class EbrcReplica(_ReplicaBase):
             return result
         expected = self.table_reputation.get(event.node_id)
         if event.node_id not in self.candidates or expected is None or expected != event.reputation:
-            result.sends.extend(self._report(event.node_id, "reputation-mismatch"))
+            result.sends.append(self._report(event.node_id, "reputation-mismatch"))
             return result
         self.membership.pending_joins[event.node_id] = event.effective_height
         confirm = signed(
@@ -765,13 +784,13 @@ class EbrcReplica(_ReplicaBase):
             self.registry,
             self.node_id,
         )
-        result.sends.append((event.node_id, confirm))
+        result.sends.append(((event.node_id,), confirm))
         if self.is_master and event.node_id in self.membership.joins_blocking_exit:
             # The join that was gating an exit is now in flight; release the
             # held ExitCommit so both transitions land on the same boundary.
             leaver = self.membership.joins_blocking_exit.pop(event.node_id)
             effective = self.membership.pending_exits.get(leaver, event.effective_height)
-            result.sends.extend(self._finalize_exit(leaver, effective))
+            result.sends.append(self._finalize_exit(leaver, effective))
         return result
 
     def _on_join_commit(self, now: int, event: JoinCommit) -> StepResult:
@@ -818,8 +837,7 @@ class PbftReplica(_ReplicaBase):
 
     def __init__(self, node_id, registry, *, group: Sequence[int], **settings) -> None:
         super().__init__(node_id, registry, **settings)
-        self.committee = tuple(group)
-        self.members = _member_set(self.committee)
+        self._install(group)
         self.f = djep.committee_fault_budget(len(self.committee))
         self.prepare_tallies: Dict[int, Dict[bytes, Set[int]]] = {}
 

@@ -20,6 +20,10 @@ and is set only by ``signed()`` or by a successful ``signature_ok()``. A
 changed field, forged sender or copied signature is checked in full. The memo
 answers only for the very registry object and signer it records; any other
 check takes the full ``KeyRegistry.verify`` path.
+
+A second slot, ``_digest_ok``, follows the same rule for a ``Request``'s
+digest: a replica sets it to True only once the digest matched the payload,
+and a ``replace`` copy starts without it.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ CONSENSUS_TAGS = ("preprepare", "prepare", "commit", "reply")
 
 
 class Message:
-    """Base of every wire message; its one slot is the signature memo."""
+    """Base of every wire message; its slots are the signature and digest memos."""
 
-    __slots__ = ("_verified_by",)
+    __slots__ = ("_verified_by", "_digest_ok")
 
     def signed_payload(self) -> bytes:
         """The bytes the sender signs: the class name and every field but

@@ -201,22 +201,13 @@ class ScenarioRunner:
     # -- event plumbing --
 
     def _dispatch(self, sender: int, result) -> None:
-        sends = result.sends
-        i = 0
-        while i < len(sends):
-            target, message = sends[i]
-            targets = [target]
-            j = i + 1
-            # A broadcast arrives as consecutive rows sharing one message
-            # object; regrouping it lets the Byzantine transform see the whole
-            # recipient set (equivocation splits it into halves).
-            while j < len(sends) and sends[j][1] is message:
-                targets.append(sends[j][0])
-                j += 1
-            self.sim.send(sender, targets, message)
-            i = j
+        # One send per entry: a broadcast reaches the Byzantine transform with
+        # its whole recipient set (equivocation splits it into halves).
+        sim = self.sim
+        for targets, message in result.sends:
+            sim.send(sender, targets, message)
         for delay_us, tick in result.timers:
-            self.sim.schedule_timer(sender, delay_us, tick)
+            sim.schedule_timer(sender, delay_us, tick)
 
     def _deliver(self, target: int, now: int, event) -> None:
         """Hand a delivered message or a fired timer to its target."""
@@ -227,7 +218,9 @@ class ScenarioRunner:
         if replica is not None:
             if cls is Report:
                 self._note_report(event)
-            self._dispatch(target, replica.step(now, event))
+            result = replica.step(now, event)
+            if result.sends or result.timers:
+                self._dispatch(target, result)
         else:
             self._client_receive(target, now, event)
 

@@ -20,6 +20,12 @@ def trace_rows(trace):
     return [Row(*row) for row in receiver_rows(trace)]
 
 
+def per_recipient(result: StepResult, cls):
+    """The ``cls`` messages a step sends, as one ``(target, message)`` pair
+    per recipient, in send order."""
+    return [(t, m) for targets, m in result.sends if isinstance(m, cls) for t in targets]
+
+
 def make_registry(n: int) -> KeyRegistry:
     reg = KeyRegistry(seed=b"consensus-tests")
     for node in range(n):
@@ -71,7 +77,8 @@ def make_group(n: int, registry=None):
 
 
 class Pump:
-    """Synchronous FIFO delivery between replicas, counting sends by type.
+    """Synchronous FIFO delivery between replicas, counting messages by type:
+    one per recipient, so a broadcast to three peers counts three.
 
     Timers are collected but only fired explicitly, so tests control which
     watchdogs expire.
@@ -84,9 +91,9 @@ class Pump:
         self.counts = Counter()
 
     def absorb(self, owner, result: StepResult) -> None:
-        for target, message in result.sends:
-            self.counts[type(message).__name__] += 1
-            self.queue.append((target, message))
+        for targets, message in result.sends:
+            self.counts[type(message).__name__] += len(targets)
+            self.queue.extend((target, message) for target in targets)
         for _delay, tick in result.timers:
             self.timers.append((owner, tick))
 

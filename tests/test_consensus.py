@@ -1,11 +1,13 @@
 """Replica state machines: master rotation, quorums, round flow, view change."""
 
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ebrc import consensus
 from ebrc.consensus import (
     EbrcReplica,
     QuorumConflict,
@@ -37,6 +39,7 @@ from driver import (
     make_group,
     make_registry,
     make_request,
+    per_recipient,
 )
 
 
@@ -195,12 +198,13 @@ class TestBadProposal:
             reg, 1,
         )
         result = replicas[0].step(0, bad)
-        reports = [m for _, m in result.sends if isinstance(m, Report)]
-        vcs = [m for _, m in result.sends if isinstance(m, ViewChange)]
+        reports = per_recipient(result, Report)
+        vcs = per_recipient(result, ViewChange)
         assert len(reports) == 3 and len(vcs) == 3
-        assert all(r.accused == 1 for r in reports)
-        assert all(r.evidence_kind == "invalid-proposal" for r in reports)
-        assert all(vc.proposed_view == 1 for vc in vcs)
+        assert [t for t, _ in reports] == [t for t, _ in vcs] == [1, 2, 3]
+        assert all(r.accused == 1 for _, r in reports)
+        assert all(r.evidence_kind == "invalid-proposal" for _, r in reports)
+        assert all(vc.proposed_view == 1 for _, vc in vcs)
 
     def test_prepare_from_non_master_dropped(self):
         replicas, reg = make_committee(4)
@@ -275,8 +279,9 @@ class TestSilentMaster:
         first = replicas[3].step(0, vc_a)
         assert all(not isinstance(m, ViewChange) for _, m in first.sends)
         second = replicas[3].step(0, vc_b)
-        own = [m for _, m in second.sends if isinstance(m, ViewChange)]
+        own = per_recipient(second, ViewChange)
         assert len(own) == 3  # f+1 peers vouched; broadcast without a timeout
+        assert [t for t, _ in own] == [0, 1, 2]
         # Own vote was the third: the 2f+1 adoption happens in the same step.
         assert replicas[3].view == 1
 
@@ -359,14 +364,44 @@ class TestAnnounceAdoption:
 
 
 class TestRequestGates:
+    @pytest.fixture
+    def digest_calls(self, monkeypatch):
+        """The payloads the replicas hash to check a Request's digest."""
+        calls = []
+        monkeypatch.setattr(
+            consensus, "tx_digest", lambda payload: calls.append(payload) or tx_digest(payload)
+        )
+        return calls
+
     def test_wrong_digest_dropped(self):
+        # One Request object reaches every replica, as a broadcast delivers
+        # it; a failed digest check leaves no memo behind for the next one.
         replicas, reg = make_committee(4)
         bad = signed(
             Request(timestamp=1, payload=b"x", digest=tx_digest(b"y"), client_id=CLIENT),
             reg, CLIENT,
         )
-        replicas[0].step(0, bad)
-        assert replicas[0].request_buffer == {}
+        for rep in replicas.values():
+            rep.step(0, bad)
+            assert rep.request_buffer == {}
+
+    def test_request_digest_checked_once_per_object(self, digest_calls):
+        replicas, reg = make_committee(4)
+        req = make_request(reg)
+        for rep in replicas.values():
+            rep.step(0, req)
+            assert req.digest in rep.request_buffer
+        assert digest_calls == [req.payload]
+
+    def test_changed_copy_of_checked_request_rejected(self, digest_calls):
+        replicas, reg = make_committee(4)
+        req = make_request(reg)
+        replicas[0].step(0, req)
+        copy = dataclasses.replace(req, payload=b"tx-2")
+        replicas[1].step(0, copy)
+        # The copy carries no memo: its digest is checked in full.
+        assert digest_calls == [req.payload, b"tx-2"]
+        assert replicas[1].request_buffer == {}
 
     def test_bad_signature_dropped(self):
         replicas, reg = make_committee(4)
@@ -398,8 +433,8 @@ class TestRequestGates:
         req = make_request(reg)
         result = outsider.step(0, req)
         assert len(result.sends) == 1
-        target, fwd = result.sends[0]
-        assert target == 1 and isinstance(fwd, ForwardedRequest)
+        targets, fwd = result.sends[0]
+        assert targets == (1,) and isinstance(fwd, ForwardedRequest)
         assert outsider.step(0, req).sends == []
 
     def test_forward_with_bad_forwarder_signature_ignored(self):
@@ -599,9 +634,10 @@ class TestPbftViewChange:
         propose = replicas[0].step(BATCH_US, TimerTick("batch", 1, 0))
         preprepare = next(m for _, m in propose.sends if m.TAG == "preprepare")
         result = replicas[1].step(0, preprepare)
-        tags = [m.TAG for _, m in result.sends]
+        tags = [m.TAG for targets, m in result.sends for _ in targets]
         assert tags.count("prepare") == 3
         assert tags.count("commit") == 0
+        assert [t for t, m in result.sends if m.TAG == "prepare"] == [(0, 2, 3)]
 
 
 
@@ -667,8 +703,9 @@ class TestPbftSharedPaths:
         first = replicas[3].step(0, vc_a)
         assert first.sends == []
         second = replicas[3].step(0, vc_b)
-        own = [m for _, m in second.sends if isinstance(m, ViewChange)]
-        assert len(own) == 3 and all(m.reporter == 3 for m in own)
+        own = per_recipient(second, ViewChange)
+        assert len(own) == 3 and all(m.reporter == 3 for _, m in own)
+        assert [t for t, _ in own] == [0, 1, 2]
         # Own vote was the third: the 2f+1 adoption happens in the same step.
         assert replicas[3].view == 1
         assert replicas[3].view_change_count == 1

@@ -23,7 +23,7 @@ from ebrc.messages import (
     signed,
 )
 
-from driver import BATCH_US, TIMEOUT_US, Pump, make_committee, make_registry
+from driver import BATCH_US, TIMEOUT_US, Pump, make_committee, make_registry, per_recipient
 from oracles import exit_messages, join_messages
 
 
@@ -251,9 +251,10 @@ class TestJoinValidation:
             JoinRequest(node_id=8, reputation=1.0, effective_height=3), reg, 8
         )
         result = replicas[0].step(0, lie)
-        reports = [m for _, m in result.sends if isinstance(m, Report)]
+        reports = per_recipient(result, Report)
         assert len(reports) == 3
-        assert all(r.accused == 8 and r.evidence_kind == "reputation-mismatch" for r in reports)
+        assert [t for t, _ in reports] == [1, 2, 3]
+        assert all(r.accused == 8 and r.evidence_kind == "reputation-mismatch" for _, r in reports)
         assert not any(isinstance(m, JoinCommit) for _, m in result.sends)
 
     def test_non_candidate_join_reported(self):
@@ -263,8 +264,9 @@ class TestJoinValidation:
             JoinRequest(node_id=9, reputation=0.5, effective_height=3), reg, 9
         )
         result = replicas[0].step(0, stranger)
-        reports = [m for _, m in result.sends if isinstance(m, Report)]
+        reports = per_recipient(result, Report)
         assert len(reports) == 3
+        assert [t for t, _ in reports] == [1, 2, 3]
 
     def test_honest_join_confirmed(self):
         replicas, reg = self.start()

@@ -22,6 +22,7 @@ import pytest
 
 from ebrc import harness, presets
 from ebrc.config import ByzantineConfig
+from ebrc.runner import ScenarioRunner
 
 GOLDEN_SHA256 = {
     "churn_exit_m11": "3005955a16e72648dfc905e5836aa882422048f3db875b80f5516d5a323fe131",
@@ -112,3 +113,53 @@ STUDIES = {
 def test_study_bytes_unchanged(name):
     text = harness.report_json(STUDIES[name]())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == STUDY_SHA256[name]
+
+
+# Receiver rows cannot tell one broadcast from n-1 single sends, so the bytes
+# above do not pin how many sends a run makes. These do: trace records (one
+# per send) and messages on the wire (one per recipient).
+SEND_COUNTS = {
+    "law_ebrc_n4": (16, 43),
+    "law_pbft_n4": (15, 40),
+    "churn_join_m7": (179, 750),
+    "safety_equivocate_m7": (167, 810),
+}
+
+# A proposal, a vote or a ViewChange goes out as one send to the whole
+# committee but its sender.
+BROADCAST_TAGS = ("preprepare", "prepare", "commit", "viewchange")
+
+
+def run_with_committees(config):
+    """Run ``config``; also return, per trace record, the committee its
+    sender's replica held when it sent."""
+    runner = ScenarioRunner(config)
+    sim = runner.sim
+    send = sim.send
+    committees = []
+
+    def send_and_note_committee(sender, targets, message):
+        before = len(sim.trace)
+        send(sender, targets, message)
+        if len(sim.trace) > before:
+            replica = runner.replicas.get(sender)
+            committees.append(replica.committee if replica else None)
+
+    sim.send = send_and_note_committee
+    return runner.run(), committees
+
+
+@pytest.mark.parametrize("name", sorted(SEND_COUNTS))
+def test_broadcast_is_one_send(name):
+    result, committees = run_with_committees(presets.load(name))
+    assert (len(result.trace), result.counters.sent) == SEND_COUNTS[name]
+    assert len(committees) == len(result.trace)
+    broadcasts = 0
+    for record, committee in zip(result.trace, committees):
+        if record.tag in BROADCAST_TAGS:
+            broadcasts += 1
+            assert record.targets == tuple(n for n in committee if n != record.sender)
+    assert broadcasts > 0
+    if name == "churn_join_m7":
+        # The candidate's JoinRequest goes to the whole committee at once.
+        assert [r.tag for r in result.trace].count("urequest") == 1
