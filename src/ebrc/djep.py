@@ -2,9 +2,11 @@
 
 Pure decision helpers plus the bookkeeping state the replicas carry. The
 rule throughout: a committee of size m tolerates f = (m - 1) // 3 faults, and
-no exit may drop the committee below 3f + 1 (f taken before the exit).
-When it would, the highest-reputation candidate is promoted first and the
-exit finalizes behind the join.
+no removal may drop the committee below 3f + 1 (f taken before it). The floor
+is enforced when a transition is applied: every removal is planned with
+``plan_removal`` against the committee the joins and earlier removals leave.
+An exit that needs a promotion waits, pending, until that candidate's join is
+due; a conviction may promote the best candidate directly.
 """
 
 from __future__ import annotations

@@ -616,89 +616,72 @@ class ScenarioRunner:
         return sum(per_tag.get(cls.TAG, 0) for cls in MEMBERSHIP_TYPES)
 
     def _apply_membership_transitions(self) -> None:
-        next_height = self._next_height()
-        due_exits: Set[int] = set()
+        """Apply every transition due at the next height, in one pass.
+
+        Due joins enter first; each removal, in id order, is then planned
+        against the committee the steps before it leave, so none breaks the
+        3f+1 floor. Only a conviction may promote a candidate: an exit whose
+        floor needs one stays pending until that candidate's join is due.
+        """
+        height = self._next_height()
+        roster = self._roster
+        table_reputation = self._reputations()
+        # A join is due only once the joiner itself holds 2f+1 confirmations;
+        # members also record the joins they confirm, so theirs do not count.
+        joins = [
+            n
+            for n in self.node_ids
+            if n not in roster.members
+            and self.replicas[n].membership.pending_joins.get(n, height + 1) <= height
+        ]
+        candidates = [n for n in roster.candidates if n not in joins]
+        committee = roster.committee
+        for joiner in joins:
+            committee = djep.committee_with_join(committee, table_reputation, joiner)
+        exits: Set[int] = set()
         for node in self.honest_ids:
             replica = self.replicas[node]
             if replica.is_member:
-                due_exits.update(replica.membership.due_exits(next_height))
-        # A join is due only once the joiner itself holds 2f+1 confirmations;
-        # members also record the joins they confirm, so theirs do not count.
-        due_joins: Set[int] = set()
-        for node in self.node_ids:
-            h = self.replicas[node].membership.pending_joins.get(node)
-            if h is not None and h <= next_height:
-                due_joins.add(node)
-
-        roster = self._roster
-        table_reputation = self._reputations()
-        # Plan each forced removal against what the ones before it leave, so
-        # two cannot share one promotion and break the floor.
-        committee, candidates = roster.committee, list(roster.candidates)
-        forced: Set[int] = set()
-        for accused in sorted(self._replacements):
+                exits.update(replica.membership.due_exits(height))
+        forced, self._replacements = self._replacements, set()
+        removed: List[int] = []
+        for leaver in sorted(exits | forced):
             plan = djep.plan_removal(
                 committee=committee,
                 f=djep.committee_fault_budget(len(committee)),
-                candidates=candidates,
+                candidates=candidates if leaver in forced else (),
                 reputation=table_reputation,
-                leaver=accused,
+                leaver=leaver,
             )
-            if plan.stalled:
+            if plan.stalled and leaver in forced:
                 self.result.stalled_memberships.append(
-                    {"node": accused, "height": next_height, "forced": True}
+                    {"node": leaver, "height": height, "forced": True}
                 )
-            elif plan.remove:
-                forced.add(accused)
-                committee = djep.committee_without(committee, accused)
-                if plan.promote is not None:
-                    due_joins.add(plan.promote)
-                    committee = djep.committee_with_join(committee, table_reputation, plan.promote)
-                    candidates.remove(plan.promote)
-        self._replacements = set()
-
-        if not due_exits and not due_joins and not forced:
-            return
-
-        new_committee = roster.committee
-        applied_exits: List[int] = []
-        applied_joins: List[int] = []
-        for leaver in sorted(due_exits | forced):
-            if leaver in new_committee:
-                new_committee = djep.committee_without(new_committee, leaver)
-                applied_exits.append(leaver)
-        new_candidates = list(roster.candidates)
-        for joiner in sorted(due_joins):
-            if joiner in new_committee:
+            if not plan.remove:
                 continue
-            new_committee = djep.committee_with_join(
-                new_committee, table_reputation, joiner
-            )
-            if joiner in new_candidates:
-                new_candidates.remove(joiner)
-            applied_joins.append(joiner)
-        if not applied_exits and not applied_joins:
+            removed.append(leaver)
+            committee = djep.committee_without(committee, leaver)
+            if plan.promote is not None:
+                joins.append(plan.promote)
+                candidates.remove(plan.promote)
+                committee = djep.committee_with_join(committee, table_reputation, plan.promote)
+        if not removed and not joins:
             return
-        new_f = djep.committee_fault_budget(len(new_committee))
 
-        applied = applied_exits + applied_joins
-        for node in sorted(self.replicas):
-            replica = self.replicas[node]
-            replica.apply_membership(
-                new_committee, new_candidates, new_f, view_hint=self._view_hint
-            )
-            replica.membership.clear_applied(applied)
-
-        changes = [("replace" if n in forced else "exit", n) for n in applied_exits]
-        changes += [("join", n) for n in applied_joins]
-        for kind, node in changes:
+        joins.sort()
+        f = djep.committee_fault_budget(len(committee))
+        for replica in self.replicas.values():
+            replica.apply_membership(committee, candidates, f, view_hint=self._view_hint)
+            replica.membership.clear_applied(removed + joins)
+        changes = [("replace" if n in forced else "exit", n) for n in removed]
+        for kind, node in changes + [("join", n) for n in joins]:
             self.result.membership_log.append(
-                {"kind": kind, "node": node, "height": next_height, "applied_at_us": self.sim.now}
+                {"kind": kind, "node": node, "height": height, "applied_at_us": self.sim.now}
             )
         for flow in self.result.membership_flows:
-            if "settle_ms" in flow or flow["node"] not in applied_exits:
+            if "settle_ms" in flow or flow["node"] not in removed:
                 continue
-            flow["kind"] = "exit+join" if applied_joins else "exit"
+            flow["kind"] = "exit+join" if joins else "exit"
             flow["applied_at_us"] = self.sim.now
             flow["settle_ms"] = (
                 self._last_membership_delivery_us - flow["requested_at_us"]
@@ -726,6 +709,13 @@ class ScenarioRunner:
             duration_us = self._last_completion_us - self._first_submit_us
             result.duration_ms = duration_us / US_PER_MS
             result.tps = committed_tx / (duration_us / 1_000_000.0)
+        # An exit whose master missed the request, or that the floor holds.
+        result.notes += [
+            f"scripted exit of node {flow['node']} (effective height "
+            f"{flow['effective_height']}) never applied"
+            for flow in result.membership_flows
+            if "applied_at_us" not in flow
+        ]
 
     def _check_ledger_agreement(self) -> None:
         digests: Dict[int, bytes] = {}

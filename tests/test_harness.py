@@ -22,6 +22,7 @@ import ebrc
 from ebrc import harness, presets
 from ebrc.cli import main
 from ebrc.config import ByzantineConfig, ExitScript, NetworkConfig, ScenarioConfig, save_scenario
+from ebrc.consensus import EbrcReplica
 from ebrc.messages import CONSENSUS_TAGS
 from ebrc.harness import (
     ConsistencyError,
@@ -319,6 +320,64 @@ class TestRunnerAccountability:
         runner = ScenarioRunner(presets.load(name))
         runner.run()
         assert runner._epoch_events == []
+
+
+def floor_variant(name, variant):
+    """A churn or DJEP preset with node 3 Byzantine under ``replace_faulty``,
+    or with its last node (the candidate, where it has one) silent."""
+    config = presets.load(name)
+    if variant == "silent_last":
+        byzantine = ByzantineConfig(node_ids=(config.node_count - 1,), behavior="silent")
+        return dataclasses.replace(config, byzantine=byzantine)
+    byzantine = ByzantineConfig(node_ids=(3,), behavior=variant)
+    return dataclasses.replace(config, byzantine=byzantine, replace_faulty=True)
+
+
+class TestMembershipFloor:
+    """No applied transition takes the committee below 3f+1, for the f in
+    force before it; an exit the floor holds back is named in ``notes``."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("variant", ["equivocate", "corrupt_digest", "silent_last"])
+    @pytest.mark.parametrize(
+        "name", ["churn_exit_m11", "churn_join_m7", "djep_exit_m26", "djep_join_m25"]
+    )
+    def test_every_transition_keeps_the_floor(self, monkeypatch, name, variant, seed):
+        sizes = []
+        apply_membership = EbrcReplica.apply_membership
+
+        def recording(replica, committee, candidates, f, **kwargs):
+            sizes.append((len(replica.committee), replica.f, len(committee)))
+            return apply_membership(replica, committee, candidates, f, **kwargs)
+
+        monkeypatch.setattr(EbrcReplica, "apply_membership", recording)
+        ScenarioRunner(dataclasses.replace(floor_variant(name, variant), seed=seed)).run()
+        assert [s for s in sizes if s[2] < 3 * s[1] + 1] == []
+
+    @pytest.mark.parametrize(
+        "name, variant, leaver",
+        [
+            # The exit was planned before node 3's replacement took the spare
+            # member: applying it too would leave 9 members with f=3.
+            ("churn_exit_m11", "equivocate", 7),
+            # The exit waits on candidate 7's join, which never comes.
+            ("churn_join_m7", "silent_last", 4),
+        ],
+    )
+    def test_exit_held_by_the_floor_is_noted(self, name, variant, leaver):
+        result = ScenarioRunner(floor_variant(name, variant)).run()
+        assert ("exit", leaver) not in [(e["kind"], e["node"]) for e in result.membership_log]
+        assert result.notes == [
+            f"scripted exit of node {leaver} (effective height 4) never applied"
+        ]
+
+    def test_exit_lost_to_a_partitioned_master_is_noted(self):
+        # Node 7's ExitRequest goes to master 3 while 3 is cut off.
+        config = presets.load("churn_exit_m11")
+        network = dataclasses.replace(config.network, partitions=((10.0, 60.0, (3,)),))
+        report, _ = run_scenario_with_result(dataclasses.replace(config, network=network))
+        assert [flow["node"] for flow in report.membership_flows] == [7]
+        assert report.notes == ["scripted exit of node 7 (effective height 4) never applied"]
 
 
 class TestRunnerLifetime:
