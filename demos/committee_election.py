@@ -3,6 +3,7 @@
 eligibility gate, and the consensus/candidate/spare split. Then poison half
 the nodes' records and watch the gate demote them."""
 
+from ebrc.consensus import select_master
 from ebrc.crypto import KeyRegistry, SimulatedVrf
 from ebrc.election import VRF_RANGE, ElectionConfig, form_committee
 from ebrc.reputation import ConfirmedReport, Participation, new_record, update_behavior_table
@@ -35,8 +36,9 @@ print()
 print("consensus nodes:", sorted(committee.consensus_nodes))
 print("candidates:     ", sorted(committee.candidates))
 print("spares:         ", sorted(committee.spares))
+# The first block is height 1, view 0.
 print("fault budget f =", committee.f, " first master: node",
-      committee.consensus_nodes[committee.master_index])
+      committee.consensus_nodes[select_master(1, 0, committee.f)])
 print("misbehavior reports:", reports)
 
 # Poison the odd ids: confirmed misbehavior reports raise their evil rate,

@@ -7,14 +7,16 @@ Layers, bottom up:
   function with deterministic, seed-stable outputs.
 - ``messages``: the wire messages, all signed by one rule: the class name
   and every field but ``signature``, in field order.
-- ``reputation``: weighted behavior scoring (offline rate, evil rate,
-  transaction h-index, latency, deposit, join age) and its update rules.
+- ``reputation``: weighted behavior scoring (deposit share, incomplete
+  rate, evil rate, latency-only activity, transaction-size h-index) and its
+  update rules.
 - ``election``: reputation-gated sortition that splits winners into a
   consensus committee and a standby candidate band.
 - ``consensus``: the two-phase committee replica and the three-phase PBFT
   baseline replica, both driven by the same event-loop interface.
-- ``djep``: the dynamic join/exit protocol state machine used by committee
-  members to leave and candidates to be promoted without a re-election.
+- ``djep``: pure helpers of the dynamic join/exit protocol (the 3f+1
+  floor, removal planning, candidate promotion) and the membership state
+  each replica carries.
 - ``simnet``: discrete-event network with latency, jitter, drops,
   partitions, Byzantine transforms, and a full message trace.
 - ``config``: the scenario schema, its JSON round-trip and validation.

@@ -15,10 +15,9 @@ vote; admit, count and tally a peer's), the quorum commit and the advance to
 the next height, the 2f+1 ViewChange adoption with its f+1 straggler join,
 and round-end announce adoption. A protocol states its voting group, who
 votes, the leader of a (height, view), whether the view advances with every
-block and which votes it builds. On top of that, EBRC adds forwarding of
-requests from outside the committee, a Report against an invalid proposal
-and the DJEP exit/join flows; PBFT adds its prepare phase and the prepared
-certificate.
+block and which votes it builds. On top of that, EBRC adds a Report against
+an invalid proposal and the DJEP exit/join flows; PBFT adds its prepare phase
+and the prepared certificate.
 
 Quorum bookkeeping is keyed per view. A vote tally that ignored views could
 mix votes for the same digest across a view change and double-commit under
@@ -41,7 +40,6 @@ from .messages import (
     Commit,
     ExitCommit,
     ExitRequest,
-    ForwardedRequest,
     JoinCommit,
     JoinRequest,
     PbftCommit,
@@ -622,27 +620,7 @@ class EbrcReplica(_ReplicaBase):
         handler = self._HANDLERS.get(type(event))
         return handler(self, now, event) if handler else StepResult()
 
-    # -- requests, prepare and commit --
-
-    def _on_request(self, now: int, request: Request) -> StepResult:
-        if self.is_member:
-            return super()._on_request(now, request)
-        # Outside the committee: forward a fresh request once, toward the
-        # current master.
-        result = StepResult()
-        if self._accept_request(request) and self.committee:
-            fwd = signed(
-                ForwardedRequest(request=request, forwarder=self.node_id),
-                self.registry,
-                self.node_id,
-            )
-            result.sends.append(((self.master_id(),), fwd))
-        return result
-
-    def _on_forwarded(self, now: int, event: ForwardedRequest) -> StepResult:
-        if signature_ok(event, self.registry, event.forwarder):
-            return self._on_request(now, event.request)
-        return StepResult()
+    # -- prepare and commit --
 
     def _report(self, accused: int, evidence_kind: str) -> Send:
         report = signed(
@@ -808,8 +786,6 @@ class EbrcReplica(_ReplicaBase):
     # fall through the table like any other unhandled type.
     _HANDLERS = {
         **_ReplicaBase._HANDLERS,
-        Request: _on_request,
-        ForwardedRequest: _on_forwarded,
         Prepare: _ReplicaBase._on_proposal,
         Commit: _ReplicaBase._on_commit,
         ExitRequest: _on_exit_request,

@@ -6,7 +6,8 @@ no removal may drop the committee below 3f + 1 (f taken before it). The floor
 is enforced when a transition is applied: every removal is planned with
 ``plan_removal`` against the committee the joins and earlier removals leave.
 An exit that needs a promotion waits, pending, until that candidate's join is
-due; a conviction may promote the best candidate directly.
+due; a conviction may directly promote the best candidate that no exit has
+invited.
 """
 
 from __future__ import annotations

@@ -58,8 +58,8 @@ class CommitteeAssignment:
     """Result of one election: the committee and its derived parameters.
 
     ``consensus_nodes`` is ordered by descending reputation (ties by node id);
-    master selection indexes into this order. ``f`` is floor((m-1)/3) of the
-    consensus-node count.
+    master selection (``consensus.select_master``) indexes into this order.
+    ``f`` is floor((m-1)/3) of the consensus-node count.
     """
 
     epoch: int
@@ -68,7 +68,6 @@ class CommitteeAssignment:
     candidates: Tuple[int, ...]
     spares: Tuple[int, ...]
     f: int
-    master_index: int
 
     @property
     def committee(self) -> Tuple[int, ...]:
@@ -84,8 +83,6 @@ class CommitteeAssignment:
         groups = (set(self.consensus_nodes), set(self.candidates), set(self.spares))
         if sum(len(g) for g in groups) != len(set().union(*groups)):
             raise ValueError("committee partitions overlap")
-        if not (0 <= self.master_index < 3 * self.f + 1):
-            raise ValueError("master index out of range")
 
 
 def _cutoff(count: int, percentile: float) -> int:
@@ -135,7 +132,6 @@ def form_committee(
     *,
     corrupt_proofs: Set[int] = frozenset(),
     epoch: int = 0,
-    initial_height: int = 0,
 ) -> Tuple[CommitteeAssignment, List[Tuple[int, str]]]:
     """Run one election and return (assignment, misbehavior reports).
 
@@ -195,7 +191,6 @@ def form_committee(
         candidates=candidates,
         spares=spares,
         f=f,
-        master_index=initial_height % (3 * f + 1),
     )
     assignment.validate()
     return assignment, reports

@@ -35,8 +35,8 @@ from typing import ClassVar, Tuple
 from .crypto import pack
 
 # Tags that the per-round consensus message-count law covers. Requests,
-# forwards, replies to clients, elections, membership, and block announces are
-# traced and counted under their own tags.
+# replies to clients, elections, membership, and block announces are traced
+# and counted under their own tags.
 CONSENSUS_TAGS = ("preprepare", "prepare", "commit", "reply")
 
 
@@ -70,7 +70,7 @@ def _signable(value):
 
 @dataclass(frozen=True, slots=True)
 class Request(Message):
-    """Client transaction submission, broadcast to the whole network."""
+    """Client transaction submission, sent to every committee member."""
 
     TAG: ClassVar[str] = "request"
     timestamp: int
@@ -78,20 +78,6 @@ class Request(Message):
     digest: bytes
     client_id: int
     signature: bytes = b""
-
-
-@dataclass(frozen=True, slots=True)
-class ForwardedRequest(Message):
-    """Request relayed to the master by a node outside the committee."""
-
-    TAG: ClassVar[str] = "request_fwd"
-    request: Request
-    forwarder: int
-    signature: bytes = b""
-
-    @property
-    def digest(self) -> bytes:
-        return self.request.digest
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,7 +6,7 @@ it and aggregated into a reputation score in (0, 1]:
   margin_ratio      -- node deposit over total network deposit
   incomplete_rate   -- abandoned consensus rounds over total participations
   evil_rate         -- confirmed misbehavior reports over total participations
-  activity_rate     -- (offline level + latency level) / (2 * join-age level)
+  activity_rate     -- latency level / 10, from the node's mean link latency
   magnitude_factor  -- h-index of processed-transaction sizes, normalized by
                        the epoch-wide maximum h-index
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Union
 
 logger = logging.getLogger(__name__)
 
@@ -41,8 +41,7 @@ DEFAULT_SLASH_FRACTION = 0.10
 #: Default cap on any single node's share of the total network deposit.
 DEFAULT_DEPOSIT_CAP = 0.25
 
-OFFLINE_LATENCY_LEVELS = (2, 4, 6, 8, 10)
-JOIN_AGE_LEVELS = (2, 4, 8, 9, 10)
+LATENCY_LEVELS = (2, 4, 6, 8, 10)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,9 +90,7 @@ class BehaviorRecord:
     consensus_participations: int = 0
     incomplete_count: int = 0
     reported_evil_count: int = 0
-    offline_level: int = 10
     latency_level: int = 10
-    join_age_level: int = 10
     tx_size_history: List[int] = field(default_factory=list)
     reputation_history: List[float] = field(default_factory=lambda: [INITIAL_REPUTATION])
     growth_history: List[float] = field(default_factory=lambda: [INITIAL_GROWTH_RATE])
@@ -101,12 +98,8 @@ class BehaviorRecord:
     def __post_init__(self) -> None:
         if self.deposit < 0:
             raise ValueError(f"node {self.node_id}: deposit must be >= 0")
-        if self.offline_level not in OFFLINE_LATENCY_LEVELS:
-            raise ValueError(f"node {self.node_id}: invalid offline level {self.offline_level}")
-        if self.latency_level not in OFFLINE_LATENCY_LEVELS:
+        if self.latency_level not in LATENCY_LEVELS:
             raise ValueError(f"node {self.node_id}: invalid latency level {self.latency_level}")
-        if self.join_age_level not in JOIN_AGE_LEVELS:
-            raise ValueError(f"node {self.node_id}: invalid join-age level {self.join_age_level}")
         if self.incomplete_count > self.consensus_participations:
             raise ValueError(f"node {self.node_id}: incomplete_count exceeds participations")
         if self.reported_evil_count > self.consensus_participations:
@@ -132,45 +125,13 @@ class BehaviorRecord:
 BehaviorTable = Dict[int, BehaviorRecord]
 
 
-def new_record(
-    node_id: int,
-    public_key: bytes,
-    deposit: float,
-    *,
-    offline_level: int = 10,
-    latency_level: int = 10,
-    join_age_level: int = 10,
-) -> BehaviorRecord:
+def new_record(node_id: int, public_key: bytes, deposit: float) -> BehaviorRecord:
     """Fresh record with join-time reputation and growth rate of 0.5 each."""
-    return BehaviorRecord(
-        node_id=node_id,
-        public_key=public_key,
-        deposit=deposit,
-        offline_level=offline_level,
-        latency_level=latency_level,
-        join_age_level=join_age_level,
-    )
+    return BehaviorRecord(node_id=node_id, public_key=public_key, deposit=deposit)
 
 
-# === LEVEL BUCKETS ===
-# Observation windows are mapped onto discrete levels; higher is better.
-# Bucket edges are half-open on the left, so exact-zero inputs land in the
-# best bucket rather than falling through.
-
-def offline_level_for(offline_hours: float) -> int:
-    """Level for cumulative offline time over the observation window."""
-    if offline_hours < 0:
-        raise ValueError("offline hours must be >= 0")
-    if offline_hours <= 0.5:
-        return 10
-    if offline_hours <= 2:
-        return 8
-    if offline_hours <= 24:
-        return 6
-    if offline_hours <= 72:
-        return 4
-    return 2
-
+# === LATENCY LEVEL ===
+# A node's mean link latency maps onto a discrete level; higher is better.
 
 def latency_level_for(mean_latency_ms: float) -> int:
     """Level for the node's mean link latency in milliseconds."""
@@ -183,21 +144,6 @@ def latency_level_for(mean_latency_ms: float) -> int:
     if mean_latency_ms <= 80:
         return 6
     if mean_latency_ms <= 100:
-        return 4
-    return 2
-
-
-def join_age_level_for(hours_since_join: float) -> int:
-    """Level for how long the node has been a network member."""
-    if hours_since_join < 0:
-        raise ValueError("join age must be >= 0")
-    if hours_since_join > 96:
-        return 10
-    if hours_since_join > 72:
-        return 9
-    if hours_since_join > 24:
-        return 8
-    if hours_since_join > 12:
         return 4
     return 2
 
@@ -233,8 +179,7 @@ def compute_factors(
     participations = max(1, record.consensus_participations)
     incomplete = record.incomplete_count / participations
     evil = record.reported_evil_count / participations
-    activity = (record.offline_level + record.latency_level) / (2.0 * record.join_age_level)
-    activity = min(1.0, max(0.0, activity))
+    activity = record.latency_level / 10
     magnitude = h_index(record.tx_size_history) / max(1, epoch_max_hindex)
     return FactorVector(margin, incomplete, evil, activity, magnitude)
 
@@ -324,12 +269,10 @@ class TransactionsProcessed:
 
 @dataclass(frozen=True, slots=True)
 class ActivitySample:
-    """Raw observation-window measurements; mapped through the level buckets."""
+    """A node's mean link latency over the observation window."""
 
     node_id: int
-    offline_hours: Optional[float] = None
-    mean_latency_ms: Optional[float] = None
-    hours_since_join: Optional[float] = None
+    mean_latency_ms: float
 
 
 BehaviorEvent = Union[
@@ -403,12 +346,7 @@ def update_behavior_table(
         elif isinstance(event, TransactionsProcessed):
             record.tx_size_history.append(event.count)
         elif isinstance(event, ActivitySample):
-            if event.offline_hours is not None:
-                record.offline_level = offline_level_for(event.offline_hours)
-            if event.mean_latency_ms is not None:
-                record.latency_level = latency_level_for(event.mean_latency_ms)
-            if event.hours_since_join is not None:
-                record.join_age_level = join_age_level_for(event.hours_since_join)
+            record.latency_level = latency_level_for(event.mean_latency_ms)
         else:
             logger.warning("unknown behavior event type rejected: %r", event)
 

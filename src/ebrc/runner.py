@@ -299,7 +299,6 @@ class ScenarioRunner:
             self.registry,
             corrupt_proofs=corrupt,
             epoch=epoch,
-            initial_height=self._next_height(),
         )
 
         for accused, kind in proof_reports:
@@ -620,8 +619,9 @@ class ScenarioRunner:
 
         Due joins enter first; each removal, in id order, is then planned
         against the committee the steps before it leave, so none breaks the
-        3f+1 floor. Only a conviction may promote a candidate: an exit whose
-        floor needs one stays pending until that candidate's join is due.
+        3f+1 floor. Only a conviction may promote a candidate, and only one no
+        exit has invited: an exit whose floor needs one stays pending until
+        the candidate it invited is due to join.
         """
         height = self._next_height()
         roster = self._roster
@@ -639,17 +639,24 @@ class ScenarioRunner:
         for joiner in joins:
             committee = djep.committee_with_join(committee, table_reputation, joiner)
         exits: Set[int] = set()
+        # Candidates an exit has invited, from the master's ChangeNotice until
+        # the join applies: their joins release those exits, so no conviction
+        # may take them.
+        invited: Set[int] = set()
         for node in self.honest_ids:
             replica = self.replicas[node]
             if replica.is_member:
-                exits.update(replica.membership.due_exits(height))
+                membership = replica.membership
+                exits.update(membership.due_exits(height))
+                invited.update(membership.pending_joins, membership.joins_blocking_exit)
         forced, self._replacements = self._replacements, set()
         removed: List[int] = []
         for leaver in sorted(exits | forced):
+            promotable = [c for c in candidates if c not in invited] if leaver in forced else ()
             plan = djep.plan_removal(
                 committee=committee,
                 f=djep.committee_fault_budget(len(committee)),
-                candidates=candidates if leaver in forced else (),
+                candidates=promotable,
                 reputation=table_reputation,
                 leaver=leaver,
             )

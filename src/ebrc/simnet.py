@@ -191,14 +191,6 @@ def _corrupted_digest(message, registry: KeyRegistry):
     return message
 
 
-def _corrupted_proof(message):
-    """Mangle a connectivity proof so election-side verification rejects it."""
-    if isinstance(message, VrfConnect):
-        proof = bytes([message.proof[0] ^ 0xFF]) + message.proof[1:]
-        return dataclasses.replace(message, proof=proof)
-    return message
-
-
 class Simulation:
     """Event loop: deliveries, timers, and deferred sends in one heap.
 
@@ -315,14 +307,14 @@ class Simulation:
         """The message variants one send puts on the wire: none when it is
         suppressed, one shared by every target, or two when the sender
         equivocates."""
-        if profile is None or profile.behavior == "lazy":
+        # A corrupt proof fails the election's verification
+        # (election.form_committee), not any check on the wire.
+        if profile is None or profile.behavior in ("lazy", "corrupt_proof"):
             return [message]
         if profile.behavior == "silent":
             return []
         if profile.behavior == "corrupt_digest":
             return [_corrupted_digest(message, self.registry)]
-        if profile.behavior == "corrupt_proof":
-            return [_corrupted_proof(message)]
         # equivocate, the one behavior left
         variant = _equivocation_variant(message, self.registry)
         return [message] if variant is None else [message, variant]

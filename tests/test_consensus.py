@@ -21,7 +21,6 @@ from ebrc.consensus import (
 from ebrc.messages import (
     BlockAnnounce,
     Commit,
-    ForwardedRequest,
     Prepare,
     Report,
     Reply,
@@ -421,37 +420,6 @@ class TestRequestGates:
         result = replicas[0].step(0, req)
         assert result.sends == [] and result.timers == []
         assert replicas[0].request_buffer == before
-
-    def test_non_member_forwards_once_to_master(self):
-        replicas, reg = make_committee(4)
-        reg.register(9)
-        outsider = EbrcReplica(
-            9, reg, batch_window_us=BATCH_US, view_timeout_us=TIMEOUT_US, block_tx_cap=3
-        )
-        outsider.set_committee(range(4), [], 1, epoch=1,
-                               table_reputation={i: 0.5 for i in range(4)}, now=0)
-        req = make_request(reg)
-        result = outsider.step(0, req)
-        assert len(result.sends) == 1
-        targets, fwd = result.sends[0]
-        assert targets == (1,) and isinstance(fwd, ForwardedRequest)
-        assert outsider.step(0, req).sends == []
-
-    def test_forward_with_bad_forwarder_signature_ignored(self):
-        replicas, reg = make_committee(4)
-        reg.register(9)
-        req = make_request(reg)
-        fwd = signed(ForwardedRequest(request=req, forwarder=9), reg, 0)
-        replicas[1].step(0, fwd)
-        assert replicas[1].request_buffer == {}
-
-    def test_forwarded_request_reaches_master_buffer(self):
-        replicas, reg = make_committee(4)
-        reg.register(9)
-        req = make_request(reg)
-        fwd = signed(ForwardedRequest(request=req, forwarder=9), reg, 9)
-        replicas[1].step(0, fwd)
-        assert req.digest in replicas[1].request_buffer
 
 
 class TestCommitGates:

@@ -270,7 +270,6 @@ class TestFormCommittee:
             candidates=(3,),
             spares=(),
             f=1,
-            master_index=0,
         )
         with pytest.raises(ValueError):
             bad.validate()

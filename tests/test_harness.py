@@ -23,7 +23,7 @@ from ebrc import harness, presets
 from ebrc.cli import main
 from ebrc.config import ByzantineConfig, ExitScript, NetworkConfig, ScenarioConfig, save_scenario
 from ebrc.consensus import EbrcReplica
-from ebrc.messages import CONSENSUS_TAGS
+from ebrc.messages import CONSENSUS_TAGS, JoinRequest
 from ebrc.harness import (
     ConsistencyError,
     compare_reports,
@@ -40,7 +40,7 @@ from ebrc.harness import (
     verify_consistency,
 )
 from ebrc.runner import ScenarioRunner
-from ebrc.simnet import TraceRecord
+from ebrc.simnet import Simulation, TraceRecord
 
 from driver import trace_rows
 from oracles import chi_square_uniform
@@ -333,6 +333,24 @@ def floor_variant(name, variant):
     return dataclasses.replace(config, byzantine=byzantine, replace_faulty=True)
 
 
+def two_candidates(convicted, seed):
+    """``churn_join_m7`` grown to committee 0-6 plus candidates 7 and 8, with
+    one member equivocating under ``replace_faulty``: node 4's exit invites
+    candidate 7, and the conviction needs a candidate too."""
+    return dataclasses.replace(
+        presets.load("churn_join_m7"),
+        node_count=9,
+        consensus_percentile=7 / 9,
+        byzantine=ByzantineConfig(node_ids=(convicted,), behavior="equivocate"),
+        replace_faulty=True,
+        seed=seed,
+    )
+
+
+def membership_changes(result):
+    return [(e["kind"], e["node"], e["height"]) for e in result.membership_log]
+
+
 class TestMembershipFloor:
     """No applied transition takes the committee below 3f+1, for the f in
     force before it; an exit the floor holds back is named in ``notes``."""
@@ -370,6 +388,34 @@ class TestMembershipFloor:
         assert result.notes == [
             f"scripted exit of node {leaver} (effective height 4) never applied"
         ]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_conviction_leaves_the_invited_candidate_to_the_exit(self, seed):
+        # Node 7's join is pending at the members when node 3 is convicted.
+        result = ScenarioRunner(two_candidates(3, seed)).run()
+        assert membership_changes(result) == [
+            ("replace", 3, 3), ("join", 8, 3), ("exit", 4, 4), ("join", 7, 4),
+        ]
+        assert result.notes == []
+
+    def test_invitation_holds_its_candidate_before_the_join_request_lands(self, monkeypatch):
+        # Node 7's JoinRequest is held back 70 ms, past node 5's conviction:
+        # only the master's invitation marks 7 as the exit's.
+        send, held = Simulation.send, set()
+
+        def late_join_requests(sim, sender, targets, message):
+            if isinstance(message, JoinRequest) and message not in held:
+                held.add(message)
+                sim.schedule_send(sim.now + 70_000, sender, targets, message)
+            else:
+                send(sim, sender, targets, message)
+
+        monkeypatch.setattr(Simulation, "send", late_join_requests)
+        result = ScenarioRunner(two_candidates(5, 1)).run()
+        assert membership_changes(result) == [
+            ("replace", 5, 4), ("join", 8, 4), ("exit", 4, 5), ("join", 7, 5),
+        ]
+        assert result.notes == []
 
     def test_exit_lost_to_a_partitioned_master_is_noted(self):
         # Node 7's ExitRequest goes to master 3 while 3 is cut off.

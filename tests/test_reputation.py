@@ -12,6 +12,7 @@ from ebrc.reputation import (
     INITIAL_GROWTH_RATE,
     INITIAL_REPUTATION,
     REPUTATION_FLOOR,
+    ActivitySample,
     BehaviorRecord,
     ConfirmedReport,
     DepositSlash,
@@ -25,10 +26,8 @@ from ebrc.reputation import (
     compute_reputation,
     enforce_deposit_caps,
     h_index,
-    join_age_level_for,
     latency_level_for,
     new_record,
-    offline_level_for,
     slash_deposit,
     update_behavior_table,
 )
@@ -79,9 +78,7 @@ class TestComputeFactors:
             consensus_participations=20,
             incomplete_count=2,
             reported_evil_count=1,
-            offline_level=10,
             latency_level=10,
-            join_age_level=10,
             tx_size_history=[5, 4, 3],
         )
         f = compute_factors(rec, total_deposit=100.0, epoch_max_hindex=3)
@@ -97,18 +94,13 @@ class TestComputeFactors:
         assert f.evil_rate == 0.0
 
     def test_activity_partial(self):
-        rec = record_with(offline_level=2, latency_level=2, join_age_level=10)
+        rec = record_with(latency_level=2)
         f = compute_factors(rec, total_deposit=100.0, epoch_max_hindex=0)
         assert f.activity_rate == pytest.approx(0.2)
 
     def test_zero_total_deposit_degenerate(self):
         f = compute_factors(record_with(deposit=0.0), total_deposit=0.0, epoch_max_hindex=0)
         assert f.margin_ratio == 0.0
-
-    def test_activity_clamped_to_one(self):
-        rec = record_with(offline_level=10, latency_level=10, join_age_level=2)
-        f = compute_factors(rec, total_deposit=100.0, epoch_max_hindex=0)
-        assert f.activity_rate == 1.0
 
     @given(
         st.integers(min_value=0, max_value=100),
@@ -231,14 +223,6 @@ class TestGrowthRate:
 
 
 class TestLevels:
-    def test_offline_buckets(self):
-        assert offline_level_for(0.0) == 10
-        assert offline_level_for(0.5) == 10
-        assert offline_level_for(1.0) == 8
-        assert offline_level_for(10.0) == 6
-        assert offline_level_for(48.0) == 4
-        assert offline_level_for(100.0) == 2
-
     def test_latency_buckets(self):
         assert latency_level_for(10) == 10
         assert latency_level_for(40) == 8
@@ -246,17 +230,9 @@ class TestLevels:
         assert latency_level_for(90) == 4
         assert latency_level_for(200) == 2
 
-    def test_join_age_buckets(self):
-        assert join_age_level_for(100) == 10
-        assert join_age_level_for(80) == 9
-        assert join_age_level_for(48) == 8
-        assert join_age_level_for(18) == 4
-        assert join_age_level_for(1) == 2
-
     def test_negative_inputs_rejected(self):
-        for fn in (offline_level_for, latency_level_for, join_age_level_for):
-            with pytest.raises(ValueError):
-                fn(-1)
+        with pytest.raises(ValueError):
+            latency_level_for(-1)
 
 
 class TestSlashAndCaps:
@@ -341,6 +317,14 @@ class TestBehaviorTable:
         assert updated[0].tx_size_history == [5, 4, 3]
         assert updated[0].reputation > updated[1].reputation
 
+    def test_latency_sample_sets_activity(self):
+        updated = update_behavior_table(self.table(), [ActivitySample(2, mean_latency_ms=60)])
+        assert updated[2].latency_level == 6
+        # Four equal deposits, no rounds, no transactions: margin 0.25,
+        # magnitude 0, and activity 6/10 for the sampled node.
+        assert updated[2].reputation == weighted_reputation(0.25, 0.0, 0.0, 0.6, 0.0)
+        assert updated[3].reputation - updated[2].reputation == pytest.approx(0.2 * 0.4)
+
     def test_unknown_node_event_rejected_not_raised(self):
         updated = update_behavior_table(self.table(), [Participation(99)])
         assert 99 not in updated
@@ -358,9 +342,7 @@ class TestBehaviorTable:
         with pytest.raises(ValueError):
             record_with(deposit=-1.0)
         with pytest.raises(ValueError):
-            record_with(offline_level=3)
-        with pytest.raises(ValueError):
-            record_with(join_age_level=6)
+            record_with(latency_level=3)
         with pytest.raises(ValueError):
             record_with(consensus_participations=1, incomplete_count=2)
 
