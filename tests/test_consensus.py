@@ -421,6 +421,22 @@ class TestRequestGates:
         assert result.sends == [] and result.timers == []
         assert replicas[0].request_buffer == before
 
+    def test_non_member_buffers_request_without_sending(self):
+        # Clients send requests to the committee only; a node outside it
+        # keeps one it is handed, sends nothing and arms no timer.
+        replicas, reg = make_committee(4)
+        reg.register(9)
+        outsider = EbrcReplica(
+            9, reg, batch_window_us=BATCH_US, view_timeout_us=TIMEOUT_US, block_tx_cap=3
+        )
+        outsider.set_committee(range(4), [], 1, epoch=1,
+                               table_reputation={i: 0.5 for i in range(4)}, now=0)
+        req = make_request(reg)
+        result = outsider.step(0, req)
+        assert result.sends == [] and result.timers == []
+        assert list(outsider.request_buffer) == [req.digest]
+        assert outsider.step(0, req).sends == []
+
 
 class TestCommitGates:
     def test_commit_from_outsider_ignored(self):

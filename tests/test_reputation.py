@@ -11,6 +11,7 @@ from ebrc.reputation import (
     DEFAULT_WEIGHTS,
     INITIAL_GROWTH_RATE,
     INITIAL_REPUTATION,
+    LATENCY_LEVELS,
     REPUTATION_FLOOR,
     ActivitySample,
     BehaviorRecord,
@@ -92,6 +93,13 @@ class TestComputeFactors:
         f = compute_factors(record_with(), total_deposit=100.0, epoch_max_hindex=0)
         assert f.incomplete_rate == 0.0
         assert f.evil_rate == 0.0
+
+    @pytest.mark.parametrize("level", LATENCY_LEVELS)
+    def test_activity_is_latency_level_over_ten(self, level):
+        f = compute_factors(record_with(latency_level=level), total_deposit=100.0,
+                            epoch_max_hindex=0)
+        assert f.activity_rate == level / 10
+        assert 0.0 < f.activity_rate <= 1.0
 
     def test_activity_partial(self):
         rec = record_with(latency_level=2)

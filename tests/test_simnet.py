@@ -430,6 +430,15 @@ class TestCorruptDigest:
 
 
 class TestCorruptProof:
+    def test_connectivity_proof_sent_unchanged(self):
+        # A corrupt proof fails the election's verification, not a check
+        # on the wire: the VrfConnect goes out as it was signed.
+        sim, deliveries, reg = make_sim(byzantine={0: ByzantineProfile("corrupt_proof")})
+        connect = make_connect(reg)
+        sim.send(0, [1], connect)
+        drain(sim)
+        assert deliveries[0][2] == connect
+
     def test_consensus_messages_untouched(self):
         sim, deliveries, reg = make_sim(byzantine={0: ByzantineProfile("corrupt_proof")})
         prepare = make_prepare(reg)
