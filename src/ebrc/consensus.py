@@ -568,7 +568,6 @@ class EbrcReplica(_ReplicaBase):
     def leader_id(self) -> int:
         return self.committee[select_master(self.height, self.view, self.f)]
 
-    master_id = leader_id
     is_master = _ReplicaBase.is_leader
 
     def set_committee(

@@ -28,9 +28,10 @@ and a ``replace`` copy starts without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cache
-from typing import ClassVar, Tuple
+from operator import attrgetter
+from typing import Callable, ClassVar, Tuple
 
 from .crypto import pack
 
@@ -49,16 +50,32 @@ class Message:
         """The bytes the sender signs: the class name and every field but
         ``signature``, in field order."""
         cls = type(self)
-        return pack(cls.__name__, *[_signable(getattr(self, name)) for name in _signed_fields(cls)])
+        return _payload(cls, _unsigned_fields(cls)(self))
 
 
 @cache
-def _signed_fields(cls: type) -> Tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.name != "signature")
+def _unsigned_fields(cls: type) -> Callable[["Message"], Tuple]:
+    """A getter of every field value of ``cls`` but ``signature``, in field
+    order. ``signature`` is the last field, so ``cls(*values, signature)``
+    builds a signed message; every class has at least two other fields, so
+    the getter returns a tuple."""
+    *names, last = (f.name for f in fields(cls))
+    if last != "signature":
+        raise TypeError(f"{cls.__name__}: signature must be the last field")
+    return attrgetter(*names)
+
+
+def _payload(cls: type, values: Tuple) -> bytes:
+    return pack(cls.__name__, *[_signable(value) for value in values])
+
+
+_PLAIN = frozenset({int, bytes, str, bool})  # types pack takes as they are
 
 
 def _signable(value):
     """A field value in a form ``pack`` accepts."""
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, Message):
         return value.signed_payload()
     if isinstance(value, tuple):
@@ -277,7 +294,9 @@ MEMBERSHIP_TYPES = frozenset({ExitRequest, ExitCommit, ChangeNotice, JoinRequest
 
 def signed(message, registry, signer_id: int):
     """Return a copy of ``message`` signed by ``signer_id``."""
-    copy = replace(message, signature=registry.sign(signer_id, message.signed_payload()))
+    cls = type(message)
+    values = _unsigned_fields(cls)(message)
+    copy = cls(*values, registry.sign(signer_id, _payload(cls, values)))
     object.__setattr__(copy, "_verified_by", (registry, signer_id))
     return copy
 

@@ -1,7 +1,14 @@
 """Deterministic discrete-event message network.
 
 Single integer microsecond clock and per-link latency/drop randomness
-derived from the run seed and the link endpoints. Every event has a key
+derived from the run seed and the link endpoints. Each directed link draws
+from the stream of ``random.Random(int.from_bytes(link_seed, "big"))``, but
+keeps only its next few draws, not a generator: at first use it takes a
+block of 16 and drops the generator. When fewer than the two draws a target
+may need remain, it seeds the generator again, skips the draws already
+handed out and takes a block twice as long as its stream so far. A link that
+draws a handful of values, the common case, costs a few hundred bytes, not
+a 2.5 KB Mersenne Twister state. Every event has a key
 (deliver_time, insertion_seq). Timers and deferred sends enter the event heap
 one by one; a send enters it as one run of its deliveries sorted by key, and
 the heap merges the runs, so events still come out in key order. Two runs
@@ -17,9 +24,9 @@ signature checks.
 
 from __future__ import annotations
 
+import _random
 import dataclasses
 import heapq
-import random
 from dataclasses import dataclass, field
 from itertools import cycle, repeat
 from operator import itemgetter
@@ -49,6 +56,7 @@ from .messages import (
 )
 
 _TIME = itemgetter(0)  # a delivery row's time
+_FIRST_BLOCK = 16  # draws a link takes at first use; a target takes at most two
 
 BYZANTINE_BEHAVIORS = ("silent", "equivocate", "corrupt_digest", "corrupt_proof", "lazy")
 
@@ -220,7 +228,7 @@ class Simulation:
         self.round_provider: Callable[[], int] = lambda: 0
         self._heap: List[Tuple[int, int, Tuple]] = []
         self._seq = 0
-        self._link_rngs: Dict[int, Dict[int, random.Random]] = {}  # sender -> target -> stream
+        self._link_draws: Dict[int, Dict[int, List]] = {}  # sender -> target -> block
         # Every link seed starts with the same domain and run seed.
         self._link_seed_prefix = hasher((run_seed,), b"link")
 
@@ -268,26 +276,24 @@ class Simulation:
         network = self.network
         partitions, drop_rate = network.partitions, network.drop_rate
         base_latency, jitter_us = float(network.base_latency_us), network.jitter_us
-        link_rngs = self._link_rngs.get(sender)
-        if link_rngs is None:
-            link_rngs = self._link_rngs[sender] = {}
+        link_draws = self._link_draws.get(sender)
+        if link_draws is None:
+            link_draws = self._link_draws[sender] = {}
         seq = self._seq
         dropped = []
         run = []
         for target, outgoing in zip(plan, cycle(variants)):
-            rng = link_rngs.get(target)
-            if rng is None:
-                rng = link_rngs[target] = random.Random(
-                    int.from_bytes(self.link_seed(sender, target), "big")
-                )
+            draws = link_draws.get(target)
+            if draws is None or len(draws) < 3:  # the position and two draws
+                draws = link_draws[target] = self._next_draws(sender, target, draws)
             if (partitions and network.partitioned(now, sender, target)) or (
-                drop_rate > 0.0 and rng.random() < drop_rate
+                drop_rate > 0.0 and draws.pop() < drop_rate
             ):
                 dropped.append(target)
                 continue
             latency = base_latency
             if jitter_us:
-                latency += rng.random() * jitter_us
+                latency += draws.pop() * jitter_us
             run.append((now + int(latency * latency_factor), seq, target, outgoing))
             seq += 1
         self._seq = seq
@@ -322,10 +328,37 @@ class Simulation:
     def link_seed(self, sender: int, target: int) -> bytes:
         """Seed of the link's random stream:
         ``digest(run_seed, sender, target, domain=b"link")``, with both ids
-        as 8 big-endian bytes."""
+        as 8 big-endian bytes. The stream is that of
+        ``random.Random(int.from_bytes(seed, "big")).random()``; the link
+        draws it in blocks (see ``_next_draws``)."""
         return digest(
             sender.to_bytes(8, "big"), target.to_bytes(8, "big"), prefix=self._link_seed_prefix
         )
+
+    def _next_draws(self, sender: int, target: int, draws: Optional[List]) -> List:
+        """The link's next block of draws, given what is left of its last one
+        (None before its first).
+
+        The list is ``[end, d[end - 1], ..., d[start]]``: ``end`` is how far
+        into the stream the block reaches, and ``pop()`` hands out the next
+        draw. The first block holds 16 draws. A later one starts at the first
+        draw not handed out and holds twice as many draws as the last block
+        reached (its ``end``), so a link re-seeds a logarithmic number of
+        times in the draws it takes.
+        """
+        if draws is None:
+            start, end = 0, _FIRST_BLOCK
+        else:
+            start = draws[0] - (len(draws) - 1)
+            end = start + 2 * draws[0]
+        # The C base class of random.Random seeds an int the same way, and
+        # costs less to build.
+        draw = _random.Random(int.from_bytes(self.link_seed(sender, target), "big")).random
+        for _ in range(start):
+            draw()
+        block = [draw() for _ in range(end - start)]
+        block.append(end)
+        return block[::-1]  # a copy sized to fit, unlike the grown list
 
     # -- execution --
 

@@ -142,7 +142,7 @@ class TestRoundWalkthrough:
         for node, rep in replicas.items():
             pump.absorb(node, rep.step(0, request))
         # Initial master is committee[(height=1 + view=0) mod 4] = node 1.
-        assert replicas[0].master_id() == 1
+        assert replicas[0].leader_id() == 1
         assert replicas[1].is_master
         fired = pump.fire(1, "batch", now=BATCH_US)
         assert fired
@@ -165,7 +165,7 @@ class TestRoundWalkthrough:
         for rep in replicas.values():
             assert rep.height == 2
             assert rep.view == 1
-            assert rep.master_id() == 3
+            assert rep.leader_id() == 3
 
     def test_per_round_message_counts(self):
         # (m-1) proposals + m(m-1) commit votes + m replies = 3 + 12 + 4.
@@ -261,7 +261,7 @@ class TestSilentMaster:
             assert rep.view_change_count == 1
             assert ("incompletion", 1, 1) in rep.observations
         # New master is committee[(1 + 1) mod 4] = node 2.
-        assert replicas[0].master_id() == 2
+        assert replicas[0].leader_id() == 2
         assert pump.fire(2, "batch", now=TIMEOUT_US + BATCH_US)
         pump.deliver_all(now=TIMEOUT_US + BATCH_US)
         digests = {rep.ledger[1].block_digest for rep in replicas.values()}
@@ -510,7 +510,7 @@ class TestMultiRoundRotation:
         masters = []
         for round_index in range(4):
             request = make_request(reg, payload=b"tx-%d" % round_index, ts=10 + round_index)
-            masters.append(replicas[0].master_id())
+            masters.append(replicas[0].leader_id())
             for node, rep in replicas.items():
                 pump.absorb(node, rep.step(0, request))
             assert pump.fire(masters[-1], "batch", now=BATCH_US)
@@ -525,7 +525,7 @@ class TestMultiRoundRotation:
         pump = Pump(replicas)
         for round_index in range(3):
             request = make_request(reg, payload=b"c-%d" % round_index, ts=10 + round_index)
-            master = replicas[0].master_id()
+            master = replicas[0].leader_id()
             for node, rep in replicas.items():
                 pump.absorb(node, rep.step(0, request))
             pump.fire(master, "batch", now=BATCH_US)

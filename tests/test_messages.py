@@ -93,6 +93,18 @@ def test_every_message_class_is_covered():
 
 
 @pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda cls: cls.__name__)
+def test_signed_equals_a_replace_with_the_signature(cls, registry):
+    message = cls(**{name: _sample(tp, registry) for name, tp in _fields(cls)})
+    expected = dataclasses.replace(
+        message, signature=registry.sign(SIGNER, message.signed_payload())
+    )
+    copy = signed(message, registry, SIGNER)
+    assert type(copy) is cls
+    assert copy == expected
+    assert message.signature == b""
+
+
+@pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda cls: cls.__name__)
 def test_changing_any_field_breaks_the_signature(cls, registry):
     message = _signed_sample(cls, registry)
     assert signature_ok(dataclasses.replace(message), registry, SIGNER)

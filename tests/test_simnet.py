@@ -1,5 +1,7 @@
 """Deterministic network: ordering, drops, partitions, Byzantine transforms."""
 
+import random
+
 import pytest
 
 from ebrc.consensus import batch_digest_of, tx_digest
@@ -48,9 +50,9 @@ def make_prepare(registry, payloads=(b"a", b"b"), sender=0):
     return signed(prepare, registry, sender)
 
 
-def make_commit(registry, sender=0):
+def make_commit(registry, sender=0, sequence=1):
     commit = Commit(
-        view=0, timestamp=0, digest=b"d" * 32, sequence=1, valid=True, sender=sender
+        view=0, timestamp=0, digest=b"d" * 32, sequence=sequence, valid=True, sender=sender
     )
     return signed(commit, registry, sender)
 
@@ -184,6 +186,51 @@ class TestLinkSeeds:
                     run_seed, sender.to_bytes(8, "big"), target.to_bytes(8, "big"), domain=b"link"
                 )
                 assert sim.link_seed(sender, target) == expected
+
+
+class TestLinkStreams:
+    """A link keeps blocks of its stream, not a generator; the draws must be
+    those of ``random.Random(int.from_bytes(link_seed, "big"))``."""
+
+    def test_draws_equal_the_random_stream(self):
+        # No base latency and 2**53 of jitter: random() is k / 2**53, so each
+        # delivery lands exactly k microseconds after its send.
+        network = NetworkModel(base_latency_us=0, jitter_us=2**53, drop_rate=0.0)
+        sim, deliveries, reg = make_sim(network=network)
+        for sequence in range(300):
+            sim.send(0, [1], make_commit(reg, sequence=sequence))
+        drain(sim)
+        drawn = sorted((message.sequence, now) for _, now, message in deliveries)
+        stream = random.Random(int.from_bytes(sim.link_seed(0, 1), "big"))
+        assert [now for _, now in drawn] == [int(stream.random() * 2**53) for _ in range(300)]
+
+    def test_refills_match_the_oracle(self, monkeypatch):
+        refills = []
+        next_draws = Simulation._next_draws
+
+        def counted(sim, sender, target, draws):
+            if draws is not None:
+                refills.append((sender, target))
+            return next_draws(sim, sender, target, draws)
+
+        monkeypatch.setattr(Simulation, "_next_draws", counted)
+        seed, reg = b"link-refills", make_registry(2)
+        partitions = ((30_000, 45_000, frozenset({1})),)  # partitioned sends draw nothing
+        network = NetworkModel(2_000, 1_000, 0.2, partitions)
+        oracle = NaiveNetwork(seed, reg, base_latency_us=2_000, jitter_us=1_000,
+                              drop_rate=0.2, partitions=partitions)
+        logs = []
+        for net in (Simulation(seed, network, reg), oracle):
+            log = []
+            net.on_deliver = lambda target, now, message, log=log: log.append(
+                (now, target, message.sequence))
+            for sequence in range(200):
+                net.schedule_send(sequence * 300, 0, [1], make_commit(reg, sequence=sequence))
+            drain(net)
+            logs.append(log)
+        assert logs[0] == logs[1]
+        assert 0 < len(logs[0]) < 150  # drops and the partition took their share
+        assert len(refills) >= 3 and set(refills) == {(0, 1)}
 
 
 class TestDeliveryOrderOracle:
