@@ -63,22 +63,14 @@ def pack(*parts) -> bytes:
     """
     out = []
     for part in parts:
-        # The common exact types first; a subclass takes the isinstance chain.
-        kind = type(part)
-        if kind is bytes:
+        if isinstance(part, bytes):
             out.append(part)
-        elif kind is int:
-            out.append(part.to_bytes(16, "big", signed=True))
-        elif kind is str:
-            out.append(part.encode("utf-8"))
         elif isinstance(part, bool):
             out.append(b"\x01" if part else b"\x00")
         elif isinstance(part, int):
             out.append(part.to_bytes(16, "big", signed=True))
         elif isinstance(part, str):
             out.append(part.encode("utf-8"))
-        elif isinstance(part, bytes):
-            out.append(part)
         elif isinstance(part, (tuple, list)):
             out.append(pack(*part))
         elif part is None:

@@ -69,13 +69,8 @@ def _payload(cls: type, values: Tuple) -> bytes:
     return pack(cls.__name__, *[_signable(value) for value in values])
 
 
-_PLAIN = frozenset({int, bytes, str, bool})  # types pack takes as they are
-
-
 def _signable(value):
     """A field value in a form ``pack`` accepts."""
-    if type(value) in _PLAIN:
-        return value
     if isinstance(value, Message):
         return value.signed_payload()
     if isinstance(value, tuple):

@@ -6,7 +6,7 @@ from the stream of ``random.Random(int.from_bytes(link_seed, "big"))``, but
 keeps only its next few draws, not a generator: at first use it takes a
 block of 16 and drops the generator. When fewer than the two draws a target
 may need remain, it seeds the generator again, skips the draws already
-handed out and takes a block twice as long as its stream so far. A link that
+handed out and takes a block as long as its stream so far. A link that
 draws a handful of values, the common case, costs a few hundred bytes, not
 a 2.5 KB Mersenne Twister state. Every event has a key
 (deliver_time, insertion_seq). Timers and deferred sends enter the event heap
@@ -24,9 +24,9 @@ signature checks.
 
 from __future__ import annotations
 
-import _random
 import dataclasses
 import heapq
+import random
 from dataclasses import dataclass, field
 from itertools import cycle, repeat
 from operator import itemgetter
@@ -342,18 +342,17 @@ class Simulation:
         The list is ``[end, d[end - 1], ..., d[start]]``: ``end`` is how far
         into the stream the block reaches, and ``pop()`` hands out the next
         draw. The first block holds 16 draws. A later one starts at the first
-        draw not handed out and holds twice as many draws as the last block
-        reached (its ``end``), so a link re-seeds a logarithmic number of
-        times in the draws it takes.
+        draw not handed out and holds as many draws as the last block reached
+        (its ``end``), so ``end`` about doubles: a link re-seeds a logarithmic
+        number of times in the draws it takes and holds at most about as many
+        unused draws as it has handed out.
         """
         if draws is None:
             start, end = 0, _FIRST_BLOCK
         else:
             start = draws[0] - (len(draws) - 1)
-            end = start + 2 * draws[0]
-        # The C base class of random.Random seeds an int the same way, and
-        # costs less to build.
-        draw = _random.Random(int.from_bytes(self.link_seed(sender, target), "big")).random
+            end = start + draws[0]
+        draw = random.Random(int.from_bytes(self.link_seed(sender, target), "big")).random
         for _ in range(start):
             draw()
         block = [draw() for _ in range(end - start)]

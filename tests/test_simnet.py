@@ -1,7 +1,5 @@
 """Deterministic network: ordering, drops, partitions, Byzantine transforms."""
 
-import random
-
 import pytest
 
 from ebrc.consensus import batch_digest_of, tx_digest
@@ -192,19 +190,20 @@ class TestLinkStreams:
     """A link keeps blocks of its stream, not a generator; the draws must be
     those of ``random.Random(int.from_bytes(link_seed, "big"))``."""
 
-    def test_draws_equal_the_random_stream(self):
-        # No base latency and 2**53 of jitter: random() is k / 2**53, so each
-        # delivery lands exactly k microseconds after its send.
-        network = NetworkModel(base_latency_us=0, jitter_us=2**53, drop_rate=0.0)
-        sim, deliveries, reg = make_sim(network=network)
-        for sequence in range(300):
-            sim.send(0, [1], make_commit(reg, sequence=sequence))
-        drain(sim)
-        drawn = sorted((message.sequence, now) for _, now, message in deliveries)
-        stream = random.Random(int.from_bytes(sim.link_seed(0, 1), "big"))
-        assert [now for _, now in drawn] == [int(stream.random() * 2**53) for _ in range(300)]
-
-    def test_refills_match_the_oracle(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "base_latency_us, jitter_us, drop_rate, partitions, sends",
+        [
+            # Partitioned sends draw nothing; the others draw for a drop, then jitter.
+            (2_000, 1_000, 0.2, ((30_000, 45_000, frozenset({1})),), 200),
+            # No drops and 2**53 µs of jitter: random() is k / 2**53, so each
+            # delivery lands exactly k µs after its send and shows its draw.
+            (0, 2**53, 0.0, (), 300),
+        ],
+        ids=["drops-and-partition", "exact-draws"],
+    )
+    def test_refills_match_the_oracle(
+        self, monkeypatch, base_latency_us, jitter_us, drop_rate, partitions, sends
+    ):
         refills = []
         next_draws = Simulation._next_draws
 
@@ -215,21 +214,23 @@ class TestLinkStreams:
 
         monkeypatch.setattr(Simulation, "_next_draws", counted)
         seed, reg = b"link-refills", make_registry(2)
-        partitions = ((30_000, 45_000, frozenset({1})),)  # partitioned sends draw nothing
-        network = NetworkModel(2_000, 1_000, 0.2, partitions)
-        oracle = NaiveNetwork(seed, reg, base_latency_us=2_000, jitter_us=1_000,
-                              drop_rate=0.2, partitions=partitions)
+        network = NetworkModel(base_latency_us, jitter_us, drop_rate, partitions)
+        oracle = NaiveNetwork(seed, reg, base_latency_us=base_latency_us, jitter_us=jitter_us,
+                              drop_rate=drop_rate, partitions=partitions)
         logs = []
         for net in (Simulation(seed, network, reg), oracle):
             log = []
             net.on_deliver = lambda target, now, message, log=log: log.append(
                 (now, target, message.sequence))
-            for sequence in range(200):
+            for sequence in range(sends):
                 net.schedule_send(sequence * 300, 0, [1], make_commit(reg, sequence=sequence))
             drain(net)
             logs.append(log)
         assert logs[0] == logs[1]
-        assert 0 < len(logs[0]) < 150  # drops and the partition took their share
+        if drop_rate:
+            assert 0 < len(logs[0]) < 0.75 * sends  # drops and the partition took their share
+        else:
+            assert len(logs[0]) == sends
         assert len(refills) >= 3 and set(refills) == {(0, 1)}
 
 
