@@ -8,8 +8,8 @@ Layers, bottom up:
 - ``messages``: the wire messages, all signed by one rule: the class name
   and every field but ``signature``, in field order.
 - ``reputation``: weighted behavior scoring (deposit share, incomplete
-  rate, evil rate, latency-only activity, transaction-size h-index) and its
-  update rules.
+  rate, evil rate, latency-only activity, transaction-size h-index; the two
+  fault rates enter only through their complements) and its update rules.
 - ``election``: reputation-gated sortition that splits winners into a
   consensus committee and a standby candidate band.
 - ``consensus``: the two-phase committee replica and the three-phase PBFT
@@ -20,7 +20,9 @@ Layers, bottom up:
 - ``simnet``: discrete-event network with latency, jitter, drops,
   partitions, Byzantine transforms, and a full message trace.
 - ``config``: the scenario schema, its JSON round-trip and validation.
-- ``presets``: shipped scenario files and builders for sweeps.
+  Knobs that no scenario varies are constants of the modules that use them.
+- ``presets``: the shipped scenario files, each the only copy of its
+  preset, and the builders of the paired scenarios a sweep varies by size.
 - ``runner``: scenario orchestration (epochs, rounds, load injection,
   elections, membership churn) producing a structured result, and the
   genesis behavior table and election settings of a scenario.
@@ -35,7 +37,6 @@ from .config import (
     ExitScript,
     NetworkConfig,
     PoisonConfig,
-    ReputationWeights,
     ScenarioConfig,
     load_scenario,
     save_scenario,
@@ -57,7 +58,6 @@ __all__ = [
     "ExitScript",
     "NetworkConfig",
     "PoisonConfig",
-    "ReputationWeights",
     "ScenarioConfig",
     "load_scenario",
     "save_scenario",

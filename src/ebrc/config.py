@@ -18,11 +18,9 @@ import json
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 from .djep import committee_fault_budget
-from .election import MIN_COMMITTEE
-from .reputation import DEFAULT_DEPOSIT_CAP, DEFAULT_SLASH_FRACTION, ReputationWeights
 from .simnet import BYZANTINE_BEHAVIORS
 
 
@@ -55,27 +53,12 @@ class NetworkConfig:
 class ByzantineConfig:
     node_ids: Tuple[int, ...] = ()
     behavior: str = "silent"
-    latency_factor: float = 4.0
-    # Epoch window [first, last] during which the profile is active;
-    # None means always active.
-    activation: Optional[Tuple[int, int]] = None
 
     def validate(self, path: str = "byzantine") -> None:
         if self.behavior not in BYZANTINE_BEHAVIORS:
             raise ConfigError(f"{path}.behavior: unknown behavior {self.behavior!r}")
-        if self.latency_factor < 1.0:
-            raise ConfigError(f"{path}.latency_factor: must be >= 1")
         if len(set(self.node_ids)) != len(self.node_ids):
             raise ConfigError(f"{path}.node_ids: duplicate ids")
-        if self.activation is not None and self.activation[0] > self.activation[1]:
-            raise ConfigError(f"{path}.activation: first epoch exceeds last")
-
-    def active(self, epoch: int) -> bool:
-        if not self.node_ids:
-            return False
-        if self.activation is None:
-            return True
-        return self.activation[0] <= epoch <= self.activation[1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,17 +93,11 @@ class ScenarioConfig:
     seed: int = 0
 
     # Election parameters (EBRC only).
-    target_committee_size: int = 4
     omega: float = 0.4
     eligibility_percentile: float = 0.85
     consensus_percentile: float = 0.5
-    connect_window_ms: float = 5.0
 
-    # Reputation parameters.
-    weights: ReputationWeights = field(default_factory=ReputationWeights)
-    complement_fault_rates: bool = True
-    slash_fraction: float = DEFAULT_SLASH_FRACTION
-    deposit_cap: float = DEFAULT_DEPOSIT_CAP
+    # Reputation inputs.
     deposits: Mapping[int, float] = field(default_factory=dict)  # default 100 each
     poison: PoisonConfig = field(default_factory=PoisonConfig)
 
@@ -128,21 +105,13 @@ class ScenarioConfig:
     epochs: int = 1
     rounds_per_epoch: int = 20
     block_tx_cap: int = 15
-    load: int = 15  # requests injected per round
-    payload_bytes: int = 64
-    client_count: int = 1
-
-    # Timing (simulated milliseconds).
-    batch_window_ms: float = 2.0
-    view_timeout_ms: float = 40.0
-    round_deadline_ms: float = 2_000.0
+    load: int = 15  # requests the one client injects per round
+    round_deadline_ms: float = 2_000.0  # simulated milliseconds
 
     network: NetworkConfig = field(default_factory=NetworkConfig)
     byzantine: ByzantineConfig = field(default_factory=ByzantineConfig)
-    allow_over_threshold: bool = False
     exits: Tuple[ExitScript, ...] = ()
     replace_faulty: bool = False
-    detect_silent: bool = True
 
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
@@ -151,10 +120,6 @@ class ScenarioConfig:
             raise ConfigError("seed: must be >= 0")
         if self.node_count < 4:
             raise ConfigError("node_count: at least 4 nodes are required")
-        if self.target_committee_size > self.node_count:
-            raise ConfigError("target_committee_size: exceeds node_count")
-        if self.target_committee_size < MIN_COMMITTEE:
-            raise ConfigError(f"target_committee_size: must be >= {MIN_COMMITTEE}")
         if not 0.0 < self.omega <= 1.0:
             raise ConfigError("omega: must lie in (0, 1]")
         for name in ("eligibility_percentile", "consensus_percentile"):
@@ -169,18 +134,8 @@ class ScenarioConfig:
             raise ConfigError("block_tx_cap: must be >= 1")
         if self.load < 0:
             raise ConfigError("load: must be >= 0")
-        if self.payload_bytes < 1:
-            raise ConfigError("payload_bytes: must be >= 1")
-        if self.client_count < 1:
-            raise ConfigError("client_count: must be >= 1")
-        for name in ("batch_window_ms", "view_timeout_ms", "round_deadline_ms", "connect_window_ms"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name}: must be > 0")
-        if not 0.0 <= self.slash_fraction <= 1.0:
-            raise ConfigError("slash_fraction: must lie in [0, 1]")
-        if not 0.0 < self.deposit_cap < 1.0:
-            raise ConfigError("deposit_cap: must lie in (0, 1)")
-        self.weights.validate()
+        if self.round_deadline_ms <= 0:
+            raise ConfigError("round_deadline_ms: must be > 0")
         self.network.validate()
         self.byzantine.validate()
         self.poison.validate()
@@ -189,10 +144,10 @@ class ScenarioConfig:
             if nid not in all_ids:
                 raise ConfigError(f"byzantine.node_ids: {nid} outside 0..{self.node_count - 1}")
         budget = committee_fault_budget(self.node_count)
-        if len(self.byzantine.node_ids) > budget and not self.allow_over_threshold:
+        if len(self.byzantine.node_ids) > budget:
             raise ConfigError(
                 f"byzantine.node_ids: {len(self.byzantine.node_ids)} faulty nodes exceed "
-                f"floor((n-1)/3) = {budget}; set allow_over_threshold for stress runs"
+                f"floor((n-1)/3) = {budget}"
             )
         # PBFT keeps one fixed replica group: it has no join/exit flow.
         if self.protocol == "pbft" and self.exits:
@@ -209,15 +164,14 @@ class ScenarioConfig:
         for nid in self.deposits:
             if nid not in all_ids:
                 raise ConfigError(f"deposits: node {nid} outside 0..{self.node_count - 1}")
-        # Clients follow the nodes in the id space, and a partition may cut
-        # either off.
-        endpoints = range(self.node_count + self.client_count)
+        # The client follows the nodes in the id space, and a partition may
+        # cut either off.
         for i, (_, _, ids) in enumerate(self.network.partitions):
             for nid in ids:
-                if nid not in endpoints:
+                if not 0 <= nid <= self.node_count:
                     raise ConfigError(
-                        f"network.partitions[{i}]: {nid} outside 0..{len(endpoints) - 1} "
-                        "(nodes, then clients)"
+                        f"network.partitions[{i}]: {nid} outside 0..{self.node_count} "
+                        "(nodes, then the client)"
                     )
 
     # -- serialization --
@@ -268,10 +222,6 @@ def _parse(kind: Any, value: Any, path: str) -> Any:
                 raise ConfigError(f"{_join(path, f.name)}: required field missing")
         return kind(**kwargs)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if origin is typing.Union:  # Optional[X]
-        if value is None:
-            return None
-        return _parse(args[0], value, path)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")

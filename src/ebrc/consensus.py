@@ -819,7 +819,6 @@ class PbftReplica(_ReplicaBase):
     def leader_id(self) -> int:
         return self.committee[self.view % len(self.committee)]
 
-    primary_id = leader_id
     is_primary = _ReplicaBase.is_leader
 
     def step(self, now: int, event) -> StepResult:

@@ -1,108 +1,85 @@
-"""Shipped scenario presets and the builders that generate them.
+"""Shipped scenario presets, and builders for the scenarios a sweep varies.
 
-The JSON files in this directory are canonical, loadable through the CLI
+Each JSON file in this directory is a scenario, loadable through the CLI
 (``ebrc run --scenario $(python -c "import ebrc.presets as p; print(p.path('safety_silent_m4'))")``).
-The builder functions produce the same configurations programmatically for
-sweeps (different seeds, node counts) without duplicating files.
+A file is the only statement of its preset: the functions below that return
+a fixed preset load its file and swap in the seed. Only ``law_pair`` and
+``comparison_pair``, which take a node count, build their scenarios.
+
+What each family exercises:
+
+- ``safety_{silent,equivocate,corrupt_digest}_m{4,7,10,13}``: the whole
+  network is the committee (omega and both percentiles 1.0), so its
+  floor((m-1)/3) faulty nodes cannot dodge election; two epochs run the
+  reputation update and re-election.
+- ``election_corrupt_proof_n6``: a node mangles its sortition proof, and is
+  excluded, reported and slashed at each election.
+- ``churn_exit_m11`` and ``djep_exit_m26``: an exit that keeps the 3f+1 floor.
+- ``churn_join_m7`` and ``djep_join_m25``: an exit that would break the
+  floor, so the standby candidate is invited and joins on the same block.
+- ``churn_promote_m7``: ``churn_join_m7`` with a second candidate and an
+  equivocating member under ``replace_faulty``; its conviction promotes
+  candidate 8 while the exit waits on candidate 7.
+- ``pbft_viewchange_n26``: a silent primary forces one full view change.
+- ``law_*_n4`` and ``compare_byz_*_n10``: what ``law_pair(4)`` and
+  ``comparison_pair(10, byzantine=True)`` build.
 """
 
 from __future__ import annotations
 
-from importlib import resources
+import dataclasses
 from pathlib import Path
 from typing import List, Tuple
 
-from ..config import ByzantineConfig, ExitScript, ScenarioConfig, load_scenario
+from ..config import ByzantineConfig, ScenarioConfig, load_scenario
 from ..djep import committee_fault_budget
 
 SAFETY_COMMITTEE_SIZES = (4, 7, 10, 13)
 SAFETY_BEHAVIORS = ("silent", "equivocate", "corrupt_digest")
 SWEEP_NODE_COUNTS = (4, 7, 10, 13, 19, 25, 31)
 
+_DATA_DIR = Path(__file__).parent
+
+# The safety and churn presets a safety batch runs, in its order.
+SAFETY_PRESETS = tuple(
+    f"safety_{behavior}_m{m}" for m in SAFETY_COMMITTEE_SIZES for behavior in SAFETY_BEHAVIORS
+) + ("election_corrupt_proof_n6", "churn_exit_m11", "churn_join_m7")
+
+
+def _seeded(name: str, seed: int) -> ScenarioConfig:
+    return dataclasses.replace(load(name), seed=seed)
+
 
 def safety_preset(committee_size: int, behavior: str, seed: int = 1) -> ScenarioConfig:
-    """Full-membership committee with the maximum tolerated Byzantine count.
-
-    omega/eligibility/consensus are all 1.0 so the committee is the whole
-    network and the faulty nodes cannot dodge election; two epochs exercise
-    the reputation update and re-election path.
-    """
-    f = committee_fault_budget(committee_size)
-    byz = tuple(range(committee_size - f, committee_size))
-    return ScenarioConfig(
+    """``safety_silent_m{committee_size}`` with its floor((m-1)/3) faulty
+    nodes set to ``behavior``, which may be one with no file (``lazy``)."""
+    config = load(f"safety_silent_m{committee_size}")
+    return dataclasses.replace(
+        config,
         name=f"safety_{behavior}_m{committee_size}",
-        node_count=committee_size,
         seed=seed,
-        omega=1.0,
-        eligibility_percentile=1.0,
-        consensus_percentile=1.0,
-        epochs=2,
-        rounds_per_epoch=3,
-        block_tx_cap=3,
-        load=3,
-        byzantine=ByzantineConfig(node_ids=byz, behavior=behavior),
-    )
-
-
-def election_corrupt_proof_preset(seed: int = 1) -> ScenarioConfig:
-    """A node that mangles its sortition proof every epoch.
-
-    It is excluded from the committee, reported, and slashed at each
-    election; 5 verified selectees remain, enough for a committee of 4 plus
-    one candidate.
-    """
-    return ScenarioConfig(
-        name="election_corrupt_proof_n6",
-        node_count=6,
-        seed=seed,
-        omega=1.0,
-        eligibility_percentile=1.0,
-        consensus_percentile=0.8,
-        epochs=2,
-        rounds_per_epoch=3,
-        block_tx_cap=3,
-        load=3,
-        byzantine=ByzantineConfig(node_ids=(5,), behavior="corrupt_proof"),
+        byzantine=dataclasses.replace(config.byzantine, behavior=behavior),
     )
 
 
 def churn_exit_preset(seed: int = 1) -> ScenarioConfig:
-    """Mid-epoch exit with the quorum floor preserved (11 -> 10 members)."""
-    return ScenarioConfig(
-        name="churn_exit_m11",
-        node_count=11,
-        seed=seed,
-        omega=1.0,
-        eligibility_percentile=1.0,
-        consensus_percentile=1.0,
-        epochs=2,
-        rounds_per_epoch=4,
-        block_tx_cap=3,
-        load=3,
-        exits=(ExitScript(round_index=1, node_id=7),),
-    )
+    return _seeded("churn_exit_m11", seed)
 
 
-def churn_join_preset(seed: int = 1) -> ScenarioConfig:
-    """Exit that would break the floor, forcing a candidate promotion.
+def djep_exit_preset(seed: int = 1) -> ScenarioConfig:
+    return _seeded("djep_exit_m26", seed)
 
-    8 nodes, committee 7 (f=2): losing a member leaves 6 < 3f+1 = 7, so the
-    standby candidate (node 7) is invited and both transitions land on the
-    same block boundary.
-    """
-    return ScenarioConfig(
-        name="churn_join_m7",
-        node_count=8,
-        seed=seed,
-        omega=1.0,
-        eligibility_percentile=1.0,
-        consensus_percentile=0.875,
-        epochs=2,
-        rounds_per_epoch=4,
-        block_tx_cap=3,
-        load=3,
-        exits=(ExitScript(round_index=1, node_id=4),),
-    )
+
+def djep_join_preset(seed: int = 1) -> ScenarioConfig:
+    return _seeded("djep_join_m25", seed)
+
+
+def pbft_viewchange_preset(seed: int = 1) -> ScenarioConfig:
+    return _seeded("pbft_viewchange_n26", seed)
+
+
+def all_safety_presets(seed: int = 1) -> List[ScenarioConfig]:
+    return [_seeded(name, seed) for name in SAFETY_PRESETS]
 
 
 def law_pair(node_count: int, seed: int = 1) -> Tuple[ScenarioConfig, ScenarioConfig]:
@@ -164,79 +141,16 @@ def comparison_pair(
     return ebrc, pbft
 
 
-def djep_exit_preset(seed: int = 1) -> ScenarioConfig:
-    """Exit from a 26-member committee (floor preserved: 25 = 3f+1, f=8)."""
-    return ScenarioConfig(
-        name="djep_exit_m26",
-        node_count=26,
-        seed=seed,
-        omega=1.0,
-        eligibility_percentile=1.0,
-        consensus_percentile=1.0,
-        rounds_per_epoch=4,
-        block_tx_cap=3,
-        load=3,
-        exits=(ExitScript(round_index=1, node_id=10),),
-    )
-
-
-def djep_join_preset(seed: int = 1) -> ScenarioConfig:
-    """Exit from a 25-member committee (f=8) that must promote a candidate:
-    24 < 3f+1 = 25, so node 25 is invited before the exit finalizes."""
-    return ScenarioConfig(
-        name="djep_join_m25",
-        node_count=26,
-        seed=seed,
-        omega=1.0,
-        eligibility_percentile=1.0,
-        consensus_percentile=25.0 / 26.0,
-        rounds_per_epoch=4,
-        block_tx_cap=3,
-        load=3,
-        exits=(ExitScript(round_index=1, node_id=10),),
-    )
-
-
-def pbft_viewchange_preset(node_count: int = 26, seed: int = 1) -> ScenarioConfig:
-    """A silent primary forcing one full view change, for message counting."""
-    return ScenarioConfig(
-        name=f"pbft_viewchange_n{node_count}",
-        protocol="pbft",
-        node_count=node_count,
-        seed=seed,
-        rounds_per_epoch=1,
-        block_tx_cap=3,
-        load=3,
-        byzantine=ByzantineConfig(node_ids=(0,), behavior="silent"),
-    )
-
-
-def all_safety_presets(seed: int = 1) -> List[ScenarioConfig]:
-    configs = [
-        safety_preset(m, behavior, seed)
-        for m in SAFETY_COMMITTEE_SIZES
-        for behavior in SAFETY_BEHAVIORS
-    ]
-    configs.append(election_corrupt_proof_preset(seed))
-    configs.append(churn_exit_preset(seed))
-    configs.append(churn_join_preset(seed))
-    return configs
-
-
-def _data_dir() -> Path:
-    return Path(str(resources.files(__package__)))
-
-
 def names() -> List[str]:
-    return sorted(p.stem for p in _data_dir().glob("*.json"))
+    return sorted(p.stem for p in _DATA_DIR.glob("*.json"))
 
 
 def path(name: str) -> Path:
-    candidate = _data_dir() / f"{name}.json"
+    candidate = _DATA_DIR / f"{name}.json"
     if not candidate.exists():
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(names())}")
     return candidate
 
 
 def load(name: str) -> ScenarioConfig:
-    return load_scenario(str(path(name)))
+    return load_scenario(path(name))

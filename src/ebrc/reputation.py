@@ -10,11 +10,10 @@ it and aggregated into a reputation score in (0, 1]:
   magnitude_factor  -- h-index of processed-transaction sizes, normalized by
                        the epoch-wide maximum h-index
 
-Default weighting is 0.1/0.3/0.3/0.2/0.1. Fault rates enter through their
-complements (1 - rate) so that more misbehavior always lowers the score;
-``complement_fault_rates=False`` switches to raw positive weighting for
-comparison studies. A per-epoch growth rate tracks the geometric-mean change
-of the score since the node joined.
+Default weighting is 0.1/0.3/0.3/0.2/0.1. The two fault rates enter only
+through their complements (1 - rate), so more misbehavior always lowers the
+score. A per-epoch growth rate tracks the geometric-mean change of the score
+since the node joined.
 """
 
 from __future__ import annotations
@@ -187,30 +186,20 @@ def compute_factors(
 def compute_reputation(
     factors: FactorVector,
     weights: ReputationWeights = DEFAULT_WEIGHTS,
-    *,
-    complement_fault_rates: bool = True,
 ) -> float:
     """Weighted aggregate of the factor vector, clamped into (0, 1].
 
-    With ``complement_fault_rates`` (the default) the incomplete and evil
-    rates contribute through (1 - rate), so misbehavior strictly lowers the
-    score. Setting it False reproduces the raw positive weighting, in which
-    higher fault rates raise the score; it exists for comparison studies.
+    The incomplete and evil rates contribute through (1 - rate), so
+    misbehavior strictly lowers the score.
     """
     weights.validate()
-    if complement_fault_rates:
-        incomplete_term = 1.0 - factors.incomplete_rate
-        evil_term = 1.0 - factors.evil_rate
-    else:
-        incomplete_term = factors.incomplete_rate
-        evil_term = factors.evil_rate
     # fsum keeps a perfect all-ones vector at exactly 1.0; naive summation of
     # the default weights drifts one ulp below.
     score = math.fsum(
         (
             weights.margin * factors.margin_ratio,
-            weights.incomplete * incomplete_term,
-            weights.evil * evil_term,
+            weights.incomplete * (1.0 - factors.incomplete_rate),
+            weights.evil * (1.0 - factors.evil_rate),
             weights.activity * factors.activity_rate,
             weights.magnitude * factors.magnitude_factor,
         )
@@ -316,9 +305,6 @@ def enforce_deposit_caps(
 def update_behavior_table(
     table: BehaviorTable,
     events: Iterable[BehaviorEvent],
-    *,
-    weights: ReputationWeights = DEFAULT_WEIGHTS,
-    complement_fault_rates: bool = True,
 ) -> BehaviorTable:
     """Apply one epoch's events and recompute every node's score and growth.
 
@@ -355,9 +341,7 @@ def update_behavior_table(
 
     for record in updated.values():
         factors = compute_factors(record, total_deposit, epoch_max_h)
-        score = compute_reputation(
-            factors, weights, complement_fault_rates=complement_fault_rates
-        )
+        score = compute_reputation(factors)
         record.reputation_history.append(score)
         record.growth_history.append(
             compute_growth_rate(

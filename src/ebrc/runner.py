@@ -38,6 +38,14 @@ US_PER_MS = 1_000
 # both transitions land together.
 EXIT_LEAD_BLOCKS = 2
 
+# A replica's batch window and view timeout, the window in which an epoch's
+# selectees announce their draws before its rounds begin, and the size of
+# each request's payload.
+BATCH_WINDOW_US = 2_000
+VIEW_TIMEOUT_US = 40_000
+CONNECT_WINDOW_US = 5_000
+PAYLOAD_BYTES = 64
+
 
 def _ms_to_us(value_ms: float) -> int:
     return int(round(value_ms * US_PER_MS))
@@ -52,7 +60,7 @@ def initial_table(config: ScenarioConfig, registry: KeyRegistry) -> reputation.B
     bootstrap update so the first election reads realized scores."""
     nodes = range(config.node_count)
     deposits = reputation.enforce_deposit_caps(
-        {n: float(config.deposits.get(n, 100.0)) for n in nodes}, config.deposit_cap
+        {n: float(config.deposits.get(n, 100.0)) for n in nodes}
     )
     table = {n: reputation.new_record(n, registry.public_key(n), deposits[n]) for n in nodes}
     poison = config.poison
@@ -61,19 +69,13 @@ def initial_table(config: ScenarioConfig, registry: KeyRegistry) -> reputation.B
         record.consensus_participations = poison.participations
         record.reported_evil_count = poison.evil_count
         record.incomplete_count = poison.incomplete_count
-    return reputation.update_behavior_table(
-        table,
-        [],
-        weights=config.weights,
-        complement_fault_rates=config.complement_fault_rates,
-    )
+    return reputation.update_behavior_table(table, [])
 
 
 def election_config(config: ScenarioConfig) -> ElectionConfig:
     """The election settings a scenario fixes for every epoch."""
     return ElectionConfig(
         sortition_threshold=config.omega,
-        target_committee_size=config.target_committee_size,
         eligibility_percentile=config.eligibility_percentile,
         consensus_percentile=config.consensus_percentile,
     )
@@ -124,10 +126,8 @@ class ScenarioRunner:
         self.run_seed = digest(pack(config.seed), domain=b"run-seed")
         self.registry = KeyRegistry(digest(self.run_seed, domain=b"keys"))
         self.node_ids = list(range(config.node_count))
-        self.client_ids = list(
-            range(config.node_count, config.node_count + config.client_count)
-        )
-        for node in self.node_ids + self.client_ids:
+        self.client_id = config.node_count  # the one client follows the nodes
+        for node in self.node_ids + [self.client_id]:
             self.registry.register(node)
 
         self.network = NetworkModel(
@@ -139,11 +139,17 @@ class ScenarioRunner:
                 for start, end, nodes in config.network.partitions
             ),
         )
-        self.sim = Simulation(self.run_seed, self.network, self.registry)
+        profile = ByzantineProfile(config.byzantine.behavior)
+        self.sim = Simulation(
+            self.run_seed,
+            self.network,
+            self.registry,
+            byzantine={n: profile for n in config.byzantine.node_ids},
+        )
 
         settings = dict(
-            batch_window_us=_ms_to_us(config.batch_window_ms),
-            view_timeout_us=_ms_to_us(config.view_timeout_ms),
+            batch_window_us=BATCH_WINDOW_US,
+            view_timeout_us=VIEW_TIMEOUT_US,
             block_tx_cap=config.block_tx_cap,
         )
         # The one protocol seam. EBRC runs a committee lifecycle: an election
@@ -173,11 +179,10 @@ class ScenarioRunner:
         self.result = RunResult(config=config)
         self.result.election_counts = {n: 0 for n in self.node_ids}
 
-        # Per-round client completion state.
-        self._expected_clients: Set[int] = set()
-        self._clients_waiting = 0  # expected clients not yet in _client_done_at
-        self._reply_senders: Dict[int, Dict[bytes, Set[int]]] = {}
-        self._client_done_at: Dict[int, int] = {}
+        # Per-round client state: the senders of each reply digest, and when
+        # f+1 of them first agreed.
+        self._reply_senders: Dict[bytes, Set[int]] = {}
+        self._client_done_at: Optional[int] = None
 
         # Accountability and membership state.
         self._report_tally: Dict[Tuple[int, str, int], Set[int]] = {}
@@ -222,7 +227,7 @@ class ScenarioRunner:
             if result.sends or result.timers:
                 self._dispatch(target, result)
         else:
-            self._client_receive(target, now, event)
+            self._client_receive(now, event)
 
     def _note_report(self, message: Report) -> None:
         if message.reporter in self.byz_ids:
@@ -232,18 +237,15 @@ class ScenarioRunner:
         key = (message.accused, message.evidence_kind, message.height)
         self._report_tally.setdefault(key, set()).add(message.reporter)
 
-    def _client_receive(self, client: int, now: int, message) -> None:
+    def _client_receive(self, now: int, message) -> None:
         if not isinstance(message, Reply) or not message.valid:
             return
         if not signature_ok(message, self.registry, message.sender):
             return
-        buckets = self._reply_senders.setdefault(client, {})
-        senders = buckets.setdefault(message.digest, set())
+        senders = self._reply_senders.setdefault(message.digest, set())
         senders.add(message.sender)
-        if client not in self._client_done_at and len(senders) >= self._roster.f + 1:
-            self._client_done_at[client] = now
-            if client in self._expected_clients:
-                self._clients_waiting -= 1
+        if self._client_done_at is None and len(senders) >= self._roster.f + 1:
+            self._client_done_at = now
 
     # -- main entry --
 
@@ -258,7 +260,7 @@ class ScenarioRunner:
         try:
             round_index = 0
             for epoch in range(config.epochs):
-                self._begin_epoch(epoch)
+                self._open_epoch(epoch)
                 for _ in range(config.rounds_per_epoch):
                     round_index += 1
                     self._run_round(round_index)
@@ -270,18 +272,6 @@ class ScenarioRunner:
 
     # -- epochs --
 
-    def _begin_epoch(self, epoch: int) -> None:
-        config = self.config
-        if config.byzantine.node_ids and config.byzantine.active(epoch):
-            profile = ByzantineProfile(
-                behavior=config.byzantine.behavior,
-                latency_factor=config.byzantine.latency_factor,
-            )
-            self.sim.byzantine = {n: profile for n in config.byzantine.node_ids}
-        else:
-            self.sim.byzantine = {}
-        self._open_epoch(epoch)
-
     def _tip_block(self):
         holder = max(self.honest_ids, key=lambda n: (max(self.replicas[n].ledger), -n))
         ledger = self.replicas[holder].ledger
@@ -290,7 +280,7 @@ class ScenarioRunner:
     def _elect(self, epoch: int) -> None:
         config = self.config
         corrupt: Set[int] = set()
-        if config.byzantine.behavior == "corrupt_proof" and config.byzantine.active(epoch):
+        if config.byzantine.behavior == "corrupt_proof":
             corrupt = set(config.byzantine.node_ids)
         assignment, proof_reports, seed, retries = elect_committee(
             self.table,
@@ -344,7 +334,7 @@ class ScenarioRunner:
                 node,
             )
             self.sim.send(node, [n for n in self.node_ids if n != node], connect)
-        self.sim.run_until(self.sim.now + _ms_to_us(config.connect_window_ms))
+        self.sim.run_until(self.sim.now + CONNECT_WINDOW_US)
 
         table_reputation = self._reputations()
         for node in self.node_ids:
@@ -360,12 +350,7 @@ class ScenarioRunner:
         self._view_hint = 0
 
     def _end_epoch(self) -> None:
-        self.table = reputation.update_behavior_table(
-            self.table,
-            self._epoch_events,
-            weights=self.config.weights,
-            complement_fault_rates=self.config.complement_fault_rates,
-        )
+        self.table = reputation.update_behavior_table(self.table, self._epoch_events)
         self._epoch_events = []
 
     # -- rounds --
@@ -377,7 +362,7 @@ class ScenarioRunner:
         committee_at_start = self._roster.committee
 
         self._reply_senders = {}
-        self._client_done_at = {}
+        self._client_done_at = None
         submit_us = self.sim.now
         if self._first_submit_us is None and config.load > 0:
             self._first_submit_us = submit_us
@@ -393,8 +378,8 @@ class ScenarioRunner:
         if holder is not None:
             block = self.replicas[holder].ledger[target_height]
             tx_count = block.tx_count
-            if self._expected_clients and self._round_complete():
-                done = max(self._client_done_at[c] for c in self._expected_clients)
+            done = self._client_done_at
+            if done is not None:
                 latency_ms = (done - submit_us) / US_PER_MS
                 self.result.latency_samples_ms.append(latency_ms)
                 self._last_completion_us = done
@@ -431,11 +416,9 @@ class ScenarioRunner:
 
     def _inject_load(self, round_index: int, submit_us: int) -> None:
         config = self.config
+        client = self.client_id
         targets = list(self._roster.committee)
-        self._expected_clients = set()
         for k in range(config.load):
-            client = self.client_ids[k % len(self.client_ids)]
-            self._expected_clients.add(client)
             payload = self._payload(round_index, k)
             request = signed(
                 Request(
@@ -448,7 +431,6 @@ class ScenarioRunner:
                 client,
             )
             self.sim.schedule_send(submit_us + k, client, targets, request)
-        self._clients_waiting = len(self._expected_clients)
 
     def _payload(self, round_index: int, k: int) -> bytes:
         base = digest(
@@ -457,11 +439,11 @@ class ScenarioRunner:
             k.to_bytes(8, "big"),
             domain=b"payload",
         )
-        reps = (self.config.payload_bytes + len(base) - 1) // len(base)
-        return (base * reps)[: self.config.payload_bytes]
+        reps = (PAYLOAD_BYTES + len(base) - 1) // len(base)
+        return (base * reps)[:PAYLOAD_BYTES]
 
     def _round_complete(self) -> bool:
-        return self._clients_waiting == 0
+        return self._client_done_at is not None
 
     def _committed_holder(self, height: int) -> Optional[int]:
         for node in self.honest_ids:
@@ -504,7 +486,7 @@ class ScenarioRunner:
         for member in committee:
             if member in ousted:
                 continue  # the view change already recorded its incompletion
-            if self.config.detect_silent and member not in senders:
+            if member not in senders:
                 self._fail(member)
             else:
                 self._record(
@@ -552,7 +534,7 @@ class ScenarioRunner:
         slash and a ``confirmed_reports`` row locating it."""
         self._record(
             reputation.ConfirmedReport(accused, kind),
-            reputation.DepositSlash(accused, self.config.slash_fraction),
+            reputation.DepositSlash(accused),
         )
         self.result.confirmed_reports.append({"node": accused, "kind": kind, **row})
 

@@ -59,18 +59,16 @@ _TIME = itemgetter(0)  # a delivery row's time
 _FIRST_BLOCK = 16  # draws a link takes at first use; a target takes at most two
 
 BYZANTINE_BEHAVIORS = ("silent", "equivocate", "corrupt_digest", "corrupt_proof", "lazy")
+LAZY_LATENCY_FACTOR = 4.0  # a lazy node's deliveries take this many times as long
 
 
 @dataclass(frozen=True, slots=True)
 class ByzantineProfile:
     behavior: str
-    latency_factor: float = 4.0  # lazy nodes multiply delivery latency by this
 
     def __post_init__(self) -> None:
         if self.behavior not in BYZANTINE_BEHAVIORS:
             raise ValueError(f"unknown byzantine behavior {self.behavior!r}")
-        if self.latency_factor < 1.0:
-            raise ValueError("latency_factor must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,7 +257,7 @@ class Simulation:
         round_index = self.round_provider()
         # Variants keep the message type, so one tag serves the whole send.
         tag = getattr(type(message), "TAG", type(message).__name__.lower())
-        latency_factor = profile.latency_factor if profile and profile.behavior == "lazy" else 1.0
+        latency_factor = LAZY_LATENCY_FACTOR if profile and profile.behavior == "lazy" else 1.0
         prefixes = [_digest_prefix(variant) for variant in variants]
         if len(variants) == 1:
             plan = tuple(targets)

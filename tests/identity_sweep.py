@@ -5,9 +5,9 @@ Run from the repository root:
     PYTHONPATH=src python tests/identity_sweep.py
 
 Each shipped preset is re-run at seeds 1..10 and serialized the way
-``ebrc run --trace`` writes it (report JSON, then trace CSV). No shipped
-preset sets ``replace_faulty``, so every EBRC preset is also run with it set,
-at the same seeds, to cover the forced-replacement path. No shipped preset
+``ebrc run --trace`` writes it (report JSON, then trace CSV). Only one
+shipped preset sets ``replace_faulty``, so every EBRC preset is also run with
+it set, at the same seeds, to cover the forced-replacement path. No shipped preset
 is lazy, lossy or partitioned either, so three fault variants of the presets
 run at seeds 1..3:
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -35,7 +36,6 @@ class TestValidation:
             (dict(protocol="raft"), "protocol"),
             (dict(seed=-1), "seed"),
             (dict(node_count=3), "node_count"),
-            (dict(target_committee_size=9, node_count=8), "target_committee_size"),
             (dict(omega=0.0), "omega"),
             (dict(omega=1.5), "omega"),
             (dict(eligibility_percentile=0.0), "eligibility_percentile"),
@@ -44,22 +44,13 @@ class TestValidation:
             (dict(rounds_per_epoch=0), "rounds_per_epoch"),
             (dict(block_tx_cap=0), "block_tx_cap"),
             (dict(load=-1), "load"),
-            (dict(payload_bytes=0), "payload_bytes"),
-            (dict(client_count=0), "client_count"),
-            (dict(batch_window_ms=0.0), "batch_window_ms"),
-            (dict(view_timeout_ms=-1.0), "view_timeout_ms"),
             (dict(round_deadline_ms=0.0), "round_deadline_ms"),
-            (dict(connect_window_ms=0.0), "connect_window_ms"),
-            (dict(slash_fraction=1.5), "slash_fraction"),
-            (dict(deposit_cap=0.0), "deposit_cap"),
-            (dict(deposit_cap=1.0), "deposit_cap"),
             # Election fields the election itself would reject mid-run.
-            (dict(target_committee_size=3), "target_committee_size"),
             (
                 dict(node_count=8, eligibility_percentile=0.5, consensus_percentile=0.9),
                 "consensus_percentile",
             ),
-            # Partition ids that are neither a node nor a client.
+            # Partition ids that are neither a node nor the client.
             (
                 dict(network=NetworkConfig(partitions=((1.0, 5.0, (99, -1)),))),
                 r"network\.partitions\[0\]",
@@ -74,15 +65,8 @@ class TestValidation:
         config = valid(
             node_count=4, byzantine=ByzantineConfig(node_ids=(1, 2), behavior="silent")
         )
-        with pytest.raises(ConfigError, match="allow_over_threshold"):
+        with pytest.raises(ConfigError, match=r"byzantine\.node_ids: 2 faulty nodes exceed"):
             config.validate()
-
-    def test_over_threshold_opt_in(self):
-        valid(
-            node_count=4,
-            byzantine=ByzantineConfig(node_ids=(1, 2), behavior="silent"),
-            allow_over_threshold=True,
-        ).validate()
 
     def test_byzantine_node_in_range(self):
         config = valid(node_count=4, byzantine=ByzantineConfig(node_ids=(9,)))
@@ -92,18 +76,6 @@ class TestValidation:
     def test_duplicate_byzantine_ids(self):
         with pytest.raises(ConfigError, match="duplicate"):
             ByzantineConfig(node_ids=(1, 1)).validate()
-
-    def test_activation_window_ordered(self):
-        with pytest.raises(ConfigError, match="activation"):
-            ByzantineConfig(node_ids=(1,), activation=(3, 1)).validate()
-
-    def test_activation_epoch_window(self):
-        byz = ByzantineConfig(node_ids=(1,), activation=(2, 3))
-        assert not byz.active(1)
-        assert byz.active(2) and byz.active(3)
-        assert not byz.active(4)
-        assert ByzantineConfig(node_ids=(1,)).active(99)
-        assert not ByzantineConfig().active(1)
 
     def test_exit_script_bounds(self):
         config = valid(node_count=4, exits=(ExitScript(round_index=0, node_id=1),))
@@ -159,7 +131,35 @@ class TestValidation:
             NetworkConfig(partitions=((5.0, 1.0, (1,)),)).validate()
 
 
+# Keys of knobs whose one value in use is a constant of the runner, the
+# simulator or the reputation module: a scenario file that names one is
+# rejected.
+REMOVED_KEYS = {
+    "batch_window_ms": 2.0,
+    "view_timeout_ms": 40.0,
+    "connect_window_ms": 5.0,
+    "payload_bytes": 64,
+    "client_count": 1,
+    "target_committee_size": 4,
+    "slash_fraction": 0.1,
+    "deposit_cap": 0.25,
+    "weights": {"margin": 0.1, "incomplete": 0.3, "evil": 0.3, "activity": 0.2, "magnitude": 0.1},
+    "complement_fault_rates": True,
+    "detect_silent": True,
+    "allow_over_threshold": False,
+    "byzantine.activation": None,
+    "byzantine.latency_factor": 4.0,
+}
+
+
 class TestParsing:
+    @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+    def test_removed_key_is_unknown(self, key):
+        section, _, leaf = key.rpartition(".")
+        data = {leaf: REMOVED_KEYS[key]}
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: unknown field")):
+            scenario_from_dict({section: data} if section else data)
+
     def test_unknown_top_level_key_named(self):
         with pytest.raises(ConfigError, match=r"scenario\.nodecount"):
             scenario_from_dict({"nodecount": 4})
@@ -169,7 +169,6 @@ class TestParsing:
         [
             ({"network": {"lag_ms": 1}}, r"network\.lag_ms"),
             ({"byzantine": {"who": []}}, r"byzantine\.who"),
-            ({"weights": {"deposit": 0.1}}, r"weights\.deposit"),
             ({"poison": {"victims": []}}, r"poison\.victims"),
             ({"exits": [{"when": 1}]}, r"exits\[0\]\.when"),
         ],
@@ -184,12 +183,12 @@ class TestParsing:
             ({"seed": "zero"}, "seed: expected integer"),
             ({"seed": True}, "seed: expected integer"),  # bool is not an integer here
             ({"omega": "high"}, "omega"),
-            ({"detect_silent": 1}, "detect_silent"),
+            ({"replace_faulty": 1}, "replace_faulty: expected boolean"),
             ({"name": 5}, "name: expected string"),
             ({"protocol": 1}, "protocol: expected string"),
             ({"exits": [{"node_id": 1}]}, r"exits\[0\]\.round_index"),
         ],
-        ids=["seed_str", "seed_bool", "omega", "detect_silent", "name", "protocol", "exit_missing"],
+        ids=["seed_str", "seed_bool", "omega", "replace_faulty", "name", "protocol", "exit_missing"],
     )
     def test_type_errors_carry_paths(self, data, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -198,10 +197,6 @@ class TestParsing:
     def test_malformed_partition_row(self):
         with pytest.raises(ConfigError, match=r"network\.partitions\[0\]"):
             scenario_from_dict({"network": {"partitions": [[1.0, 2.0]]}})
-
-    def test_malformed_activation(self):
-        with pytest.raises(ConfigError, match=r"byzantine\.activation"):
-            scenario_from_dict({"byzantine": {"node_ids": [1], "activation": [1]}})
 
     def test_deposit_keys_must_be_integers(self):
         with pytest.raises(ConfigError, match=r"deposits\.alice"):
@@ -245,12 +240,7 @@ class TestRoundTrip:
                     "drop_rate": 0.1,
                     "partitions": [[0.0, 10.0, [2]]],
                 },
-                "byzantine": {
-                    "node_ids": [9],
-                    "behavior": "lazy",
-                    "latency_factor": 6.0,
-                    "activation": [2, 2],
-                },
+                "byzantine": {"node_ids": [9], "behavior": "lazy"},
                 "exits": [{"round_index": 3, "node_id": 5}],
             }
         )
@@ -305,7 +295,6 @@ class TestPresets:
     def test_builders_round_trip(self):
         configs = list(presets.all_safety_presets())
         configs += [
-            presets.election_corrupt_proof_preset(),
             presets.djep_exit_preset(),
             presets.djep_join_preset(),
             presets.pbft_viewchange_preset(),
@@ -316,20 +305,25 @@ class TestPresets:
             config.validate()
             assert scenario_from_dict(config.to_dict()) == config
 
-    def test_shipped_files_match_builders(self, tmp_path):
-        configs = list(presets.all_safety_presets())
-        configs += [
-            presets.djep_exit_preset(),
-            presets.djep_join_preset(),
-            presets.pbft_viewchange_preset(),
-        ]
-        configs += list(presets.law_pair(4))
-        configs += list(presets.comparison_pair(10, byzantine=True))
-        assert sorted(c.name for c in configs) == presets.names()
-        for config in configs:
+    @pytest.mark.parametrize("name", presets.names())
+    def test_shipped_file_is_what_save_writes(self, tmp_path, name):
+        target = tmp_path / f"{name}.json"
+        save_scenario(presets.load(name), target)
+        assert target.read_bytes() == presets.path(name).read_bytes()
+
+    def test_pair_builders_match_shipped_files(self, tmp_path):
+        for config in presets.law_pair(4) + presets.comparison_pair(10, byzantine=True):
             target = tmp_path / f"{config.name}.json"
             save_scenario(config, target)
             assert target.read_bytes() == presets.path(config.name).read_bytes(), config.name
+
+    def test_fixed_preset_builders_swap_in_the_seed(self):
+        assert presets.djep_join_preset(7) == dataclasses.replace(
+            presets.load("djep_join_m25"), seed=7
+        )
+        lazy = presets.safety_preset(7, "lazy", 2)
+        assert lazy.name == "safety_lazy_m7" and lazy.seed == 2
+        assert lazy.byzantine == ByzantineConfig(node_ids=(5, 6), behavior="lazy")
 
     def test_safety_matrix_shape(self):
         configs = presets.all_safety_presets()

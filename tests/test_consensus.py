@@ -558,7 +558,7 @@ class TestPbftRound:
         for rep in replicas.values():
             assert rep.height == 2
             assert rep.view == 0
-            assert rep.primary_id() == 0
+            assert rep.leader_id() == 0
 
     def test_per_round_message_counts(self):
         # (n-1) pre-prepares + (n-1)^2 prepare echoes + n(n-1) commits
@@ -693,7 +693,7 @@ class TestPbftSharedPaths:
         # Own vote was the third: the 2f+1 adoption happens in the same step.
         assert replicas[3].view == 1
         assert replicas[3].view_change_count == 1
-        assert replicas[3].primary_id() == 1
+        assert replicas[3].leader_id() == 1
         assert ("incompletion", 0, 1) in replicas[3].observations
 
     def test_viewchange_from_outsider_ignored(self):

@@ -5,10 +5,12 @@ Each shipped preset JSON is run at its own seed, serialized the way
 of that text is compared with the value pinned here. A change that is meant
 to alter simulated outcomes re-pins these hashes and says why in CHANGES.md.
 
-No shipped preset sets ``replace_faulty``, so three variants pin the forced
-replacement path as well: a silent member replaced by a candidate, an
-equivocating member replaced after a view change, and a full-membership
-committee whose replacements stall for want of a candidate.
+One shipped preset, ``churn_promote_m7``, sets ``replace_faulty``: a
+conviction there promotes a candidate in the same pass as an exit that
+invited another. Three variants pin more of the forced replacement path: a
+silent member replaced by a candidate, an equivocating member replaced after
+a view change, and a full-membership committee whose replacements stall for
+want of a candidate.
 
 The election-only studies are pinned too, serialized the way ``ebrc
 fairness --out`` writes them: the fairness study with and without poisoned
@@ -27,6 +29,7 @@ from ebrc.runner import ScenarioRunner
 GOLDEN_SHA256 = {
     "churn_exit_m11": "3005955a16e72648dfc905e5836aa882422048f3db875b80f5516d5a323fe131",
     "churn_join_m7": "1ac260a0f00d02da5cf4cf02d89b3c4c2d62256303d425b547c7790691b5ba93",
+    "churn_promote_m7": "8d84a7a8cc8de17426b01c3a74ac616c6b340f167ac28fd903d59d3e63e5c5a4",
     "compare_byz_ebrc_n10": "2f0aa825e9876ba023d5d2f955c83ed7e700b1ced71115055c47213a4dc859bd",
     "compare_byz_pbft_n10": "452e9bfb0dcada66277a6a01f6c735a7a504bee0701d666b5407e00d3b7b5cc0",
     "djep_exit_m26": "f780d34d137e50d89a9b83aca5dfedf47492e44856844fb76868aeeaf5e9fb4c",

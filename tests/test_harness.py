@@ -54,7 +54,6 @@ def tiny_config(**overrides) -> ScenarioConfig:
         protocol="ebrc",
         node_count=4,
         seed=1,
-        target_committee_size=4,
         omega=1.0,
         eligibility_percentile=1.0,
         consensus_percentile=1.0,
@@ -302,7 +301,7 @@ class TestRunnerAccountability:
         # are both convicted at height 2. Only one of them can be replaced;
         # the other stalls, so the committee keeps its 3f+1 = 7 floor.
         config = dataclasses.replace(
-            presets.churn_join_preset(),
+            presets.load("churn_join_m7"),
             byzantine=ByzantineConfig(node_ids=(5, 6), behavior="silent"),
             replace_faulty=True,
             exits=(),
@@ -334,15 +333,12 @@ def floor_variant(name, variant):
 
 
 def two_candidates(convicted, seed):
-    """``churn_join_m7`` grown to committee 0-6 plus candidates 7 and 8, with
-    one member equivocating under ``replace_faulty``: node 4's exit invites
+    """``churn_promote_m7`` (committee 0-6, candidates 7 and 8, ``replace_faulty``)
+    with ``convicted`` the member that equivocates: node 4's exit invites
     candidate 7, and the conviction needs a candidate too."""
     return dataclasses.replace(
-        presets.load("churn_join_m7"),
-        node_count=9,
-        consensus_percentile=7 / 9,
+        presets.load("churn_promote_m7"),
         byzantine=ByzantineConfig(node_ids=(convicted,), behavior="equivocate"),
-        replace_faulty=True,
         seed=seed,
     )
 
@@ -472,7 +468,7 @@ class TestClientStream:
         assert report.tps is None
 
     def test_stream_timestamps_strictly_increase(self):
-        config = tiny_config(load=12, block_tx_cap=12, client_count=3, rounds_per_epoch=1)
+        config = tiny_config(load=12, block_tx_cap=12, rounds_per_epoch=1)
         _, result = run_scenario_with_result(config)
         request_times = sorted(
             {r.time_us for r in trace_rows(result.trace) if r.tag == "request"}
@@ -480,11 +476,11 @@ class TestClientStream:
         assert len(request_times) == 12
         assert all(b - a == 1 for a, b in zip(request_times, request_times[1:]))
 
-    def test_clients_cycle_round_robin(self):
-        config = tiny_config(load=12, block_tx_cap=12, client_count=3, rounds_per_epoch=1)
+    def test_one_client_sends_every_request(self):
+        config = tiny_config(load=12, block_tx_cap=12, rounds_per_epoch=1)
         _, result = run_scenario_with_result(config)
         senders = {r.sender for r in trace_rows(result.trace) if r.tag == "request"}
-        assert senders == {4, 5, 6}  # client ids follow the node range
+        assert senders == {4}  # the client id follows the node range
 
     def test_same_seed_identical_stream(self):
         config = tiny_config(load=6, rounds_per_epoch=1, block_tx_cap=6)

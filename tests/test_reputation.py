@@ -146,14 +146,6 @@ class TestComputeReputation:
         f = FactorVector(0.0, 1.0, 1.0, 0.0, 0.0)
         assert compute_reputation(f) == REPUTATION_FLOOR
 
-    def test_literal_weighting_switch(self):
-        # With raw positive fault weighting, more misbehavior raises the score.
-        clean = FactorVector(0.0, 0.0, 0.0, 0.0, 0.0)
-        dirty = FactorVector(0.0, 1.0, 1.0, 0.0, 0.0)
-        assert compute_reputation(dirty, complement_fault_rates=False) > compute_reputation(
-            clean, complement_fault_rates=False
-        )
-
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError):
             compute_reputation(

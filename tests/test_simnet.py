@@ -84,8 +84,6 @@ class TestModelValidation:
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             ByzantineProfile("sleepy")
-        with pytest.raises(ValueError):
-            ByzantineProfile("lazy", latency_factor=0.5)
         for behavior in BYZANTINE_BEHAVIORS:
             ByzantineProfile(behavior)
 
@@ -397,9 +395,7 @@ class TestSilent:
 
 class TestLazy:
     def test_latency_multiplied(self):
-        sim, deliveries, reg = make_sim(
-            byzantine={0: ByzantineProfile("lazy", latency_factor=4.0)}
-        )
+        sim, deliveries, reg = make_sim(byzantine={0: ByzantineProfile("lazy")})
         sim.send(0, [1], make_commit(reg))
         sim.send(2, [1], make_commit(reg, sender=2))
         drain(sim)
@@ -408,9 +404,7 @@ class TestLazy:
         assert by_sender[0] == 8_000
 
     def test_connectivity_proof_not_delayed(self):
-        sim, deliveries, reg = make_sim(
-            byzantine={0: ByzantineProfile("lazy", latency_factor=4.0)}
-        )
+        sim, deliveries, reg = make_sim(byzantine={0: ByzantineProfile("lazy")})
         sim.send(0, [1], make_connect(reg))
         drain(sim)
         assert deliveries[0][1] == 2_000
