@@ -18,7 +18,6 @@ table = update_behavior_table(table, [Participation(node_id=n) for n in range(NO
 
 config = ElectionConfig(
     sortition_threshold=0.7,
-    target_committee_size=4,
     eligibility_percentile=0.85,
     consensus_percentile=0.5,
 )
@@ -51,5 +50,6 @@ print()
 print("after poisoning the odd ids:")
 print("consensus nodes:", sorted(poisoned_committee.consensus_nodes))
 print("candidates:     ", sorted(poisoned_committee.candidates))
-odd_in = sum(1 for n in poisoned_committee.committee if n % 2 == 1)
-print(f"odd ids still elected: {odd_in} of {len(poisoned_committee.committee)} members")
+elected = poisoned_committee.consensus_nodes + poisoned_committee.candidates
+odd_in = sum(1 for n in elected if n % 2 == 1)
+print(f"odd ids still elected: {odd_in} of {len(elected)} members")

@@ -31,7 +31,7 @@ def show(title, config):
         print(f"  height {block['height']}: view {block['view']}, "
               f"{block['tx_count']} tx, digest {block['digest'][:12]}...")
     tags = {t: c for t, c in sorted(report.messages_by_tag.items())
-            if t in ("prepare", "commit", "reply", "view_change", "viewchange")}
+            if t in ("prepare", "commit", "reply", "viewchange")}
     print(f"  consensus traffic: {tags}")
     print()
     return report

@@ -57,6 +57,10 @@ from . import djep
 
 logger = logging.getLogger(__name__)
 
+# A leader's batch window and a member's view timeout.
+BATCH_WINDOW_US = 2_000
+VIEW_TIMEOUT_US = 40_000
+
 
 @dataclass(frozen=True, slots=True)
 class TimerTick:
@@ -186,14 +190,10 @@ class _ReplicaBase:
         node_id: int,
         registry,
         *,
-        batch_window_us: int,
-        view_timeout_us: int,
         block_tx_cap: int,
     ) -> None:
         self.node_id = node_id
         self.registry = registry
-        self.batch_window_us = batch_window_us
-        self.view_timeout_us = view_timeout_us
         self.block_tx_cap = block_tx_cap
 
         self.committee: Tuple[int, ...] = ()
@@ -258,9 +258,9 @@ class _ReplicaBase:
         if not self.is_member or not self.request_buffer:
             return
         if not self.is_leader:
-            self._arm_once(result, "round", self.view_timeout_us)
+            self._arm_once(result, "round", VIEW_TIMEOUT_US)
         elif not self._proposed():
-            self._arm_once(result, "batch", self.batch_window_us)
+            self._arm_once(result, "batch", BATCH_WINDOW_US)
 
     def _on_timer(self, now: int, tick: TimerTick) -> StepResult:
         if tick.height != self.height or tick.view != self.view:
@@ -322,7 +322,7 @@ class _ReplicaBase:
         )
         result.sends.append((self.peers, self.proposal))
         # The leader also expects the round to finish; arm its own watchdog.
-        self._arm_once(result, "round", self.view_timeout_us)
+        self._arm_once(result, "round", VIEW_TIMEOUT_US)
         self._vote(now, result)
         return result
 
@@ -483,7 +483,7 @@ class _ReplicaBase:
         )
         self.viewchange_tallies.setdefault(key, set()).add(self.node_id)
         result.sends.append((self.peers, vc))
-        result.timers.append((self.view_timeout_us, TimerTick("round", self.height, self.view)))
+        result.timers.append((VIEW_TIMEOUT_US, TimerTick("round", self.height, self.view)))
         self._maybe_adopt_view(proposed_view, result)
 
     def _on_viewchange(self, now: int, vc: ViewChange) -> StepResult:
@@ -516,9 +516,9 @@ class _ReplicaBase:
         # The pending request batch is retained in the buffer; the new leader
         # re-proposes it from there.
         if self.is_leader and self.request_buffer:
-            self._arm_once(result, "batch", self.batch_window_us)
+            self._arm_once(result, "batch", BATCH_WINDOW_US)
         else:
-            self._arm_once(result, "round", self.view_timeout_us)
+            self._arm_once(result, "round", VIEW_TIMEOUT_US)
 
     # -- round-end announce --
 
@@ -578,7 +578,6 @@ class EbrcReplica(_ReplicaBase):
         *,
         epoch: int,
         table_reputation: Dict[int, float],
-        now: int,
     ) -> StepResult:
         """Install a new epoch's committee; views restart at 0."""
         self._install(committee)

@@ -73,8 +73,6 @@ def pack(*parts) -> bytes:
             out.append(part.encode("utf-8"))
         elif isinstance(part, (tuple, list)):
             out.append(pack(*part))
-        elif part is None:
-            out.append(b"\xff")
         else:
             raise TypeError(f"cannot pack {type(part).__name__}")
     return digest(*out, domain=b"pack")
@@ -101,9 +99,8 @@ class KeyRegistry:
         self._secret_for: dict[bytes, bytes] = {}
 
     def register(self, owner_id: int) -> KeyPair:
-        existing = self._by_owner.get(owner_id)
-        if existing is not None:
-            return existing
+        """Derive ``owner_id``'s keys from the seed and record them; a repeat
+        call derives the same keys."""
         secret = digest(self._seed, owner_id.to_bytes(8, "big", signed=True), domain=b"sk")
         public = digest(secret, domain=b"pk")
         pair = KeyPair(owner_id, public, secret)

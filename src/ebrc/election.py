@@ -30,23 +30,15 @@ class ElectionFailed(Exception):
 
 @dataclass(frozen=True, slots=True)
 class ElectionConfig:
-    """Knobs for one epoch's election.
-
-    ``target_committee_size`` is the minimum number of verified selectees
-    required before the partition runs; below it the election fails and the
-    caller retries with a re-derived seed.
-    """
+    """Knobs for one epoch's election."""
 
     sortition_threshold: float = 0.4
-    target_committee_size: int = MIN_COMMITTEE
     eligibility_percentile: float = 0.85
     consensus_percentile: float = 0.5
 
     def validate(self) -> None:
         if not (0.0 < self.sortition_threshold <= 1.0):
             raise ValueError("sortition_threshold must lie in (0, 1]")
-        if self.target_committee_size < MIN_COMMITTEE:
-            raise ValueError(f"target_committee_size must be >= {MIN_COMMITTEE}")
         if not (0.0 < self.consensus_percentile <= self.eligibility_percentile <= 1.0):
             raise ValueError(
                 "need 0 < consensus_percentile <= eligibility_percentile <= 1"
@@ -68,11 +60,6 @@ class CommitteeAssignment:
     candidates: Tuple[int, ...]
     spares: Tuple[int, ...]
     f: int
-
-    @property
-    def committee(self) -> Tuple[int, ...]:
-        """Consensus nodes plus candidates; the elected set counted as members."""
-        return self.consensus_nodes + self.candidates
 
     def validate(self) -> None:
         m = len(self.consensus_nodes)
@@ -140,7 +127,8 @@ def form_committee(
     through the registry; selectees whose proofs fail verification are
     excluded and reported (``corrupt_proofs`` is the simulation hook that
     mangles specific nodes' proofs). Raises ElectionFailed when fewer than
-    max(4, target_committee_size) verified selectees remain.
+    MIN_COMMITTEE verified selectees remain; the caller retries with a
+    re-derived seed.
     """
     config.validate()
     vrf = SimulatedVrf(registry)
@@ -167,10 +155,9 @@ def form_committee(
             continue
         verified.append(node_id)
 
-    required = max(MIN_COMMITTEE, config.target_committee_size)
-    if len(verified) < required:
+    if len(verified) < MIN_COMMITTEE:
         raise ElectionFailed(
-            f"{len(verified)} verified selectees; need at least {required}"
+            f"{len(verified)} verified selectees; need at least {MIN_COMMITTEE}"
         )
 
     verified.sort(key=lambda nid: (-table[nid].reputation, nid))

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .config import PoisonConfig, ScenarioConfig
 from .crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, digest, pack
 from .djep import committee_fault_budget
-from .election import ElectionFailed, elect_committee
+from .election import MIN_COMMITTEE, ElectionFailed, elect_committee
 from .runner import RunResult, ScenarioRunner, election_config, initial_table
 from .simnet import RECEIVER_ROW_FIELDS, TraceRecord, receiver_rows
 
@@ -408,8 +408,9 @@ def fairness_experiment(
     The poisoned experiment uses the protocol default, 0.85. The report
     states which one ran.
     """
-    if node_count < 2:
-        raise ValueError("fairness experiment needs at least 2 nodes")
+    if node_count < MIN_COMMITTEE:
+        # Fewer nodes can never seat a committee: every election would fail.
+        raise ValueError(f"fairness experiment needs at least {MIN_COMMITTEE} nodes")
     if epochs < 1:
         raise ValueError("fairness experiment needs at least 1 epoch")
     eligibility_percentile = 0.85 if poison_odd else 1.0
@@ -417,8 +418,7 @@ def fairness_experiment(
     registry = KeyRegistry(digest(pack(seed), domain=b"fairness-keys"))
     for node in range(node_count):
         registry.register(node)
-    # Poisoned nodes carry an evil rate of 3 in 10. The study is never run as
-    # a scenario, so node counts below the scenario minimum are allowed.
+    # Poisoned nodes carry an evil rate of 3 in 10.
     poisoned = tuple(range(1, node_count, 2)) if poison_odd else ()
     scenario = ScenarioConfig(
         node_count=node_count,

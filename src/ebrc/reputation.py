@@ -10,7 +10,7 @@ it and aggregated into a reputation score in (0, 1]:
   magnitude_factor  -- h-index of processed-transaction sizes, normalized by
                        the epoch-wide maximum h-index
 
-Default weighting is 0.1/0.3/0.3/0.2/0.1. The two fault rates enter only
+The weighting is 0.1/0.3/0.3/0.2/0.1. The two fault rates enter only
 through their complements (1 - rate), so more misbehavior always lowers the
 score. A per-epoch growth rate tracks the geometric-mean change of the score
 since the node joined.
@@ -34,34 +34,18 @@ REPUTATION_FLOOR = 1e-6
 INITIAL_REPUTATION = 0.5
 INITIAL_GROWTH_RATE = 0.5
 
-#: Default slash fraction applied alongside a confirmed misbehavior report.
-DEFAULT_SLASH_FRACTION = 0.10
+#: Share of the deposit a DepositSlash removes, alongside a confirmed
+#: misbehavior report.
+SLASH_FRACTION = 0.10
 
-#: Default cap on any single node's share of the total network deposit.
-DEFAULT_DEPOSIT_CAP = 0.25
+#: Cap on any single node's share of the total network deposit.
+DEPOSIT_CAP = 0.25
 
 LATENCY_LEVELS = (2, 4, 6, 8, 10)
 
-
-@dataclass(frozen=True, slots=True)
-class ReputationWeights:
-    """Aggregation weights; must be non-negative and sum to 1."""
-
-    margin: float = 0.1
-    incomplete: float = 0.3
-    evil: float = 0.3
-    activity: float = 0.2
-    magnitude: float = 0.1
-
-    def validate(self) -> None:
-        values = (self.margin, self.incomplete, self.evil, self.activity, self.magnitude)
-        if any(w < 0 for w in values):
-            raise ValueError("reputation weights must be non-negative")
-        if abs(math.fsum(values) - 1.0) > 1e-9:
-            raise ValueError("reputation weights must sum to 1")
-
-
-DEFAULT_WEIGHTS = ReputationWeights()
+#: Aggregation weights of the five factors, in FactorVector order; they sum
+#: to 1.
+WEIGHTS = (0.1, 0.3, 0.3, 0.2, 0.1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,25 +167,22 @@ def compute_factors(
     return FactorVector(margin, incomplete, evil, activity, magnitude)
 
 
-def compute_reputation(
-    factors: FactorVector,
-    weights: ReputationWeights = DEFAULT_WEIGHTS,
-) -> float:
-    """Weighted aggregate of the factor vector, clamped into (0, 1].
+def compute_reputation(factors: FactorVector) -> float:
+    """Aggregate of the factor vector under WEIGHTS, clamped into (0, 1].
 
     The incomplete and evil rates contribute through (1 - rate), so
     misbehavior strictly lowers the score.
     """
-    weights.validate()
+    w_margin, w_incomplete, w_evil, w_activity, w_magnitude = WEIGHTS
     # fsum keeps a perfect all-ones vector at exactly 1.0; naive summation of
-    # the default weights drifts one ulp below.
+    # the weights drifts one ulp below.
     score = math.fsum(
         (
-            weights.margin * factors.margin_ratio,
-            weights.incomplete * (1.0 - factors.incomplete_rate),
-            weights.evil * (1.0 - factors.evil_rate),
-            weights.activity * factors.activity_rate,
-            weights.magnitude * factors.magnitude_factor,
+            w_margin * factors.margin_ratio,
+            w_incomplete * (1.0 - factors.incomplete_rate),
+            w_evil * (1.0 - factors.evil_rate),
+            w_activity * factors.activity_rate,
+            w_magnitude * factors.magnitude_factor,
         )
     )
     return min(1.0, max(REPUTATION_FLOOR, score))
@@ -226,7 +207,6 @@ def compute_growth_rate(r_now: float, r_then: float, rounds_elapsed: int) -> flo
 @dataclass(frozen=True, slots=True)
 class Participation:
     node_id: int
-    rounds: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,14 +226,15 @@ class ConfirmedReport:
 
 @dataclass(frozen=True, slots=True)
 class DepositSlash:
+    """Removes SLASH_FRACTION of the node's deposit."""
+
     node_id: int
-    fraction: float = DEFAULT_SLASH_FRACTION
 
 
 @dataclass(frozen=True, slots=True)
 class TransactionsProcessed:
     node_id: int
-    count: int = 0
+    count: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,20 +255,8 @@ BehaviorEvent = Union[
 ]
 
 
-def slash_deposit(record: BehaviorRecord, fraction: float = DEFAULT_SLASH_FRACTION) -> BehaviorRecord:
-    """Return a copy of ``record`` with deposit reduced by ``fraction``."""
-    if not (0.0 <= fraction <= 1.0):
-        raise ValueError("slash fraction must lie in [0, 1]")
-    out = record.copy()
-    out.deposit = record.deposit * (1.0 - fraction)
-    return out
-
-
-def enforce_deposit_caps(
-    deposits: Mapping[int, float],
-    cap_fraction: float = DEFAULT_DEPOSIT_CAP,
-) -> Dict[int, float]:
-    """Clamp each deposit to at most ``cap_fraction`` of the submitted total.
+def enforce_deposit_caps(deposits: Mapping[int, float]) -> Dict[int, float]:
+    """Clamp each deposit to at most DEPOSIT_CAP of the submitted total.
 
     Applied once at deposit time so a single node cannot dominate
     margin_ratio. The limit is computed from the totals as submitted, not
@@ -295,10 +264,8 @@ def enforce_deposit_caps(
     exist for small networks (with n nodes and n * cap < 1 no assignment can
     satisfy it), and chasing one lets small depositors outrank larger ones.
     """
-    if not (0.0 < cap_fraction < 1.0):
-        raise ValueError("deposit cap fraction must lie in (0, 1)")
     total = float(sum(deposits.values()))
-    limit = cap_fraction * total
+    limit = DEPOSIT_CAP * total
     return {node: min(float(amount), limit) for node, amount in deposits.items()}
 
 
@@ -320,7 +287,7 @@ def update_behavior_table(
             logger.warning("behavior event for unknown node %s rejected: %r", event.node_id, event)
             continue
         if isinstance(event, Participation):
-            record.consensus_participations += event.rounds
+            record.consensus_participations += 1
         elif isinstance(event, Incompletion):
             record.consensus_participations += 1
             record.incomplete_count += 1
@@ -328,7 +295,7 @@ def update_behavior_table(
             record.consensus_participations += 1
             record.reported_evil_count += 1
         elif isinstance(event, DepositSlash):
-            updated[event.node_id] = slash_deposit(record, event.fraction)
+            record.deposit = record.deposit * (1.0 - SLASH_FRACTION)
         elif isinstance(event, TransactionsProcessed):
             record.tx_size_history.append(event.count)
         elif isinstance(event, ActivitySample):

@@ -29,7 +29,7 @@ from .messages import (
     signed,
     signature_ok,
 )
-from .simnet import ByzantineProfile, Counters, NetworkModel, Simulation, TraceRecord
+from .simnet import Counters, NetworkModel, Simulation, TraceRecord
 
 US_PER_MS = 1_000
 
@@ -38,11 +38,8 @@ US_PER_MS = 1_000
 # both transitions land together.
 EXIT_LEAD_BLOCKS = 2
 
-# A replica's batch window and view timeout, the window in which an epoch's
-# selectees announce their draws before its rounds begin, and the size of
-# each request's payload.
-BATCH_WINDOW_US = 2_000
-VIEW_TIMEOUT_US = 40_000
+# The window in which an epoch's selectees announce their draws before its
+# rounds begin, and the size of each request's payload.
 CONNECT_WINDOW_US = 5_000
 PAYLOAD_BYTES = 64
 
@@ -139,19 +136,14 @@ class ScenarioRunner:
                 for start, end, nodes in config.network.partitions
             ),
         )
-        profile = ByzantineProfile(config.byzantine.behavior)
         self.sim = Simulation(
             self.run_seed,
             self.network,
             self.registry,
-            byzantine={n: profile for n in config.byzantine.node_ids},
+            byzantine={n: config.byzantine.behavior for n in config.byzantine.node_ids},
         )
 
-        settings = dict(
-            batch_window_us=BATCH_WINDOW_US,
-            view_timeout_us=VIEW_TIMEOUT_US,
-            block_tx_cap=config.block_tx_cap,
-        )
+        cap = config.block_tx_cap
         # The one protocol seam. EBRC runs a committee lifecycle: an election
         # at each epoch start, DJEP transitions after each committed round and
         # a reputation update at each epoch end. PBFT's committee is its whole
@@ -160,10 +152,12 @@ class ScenarioRunner:
         # shadows the class's hooks (at the end of the class) with a plain
         # function, which keeps the runner free of bound methods of itself.
         if config.protocol == "ebrc":
-            self.replicas = {n: EbrcReplica(n, self.registry, **settings) for n in self.node_ids}
+            self.replicas = {
+                n: EbrcReplica(n, self.registry, block_tx_cap=cap) for n in self.node_ids
+            }
         else:
             self.replicas = {
-                n: PbftReplica(n, self.registry, group=self.node_ids, **settings)
+                n: PbftReplica(n, self.registry, group=self.node_ids, block_tx_cap=cap)
                 for n in self.node_ids
             }
             self._open_epoch = self._after_commit = self._close_epoch = self._record = _skip
@@ -344,7 +338,6 @@ class ScenarioRunner:
                 assignment.f,
                 epoch=epoch,
                 table_reputation=table_reputation,
-                now=self.sim.now,
             )
             self._dispatch(node, step)
         self._view_hint = 0

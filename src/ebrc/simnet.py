@@ -63,15 +63,6 @@ LAZY_LATENCY_FACTOR = 4.0  # a lazy node's deliveries take this many times as lo
 
 
 @dataclass(frozen=True, slots=True)
-class ByzantineProfile:
-    behavior: str
-
-    def __post_init__(self) -> None:
-        if self.behavior not in BYZANTINE_BEHAVIORS:
-            raise ValueError(f"unknown byzantine behavior {self.behavior!r}")
-
-
-@dataclass(frozen=True, slots=True)
 class NetworkModel:
     base_latency_us: int = 2_000
     jitter_us: int = 1_000
@@ -212,11 +203,15 @@ class Simulation:
         run_seed: bytes,
         network: NetworkModel,
         registry: KeyRegistry,
-        byzantine: Optional[Dict[int, ByzantineProfile]] = None,
+        byzantine: Optional[Dict[int, str]] = None,
     ) -> None:
         self.network = network
         self.registry = registry
+        # node -> behavior; a name outside the list would run as equivocate.
         self.byzantine = dict(byzantine or {})
+        for behavior in self.byzantine.values():
+            if behavior not in BYZANTINE_BEHAVIORS:
+                raise ValueError(f"unknown byzantine behavior {behavior!r}")
         self.now = 0
         self.counters = Counters()
         self.trace: List[TraceRecord] = []  # one record per send on the wire
@@ -244,12 +239,12 @@ class Simulation:
         self._seq += 1
 
     def send(self, sender: int, targets: Sequence[int], message) -> None:
-        profile = self.byzantine.get(sender)
-        if profile and profile.behavior in ("silent", "lazy") and isinstance(message, VrfConnect):
+        behavior = self.byzantine.get(sender)
+        if behavior in ("silent", "lazy") and isinstance(message, VrfConnect):
             # Connectivity proofs are exempt from silence and laziness: a node
             # attacking the consensus phase still wants a committee seat.
-            profile = None
-        variants = self._outbound(profile, message)
+            behavior = None
+        variants = self._outbound(behavior, message)
         if not variants or not targets:
             # Nothing went out: the sender must not count as active.
             self.counters.suppressed += len(targets)
@@ -257,7 +252,7 @@ class Simulation:
         round_index = self.round_provider()
         # Variants keep the message type, so one tag serves the whole send.
         tag = getattr(type(message), "TAG", type(message).__name__.lower())
-        latency_factor = LAZY_LATENCY_FACTOR if profile and profile.behavior == "lazy" else 1.0
+        latency_factor = LAZY_LATENCY_FACTOR if behavior == "lazy" else 1.0
         prefixes = [_digest_prefix(variant) for variant in variants]
         if len(variants) == 1:
             plan = tuple(targets)
@@ -307,17 +302,17 @@ class Simulation:
             TraceRecord(now, sender, plan, tag, prefix, round_index, tuple(dropped))
         )
 
-    def _outbound(self, profile: Optional[ByzantineProfile], message) -> List[object]:
+    def _outbound(self, behavior: Optional[str], message) -> List[object]:
         """The message variants one send puts on the wire: none when it is
         suppressed, one shared by every target, or two when the sender
         equivocates."""
         # A corrupt proof fails the election's verification
         # (election.form_committee), not any check on the wire.
-        if profile is None or profile.behavior in ("lazy", "corrupt_proof"):
+        if behavior is None or behavior in ("lazy", "corrupt_proof"):
             return [message]
-        if profile.behavior == "silent":
+        if behavior == "silent":
             return []
-        if profile.behavior == "corrupt_digest":
+        if behavior == "corrupt_digest":
             return [_corrupted_digest(message, self.registry)]
         # equivocate, the one behavior left
         variant = _equivocation_variant(message, self.registry)
@@ -358,9 +353,6 @@ class Simulation:
         return block[::-1]  # a copy sized to fit, unlike the grown list
 
     # -- execution --
-
-    def pending(self) -> bool:
-        return bool(self._heap)
 
     def step_one(self) -> bool:
         """Process the single next event; False when the heap is empty."""

@@ -2,14 +2,19 @@
 
 from collections import Counter, deque, namedtuple
 
-from ebrc.consensus import EbrcReplica, PbftReplica, StepResult, tx_digest
+from ebrc.consensus import (
+    BATCH_WINDOW_US as BATCH_US,
+    VIEW_TIMEOUT_US as TIMEOUT_US,
+    EbrcReplica,
+    PbftReplica,
+    StepResult,
+    tx_digest,
+)
 from ebrc.crypto import KeyRegistry
 from ebrc.messages import Request, signed
 from ebrc.simnet import RECEIVER_ROW_FIELDS, receiver_rows
 
 CLIENT = 100
-BATCH_US = 2_000
-TIMEOUT_US = 40_000
 
 
 Row = namedtuple("Row", RECEIVER_ROW_FIELDS)
@@ -45,17 +50,8 @@ def make_committee(m: int, registry=None, candidates=(), reputation=None):
     table = reputation or {i: 0.5 for i in range(m)}
     replicas = {}
     for node in range(m):
-        rep = EbrcReplica(
-            node,
-            registry,
-            batch_window_us=BATCH_US,
-            view_timeout_us=TIMEOUT_US,
-            block_tx_cap=3,
-        )
-        rep.set_committee(
-            range(m), candidates, f,
-            epoch=1, table_reputation=table, now=0,
-        )
+        rep = EbrcReplica(node, registry, block_tx_cap=3)
+        rep.set_committee(range(m), candidates, f, epoch=1, table_reputation=table)
         replicas[node] = rep
     return replicas, registry
 
@@ -63,14 +59,7 @@ def make_committee(m: int, registry=None, candidates=(), reputation=None):
 def make_group(n: int, registry=None):
     registry = registry or make_registry(n)
     replicas = {
-        node: PbftReplica(
-            node,
-            registry,
-            batch_window_us=BATCH_US,
-            view_timeout_us=TIMEOUT_US,
-            block_tx_cap=3,
-            group=range(n),
-        )
+        node: PbftReplica(node, registry, block_tx_cap=3, group=range(n))
         for node in range(n)
     }
     return replicas, registry

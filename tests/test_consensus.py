@@ -304,11 +304,9 @@ class TestAnnounceAdoption:
         return replicas, reg, replicas[0].ledger[1]
 
     def outsider(self, reg, m=4):
-        rep = EbrcReplica(
-            9, reg, batch_window_us=BATCH_US, view_timeout_us=TIMEOUT_US, block_tx_cap=3
-        )
+        rep = EbrcReplica(9, reg, block_tx_cap=3)
         rep.set_committee(range(m), [], 1, epoch=1,
-                          table_reputation={i: 0.5 for i in range(m)}, now=0)
+                          table_reputation={i: 0.5 for i in range(m)})
         return rep
 
     def test_outsider_adopts_announced_block(self):
@@ -426,11 +424,9 @@ class TestRequestGates:
         # keeps one it is handed, sends nothing and arms no timer.
         replicas, reg = make_committee(4)
         reg.register(9)
-        outsider = EbrcReplica(
-            9, reg, batch_window_us=BATCH_US, view_timeout_us=TIMEOUT_US, block_tx_cap=3
-        )
+        outsider = EbrcReplica(9, reg, block_tx_cap=3)
         outsider.set_committee(range(4), [], 1, epoch=1,
-                               table_reputation={i: 0.5 for i in range(4)}, now=0)
+                               table_reputation={i: 0.5 for i in range(4)})
         req = make_request(reg)
         result = outsider.step(0, req)
         assert result.sends == [] and result.timers == []

@@ -49,7 +49,7 @@ class TestDigest:
         assert head.digest() == untouched
 
     def test_pack_type_coverage(self):
-        value = pack(1, "s", b"b", True, None, (1, 2))
+        value = pack(1, "s", b"b", True, (1, 2))
         assert isinstance(value, bytes)
         assert pack(1) != pack(True)  # bools are not packed as ints
         with pytest.raises(TypeError):
@@ -73,7 +73,10 @@ class TestSignatures:
         assert not registry.verify(99, b"payload", b"sig")
 
     def test_register_idempotent(self, registry):
-        assert registry.register(0) is registry.register(0)
+        first = registry.register(0)
+        sig = registry.sign(0, b"payload")
+        assert registry.register(0) == first
+        assert registry.verify(0, b"payload", sig)
 
     def test_distinct_owners_distinct_keys(self, registry):
         keys = {registry.public_key(i) for i in range(4)}

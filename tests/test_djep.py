@@ -23,7 +23,7 @@ from ebrc.messages import (
     signed,
 )
 
-from driver import BATCH_US, TIMEOUT_US, Pump, make_committee, make_registry, per_recipient
+from driver import Pump, make_committee, make_registry, per_recipient
 from oracles import exit_messages, join_messages
 
 
@@ -194,14 +194,8 @@ class TestExitWithPromotion:
         )
         for cand in (7, 8):
             reg.register(cand)
-            rep = EbrcReplica(
-                cand, reg,
-                batch_window_us=BATCH_US, view_timeout_us=TIMEOUT_US, block_tx_cap=3,
-            )
-            rep.set_committee(
-                range(4), (7, 8), 1,
-                epoch=1, table_reputation=reputation, now=0,
-            )
+            rep = EbrcReplica(cand, reg, block_tx_cap=3)
+            rep.set_committee(range(4), (7, 8), 1, epoch=1, table_reputation=reputation)
             replicas[cand] = rep
         assert replicas[1].is_master
         return replicas, reg, Pump(replicas)
@@ -289,11 +283,9 @@ class TestJoinValidation:
         reputation = {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5, 8: 0.9}
         replicas, reg = make_committee(4, candidates=(8,), reputation=reputation)
         reg.register(8)
-        candidate = EbrcReplica(
-            8, reg, batch_window_us=BATCH_US, view_timeout_us=TIMEOUT_US, block_tx_cap=3
-        )
+        candidate = EbrcReplica(8, reg, block_tx_cap=3)
         candidate.set_committee(range(4), (8,), 1, epoch=1,
-                                table_reputation=reputation, now=0)
+                                table_reputation=reputation)
         forged = signed(
             ChangeNotice(candidate_id=8, effective_height=3, master_id=1), reg, 2
         )

@@ -109,7 +109,6 @@ class TestFormCommittee:
     def config(self, **kwargs):
         base = dict(
             sortition_threshold=1.0,
-            target_committee_size=4,
             eligibility_percentile=1.0,
             consensus_percentile=0.5,
         )
@@ -123,7 +122,6 @@ class TestFormCommittee:
         table = equal_table(20, reg)
         config_all = ElectionConfig(
             sortition_threshold=1.0,
-            target_committee_size=4,
             eligibility_percentile=1.0,
             consensus_percentile=0.5,
         )
@@ -207,7 +205,7 @@ class TestFormCommittee:
             table, self.config(), GENESIS_SEED, reg, corrupt_proofs={3}
         )
         assert (3, "invalid-sortition-proof") in reports
-        assert 3 not in assignment.committee
+        assert 3 not in assignment.consensus_nodes + assignment.candidates
         assert 3 not in assignment.spares
 
     def test_too_few_selectees_raises(self):
@@ -278,8 +276,6 @@ class TestFormCommittee:
         with pytest.raises(ValueError):
             ElectionConfig(sortition_threshold=0.0).validate()
         with pytest.raises(ValueError):
-            ElectionConfig(target_committee_size=3).validate()
-        with pytest.raises(ValueError):
             ElectionConfig(
                 consensus_percentile=0.9, eligibility_percentile=0.5
             ).validate()
@@ -296,7 +292,6 @@ class TestFormCommittee:
         table = table_with_scores(reg, scores)
         config = ElectionConfig(
             sortition_threshold=1.0,
-            target_committee_size=4,
             eligibility_percentile=1.0,
             consensus_percentile=0.5,
         )
@@ -315,7 +310,6 @@ class TestFormCommittee:
         table = table_with_scores(reg, scores)
         config = ElectionConfig(
             sortition_threshold=1.0,
-            target_committee_size=4,
             eligibility_percentile=0.85,
             consensus_percentile=0.5,
         )
@@ -323,7 +317,7 @@ class TestFormCommittee:
         for _ in range(10):
             assignment, _ = form_committee(table, config, seed, reg)
             for low_node in (17, 18, 19):
-                assert low_node not in assignment.committee
+                assert low_node not in assignment.consensus_nodes + assignment.candidates
                 assert low_node not in assignment.spares
             seed = derive_seed(seed)
 
@@ -334,7 +328,7 @@ class TestFormCommittee:
         table = equal_table(8, reg)
         from ebrc.reputation import ConfirmedReport, Participation
 
-        events = [Participation(i, 10) for i in range(8)]
+        events = [Participation(i) for i in range(8) for _ in range(10)]
         events += [ConfirmedReport(6), ConfirmedReport(6), ConfirmedReport(7)]
         table = update_behavior_table(table, events)
         assignment, _ = form_committee(table, self.config(), GENESIS_SEED, reg)

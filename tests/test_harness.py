@@ -547,6 +547,11 @@ class TestFairnessExperiment:
         with pytest.raises(ValueError):
             fairness_experiment(10, 0)
 
+    @pytest.mark.parametrize("node_count", [2, 3])
+    def test_too_few_nodes_for_a_committee_rejected(self, node_count):
+        with pytest.raises(ValueError, match="needs at least 4 nodes"):
+            fairness_experiment(node_count, 10)
+
 
 class TestEmptyCommittee:
     def test_frequency_tracks_analytic(self):
@@ -619,6 +624,10 @@ class TestCli:
         payload = json.loads((out / "fairness.json").read_text())
         assert payload["node_count"] == 8
         assert "p_value" in payload
+
+    def test_fairness_with_too_few_nodes_is_usage_error(self, capsys):
+        assert main(["fairness", "--nodes", "3", "--epochs", "10"]) == 1
+        assert "needs at least 4 nodes" in capsys.readouterr().err
 
     def test_missing_required_argument_is_usage_error(self, tmp_path, capsys):
         assert main(["run"]) == 1

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebrc.reputation import (
-    DEFAULT_WEIGHTS,
     INITIAL_GROWTH_RATE,
     INITIAL_REPUTATION,
     LATENCY_LEVELS,
+    DEPOSIT_CAP,
     REPUTATION_FLOOR,
+    SLASH_FRACTION,
+    WEIGHTS,
     ActivitySample,
     BehaviorRecord,
     ConfirmedReport,
@@ -20,7 +22,6 @@ from ebrc.reputation import (
     FactorVector,
     Incompletion,
     Participation,
-    ReputationWeights,
     TransactionsProcessed,
     compute_factors,
     compute_growth_rate,
@@ -29,7 +30,6 @@ from ebrc.reputation import (
     h_index,
     latency_level_for,
     new_record,
-    slash_deposit,
     update_behavior_table,
 )
 
@@ -146,18 +146,6 @@ class TestComputeReputation:
         f = FactorVector(0.0, 1.0, 1.0, 0.0, 0.0)
         assert compute_reputation(f) == REPUTATION_FLOOR
 
-    def test_invalid_weights_rejected(self):
-        with pytest.raises(ValueError):
-            compute_reputation(
-                FactorVector(1, 0, 0, 1, 1),
-                ReputationWeights(0.5, 0.5, 0.5, 0.5, 0.5),
-            )
-        with pytest.raises(ValueError):
-            compute_reputation(
-                FactorVector(1, 0, 0, 1, 1),
-                ReputationWeights(-0.1, 0.4, 0.3, 0.3, 0.1),
-            )
-
     unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
     @given(unit, unit, unit, unit, unit)
@@ -236,37 +224,40 @@ class TestLevels:
 
 
 class TestSlashAndCaps:
-    def test_slash_identity(self):
-        assert slash_deposit(record_with(deposit=100.0), 0.0).deposit == 100.0
+    @staticmethod
+    def slashed(deposit, slashes=1):
+        table = {1: record_with(deposit=deposit)}
+        return update_behavior_table(table, [DepositSlash(1)] * slashes)[1].deposit
 
     def test_slash_fraction(self):
-        assert slash_deposit(record_with(deposit=100.0), 0.1).deposit == pytest.approx(90.0)
+        assert self.slashed(100.0) == pytest.approx(100.0 * (1.0 - SLASH_FRACTION))
+        assert self.slashed(100.0) == pytest.approx(90.0)
+
+    def test_slash_compounds(self):
+        assert self.slashed(100.0, slashes=2) == pytest.approx(81.0)
 
     def test_slash_zero_deposit(self):
-        assert slash_deposit(record_with(deposit=0.0), 0.5).deposit == 0.0
+        assert self.slashed(0.0) == 0.0
 
     def test_slash_does_not_mutate(self):
         rec = record_with(deposit=100.0)
-        slash_deposit(rec, 0.5)
+        update_behavior_table({1: rec}, [DepositSlash(1)])
         assert rec.deposit == 100.0
-
-    def test_slash_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            slash_deposit(record_with(), 1.5)
 
     def test_caps_no_op_when_balanced(self):
         deposits = {0: 100.0, 1: 100.0, 2: 100.0, 3: 100.0, 4: 100.0}
         assert enforce_deposit_caps(deposits) == deposits
 
     def test_caps_clamp_dominant_node(self):
-        capped = enforce_deposit_caps({0: 1000.0, 1: 100.0, 2: 100.0}, cap_fraction=0.25)
+        capped = enforce_deposit_caps({0: 1000.0, 1: 100.0, 2: 100.0})
         # Limit is 25% of the submitted total (1200).
         assert capped[0] == pytest.approx(300.0)
         assert capped[1] == 100.0 and capped[2] == 100.0
 
-    def test_caps_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            enforce_deposit_caps({0: 1.0}, cap_fraction=1.0)
+    def test_caps_single_node_keeps_cap_share(self):
+        # The limit comes from the submitted total, so a lone depositor is
+        # cut to DEPOSIT_CAP of its own deposit.
+        assert enforce_deposit_caps({0: 200.0}) == {0: pytest.approx(200.0 * DEPOSIT_CAP)}
 
 
 class TestBehaviorTable:
@@ -287,23 +278,24 @@ class TestBehaviorTable:
 
     def test_input_table_never_mutated(self):
         table = self.table()
-        update_behavior_table(table, [Participation(0, 5), ConfirmedReport(1)])
+        update_behavior_table(
+            table, [Participation(0)] * 5 + [ConfirmedReport(1), DepositSlash(0)]
+        )
         assert table[0].consensus_participations == 0
         assert table[1].reported_evil_count == 0
+        assert table[0].deposit == 100.0
         assert len(table[0].reputation_history) == 1
 
     def test_confirmed_report_lowers_reputation(self):
         table = self.table()
-        baseline = update_behavior_table(table, [Participation(i, 10) for i in range(4)])
-        reported = update_behavior_table(
-            table,
-            [Participation(i, 10) for i in range(4)] + [ConfirmedReport(3)],
-        )
+        participations = [Participation(i) for i in range(4) for _ in range(10)]
+        baseline = update_behavior_table(table, participations)
+        reported = update_behavior_table(table, participations + [ConfirmedReport(3)])
         assert reported[3].reputation < baseline[3].reputation
         assert reported[0].reputation == pytest.approx(baseline[0].reputation)
 
     def test_deposit_slash_event(self):
-        updated = update_behavior_table(self.table(), [DepositSlash(3, 0.1)])
+        updated = update_behavior_table(self.table(), [DepositSlash(3)])
         assert updated[3].deposit == pytest.approx(90.0)
 
     def test_incompletion_counts_participation(self):
@@ -330,7 +322,7 @@ class TestBehaviorTable:
         assert 99 not in updated
 
     def test_deterministic(self):
-        events = [Participation(0, 3), ConfirmedReport(2), DepositSlash(1, 0.2)]
+        events = [Participation(0)] * 3 + [ConfirmedReport(2), DepositSlash(1)]
         a = update_behavior_table(self.table(), events)
         b = update_behavior_table(self.table(), events)
         assert all(
@@ -347,14 +339,8 @@ class TestBehaviorTable:
             record_with(consensus_participations=1, incomplete_count=2)
 
     def test_weights_sum_check(self):
-        ReputationWeights().validate()
-        total = math.fsum(
-            (
-                DEFAULT_WEIGHTS.margin,
-                DEFAULT_WEIGHTS.incomplete,
-                DEFAULT_WEIGHTS.evil,
-                DEFAULT_WEIGHTS.activity,
-                DEFAULT_WEIGHTS.magnitude,
-            )
-        )
-        assert total == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(WEIGHTS) == 1
+
+    def test_weights_non_negative(self):
+        assert len(WEIGHTS) == 5
+        assert all(w >= 0 for w in WEIGHTS)

@@ -14,7 +14,6 @@ from ebrc.messages import (
 )
 from ebrc.simnet import (
     BYZANTINE_BEHAVIORS,
-    ByzantineProfile,
     NetworkModel,
     Simulation,
 )
@@ -83,9 +82,9 @@ class TestModelValidation:
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
-            ByzantineProfile("sleepy")
+            make_sim(byzantine={0: "sleepy"})
         for behavior in BYZANTINE_BEHAVIORS:
-            ByzantineProfile(behavior)
+            make_sim(byzantine={0: behavior})
 
 
 class TestOrdering:
@@ -120,7 +119,7 @@ class TestOrdering:
         with pytest.raises(ValueError):
             sim.send(0, [1, 0], make_commit(reg))
         # A rejected send puts nothing on the wire, not even to node 1.
-        assert (sim.counters.sent, sim.trace, sim.pending()) == (0, [], False)
+        assert (sim.counters.sent, sim.trace, sim.step_one()) == (0, [], False)
 
 
 class TestDeterminism:
@@ -281,8 +280,8 @@ class TestDeliveryOrderOracle:
         reg = make_registry(6)
         network = NetworkModel(base_latency_us, jitter_us, drop_rate, partitions)
         byzantine = {
-            self.LAZY: ByzantineProfile("lazy"),
-            self.EQUIVOCATOR: ByzantineProfile("equivocate"),
+            self.LAZY: "lazy",
+            self.EQUIVOCATOR: "equivocate",
         }
         sim = Simulation(seed, network, reg, byzantine)
         oracle = NaiveNetwork(
@@ -376,7 +375,7 @@ class TestDropLogging:
 
 class TestSilent:
     def test_consensus_messages_suppressed(self):
-        sim, deliveries, reg = make_sim(byzantine={0: ByzantineProfile("silent")})
+        sim, deliveries, reg = make_sim(byzantine={0: "silent"})
         sim.send(0, [1, 2, 3], make_commit(reg))
         drain(sim)
         assert deliveries == []
@@ -386,7 +385,7 @@ class TestSilent:
 
     def test_connectivity_proof_still_sent(self):
         # A consensus-phase attacker still wants its committee seat.
-        sim, deliveries, reg = make_sim(byzantine={0: ByzantineProfile("silent")})
+        sim, deliveries, reg = make_sim(byzantine={0: "silent"})
         sim.send(0, [1], make_connect(reg))
         drain(sim)
         assert len(deliveries) == 1
@@ -395,7 +394,7 @@ class TestSilent:
 
 class TestLazy:
     def test_latency_multiplied(self):
-        sim, deliveries, reg = make_sim(byzantine={0: ByzantineProfile("lazy")})
+        sim, deliveries, reg = make_sim(byzantine={0: "lazy"})
         sim.send(0, [1], make_commit(reg))
         sim.send(2, [1], make_commit(reg, sender=2))
         drain(sim)
@@ -404,7 +403,7 @@ class TestLazy:
         assert by_sender[0] == 8_000
 
     def test_connectivity_proof_not_delayed(self):
-        sim, deliveries, reg = make_sim(byzantine={0: ByzantineProfile("lazy")})
+        sim, deliveries, reg = make_sim(byzantine={0: "lazy"})
         sim.send(0, [1], make_connect(reg))
         drain(sim)
         assert deliveries[0][1] == 2_000
@@ -412,7 +411,7 @@ class TestLazy:
 
 class TestEquivocate:
     def test_two_request_batch_splits_by_target_parity(self):
-        sim, deliveries, reg = make_sim(byzantine={0: ByzantineProfile("equivocate")})
+        sim, deliveries, reg = make_sim(byzantine={0: "equivocate"})
         prepare = make_prepare(reg, payloads=(b"a", b"b"))
         sim.send(0, [3, 1, 2], prepare)
         drain(sim)
@@ -427,14 +426,14 @@ class TestEquivocate:
         assert signature_ok(got[2], reg, 0)
 
     def test_single_request_batch_has_no_variant(self):
-        sim, deliveries, reg = make_sim(byzantine={0: ByzantineProfile("equivocate")})
+        sim, deliveries, reg = make_sim(byzantine={0: "equivocate"})
         prepare = make_prepare(reg, payloads=(b"a",))
         sim.send(0, [1, 2], prepare)
         drain(sim)
         assert all(m.digest == prepare.digest for _, _, m in deliveries)
 
     def test_non_proposal_messages_pass_through(self):
-        sim, deliveries, reg = make_sim(byzantine={0: ByzantineProfile("equivocate")})
+        sim, deliveries, reg = make_sim(byzantine={0: "equivocate"})
         commit = make_commit(reg)
         sim.send(0, [1, 2], commit)
         drain(sim)
@@ -443,7 +442,7 @@ class TestEquivocate:
 
 class TestCorruptDigest:
     def test_consensus_digest_flipped_and_resigned(self):
-        sim, deliveries, reg = make_sim(byzantine={0: ByzantineProfile("corrupt_digest")})
+        sim, deliveries, reg = make_sim(byzantine={0: "corrupt_digest"})
         prepare = make_prepare(reg)
         sim.send(0, [1], prepare)
         drain(sim)
@@ -455,7 +454,7 @@ class TestCorruptDigest:
         assert signature_ok(mangled, reg, 0)
 
     def test_commit_votes_also_corrupted(self):
-        sim, deliveries, reg = make_sim(byzantine={0: ByzantineProfile("corrupt_digest")})
+        sim, deliveries, reg = make_sim(byzantine={0: "corrupt_digest"})
         commit = make_commit(reg)
         sim.send(0, [1], commit)
         drain(sim)
@@ -464,7 +463,7 @@ class TestCorruptDigest:
     def test_connectivity_proof_untouched(self):
         # Digest corruption is an in-committee attack: the election proof
         # stays valid so the node keeps its seat.
-        sim, deliveries, reg = make_sim(byzantine={0: ByzantineProfile("corrupt_digest")})
+        sim, deliveries, reg = make_sim(byzantine={0: "corrupt_digest"})
         connect = make_connect(reg)
         sim.send(0, [1], connect)
         drain(sim)
@@ -475,14 +474,14 @@ class TestCorruptProof:
     def test_connectivity_proof_sent_unchanged(self):
         # A corrupt proof fails the election's verification, not a check
         # on the wire: the VrfConnect goes out as it was signed.
-        sim, deliveries, reg = make_sim(byzantine={0: ByzantineProfile("corrupt_proof")})
+        sim, deliveries, reg = make_sim(byzantine={0: "corrupt_proof"})
         connect = make_connect(reg)
         sim.send(0, [1], connect)
         drain(sim)
         assert deliveries[0][2] == connect
 
     def test_consensus_messages_untouched(self):
-        sim, deliveries, reg = make_sim(byzantine={0: ByzantineProfile("corrupt_proof")})
+        sim, deliveries, reg = make_sim(byzantine={0: "corrupt_proof"})
         prepare = make_prepare(reg)
         sim.send(0, [1], prepare)
         drain(sim)
@@ -507,7 +506,7 @@ class TestCounters:
         # A silent member's send leaves no trace in the round's senders;
         # an equivocating broadcast counts one message per receiver.
         sim, _, reg = make_sim(byzantine={
-            0: ByzantineProfile("silent"), 1: ByzantineProfile("equivocate"),
+            0: "silent", 1: "equivocate",
         })
         sim.round_provider = lambda: 3
         sim.send(0, [1, 2, 3], make_commit(reg))
@@ -563,7 +562,7 @@ class TestFanOut:
 
     def test_equivocating_broadcast_two_variants(self):
         rows, deliveries = self.run(
-            b"fan-out", self.JITTER, {0: ByzantineProfile("equivocate")},
+            b"fan-out", self.JITTER, {0: "equivocate"},
             lambda reg: [(0, self.three_request_prepare(reg))],
         )
         assert rows == [
@@ -583,7 +582,7 @@ class TestFanOut:
 
     def test_corrupt_digest_broadcast(self):
         rows, deliveries = self.run(
-            b"fan-out", self.JITTER, {0: ByzantineProfile("corrupt_digest")},
+            b"fan-out", self.JITTER, {0: "corrupt_digest"},
             lambda reg: [(0, self.three_request_prepare(reg)), (1_000, self.counting_commit(reg))],
         )
         assert rows == [
@@ -645,7 +644,7 @@ class TestFanOut:
         # one digest prefix per target only when equivocation splits the
         # send, and the dropped targets in plan order.
         equivocating, _ = self.simulate(
-            b"fan-out", self.JITTER, {0: ByzantineProfile("equivocate")},
+            b"fan-out", self.JITTER, {0: "equivocate"},
             lambda reg: [(0, self.three_request_prepare(reg))],
         )
         assert equivocating.trace == [
@@ -653,7 +652,7 @@ class TestFanOut:
              ("169f6f1d", "fd62c4d1", "169f6f1d", "fd62c4d1", "169f6f1d"), 3, ()),
         ]
         corrupt, _ = self.simulate(
-            b"fan-out", self.JITTER, {0: ByzantineProfile("corrupt_digest")},
+            b"fan-out", self.JITTER, {0: "corrupt_digest"},
             lambda reg: [(0, self.three_request_prepare(reg))],
         )
         assert corrupt.trace == [(0, 0, (5, 1, 4, 2, 3), "prepare", "e99f6f1d", 3, ())]
