@@ -26,7 +26,7 @@ epoch_seed = b"demo-epoch-1"
 vrf = SimulatedVrf(registry)
 print(f"sortition at omega = {config.sortition_threshold}: normalized VRF draw per node")
 for node in range(NODES):
-    draw = vrf.evaluate(registry.secret_key(node), epoch_seed).value / VRF_RANGE
+    draw = vrf.value(registry.secret_key(node), epoch_seed) / VRF_RANGE
     mark = "<- self-selects" if draw <= config.sortition_threshold else ""
     print(f"  node {node:2d}  {draw:.3f}  {mark}")
 

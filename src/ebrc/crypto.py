@@ -4,6 +4,14 @@ Every primitive here is keyed BLAKE2b: cheap, reproducible, and verifiable
 through a trusted in-simulation registry rather than real public-key math.
 That is intentional: runs must replay bit-for-bit. The elections use
 ``SimulatedVrf`` directly; a production VRF would replace that class.
+
+A signature is ``digest(secret, payload, domain=b"sig")``, a VRF value and
+proof are ``digest(secret, seed)`` under ``b"vrf-value"`` and ``b"vrf-proof"``.
+Each (secret, domain) pair is absorbed once into a cached state
+(``_keyed_state``), so signing and sortition copy that state and hash only
+the payload or the seed; the bytes are the same as hashing the secret every
+time. A sortition draw computes its value alone: only a node that selects
+itself makes a proof.
 """
 
 from __future__ import annotations
@@ -49,6 +57,15 @@ def hasher(parts: Sequence[bytes], domain: bytes = b"msg", prefix=None):
     return h
 
 
+@lru_cache(maxsize=2048)
+def _keyed_state(secret_key: bytes, domain: bytes):
+    """``hasher((secret_key,), domain)``, shared like ``_domain_state``: the
+    prefix of every signature and VRF hash under that key. 2048 states cover
+    the three keyed domains of 682 nodes; a run with more still gets the
+    same bytes, absorbing the secret again on a miss."""
+    return hasher((secret_key,), domain)
+
+
 def digest(*parts: bytes, domain: bytes = b"msg", prefix=None) -> bytes:
     """Length-prefixed, domain-separated BLAKE2b over ``parts``, continuing
     ``prefix`` when given (see ``hasher``)."""
@@ -91,6 +108,9 @@ class KeyRegistry:
     Real deployments verify signatures and sortition proofs with public-key
     math; the simulation instead resolves the secret key for a public key
     through this registry. Only verification helpers consult the secret side.
+
+    ``sign`` and ``verify`` continue the state that already holds the
+    signer's secret (``_keyed_state``) instead of hashing it again.
     """
 
     def __init__(self, seed: bytes) -> None:
@@ -119,14 +139,13 @@ class KeyRegistry:
         return self._secret_for.get(public_key)
 
     def sign(self, owner_id: int, payload: bytes) -> bytes:
-        return digest(self.secret_key(owner_id), payload, domain=b"sig")
+        return digest(payload, prefix=_keyed_state(self.secret_key(owner_id), b"sig"))
 
     def verify(self, owner_id: int, payload: bytes, signature: bytes) -> bool:
         pair = self._by_owner.get(owner_id)
         if pair is None or not isinstance(signature, bytes):
             return False
-        expected = digest(pair.secret_key, payload, domain=b"sig")
-        return signature == expected
+        return signature == digest(payload, prefix=_keyed_state(pair.secret_key, b"sig"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,33 +157,38 @@ class VrfOutput:
 
 
 class SimulatedVrf:
-    """Keyed-digest VRF: value and proof are independent digests of (sk, seed).
+    """Keyed-digest VRF: value and proof are independent digests of (sk, seed),
+    each continued from the state that already holds the key (``_keyed_state``).
 
-    verify() recomputes both through the registry oracle; a forged or mangled
-    proof fails closed with (False, None).
+    ``value`` and ``proof`` are separate so that a draw tests self-selection
+    on the value alone and makes a proof only once selected; ``evaluate``
+    makes both. verify() recomputes both through the registry oracle; a
+    forged or mangled proof fails closed with (False, None).
     """
 
     def __init__(self, registry: KeyRegistry) -> None:
         self._registry = registry
 
     @staticmethod
-    def _value(secret_key: bytes, seed: bytes) -> int:
-        return int.from_bytes(digest(secret_key, seed, domain=b"vrf-value"), "big")
+    def value(secret_key: bytes, seed: bytes) -> int:
+        """The draw a node compares against the sortition threshold."""
+        return int.from_bytes(digest(seed, prefix=_keyed_state(secret_key, b"vrf-value")), "big")
 
     @staticmethod
-    def _proof(secret_key: bytes, seed: bytes) -> bytes:
-        return digest(secret_key, seed, domain=b"vrf-proof")
+    def proof(secret_key: bytes, seed: bytes) -> bytes:
+        """The proof a node makes once its value selects it."""
+        return digest(seed, prefix=_keyed_state(secret_key, b"vrf-proof"))
 
     def evaluate(self, secret_key: bytes, seed: bytes) -> VrfOutput:
-        return VrfOutput(self._value(secret_key, seed), self._proof(secret_key, seed))
+        return VrfOutput(self.value(secret_key, seed), self.proof(secret_key, seed))
 
     def verify(self, public_key: bytes, seed: bytes, proof: bytes) -> Tuple[bool, Optional[int]]:
         secret = self._registry.resolve_secret(public_key)
         if secret is None or not isinstance(proof, bytes):
             return False, None
-        if proof != self._proof(secret, seed):
+        if proof != self.proof(secret, seed):
             return False, None
-        return True, self._value(secret, seed)
+        return True, self.value(secret, seed)
 
 
 def derive_seed(previous_block_hash: bytes) -> bytes:

@@ -77,16 +77,6 @@ def _cutoff(count: int, percentile: float) -> int:
     return int(math.floor(count * percentile + 1e-9))
 
 
-def _ranked(table: BehaviorTable, key) -> List[int]:
-    return [
-        node_id
-        for node_id, _ in sorted(
-            ((nid, key(rec)) for nid, rec in table.items()),
-            key=lambda item: (-item[1], item[0]),
-        )
-    ]
-
-
 def _top_slice(table: BehaviorTable, key, keep: int) -> Set[int]:
     """Ids whose key value ties or beats the value at the keep-th rank.
 
@@ -96,11 +86,11 @@ def _top_slice(table: BehaviorTable, key, keep: int) -> Set[int]:
     """
     if keep <= 0:
         return set()
-    ranked = _ranked(table, key)
-    if keep >= len(ranked):
-        return set(ranked)
-    boundary = key(table[ranked[keep - 1]])
-    return {nid for nid in ranked if key(table[nid]) >= boundary}
+    if keep >= len(table):
+        return set(table)
+    values = {node_id: key(record) for node_id, record in table.items()}
+    boundary = sorted(values.values(), reverse=True)[keep - 1]
+    return {node_id for node_id, value in values.items() if value >= boundary}
 
 
 def eligible_nodes(table: BehaviorTable, eligibility_percentile: float) -> Set[int]:
@@ -122,13 +112,13 @@ def form_committee(
 ) -> Tuple[CommitteeAssignment, List[Tuple[int, str]]]:
     """Run one election and return (assignment, misbehavior reports).
 
-    Every eligible node evaluates the VRF on ``seed`` and self-selects when
-    its draw falls below the sortition threshold. Draws are re-verified
-    through the registry; selectees whose proofs fail verification are
-    excluded and reported (``corrupt_proofs`` is the simulation hook that
-    mangles specific nodes' proofs). Raises ElectionFailed when fewer than
-    MIN_COMMITTEE verified selectees remain; the caller retries with a
-    re-derived seed.
+    Every eligible node draws a VRF value on ``seed`` and self-selects when
+    it falls below the sortition threshold; only a selectee makes a proof.
+    Draws are re-verified through the registry; selectees whose proofs fail
+    verification are excluded and reported (``corrupt_proofs`` is the
+    simulation hook that mangles specific nodes' proofs). Raises
+    ElectionFailed when fewer than MIN_COMMITTEE verified selectees remain;
+    the caller retries with a re-derived seed.
     """
     config.validate()
     vrf = SimulatedVrf(registry)
@@ -143,14 +133,15 @@ def form_committee(
     reports: List[Tuple[int, str]] = []
     verified: List[int] = []
     for node_id in sorted(eligible):
-        draw = vrf.evaluate(registry.secret_key(node_id), seed)
-        if draw.value > threshold:
+        secret = registry.secret_key(node_id)
+        value = vrf.value(secret, seed)
+        if value > threshold:
             continue
-        proof = draw.proof
+        proof = vrf.proof(secret, seed)
         if node_id in corrupt_proofs:
             proof = bytes([proof[0] ^ 0xFF]) + proof[1:]
-        ok, value = vrf.verify(registry.public_key(node_id), seed, proof)
-        if not ok or value != draw.value:
+        ok, verified_value = vrf.verify(registry.public_key(node_id), seed, proof)
+        if not ok or verified_value != value:
             reports.append((node_id, "invalid-sortition-proof"))
             continue
         verified.append(node_id)

@@ -483,7 +483,12 @@ def empty_committee_probability(
     seed: int = 0,
 ) -> dict:
     """Monte Carlo frequency of a sortition selecting nobody, using the real
-    draw machinery, against the analytic (1 - omega)**n."""
+    draw machinery, against the analytic (1 - omega)**n. A trial reads each
+    node's VRF value only: it counts selections and publishes no proof."""
+    if node_count < 1:
+        raise ValueError("node_count must be >= 1")
+    if not 0.0 < omega <= 1.0:
+        raise ValueError("omega must lie in (0, 1]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     registry = KeyRegistry(digest(pack(seed), domain=b"empty-committee-keys"))
@@ -494,7 +499,7 @@ def empty_committee_probability(
     empty = 0
     for trial in range(trials):
         trial_seed = digest(base, trial.to_bytes(8, "big"), domain=b"trial")
-        if all(vrf.evaluate(sk, trial_seed).value > threshold for sk in secrets):
+        if all(vrf.value(sk, trial_seed) > threshold for sk in secrets):
             empty += 1
     frequency = empty / trials
     return {

@@ -316,7 +316,7 @@ class ScenarioRunner:
             | {accused for accused, _ in proof_reports}
         )
         for node in announcers:
-            proof = vrf.evaluate(self.registry.secret_key(node), seed).proof
+            proof = vrf.proof(self.registry.secret_key(node), seed)
             connect = signed(
                 VrfConnect(
                     epoch=epoch,

@@ -12,6 +12,7 @@ from ebrc.crypto import (
     ZERO_HASH,
     KeyRegistry,
     SimulatedVrf,
+    VrfOutput,
     derive_seed,
     digest,
     hasher,
@@ -147,6 +148,41 @@ class TestVrf:
             reg.register(node)
             values.add(vrf.evaluate(reg.secret_key(node), b"shared-seed").value)
         assert len(values) == 1000
+
+
+class TestKeyedStates:
+    """Signatures and VRF draws continue a state that already holds the
+    secret; their bytes must equal hashing the secret in full."""
+
+    @pytest.mark.parametrize("owner", [0, 3])
+    def test_signature_known_answer(self, registry, owner):
+        secret = registry.secret_key(owner)
+        sig = registry.sign(owner, b"payload")
+        assert sig == digest(secret, b"payload", domain=b"sig")
+        assert registry.verify(owner, b"payload", sig)
+        flipped = bytes([sig[0] ^ 0x01]) + sig[1:]
+        assert not registry.verify(owner, b"payload", flipped)
+
+    @pytest.mark.parametrize("owner", [0, 3])
+    def test_vrf_known_answer(self, registry, owner):
+        vrf = SimulatedVrf(registry)
+        secret = registry.secret_key(owner)
+        value = int.from_bytes(digest(secret, b"seed", domain=b"vrf-value"), "big")
+        proof = digest(secret, b"seed", domain=b"vrf-proof")
+        assert vrf.value(secret, b"seed") == value
+        assert vrf.proof(secret, b"seed") == proof
+        assert vrf.evaluate(secret, b"seed") == VrfOutput(value, proof)
+
+    def test_secret_the_registry_does_not_hold(self, registry):
+        vrf = SimulatedVrf(registry)
+        other = KeyRegistry(seed=b"another-registry")
+        secret = other.register(0).secret_key
+        assert registry.resolve_secret(other.public_key(0)) is None
+        assert vrf.value(secret, b"seed") == int.from_bytes(
+            digest(secret, b"seed", domain=b"vrf-value"), "big"
+        )
+        assert vrf.proof(secret, b"seed") == digest(secret, b"seed", domain=b"vrf-proof")
+        assert SimulatedVrf(other).value(secret, b"seed") == vrf.value(secret, b"seed")
 
 
 class TestSeedDerivation:

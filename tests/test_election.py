@@ -1,5 +1,7 @@
 """Committee election: eligibility gating, sortition, partition, verification."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,6 +106,33 @@ class TestEligibility:
         tied = table_with_scores(reg, scores)
         assert eligible_nodes(tied, 0.85) == set(range(18))
 
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.1, 0.4, 0.4, 0.9]), st.sampled_from([-0.2, 0.5, 0.5])),
+            min_size=1,
+            max_size=24,
+        ),
+        st.floats(min_value=0.05, max_value=1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_ranked_value_cut(self, scores, percentile):
+        # The slice reads each key once and never sorts ids; it must admit
+        # exactly what a cut at the keep-th entry of the full ranking admits.
+        reg = make_registry(len(scores))
+        table = table_with_scores(reg, [r for r, _ in scores], [g for _, g in scores])
+        keep = math.floor(len(table) * percentile + 1e-9)
+
+        def value_cut(ranked, key):
+            if keep <= 0:
+                return set()
+            boundary = key(table[ranked[min(keep, len(ranked)) - 1]])
+            return {node for node in ranked if key(table[node]) >= boundary}
+
+        expected = value_cut(rank_by_reputation(table), lambda r: r.reputation) & value_cut(
+            rank_by_growth(table), lambda r: r.growth_rate
+        )
+        assert eligible_nodes(table, percentile) == expected
+
 
 class TestFormCommittee:
     def config(self, **kwargs):
@@ -114,6 +143,34 @@ class TestFormCommittee:
         )
         base.update(kwargs)
         return ElectionConfig(**base)
+
+    def test_proof_made_only_on_selection(self, monkeypatch):
+        # Counts the proofs nodes make; verify's recomputation is not one.
+        proofs, checking = [], []
+        proof, verify = SimulatedVrf.proof, SimulatedVrf.verify
+
+        def counting(secret_key, seed):
+            if not checking:
+                proofs.append(secret_key)
+            return proof(secret_key, seed)
+
+        def checked(self, *args):
+            checking.append(True)
+            try:
+                return verify(self, *args)
+            finally:
+                checking.pop()
+
+        monkeypatch.setattr(SimulatedVrf, "proof", staticmethod(counting))
+        monkeypatch.setattr(SimulatedVrf, "verify", checked)
+        reg = make_registry(20)
+        table = equal_table(20, reg)
+        assignment, reports = form_committee(
+            table, self.config(sortition_threshold=0.4), GENESIS_SEED, reg, corrupt_proofs={0, 1, 2}
+        )
+        verified = assignment.consensus_nodes + assignment.candidates + assignment.spares
+        assert reports, "a corrupt_proofs node must self-select for the check to count it"
+        assert len(proofs) == len(verified) + len(reports) < 20
 
     def test_partition_at_full_selection(self):
         # 20 equal nodes, everyone selected: 10 consensus, 7 candidates,

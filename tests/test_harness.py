@@ -23,6 +23,7 @@ from ebrc import harness, presets
 from ebrc.cli import main
 from ebrc.config import ByzantineConfig, ExitScript, NetworkConfig, ScenarioConfig, save_scenario
 from ebrc.consensus import EbrcReplica
+from ebrc.crypto import SimulatedVrf
 from ebrc.messages import CONSENSUS_TAGS, JoinRequest
 from ebrc.harness import (
     ConsistencyError,
@@ -568,6 +569,26 @@ class TestEmptyCommittee:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             empty_committee_probability(trials=0)
+
+    @pytest.mark.parametrize("node_count, omega", [(3, -0.5), (10, 1.5), (10, 0.0), (0, 0.4)])
+    def test_rejects_what_an_election_rejects(self, node_count, omega):
+        # (3, -0.5) would report an "analytic" 3.375; (10, 1.5) 0.00098
+        # against a frequency of 0.
+        with pytest.raises(ValueError):
+            empty_committee_probability(node_count, omega, 200)
+
+    def test_trials_make_no_proof(self, monkeypatch):
+        proofs = []
+        original = SimulatedVrf.proof
+
+        def counting(secret_key, seed):
+            proofs.append(secret_key)
+            return original(secret_key, seed)
+
+        monkeypatch.setattr(SimulatedVrf, "proof", staticmethod(counting))
+        report = empty_committee_probability(10, 0.4, 500)
+        assert report["trials"] == 500
+        assert proofs == []
 
 
 class TestCli:
