@@ -17,7 +17,10 @@ and round-end announce adoption. A protocol states its voting group, who
 votes, the leader of a (height, view), whether the view advances with every
 block and which votes it builds. On top of that, EBRC adds a Report against
 an invalid proposal and the DJEP exit/join flows; PBFT adds its prepare phase
-and the prepared certificate.
+and the prepared certificate. In DJEP the master answers an exit request at
+once with an ExitCommit to every member, naming the candidate a ChangeNotice
+invites when the floor needs one; the candidate alone counts the members'
+confirmations of its join.
 
 Quorum bookkeeping is keyed per view. A vote tally that ignored views could
 mix votes for the same digest across a view change and double-commit under
@@ -216,7 +219,6 @@ class _ReplicaBase:
         self.proposal = None
         self.commit_tallies: Dict[int, Dict[bytes, Set[int]]] = {}
         self.viewchange_tallies: Dict[Tuple[int, int], Set[int]] = {}
-        self.view_change_count = 0
 
     # -- roles --
 
@@ -510,7 +512,6 @@ class _ReplicaBase:
         if len(senders) < 2 * self.f + 1 or proposed_view <= self.view:
             return
         self.observations.append(("incompletion", self.leader_id(), self.height))
-        self.view_change_count += 1
         self.view = proposed_view
         self.proposal = None
         # The pending request batch is retained in the buffer; the new leader
@@ -555,7 +556,6 @@ class EbrcReplica(_ReplicaBase):
     def __init__(self, node_id, registry, **settings) -> None:
         super().__init__(node_id, registry, **settings)
         self.candidates: Tuple[int, ...] = ()
-        self.epoch = 0
         self.table_reputation: Dict[int, float] = {}
         self.membership = djep.MembershipState()
 
@@ -568,22 +568,18 @@ class EbrcReplica(_ReplicaBase):
     def leader_id(self) -> int:
         return self.committee[select_master(self.height, self.view, self.f)]
 
-    is_master = _ReplicaBase.is_leader
-
     def set_committee(
         self,
         committee: Sequence[int],
         candidates: Sequence[int],
         f: int,
         *,
-        epoch: int,
         table_reputation: Dict[int, float],
     ) -> StepResult:
         """Install a new epoch's committee; views restart at 0."""
         self._install(committee)
         self.candidates = tuple(candidates)
         self.f = f
-        self.epoch = epoch
         self.table_reputation = dict(table_reputation)
         self.view = 0
         self._reset_round()
@@ -606,13 +602,17 @@ class EbrcReplica(_ReplicaBase):
 
         A node entering the committee has never tracked the members' view
         chain; ``view_hint`` hands it the current view so its commits count.
+        Its join is done, and as a candidate it held no exit, so its
+        membership record starts afresh.
         """
         joining = self.node_id in committee and not self.is_member
         self._install(committee)
         self.candidates = tuple(candidates)
         self.f = f
-        if joining and view_hint is not None:
-            self.view = view_hint
+        if joining:
+            self.membership = djep.MembershipState()
+            if view_hint is not None:
+                self.view = view_hint
 
     def step(self, now: int, event) -> StepResult:
         handler = self._HANDLERS.get(type(event))
@@ -659,7 +659,7 @@ class EbrcReplica(_ReplicaBase):
 
     def _on_exit_request(self, now: int, request: ExitRequest) -> StepResult:
         result = StepResult()
-        if not self.is_master:
+        if not self.is_leader:
             return result
         if request.node_id not in self.members:
             return result
@@ -676,14 +676,22 @@ class EbrcReplica(_ReplicaBase):
         if plan.stalled:
             self.observations.append(("membership_stalled", request.node_id, self.height))
             return result
-        self.membership.pending_exits[request.node_id] = request.effective_height
-        self.membership.exit_signatures[request.node_id] = request.signature
-        if plan.promote is None:
-            result.sends.append(self._finalize_exit(request.node_id, request.effective_height))
-        else:
-            # Below the committee floor: promotion runs first, exit finalizes
-            # once the candidate is in.
-            self.membership.joins_blocking_exit[plan.promote] = request.node_id
+        # Below the committee floor the exit names the candidate it waits on;
+        # every member holds it until that candidate's join is due.
+        commit = signed(
+            ExitCommit(
+                node_id=request.node_id,
+                effective_height=request.effective_height,
+                member_signature=request.signature,
+                candidate=() if plan.promote is None else (plan.promote,),
+                master_id=self.node_id,
+            ),
+            self.registry,
+            self.node_id,
+        )
+        self.membership.pending_exits[request.node_id] = commit
+        result.sends.append((self.peers, commit))
+        if plan.promote is not None:
             result.sends.append(self._invite(plan.promote, request.effective_height))
         return result
 
@@ -699,26 +707,12 @@ class EbrcReplica(_ReplicaBase):
         )
         return (candidate,), notice
 
-    def _finalize_exit(self, leaver: int, effective_height: int) -> Send:
-        member_sig = self.membership.exit_signatures.get(leaver, b"")
-        commit = signed(
-            ExitCommit(
-                node_id=leaver,
-                effective_height=effective_height,
-                member_signature=member_sig,
-                master_id=self.node_id,
-            ),
-            self.registry,
-            self.node_id,
-        )
-        return self.peers, commit
-
     def _on_exit_commit(self, now: int, event: ExitCommit) -> StepResult:
         if not self.is_member:
             return StepResult()
         if not signature_ok(event, self.registry, event.master_id):
             return StepResult()
-        self.membership.pending_exits[event.node_id] = event.effective_height
+        self.membership.pending_exits[event.node_id] = event
         return StepResult()
 
     def _on_change(self, now: int, event: ChangeNotice) -> StepResult:
@@ -750,7 +744,6 @@ class EbrcReplica(_ReplicaBase):
         if event.node_id not in self.candidates or expected is None or expected != event.reputation:
             result.sends.append(self._report(event.node_id, "reputation-mismatch"))
             return result
-        self.membership.pending_joins[event.node_id] = event.effective_height
         confirm = signed(
             JoinCommit(
                 candidate_id=event.node_id,
@@ -761,12 +754,6 @@ class EbrcReplica(_ReplicaBase):
             self.node_id,
         )
         result.sends.append(((event.node_id,), confirm))
-        if self.is_master and event.node_id in self.membership.joins_blocking_exit:
-            # The join that was gating an exit is now in flight; release the
-            # held ExitCommit so both transitions land on the same boundary.
-            leaver = self.membership.joins_blocking_exit.pop(event.node_id)
-            effective = self.membership.pending_exits.get(leaver, event.effective_height)
-            result.sends.append(self._finalize_exit(leaver, effective))
         return result
 
     def _on_join_commit(self, now: int, event: JoinCommit) -> StepResult:
@@ -774,10 +761,10 @@ class EbrcReplica(_ReplicaBase):
             return StepResult()
         if not signature_ok(event, self.registry, event.sender):
             return StepResult()
-        self.membership.join_confirms.setdefault(self.node_id, set()).add(event.sender)
-        confirms = self.membership.join_confirms[self.node_id]
-        if len(confirms) >= 2 * self.f + 1:
-            self.membership.pending_joins[self.node_id] = event.effective_height
+        membership = self.membership
+        membership.join_confirms.add(event.sender)
+        if len(membership.join_confirms) >= 2 * self.f + 1:
+            membership.join_height = event.effective_height
         return StepResult()
 
     # Replies and reports reach replicas but are tallied off-replica; they
@@ -818,8 +805,6 @@ class PbftReplica(_ReplicaBase):
     def leader_id(self) -> int:
         return self.committee[self.view % len(self.committee)]
 
-    is_primary = _ReplicaBase.is_leader
-
     def step(self, now: int, event) -> StepResult:
         handler = self._HANDLERS.get(type(event))
         return handler(self, now, event) if handler else StepResult()
@@ -831,7 +816,7 @@ class PbftReplica(_ReplicaBase):
     def _vote(self, now: int, result: StepResult) -> None:
         # Backups echo the pre-prepare; the primary's own pre-prepare stands
         # in for its prepare.
-        if not self.is_primary and not self._voted(self.prepare_tallies):
+        if not self.is_leader and not self._voted(self.prepare_tallies):
             prepare = PbftPrepare(
                 height=self.height, view=self.view, digest=self.proposal.digest, sender=self.node_id
             )

@@ -5,9 +5,9 @@ rule throughout: a committee of size m tolerates f = (m - 1) // 3 faults, and
 no removal may drop the committee below 3f + 1 (f taken before it). The floor
 is enforced when a transition is applied: every removal is planned with
 ``plan_removal`` against the committee the joins and earlier removals leave.
-An exit that needs a promotion waits, pending, until that candidate's join is
-due; a conviction may directly promote the best candidate that no exit has
-invited.
+An exit that needs a promotion names that candidate in its ExitCommit and
+waits, pending at every member, until the candidate's join is due; a
+conviction may directly promote the best candidate that no pending exit names.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+from .messages import ExitCommit
 
 
 def committee_fault_budget(size: int) -> int:
@@ -84,25 +86,27 @@ def plan_removal(
 class MembershipState:
     """Per-replica record of in-flight membership transitions.
 
-    Transitions are registered when their protocol messages arrive and are
-    applied by the round orchestrator once the chain reaches the effective
-    height, so every honest replica switches committees on the same round
-    boundary.
+    A member holds each exit's ExitCommit; a candidate holds its own join:
+    the members that confirmed it and, once 2f+1 have, its height. The round
+    orchestrator applies both once the chain reaches that height, so every
+    honest replica switches committees on the same round boundary.
     """
 
-    pending_exits: Dict[int, int] = field(default_factory=dict)  # node -> height
-    pending_joins: Dict[int, int] = field(default_factory=dict)  # node -> height
-    join_confirms: Dict[int, Set[int]] = field(default_factory=dict)
-    exit_signatures: Dict[int, bytes] = field(default_factory=dict)
-    joins_blocking_exit: Dict[int, int] = field(default_factory=dict)  # candidate -> leaver
+    pending_exits: Dict[int, ExitCommit] = field(default_factory=dict)  # leaver -> commit
+    join_confirms: Set[int] = field(default_factory=set)
+    join_height: Optional[int] = None
 
     def due_exits(self, height: int) -> List[int]:
-        return sorted(n for n, h in self.pending_exits.items() if h <= height)
+        return sorted(n for n, c in self.pending_exits.items() if c.effective_height <= height)
+
+    def join_due(self, height: int) -> bool:
+        """Whether this candidate's confirmed join is due at ``height``."""
+        return self.join_height is not None and self.join_height <= height
+
+    def invited(self) -> Set[int]:
+        """The candidates the pending exits wait on."""
+        return {c for commit in self.pending_exits.values() for c in commit.candidate}
 
     def clear_applied(self, nodes: Sequence[int]) -> None:
         for n in nodes:
             self.pending_exits.pop(n, None)
-            self.pending_joins.pop(n, None)
-            self.join_confirms.pop(n, None)
-            self.exit_signatures.pop(n, None)
-            self.joins_blocking_exit.pop(n, None)

@@ -240,12 +240,16 @@ class ExitRequest(Message):
 
 @dataclass(frozen=True, slots=True)
 class ExitCommit(Message):
-    """Exit finalization co-signed by the leaver and the master."""
+    """The master's commitment to a member's exit, sent to every member as
+    soon as the master accepts the leaver's signed request. ``candidate``
+    names the one candidate, invited by a ChangeNotice, that the exit waits
+    on; it is empty when the exit keeps the 3f+1 floor."""
 
     TAG: ClassVar[str] = "exit_commit"
     node_id: int
     effective_height: int
     member_signature: bytes
+    candidate: Tuple[int, ...]  # pack takes no None
     master_id: int
     signature: bytes = b""  # master's signature
 

@@ -169,7 +169,6 @@ class ScenarioRunner:
         self.honest_ids = [n for n in self.node_ids if n not in self.byz_ids]
         self.table = initial_table(config, self.registry)
 
-        self.current_round = 0
         self.result = RunResult(config=config)
         self.result.election_counts = {n: 0 for n in self.node_ids}
 
@@ -249,8 +248,7 @@ class ScenarioRunner:
         # The simulation calls back into the runner only while it runs. Once
         # unhooked, a finished runner and its simulation form no reference
         # cycle, so reference counting frees them with their last reference.
-        sim.on_deliver = sim.on_timer = self._deliver
-        sim.round_provider = lambda: self.current_round
+        sim.on_deliver = self._deliver
         try:
             round_index = 0
             for epoch in range(config.epochs):
@@ -261,7 +259,7 @@ class ScenarioRunner:
                 self._close_epoch()
             self._finalize()
         finally:
-            sim.on_deliver = sim.on_timer = sim.round_provider = _skip
+            sim.on_deliver = _skip
         return self.result
 
     # -- epochs --
@@ -336,7 +334,6 @@ class ScenarioRunner:
                 assignment.consensus_nodes,
                 assignment.candidates,
                 assignment.f,
-                epoch=epoch,
                 table_reputation=table_reputation,
             )
             self._dispatch(node, step)
@@ -350,7 +347,7 @@ class ScenarioRunner:
 
     def _run_round(self, round_index: int) -> None:
         config = self.config
-        self.current_round = round_index
+        self.sim.round_index = round_index
         target_height = self._next_height()
         committee_at_start = self._roster.committee
 
@@ -596,34 +593,30 @@ class ScenarioRunner:
         against the committee the steps before it leave, so none breaks the
         3f+1 floor. Only a conviction may promote a candidate, and only one no
         exit has invited: an exit whose floor needs one stays pending until
-        the candidate it invited is due to join.
+        the candidate its ExitCommit names is due to join.
         """
         height = self._next_height()
         roster = self._roster
         table_reputation = self._reputations()
-        # A join is due only once the joiner itself holds 2f+1 confirmations;
-        # members also record the joins they confirm, so theirs do not count.
         joins = [
             n
             for n in self.node_ids
-            if n not in roster.members
-            and self.replicas[n].membership.pending_joins.get(n, height + 1) <= height
+            if n not in roster.members and self.replicas[n].membership.join_due(height)
         ]
         candidates = [n for n in roster.candidates if n not in joins]
         committee = roster.committee
         for joiner in joins:
             committee = djep.committee_with_join(committee, table_reputation, joiner)
         exits: Set[int] = set()
-        # Candidates an exit has invited, from the master's ChangeNotice until
-        # the join applies: their joins release those exits, so no conviction
-        # may take them.
+        # Candidates a recorded exit waits on, from its ExitCommit until the
+        # exit applies: no conviction may take them.
         invited: Set[int] = set()
         for node in self.honest_ids:
             replica = self.replicas[node]
             if replica.is_member:
                 membership = replica.membership
                 exits.update(membership.due_exits(height))
-                invited.update(membership.pending_joins, membership.joins_blocking_exit)
+                invited |= membership.invited()
         forced, self._replacements = self._replacements, set()
         removed: List[int] = []
         for leaver in sorted(exits | forced):

@@ -215,10 +215,11 @@ class Simulation:
         self.now = 0
         self.counters = Counters()
         self.trace: List[TraceRecord] = []  # one record per send on the wire
+        # The one event hook: ``on_deliver(target, now, event)`` takes each
+        # delivered message and each fired timer's tick.
         self.on_deliver: Callable[[int, int, object], None] = lambda target, now, event: None
-        self.on_timer: Callable[[int, int, object], None] = lambda target, now, tick: None
-        # Reported each send so trace rows carry the active round index.
-        self.round_provider: Callable[[], int] = lambda: 0
+        # The round in progress, which each send's counters and trace row carry.
+        self.round_index = 0
         self._heap: List[Tuple[int, int, Tuple]] = []
         self._seq = 0
         self._link_draws: Dict[int, Dict[int, List]] = {}  # sender -> target -> block
@@ -249,7 +250,7 @@ class Simulation:
             # Nothing went out: the sender must not count as active.
             self.counters.suppressed += len(targets)
             return
-        round_index = self.round_provider()
+        round_index = self.round_index
         # Variants keep the message type, so one tag serves the whole send.
         tag = getattr(type(message), "TAG", type(message).__name__.lower())
         latency_factor = LAZY_LATENCY_FACTOR if behavior == "lazy" else 1.0
@@ -377,7 +378,7 @@ class Simulation:
         heapq.heappop(heap)
         if kind == "timer":
             _, target, tick = item
-            self.on_timer(target, self.now, tick)
+            self.on_deliver(target, self.now, tick)
         elif kind == "send":
             _, sender, targets, message = item
             self.send(sender, targets, message)

@@ -51,9 +51,15 @@ def make_committee(m: int, registry=None, candidates=(), reputation=None):
     replicas = {}
     for node in range(m):
         rep = EbrcReplica(node, registry, block_tx_cap=3)
-        rep.set_committee(range(m), candidates, f, epoch=1, table_reputation=table)
+        rep.set_committee(range(m), candidates, f, table_reputation=table)
         replicas[node] = rep
     return replicas, registry
+
+
+def view_changes(replica) -> int:
+    """The view changes a replica has adopted: one ``incompletion``
+    observation each, until the runner drains them."""
+    return sum(1 for entry in replica.observations if entry[0] == "incompletion")
 
 
 def make_group(n: int, registry=None):

@@ -19,10 +19,10 @@ run at seeds 1..3:
 
 One line per run gives the SHA-256 of that text; a run that raises prints
 the exception instead, so a changed failure is caught as well. The last line
-is the SHA-256 of all the lines before it; the value for the current code
-is pinned in ``tests/identity_sweep.sha256``. A refactor that claims
-byte-identical outputs prints the same combined digest on the parent commit
-and on the change. Pytest does not collect this file; it is a plain script.
+is the SHA-256 of all the lines before it. The whole output for the current
+code is pinned in ``tests/identity_sweep.txt``, so a diff against it names
+each run that moved. A refactor that claims byte-identical outputs prints
+the same lines on the parent commit and on the change. Pytest does not collect this file; it is a plain script.
 It imports nothing from the test suite, so the same file can be copied into
 an older checkout and run there unchanged.
 """

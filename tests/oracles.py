@@ -122,8 +122,7 @@ class NaiveNetwork:
         self.events = []
         self.inserted = 0
         self.rngs = {}
-        self.on_deliver = lambda target, now, message: None
-        self.on_timer = lambda target, now, tick: None
+        self.on_deliver = lambda target, now, event: None
 
     def _add(self, at_us, event) -> None:
         heapq.heappush(self.events, (at_us, self.inserted, event))
@@ -169,10 +168,8 @@ class NaiveNetwork:
             return False
         at_us, _, event = heapq.heappop(self.events)
         self.now = max(self.now, at_us)
-        if event[0] == "deliver":
+        if event[0] in ("deliver", "timer"):
             self.on_deliver(event[1], self.now, event[2])
-        elif event[0] == "timer":
-            self.on_timer(event[1], self.now, event[2])
         else:
             self.send(*event[1:])
         return True

@@ -39,6 +39,7 @@ from driver import (
     make_registry,
     make_request,
     per_recipient,
+    view_changes,
 )
 
 
@@ -143,7 +144,7 @@ class TestRoundWalkthrough:
             pump.absorb(node, rep.step(0, request))
         # Initial master is committee[(height=1 + view=0) mod 4] = node 1.
         assert replicas[0].leader_id() == 1
-        assert replicas[1].is_master
+        assert replicas[1].is_leader
         fired = pump.fire(1, "batch", now=BATCH_US)
         assert fired
         pump.deliver_all(now=BATCH_US)
@@ -258,7 +259,7 @@ class TestSilentMaster:
         pump.deliver_all(now=TIMEOUT_US)
         for rep in replicas.values():
             assert rep.view == 1
-            assert rep.view_change_count == 1
+            assert view_changes(rep) == 1
             assert ("incompletion", 1, 1) in rep.observations
         # New master is committee[(1 + 1) mod 4] = node 2.
         assert replicas[0].leader_id() == 2
@@ -267,7 +268,7 @@ class TestSilentMaster:
         digests = {rep.ledger[1].block_digest for rep in replicas.values()}
         assert len(digests) == 1
         # Liveness bound: committed within f+1 = 2 view changes.
-        assert all(rep.view_change_count <= 2 for rep in replicas.values())
+        assert all(view_changes(rep) <= 2 for rep in replicas.values())
 
     def test_straggler_joins_at_f_plus_1_votes(self):
         replicas, reg = make_committee(4)
@@ -305,8 +306,7 @@ class TestAnnounceAdoption:
 
     def outsider(self, reg, m=4):
         rep = EbrcReplica(9, reg, block_tx_cap=3)
-        rep.set_committee(range(m), [], 1, epoch=1,
-                          table_reputation={i: 0.5 for i in range(m)})
+        rep.set_committee(range(m), [], 1, table_reputation={i: 0.5 for i in range(m)})
         return rep
 
     def test_outsider_adopts_announced_block(self):
@@ -425,8 +425,7 @@ class TestRequestGates:
         replicas, reg = make_committee(4)
         reg.register(9)
         outsider = EbrcReplica(9, reg, block_tx_cap=3)
-        outsider.set_committee(range(4), [], 1, epoch=1,
-                               table_reputation={i: 0.5 for i in range(4)})
+        outsider.set_committee(range(4), [], 1, table_reputation={i: 0.5 for i in range(4)})
         req = make_request(reg)
         result = outsider.step(0, req)
         assert result.sends == [] and result.timers == []
@@ -538,7 +537,7 @@ class TestPbftRound:
         request = make_request(reg)
         for node, rep in replicas.items():
             pump.absorb(node, rep.step(0, request))
-        assert replicas[0].is_primary  # view 0: primary = group[0]
+        assert replicas[0].is_leader  # view 0: primary = group[0]
         assert pump.fire(0, "batch", now=BATCH_US)
         pump.deliver_all(now=BATCH_US)
         return replicas, pump, request
@@ -597,8 +596,8 @@ class TestPbftViewChange:
         pump.deliver_all(now=TIMEOUT_US)
         for rep in replicas.values():
             assert rep.view == 1
-            assert rep.view_change_count == 1
-        assert replicas[1].is_primary
+            assert view_changes(rep) == 1
+        assert replicas[1].is_leader
         assert pump.fire(1, "batch", now=TIMEOUT_US + BATCH_US)
         pump.deliver_all(now=TIMEOUT_US + BATCH_US)
         digests = {rep.ledger[1].block_digest for rep in replicas.values()}
@@ -688,7 +687,7 @@ class TestPbftSharedPaths:
         assert [t for t, _ in own] == [0, 1, 2]
         # Own vote was the third: the 2f+1 adoption happens in the same step.
         assert replicas[3].view == 1
-        assert replicas[3].view_change_count == 1
+        assert view_changes(replicas[3]) == 1
         assert replicas[3].leader_id() == 1
         assert ("incompletion", 0, 1) in replicas[3].observations
 
@@ -707,5 +706,5 @@ class TestPbftSharedPaths:
                          TimerTick("round", 2, 3)):
                 result = rep.step(TIMEOUT_US, tick)
                 assert result.sends == [] and result.timers == []
-            assert (rep.height, rep.view, rep.view_change_count) == (2, 0, 0)
+            assert (rep.height, rep.view, view_changes(rep)) == (2, 0, 0)
             assert rep.viewchange_tallies == {}

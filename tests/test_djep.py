@@ -115,23 +115,33 @@ class TestMessageBudget:
             assert exit_messages(m) + join_messages(m) == 3 * m + 1
 
 
+def exit_commit(leaver, height, candidate=()):
+    return ExitCommit(node_id=leaver, effective_height=height, member_signature=b"",
+                      candidate=candidate, master_id=1)
+
+
 class TestMembershipState:
     def test_due_lists_sorted_and_thresholded(self):
         state = MembershipState()
-        state.pending_exits = {5: 10, 2: 8, 9: 20}
+        state.pending_exits = {n: exit_commit(n, h) for n, h in ((5, 10), (2, 8), (9, 20))}
         assert state.due_exits(10) == [2, 5]
+
+    def test_invited_are_the_candidates_exits_name(self):
+        state = MembershipState()
+        state.pending_exits = {4: exit_commit(4, 10, (7,)), 5: exit_commit(5, 10)}
+        assert state.invited() == {7}
+
+    def test_join_due_once_its_height_is_reached(self):
+        state = MembershipState()
+        assert not state.join_due(10)
+        state.join_height = 10
+        assert not state.join_due(9) and state.join_due(10)
 
     def test_clear_applied_drops_all_tracking(self):
         state = MembershipState()
-        state.pending_exits[4] = 10
-        state.exit_signatures[4] = b"sig"
-        state.pending_joins[7] = 10
-        state.join_confirms[7] = {0, 1, 2}
-        state.joins_blocking_exit[7] = 4
+        state.pending_exits[4] = exit_commit(4, 10, (7,))
         state.clear_applied([4, 7])
-        assert state.pending_exits == {} and state.pending_joins == {}
-        assert state.join_confirms == {} and state.exit_signatures == {}
-        assert state.joins_blocking_exit == {}
+        assert state.pending_exits == {} and state.invited() == set()
 
 
 class TestExitFlow:
@@ -140,7 +150,7 @@ class TestExitFlow:
     def start(self):
         replicas, reg = make_committee(5)
         # f=(5-1)//3=1, master index (1+0) mod 4 = 1.
-        assert replicas[1].is_master
+        assert replicas[1].is_leader
         return replicas, reg, Pump(replicas)
 
     def test_direct_exit_message_budget(self):
@@ -153,9 +163,9 @@ class TestExitFlow:
         assert pump.counts["ExitRequest"] == 1
         assert pump.counts["ExitCommit"] == 4
         assert sum(pump.counts.values()) == exit_messages(5)
-        for node, rep in replicas.items():
-            if node != 4:
-                assert rep.membership.pending_exits.get(4) == 3
+        for rep in replicas.values():
+            commit = rep.membership.pending_exits[4]
+            assert (commit.effective_height, commit.candidate) == (3, ())
 
     def test_exit_request_ignored_by_non_master(self):
         replicas, reg, pump = self.start()
@@ -176,10 +186,7 @@ class TestExitFlow:
 
     def test_exit_commit_needs_master_signature(self):
         replicas, reg, pump = self.start()
-        fake = signed(
-            ExitCommit(node_id=4, effective_height=3, member_signature=b"", master_id=1),
-            reg, 2,
-        )
+        fake = signed(exit_commit(4, 3), reg, 2)
         replicas[0].step(0, fake)
         assert replicas[0].membership.pending_exits == {}
 
@@ -195,9 +202,9 @@ class TestExitWithPromotion:
         for cand in (7, 8):
             reg.register(cand)
             rep = EbrcReplica(cand, reg, block_tx_cap=3)
-            rep.set_committee(range(4), (7, 8), 1, epoch=1, table_reputation=reputation)
+            rep.set_committee(range(4), (7, 8), 1, table_reputation=reputation)
             replicas[cand] = rep
-        assert replicas[1].is_master
+        assert replicas[1].is_leader
         return replicas, reg, Pump(replicas)
 
     def run_flow(self):
@@ -218,18 +225,35 @@ class TestExitWithPromotion:
 
     def test_best_candidate_invited(self):
         replicas, pump = self.run_flow()
-        assert replicas[8].membership.pending_joins.get(8) == 3
-        assert 7 not in replicas[8].membership.pending_joins
+        assert replicas[8].membership.join_height == 3
+        assert replicas[7].membership == MembershipState()
 
-    def test_exit_commit_released_after_join(self):
-        replicas, pump = self.run_flow()
-        for node in (0, 2):
-            assert replicas[node].membership.pending_exits.get(3) == 3
-            assert replicas[node].membership.pending_joins.get(8) == 3
+    def test_exit_commit_names_the_candidate_beside_the_change_notice(self):
+        replicas, reg, pump = self.start()
+        exit_req = signed(ExitRequest(node_id=3, effective_height=3), reg, 3)
+        result = replicas[1].step(0, exit_req)
+        (peers, commit), (invitee, notice) = result.sends
+        assert peers == (0, 2, 3) and isinstance(commit, ExitCommit)
+        assert (commit.node_id, commit.effective_height, commit.candidate) == (3, 3, (8,))
+        assert invitee == (8,) and isinstance(notice, ChangeNotice) and notice.candidate_id == 8
+        # Every member holds the exit and its invitee before the candidate
+        # answers; the join state is the candidate's alone.
+        pump.absorb(1, result)
+        pump.deliver_all()
+        for node in range(4):
+            membership = replicas[node].membership
+            assert membership.pending_exits[3] == commit and membership.invited() == {8}
+            assert membership.join_confirms == set() and membership.join_height is None
 
     def test_candidate_collects_quorum_confirms(self):
         replicas, pump = self.run_flow()
-        assert len(replicas[8].membership.join_confirms[8]) >= 3
+        assert len(replicas[8].membership.join_confirms) >= 3
+
+    def test_joined_candidate_drops_its_join_record(self):
+        # A stale join height would bring the node back in after a later removal.
+        replicas, pump = self.run_flow()
+        replicas[8].apply_membership((8, 0, 1, 2), (7,), 1, view_hint=0)
+        assert replicas[8].is_member and replicas[8].membership == MembershipState()
 
 
 class TestJoinValidation:
@@ -270,7 +294,7 @@ class TestJoinValidation:
         result = replicas[0].step(0, honest)
         confirms = [m for t, m in result.sends if isinstance(m, JoinCommit)]
         assert len(confirms) == 1 and confirms[0].candidate_id == 8
-        assert replicas[0].membership.pending_joins.get(8) == 3
+        assert replicas[0].membership == MembershipState()  # only the candidate records it
 
     def test_change_notice_for_someone_else_ignored(self):
         replicas, reg = self.start()
@@ -284,8 +308,7 @@ class TestJoinValidation:
         replicas, reg = make_committee(4, candidates=(8,), reputation=reputation)
         reg.register(8)
         candidate = EbrcReplica(8, reg, block_tx_cap=3)
-        candidate.set_committee(range(4), (8,), 1, epoch=1,
-                                table_reputation=reputation)
+        candidate.set_committee(range(4), (8,), 1, table_reputation=reputation)
         forged = signed(
             ChangeNotice(candidate_id=8, effective_height=3, master_id=1), reg, 2
         )

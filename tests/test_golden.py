@@ -28,12 +28,12 @@ from ebrc.runner import ScenarioRunner
 
 GOLDEN_SHA256 = {
     "churn_exit_m11": "3005955a16e72648dfc905e5836aa882422048f3db875b80f5516d5a323fe131",
-    "churn_join_m7": "1ac260a0f00d02da5cf4cf02d89b3c4c2d62256303d425b547c7790691b5ba93",
-    "churn_promote_m7": "8d84a7a8cc8de17426b01c3a74ac616c6b340f167ac28fd903d59d3e63e5c5a4",
+    "churn_join_m7": "af42615187499d82cb24f51fcd60ceac26404426219975ef603ce691e7885fdd",
+    "churn_promote_m7": "441446e95657149f4b834bef2e9671ed28ce1cabf2b11f57964bbda17c774d0b",
     "compare_byz_ebrc_n10": "2f0aa825e9876ba023d5d2f955c83ed7e700b1ced71115055c47213a4dc859bd",
     "compare_byz_pbft_n10": "452e9bfb0dcada66277a6a01f6c735a7a504bee0701d666b5407e00d3b7b5cc0",
     "djep_exit_m26": "f780d34d137e50d89a9b83aca5dfedf47492e44856844fb76868aeeaf5e9fb4c",
-    "djep_join_m25": "adb2a285e57889eba84ce078ba29410116940168c20d22fa3ae01f68a324b030",
+    "djep_join_m25": "a1346732cbe6d8751c2873e77cb5a9956bc6c9d98d1096017911a32c9d45579a",
     "election_corrupt_proof_n6": "2e46d7c7b75e8ae40531c836a126da055d06339f1b881f273f1002fa06fde099",
     "law_ebrc_n4": "29f4b169820507a1a24769877c49e81fb5c1dfe5e8e3861b50568a708efa9e35",
     "law_pbft_n4": "979622f701b89a5ec5d4764308afe35dc3653816dc211f1e33d4777cfc6bb197",

@@ -414,6 +414,58 @@ class TestMembershipFloor:
         ]
         assert result.notes == []
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_byzantine_master_cannot_hide_its_invitation(self, monkeypatch, seed):
+        # Master 3 equivocates and invites candidate 7 for node 4's exit; 7's
+        # JoinRequest lands 70 ms late, after 3's conviction. The members hold
+        # the ExitCommit that names 7, so the conviction promotes 8 instead.
+        send, held = Simulation.send, set()
+
+        def late_join_requests(sim, sender, targets, message):
+            # The deferred send comes back through here; it goes out as is.
+            if isinstance(message, JoinRequest) and message not in held:
+                held.add(message)
+                sim.schedule_send(sim.now + 70_000, sender, targets, message)
+            else:
+                send(sim, sender, targets, message)
+
+        monkeypatch.setattr(Simulation, "send", late_join_requests)
+        config = dataclasses.replace(
+            presets.load("churn_join_m7"),
+            node_count=9,
+            consensus_percentile=7 / 9,
+            byzantine=ByzantineConfig(node_ids=(3,), behavior="equivocate"),
+            replace_faulty=True,
+            seed=seed,
+        )
+        result = ScenarioRunner(config).run()
+        assert 7 not in [r["node"] for r in result.confirmed_reports]
+        assert membership_changes(result) == [
+            ("replace", 3, 3), ("join", 8, 3), ("exit", 4, 5), ("join", 7, 5),
+        ]
+        assert result.notes == []
+
+    def test_members_hold_an_exit_whose_candidate_is_cut_off(self, monkeypatch):
+        # Candidate 7 never hears its ChangeNotice: every member holds node 4's
+        # exit, which names 7, and it never applies.
+        config = presets.load("churn_join_m7")
+        network = dataclasses.replace(config.network, partitions=((0.0, 10_000.0, (7,)),))
+        held = []
+        close_epoch = ScenarioRunner._close_epoch
+
+        def recording(runner):
+            roster = runner._roster
+            assert len(roster.committee) >= 3 * roster.f + 1
+            memberships = [runner.replicas[n].membership for n in roster.committee]
+            held.append([(m.due_exits(runner._next_height()), m.invited()) for m in memberships])
+            close_epoch(runner)
+
+        monkeypatch.setattr(ScenarioRunner, "_close_epoch", recording)
+        result = ScenarioRunner(dataclasses.replace(config, network=network)).run()
+        assert held[0] == [([4], {7})] * 7
+        assert result.membership_log == []
+        assert result.notes == ["scripted exit of node 4 (effective height 4) never applied"]
+
     def test_exit_lost_to_a_partitioned_master_is_noted(self):
         # Node 7's ExitRequest goes to master 3 while 3 is cut off.
         config = presets.load("churn_exit_m11")

@@ -101,7 +101,7 @@ class TestOrdering:
     def test_timer_fires_at_deadline(self):
         sim, _, _ = make_sim()
         fired = []
-        sim.on_timer = lambda target, now, tick: fired.append((target, now, tick))
+        sim.on_deliver = lambda target, now, tick: fired.append((target, now, tick))
         sim.schedule_timer(3, 1_000, "tick")
         drain(sim)
         assert fired == [(3, 1_000, "tick")]
@@ -250,20 +250,18 @@ class TestDeliveryOrderOracle:
                 reg, sender,
             )
 
-        def on_deliver(target, now, message):
-            log.append((now, target, message))
+        def on_deliver(target, now, event):
+            log.append((now, target, event))
             # Even nodes relay a commit once and arm a timer from inside the
             # callback; the timer defers one more send.
-            if isinstance(message, Commit) and message.sequence == 0 and target % 2 == 0:
+            if isinstance(event, Commit) and event.sequence == 0 and target % 2 == 0:
                 sim.send(target, [n for n in nodes if n != target], commit(target, 1, now))
                 sim.schedule_timer(target, 1_500, ("tick", now))
+            elif isinstance(event, tuple):  # a fired timer's tick
+                peers = [n for n in nodes if n != target][:3]
+                sim.schedule_send(now + 700, target, peers, commit(target, 2, now))
 
-        def on_timer(target, now, tick):
-            log.append((now, target, tick))
-            peers = [n for n in nodes if n != target][:3]
-            sim.schedule_send(now + 700, target, peers, commit(target, 2, now))
-
-        sim.on_deliver, sim.on_timer = on_deliver, on_timer
+        sim.on_deliver = on_deliver
         for sender in nodes:  # same instant, so equal delivery times without jitter
             sim.send(sender, [n for n in nodes if n != sender], commit(sender, 0, 0))
         prepare = make_prepare(reg, payloads=(b"a", b"b", b"c"), sender=self.EQUIVOCATOR)
@@ -491,8 +489,7 @@ class TestCorruptProof:
 class TestCounters:
     def test_per_tag_and_round_attribution(self):
         sim, _, reg = make_sim()
-        current_round = {"value": 7}
-        sim.round_provider = lambda: current_round["value"]
+        sim.round_index = 7
         sim.send(0, [1, 2], make_commit(reg))
         sim.send(1, [2], make_prepare(reg, sender=1))
         drain(sim)
@@ -508,7 +505,7 @@ class TestCounters:
         sim, _, reg = make_sim(byzantine={
             0: "silent", 1: "equivocate",
         })
-        sim.round_provider = lambda: 3
+        sim.round_index = 3
         sim.send(0, [1, 2, 3], make_commit(reg))
         sim.send(1, [0, 2, 3], make_prepare(reg, sender=1))
         drain(sim)
@@ -531,7 +528,7 @@ class TestFanOut:
     def simulate(self, seed, network, byzantine, sends):
         reg = make_registry(6)
         sim = Simulation(seed, network, reg, byzantine)
-        sim.round_provider = lambda: 3
+        sim.round_index = 3
         deliveries = []
         sim.on_deliver = lambda target, now, m: deliveries.append(
             (target, now, m.TAG, m.digest[:4].hex())
