@@ -708,9 +708,19 @@ class EbrcReplica(_ReplicaBase):
         return (candidate,), notice
 
     def _on_exit_commit(self, now: int, event: ExitCommit) -> StepResult:
-        if not self.is_member:
+        # A member's commitment, carrying the leaver's own signed request. The
+        # master is not checked against the current one: the master rotates
+        # every block, so an honest commit can arrive after the rotation.
+        if not self.is_member or event.master_id not in self.members:
             return StepResult()
         if not signature_ok(event, self.registry, event.master_id):
+            return StepResult()
+        request = ExitRequest(
+            node_id=event.node_id,
+            effective_height=event.effective_height,
+            signature=event.member_signature,
+        )
+        if not signature_ok(request, self.registry, event.node_id):
             return StepResult()
         self.membership.pending_exits[event.node_id] = event
         return StepResult()
@@ -757,7 +767,8 @@ class EbrcReplica(_ReplicaBase):
         return result
 
     def _on_join_commit(self, now: int, event: JoinCommit) -> StepResult:
-        if event.candidate_id != self.node_id:
+        # Only a member's confirmation counts toward the 2f+1.
+        if event.candidate_id != self.node_id or event.sender not in self.members:
             return StepResult()
         if not signature_ok(event, self.registry, event.sender):
             return StepResult()

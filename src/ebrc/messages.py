@@ -21,6 +21,14 @@ changed field, forged sender or copied signature is checked in full. The memo
 answers only for the very registry object and signer it records; any other
 check takes the full ``KeyRegistry.verify`` path.
 
+Most signatures are never read: a receiver's check is answered by the memo.
+So ``signed()`` makes none. The signature is made on its first read, from the
+memo, as ``registry.sign(signer_id, message.signed_payload())``, and kept.
+Every read goes through the ``signature`` attribute (a full check, ``==``,
+``hash``, ``repr``, ``asdict``, ``copy``, ``pickle``, ``dataclasses.replace``,
+a field that copies it), so each sees the bytes an eager signature would have
+had.
+
 A second slot, ``_digest_ok``, follows the same rule for a ``Request``'s
 digest: a replica sets it to True only once the digest matched the payload,
 and a ``replace`` copy starts without it.
@@ -50,7 +58,42 @@ class Message:
         """The bytes the sender signs: the class name and every field but
         ``signature``, in field order."""
         cls = type(self)
-        return _payload(cls, _unsigned_fields(cls)(self))
+        return pack(cls.__name__, *[_signable(value) for value in _unsigned_fields(cls)(self)])
+
+
+# What ``signed()`` puts in the ``signature`` slot until the first read; no
+# read returns it.
+_UNSIGNED = object()
+
+
+class _LazySignature:
+    """The ``signature`` attribute of a message class: its slot, except that
+    a read of ``_UNSIGNED`` makes the signature the memo names and stores it.
+    The memo is still the one ``signed()`` set then: ``signature_ok`` reads
+    the signature before it replaces the memo."""
+
+    __slots__ = ("_slot",)
+
+    def __init__(self, slot) -> None:
+        self._slot = slot
+
+    def __get__(self, message, owner=None):
+        value = self._slot.__get__(message, owner)
+        if value is _UNSIGNED:
+            registry, signer_id = message._verified_by
+            value = registry.sign(signer_id, message.signed_payload())
+            self._slot.__set__(message, value)
+        return value
+
+    def __set__(self, message, value) -> None:
+        self._slot.__set__(message, value)
+
+
+def _message(cls: type) -> type:
+    """A frozen, slotted dataclass whose signature is made on first read."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.signature = _LazySignature(vars(cls)["signature"])
+    return cls
 
 
 @cache
@@ -65,10 +108,6 @@ def _unsigned_fields(cls: type) -> Callable[["Message"], Tuple]:
     return attrgetter(*names)
 
 
-def _payload(cls: type, values: Tuple) -> bytes:
-    return pack(cls.__name__, *[_signable(value) for value in values])
-
-
 def _signable(value):
     """A field value in a form ``pack`` accepts."""
     if isinstance(value, Message):
@@ -80,7 +119,7 @@ def _signable(value):
     return value
 
 
-@dataclass(frozen=True, slots=True)
+@_message
 class Request(Message):
     """Client transaction submission, sent to every committee member."""
 
@@ -92,7 +131,7 @@ class Request(Message):
     signature: bytes = b""
 
 
-@dataclass(frozen=True, slots=True)
+@_message
 class Prepare(Message):
     """Master proposal carrying the transaction batch (two-phase protocol)."""
 
@@ -106,7 +145,7 @@ class Prepare(Message):
     signature: bytes = b""
 
 
-@dataclass(frozen=True, slots=True)
+@_message
 class Commit(Message):
     """Validation vote; a block commits on 2f+1 matching valid commits."""
 
@@ -120,7 +159,7 @@ class Commit(Message):
     signature: bytes = b""
 
 
-@dataclass(frozen=True, slots=True)
+@_message
 class Reply(Message):
     """Per-replica confirmation to the client (f+1 matching confirms a tx)."""
 
@@ -134,7 +173,7 @@ class Reply(Message):
     signature: bytes = b""
 
 
-@dataclass(frozen=True, slots=True)
+@_message
 class ViewChange(Message):
     """Vote to depose the current master; adopted at 2f+1 distinct reporters.
 
@@ -149,7 +188,7 @@ class ViewChange(Message):
     signature: bytes = b""
 
 
-@dataclass(frozen=True, slots=True)
+@_message
 class Report(Message):
     """Accusation with evidence kind; confirmed at f+1 distinct reporters."""
 
@@ -161,7 +200,7 @@ class Report(Message):
     signature: bytes = b""
 
 
-@dataclass(frozen=True, slots=True)
+@_message
 class BlockAnnounce(Message):
     """Round-end dissemination of a committed block to the whole network."""
 
@@ -174,7 +213,7 @@ class BlockAnnounce(Message):
     signature: bytes = b""
 
 
-@dataclass(frozen=True, slots=True)
+@_message
 class VrfConnect(Message):
     """Selectee's sortition announcement (public key + proof) for an epoch."""
 
@@ -188,7 +227,7 @@ class VrfConnect(Message):
 
 # --- Classic three-phase baseline ---
 
-@dataclass(frozen=True, slots=True)
+@_message
 class PrePrepare(Message):
     """Primary's proposal in the three-phase baseline."""
 
@@ -202,7 +241,7 @@ class PrePrepare(Message):
     signature: bytes = b""
 
 
-@dataclass(frozen=True, slots=True)
+@_message
 class PbftPrepare(Message):
     """Backup's echo of the pre-prepare (digest only)."""
 
@@ -214,7 +253,7 @@ class PbftPrepare(Message):
     signature: bytes = b""
 
 
-@dataclass(frozen=True, slots=True)
+@_message
 class PbftCommit(Message):
     """Commit vote in the three-phase baseline."""
 
@@ -228,7 +267,7 @@ class PbftCommit(Message):
 
 # --- Membership (dynamic join/exit) ---
 
-@dataclass(frozen=True, slots=True)
+@_message
 class ExitRequest(Message):
     """Member announces departure effective at ``effective_height``."""
 
@@ -238,7 +277,7 @@ class ExitRequest(Message):
     signature: bytes = b""
 
 
-@dataclass(frozen=True, slots=True)
+@_message
 class ExitCommit(Message):
     """The master's commitment to a member's exit, sent to every member as
     soon as the master accepts the leaver's signed request. ``candidate``
@@ -254,7 +293,7 @@ class ExitCommit(Message):
     signature: bytes = b""  # master's signature
 
 
-@dataclass(frozen=True, slots=True)
+@_message
 class ChangeNotice(Message):
     """Master invites the best candidate to join the consensus set."""
 
@@ -265,7 +304,7 @@ class ChangeNotice(Message):
     signature: bytes = b""
 
 
-@dataclass(frozen=True, slots=True)
+@_message
 class JoinRequest(Message):
     """Candidate's upgrade request carrying its claimed reputation."""
 
@@ -276,7 +315,7 @@ class JoinRequest(Message):
     signature: bytes = b""
 
 
-@dataclass(frozen=True, slots=True)
+@_message
 class JoinCommit(Message):
     """Member's confirmation that the candidate may join."""
 
@@ -292,10 +331,14 @@ MEMBERSHIP_TYPES = frozenset({ExitRequest, ExitCommit, ChangeNotice, JoinRequest
 
 
 def signed(message, registry, signer_id: int):
-    """Return a copy of ``message`` signed by ``signer_id``."""
+    """Return a copy of ``message`` signed by ``signer_id``.
+
+    The copy's memo records the signer, and its signature is made on the
+    first read of ``.signature``: a message whose checks the memo answers is
+    never hashed for it.
+    """
     cls = type(message)
-    values = _unsigned_fields(cls)(message)
-    copy = cls(*values, registry.sign(signer_id, _payload(cls, values)))
+    copy = cls(*_unsigned_fields(cls)(message), _UNSIGNED)
     object.__setattr__(copy, "_verified_by", (registry, signer_id))
     return copy
 

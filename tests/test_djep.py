@@ -190,6 +190,35 @@ class TestExitFlow:
         replicas[0].step(0, fake)
         assert replicas[0].membership.pending_exits == {}
 
+    def test_exit_commit_needs_the_leavers_signature(self):
+        replicas, reg, pump = self.start()
+        fake = signed(
+            ExitCommit(node_id=0, effective_height=3, member_signature=b"", candidate=(), master_id=2),
+            reg,
+            2,
+        )
+        replicas[3].step(0, fake)
+        assert replicas[3].membership.pending_exits == {}
+
+    def test_exit_commit_needs_a_member_as_master(self):
+        replicas, reg, pump = self.start()
+        reg.register(9)
+        request = signed(ExitRequest(node_id=4, effective_height=3), reg, 4)
+
+        def commit(master):
+            return signed(
+                ExitCommit(node_id=4, effective_height=3, member_signature=request.signature,
+                           candidate=(), master_id=master),
+                reg,
+                master,
+            )
+
+        replicas[3].step(0, commit(9))
+        assert replicas[3].membership.pending_exits == {}
+        # Member 2's commit is held, though 2 is not the current master.
+        replicas[3].step(0, commit(2))
+        assert replicas[3].membership.pending_exits == {4: commit(2)}
+
 
 class TestExitWithPromotion:
     """m=4 sits at the floor: the exit must pull in the best candidate."""
@@ -254,6 +283,19 @@ class TestExitWithPromotion:
         replicas, pump = self.run_flow()
         replicas[8].apply_membership((8, 0, 1, 2), (7,), 1, view_hint=0)
         assert replicas[8].is_member and replicas[8].membership == MembershipState()
+
+
+class TestJoinConfirmations:
+    def test_only_members_confirm_a_join(self):
+        replicas, reg = make_committee(4, candidates=(7, 8))
+        candidate = EbrcReplica(8, reg, block_tx_cap=3)
+        candidate.set_committee(range(4), (7, 8), 1, table_reputation={i: 0.5 for i in range(4)})
+        for sender in (7, 9, 0):
+            reg.register(sender)
+            confirm = signed(JoinCommit(candidate_id=8, effective_height=3, sender=sender), reg, sender)
+            candidate.step(0, confirm)
+        assert candidate.membership.join_confirms == {0}
+        assert candidate.membership.join_height is None
 
 
 class TestJoinValidation:

@@ -1,7 +1,9 @@
 """Metrics, reports, fairness studies, serialization, and the CLI."""
 
+import csv
 import dataclasses
 import gc
+import io
 import json
 import math
 import os
@@ -41,7 +43,7 @@ from ebrc.harness import (
     verify_consistency,
 )
 from ebrc.runner import ScenarioRunner
-from ebrc.simnet import Simulation, TraceRecord
+from ebrc.simnet import RECEIVER_ROW_FIELDS, Simulation, TraceRecord, receiver_rows
 
 from driver import trace_rows
 from oracles import chi_square_uniform
@@ -569,6 +571,27 @@ class TestSerialization:
         lines = text.strip().split("\n")
         assert lines[0].startswith("time_us,sender,target,tag")
         assert len(lines) == len(trace_rows(result.trace)) + 1
+
+    def test_trace_csv_is_the_csv_writer_rendering(self):
+        # Random drops, node 3 cut off for the first 20 ms, an equivocating
+        # master's split and sends without a digest.
+        config = tiny_config(
+            node_count=7,
+            rounds_per_epoch=4,
+            byzantine=ByzantineConfig(node_ids=(1,), behavior="equivocate"),
+            network=NetworkConfig(drop_rate=0.05, partitions=((0.0, 20.0, (3,)),)),
+        )
+        trace = ScenarioRunner(config).run().trace
+        cut_off = [r for r in trace if r.time_us < 20_000 and 3 in r.targets]
+        assert cut_off and all(3 in r.dropped for r in cut_off)
+        assert any(r.dropped and r.time_us >= 20_000 for r in trace)
+        assert any(isinstance(r.digest_prefix, tuple) for r in trace)
+        assert any(r.digest_prefix == "" for r in trace)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(RECEIVER_ROW_FIELDS)
+        writer.writerows(receiver_rows(trace))
+        assert trace_csv(trace) == buffer.getvalue()
 
     def test_reports_byte_identical_across_reruns(self):
         config = tiny_config()

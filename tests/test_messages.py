@@ -1,16 +1,20 @@
 """The one signing rule: a signature binds every field of every message."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import typing
 
 import pytest
 
-from ebrc import messages
+from ebrc import messages, presets
 from ebrc.crypto import KeyRegistry
 from ebrc.messages import JoinRequest, Message, Prepare, Request, signature_ok, signed
+from ebrc.runner import ScenarioRunner
 
 SIGNER = 0
+OTHER = 1
 
 # Read from the module: ``slots=True`` rebuilds each class, so
 # ``Message.__subclasses__()`` can still list the discarded originals.
@@ -25,7 +29,22 @@ MESSAGE_CLASSES = sorted(
 def registry():
     reg = KeyRegistry(seed=b"test-messages")
     reg.register(SIGNER)
+    reg.register(OTHER)
     return reg
+
+
+@pytest.fixture
+def sign_calls(monkeypatch):
+    """The signer of each ``KeyRegistry.sign`` call, in call order."""
+    calls = []
+    sign = KeyRegistry.sign
+
+    def counted(self, owner_id, payload):
+        calls.append(owner_id)
+        return sign(self, owner_id, payload)
+
+    monkeypatch.setattr(KeyRegistry, "sign", counted)
+    return calls
 
 
 def _request(registry, timestamp: int) -> Request:
@@ -79,9 +98,12 @@ def _fields(cls):
     return [(f.name, hints[f.name]) for f in dataclasses.fields(cls) if f.name != "signature"]
 
 
+def _unsigned_sample(cls, registry):
+    return cls(**{name: _sample(tp, registry) for name, tp in _fields(cls)})
+
+
 def _signed_sample(cls, registry):
-    values = {name: _sample(tp, registry) for name, tp in _fields(cls)}
-    return signed(cls(**values), registry, SIGNER)
+    return signed(_unsigned_sample(cls, registry), registry, SIGNER)
 
 
 def test_every_message_class_is_covered():
@@ -112,6 +134,58 @@ def test_changing_any_field_breaks_the_signature(cls, registry):
         forged = dataclasses.replace(message, **{name: _changed(tp, getattr(message, name), registry)})
         assert forged.signature == message.signature
         assert not signature_ok(forged, registry, SIGNER), f"{cls.__name__}.{name} is not signed"
+
+
+@pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda cls: cls.__name__)
+def test_signature_is_made_once_on_first_read(cls, registry, sign_calls):
+    message = _unsigned_sample(cls, registry)
+    eager = registry.sign(SIGNER, message.signed_payload())
+    sign_calls.clear()
+    lazy = signed(message, registry, SIGNER)
+    assert sign_calls == []
+    assert lazy.signature == eager and sign_calls == [SIGNER]
+    assert lazy.signature == eager and sign_calls == [SIGNER]
+
+
+# Each reads the signature of a fresh signed copy first; ``replace`` copies
+# it, ``eq`` compares the message itself.
+OBSERVERS = {
+    "repr": repr,
+    "asdict": dataclasses.asdict,
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda message: pickle.loads(pickle.dumps(message)),
+    "replace": dataclasses.replace,
+    "eq": lambda message: message,
+    "hash": hash,
+}
+
+
+@pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_observer_sees_the_eager_signature(cls, registry):
+    message = _unsigned_sample(cls, registry)
+    eager = dataclasses.replace(message, signature=registry.sign(SIGNER, message.signed_payload()))
+    for name, observe in OBSERVERS.items():
+        assert observe(signed(message, registry, SIGNER)) == observe(eager), name
+
+
+@pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda cls: cls.__name__)
+def test_unread_signature_fails_another_signer_and_a_changed_copy(cls, registry):
+    message = _unsigned_sample(cls, registry)
+    assert not signature_ok(signed(message, registry, SIGNER), registry, OTHER)
+    name, tp = _fields(cls)[0]
+    forged = dataclasses.replace(
+        signed(message, registry, SIGNER), **{name: _changed(tp, getattr(message, name), registry)}
+    )
+    assert not signature_ok(forged, registry, SIGNER)
+
+
+def test_clean_runs_make_no_signature(sign_calls):
+    # Every check in a fault-free run is answered by the memo, so no
+    # signature is ever read, and none is made.
+    for config in presets.comparison_pair(7, byzantine=False, seed=1):
+        assert ScenarioRunner(config).run().committed_rounds
+    assert sign_calls == []
 
 
 def test_classes_with_equal_fields_sign_differently(registry):
