@@ -18,14 +18,15 @@ Layers, bottom up:
   floor, removal planning, candidate promotion) and the membership state
   each replica carries.
 - ``simnet``: discrete-event network with latency, jitter, drops,
-  partitions, Byzantine transforms, and a full message trace.
+  partitions, a lazy node's slower deliveries, and a full message trace.
 - ``config``: the scenario schema, its JSON round-trip and validation.
   Knobs that no scenario varies are constants of the modules that use them.
 - ``presets``: the shipped scenario files, each the only copy of its
   preset, and the builders of the paired scenarios a sweep varies by size.
 - ``runner``: scenario orchestration (epochs, rounds, load injection,
-  elections, membership churn) producing a structured result, and the
-  genesis behavior table and election settings of a scenario.
+  elections, membership churn, the rewrite of a faulty node's sends)
+  producing a structured result, and the genesis behavior table and
+  election settings of a scenario.
 - ``harness``: metrics, reports and their text forms, protocol comparison,
   fairness studies; ``cli`` exposes it as the ``ebrc`` command and writes
   the files.

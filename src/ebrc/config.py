@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Tuple
 
 from .djep import committee_fault_budget
-from .simnet import BYZANTINE_BEHAVIORS
 
 
 class ConfigError(ValueError):
@@ -29,6 +28,9 @@ class ConfigError(ValueError):
 
 
 PROTOCOLS = ("ebrc", "pbft")
+# A faulty node's behaviour: the runner rewrites its sends, except that the
+# network runs ``lazy`` and the election ``corrupt_proof``.
+BYZANTINE_BEHAVIORS = ("silent", "equivocate", "corrupt_digest", "corrupt_proof", "lazy")
 
 
 @dataclass(frozen=True, slots=True)

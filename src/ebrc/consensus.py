@@ -6,8 +6,9 @@ event)`` consumes one delivered message or timer tick and returns a
 ``StepResult``: the sends to make plus the timers to arm. Each send is one
 ``(targets, message)`` entry, so a broadcast is one entry whose targets are the
 committee minus this node, in committee order, and a message to one node is
-``((target,), message)``. All nondeterminism (latency, jitter, Byzantine
-transforms) lives in the network layer, never here.
+``((target,), message)``. Nothing here is random or faulty: latency and
+jitter live in the network (``simnet``), and a Byzantine node runs this same
+code while the runner rewrites its sends (``runner.byzantine_sends``).
 
 Both run on one core, ``_ReplicaBase``: request intake and timer arming, the
 leader's proposal, the vote path (sign, count and broadcast a node's own
@@ -680,9 +681,7 @@ class EbrcReplica(_ReplicaBase):
         # every member holds it until that candidate's join is due.
         commit = signed(
             ExitCommit(
-                node_id=request.node_id,
-                effective_height=request.effective_height,
-                member_signature=request.signature,
+                request=request,
                 candidate=() if plan.promote is None else (plan.promote,),
                 master_id=self.node_id,
             ),
@@ -715,14 +714,10 @@ class EbrcReplica(_ReplicaBase):
             return StepResult()
         if not signature_ok(event, self.registry, event.master_id):
             return StepResult()
-        request = ExitRequest(
-            node_id=event.node_id,
-            effective_height=event.effective_height,
-            signature=event.member_signature,
-        )
-        if not signature_ok(request, self.registry, event.node_id):
+        request = event.request
+        if not signature_ok(request, self.registry, request.node_id):
             return StepResult()
-        self.membership.pending_exits[event.node_id] = event
+        self.membership.pending_exits[request.node_id] = event
         return StepResult()
 
     def _on_change(self, now: int, event: ChangeNotice) -> StepResult:

@@ -97,7 +97,9 @@ class MembershipState:
     join_height: Optional[int] = None
 
     def due_exits(self, height: int) -> List[int]:
-        return sorted(n for n, c in self.pending_exits.items() if c.effective_height <= height)
+        return sorted(
+            n for n, c in self.pending_exits.items() if c.request.effective_height <= height
+        )
 
     def join_due(self, height: int) -> bool:
         """Whether this candidate's confirmed join is due at ``height``."""

@@ -569,19 +569,18 @@ def metrics_csv(reports: Sequence[MetricsReport]) -> str:
 
 
 def trace_csv(trace: Iterable[TraceRecord]) -> str:
-    """One CSV row per receiver, each send's targets in plan order;
+    """One CSV row per receiver, each send's targets in send order;
     ``delivered`` is 1 unless the network dropped the message.
 
     No field needs quoting (integers, a tag, a hex prefix), so a row is its
     fields joined by commas, as ``csv.writer`` writes it. A send that lost
-    nothing and was not split shares every field but the target, and is
-    written one line per target around that; any other goes through
-    ``receiver_rows``.
+    nothing shares every field but the target, and is written one line per
+    target around that; one with drops goes through ``receiver_rows``.
     """
     lines = [",".join(RECEIVER_ROW_FIELDS) + "\n"]
     for record in trace:
         time_us, sender, targets, tag, prefix, round_index, dropped = record
-        if dropped or isinstance(prefix, tuple):
+        if dropped:
             lines.extend(",".join(map(str, row)) + "\n" for row in receiver_rows((record,)))
         else:
             head, tail = f"{time_us},{sender},", f",{tag},{prefix},{round_index},1\n"

@@ -1,9 +1,10 @@
 """Wire messages exchanged through the simulated network.
 
 Every message is a frozen dataclass with a ``TAG`` used for trace lines and
-per-tag counting. Byzantine transforms re-sign mutated copies with the
-sender's own key, so signature checks pass and misbehavior must be caught by
-content checks or quorum math, mirroring real deployments.
+per-tag counting. The runner's rewrite of a faulty node's sends
+(``runner.byzantine_sends``) re-signs mutated copies with the sender's own
+key, so signature checks pass and misbehavior must be caught by content
+checks or quorum math, mirroring real deployments.
 
 One signing rule covers every message: ``signed_payload()`` packs the class
 name, then every dataclass field but ``signature``, in field order. A nested
@@ -280,14 +281,13 @@ class ExitRequest(Message):
 @_message
 class ExitCommit(Message):
     """The master's commitment to a member's exit, sent to every member as
-    soon as the master accepts the leaver's signed request. ``candidate``
-    names the one candidate, invited by a ChangeNotice, that the exit waits
-    on; it is empty when the exit keeps the 3f+1 floor."""
+    soon as the master accepts the leaver's signed request, which it
+    carries. ``candidate`` names the one candidate, invited by a
+    ChangeNotice, that the exit waits on; it is empty when the exit keeps
+    the 3f+1 floor."""
 
     TAG: ClassVar[str] = "exit_commit"
-    node_id: int
-    effective_height: int
-    member_signature: bytes
+    request: ExitRequest
     candidate: Tuple[int, ...]  # pack takes no None
     master_id: int
     signature: bytes = b""  # master's signature

@@ -4,24 +4,31 @@ The runner owns the pieces the protocol itself distributes in a real
 deployment: client traffic injection, round pacing, the shared behavior
 table, epoch elections, round-end block announcements for stragglers, and
 the accountability tally (report confirmation, silent-member detection).
+A Byzantine node runs the honest replica code; the runner rewrites each
+send made on its behalf (``byzantine_sends``) before the network carries it.
 Every iteration is over sorted ids so a run is a pure function of the
 scenario configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import djep, reputation
 from .config import ScenarioConfig
-from .consensus import EbrcReplica, PbftReplica, tx_digest
+from .consensus import EbrcReplica, PbftReplica, batch_digest_of, tx_digest
 from .crypto import KeyRegistry, SimulatedVrf, derive_seed, digest, pack
 from .election import ElectionConfig, elect_committee
 from .messages import (
     MEMBERSHIP_TYPES,
     BlockAnnounce,
+    Commit,
     ExitRequest,
+    PbftCommit,
+    PbftPrepare,
+    PrePrepare,
+    Prepare,
     Reply,
     Report,
     Request,
@@ -43,6 +50,8 @@ EXIT_LEAD_BLOCKS = 2
 CONNECT_WINDOW_US = 5_000
 PAYLOAD_BYTES = 64
 
+_PROPOSALS, _VOTES = (Prepare, PrePrepare), (Commit, PbftPrepare, PbftCommit)
+
 
 def _ms_to_us(value_ms: float) -> int:
     return int(round(value_ms * US_PER_MS))
@@ -50,6 +59,29 @@ def _ms_to_us(value_ms: float) -> int:
 
 def _skip(*_) -> None:
     pass
+
+
+def byzantine_sends(
+    behavior: str, sender: int, targets: Sequence[int], message, registry: KeyRegistry
+) -> List[Tuple[Sequence[int], object]]:
+    """The ``(targets, message)`` sends a faulty node makes in place of one
+    honest send. ``silent`` makes none; ``corrupt_digest`` flips a proposal's
+    or vote's first digest byte; ``equivocate`` sends a proposal of two or
+    more requests to the sorted targets one at a time, alternating it with a
+    copy whose batch lacks the last request, so only the digest differs. The
+    node holds its own key, so each rewrite is re-signed and only content
+    checks can catch it. Other sends go out as they are."""
+    if behavior == "silent":
+        return []
+    if behavior == "corrupt_digest" and isinstance(message, _PROPOSALS + _VOTES):
+        bad = bytes([message.digest[0] ^ 0xFF]) + message.digest[1:]
+        return [(targets, signed(replace(message, digest=bad, signature=b""), registry, sender))]
+    if behavior == "equivocate" and isinstance(message, _PROPOSALS) and len(message.batch) > 1:
+        batch = message.batch[:-1]
+        variant = replace(message, batch=batch, digest=batch_digest_of(batch), signature=b"")
+        pair = (message, signed(variant, registry, sender))
+        return [((target,), pair[i % 2]) for i, target in enumerate(sorted(targets))]
+    return [(targets, message)]
 
 
 def initial_table(config: ScenarioConfig, registry: KeyRegistry) -> reputation.BehaviorTable:
@@ -136,12 +168,9 @@ class ScenarioRunner:
                 for start, end, nodes in config.network.partitions
             ),
         )
-        self.sim = Simulation(
-            self.run_seed,
-            self.network,
-            self.registry,
-            byzantine={n: config.byzantine.behavior for n in config.byzantine.node_ids},
-        )
+        self.byz_ids: Set[int] = set(config.byzantine.node_ids)
+        lazy = self.byz_ids if config.byzantine.behavior == "lazy" else ()
+        self.sim = Simulation(self.run_seed, self.network, lazy)
 
         cap = config.block_tx_cap
         # The one protocol seam. EBRC runs a committee lifecycle: an election
@@ -165,7 +194,6 @@ class ScenarioRunner:
         # replica at once, so any one replica holds them for all.
         self._roster = self.replicas[0]
 
-        self.byz_ids: Set[int] = set(config.byzantine.node_ids)
         self.honest_ids = [n for n in self.node_ids if n not in self.byz_ids]
         self.table = initial_table(config, self.registry)
 
@@ -198,12 +226,29 @@ class ScenarioRunner:
 
     # -- event plumbing --
 
-    def _dispatch(self, sender: int, result) -> None:
-        # One send per entry: a broadcast reaches the Byzantine transform with
-        # its whole recipient set (equivocation splits it into halves).
+    def _send(self, sender: int, targets: Sequence[int], message) -> None:
+        """Send on a node's behalf, through ``byzantine_sends`` if it is faulty.
+        Only the epoch's connectivity proofs skip this: every node wants a seat."""
         sim = self.sim
-        for targets, message in result.sends:
+        if sender not in self.byz_ids:
             sim.send(sender, targets, message)
+            return
+        sends = byzantine_sends(
+            self.config.byzantine.behavior, sender, targets, message, self.registry
+        )
+        if not sends:
+            # Nothing went out: the sender must not count as active.
+            sim.counters.suppressed += len(targets)
+        for faulty_targets, faulty_message in sends:
+            sim.send(sender, faulty_targets, faulty_message)
+
+    def _dispatch(self, sender: int, result) -> None:
+        # One send per entry: a broadcast reaches a faulty node's rewrite with
+        # its whole recipient set.
+        send = self._send
+        for targets, message in result.sends:
+            send(sender, targets, message)
+        sim = self.sim
         for delay_us, tick in result.timers:
             sim.schedule_timer(sender, delay_us, tick)
 
@@ -464,7 +509,7 @@ class ScenarioRunner:
                 self.registry,
                 holder,
             )
-            self.sim.send(holder, behind, announce)
+            self._send(holder, behind, announce)
         # Settle window: lets announces and trailing same-round traffic land
         # before the next round's clock starts.
         settle = self.network.base_latency_us + self.network.jitter_us + 500
@@ -573,7 +618,7 @@ class ScenarioRunner:
                 # The master leaving processes its own request; no wire hop.
                 self._dispatch(exiter, self.replicas[exiter].step(self.sim.now, request))
             else:
-                self.sim.send(exiter, [master], request)
+                self._send(exiter, (master,), request)
 
     def _current_master(self) -> int:
         for node in self.honest_ids:

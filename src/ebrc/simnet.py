@@ -15,20 +15,16 @@ the heap merges the runs, so events still come out in key order. Two runs
 with the same seed and the same replica logic replay the exact same event
 sequence.
 
-Byzantine behavior is modeled as an outbound transform on the faulty sender's
-messages (suppress, delay, split into signed variants, corrupt the digest and
-re-sign). Faulty nodes control their own keys, so re-signed garbage carries a
-valid signature; detection has to come from content validation, not from
-signature checks.
+The network carries what it is given. A faulty node's misbehaviour is
+the runner's rewrite of its sends (``runner.byzantine_sends``); the network
+models only links, drops, partitions and a lazy node's slower deliveries.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import random
 from dataclasses import dataclass, field
-from itertools import cycle, repeat
 from operator import itemgetter
 from typing import (
     Callable,
@@ -41,24 +37,14 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
-from .crypto import KeyRegistry, digest, hasher
-from .messages import (
-    Commit,
-    PbftCommit,
-    PbftPrepare,
-    PrePrepare,
-    Prepare,
-    VrfConnect,
-    signed,
-)
+from .crypto import digest, hasher
+from .messages import VrfConnect
 
 _TIME = itemgetter(0)  # a delivery row's time
 _FIRST_BLOCK = 16  # draws a link takes at first use; a target takes at most two
 
-BYZANTINE_BEHAVIORS = ("silent", "equivocate", "corrupt_digest", "corrupt_proof", "lazy")
 LAZY_LATENCY_FACTOR = 4.0  # a lazy node's deliveries take this many times as long
 
 
@@ -90,19 +76,16 @@ class NetworkModel:
 class TraceRecord(NamedTuple):
     """One send that put anything on the wire.
 
-    ``targets`` is in plan order: the order the send went out in, which is
-    the order of the caller's target list except for an equivocating split,
-    which goes out to the sorted targets. ``digest_prefix`` is one string,
-    or one string per target when equivocation split the send into two
-    variants. ``dropped`` holds the targets whose message the network
-    dropped, in plan order.
+    ``targets`` is in the caller's order, the order the send went out in.
+    ``dropped`` holds the targets whose message the network dropped, in that
+    order.
     """
 
     time_us: int
     sender: int
     targets: Tuple[int, ...]
     tag: str
-    digest_prefix: Union[str, Tuple[str, ...]]
+    digest_prefix: str
     round_index: int
     dropped: Tuple[int, ...]
 
@@ -115,12 +98,11 @@ RECEIVER_ROW_FIELDS = (
 
 
 def receiver_rows(trace: Iterable[TraceRecord]) -> Iterator[Tuple]:
-    """Expand per-send records into one row per receiver, in plan order."""
+    """Expand per-send records into one row per receiver, in send order."""
     for time_us, sender, targets, tag, prefix, round_index, dropped in trace:
-        prefixes = prefix if isinstance(prefix, tuple) else repeat(prefix)
-        for target, target_prefix in zip(targets, prefixes):
+        for target in targets:
             yield (
-                time_us, sender, target, tag, target_prefix, round_index,
+                time_us, sender, target, tag, prefix, round_index,
                 0 if dropped and target in dropped else 1,
             )
 
@@ -154,40 +136,6 @@ def _digest_prefix(message) -> str:
     return ""
 
 
-def _equivocation_variant(message, registry: KeyRegistry):
-    """Second proposal half the committee will see: the batch minus its tail.
-
-    The shortened batch still contains only client-signed requests, so it
-    survives content validation; only the digest differs. A single-request
-    batch has no valid strict subset, so no variant exists for it.
-    """
-    if not isinstance(message, (Prepare, PrePrepare)) or len(message.batch) < 2:
-        return None
-    from .consensus import batch_digest_of  # local import avoids a cycle
-
-    variant_batch = message.batch[:-1]
-    variant = dataclasses.replace(
-        message,
-        batch=variant_batch,
-        digest=batch_digest_of(variant_batch),
-        signature=b"",
-    )
-    return signed(variant, registry, message.sender)
-
-
-def _corrupted_digest(message, registry: KeyRegistry):
-    """Flip a digest byte in a consensus message and re-sign it.
-
-    The signature is regenerated so receivers face a content error, not a
-    signature error: detection must come from digest validation.
-    """
-    if isinstance(message, (Prepare, PrePrepare, Commit, PbftPrepare, PbftCommit)):
-        bad = bytes([message.digest[0] ^ 0xFF]) + message.digest[1:]
-        mangled = dataclasses.replace(message, digest=bad, signature=b"")
-        return signed(mangled, registry, message.sender)
-    return message
-
-
 class Simulation:
     """Event loop: deliveries, timers, and deferred sends in one heap.
 
@@ -198,20 +146,9 @@ class Simulation:
     entry carries the key of its last row, the next to be delivered.
     """
 
-    def __init__(
-        self,
-        run_seed: bytes,
-        network: NetworkModel,
-        registry: KeyRegistry,
-        byzantine: Optional[Dict[int, str]] = None,
-    ) -> None:
+    def __init__(self, run_seed: bytes, network: NetworkModel, lazy: Iterable[int] = ()) -> None:
         self.network = network
-        self.registry = registry
-        # node -> behavior; a name outside the list would run as equivocate.
-        self.byzantine = dict(byzantine or {})
-        for behavior in self.byzantine.values():
-            if behavior not in BYZANTINE_BEHAVIORS:
-                raise ValueError(f"unknown byzantine behavior {behavior!r}")
+        self.lazy = frozenset(lazy)  # nodes whose deliveries take LAZY_LATENCY_FACTOR as long
         self.now = 0
         self.counters = Counters()
         self.trace: List[TraceRecord] = []  # one record per send on the wire
@@ -240,29 +177,16 @@ class Simulation:
         self._seq += 1
 
     def send(self, sender: int, targets: Sequence[int], message) -> None:
-        behavior = self.byzantine.get(sender)
-        if behavior in ("silent", "lazy") and isinstance(message, VrfConnect):
-            # Connectivity proofs are exempt from silence and laziness: a node
-            # attacking the consensus phase still wants a committee seat.
-            behavior = None
-        variants = self._outbound(behavior, message)
-        if not variants or not targets:
-            # Nothing went out: the sender must not count as active.
-            self.counters.suppressed += len(targets)
+        if not targets:
             return
         round_index = self.round_index
-        # Variants keep the message type, so one tag serves the whole send.
         tag = getattr(type(message), "TAG", type(message).__name__.lower())
-        latency_factor = LAZY_LATENCY_FACTOR if behavior == "lazy" else 1.0
-        prefixes = [_digest_prefix(variant) for variant in variants]
-        if len(variants) == 1:
-            plan = tuple(targets)
-            prefix = prefixes[0]
-        else:
-            # Equivocation: the sorted targets alternate between the variants.
-            plan = tuple(sorted(targets))
-            prefix = tuple(prefixes[i % 2] for i in range(len(plan)))
-        if sender in plan:
+        # A lazy node's connectivity proofs are not delayed: a node attacking
+        # the consensus phase still wants a committee seat.
+        slow = sender in self.lazy and not isinstance(message, VrfConnect)
+        latency_factor = LAZY_LATENCY_FACTOR if slow else 1.0
+        targets = tuple(targets)
+        if sender in targets:
             raise ValueError("self-delivery is not modeled")
         # Each link draws from its own stream: the drop draw (when the link is
         # not partitioned), then the jitter draw (when the message survives).
@@ -276,7 +200,7 @@ class Simulation:
         seq = self._seq
         dropped = []
         run = []
-        for target, outgoing in zip(plan, cycle(variants)):
+        for target in targets:
             draws = link_draws.get(target)
             if draws is None or len(draws) < 3:  # the position and two draws
                 draws = link_draws[target] = self._next_draws(sender, target, draws)
@@ -288,7 +212,7 @@ class Simulation:
             latency = base_latency
             if jitter_us:
                 latency += draws.pop() * jitter_us
-            run.append((now + int(latency * latency_factor), seq, target, outgoing))
+            run.append((now + int(latency * latency_factor), seq, target, message))
             seq += 1
         self._seq = seq
         if run:
@@ -298,26 +222,12 @@ class Simulation:
             run.reverse()
             heapq.heappush(self._heap, (run[-1][0], run[-1][1], ("deliver", run)))
         self.counters.dropped += len(dropped)
-        self.counters.note_sent(tag, round_index, sender, len(plan))
+        self.counters.note_sent(tag, round_index, sender, len(targets))
         self.trace.append(
-            TraceRecord(now, sender, plan, tag, prefix, round_index, tuple(dropped))
+            TraceRecord(
+                now, sender, targets, tag, _digest_prefix(message), round_index, tuple(dropped)
+            )
         )
-
-    def _outbound(self, behavior: Optional[str], message) -> List[object]:
-        """The message variants one send puts on the wire: none when it is
-        suppressed, one shared by every target, or two when the sender
-        equivocates."""
-        # A corrupt proof fails the election's verification
-        # (election.form_committee), not any check on the wire.
-        if behavior is None or behavior in ("lazy", "corrupt_proof"):
-            return [message]
-        if behavior == "silent":
-            return []
-        if behavior == "corrupt_digest":
-            return [_corrupted_digest(message, self.registry)]
-        # equivocate, the one behavior left
-        variant = _equivocation_variant(message, self.registry)
-        return [message] if variant is None else [message, variant]
 
     def link_seed(self, sender: int, target: int) -> bytes:
         """Seed of the link's random stream:

@@ -1,5 +1,7 @@
 """Membership transitions: exit decisions, promotion, and the wire flows."""
 
+import dataclasses
+
 import pytest
 
 from ebrc.consensus import EbrcReplica
@@ -116,7 +118,7 @@ class TestMessageBudget:
 
 
 def exit_commit(leaver, height, candidate=()):
-    return ExitCommit(node_id=leaver, effective_height=height, member_signature=b"",
+    return ExitCommit(request=ExitRequest(node_id=leaver, effective_height=height),
                       candidate=candidate, master_id=1)
 
 
@@ -165,7 +167,7 @@ class TestExitFlow:
         assert sum(pump.counts.values()) == exit_messages(5)
         for rep in replicas.values():
             commit = rep.membership.pending_exits[4]
-            assert (commit.effective_height, commit.candidate) == (3, ())
+            assert (commit.request.effective_height, commit.candidate) == (3, ())
 
     def test_exit_request_ignored_by_non_master(self):
         replicas, reg, pump = self.start()
@@ -192,13 +194,18 @@ class TestExitFlow:
 
     def test_exit_commit_needs_the_leavers_signature(self):
         replicas, reg, pump = self.start()
-        fake = signed(
-            ExitCommit(node_id=0, effective_height=3, member_signature=b"", candidate=(), master_id=2),
-            reg,
-            2,
-        )
-        replicas[3].step(0, fake)
-        assert replicas[3].membership.pending_exits == {}
+        genuine = signed(ExitRequest(node_id=0, effective_height=3), reg, 0)
+        # Unsigned, signed by the master itself, or the leaver's request with
+        # a changed height: none carries the leaver's memo, so each takes the
+        # full check and fails it.
+        for request in (
+            ExitRequest(node_id=0, effective_height=3),
+            signed(ExitRequest(node_id=0, effective_height=3), reg, 2),
+            dataclasses.replace(genuine, effective_height=4),
+        ):
+            fake = signed(ExitCommit(request=request, candidate=(), master_id=2), reg, 2)
+            replicas[3].step(0, fake)
+            assert replicas[3].membership.pending_exits == {}
 
     def test_exit_commit_needs_a_member_as_master(self):
         replicas, reg, pump = self.start()
@@ -207,8 +214,7 @@ class TestExitFlow:
 
         def commit(master):
             return signed(
-                ExitCommit(node_id=4, effective_height=3, member_signature=request.signature,
-                           candidate=(), master_id=master),
+                ExitCommit(request=request, candidate=(), master_id=master),
                 reg,
                 master,
             )
@@ -263,7 +269,7 @@ class TestExitWithPromotion:
         result = replicas[1].step(0, exit_req)
         (peers, commit), (invitee, notice) = result.sends
         assert peers == (0, 2, 3) and isinstance(commit, ExitCommit)
-        assert (commit.node_id, commit.effective_height, commit.candidate) == (3, 3, (8,))
+        assert commit.request is exit_req and commit.candidate == (8,)
         assert invitee == (8,) and isinstance(notice, ChangeNotice) and notice.candidate_id == 8
         # Every member holds the exit and its invitee before the candidate
         # answers; the join state is the candidate's alone.

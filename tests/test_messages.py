@@ -10,7 +10,15 @@ import pytest
 
 from ebrc import messages, presets
 from ebrc.crypto import KeyRegistry
-from ebrc.messages import JoinRequest, Message, Prepare, Request, signature_ok, signed
+from ebrc.messages import (
+    ExitRequest,
+    JoinRequest,
+    Message,
+    Prepare,
+    Request,
+    signature_ok,
+    signed,
+)
 from ebrc.runner import ScenarioRunner
 
 SIGNER = 0
@@ -69,6 +77,8 @@ def _sample(tp, registry):
         return b"b" * 32
     if tp is Request:
         return _request(registry, 5)
+    if tp is ExitRequest:
+        return signed(ExitRequest(node_id=OTHER, effective_height=5), registry, OTHER)
     if typing.get_origin(tp) is tuple:
         item = typing.get_args(tp)[0]
         first = _sample(item, registry)
@@ -88,6 +98,12 @@ def _changed(tp, value, registry):
         return value + value[:1]
     if tp is Request:
         return _request(registry, value.timestamp + 1)
+    if tp is ExitRequest:
+        return signed(
+            ExitRequest(node_id=OTHER, effective_height=value.effective_height + 1),
+            registry,
+            OTHER,
+        )
     if typing.get_origin(tp) is tuple:
         return value[:-1]
     raise AssertionError(f"no change for {tp}")
