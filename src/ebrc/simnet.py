@@ -2,13 +2,16 @@
 
 Single integer microsecond clock and per-link latency/drop randomness
 derived from the run seed and the link endpoints. Each directed link draws
-from the stream of ``random.Random(int.from_bytes(link_seed, "big"))``, but
-keeps only its next few draws, not a generator: at first use it takes a
-block of 16 and drops the generator. When fewer than the two draws a target
-may need remain, it seeds the generator again, skips the draws already
-handed out and takes a block as long as its stream so far. A link that
-draws a handful of values, the common case, costs a few hundred bytes, not
-a 2.5 KB Mersenne Twister state. Every event has a key
+from the stream of ``random.Random(int.from_bytes(link_seed, "big"))``.
+Every simulation of one run seed shares its links' streams: a module-level
+cache holds the streams of the most recent run seed, one seed at a time,
+each an array of the draws taken so far in stream order, and a simulation
+keeps only an integer cursor per link. A stream starts with 16 draws. When
+a cursor comes within two draws of its end, the generator is seeded again,
+skips the draws the stream holds and appends as many again, so a stream
+doubles and no link keeps a 2.5 KB Mersenne Twister state. Paired runs of
+one seed (EBRC and PBFT, clean and Byzantine, each n of a sweep) seed each
+link once between them. Every event has a key
 (deliver_time, insertion_seq). Timers and deferred sends enter the event heap
 one by one; a send enters it as one run of its deliveries sorted by key, and
 the heap merges the runs, so events still come out in key order. Two runs
@@ -22,9 +25,11 @@ models only links, drops, partitions and a lazy node's slower deliveries.
 
 from __future__ import annotations
 
-import heapq
 import random
+from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
+from heapq import heappop, heappush, heapreplace
 from operator import itemgetter
 from typing import (
     Callable,
@@ -43,7 +48,7 @@ from .crypto import digest, hasher
 from .messages import VrfConnect
 
 _TIME = itemgetter(0)  # a delivery row's time
-_FIRST_BLOCK = 16  # draws a link takes at first use; a target takes at most two
+_FIRST_DRAWS = 16  # draws a stream holds at first use; a target takes at most two
 
 LAZY_LATENCY_FACTOR = 4.0  # a lazy node's deliveries take this many times as long
 
@@ -129,6 +134,16 @@ class Counters:
         return self.sent == self.delivered + self.dropped + in_flight
 
 
+@lru_cache(maxsize=1)
+def _link_streams(run_seed: bytes) -> Tuple[object, Dict[int, Dict[int, array]]]:
+    """The link seed prefix of ``run_seed`` and the streams of its links so
+    far (sender -> target -> draws), shared by every simulation of the seed.
+    A simulation holds on to its seed's pair, so a run of another seed
+    evicting it changes no draw: the next simulation of the seed starts
+    its streams afresh."""
+    return hasher((run_seed,), b"link"), {}
+
+
 def _digest_prefix(message) -> str:
     value = getattr(message, "digest", None)
     if isinstance(value, bytes):
@@ -159,21 +174,22 @@ class Simulation:
         self.round_index = 0
         self._heap: List[Tuple[int, int, Tuple]] = []
         self._seq = 0
-        self._link_draws: Dict[int, Dict[int, List]] = {}  # sender -> target -> block
-        # Every link seed starts with the same domain and run seed.
-        self._link_seed_prefix = hasher((run_seed,), b"link")
+        # Every link seed starts with the same domain and run seed; the
+        # streams are the seed's, and the cursors this run's own.
+        self._link_seed_prefix, self._streams = _link_streams(run_seed)
+        self._cursors: Dict[int, Dict[int, int]] = {}  # sender -> target -> next draw
 
     # -- scheduling --
 
     def schedule_timer(self, target: int, delay_us: int, tick) -> None:
         at_us = self.now + max(0, delay_us)
-        heapq.heappush(self._heap, (at_us, self._seq, ("timer", target, tick)))
+        heappush(self._heap, (at_us, self._seq, ("timer", target, tick)))
         self._seq += 1
 
     def schedule_send(self, at_us: int, sender: int, targets: Sequence[int], message) -> None:
         """Defer a send to a future instant (client traffic injection)."""
         at_us = max(at_us, self.now)
-        heapq.heappush(self._heap, (at_us, self._seq, ("send", sender, tuple(targets), message)))
+        heappush(self._heap, (at_us, self._seq, ("send", sender, tuple(targets), message)))
         self._seq += 1
 
     def send(self, sender: int, targets: Sequence[int], message) -> None:
@@ -194,24 +210,35 @@ class Simulation:
         network = self.network
         partitions, drop_rate = network.partitions, network.drop_rate
         base_latency, jitter_us = float(network.base_latency_us), network.jitter_us
-        link_draws = self._link_draws.get(sender)
-        if link_draws is None:
-            link_draws = self._link_draws[sender] = {}
+        streams = self._streams.get(sender)
+        if streams is None:
+            streams = self._streams[sender] = {}
+        cursors = self._cursors.get(sender)
+        if cursors is None:
+            cursors = self._cursors[sender] = {}
         seq = self._seq
         dropped = []
         run = []
         for target in targets:
-            draws = link_draws.get(target)
-            if draws is None or len(draws) < 3:  # the position and two draws
-                draws = link_draws[target] = self._next_draws(sender, target, draws)
-            if (partitions and network.partitioned(now, sender, target)) or (
-                drop_rate > 0.0 and draws.pop() < drop_rate
-            ):
+            at = cursors.get(target, 0)
+            draws = streams.get(target)
+            if draws is None or len(draws) < at + 2:  # a target takes at most two
+                draws = self._next_draws(sender, target, draws)
+            if partitions and network.partitioned(now, sender, target):
                 dropped.append(target)
                 continue
+            if drop_rate > 0.0:
+                drop_draw = draws[at]
+                at += 1
+                if drop_draw < drop_rate:
+                    cursors[target] = at
+                    dropped.append(target)
+                    continue
             latency = base_latency
             if jitter_us:
-                latency += draws.pop() * jitter_us
+                latency += draws[at] * jitter_us
+                at += 1
+            cursors[target] = at
             run.append((now + int(latency * latency_factor), seq, target, message))
             seq += 1
         self._seq = seq
@@ -220,7 +247,8 @@ class Simulation:
             # equal time stay in seq order: the run is sorted by key.
             run.sort(key=_TIME)
             run.reverse()
-            heapq.heappush(self._heap, (run[-1][0], run[-1][1], ("deliver", run)))
+            head = run[-1]
+            heappush(self._heap, (head[0], head[1], ("deliver", run)))
         self.counters.dropped += len(dropped)
         self.counters.note_sent(tag, round_index, sender, len(targets))
         self.trace.append(
@@ -233,35 +261,31 @@ class Simulation:
         """Seed of the link's random stream:
         ``digest(run_seed, sender, target, domain=b"link")``, with both ids
         as 8 big-endian bytes. The stream is that of
-        ``random.Random(int.from_bytes(seed, "big")).random()``; the link
-        draws it in blocks (see ``_next_draws``)."""
+        ``random.Random(int.from_bytes(seed, "big")).random()``, which the
+        run seed's simulations share (see ``_next_draws``)."""
         return digest(
             sender.to_bytes(8, "big"), target.to_bytes(8, "big"), prefix=self._link_seed_prefix
         )
 
-    def _next_draws(self, sender: int, target: int, draws: Optional[List]) -> List:
-        """The link's next block of draws, given what is left of its last one
-        (None before its first).
-
-        The list is ``[end, d[end - 1], ..., d[start]]``: ``end`` is how far
-        into the stream the block reaches, and ``pop()`` hands out the next
-        draw. The first block holds 16 draws. A later one starts at the first
-        draw not handed out and holds as many draws as the last block reached
-        (its ``end``), so ``end`` about doubles: a link re-seeds a logarithmic
-        number of times in the draws it takes and holds at most about as many
-        unused draws as it has handed out.
+    def _next_draws(self, sender: int, target: int, draws: Optional[array]) -> array:
+        """The link's stream, grown: its first 16 draws when the run seed's
+        streams hold none of it (``draws`` is None), else ``draws`` with as
+        many draws again appended in place. A stream doubles, so a link
+        seeds a logarithmic number of times in the draws it takes, and the
+        draws before a simulation's cursor never change.
         """
+        rng = random.Random(int.from_bytes(self.link_seed(sender, target), "big"))
         if draws is None:
-            start, end = 0, _FIRST_BLOCK
+            draws = self._streams[sender][target] = array("d")
+            count = _FIRST_DRAWS
         else:
-            start = draws[0] - (len(draws) - 1)
-            end = start + draws[0]
-        draw = random.Random(int.from_bytes(self.link_seed(sender, target), "big")).random
-        for _ in range(start):
-            draw()
-        block = [draw() for _ in range(end - start)]
-        block.append(end)
-        return block[::-1]  # a copy sized to fit, unlike the grown list
+            count = len(draws)
+            # Skip the draws held: random() takes two 32-bit words, as does
+            # each 64 bits of getrandbits.
+            rng.getrandbits(64 * count)
+        draw = rng.random
+        draws.extend([draw() for _ in range(count)])
+        return draws
 
     # -- execution --
 
@@ -271,7 +295,9 @@ class Simulation:
         if not heap:
             return False
         at_us, _, item = heap[0]
-        self.now = max(self.now, at_us)
+        now = self.now
+        if at_us > now:
+            self.now = now = at_us
         kind = item[0]
         if kind == "deliver":
             run = item[1]
@@ -279,16 +305,17 @@ class Simulation:
             # Advance the run first: while the callback runs, the heap must
             # hold this run's next key.
             if run:
-                heapq.heapreplace(heap, (run[-1][0], run[-1][1], item))
+                head = run[-1]
+                heapreplace(heap, (head[0], head[1], item))
             else:
-                heapq.heappop(heap)
+                heappop(heap)
             self.counters.delivered += 1
-            self.on_deliver(target, self.now, message)
+            self.on_deliver(target, now, message)
             return True
-        heapq.heappop(heap)
+        heappop(heap)
         if kind == "timer":
             _, target, tick = item
-            self.on_deliver(target, self.now, tick)
+            self.on_deliver(target, now, tick)
         elif kind == "send":
             _, sender, targets, message = item
             self.send(sender, targets, message)
@@ -296,10 +323,15 @@ class Simulation:
 
     def run_until(self, deadline_us: int, stop: Optional[Callable[[], bool]] = None) -> None:
         """Drain events up to the deadline, optionally stopping early."""
-        while self._heap and self._heap[0][0] <= deadline_us:
-            if stop is not None and stop():
-                return
-            self.step_one()
+        heap, step = self._heap, self.step_one
+        if stop is None:
+            while heap and heap[0][0] <= deadline_us:
+                step()
+        else:
+            while heap and heap[0][0] <= deadline_us:
+                if stop():
+                    return
+                step()
 
     def in_flight(self) -> int:
         """Deliveries still queued: the rest of every send's run."""

@@ -4,12 +4,16 @@ What a faulty node sends is the runner's concern; see ``test_byzantine.py``.
 """
 
 import ast
+import dataclasses
+import random
 from pathlib import Path
 
 import pytest
 
-from ebrc import simnet
-from ebrc.crypto import digest
+from ebrc import harness, presets, simnet
+from ebrc.config import NetworkConfig
+from ebrc.crypto import digest, pack
+from ebrc.runner import ScenarioRunner
 from ebrc.simnet import NetworkModel, Simulation
 
 from ebrc.harness import count_messages
@@ -170,6 +174,7 @@ class TestLinkStreams:
             return next_draws(sim, sender, target, draws)
 
         monkeypatch.setattr(Simulation, "_next_draws", counted)
+        simnet._link_streams.cache_clear()  # the seed's streams start cold in each case
         seed, reg = b"link-refills", make_registry(2)
         network = NetworkModel(base_latency_us, jitter_us, drop_rate, partitions)
         oracle = NaiveNetwork(seed, reg, base_latency_us=base_latency_us, jitter_us=jitter_us,
@@ -189,6 +194,143 @@ class TestLinkStreams:
         else:
             assert len(logs[0]) == sends
         assert len(refills) >= 3 and set(refills) == {(0, 1)}
+
+
+def run_seed_of(config) -> bytes:
+    return digest(pack(config.seed), domain=b"run-seed")
+
+
+def held_streams(run_seed: bytes) -> dict:
+    """Copies of the streams held for ``run_seed``, by link. Call it while
+    that seed is the cache's; for any other, it starts the seed afresh."""
+    _, streams = simnet._link_streams(run_seed)
+    return {
+        (sender, target): list(draws)
+        for sender, links in streams.items()
+        for target, draws in links.items()
+    }
+
+
+def report_and_trace(config) -> str:
+    """The run's report JSON and trace CSV, as ``ebrc run --trace`` writes them."""
+    report, result = harness.run_scenario_with_result(config)
+    return harness.report_json(
+        {"schema_version": harness.SCHEMA_VERSION, "reports": [report.to_dict()]}
+    ) + harness.trace_csv(result.trace)
+
+
+class TestSharedStreams:
+    """Every simulation of one run seed reads the seed's streams, grown by
+    whichever run needed more draws first; a run's draws must not depend on
+    what earlier runs left in them."""
+
+    # Lossy, so that links draw for drops as well as for jitter.
+    CONFIG = dataclasses.replace(
+        presets.load("safety_silent_m7"), network=NetworkConfig(drop_rate=0.05)
+    )
+    LONGER = dataclasses.replace(CONFIG, rounds_per_epoch=3 * CONFIG.rounds_per_epoch)
+    RUN_SEED = run_seed_of(CONFIG)
+
+    def test_bytes_do_not_depend_on_what_the_streams_hold(self):
+        simnet._link_streams.cache_clear()
+        cold = report_and_trace(self.CONFIG)
+        cold_draws = sum(map(len, held_streams(self.RUN_SEED).values()))
+
+        simnet._link_streams.cache_clear()
+        report_and_trace(self.LONGER)
+        grown = held_streams(self.RUN_SEED)
+        assert sum(map(len, grown.values())) > cold_draws
+        assert report_and_trace(self.CONFIG) == cold
+        assert held_streams(self.RUN_SEED) == grown  # the shorter run appended nothing
+
+        report_and_trace(dataclasses.replace(self.CONFIG, seed=self.CONFIG.seed + 1))
+        misses = simnet._link_streams.cache_info().misses
+        assert report_and_trace(self.CONFIG) == cold
+        assert simnet._link_streams.cache_info().misses == misses + 1  # started afresh
+
+    def test_a_run_only_appends_to_the_streams(self):
+        simnet._link_streams.cache_clear()
+        report_and_trace(self.CONFIG)
+        before = held_streams(self.RUN_SEED)
+        report_and_trace(self.LONGER)
+        after = held_streams(self.RUN_SEED)
+        assert any(len(after[link]) > len(draws) for link, draws in before.items())
+        assert all(after[link][: len(draws)] == draws for link, draws in before.items())
+        # And each stream is its link generator's, bit for bit.
+        sim = Simulation(self.RUN_SEED, NetworkModel())
+        for (sender, target), draws in after.items():
+            rng = random.Random(int.from_bytes(sim.link_seed(sender, target), "big"))
+            assert draws == [rng.random() for _ in draws]
+
+    def test_simulations_stepped_alternately_match_the_oracle(self):
+        # Two runs of one seed share the streams of links 0->1 and 0->2 and
+        # grow them in turn; each must deliver what its own oracle delivers.
+        simnet._link_streams.cache_clear()
+        seed, reg = b"shared-streams", make_registry(3)
+        model = dict(base_latency_us=2_000, jitter_us=1_000, drop_rate=0.2)
+        schedules = (
+            [(k * 500, [1, 2]) for k in range(120)],
+            [(k * 300, [1]) for k in range(200)] + [(k * 700, [2]) for k in range(40)],
+        )
+        logs = []
+        for net_pair in (
+            [Simulation(seed, NetworkModel(**model)) for _ in schedules],
+            [NaiveNetwork(seed, reg, **model) for _ in schedules],
+        ):
+            pair_logs = []
+            for net, schedule in zip(net_pair, schedules):
+                log = []
+                net.on_deliver = lambda target, now, message, log=log: log.append(
+                    (now, target, message.sequence))
+                for sequence, (at_us, targets) in enumerate(schedule):
+                    net.schedule_send(at_us, 0, targets, make_commit(reg, sequence=sequence))
+                pair_logs.append(log)
+            busy = list(net_pair)
+            while busy:  # one event of each in turn
+                busy = [net for net in busy if net.step_one()]
+            logs.append(pair_logs)
+        sims_logs, oracle_logs = logs
+        assert sims_logs == oracle_logs
+        assert all(log for log in sims_logs)
+        assert len(held_streams(seed)[0, 1]) > 2 * simnet._FIRST_DRAWS  # grown while shared
+
+
+class TestEventCount:
+    # An EBRC run drains its connectivity window and its rounds; a PBFT run
+    # fires view-change timers.
+    @pytest.mark.parametrize("name", ["safety_silent_m4", "pbft_viewchange_n26"])
+    def test_step_one_runs_once_per_event(self, monkeypatch, name):
+        # The benchmark counts calls of Simulation.step_one as the network's
+        # events: every delivery, fired timer and deferred send is one call.
+        calls, scheduled = [0], {"timer": 0, "send": 0}
+        step_one = Simulation.step_one
+        schedule_timer, schedule_send = Simulation.schedule_timer, Simulation.schedule_send
+
+        def counted_step(sim):
+            calls[0] += 1
+            return step_one(sim)
+
+        def counted_timer(sim, *args):
+            scheduled["timer"] += 1
+            schedule_timer(sim, *args)
+
+        def counted_send(sim, *args):
+            scheduled["send"] += 1
+            schedule_send(sim, *args)
+
+        monkeypatch.setattr(Simulation, "step_one", counted_step)
+        monkeypatch.setattr(Simulation, "schedule_timer", counted_timer)
+        monkeypatch.setattr(Simulation, "schedule_send", counted_send)
+        runner = ScenarioRunner(presets.load(name))
+        runner.run()
+        sim = runner.sim
+        left = {"timer": 0, "send": 0}
+        for _, _, item in sim._heap:
+            if item[0] in left:
+                left[item[0]] += 1
+        fired = {kind: scheduled[kind] - left[kind] for kind in scheduled}
+        assert fired["timer"] > 0 and fired["send"] > 0 and sim.counters.delivered > 0
+        assert calls[0] == sim.counters.delivered + fired["timer"] + fired["send"]
 
 
 class TestPartitions:
