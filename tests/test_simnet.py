@@ -6,11 +6,12 @@ What a faulty node sends is the runner's concern; see ``test_byzantine.py``.
 import ast
 import dataclasses
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
-from ebrc import harness, presets, simnet
+from ebrc import crypto, harness, presets, simnet
 from ebrc.config import NetworkConfig
 from ebrc.crypto import digest, pack
 from ebrc.runner import ScenarioRunner
@@ -247,6 +248,28 @@ class TestSharedStreams:
         misses = simnet._link_streams.cache_info().misses
         assert report_and_trace(self.CONFIG) == cold
         assert simnet._link_streams.cache_info().misses == misses + 1  # started afresh
+
+    def test_digest_calls_do_not_depend_on_what_the_streams_hold(self, monkeypatch):
+        # The benchmark counts crypto.digest calls as deterministic for a
+        # seed, so seeding links, which a warm seed skips, must not call it.
+        calls = [0]
+        original = crypto.digest
+
+        def counted(*parts, **kwargs):
+            calls[0] += 1
+            return original(*parts, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("ebrc") and getattr(module, "digest", None) is original:
+                monkeypatch.setattr(module, "digest", counted)
+        counts = []
+        for clear in (True, False):  # cold, then every link already seeded
+            if clear:
+                simnet._link_streams.cache_clear()
+            calls[0] = 0
+            report_and_trace(self.CONFIG)
+            counts.append(calls[0])
+        assert counts[0] == counts[1] > 0
 
     def test_a_run_only_appends_to_the_streams(self):
         simnet._link_streams.cache_clear()
