@@ -13,7 +13,7 @@ registry = KeyRegistry(seed=b"election-demo")
 for node in range(NODES):
     registry.register(node)
 
-table = {node: new_record(node, registry.public_key(node), deposit=100.0) for node in range(NODES)}
+table = {node: new_record(node, deposit=100.0) for node in range(NODES)}
 table = update_behavior_table(table, [Participation(node_id=n) for n in range(NODES)])
 
 config = ElectionConfig(
@@ -30,7 +30,7 @@ for node in range(NODES):
     mark = "<- self-selects" if draw <= config.sortition_threshold else ""
     print(f"  node {node:2d}  {draw:.3f}  {mark}")
 
-committee, reports = form_committee(table, config, epoch_seed, registry, epoch=1)
+committee, reports = form_committee(table, config, epoch_seed, registry)
 print()
 print("consensus nodes:", sorted(committee.consensus_nodes))
 print("candidates:     ", sorted(committee.candidates))
@@ -45,7 +45,7 @@ print("misbehavior reports:", reports)
 poison = [ConfirmedReport(node_id=n) for n in range(1, NODES, 2) for _ in range(3)]
 poisoned_table = update_behavior_table(table, poison)
 
-poisoned_committee, _ = form_committee(poisoned_table, config, epoch_seed, registry, epoch=2)
+poisoned_committee, _ = form_committee(poisoned_table, config, epoch_seed, registry)
 print()
 print("after poisoning the odd ids:")
 print("consensus nodes:", sorted(poisoned_committee.consensus_nodes))

@@ -2,7 +2,6 @@
 """Walk three nodes' behavior records through six epochs and watch their
 reputations diverge: one behaves, one skips rounds, one gets caught lying."""
 
-from ebrc.crypto import KeyRegistry
 from ebrc.reputation import (
     DepositSlash,
     ConfirmedReport,
@@ -15,11 +14,7 @@ from ebrc.reputation import (
     update_behavior_table,
 )
 
-registry = KeyRegistry(seed=b"reputation-demo")
-for node in range(3):
-    registry.register(node)
-
-table = {node: new_record(node, registry.public_key(node), deposit=100.0) for node in range(3)}
+table = {node: new_record(node, deposit=100.0) for node in range(3)}
 
 print("h-index of recent transaction batch sizes")
 for history in ([], [5, 4, 3], [10, 8, 5, 4, 3], [1, 1, 1, 1, 1, 1]):

@@ -37,7 +37,6 @@ from .config import (
     ConfigError,
     ExitScript,
     NetworkConfig,
-    PoisonConfig,
     ScenarioConfig,
     load_scenario,
     save_scenario,
@@ -58,7 +57,6 @@ __all__ = [
     "ConfigError",
     "ExitScript",
     "NetworkConfig",
-    "PoisonConfig",
     "ScenarioConfig",
     "load_scenario",
     "save_scenario",

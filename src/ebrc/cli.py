@@ -103,7 +103,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         report, result = harness.run_scenario_with_result(config)
         reports.append(report)
         violated = violated or report.safety_violation
-        if args.out is not None and args.trace:
+        if args.trace:
             _write(args.out, f"trace_{report.name}.csv", harness.trace_csv(result.trace))
         print(_summary_line(report))
     payload = {
@@ -145,6 +145,9 @@ _COMMANDS = {"run": _cmd_run, "compare": _cmd_compare, "fairness": _cmd_fairness
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        # Without --out a trace has nowhere to go: fail rather than drop it.
+        if getattr(args, "trace", False) and args.out is None:
+            raise UsageError("--trace needs --out, the directory the trace is written to")
         return _COMMANDS[args.command](args)
     # ConfigError is a ValueError; OSError covers unreadable scenario files
     # and an --out path that is not a directory.

@@ -74,20 +74,6 @@ class ExitScript:
 
 
 @dataclass(frozen=True, slots=True)
-class PoisonConfig:
-    """Pre-scenario behavior-table doctoring for targeted nodes."""
-
-    node_ids: Tuple[int, ...] = ()
-    participations: int = 10
-    evil_count: int = 3
-    incomplete_count: int = 0
-
-    def validate(self, path: str = "poison") -> None:
-        if self.evil_count + self.incomplete_count > self.participations:
-            raise ConfigError(f"{path}: fault counts exceed participations")
-
-
-@dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     name: str = "scenario"
     protocol: str = "ebrc"
@@ -101,7 +87,6 @@ class ScenarioConfig:
 
     # Reputation inputs.
     deposits: Mapping[int, float] = field(default_factory=dict)  # default 100 each
-    poison: PoisonConfig = field(default_factory=PoisonConfig)
 
     # Round structure and load.
     epochs: int = 1
@@ -140,7 +125,6 @@ class ScenarioConfig:
             raise ConfigError("round_deadline_ms: must be > 0")
         self.network.validate()
         self.byzantine.validate()
-        self.poison.validate()
         all_ids = range(self.node_count)
         for nid in self.byzantine.node_ids:
             if nid not in all_ids:
@@ -160,9 +144,6 @@ class ScenarioConfig:
             script.validate(f"exits[{i}]")
             if script.node_id not in all_ids:
                 raise ConfigError(f"exits[{i}].node_id: {script.node_id} unknown")
-        for nid in self.poison.node_ids:
-            if nid not in all_ids:
-                raise ConfigError(f"poison.node_ids: {nid} outside 0..{self.node_count - 1}")
         for nid in self.deposits:
             if nid not in all_ids:
                 raise ConfigError(f"deposits: node {nid} outside 0..{self.node_count - 1}")

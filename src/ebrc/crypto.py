@@ -97,7 +97,6 @@ def pack(*parts) -> bytes:
 
 @dataclass(frozen=True, slots=True)
 class KeyPair:
-    owner_id: int
     public_key: bytes
     secret_key: bytes
 
@@ -123,7 +122,7 @@ class KeyRegistry:
         call derives the same keys."""
         secret = digest(self._seed, owner_id.to_bytes(8, "big", signed=True), domain=b"sk")
         public = digest(secret, domain=b"pk")
-        pair = KeyPair(owner_id, public, secret)
+        pair = KeyPair(public, secret)
         self._by_owner[owner_id] = pair
         self._secret_for[public] = secret
         return pair

@@ -54,8 +54,6 @@ class CommitteeAssignment:
     ``f`` is floor((m-1)/3) of the consensus-node count.
     """
 
-    epoch: int
-    seed: bytes
     consensus_nodes: Tuple[int, ...]
     candidates: Tuple[int, ...]
     spares: Tuple[int, ...]
@@ -108,7 +106,6 @@ def form_committee(
     registry: KeyRegistry,
     *,
     corrupt_proofs: Set[int] = frozenset(),
-    epoch: int = 0,
 ) -> Tuple[CommitteeAssignment, List[Tuple[int, str]]]:
     """Run one election and return (assignment, misbehavior reports).
 
@@ -163,8 +160,6 @@ def form_committee(
     spares = tuple(verified[n_elig:])
     f = committee_fault_budget(len(consensus))
     assignment = CommitteeAssignment(
-        epoch=epoch,
-        seed=seed,
         consensus_nodes=consensus,
         candidates=candidates,
         spares=spares,

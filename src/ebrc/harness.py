@@ -16,10 +16,11 @@ import sys
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .config import PoisonConfig, ScenarioConfig
+from .config import ScenarioConfig
 from .crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, digest, pack
 from .djep import committee_fault_budget
 from .election import MIN_COMMITTEE, ElectionFailed, elect_committee
+from .reputation import ConfirmedReport, Participation
 from .runner import RunResult, ScenarioRunner, election_config, initial_table
 from .simnet import RECEIVER_ROW_FIELDS, TraceRecord, receiver_rows
 
@@ -399,7 +400,9 @@ def fairness_experiment(
     committee, consensus or candidate) and ``consensus_counts`` (seated as
     a consensus node). The membership counter is the one tested for
     uniformity; the consensus counter exposes the reputation rank cut,
-    which is what demotes poisoned nodes.
+    which is what demotes poisoned nodes. With ``poison_odd`` the odd ids
+    enter the genesis table with a record of misbehavior, applied as
+    behavior events by its bootstrap update (``runner.initial_table``).
 
     The unpoisoned experiment uses full eligibility so no spare band
     exists: among equal reputations the candidate/spare boundary can
@@ -418,15 +421,15 @@ def fairness_experiment(
     registry = KeyRegistry(digest(pack(seed), domain=b"fairness-keys"))
     for node in range(node_count):
         registry.register(node)
-    # Poisoned nodes carry an evil rate of 3 in 10.
-    poisoned = tuple(range(1, node_count, 2)) if poison_odd else ()
     scenario = ScenarioConfig(
-        node_count=node_count,
-        omega=omega,
-        eligibility_percentile=eligibility_percentile,
-        poison=PoisonConfig(node_ids=poisoned, participations=10, evil_count=3),
+        node_count=node_count, omega=omega, eligibility_percentile=eligibility_percentile
     )
-    table = initial_table(scenario, registry)
+    # Poisoned nodes enter with 10 participations, 3 of them confirmed
+    # misbehavior: an evil rate of 3 in 10.
+    poisoned = range(1, node_count, 2) if poison_odd else ()
+    events = [Participation(node) for node in poisoned for _ in range(7)]
+    events += [ConfirmedReport(node) for node in poisoned for _ in range(3)]
+    table = initial_table(scenario, events)
     config = election_config(scenario)
 
     membership_counts = {node: 0 for node in range(node_count)}
@@ -436,9 +439,7 @@ def fairness_experiment(
     for epoch in range(epochs):
         epoch_seed = digest(base, epoch.to_bytes(8, "big"), domain=b"fairness-epoch")
         try:
-            assignment, _, _, _ = elect_committee(
-                table, config, epoch_seed, registry, epoch=epoch
-            )
+            assignment, _, _, _ = elect_committee(table, config, epoch_seed, registry)
         except ElectionFailed:
             failed_epochs += 1
             continue

@@ -44,11 +44,6 @@ from typing import Callable, ClassVar, Tuple
 
 from .crypto import pack
 
-# Tags that the per-round consensus message-count law covers. Requests,
-# replies to clients, elections, membership, and block announces are traced
-# and counted under their own tags.
-CONSENSUS_TAGS = ("preprepare", "prepare", "commit", "reply")
-
 
 class Message:
     """Base of every wire message; its slots are the signature and digest memos."""

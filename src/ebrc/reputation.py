@@ -68,7 +68,6 @@ class BehaviorRecord:
     """
 
     node_id: int
-    public_key: bytes
     deposit: float
     consensus_participations: int = 0
     incomplete_count: int = 0
@@ -108,9 +107,9 @@ class BehaviorRecord:
 BehaviorTable = Dict[int, BehaviorRecord]
 
 
-def new_record(node_id: int, public_key: bytes, deposit: float) -> BehaviorRecord:
+def new_record(node_id: int, deposit: float) -> BehaviorRecord:
     """Fresh record with join-time reputation and growth rate of 0.5 each."""
-    return BehaviorRecord(node_id=node_id, public_key=public_key, deposit=deposit)
+    return BehaviorRecord(node_id=node_id, deposit=deposit)
 
 
 # === LATENCY LEVEL ===

@@ -13,7 +13,7 @@ scenario configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import djep, reputation
 from .config import ScenarioConfig
@@ -84,21 +84,17 @@ def byzantine_sends(
     return [(targets, message)]
 
 
-def initial_table(config: ScenarioConfig, registry: KeyRegistry) -> reputation.BehaviorTable:
-    """Genesis behavior table: capped deposits, poisoned records, and one
-    bootstrap update so the first election reads realized scores."""
+def initial_table(
+    config: ScenarioConfig, events: Iterable[reputation.BehaviorEvent] = ()
+) -> reputation.BehaviorTable:
+    """Genesis behavior table: capped deposits, then one bootstrap update that
+    applies ``events`` so the first election reads realized scores."""
     nodes = range(config.node_count)
     deposits = reputation.enforce_deposit_caps(
         {n: float(config.deposits.get(n, 100.0)) for n in nodes}
     )
-    table = {n: reputation.new_record(n, registry.public_key(n), deposits[n]) for n in nodes}
-    poison = config.poison
-    for node in poison.node_ids:
-        record = table[node]
-        record.consensus_participations = poison.participations
-        record.reported_evil_count = poison.evil_count
-        record.incomplete_count = poison.incomplete_count
-    return reputation.update_behavior_table(table, [])
+    table = {n: reputation.new_record(n, deposits[n]) for n in nodes}
+    return reputation.update_behavior_table(table, events)
 
 
 def election_config(config: ScenarioConfig) -> ElectionConfig:
@@ -195,7 +191,7 @@ class ScenarioRunner:
         self._roster = self.replicas[0]
 
         self.honest_ids = [n for n in self.node_ids if n not in self.byz_ids]
-        self.table = initial_table(config, self.registry)
+        self.table = initial_table(config)
 
         self.result = RunResult(config=config)
         self.result.election_counts = {n: 0 for n in self.node_ids}
@@ -325,7 +321,6 @@ class ScenarioRunner:
             derive_seed(self._tip_block().block_digest),
             self.registry,
             corrupt_proofs=corrupt,
-            epoch=epoch,
         )
 
         for accused, kind in proof_reports:

@@ -17,6 +17,11 @@ run at seeds 1..3:
   300 ms round deadline;
 - ``partition``: every preset with its last node cut off from 10 to 60 ms.
 
+The election-only studies follow, serialized the way ``ebrc fairness --out``
+writes a report: the fairness study at n = 7 and 20 over 200 epochs, plain
+and with poisoned odd ids, and the empty-committee Monte Carlo over 2,000
+trials, each at seeds 1..3.
+
 One line per run gives the SHA-256 of that text; a run that raises prints
 the exception instead, so a changed failure is caught as well. The last line
 is the SHA-256 of all the lines before it. The whole output for the current
@@ -28,12 +33,15 @@ an older checkout and run there unchanged.
 """
 
 import dataclasses
+import functools
 import hashlib
+import itertools
 
 from ebrc import harness, presets
 
 SEEDS = range(1, 11)
 FAULT_SEEDS = range(1, 4)
+STUDY_SEEDS = range(1, 4)
 
 
 def run_digest(config) -> str:
@@ -45,6 +53,31 @@ def run_digest(config) -> str:
         {"schema_version": harness.SCHEMA_VERSION, "reports": [report.to_dict()]}
     ) + harness.trace_csv(result.trace)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def study_digest(study) -> str:
+    try:
+        report = study()
+    except Exception as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+    return hashlib.sha256(harness.report_json(report).encode("utf-8")).hexdigest()
+
+
+def studies():
+    """``(label, study)`` for each election-only study run."""
+    runs = [
+        (f"fairness n={n} {'poison_odd' if poison_odd else 'plain'} seed={seed}",
+         functools.partial(harness.fairness_experiment, n, 200, poison_odd=poison_odd, seed=seed))
+        for n in (7, 20)
+        for poison_odd in (False, True)
+        for seed in STUDY_SEEDS
+    ]
+    runs += [
+        (f"empty_committee n=10 seed={seed}",
+         functools.partial(harness.empty_committee_probability, 10, 0.4, 2_000, seed=seed))
+        for seed in STUDY_SEEDS
+    ]
+    return runs
 
 
 def fault_variants(shipped):
@@ -86,11 +119,15 @@ def main() -> None:
         if config.protocol == "ebrc"
     ]
     variants += [(label, config, FAULT_SEEDS) for label, config in fault_variants(shipped)]
-    for label, config, seeds in variants:
-        for seed in seeds:
-            line = f"{label} seed={seed} {run_digest(dataclasses.replace(config, seed=seed))}"
-            print(line, flush=True)
-            combined.update(line.encode("utf-8") + b"\n")
+    lines = (
+        f"{label} seed={seed} {run_digest(dataclasses.replace(config, seed=seed))}"
+        for label, config, seeds in variants
+        for seed in seeds
+    )
+    study_lines = (f"{label} {study_digest(study)}" for label, study in studies())
+    for line in itertools.chain(lines, study_lines):
+        print(line, flush=True)
+        combined.update(line.encode("utf-8") + b"\n")
     print(f"combined {combined.hexdigest()}")
 
 

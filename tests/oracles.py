@@ -49,6 +49,12 @@ def growth_rate(r_now: float, r_then: float, rounds: int) -> float:
     return (r_now / r_then) ** (1.0 / (rounds - 1)) - 1.0
 
 
+# Tags that the per-round consensus message-count laws below cover. Requests,
+# replies to clients, elections, membership, and block announces are traced
+# and counted under their own tags.
+CONSENSUS_TAGS = ("preprepare", "prepare", "commit", "reply")
+
+
 def ebrc_message_law(m: int) -> int:
     """Fault-free per-round protocol messages for the two-phase committee flow."""
     return (m - 1) + m * (m - 1) + m

@@ -5,10 +5,11 @@ Run from the repository root:
     PYTHONPATH=src python tests/reach_sweep.py
 
 Under ``sys.settrace`` it runs the identity sweep (``identity_sweep.main``,
-its output suppressed), the fairness study plain and poisoned, the
-empty-committee study, and the three CLI commands ``ebrc run``,
-``ebrc compare`` and ``ebrc fairness``. It then prints ``path:line: source``
-for every line of the package that holds code and never ran, and a count.
+its output suppressed), which takes in the fairness study plain and
+poisoned and the empty-committee study, and the three CLI commands
+``ebrc run``, ``ebrc compare`` and ``ebrc fairness``. It then prints
+``path:line: source`` for every line of the package that holds code and
+never ran, and a count.
 Lines of ``raise`` statements are left out: a guard against bad input is
 meant to stay unreached. Any other line it prints is code that only tests
 call, or that nothing calls. Tracing is slow: the identity sweep alone takes
@@ -75,13 +76,10 @@ def traced(run):
 def every_run():
     # Imported here, under the tracer, so module-level lines count as run.
     import identity_sweep
-    from ebrc import cli, harness, presets
+    from ebrc import cli, presets
 
     with contextlib.redirect_stdout(io.StringIO()), tempfile.TemporaryDirectory() as out:
         identity_sweep.main()
-        harness.fairness_experiment(20, 200, seed=1)
-        harness.fairness_experiment(20, 200, poison_odd=True, seed=1)
-        harness.empty_committee_probability(10, 0.4, 2_000, seed=1)
         cli.main(["run", "--scenario", str(presets.path("churn_join_m7")),
                   "--out", out, "--trace"])
         cli.main(["compare", "--scenarios", str(presets.path("law_ebrc_n4")),

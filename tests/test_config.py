@@ -13,7 +13,6 @@ from ebrc.config import (
     ConfigError,
     ExitScript,
     NetworkConfig,
-    PoisonConfig,
     ScenarioConfig,
     load_scenario,
     save_scenario,
@@ -110,13 +109,6 @@ class TestValidation:
         assert f"error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_poison_counts_and_range(self):
-        with pytest.raises(ConfigError, match="poison"):
-            PoisonConfig(participations=2, evil_count=3).validate()
-        config = valid(node_count=4, poison=PoisonConfig(node_ids=(8,)))
-        with pytest.raises(ConfigError, match="poison.node_ids"):
-            config.validate()
-
     def test_deposits_keyed_by_known_nodes(self):
         config = valid(node_count=4, deposits={9: 100.0})
         with pytest.raises(ConfigError, match="deposits"):
@@ -132,8 +124,8 @@ class TestValidation:
 
 
 # Keys of knobs whose one value in use is a constant of the runner, the
-# simulator or the reputation module: a scenario file that names one is
-# rejected.
+# simulator or the reputation module, or that no run set: a scenario file
+# that names one is rejected.
 REMOVED_KEYS = {
     "batch_window_ms": 2.0,
     "view_timeout_ms": 40.0,
@@ -149,6 +141,7 @@ REMOVED_KEYS = {
     "allow_over_threshold": False,
     "byzantine.activation": None,
     "byzantine.latency_factor": 4.0,
+    "poison": {"node_ids": [1], "participations": 10, "evil_count": 3, "incomplete_count": 0},
 }
 
 
@@ -169,7 +162,6 @@ class TestParsing:
         [
             ({"network": {"lag_ms": 1}}, r"network\.lag_ms"),
             ({"byzantine": {"who": []}}, r"byzantine\.who"),
-            ({"poison": {"victims": []}}, r"poison\.victims"),
             ({"exits": [{"when": 1}]}, r"exits\[0\]\.when"),
         ],
     )
@@ -230,7 +222,6 @@ class TestRoundTrip:
                 "eligibility_percentile": 1.0,
                 "consensus_percentile": 0.5,
                 "deposits": {"0": 500.0, "3": 50.0},
-                "poison": {"node_ids": [1, 3], "evil_count": 2},
                 "epochs": 2,
                 "rounds_per_epoch": 5,
                 "load": 4,

@@ -30,16 +30,14 @@ def make_registry(n: int) -> KeyRegistry:
 
 
 def equal_table(n: int, registry: KeyRegistry):
-    return {
-        i: new_record(i, registry.public_key(i), 100.0) for i in range(n)
-    }
+    return {i: new_record(i, 100.0) for i in range(n)}
 
 
 def table_with_scores(registry, scores, growths=None):
     """Table whose records carry the given current reputation/growth values."""
     table = {}
     for i, score in enumerate(scores):
-        rec = new_record(i, registry.public_key(i), 100.0)
+        rec = new_record(i, 100.0)
         rec.reputation_history.append(score)
         rec.growth_history.append(growths[i] if growths else 0.5)
         table[i] = rec
@@ -319,8 +317,6 @@ class TestFormCommittee:
 
     def test_assignment_validation_catches_overlap(self):
         bad = CommitteeAssignment(
-            epoch=0,
-            seed=GENESIS_SEED,
             consensus_nodes=(0, 1, 2, 3),
             candidates=(3,),
             spares=(),

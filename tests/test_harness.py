@@ -26,7 +26,7 @@ from ebrc.cli import main
 from ebrc.config import ByzantineConfig, ExitScript, NetworkConfig, ScenarioConfig, save_scenario
 from ebrc.consensus import EbrcReplica
 from ebrc.crypto import SimulatedVrf
-from ebrc.messages import CONSENSUS_TAGS, JoinRequest
+from ebrc.messages import JoinRequest
 from ebrc.harness import (
     ConsistencyError,
     compare_reports,
@@ -46,7 +46,7 @@ from ebrc.runner import ScenarioRunner
 from ebrc.simnet import RECEIVER_ROW_FIELDS, Simulation, TraceRecord, receiver_rows
 
 from driver import trace_rows
-from oracles import chi_square_uniform
+from oracles import CONSENSUS_TAGS, chi_square_uniform
 
 FAST = NetworkConfig(base_latency_ms=2.0, jitter_ms=1.0, drop_rate=0.0)
 
@@ -715,6 +715,18 @@ class TestCli:
         payload = json.loads((out / "report.json").read_text())
         assert len(payload["comparison"]["rows"]) == 2
         assert len(payload["reports"]) == 2
+
+    def test_run_trace_without_out_is_usage_error(self, tmp_path, capsys):
+        scenario = self.scenario_file(tmp_path)
+        assert main(["run", "--scenario", scenario, "--trace"]) == 1
+        captured = capsys.readouterr()
+        assert "error: --trace" in captured.err and not captured.out
+
+    def test_compare_trace_without_out_is_usage_error(self, tmp_path, capsys):
+        files = [self.scenario_file(tmp_path, c) for c in presets.law_pair(4)]
+        assert main(["compare", "--scenarios", *files, "--trace"]) == 1
+        captured = capsys.readouterr()
+        assert "error: --trace" in captured.err and not captured.out
 
     def test_fairness_subcommand(self, tmp_path, capsys):
         out = tmp_path / "fair"

@@ -35,11 +35,8 @@ from ebrc.reputation import (
 
 from oracles import brute_force_h_index, growth_rate, weighted_reputation
 
-PK = b"\x00" * 32
-
-
 def record_with(**kwargs) -> BehaviorRecord:
-    base = dict(node_id=1, public_key=PK, deposit=100.0)
+    base = dict(node_id=1, deposit=100.0)
     base.update(kwargs)
     return BehaviorRecord(**base)
 
@@ -262,10 +259,10 @@ class TestSlashAndCaps:
 
 class TestBehaviorTable:
     def table(self):
-        return {i: new_record(i, PK, 100.0) for i in range(4)}
+        return {i: new_record(i, 100.0) for i in range(4)}
 
     def test_new_node_initialization(self):
-        rec = new_record(7, PK, 50.0)
+        rec = new_record(7, 50.0)
         assert rec.reputation == INITIAL_REPUTATION == 0.5
         assert rec.growth_rate == INITIAL_GROWTH_RATE == 0.5
 
