@@ -11,7 +11,6 @@ default it was meant to override.
 
 from __future__ import annotations
 
-import collections.abc
 import dataclasses
 import functools
 import json
@@ -85,9 +84,6 @@ class ScenarioConfig:
     eligibility_percentile: float = 0.85
     consensus_percentile: float = 0.5
 
-    # Reputation inputs.
-    deposits: Mapping[int, float] = field(default_factory=dict)  # default 100 each
-
     # Round structure and load.
     epochs: int = 1
     rounds_per_epoch: int = 20
@@ -144,9 +140,6 @@ class ScenarioConfig:
             script.validate(f"exits[{i}]")
             if script.node_id not in all_ids:
                 raise ConfigError(f"exits[{i}].node_id: {script.node_id} unknown")
-        for nid in self.deposits:
-            if nid not in all_ids:
-                raise ConfigError(f"deposits: node {nid} outside 0..{self.node_count - 1}")
         # The client follows the nodes in the id space, and a partition may
         # cut either off.
         for i, (_, _, ids) in enumerate(self.network.partitions):
@@ -165,14 +158,11 @@ class ScenarioConfig:
 
 def _to_json(value: Any) -> Any:
     """JSON form of a schema value: dataclasses become objects with one key
-    per field, tuples become lists and int-keyed mappings get string keys in
-    sorted order."""
+    per field and tuples become lists."""
     if dataclasses.is_dataclass(value):
         return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, (tuple, list)):
         return [_to_json(item) for item in value]
-    if isinstance(value, Mapping):
-        return {str(k): _to_json(v) for k, v in sorted(value.items())}
     return value
 
 
@@ -213,18 +203,6 @@ def _parse(kind: Any, value: Any, path: str) -> Any:
         elif len(value) != len(args):
             raise ConfigError(f"{path}: expected a list of {len(args)} items, got {len(value)}")
         return tuple(_parse(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
-    if origin is collections.abc.Mapping:
-        if not isinstance(value, Mapping):
-            raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
-        key_type, value_type = args
-        out = {}
-        for key, item in value.items():
-            try:
-                parsed_key = key_type(key)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{path}.{key}: key must be {key_type.__name__}") from None
-            out[parsed_key] = _parse(value_type, item, f"{path}.{key}")
-        return out
     if kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected boolean, got {type(value).__name__}")

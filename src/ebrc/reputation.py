@@ -14,6 +14,9 @@ The weighting is 0.1/0.3/0.3/0.2/0.1. The two fault rates enter only
 through their complements (1 - rate), so more misbehavior always lowers the
 score. A per-epoch growth rate tracks the geometric-mean change of the score
 since the node joined.
+
+Every node starts with the same deposit, so deposit shares are equal at
+genesis; a DepositSlash alongside a confirmed report is what moves them.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Sequence, Union
+from typing import Dict, Iterable, List, Sequence, Union
 
 logger = logging.getLogger(__name__)
 
@@ -37,9 +40,6 @@ INITIAL_GROWTH_RATE = 0.5
 #: Share of the deposit a DepositSlash removes, alongside a confirmed
 #: misbehavior report.
 SLASH_FRACTION = 0.10
-
-#: Cap on any single node's share of the total network deposit.
-DEPOSIT_CAP = 0.25
 
 LATENCY_LEVELS = (2, 4, 6, 8, 10)
 
@@ -220,7 +220,6 @@ class ConfirmedReport:
     """Misbehavior report that reached the confirmation threshold."""
 
     node_id: int
-    evidence_kind: str = ""
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,20 +251,6 @@ BehaviorEvent = Union[
     TransactionsProcessed,
     ActivitySample,
 ]
-
-
-def enforce_deposit_caps(deposits: Mapping[int, float]) -> Dict[int, float]:
-    """Clamp each deposit to at most DEPOSIT_CAP of the submitted total.
-
-    Applied once at deposit time so a single node cannot dominate
-    margin_ratio. The limit is computed from the totals as submitted, not
-    re-derived from the clamped amounts: a post-clamp fixed point does not
-    exist for small networks (with n nodes and n * cap < 1 no assignment can
-    satisfy it), and chasing one lets small depositors outrank larger ones.
-    """
-    total = float(sum(deposits.values()))
-    limit = DEPOSIT_CAP * total
-    return {node: min(float(amount), limit) for node, amount in deposits.items()}
 
 
 def update_behavior_table(

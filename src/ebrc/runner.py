@@ -50,6 +50,9 @@ EXIT_LEAD_BLOCKS = 2
 CONNECT_WINDOW_US = 5_000
 PAYLOAD_BYTES = 64
 
+# Every node's deposit at genesis.
+GENESIS_DEPOSIT = 100.0
+
 _PROPOSALS, _VOTES = (Prepare, PrePrepare), (Commit, PbftPrepare, PbftCommit)
 
 
@@ -87,13 +90,10 @@ def byzantine_sends(
 def initial_table(
     config: ScenarioConfig, events: Iterable[reputation.BehaviorEvent] = ()
 ) -> reputation.BehaviorTable:
-    """Genesis behavior table: capped deposits, then one bootstrap update that
-    applies ``events`` so the first election reads realized scores."""
-    nodes = range(config.node_count)
-    deposits = reputation.enforce_deposit_caps(
-        {n: float(config.deposits.get(n, 100.0)) for n in nodes}
-    )
-    table = {n: reputation.new_record(n, deposits[n]) for n in nodes}
+    """Genesis behavior table: every node holds GENESIS_DEPOSIT, then one
+    bootstrap update applies ``events`` so the first election reads realized
+    scores."""
+    table = {n: reputation.new_record(n, GENESIS_DEPOSIT) for n in range(config.node_count)}
     return reputation.update_behavior_table(table, events)
 
 
@@ -486,7 +486,7 @@ class ScenarioRunner:
 
     def _announce(self, holder: int, height: int) -> None:
         block = self.replicas[holder].ledger[height]
-        self._view_hint = getattr(self.replicas[holder], "view", 0)
+        self._view_hint = self.replicas[holder].view
         behind = [
             n
             for n in self.node_ids
@@ -563,7 +563,7 @@ class ScenarioRunner:
         """Record a confirmed misbehavior: a reputation penalty, a deposit
         slash and a ``confirmed_reports`` row locating it."""
         self._record(
-            reputation.ConfirmedReport(accused, kind),
+            reputation.ConfirmedReport(accused),
             reputation.DepositSlash(accused),
         )
         self.result.confirmed_reports.append({"node": accused, "kind": kind, **row})

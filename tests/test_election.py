@@ -29,11 +29,11 @@ def make_registry(n: int) -> KeyRegistry:
     return reg
 
 
-def equal_table(n: int, registry: KeyRegistry):
+def equal_table(n: int):
     return {i: new_record(i, 100.0) for i in range(n)}
 
 
-def table_with_scores(registry, scores, growths=None):
+def table_with_scores(scores, growths=None):
     """Table whose records carry the given current reputation/growth values."""
     table = {}
     for i, score in enumerate(scores):
@@ -46,16 +46,14 @@ def table_with_scores(registry, scores, growths=None):
 
 class TestEligibility:
     def test_top_ranked_node_eligible(self):
-        reg = make_registry(20)
         scores = [1.0 - i * 0.01 for i in range(20)]
-        table = table_with_scores(reg, scores)
+        table = table_with_scores(scores)
         assert 0 in eligible_nodes(table, 0.85)
 
     def test_bottom_band_ineligible(self):
         # Rank 18 of 20 by reputation sits below the 85th-percentile cut.
-        reg = make_registry(20)
         scores = [1.0 - i * 0.01 for i in range(20)]
-        table = table_with_scores(reg, scores)
+        table = table_with_scores(scores)
         assert 17 not in eligible_nodes(table, 0.85)
         assert 18 not in eligible_nodes(table, 0.85)
         assert 19 not in eligible_nodes(table, 0.85)
@@ -63,45 +61,41 @@ class TestEligibility:
     def test_requires_both_rankings(self):
         # Strong reputation with weak growth is still ineligible: the gate
         # is a conjunction over both orderings.
-        reg = make_registry(20)
         scores = [1.0 - i * 0.01 for i in range(20)]
         growths = [0.5] * 20
         growths[4] = -0.4  # rank 5 by reputation, last by growth
-        table = table_with_scores(reg, scores, growths)
+        table = table_with_scores(scores, growths)
         assert 4 not in eligible_nodes(table, 0.85)
 
     def test_unknown_node_ineligible(self):
-        reg = make_registry(4)
-        assert 99 not in eligible_nodes(equal_table(4, reg), 0.85)
+        assert 99 not in eligible_nodes(equal_table(4), 0.85)
 
     def test_tie_break_by_node_id(self):
         reg = make_registry(4)
-        table = equal_table(4, reg)
+        table = equal_table(4)
         assert rank_by_reputation(table) == [0, 1, 2, 3]
         assert rank_by_growth(table) == [0, 1, 2, 3]
         # The election orders its consensus nodes the same way.
         config = ElectionConfig(
             sortition_threshold=1.0, eligibility_percentile=1.0, consensus_percentile=1.0
         )
-        mixed = table_with_scores(reg, [0.3, 0.9, 0.9, 0.7])
+        mixed = table_with_scores([0.3, 0.9, 0.9, 0.7])
         assignment, _ = form_committee(mixed, config, GENESIS_SEED, reg)
         assert list(assignment.consensus_nodes) == rank_by_reputation(mixed) == [1, 2, 3, 0]
 
     def test_cutoff_float_artifact(self):
         # floor(20 * 0.85) must be 17, not 16, despite 0.85 * 20 = 16.999...
-        reg = make_registry(20)
         scores = [1.0 - i * 0.01 for i in range(20)]
-        table = table_with_scores(reg, scores)
+        table = table_with_scores(scores)
         assert len(eligible_nodes(table, 0.85)) == 17
 
     def test_boundary_ties_admitted(self):
         # The cut is by score value: nodes tied with the last admitted rank
         # stay eligible instead of being dropped by id.
-        reg = make_registry(20)
-        table = equal_table(20, reg)
+        table = equal_table(20)
         assert len(eligible_nodes(table, 0.85)) == 20
         scores = [0.9] * 18 + [0.2, 0.2]
-        tied = table_with_scores(reg, scores)
+        tied = table_with_scores(scores)
         assert eligible_nodes(tied, 0.85) == set(range(18))
 
     @given(
@@ -116,8 +110,7 @@ class TestEligibility:
     def test_matches_ranked_value_cut(self, scores, percentile):
         # The slice reads each key once and never sorts ids; it must admit
         # exactly what a cut at the keep-th entry of the full ranking admits.
-        reg = make_registry(len(scores))
-        table = table_with_scores(reg, [r for r, _ in scores], [g for _, g in scores])
+        table = table_with_scores([r for r, _ in scores], [g for _, g in scores])
         keep = math.floor(len(table) * percentile + 1e-9)
 
         def value_cut(ranked, key):
@@ -162,7 +155,7 @@ class TestFormCommittee:
         monkeypatch.setattr(SimulatedVrf, "proof", staticmethod(counting))
         monkeypatch.setattr(SimulatedVrf, "verify", checked)
         reg = make_registry(20)
-        table = equal_table(20, reg)
+        table = equal_table(20)
         assignment, reports = form_committee(
             table, self.config(sortition_threshold=0.4), GENESIS_SEED, reg, corrupt_proofs={0, 1, 2}
         )
@@ -174,7 +167,7 @@ class TestFormCommittee:
         # 20 equal nodes, everyone selected: 10 consensus, 7 candidates,
         # 3 spares under the 50%/85% split with id tie-breaking.
         reg = make_registry(20)
-        table = equal_table(20, reg)
+        table = equal_table(20)
         config_all = ElectionConfig(
             sortition_threshold=1.0,
             eligibility_percentile=1.0,
@@ -193,7 +186,7 @@ class TestFormCommittee:
         # floor(20*0.5)=10 consensus, floor(20*0.85)=17 -> 7 candidates,
         # 3 spares.
         reg = make_registry(20)
-        table = equal_table(20, reg)
+        table = equal_table(20)
         config = self.config(eligibility_percentile=0.85, consensus_percentile=0.5)
         assignment, _ = form_committee(table, config, GENESIS_SEED, reg)
         assert len(assignment.consensus_nodes) == 10
@@ -205,7 +198,7 @@ class TestFormCommittee:
         # bands follow floor(17*0.5)=8 and floor(17*0.85)=14.
         reg = make_registry(20)
         scores = [1.0 - i * 0.01 for i in range(20)]
-        table = table_with_scores(reg, scores)
+        table = table_with_scores(scores)
         config = self.config(eligibility_percentile=0.85, consensus_percentile=0.5)
         assignment, _ = form_committee(table, config, GENESIS_SEED, reg)
         assert len(assignment.consensus_nodes) == 8
@@ -214,7 +207,7 @@ class TestFormCommittee:
 
     def test_partition_disjoint_and_complete(self):
         reg = make_registry(20)
-        table = equal_table(20, reg)
+        table = equal_table(20)
         assignment, _ = form_committee(table, self.config(), GENESIS_SEED, reg)
         groups = (
             set(assignment.consensus_nodes),
@@ -226,21 +219,21 @@ class TestFormCommittee:
     def test_consensus_nodes_reputation_sorted(self):
         reg = make_registry(8)
         scores = [0.5, 0.9, 0.4, 0.8, 0.7, 0.6, 0.95, 0.55]
-        table = table_with_scores(reg, scores)
+        table = table_with_scores(scores)
         assignment, _ = form_committee(table, self.config(), GENESIS_SEED, reg)
         ranked = sorted(range(8), key=lambda i: (-scores[i], i))
         assert list(assignment.consensus_nodes) == ranked[: len(assignment.consensus_nodes)]
 
     def test_deterministic(self):
         reg = make_registry(12)
-        table = equal_table(12, reg)
+        table = equal_table(12)
         a, _ = form_committee(table, self.config(), GENESIS_SEED, reg)
         b, _ = form_committee(table, self.config(), GENESIS_SEED, reg)
         assert a == b
 
     def test_seed_changes_selection(self):
         reg = make_registry(30)
-        table = equal_table(30, reg)
+        table = equal_table(30)
         config = self.config(sortition_threshold=0.4)
         results = set()
         seed = GENESIS_SEED
@@ -255,7 +248,7 @@ class TestFormCommittee:
 
     def test_corrupt_proof_excluded_and_reported(self):
         reg = make_registry(8)
-        table = equal_table(8, reg)
+        table = equal_table(8)
         assignment, reports = form_committee(
             table, self.config(), GENESIS_SEED, reg, corrupt_proofs={3}
         )
@@ -265,7 +258,7 @@ class TestFormCommittee:
 
     def test_too_few_selectees_raises(self):
         reg = make_registry(4)
-        table = equal_table(4, reg)
+        table = equal_table(4)
         with pytest.raises(ElectionFailed):
             form_committee(
                 table, self.config(), GENESIS_SEED, reg, corrupt_proofs={0, 1, 2, 3}
@@ -273,13 +266,13 @@ class TestFormCommittee:
 
     def test_too_few_eligible_raises(self):
         reg = make_registry(3)
-        table = equal_table(3, reg)
+        table = equal_table(3)
         with pytest.raises(ElectionFailed):
             form_committee(table, self.config(), GENESIS_SEED, reg)
 
     def test_elect_committee_retries_with_derived_seeds(self):
         reg = make_registry(8)
-        table = equal_table(8, reg)
+        table = equal_table(8)
         config = self.config(sortition_threshold=0.3)
         seed, failures = GENESIS_SEED, 0
         while True:
@@ -295,7 +288,7 @@ class TestFormCommittee:
 
     def test_elect_committee_gives_up_after_max_retries(self, monkeypatch):
         reg = make_registry(3)
-        table = equal_table(3, reg)
+        table = equal_table(3)
         seeds = []
 
         def counting(table, config, seed, registry, **options):
@@ -310,7 +303,7 @@ class TestFormCommittee:
 
     def test_fault_budget_formula(self):
         reg = make_registry(20)
-        table = equal_table(20, reg)
+        table = equal_table(20)
         assignment, _ = form_committee(table, self.config(), GENESIS_SEED, reg)
         m = len(assignment.consensus_nodes)
         assert assignment.f == (m - 1) // 3
@@ -342,7 +335,7 @@ class TestFormCommittee:
         n = rng.randint(8, 24)
         reg = make_registry(n)
         scores = [round(rng.uniform(0.05, 1.0), 6) for _ in range(n)]
-        table = table_with_scores(reg, scores)
+        table = table_with_scores(scores)
         config = ElectionConfig(
             sortition_threshold=1.0,
             eligibility_percentile=1.0,
@@ -360,7 +353,7 @@ class TestFormCommittee:
         # A node in the bottom 15% by reputation stays out across epochs.
         reg = make_registry(20)
         scores = [0.9] * 17 + [0.2, 0.2, 0.2]
-        table = table_with_scores(reg, scores)
+        table = table_with_scores(scores)
         config = ElectionConfig(
             sortition_threshold=1.0,
             eligibility_percentile=0.85,
@@ -378,7 +371,7 @@ class TestFormCommittee:
         # Nodes carrying confirmed-report history rank below clean peers and
         # fall out of the consensus slice.
         reg = make_registry(8)
-        table = equal_table(8, reg)
+        table = equal_table(8)
         from ebrc.reputation import ConfirmedReport, Participation
 
         events = [Participation(i) for i in range(8) for _ in range(10)]

@@ -11,7 +11,6 @@ from ebrc.reputation import (
     INITIAL_GROWTH_RATE,
     INITIAL_REPUTATION,
     LATENCY_LEVELS,
-    DEPOSIT_CAP,
     REPUTATION_FLOOR,
     SLASH_FRACTION,
     WEIGHTS,
@@ -26,7 +25,6 @@ from ebrc.reputation import (
     compute_factors,
     compute_growth_rate,
     compute_reputation,
-    enforce_deposit_caps,
     h_index,
     latency_level_for,
     new_record,
@@ -220,7 +218,7 @@ class TestLevels:
             latency_level_for(-1)
 
 
-class TestSlashAndCaps:
+class TestSlash:
     @staticmethod
     def slashed(deposit, slashes=1):
         table = {1: record_with(deposit=deposit)}
@@ -240,21 +238,6 @@ class TestSlashAndCaps:
         rec = record_with(deposit=100.0)
         update_behavior_table({1: rec}, [DepositSlash(1)])
         assert rec.deposit == 100.0
-
-    def test_caps_no_op_when_balanced(self):
-        deposits = {0: 100.0, 1: 100.0, 2: 100.0, 3: 100.0, 4: 100.0}
-        assert enforce_deposit_caps(deposits) == deposits
-
-    def test_caps_clamp_dominant_node(self):
-        capped = enforce_deposit_caps({0: 1000.0, 1: 100.0, 2: 100.0})
-        # Limit is 25% of the submitted total (1200).
-        assert capped[0] == pytest.approx(300.0)
-        assert capped[1] == 100.0 and capped[2] == 100.0
-
-    def test_caps_single_node_keeps_cap_share(self):
-        # The limit comes from the submitted total, so a lone depositor is
-        # cut to DEPOSIT_CAP of its own deposit.
-        assert enforce_deposit_caps({0: 200.0}) == {0: pytest.approx(200.0 * DEPOSIT_CAP)}
 
 
 class TestBehaviorTable:
