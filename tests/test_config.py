@@ -233,6 +233,11 @@ class TestRoundTrip:
         assert again == config
         assert again.to_dict() == config.to_dict()
 
+    def test_written_keys_are_the_schema_fields(self):
+        written = self.build().to_dict()
+        assert list(written) == [f.name for f in dataclasses.fields(ScenarioConfig)]
+        assert "deposits" not in written
+
     def test_file_round_trip(self, tmp_path):
         config = self.build()
         target = tmp_path / "scenario.json"

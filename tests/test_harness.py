@@ -42,7 +42,8 @@ from ebrc.harness import (
     trace_csv,
     verify_consistency,
 )
-from ebrc.runner import ScenarioRunner
+from ebrc.reputation import SLASH_FRACTION
+from ebrc.runner import GENESIS_DEPOSIT, ScenarioRunner, initial_table
 from ebrc.simnet import RECEIVER_ROW_FIELDS, Simulation, TraceRecord, receiver_rows
 
 from driver import trace_rows
@@ -287,6 +288,22 @@ class TestRunnerAccountability:
         result = runner.run()
         assert result.committed_rounds == 6
         assert [runner.table[n].incomplete_count for n in (5, 6)] == [6, 6]
+
+    def test_genesis_table_gives_every_node_the_genesis_deposit(self):
+        table = initial_table(tiny_config(node_count=7))
+        assert [record.deposit for record in table.values()] == [GENESIS_DEPOSIT] * 7
+        # Equal deposits and no events: every node starts on the same score.
+        assert len({record.reputation for record in table.values()}) == 1
+
+    def test_each_conviction_slashes_and_keeps_its_kind(self):
+        # Node 5 forges its sortition proof twice; each confirmed report
+        # names the evidence and takes SLASH_FRACTION of the deposit.
+        runner = ScenarioRunner(presets.load("election_corrupt_proof_n6"))
+        result = runner.run()
+        rows = [(r["node"], r["kind"]) for r in result.confirmed_reports]
+        assert rows == [(5, "invalid-sortition-proof")] * 2
+        assert runner.table[5].deposit == pytest.approx(GENESIS_DEPOSIT * (1 - SLASH_FRACTION) ** 2)
+        assert all(runner.table[n].deposit == GENESIS_DEPOSIT for n in range(5))
 
     def test_skipped_scripted_exit_is_noted(self):
         ebrc, _ = presets.comparison_pair(10, byzantine=False)

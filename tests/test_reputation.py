@@ -239,6 +239,18 @@ class TestSlash:
         update_behavior_table({1: rec}, [DepositSlash(1)])
         assert rec.deposit == 100.0
 
+    def test_slash_moves_deposit_shares(self):
+        # Equal deposits give equal margin ratios; a slash lowers the
+        # slashed node's share and raises every other node's.
+        table = {i: new_record(i, 100.0) for i in range(4)}
+        updated = update_behavior_table(table, [DepositSlash(0)])
+        total = sum(record.deposit for record in updated.values())
+        shares = [compute_factors(updated[i], total, 0).margin_ratio for i in range(4)]
+        assert shares[0] == pytest.approx(90.0 / 390.0)
+        assert shares[1:] == [pytest.approx(100.0 / 390.0)] * 3
+        assert sum(shares) == pytest.approx(1.0)
+        assert updated[0].reputation < updated[1].reputation
+
 
 class TestBehaviorTable:
     def table(self):
