@@ -130,7 +130,8 @@ def _cmd_fairness(args: argparse.Namespace) -> int:
     line = (
         f"fairness: nodes={report['node_count']} epochs={report['epochs']} "
         f"poison_odd={report['poison_odd']} chi2={report['chi_square']:.3f} "
-        f"p={report['p_value']:.4f} counts=[{report['min_count']}, {report['max_count']}]"
+        f"p={report['p_value']:.4f} counts=[{report['min_count']}, {report['max_count']}] "
+        f"failed_epochs={report['failed_epochs']}/{report['epochs']}"
     )
     if report["poison_odd"]:
         ratio = report["demotion_ratio"]

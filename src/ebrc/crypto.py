@@ -10,8 +10,10 @@ proof are ``digest(secret, seed)`` under ``b"vrf-value"`` and ``b"vrf-proof"``.
 Each (secret, domain) pair is absorbed once into a cached state
 (``_keyed_state``), so signing and sortition copy that state and hash only
 the payload or the seed; the bytes are the same as hashing the secret every
-time. A sortition draw computes its value alone: only a node that selects
-itself makes a proof.
+time. Each digest, signature and draw is one call that copies its cached
+state, absorbs the length-prefixed parts and finishes it; ``SimulatedVrf``
+does not go through ``digest``. A sortition draw computes its value alone:
+only a node that selects itself makes a proof.
 """
 
 from __future__ import annotations
@@ -68,8 +70,13 @@ def _keyed_state(secret_key: bytes, domain: bytes):
 
 def digest(*parts: bytes, domain: bytes = b"msg", prefix=None) -> bytes:
     """Length-prefixed, domain-separated BLAKE2b over ``parts``, continuing
-    ``prefix`` when given (see ``hasher``)."""
-    return hasher(parts, domain, prefix).digest()
+    ``prefix`` when given: ``hasher(parts, domain, prefix).digest()``,
+    absorbed here rather than through ``hasher`` to save a call."""
+    h = (_domain_state(domain) if prefix is None else prefix).copy()
+    for part in parts:
+        h.update(len(part).to_bytes(4, "big"))
+        h.update(part)
+    return h.digest()
 
 
 def pack(*parts) -> bytes:
@@ -170,13 +177,22 @@ class SimulatedVrf:
 
     @staticmethod
     def value(secret_key: bytes, seed: bytes) -> int:
-        """The draw a node compares against the sortition threshold."""
-        return int.from_bytes(digest(seed, prefix=_keyed_state(secret_key, b"vrf-value")), "big")
+        """The draw a node compares against the sortition threshold:
+        ``digest(seed, prefix=_keyed_state(secret_key, b"vrf-value"))`` as an
+        integer, absorbed inline since sortition makes this call per node."""
+        h = _keyed_state(secret_key, b"vrf-value").copy()
+        h.update(len(seed).to_bytes(4, "big"))
+        h.update(seed)
+        return int.from_bytes(h.digest(), "big")
 
     @staticmethod
     def proof(secret_key: bytes, seed: bytes) -> bytes:
-        """The proof a node makes once its value selects it."""
-        return digest(seed, prefix=_keyed_state(secret_key, b"vrf-proof"))
+        """The proof a node makes once its value selects it, absorbed inline
+        like ``value``."""
+        h = _keyed_state(secret_key, b"vrf-proof").copy()
+        h.update(len(seed).to_bytes(4, "big"))
+        h.update(seed)
+        return h.digest()
 
     def evaluate(self, secret_key: bytes, seed: bytes) -> VrfOutput:
         return VrfOutput(self.value(secret_key, seed), self.proof(secret_key, seed))

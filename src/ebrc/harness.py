@@ -410,12 +410,18 @@ def fairness_experiment(
     into the membership counter that says nothing about election fairness.
     The poisoned experiment uses the protocol default, 0.85. The report
     states which one ran.
+
+    An epoch whose election fails seats nobody and is counted in
+    ``failed_epochs``; if every epoch fails there is nothing to test, and a
+    ValueError says so.
     """
     if node_count < MIN_COMMITTEE:
         # Fewer nodes can never seat a committee: every election would fail.
         raise ValueError(f"fairness experiment needs at least {MIN_COMMITTEE} nodes")
     if epochs < 1:
         raise ValueError("fairness experiment needs at least 1 epoch")
+    if not 0.0 < omega <= 1.0:
+        raise ValueError("omega must lie in (0, 1]")
     eligibility_percentile = 0.85 if poison_odd else 1.0
 
     registry = KeyRegistry(digest(pack(seed), domain=b"fairness-keys"))
@@ -448,6 +454,11 @@ def fairness_experiment(
             consensus_counts[node] += 1
         for node in assignment.candidates:
             membership_counts[node] += 1
+    if failed_epochs == epochs:
+        raise ValueError(
+            f"all {epochs} elections failed: no epoch seated a committee of "
+            f"{MIN_COMMITTEE} among {node_count} nodes at omega={omega}"
+        )
 
     uniformity = fairness_stats(membership_counts)
     report = {
@@ -500,7 +511,10 @@ def empty_committee_probability(
     empty = 0
     for trial in range(trials):
         trial_seed = digest(base, trial.to_bytes(8, "big"), domain=b"trial")
-        if all(vrf.value(sk, trial_seed) > threshold for sk in secrets):
+        for sk in secrets:
+            if vrf.value(sk, trial_seed) <= threshold:
+                break
+        else:
             empty += 1
     frequency = empty / trials
     return {

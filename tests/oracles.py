@@ -8,6 +8,7 @@ share no logic.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import heapq
 import math
 import random
@@ -16,6 +17,17 @@ from typing import Dict, Sequence
 from ebrc.consensus import batch_digest_of
 from ebrc.crypto import digest
 from ebrc.messages import Prepare, PrePrepare, signed
+
+
+def blake2b_digest(*parts: bytes, domain: bytes = b"msg") -> bytes:
+    """The package's digest from its definition: one BLAKE2b-256 over the
+    domain with its length as 2 big-endian bytes before it, then each part
+    with its length as 4 big-endian bytes before it. The framed message is
+    built whole and hashed in one go; no hash state is cached or copied."""
+    message = len(domain).to_bytes(2, "big") + domain
+    for part in parts:
+        message += len(part).to_bytes(4, "big") + part
+    return hashlib.blake2b(message, digest_size=32).digest()
 
 
 def brute_force_h_index(history: Sequence[int]) -> int:

@@ -4,6 +4,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebrc.crypto import (
     DIGEST_SIZE,
@@ -13,12 +15,14 @@ from ebrc.crypto import (
     KeyRegistry,
     SimulatedVrf,
     VrfOutput,
+    _keyed_state,
     derive_seed,
     digest,
     hasher,
     pack,
 )
 from ebrc.messages import Commit, signature_ok, signed
+from oracles import blake2b_digest
 
 
 @pytest.fixture()
@@ -183,6 +187,88 @@ class TestKeyedStates:
         )
         assert vrf.proof(secret, b"seed") == digest(secret, b"seed", domain=b"vrf-proof")
         assert SimulatedVrf(other).value(secret, b"seed") == vrf.value(secret, b"seed")
+
+
+PARTS = st.lists(st.binary(max_size=80), max_size=4)
+DOMAINS = st.sampled_from([b"msg", b"", b"sig", b"vrf-value", b"vrf-proof", b"link", b"d" * 300])
+# Election seeds are 32 bytes; the framing must hold for any other length too.
+SEEDS = st.binary(max_size=80)
+SECRETS = st.binary(min_size=1, max_size=80)
+
+
+class TestAgainstOracle:
+    """Every keyed hash against ``oracles.blake2b_digest``, which frames and
+    hashes the message from the definition and shares no code with
+    ``ebrc.crypto``: a framing slip in the cached-state path shows here."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(parts=PARTS, domain=DOMAINS)
+    def test_digest(self, parts, domain):
+        assert digest(*parts, domain=domain) == blake2b_digest(*parts, domain=domain)
+
+    @settings(max_examples=300, deadline=None)
+    @given(parts=PARTS, domain=DOMAINS, data=st.data())
+    def test_digest_continuing_a_prefix(self, parts, domain, data):
+        split = data.draw(st.integers(0, len(parts)))
+        head = hasher(parts[:split], domain=domain)
+        assert digest(*parts[split:], prefix=head) == blake2b_digest(*parts, domain=domain)
+
+    @settings(max_examples=100, deadline=None)
+    @given(registry_seed=SEEDS, owner=st.integers(-(2**63), 2**63 - 1), payload=SEEDS)
+    def test_keys_and_signature(self, registry_seed, owner, payload):
+        registry = KeyRegistry(registry_seed)
+        pair = registry.register(owner)
+        secret = blake2b_digest(registry_seed, owner.to_bytes(8, "big", signed=True), domain=b"sk")
+        assert pair.secret_key == secret
+        assert pair.public_key == blake2b_digest(secret, domain=b"pk")
+        assert registry.sign(owner, payload) == blake2b_digest(secret, payload, domain=b"sig")
+
+    @settings(max_examples=300, deadline=None)
+    @given(secret=SECRETS, seed=SEEDS)
+    def test_vrf_value_and_proof(self, secret, seed):
+        value = int.from_bytes(blake2b_digest(secret, seed, domain=b"vrf-value"), "big")
+        assert SimulatedVrf.value(secret, seed) == value
+        assert SimulatedVrf.proof(secret, seed) == blake2b_digest(secret, seed, domain=b"vrf-proof")
+
+
+class TestKeyedStateCache:
+    """A miss in ``_keyed_state`` absorbs the secret again: the bytes are the
+    same whether the state was cached, never cached, or evicted."""
+
+    @staticmethod
+    def hashes(registry, owner):
+        secret = registry.secret_key(owner)
+        return (
+            registry.sign(owner, b"payload"),
+            SimulatedVrf.value(secret, b"seed"),
+            SimulatedVrf.proof(secret, b"seed"),
+        )
+
+    def test_cold_warm_and_evicted_states_agree(self):
+        registry = KeyRegistry(b"eviction")
+        for owner in range(700):
+            registry.register(owner)
+        secret = registry.secret_key(0)
+        expected = (
+            blake2b_digest(secret, b"payload", domain=b"sig"),
+            int.from_bytes(blake2b_digest(secret, b"seed", domain=b"vrf-value"), "big"),
+            blake2b_digest(secret, b"seed", domain=b"vrf-proof"),
+        )
+
+        _keyed_state.cache_clear()
+        assert self.hashes(registry, 0) == expected
+        assert _keyed_state.cache_info().misses == 3
+
+        assert self.hashes(registry, 0) == expected
+        assert _keyed_state.cache_info().hits == 3
+
+        # 699 more owners in three domains each: 2,097 new states push the
+        # cache past its 2,048 and evict owner 0's, the least recently used.
+        for owner in range(1, 700):
+            self.hashes(registry, owner)
+        misses = _keyed_state.cache_info().misses
+        assert self.hashes(registry, 0) == expected
+        assert _keyed_state.cache_info().misses == misses + 3
 
 
 class TestSeedDerivation:

@@ -759,6 +759,21 @@ class TestCli:
         assert main(["fairness", "--nodes", "3", "--epochs", "10"]) == 1
         assert "needs at least 4 nodes" in capsys.readouterr().err
 
+    def test_fairness_where_every_election_fails_says_so(self, capsys):
+        assert main(["fairness", "--nodes", "20", "--epochs", "10", "--omega", "0.01"]) == 1
+        captured = capsys.readouterr()
+        assert "all 10 elections failed" in captured.err and not captured.out
+
+    @pytest.mark.parametrize("omega", ["0", "1.5"])
+    def test_fairness_rejects_omega_outside_its_range(self, omega, capsys):
+        assert main(["fairness", "--nodes", "20", "--epochs", "10", "--omega", omega]) == 1
+        err = capsys.readouterr().err
+        assert "omega must lie in (0, 1]" in err and "sortition_threshold" not in err
+
+    def test_fairness_prints_failed_epochs(self, capsys):
+        assert main(["fairness", "--nodes", "4", "--epochs", "20"]) == 0
+        assert "failed_epochs=13/20" in capsys.readouterr().out
+
     def test_missing_required_argument_is_usage_error(self, tmp_path, capsys):
         assert main(["run"]) == 1
 
