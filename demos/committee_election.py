@@ -5,7 +5,7 @@ the nodes' records and watch the gate demote them."""
 
 from ebrc.consensus import select_master
 from ebrc.crypto import KeyRegistry, SimulatedVrf
-from ebrc.election import VRF_RANGE, ElectionConfig, form_committee
+from ebrc.election import VRF_RANGE, form_committee
 from ebrc.reputation import ConfirmedReport, Participation, new_record, update_behavior_table
 
 NODES = 20
@@ -16,21 +16,18 @@ for node in range(NODES):
 table = {node: new_record(node, deposit=100.0) for node in range(NODES)}
 table = update_behavior_table(table, [Participation(node_id=n) for n in range(NODES)])
 
-config = ElectionConfig(
-    sortition_threshold=0.7,
-    eligibility_percentile=0.85,
-    consensus_percentile=0.5,
-)
+OMEGA = 0.7
+settings = dict(omega=OMEGA, eligibility_percentile=0.85, consensus_percentile=0.5)
 epoch_seed = b"demo-epoch-1"
 
 vrf = SimulatedVrf(registry)
-print(f"sortition at omega = {config.sortition_threshold}: normalized VRF draw per node")
+print(f"sortition at omega = {OMEGA}: normalized VRF draw per node")
 for node in range(NODES):
     draw = vrf.value(registry.secret_key(node), epoch_seed) / VRF_RANGE
-    mark = "<- self-selects" if draw <= config.sortition_threshold else ""
+    mark = "<- self-selects" if draw <= OMEGA else ""
     print(f"  node {node:2d}  {draw:.3f}  {mark}")
 
-committee, reports = form_committee(table, config, epoch_seed, registry)
+committee, reports = form_committee(table, epoch_seed, registry, **settings)
 print()
 print("consensus nodes:", sorted(committee.consensus_nodes))
 print("candidates:     ", sorted(committee.candidates))
@@ -45,7 +42,7 @@ print("misbehavior reports:", reports)
 poison = [ConfirmedReport(node_id=n) for n in range(1, NODES, 2) for _ in range(3)]
 poisoned_table = update_behavior_table(table, poison)
 
-poisoned_committee, _ = form_committee(poisoned_table, config, epoch_seed, registry)
+poisoned_committee, _ = form_committee(poisoned_table, epoch_seed, registry, **settings)
 print()
 print("after poisoning the odd ids:")
 print("consensus nodes:", sorted(poisoned_committee.consensus_nodes))

@@ -97,6 +97,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     configs = [load_scenario(path) for path in args.scenarios]
+    names = [config.name for config in configs]
+    if args.trace and len(set(names)) < len(names):
+        # Each trace is written to trace_<name>.csv: a repeated name would
+        # overwrite an earlier run's trace.
+        repeated = next(name for name in names if names.count(name) > 1)
+        raise UsageError(f"--trace needs distinct scenario names; {repeated!r} repeats")
     reports: List[harness.MetricsReport] = []
     violated = False
     for config in configs:

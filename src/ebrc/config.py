@@ -67,9 +67,10 @@ class ExitScript:
     round_index: int  # global round number (1-based) after which the exit fires
     node_id: int
 
-    def validate(self, path: str) -> None:
-        if self.round_index < 1:
-            raise ConfigError(f"{path}.round_index: must be >= 1")
+    def validate(self, path: str, rounds: int) -> None:
+        # An exit after the last round would never fire.
+        if not 1 <= self.round_index <= rounds:
+            raise ConfigError(f"{path}.round_index: must lie in 1..{rounds}, the rounds of the run")
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,7 +138,7 @@ class ScenarioConfig:
         if self.protocol == "pbft" and self.replace_faulty:
             raise ConfigError("replace_faulty: membership changes are EBRC-only; pbft has a fixed group")
         for i, script in enumerate(self.exits):
-            script.validate(f"exits[{i}]")
+            script.validate(f"exits[{i}]", self.epochs * self.rounds_per_epoch)
             if script.node_id not in all_ids:
                 raise ConfigError(f"exits[{i}].node_id: {script.node_id} unknown")
         # The client follows the nodes in the id space, and a partition may

@@ -46,7 +46,6 @@ from .messages import (
     ExitRequest,
     JoinCommit,
     JoinRequest,
-    PbftCommit,
     PbftPrepare,
     PrePrepare,
     Prepare,
@@ -180,10 +179,11 @@ class _ReplicaBase:
     this node votes (``is_member``), the leader of the current (height, view)
     (``leader_id``) and whether the view advances with every block
     (``VIEW_PER_BLOCK``). It also names its proposal message (``PROPOSAL``),
-    builds its votes on an accepted proposal (``_vote``) and routes messages
-    to handlers by exact type (``_HANDLERS``). Every vote takes one path
-    here: ``_cast`` sends the node's own, ``_admit`` and ``_count`` take a
-    peer's, and ``_on_commit`` serves both protocols' commit votes.
+    casts its votes on an accepted proposal (``_vote``) and routes messages
+    to handlers by exact type (``_HANDLERS``). Every vote has one shape
+    (height, view, digest, sender) and takes one path here: ``_cast`` sends
+    the node's own, ``_admit`` and ``_count`` take a peer's, and
+    ``_on_commit`` serves the Commit vote both protocols send.
     """
 
     PROPOSAL: type
@@ -365,30 +365,32 @@ class _ReplicaBase:
 
     # -- votes --
 
-    def _cast(self, vote, tallies: Dict, result: StepResult) -> None:
-        """Cast this node's one vote of the view: sign it, count it as its own
-        and send it to every peer."""
-        vote = signed(vote, self.registry, self.node_id)
+    def _cast(self, vote_type: type, tallies: Dict, result: StepResult) -> None:
+        """Cast this node's one ``vote_type`` vote of the view on the current
+        proposal: sign it, count it as its own and send it to every peer."""
+        vote = signed(
+            vote_type(
+                height=self.height, view=self.view, digest=self.proposal.digest, sender=self.node_id
+            ),
+            self.registry,
+            self.node_id,
+        )
         _count(tallies, vote)
         result.sends.append((self.peers, vote))
 
-    def _admit(self, vote, height: int) -> bool:
+    def _admit(self, vote) -> bool:
         """A received vote counts when this node votes, it is for the current
         height and a committee member signed it."""
         return (
             self.is_member
-            and height == self.height
+            and vote.height == self.height
             and vote.sender in self.members
             and signature_ok(vote, self.registry, vote.sender)
         )
 
-    def _admit_commit(self, commit) -> bool:
-        """``_admit`` at the commit's height field (EBRC overrides it)."""
-        return self._admit(commit, commit.height)
-
-    def _on_commit(self, now: int, commit) -> StepResult:
+    def _on_commit(self, now: int, commit: Commit) -> StepResult:
         result = StepResult()
-        if self._admit_commit(commit):
+        if self._admit(commit):
             _count(self.commit_tallies, commit)
             self._try_commit(now, result)
         return result
@@ -537,6 +539,7 @@ class _ReplicaBase:
     _HANDLERS = {
         TimerTick: _on_timer,
         Request: _on_request,
+        Commit: _on_commit,
         ViewChange: _on_viewchange,
         BlockAnnounce: _on_announce,
     }
@@ -547,7 +550,7 @@ class EbrcReplica(_ReplicaBase):
 
     Per round: the master batches buffered requests after the batch window and
     broadcasts a Prepare; every consensus node validates and broadcasts a
-    Commit; 2f+1 matching valid commits commit the block, each node replies to
+    Commit; 2f+1 matching commits commit the block, each node replies to
     the clients, and (height, view) both advance, rotating the master.
     """
 
@@ -641,20 +644,8 @@ class EbrcReplica(_ReplicaBase):
 
     def _vote(self, now: int, result: StepResult) -> None:
         if not self._voted(self.commit_tallies):
-            commit = Commit(
-                view=self.view,
-                timestamp=now,
-                digest=self.proposal.digest,
-                sequence=self.height,
-                valid=True,
-                sender=self.node_id,
-            )
-            self._cast(commit, self.commit_tallies, result)
+            self._cast(Commit, self.commit_tallies, result)
         self._try_commit(now, result)
-
-    def _admit_commit(self, commit: Commit) -> bool:
-        # A Commit names its height ``sequence``, and only a valid one counts.
-        return commit.valid and self._admit(commit, commit.sequence)
 
     # -- membership flows --
 
@@ -778,7 +769,6 @@ class EbrcReplica(_ReplicaBase):
     _HANDLERS = {
         **_ReplicaBase._HANDLERS,
         Prepare: _ReplicaBase._on_proposal,
-        Commit: _ReplicaBase._on_commit,
         ExitRequest: _on_exit_request,
         ExitCommit: _on_exit_commit,
         ChangeNotice: _on_change,
@@ -823,15 +813,12 @@ class PbftReplica(_ReplicaBase):
         # Backups echo the pre-prepare; the primary's own pre-prepare stands
         # in for its prepare.
         if not self.is_leader and not self._voted(self.prepare_tallies):
-            prepare = PbftPrepare(
-                height=self.height, view=self.view, digest=self.proposal.digest, sender=self.node_id
-            )
-            self._cast(prepare, self.prepare_tallies, result)
+            self._cast(PbftPrepare, self.prepare_tallies, result)
         self._maybe_send_commit(now, result)
 
     def _on_prepare(self, now: int, prepare: PbftPrepare) -> StepResult:
         result = StepResult()
-        if self._admit(prepare, prepare.height):
+        if self._admit(prepare):
             _count(self.prepare_tallies, prepare)
             self._maybe_send_commit(now, result)
         return result
@@ -848,15 +835,11 @@ class PbftReplica(_ReplicaBase):
     def _maybe_send_commit(self, now: int, result: StepResult) -> None:
         if self._voted(self.commit_tallies) or not self._prepared():
             return
-        commit = PbftCommit(
-            height=self.height, view=self.view, digest=self.proposal.digest, sender=self.node_id
-        )
-        self._cast(commit, self.commit_tallies, result)
+        self._cast(Commit, self.commit_tallies, result)
         self._try_commit(now, result)
 
     _HANDLERS = {
         **_ReplicaBase._HANDLERS,
         PrePrepare: _ReplicaBase._on_proposal,
         PbftPrepare: _on_prepare,
-        PbftCommit: _ReplicaBase._on_commit,
     }

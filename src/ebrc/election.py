@@ -2,7 +2,7 @@
 
 Eligibility is a double ranking gate (a node must sit in the top slice by
 reputation AND by growth rate). Eligible nodes draw from the VRF against the
-epoch seed and self-select when value / 2**256 <= sortition_threshold. The
+epoch seed and self-select when value / 2**256 <= omega. The
 verified selectees are ranked by reputation and split into consensus nodes,
 candidate consensus nodes, and inactive spares. Rank ties always break toward
 the lower node id so the whole pipeline is deterministic.
@@ -26,23 +26,6 @@ MIN_COMMITTEE = 4
 
 class ElectionFailed(Exception):
     """Raised when too few verified selectees exist to form a committee."""
-
-
-@dataclass(frozen=True, slots=True)
-class ElectionConfig:
-    """Knobs for one epoch's election."""
-
-    sortition_threshold: float = 0.4
-    eligibility_percentile: float = 0.85
-    consensus_percentile: float = 0.5
-
-    def validate(self) -> None:
-        if not (0.0 < self.sortition_threshold <= 1.0):
-            raise ValueError("sortition_threshold must lie in (0, 1]")
-        if not (0.0 < self.consensus_percentile <= self.eligibility_percentile <= 1.0):
-            raise ValueError(
-                "need 0 < consensus_percentile <= eligibility_percentile <= 1"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,32 +84,39 @@ def eligible_nodes(table: BehaviorTable, eligibility_percentile: float) -> Set[i
 
 def form_committee(
     table: BehaviorTable,
-    config: ElectionConfig,
     seed: bytes,
     registry: KeyRegistry,
     *,
+    omega: float,
+    eligibility_percentile: float,
+    consensus_percentile: float,
     corrupt_proofs: Set[int] = frozenset(),
 ) -> Tuple[CommitteeAssignment, List[Tuple[int, str]]]:
     """Run one election and return (assignment, misbehavior reports).
 
-    Every eligible node draws a VRF value on ``seed`` and self-selects when
-    it falls below the sortition threshold; only a selectee makes a proof.
+    Every node eligible at ``eligibility_percentile`` draws a VRF value on
+    ``seed`` and self-selects when it falls below ``omega`` of the VRF range;
+    only a selectee makes a proof.
     Draws are re-verified through the registry; selectees whose proofs fail
     verification are excluded and reported (``corrupt_proofs`` is the
     simulation hook that mangles specific nodes' proofs). Raises
     ElectionFailed when fewer than MIN_COMMITTEE verified selectees remain;
-    the caller retries with a re-derived seed.
+    the caller retries with a re-derived seed. A setting out of range raises
+    ValueError.
     """
-    config.validate()
+    if not 0.0 < omega <= 1.0:
+        raise ValueError("omega must lie in (0, 1]")
+    if not 0.0 < consensus_percentile <= eligibility_percentile <= 1.0:
+        raise ValueError("need 0 < consensus_percentile <= eligibility_percentile <= 1")
     vrf = SimulatedVrf(registry)
 
-    eligible = eligible_nodes(table, config.eligibility_percentile)
+    eligible = eligible_nodes(table, eligibility_percentile)
     if len(eligible) < MIN_COMMITTEE:
         raise ElectionFailed(
             f"only {len(eligible)} eligible nodes; need at least {MIN_COMMITTEE}"
         )
 
-    threshold = config.sortition_threshold * VRF_RANGE
+    threshold = omega * VRF_RANGE
     reports: List[Tuple[int, str]] = []
     verified: List[int] = []
     for node_id in sorted(eligible):
@@ -152,8 +142,8 @@ def form_committee(
     n_sel = len(verified)
     # The consensus slice is floored at 4 members: master selection and the
     # 2f+1 quorum rule presuppose a real committee.
-    n_cons = min(n_sel, max(MIN_COMMITTEE, _cutoff(n_sel, config.consensus_percentile)))
-    n_elig = max(n_cons, _cutoff(n_sel, config.eligibility_percentile))
+    n_cons = min(n_sel, max(MIN_COMMITTEE, _cutoff(n_sel, consensus_percentile)))
+    n_elig = max(n_cons, _cutoff(n_sel, eligibility_percentile))
 
     consensus = tuple(verified[:n_cons])
     candidates = tuple(verified[n_cons:n_elig])
@@ -171,7 +161,6 @@ def form_committee(
 
 def elect_committee(
     table: BehaviorTable,
-    config: ElectionConfig,
     seed: bytes,
     registry: KeyRegistry,
     **options,
@@ -179,13 +168,14 @@ def elect_committee(
     """Run ``form_committee``, re-deriving the seed after each ElectionFailed.
 
     Returns (assignment, misbehavior reports, the seed that succeeded, the
-    number of retries). ``options`` go to ``form_committee`` unchanged. The
+    number of retries). ``options`` (the election settings and
+    ``corrupt_proofs``) go to ``form_committee`` unchanged. The
     last ElectionFailed propagates after MAX_ELECTION_RETRIES + 1 failures.
     """
     retries = 0
     while True:
         try:
-            assignment, reports = form_committee(table, config, seed, registry, **options)
+            assignment, reports = form_committee(table, seed, registry, **options)
             return assignment, reports, seed, retries
         except ElectionFailed:
             retries += 1

@@ -21,7 +21,7 @@ from .crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, digest, pack
 from .djep import committee_fault_budget
 from .election import MIN_COMMITTEE, ElectionFailed, elect_committee
 from .reputation import ConfirmedReport, Participation
-from .runner import RunResult, ScenarioRunner, election_config, initial_table
+from .runner import RunResult, ScenarioRunner, initial_table
 from .simnet import RECEIVER_ROW_FIELDS, TraceRecord, receiver_rows
 
 SCHEMA_VERSION = 1
@@ -420,23 +420,18 @@ def fairness_experiment(
         raise ValueError(f"fairness experiment needs at least {MIN_COMMITTEE} nodes")
     if epochs < 1:
         raise ValueError("fairness experiment needs at least 1 epoch")
-    if not 0.0 < omega <= 1.0:
-        raise ValueError("omega must lie in (0, 1]")
     eligibility_percentile = 0.85 if poison_odd else 1.0
+    consensus_percentile = 0.5  # the protocol default: half the selectees
 
     registry = KeyRegistry(digest(pack(seed), domain=b"fairness-keys"))
     for node in range(node_count):
         registry.register(node)
-    scenario = ScenarioConfig(
-        node_count=node_count, omega=omega, eligibility_percentile=eligibility_percentile
-    )
     # Poisoned nodes enter with 10 participations, 3 of them confirmed
     # misbehavior: an evil rate of 3 in 10.
     poisoned = range(1, node_count, 2) if poison_odd else ()
     events = [Participation(node) for node in poisoned for _ in range(7)]
     events += [ConfirmedReport(node) for node in poisoned for _ in range(3)]
-    table = initial_table(scenario, events)
-    config = election_config(scenario)
+    table = initial_table(node_count, events)
 
     membership_counts = {node: 0 for node in range(node_count)}
     consensus_counts = {node: 0 for node in range(node_count)}
@@ -445,7 +440,14 @@ def fairness_experiment(
     for epoch in range(epochs):
         epoch_seed = digest(base, epoch.to_bytes(8, "big"), domain=b"fairness-epoch")
         try:
-            assignment, _, _, _ = elect_committee(table, config, epoch_seed, registry)
+            assignment, _, _, _ = elect_committee(
+                table,
+                epoch_seed,
+                registry,
+                omega=omega,
+                eligibility_percentile=eligibility_percentile,
+                consensus_percentile=consensus_percentile,
+            )
         except ElectionFailed:
             failed_epochs += 1
             continue

@@ -10,8 +10,8 @@ One signing rule covers every message: ``signed_payload()`` packs the class
 name, then every dataclass field but ``signature``, in field order. A nested
 message enters as its own payload, a tuple element by element and a float as
 ``float.hex()``, so no field is left unbound and two classes with equal field
-values (``Prepare`` and ``PrePrepare``, ``PbftPrepare`` and ``PbftCommit``)
-sign different bytes.
+values (``Prepare`` and ``PrePrepare``, ``Commit`` and ``PbftPrepare``) sign
+different bytes.
 
 A broadcast hands the same frozen object to every receiver, so each message
 carries a signature memo: a slot outside the dataclass fields, left out of
@@ -143,14 +143,12 @@ class Prepare(Message):
 
 @_message
 class Commit(Message):
-    """Validation vote; a block commits on 2f+1 matching valid commits."""
+    """Commit vote of both protocols; a block commits on 2f+1 matching commits."""
 
     TAG: ClassVar[str] = "commit"
+    height: int
     view: int
-    timestamp: int
     digest: bytes
-    sequence: int  # equals the block height
-    valid: bool
     sender: int
     signature: bytes = b""
 
@@ -242,18 +240,6 @@ class PbftPrepare(Message):
     """Backup's echo of the pre-prepare (digest only)."""
 
     TAG: ClassVar[str] = "prepare"
-    height: int
-    view: int
-    digest: bytes
-    sender: int
-    signature: bytes = b""
-
-
-@_message
-class PbftCommit(Message):
-    """Commit vote in the three-phase baseline."""
-
-    TAG: ClassVar[str] = "commit"
     height: int
     view: int
     digest: bytes

@@ -19,13 +19,12 @@ from . import djep, reputation
 from .config import ScenarioConfig
 from .consensus import EbrcReplica, PbftReplica, batch_digest_of, tx_digest
 from .crypto import KeyRegistry, SimulatedVrf, derive_seed, digest, pack
-from .election import ElectionConfig, elect_committee
+from .election import elect_committee
 from .messages import (
     MEMBERSHIP_TYPES,
     BlockAnnounce,
     Commit,
     ExitRequest,
-    PbftCommit,
     PbftPrepare,
     PrePrepare,
     Prepare,
@@ -53,7 +52,7 @@ PAYLOAD_BYTES = 64
 # Every node's deposit at genesis.
 GENESIS_DEPOSIT = 100.0
 
-_PROPOSALS, _VOTES = (Prepare, PrePrepare), (Commit, PbftPrepare, PbftCommit)
+_PROPOSALS, _VOTES = (Prepare, PrePrepare), (Commit, PbftPrepare)
 
 
 def _ms_to_us(value_ms: float) -> int:
@@ -88,22 +87,13 @@ def byzantine_sends(
 
 
 def initial_table(
-    config: ScenarioConfig, events: Iterable[reputation.BehaviorEvent] = ()
+    node_count: int, events: Iterable[reputation.BehaviorEvent] = ()
 ) -> reputation.BehaviorTable:
     """Genesis behavior table: every node holds GENESIS_DEPOSIT, then one
     bootstrap update applies ``events`` so the first election reads realized
     scores."""
-    table = {n: reputation.new_record(n, GENESIS_DEPOSIT) for n in range(config.node_count)}
+    table = {n: reputation.new_record(n, GENESIS_DEPOSIT) for n in range(node_count)}
     return reputation.update_behavior_table(table, events)
-
-
-def election_config(config: ScenarioConfig) -> ElectionConfig:
-    """The election settings a scenario fixes for every epoch."""
-    return ElectionConfig(
-        sortition_threshold=config.omega,
-        eligibility_percentile=config.eligibility_percentile,
-        consensus_percentile=config.consensus_percentile,
-    )
 
 
 @dataclass(slots=True)
@@ -191,7 +181,7 @@ class ScenarioRunner:
         self._roster = self.replicas[0]
 
         self.honest_ids = [n for n in self.node_ids if n not in self.byz_ids]
-        self.table = initial_table(config)
+        self.table = initial_table(config.node_count)
 
         self.result = RunResult(config=config)
         self.result.election_counts = {n: 0 for n in self.node_ids}
@@ -317,9 +307,11 @@ class ScenarioRunner:
             corrupt = set(config.byzantine.node_ids)
         assignment, proof_reports, seed, retries = elect_committee(
             self.table,
-            election_config(config),
             derive_seed(self._tip_block().block_digest),
             self.registry,
+            omega=config.omega,
+            eligibility_percentile=config.eligibility_percentile,
+            consensus_percentile=config.consensus_percentile,
             corrupt_proofs=corrupt,
         )
 
@@ -433,6 +425,9 @@ class ScenarioRunner:
             self._inject_scripted_exits(round_index)
         else:
             self.result.aborted_rounds += 1
+            for script in config.exits:
+                if script.round_index == round_index:
+                    self._skip_exit(script, f"round {round_index} did not commit")
         self.result.rounds.append(
             RoundRecord(
                 round_index=round_index,
@@ -583,16 +578,19 @@ class ScenarioRunner:
 
     # -- membership --
 
+    def _skip_exit(self, script, reason: str) -> None:
+        self.result.notes.append(
+            f"scripted exit of node {script.node_id} after round {script.round_index} "
+            f"skipped: {reason}"
+        )
+
     def _inject_scripted_exits(self, round_index: int) -> None:
         for script in self.config.exits:
             if script.round_index != round_index:
                 continue
             exiter = script.node_id
             if exiter not in self._roster.members:
-                self.result.notes.append(
-                    f"scripted exit of node {exiter} after round {round_index} skipped: "
-                    "not a consensus node"
-                )
+                self._skip_exit(script, "not a consensus node")
                 continue
             effective = self._next_height() + EXIT_LEAD_BLOCKS
             request = signed(

@@ -55,10 +55,8 @@ def make_prepare(registry, payloads=(b"a", b"b"), sender=0) -> Prepare:
     return signed(prepare, registry, sender)
 
 
-def make_commit(registry, sender=0, sequence=1) -> Commit:
-    commit = Commit(
-        view=0, timestamp=0, digest=b"d" * 32, sequence=sequence, valid=True, sender=sender
-    )
+def make_commit(registry, sender=0, height=1) -> Commit:
+    commit = Commit(height=height, view=0, digest=b"d" * 32, sender=sender)
     return signed(commit, registry, sender)
 
 
@@ -90,7 +88,7 @@ FAN_OUT = (5, 1, 4, 2, 3)  # the receivers of node 0's sends in ``fan_out``
 
 def counting_commit(registry) -> Commit:
     """Node 0's commit whose digest counts 0, 1, 2, ..."""
-    commit = Commit(view=0, timestamp=0, digest=bytes(range(32)), sequence=1, valid=True, sender=0)
+    commit = Commit(height=1, view=0, digest=bytes(range(32)), sender=0)
     return signed(commit, registry, 0)
 
 

@@ -259,17 +259,16 @@ class TestDeliveryOrderOracle:
         nodes = self.NODES
 
         def commit(sender, hop, now):
+            # The height carries the hop and the view the send time.
             return signed(
-                Commit(view=0, timestamp=now, digest=b"d" * 32, sequence=hop, valid=True,
-                       sender=sender),
-                reg, sender,
+                Commit(height=hop, view=now, digest=b"d" * 32, sender=sender), reg, sender
             )
 
         def on_deliver(target, now, event):
             log.append((now, target, event))
             # Even nodes relay a commit once and arm a timer from inside the
             # callback; the timer defers one more send.
-            if isinstance(event, Commit) and event.sequence == 0 and target % 2 == 0:
+            if isinstance(event, Commit) and event.height == 0 and target % 2 == 0:
                 send(target, [n for n in nodes if n != target], commit(target, 1, now))
                 net.schedule_timer(target, 1_500, ("tick", now))
             elif isinstance(event, tuple):  # a fired timer's tick
@@ -314,7 +313,7 @@ class TestDeliveryOrderOracle:
 
         def sends(entries):
             return {
-                (m.sender, m.sequence, m.timestamp)
+                (m.sender, m.height, m.view)
                 for _, _, m in entries
                 if isinstance(m, Commit)
             }
@@ -327,7 +326,7 @@ class TestDeliveryOrderOracle:
         # Every first-hop message lands at 2 ms but the lazy node's, at 8 ms.
         assert {now for now, _, _ in log[:30]} == {2_000}
         assert [now for now, _, m in log if getattr(m, "sender", None) == self.LAZY
-                and m.sequence == 0] == [8_000] * 5
+                and m.height == 0] == [8_000] * 5
         # The stop predicate cut a send's run part way: deliveries of one
         # message fall on both sides of it.
         assert self.sends_across(log, self.cuts(log)[1])

@@ -84,6 +84,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="exits"):
             config.validate()
 
+    def test_exit_after_the_last_round_rejected(self):
+        # churn_exit_m11 runs 2 epochs of 4 rounds: an exit after round 99
+        # would never fire.
+        data = presets.load("churn_exit_m11").to_dict()
+        data["exits"] = [{"round_index": 99, "node_id": 7}]
+        with pytest.raises(ConfigError, match=r"exits\[0\]\.round_index: must lie in 1\.\.8"):
+            scenario_from_dict(data)
+        data["exits"] = [{"round_index": 8, "node_id": 7}]
+        assert scenario_from_dict(data).exits == (ExitScript(round_index=8, node_id=7),)
+
     @pytest.mark.parametrize(
         "field, overrides",
         [

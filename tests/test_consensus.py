@@ -437,21 +437,18 @@ class TestCommitGates:
     def test_commit_from_outsider_ignored(self):
         replicas, reg = make_committee(4)
         reg.register(77)
-        commit = signed(
-            Commit(view=0, timestamp=0, digest=b"d" * 32, sequence=1, valid=True, sender=77),
-            reg, 77,
-        )
+        commit = signed(Commit(height=1, view=0, digest=b"d" * 32, sender=77), reg, 77)
         replicas[0].step(0, commit)
         assert replicas[0].commit_tallies == {}
 
-    def test_invalid_flag_commit_ignored(self):
-        replicas, reg = make_committee(4)
-        commit = signed(
-            Commit(view=0, timestamp=0, digest=b"d" * 32, sequence=1, valid=False, sender=2),
-            reg, 2,
-        )
-        replicas[0].step(0, commit)
-        assert replicas[0].commit_tallies == {}
+    def test_one_commit_counts_at_both_replicas(self):
+        # Both protocols send and count the one Commit vote.
+        ebrc, reg = make_committee(4)
+        pbft, _ = make_group(4, reg)
+        commit = signed(Commit(height=1, view=0, digest=b"d" * 32, sender=2), reg, 2)
+        for replica in (ebrc[0], pbft[0]):
+            replica.step(0, commit)
+            assert replica.commit_tallies == {0: {b"d" * 32: {2}}}
 
     def test_quorum_without_proposal_does_not_commit(self):
         # 2f+1 votes for a digest the node never saw proposed must not
@@ -459,10 +456,7 @@ class TestCommitGates:
         replicas, reg = make_committee(4)
         ghost = b"g" * 32
         for sender in (1, 2, 3):
-            commit = signed(
-                Commit(view=0, timestamp=0, digest=ghost, sequence=1, valid=True, sender=sender),
-                reg, sender,
-            )
+            commit = signed(Commit(height=1, view=0, digest=ghost, sender=sender), reg, sender)
             replicas[0].step(0, commit)
         assert 1 not in replicas[0].ledger
 
@@ -480,10 +474,7 @@ class TestCommitGates:
         replicas, reg = make_committee(5)
         for replica in replicas.values():
             replica.apply_membership((0, 1, 2, 3), (), 1)
-        commit = signed(
-            Commit(view=0, timestamp=0, digest=b"d" * 32, sequence=1, valid=True, sender=4),
-            reg, 4,
-        )
+        commit = signed(Commit(height=1, view=0, digest=b"d" * 32, sender=4), reg, 4)
         replicas[0].step(0, commit)
         assert replicas[0].commit_tallies == {}
         assert not replicas[4].is_member
@@ -561,7 +552,7 @@ class TestPbftRound:
         _, pump, _ = self.run_round()
         assert pump.counts["PrePrepare"] == 3
         assert pump.counts["PbftPrepare"] == 9
-        assert pump.counts["PbftCommit"] == 12
+        assert pump.counts["Commit"] == 12
         assert pump.counts["Reply"] == 4
 
     def test_three_phase_costs_more_than_two_phase(self):
@@ -578,7 +569,7 @@ class TestPbftRound:
         _, pbft_pump, _ = self.run_round()
         three_phase = sum(
             pbft_pump.counts[k]
-            for k in ("PrePrepare", "PbftPrepare", "PbftCommit", "Reply")
+            for k in ("PrePrepare", "PbftPrepare", "Commit", "Reply")
         )
         assert two_phase == 19 and three_phase == 28
 

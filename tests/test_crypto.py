@@ -311,9 +311,7 @@ class TestSignatureMemo:
 
     @staticmethod
     def commit(sender=0, **fields):
-        values = dict(
-            view=0, timestamp=5, digest=b"d" * 32, sequence=1, valid=True, sender=sender
-        )
+        values = dict(height=1, view=0, digest=b"d" * 32, sender=sender)
         values.update(fields)
         return Commit(**values)
 

@@ -12,7 +12,6 @@ from ebrc.election import (
     MAX_ELECTION_RETRIES,
     MIN_COMMITTEE,
     CommitteeAssignment,
-    ElectionConfig,
     ElectionFailed,
     elect_committee,
     eligible_nodes,
@@ -76,11 +75,9 @@ class TestEligibility:
         assert rank_by_reputation(table) == [0, 1, 2, 3]
         assert rank_by_growth(table) == [0, 1, 2, 3]
         # The election orders its consensus nodes the same way.
-        config = ElectionConfig(
-            sortition_threshold=1.0, eligibility_percentile=1.0, consensus_percentile=1.0
-        )
+        config = dict(omega=1.0, eligibility_percentile=1.0, consensus_percentile=1.0)
         mixed = table_with_scores([0.3, 0.9, 0.9, 0.7])
-        assignment, _ = form_committee(mixed, config, GENESIS_SEED, reg)
+        assignment, _ = form_committee(mixed, GENESIS_SEED, reg, **config)
         assert list(assignment.consensus_nodes) == rank_by_reputation(mixed) == [1, 2, 3, 0]
 
     def test_cutoff_float_artifact(self):
@@ -128,12 +125,12 @@ class TestEligibility:
 class TestFormCommittee:
     def config(self, **kwargs):
         base = dict(
-            sortition_threshold=1.0,
+            omega=1.0,
             eligibility_percentile=1.0,
             consensus_percentile=0.5,
         )
         base.update(kwargs)
-        return ElectionConfig(**base)
+        return base
 
     def test_proof_made_only_on_selection(self, monkeypatch):
         # Counts the proofs nodes make; verify's recomputation is not one.
@@ -157,7 +154,7 @@ class TestFormCommittee:
         reg = make_registry(20)
         table = equal_table(20)
         assignment, reports = form_committee(
-            table, self.config(sortition_threshold=0.4), GENESIS_SEED, reg, corrupt_proofs={0, 1, 2}
+            table, GENESIS_SEED, reg, **self.config(omega=0.4), corrupt_proofs={0, 1, 2}
         )
         verified = assignment.consensus_nodes + assignment.candidates + assignment.spares
         assert reports, "a corrupt_proofs node must self-select for the check to count it"
@@ -168,12 +165,12 @@ class TestFormCommittee:
         # 3 spares under the 50%/85% split with id tie-breaking.
         reg = make_registry(20)
         table = equal_table(20)
-        config_all = ElectionConfig(
-            sortition_threshold=1.0,
+        config_all = dict(
+            omega=1.0,
             eligibility_percentile=1.0,
             consensus_percentile=0.5,
         )
-        assignment, reports = form_committee(table, config_all, GENESIS_SEED, reg)
+        assignment, reports = form_committee(table, GENESIS_SEED, reg, **config_all)
         assert reports == []
         assert len(assignment.consensus_nodes) == 10
         assert assignment.consensus_nodes == tuple(range(10))
@@ -188,7 +185,7 @@ class TestFormCommittee:
         reg = make_registry(20)
         table = equal_table(20)
         config = self.config(eligibility_percentile=0.85, consensus_percentile=0.5)
-        assignment, _ = form_committee(table, config, GENESIS_SEED, reg)
+        assignment, _ = form_committee(table, GENESIS_SEED, reg, **config)
         assert len(assignment.consensus_nodes) == 10
         assert len(assignment.candidates) == 7
         assert len(assignment.spares) == 3
@@ -200,7 +197,7 @@ class TestFormCommittee:
         scores = [1.0 - i * 0.01 for i in range(20)]
         table = table_with_scores(scores)
         config = self.config(eligibility_percentile=0.85, consensus_percentile=0.5)
-        assignment, _ = form_committee(table, config, GENESIS_SEED, reg)
+        assignment, _ = form_committee(table, GENESIS_SEED, reg, **config)
         assert len(assignment.consensus_nodes) == 8
         assert len(assignment.candidates) == 6
         assert len(assignment.spares) == 3
@@ -208,7 +205,7 @@ class TestFormCommittee:
     def test_partition_disjoint_and_complete(self):
         reg = make_registry(20)
         table = equal_table(20)
-        assignment, _ = form_committee(table, self.config(), GENESIS_SEED, reg)
+        assignment, _ = form_committee(table, GENESIS_SEED, reg, **self.config())
         groups = (
             set(assignment.consensus_nodes),
             set(assignment.candidates),
@@ -220,26 +217,26 @@ class TestFormCommittee:
         reg = make_registry(8)
         scores = [0.5, 0.9, 0.4, 0.8, 0.7, 0.6, 0.95, 0.55]
         table = table_with_scores(scores)
-        assignment, _ = form_committee(table, self.config(), GENESIS_SEED, reg)
+        assignment, _ = form_committee(table, GENESIS_SEED, reg, **self.config())
         ranked = sorted(range(8), key=lambda i: (-scores[i], i))
         assert list(assignment.consensus_nodes) == ranked[: len(assignment.consensus_nodes)]
 
     def test_deterministic(self):
         reg = make_registry(12)
         table = equal_table(12)
-        a, _ = form_committee(table, self.config(), GENESIS_SEED, reg)
-        b, _ = form_committee(table, self.config(), GENESIS_SEED, reg)
+        a, _ = form_committee(table, GENESIS_SEED, reg, **self.config())
+        b, _ = form_committee(table, GENESIS_SEED, reg, **self.config())
         assert a == b
 
     def test_seed_changes_selection(self):
         reg = make_registry(30)
         table = equal_table(30)
-        config = self.config(sortition_threshold=0.4)
+        config = self.config(omega=0.4)
         results = set()
         seed = GENESIS_SEED
         for _ in range(6):
             try:
-                assignment, _ = form_committee(table, config, seed, reg)
+                assignment, _ = form_committee(table, seed, reg, **config)
                 results.add(assignment.consensus_nodes)
             except ElectionFailed:
                 pass
@@ -250,7 +247,7 @@ class TestFormCommittee:
         reg = make_registry(8)
         table = equal_table(8)
         assignment, reports = form_committee(
-            table, self.config(), GENESIS_SEED, reg, corrupt_proofs={3}
+            table, GENESIS_SEED, reg, **self.config(), corrupt_proofs={3}
         )
         assert (3, "invalid-sortition-proof") in reports
         assert 3 not in assignment.consensus_nodes + assignment.candidates
@@ -261,29 +258,31 @@ class TestFormCommittee:
         table = equal_table(4)
         with pytest.raises(ElectionFailed):
             form_committee(
-                table, self.config(), GENESIS_SEED, reg, corrupt_proofs={0, 1, 2, 3}
+                table, GENESIS_SEED, reg, **self.config(), corrupt_proofs={0, 1, 2, 3}
             )
 
     def test_too_few_eligible_raises(self):
         reg = make_registry(3)
         table = equal_table(3)
         with pytest.raises(ElectionFailed):
-            form_committee(table, self.config(), GENESIS_SEED, reg)
+            form_committee(table, GENESIS_SEED, reg, **self.config())
 
     def test_elect_committee_retries_with_derived_seeds(self):
         reg = make_registry(8)
         table = equal_table(8)
-        config = self.config(sortition_threshold=0.3)
+        config = self.config(omega=0.3)
         seed, failures = GENESIS_SEED, 0
         while True:
             try:
-                expected, _ = form_committee(table, config, seed, reg)
+                expected, _ = form_committee(table, seed, reg, **config)
                 break
             except ElectionFailed:
                 failures += 1
                 seed = derive_seed(seed)
         assert failures >= 1
-        assignment, reports, final_seed, retries = elect_committee(table, config, GENESIS_SEED, reg)
+        assignment, reports, final_seed, retries = elect_committee(
+            table, GENESIS_SEED, reg, **config
+        )
         assert (assignment, reports, final_seed, retries) == (expected, [], seed, failures)
 
     def test_elect_committee_gives_up_after_max_retries(self, monkeypatch):
@@ -291,20 +290,20 @@ class TestFormCommittee:
         table = equal_table(3)
         seeds = []
 
-        def counting(table, config, seed, registry, **options):
+        def counting(table, seed, registry, **options):
             seeds.append(seed)
-            return form_committee(table, config, seed, registry, **options)
+            return form_committee(table, seed, registry, **options)
 
         monkeypatch.setattr(election, "form_committee", counting)
         with pytest.raises(ElectionFailed):
-            elect_committee(table, self.config(), GENESIS_SEED, reg)
+            elect_committee(table, GENESIS_SEED, reg, **self.config())
         assert len(seeds) == MAX_ELECTION_RETRIES + 1
         assert all(b == derive_seed(a) for a, b in zip(seeds, seeds[1:]))
 
     def test_fault_budget_formula(self):
         reg = make_registry(20)
         table = equal_table(20)
-        assignment, _ = form_committee(table, self.config(), GENESIS_SEED, reg)
+        assignment, _ = form_committee(table, GENESIS_SEED, reg, **self.config())
         m = len(assignment.consensus_nodes)
         assert assignment.f == (m - 1) // 3
 
@@ -319,12 +318,18 @@ class TestFormCommittee:
             bad.validate()
 
     def test_config_validation(self):
+        reg = make_registry(8)
+        table = equal_table(8)
+        with pytest.raises(ValueError, match="omega"):
+            form_committee(
+                table, GENESIS_SEED, reg,
+                omega=0.0, eligibility_percentile=0.85, consensus_percentile=0.5,
+            )
         with pytest.raises(ValueError):
-            ElectionConfig(sortition_threshold=0.0).validate()
-        with pytest.raises(ValueError):
-            ElectionConfig(
-                consensus_percentile=0.9, eligibility_percentile=0.5
-            ).validate()
+            form_committee(
+                table, GENESIS_SEED, reg,
+                omega=0.4, eligibility_percentile=0.5, consensus_percentile=0.9,
+            )
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -336,12 +341,12 @@ class TestFormCommittee:
         reg = make_registry(n)
         scores = [round(rng.uniform(0.05, 1.0), 6) for _ in range(n)]
         table = table_with_scores(scores)
-        config = ElectionConfig(
-            sortition_threshold=1.0,
+        config = dict(
+            omega=1.0,
             eligibility_percentile=1.0,
             consensus_percentile=0.5,
         )
-        assignment, _ = form_committee(table, config, GENESIS_SEED, reg)
+        assignment, _ = form_committee(table, GENESIS_SEED, reg, **config)
         members = assignment.consensus_nodes
         # Reputation-descending order with id ties.
         keys = [(-table[node].reputation, node) for node in members]
@@ -354,14 +359,14 @@ class TestFormCommittee:
         reg = make_registry(20)
         scores = [0.9] * 17 + [0.2, 0.2, 0.2]
         table = table_with_scores(scores)
-        config = ElectionConfig(
-            sortition_threshold=1.0,
+        config = dict(
+            omega=1.0,
             eligibility_percentile=0.85,
             consensus_percentile=0.5,
         )
         seed = GENESIS_SEED
         for _ in range(10):
-            assignment, _ = form_committee(table, config, seed, reg)
+            assignment, _ = form_committee(table, seed, reg, **config)
             for low_node in (17, 18, 19):
                 assert low_node not in assignment.consensus_nodes + assignment.candidates
                 assert low_node not in assignment.spares
@@ -377,6 +382,6 @@ class TestFormCommittee:
         events = [Participation(i) for i in range(8) for _ in range(10)]
         events += [ConfirmedReport(6), ConfirmedReport(6), ConfirmedReport(7)]
         table = update_behavior_table(table, events)
-        assignment, _ = form_committee(table, self.config(), GENESIS_SEED, reg)
+        assignment, _ = form_committee(table, GENESIS_SEED, reg, **self.config())
         assert 6 not in assignment.consensus_nodes
         assert 7 not in assignment.consensus_nodes

@@ -290,7 +290,7 @@ class TestRunnerAccountability:
         assert [runner.table[n].incomplete_count for n in (5, 6)] == [6, 6]
 
     def test_genesis_table_gives_every_node_the_genesis_deposit(self):
-        table = initial_table(tiny_config(node_count=7))
+        table = initial_table(7)
         assert [record.deposit for record in table.values()] == [GENESIS_DEPOSIT] * 7
         # Equal deposits and no events: every node starts on the same score.
         assert len({record.reputation for record in table.values()}) == 1
@@ -315,6 +315,17 @@ class TestRunnerAccountability:
             "scripted exit of node 7 after round 1 skipped: not a consensus node"
         ]
         assert json.loads(report_json(report.to_dict()))["notes"] == report.notes
+
+    def test_exit_after_an_aborted_round_is_noted(self):
+        # The client (id 11) is cut off for the whole run, so no round commits.
+        config = presets.load("churn_exit_m11")
+        cut = dataclasses.replace(config.network, partitions=((0.0, 1e6, (11,)),))
+        report, result = run_scenario_with_result(dataclasses.replace(config, network=cut))
+        assert result.committed_rounds == 0
+        assert report.membership_flows == []
+        assert report.notes == [
+            "scripted exit of node 7 after round 1 skipped: round 1 did not commit"
+        ]
 
     def test_two_convictions_in_one_round_share_no_promotion(self):
         # Committee 7 (f=2) with one candidate, node 7: silent nodes 5 and 6
@@ -744,6 +755,23 @@ class TestCli:
         assert main(["compare", "--scenarios", *files, "--trace"]) == 1
         captured = capsys.readouterr()
         assert "error: --trace" in captured.err and not captured.out
+
+    def test_compare_trace_with_repeated_name_is_usage_error(self, tmp_path, capsys):
+        # Both files take the default name, so both traces would be written
+        # to trace_scenario.csv.
+        files = []
+        for seed in (1, 2):
+            path = tmp_path / f"seed{seed}.json"
+            path.write_text(json.dumps({"seed": seed, "rounds_per_epoch": 2}), encoding="utf-8")
+            files.append(str(path))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenarios", *files, "--out", str(out), "--trace"]) == 1
+        captured = capsys.readouterr()
+        assert "'scenario' repeats" in captured.err and not captured.out
+        assert not out.exists()
+        # Without --trace no file is shared, so the same scenarios compare.
+        assert main(["compare", "--scenarios", *files, "--out", str(out)]) == 0
+        assert len(json.loads((out / "report.json").read_text())["reports"]) == 2
 
     def test_fairness_subcommand(self, tmp_path, capsys):
         out = tmp_path / "fair"

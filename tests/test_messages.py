@@ -11,9 +11,11 @@ import pytest
 from ebrc import messages, presets
 from ebrc.crypto import KeyRegistry
 from ebrc.messages import (
+    Commit,
     ExitRequest,
     JoinRequest,
     Message,
+    PbftPrepare,
     Prepare,
     Request,
     signature_ok,
@@ -123,7 +125,7 @@ def _signed_sample(cls, registry):
 
 
 def test_every_message_class_is_covered():
-    assert len(MESSAGE_CLASSES) == 16
+    assert len(MESSAGE_CLASSES) == 15
     for cls in MESSAGE_CLASSES:
         assert "signature" in {f.name for f in dataclasses.fields(cls)}, cls.__name__
         # One rule: no class states its own payload.
@@ -210,12 +212,18 @@ def test_classes_with_equal_fields_sign_differently(registry):
         by_fields.setdefault(tuple(_fields(cls)), []).append(cls)
     twins = [group for group in by_fields.values() if len(group) > 1]
     names = sorted(sorted(cls.__name__ for cls in group) for group in twins)
-    assert names == [["PbftCommit", "PbftPrepare"], ["PrePrepare", "Prepare"]]
+    assert names == [["Commit", "PbftPrepare"], ["PrePrepare", "Prepare"]]
     for first, second in twins:
         message = _signed_sample(first, registry)
         twin = second(**{f.name: getattr(message, f.name) for f in dataclasses.fields(first)})
         assert twin.signature == message.signature
         assert not signature_ok(twin, registry, SIGNER)
+
+
+@pytest.mark.parametrize("cls", [Commit, PbftPrepare], ids=lambda cls: cls.__name__)
+def test_every_vote_has_one_shape(cls):
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert names == ["height", "view", "digest", "sender", "signature"]
 
 
 def test_one_ulp_reputation_claim_is_bound(registry):

@@ -184,9 +184,9 @@ class TestLinkStreams:
         for net in (Simulation(seed, network), oracle):
             log = []
             net.on_deliver = lambda target, now, message, log=log: log.append(
-                (now, target, message.sequence))
+                (now, target, message.height))
             for sequence in range(sends):
-                net.schedule_send(sequence * 300, 0, [1], make_commit(reg, sequence=sequence))
+                net.schedule_send(sequence * 300, 0, [1], make_commit(reg, height=sequence))
             drain(net)
             logs.append(log)
         assert logs[0] == logs[1]
@@ -304,9 +304,9 @@ class TestSharedStreams:
             for net, schedule in zip(net_pair, schedules):
                 log = []
                 net.on_deliver = lambda target, now, message, log=log: log.append(
-                    (now, target, message.sequence))
+                    (now, target, message.height))
                 for sequence, (at_us, targets) in enumerate(schedule):
-                    net.schedule_send(at_us, 0, targets, make_commit(reg, sequence=sequence))
+                    net.schedule_send(at_us, 0, targets, make_commit(reg, height=sequence))
                 pair_logs.append(log)
             busy = list(net_pair)
             while busy:  # one event of each in turn
