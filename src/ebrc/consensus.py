@@ -172,18 +172,26 @@ class StepResult:
         self.timers: List[Tuple[int, TimerTick]] = []
 
 
+# What a step that asks nothing returns: one shared result, whose empty
+# tuples cannot be appended to. Most steps are votes that complete nothing.
+IDLE = StepResult()
+IDLE.sends = IDLE.timers = ()
+
+
 class _ReplicaBase:
     """The replica core both protocols share.
 
-    A subclass states four things: its voting group (``committee``), whether
-    this node votes (``is_member``), the leader of the current (height, view)
-    (``leader_id``) and whether the view advances with every block
-    (``VIEW_PER_BLOCK``). It also names its proposal message (``PROPOSAL``),
-    casts its votes on an accepted proposal (``_vote``) and routes messages
-    to handlers by exact type (``_HANDLERS``). Every vote has one shape
+    A subclass states three things: its voting group (``committee``, which
+    ``_install`` sets with ``is_member``, whether this node votes), the
+    leader of the current (height, view) (``leader_id``) and whether the
+    view advances with every block (``VIEW_PER_BLOCK``). It also names its
+    proposal message (``PROPOSAL``), casts its votes on an accepted proposal
+    (``_vote``) and routes messages to handlers by exact type
+    (``_HANDLERS``). Every vote has one shape
     (height, view, digest, sender) and takes one path here: ``_cast`` sends
-    the node's own, ``_admit`` and ``_count`` take a peer's, and
-    ``_on_commit`` serves the Commit vote both protocols send.
+    the node's own, ``_admit`` counts a peer's, and ``_on_commit`` serves
+    the Commit vote both protocols send. A step that asks nothing returns
+    ``IDLE``.
     """
 
     PROPOSAL: type
@@ -202,6 +210,7 @@ class _ReplicaBase:
 
         self.committee: Tuple[int, ...] = ()
         self.members: FrozenSet[int] = frozenset()  # _member_set(committee)
+        self.is_member = False  # whether this node votes: it is in the committee
         self.peers: Tuple[int, ...] = ()  # the committee minus this node: a broadcast's targets
         self.f = 0
         self.height = 1  # next block height to commit; genesis occupies 0
@@ -228,10 +237,11 @@ class _ReplicaBase:
         return self.is_member and self.leader_id() == self.node_id
 
     def _install(self, committee: Sequence[int]) -> None:
-        """Set the committee and what derives from it: the member set and the
-        peers every broadcast goes to."""
+        """Set the committee and what derives from it: the member set, this
+        node's membership and the peers every broadcast goes to."""
         self.committee = tuple(committee)
         self.members = _member_set(self.committee)
+        self.is_member = self.node_id in self.members
         self.peers = tuple(peer for peer in self.committee if peer != self.node_id)
 
     def _proposed(self) -> bool:
@@ -378,21 +388,26 @@ class _ReplicaBase:
         _count(tallies, vote)
         result.sends.append((self.peers, vote))
 
-    def _admit(self, vote) -> bool:
-        """A received vote counts when this node votes, it is for the current
-        height and a committee member signed it."""
-        return (
+    def _admit(self, vote, tallies: Dict) -> bool:
+        """Count a received vote in ``tallies`` when this node votes, the vote
+        is for the current height and a committee member signed it; return
+        whether it counted."""
+        if (
             self.is_member
             and vote.height == self.height
             and vote.sender in self.members
             and signature_ok(vote, self.registry, vote.sender)
-        )
+        ):
+            _count(tallies, vote)
+            return True
+        return False
 
     def _on_commit(self, now: int, commit: Commit) -> StepResult:
+        winner = self._quorum() if self._admit(commit, self.commit_tallies) else None
+        if winner is None:
+            return IDLE
         result = StepResult()
-        if self._admit(commit):
-            _count(self.commit_tallies, commit)
-            self._try_commit(now, result)
+        self._commit(now, winner, result)
         return result
 
     # -- commit and advance --
@@ -457,19 +472,26 @@ class _ReplicaBase:
             )
             result.sends.append(((client_id,), reply))
 
-    def _try_commit(self, now: int, result: StepResult) -> None:
+    def _quorum(self) -> Optional[bytes]:
+        """The digest 2f+1 commits of the current view back, or None. Two such
+        digests are observed as a quorum conflict, on every call that sees
+        them, and neither commits."""
         tally = self.commit_tallies.get(self.view)
         if not tally:
-            return
+            return None
         try:
-            winner = check_quorum(tally, self.f)
+            return check_quorum(tally, self.f)
         except QuorumConflict as exc:
             self.observations.append(("quorum_conflict", self.node_id, self.height, str(exc)))
-            return
+            return None
+
+    def _commit(self, now: int, winner: Optional[bytes], result: StepResult) -> None:
+        """Commit the current proposal if ``winner``, the digest a quorum
+        backs, is its digest."""
         if winner is None or self.proposal is None or self.proposal.digest != winner:
             return  # no quorum, or a quorum without the matching proposal payload
         batch = self.proposal.batch
-        committers = tuple(sorted(tally[winner]))
+        committers = tuple(sorted(self.commit_tallies[self.view][winner]))
         self._advance(self._next_block([r.digest for r in batch], len(batch), committers))
         self._reply(batch, winner, now, result)
         self._arm_for_pending(result)
@@ -565,10 +587,6 @@ class EbrcReplica(_ReplicaBase):
 
     # -- roles --
 
-    @property
-    def is_member(self) -> bool:
-        return self.node_id in self.members
-
     def leader_id(self) -> int:
         return self.committee[select_master(self.height, self.view, self.f)]
 
@@ -620,7 +638,7 @@ class EbrcReplica(_ReplicaBase):
 
     def step(self, now: int, event) -> StepResult:
         handler = self._HANDLERS.get(type(event))
-        return handler(self, now, event) if handler else StepResult()
+        return handler(self, now, event) if handler else IDLE
 
     # -- prepare and commit --
 
@@ -645,7 +663,7 @@ class EbrcReplica(_ReplicaBase):
     def _vote(self, now: int, result: StepResult) -> None:
         if not self._voted(self.commit_tallies):
             self._cast(Commit, self.commit_tallies, result)
-        self._try_commit(now, result)
+        self._commit(now, self._quorum(), result)
 
     # -- membership flows --
 
@@ -790,7 +808,6 @@ class PbftReplica(_ReplicaBase):
 
     PROPOSAL = PrePrepare
     VIEW_PER_BLOCK = False
-    is_member = True
 
     def __init__(self, node_id, registry, *, group: Sequence[int], **settings) -> None:
         super().__init__(node_id, registry, **settings)
@@ -803,7 +820,7 @@ class PbftReplica(_ReplicaBase):
 
     def step(self, now: int, event) -> StepResult:
         handler = self._HANDLERS.get(type(event))
-        return handler(self, now, event) if handler else StepResult()
+        return handler(self, now, event) if handler else IDLE
 
     def _reset_round(self) -> None:
         super()._reset_round()
@@ -814,13 +831,15 @@ class PbftReplica(_ReplicaBase):
         # in for its prepare.
         if not self.is_leader and not self._voted(self.prepare_tallies):
             self._cast(PbftPrepare, self.prepare_tallies, result)
-        self._maybe_send_commit(now, result)
+        if self._commit_due():
+            self._send_commit(now, result)
 
     def _on_prepare(self, now: int, prepare: PbftPrepare) -> StepResult:
+        # Only the prepare that makes this node prepared asks anything.
+        if not self._admit(prepare, self.prepare_tallies) or not self._commit_due():
+            return IDLE
         result = StepResult()
-        if self._admit(prepare):
-            _count(self.prepare_tallies, prepare)
-            self._maybe_send_commit(now, result)
+        self._send_commit(now, result)
         return result
 
     def _prepared(self) -> bool:
@@ -832,11 +851,13 @@ class PbftReplica(_ReplicaBase):
         # Backups count their own echo, so the same threshold works for both.
         return len(senders) >= 2 * self.f
 
-    def _maybe_send_commit(self, now: int, result: StepResult) -> None:
-        if self._voted(self.commit_tallies) or not self._prepared():
-            return
+    def _commit_due(self) -> bool:
+        """Whether this node is prepared and has not cast its commit."""
+        return not self._voted(self.commit_tallies) and self._prepared()
+
+    def _send_commit(self, now: int, result: StepResult) -> None:
         self._cast(Commit, self.commit_tallies, result)
-        self._try_commit(now, result)
+        self._commit(now, self._quorum(), result)
 
     _HANDLERS = {
         **_ReplicaBase._HANDLERS,

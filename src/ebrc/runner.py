@@ -118,7 +118,7 @@ class RunResult:
     latency_samples_ms: List[float] = field(default_factory=list)
     counters: Counters = field(default_factory=Counters)
     trace: List[TraceRecord] = field(default_factory=list)  # one record per send
-    in_flight: int = 0  # deliveries still on the heap at run end
+    in_flight: int = 0  # deliveries still queued at run end
     election_log: List[dict] = field(default_factory=list)
     election_counts: Dict[int, int] = field(default_factory=dict)
     membership_log: List[dict] = field(default_factory=list)

@@ -13,11 +13,13 @@ doubles and no link keeps a 2.5 KB Mersenne Twister state. Paired runs of
 one seed (EBRC and PBFT, clean and Byzantine, each n of a sweep) seed each
 link once between them, and the last seed's streams outlive its runs until
 a run of another seed replaces them. Every event has a key
-(deliver_time, insertion_seq). Timers and deferred sends enter the event heap
-one by one; a send enters it as one run of its deliveries sorted by key, and
-the heap merges the runs, so events still come out in key order. Two runs
-with the same seed and the same replica logic replay the exact same event
-sequence.
+(instant, scheduling order). The queue holds each pending instant once, on
+a heap of plain ints, and beside it the instant's events in the order they
+were scheduled; a send appends each delivery it does not drop to its
+instant's list. So a broadcast costs one heap push per new instant it
+reaches, not one per message, and events still come out in key order. Two
+runs with the same seed and the same replica logic replay the exact same
+event sequence.
 
 The network carries what it is given. A faulty node's misbehaviour is
 the runner's rewrite of its sends (``runner.byzantine_sends``); the network
@@ -30,8 +32,7 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from heapq import heappop, heappush, heapreplace
-from operator import itemgetter
+from heapq import heappop, heappush
 from typing import (
     Callable,
     Dict,
@@ -49,7 +50,6 @@ from typing import (
 from .crypto import digest, hasher  # noqa: F401
 from .messages import VrfConnect
 
-_TIME = itemgetter(0)  # a delivery row's time
 _FIRST_DRAWS = 16  # draws a stream holds at first use; a target takes at most two
 
 LAZY_LATENCY_FACTOR = 4.0  # a lazy node's deliveries take this many times as long
@@ -155,13 +155,17 @@ def _digest_prefix(message) -> str:
 
 
 class Simulation:
-    """Event loop: deliveries, timers, and deferred sends in one heap.
+    """Event loop: deliveries, timers and deferred sends, queued by instant.
 
-    A heap entry is ``(time_us, seq, item)``, and no two entries share a key.
-    A timer's or a deferred send's item is a tuple led by its kind. A send's
-    item is ``("deliver", run)``: ``run`` holds the send's undelivered
-    ``(time_us, seq, target, message)`` rows in descending key order, and the
-    entry carries the key of its last row, the next to be delivered.
+    ``_heap`` holds each instant with pending events once, as a plain int,
+    and ``_due[instant]`` holds that instant's events in scheduling order,
+    each a tuple led by its kind: ``("deliver", target, message)``,
+    ``("timer", target, tick)`` or ``("send", sender, targets, message)``.
+    Nothing is scheduled before the present, so only the earliest instant's
+    list is ever taken from: ``_taken`` counts the events taken from it,
+    and the instant leaves both when its last event is taken. An event
+    scheduled for the instant being drained joins the end of its list, or
+    starts a new list once the list is done.
     """
 
     def __init__(self, run_seed: bytes, network: NetworkModel, lazy: Iterable[int] = ()) -> None:
@@ -175,8 +179,9 @@ class Simulation:
         self.on_deliver: Callable[[int, int, object], None] = lambda target, now, event: None
         # The round in progress, which each send's counters and trace row carry.
         self.round_index = 0
-        self._heap: List[Tuple[int, int, Tuple]] = []
-        self._seq = 0
+        self._heap: List[int] = []  # pending instants, each once
+        self._due: Dict[int, List[Tuple]] = {}  # instant -> its events in scheduling order
+        self._taken = 0  # events taken from the earliest instant's list
         # Every link seed starts with the same domain and run seed; the
         # streams are the seed's, and the cursors this run's own.
         self._link_seed_prefix, self._streams = _link_streams(run_seed)
@@ -184,16 +189,19 @@ class Simulation:
 
     # -- scheduling --
 
+    def _schedule(self, at_us: int, event: Tuple) -> None:
+        events = self._due.get(at_us)
+        if events is None:
+            events = self._due[at_us] = []
+            heappush(self._heap, at_us)
+        events.append(event)
+
     def schedule_timer(self, target: int, delay_us: int, tick) -> None:
-        at_us = self.now + max(0, delay_us)
-        heappush(self._heap, (at_us, self._seq, ("timer", target, tick)))
-        self._seq += 1
+        self._schedule(self.now + max(0, delay_us), ("timer", target, tick))
 
     def schedule_send(self, at_us: int, sender: int, targets: Sequence[int], message) -> None:
         """Defer a send to a future instant (client traffic injection)."""
-        at_us = max(at_us, self.now)
-        heappush(self._heap, (at_us, self._seq, ("send", sender, tuple(targets), message)))
-        self._seq += 1
+        self._schedule(max(at_us, self.now), ("send", sender, tuple(targets), message))
 
     def send(self, sender: int, targets: Sequence[int], message) -> None:
         if not targets:
@@ -219,9 +227,8 @@ class Simulation:
         cursors = self._cursors.get(sender)
         if cursors is None:
             cursors = self._cursors[sender] = {}
-        seq = self._seq
+        heap, due = self._heap, self._due
         dropped = []
-        run = []
         for target in targets:
             at = cursors.get(target, 0)
             draws = streams.get(target)
@@ -242,16 +249,13 @@ class Simulation:
                 latency += draws[at] * jitter_us
                 at += 1
             cursors[target] = at
-            run.append((now + int(latency * latency_factor), seq, target, message))
-            seq += 1
-        self._seq = seq
-        if run:
-            # Rows were made in seq order, and the sort is stable, so rows of
-            # equal time stay in seq order: the run is sorted by key.
-            run.sort(key=_TIME)
-            run.reverse()
-            head = run[-1]
-            heappush(self._heap, (head[0], head[1], ("deliver", run)))
+            at_us = now + int(latency * latency_factor)
+            # _schedule, inlined: this loop runs once per message.
+            events = due.get(at_us)
+            if events is None:
+                events = due[at_us] = []
+                heappush(heap, at_us)
+            events.append(("deliver", target, message))
         self.counters.dropped += len(dropped)
         self.counters.note_sent(tag, round_index, sender, len(targets))
         self.trace.append(
@@ -295,48 +299,49 @@ class Simulation:
     # -- execution --
 
     def step_one(self) -> bool:
-        """Process the single next event; False when the heap is empty."""
+        """Process the single next event; False when nothing is queued."""
         heap = self._heap
         if not heap:
             return False
-        at_us, _, item = heap[0]
-        now = self.now
-        if at_us > now:
-            self.now = now = at_us
-        kind = item[0]
+        self.now = now = heap[0]
+        due = self._due
+        events = due[now]
+        taken = self._taken
+        event = events[taken]
+        taken += 1
+        # Take the event off the queue before its callback schedules more.
+        if taken == len(events):
+            heappop(heap)
+            del due[now]
+            taken = 0
+        self._taken = taken
+        kind = event[0]
         if kind == "deliver":
-            run = item[1]
-            _, _, target, message = run.pop()
-            # Advance the run first: while the callback runs, the heap must
-            # hold this run's next key.
-            if run:
-                head = run[-1]
-                heapreplace(heap, (head[0], head[1], item))
-            else:
-                heappop(heap)
             self.counters.delivered += 1
-            self.on_deliver(target, now, message)
-            return True
-        heappop(heap)
-        if kind == "timer":
-            _, target, tick = item
-            self.on_deliver(target, now, tick)
-        elif kind == "send":
-            _, sender, targets, message = item
-            self.send(sender, targets, message)
+            self.on_deliver(event[1], now, event[2])
+        elif kind == "timer":
+            self.on_deliver(event[1], now, event[2])
+        else:
+            self.send(event[1], event[2], event[3])
         return True
 
     def run_until(self, deadline_us: int, stop: Optional[Callable[[], bool]] = None) -> None:
         """Drain events up to the deadline, optionally stopping early."""
         heap, step = self._heap, self.step_one
-        while heap and heap[0][0] <= deadline_us:
+        while heap and heap[0] <= deadline_us:
             if stop is not None and stop():
                 return
             step()
 
+    def _queued(self) -> Iterator[Tuple]:
+        """Every event not yet taken."""
+        earliest = self._heap[0] if self._heap else None
+        for at_us, events in self._due.items():
+            yield from events[self._taken :] if at_us == earliest else events
+
     def in_flight(self) -> int:
-        """Deliveries still queued: the rest of every send's run."""
-        return sum(len(item[1]) for _, _, item in self._heap if item[0] == "deliver")
+        """Deliveries still queued."""
+        return sum(event[0] == "deliver" for event in self._queued())
 
     def conservation_ok(self) -> bool:
         return self.counters.conserved(self.in_flight())

@@ -21,6 +21,8 @@ from ebrc.consensus import (
 from ebrc.messages import (
     BlockAnnounce,
     Commit,
+    PbftPrepare,
+    PrePrepare,
     Prepare,
     Report,
     Reply,
@@ -468,7 +470,31 @@ class TestCommitGates:
             reg, 2,
         )
         result = replicas[0].step(0, reply)
-        assert result.sends == [] and result.timers == []
+        assert not result.sends and not result.timers
+
+    def test_vote_that_completes_nothing_returns_the_idle_result(self):
+        replicas, reg = make_committee(4)
+        commit = signed(Commit(height=1, view=0, digest=b"d" * 32, sender=2), reg, 2)
+        result = replicas[0].step(0, commit)  # one vote of the three a quorum needs
+        assert result is consensus.IDLE
+        with pytest.raises(AttributeError):
+            result.sends.append(((1,), commit))
+        with pytest.raises(AttributeError):
+            result.timers.append((0, TimerTick("round", 1, 0)))
+
+    def test_every_commit_seeing_two_quorums_observes_the_conflict(self):
+        # Three votes each for two digests: no quorum at f=2, two at f=1.
+        replicas, reg = make_committee(7)
+        node = replicas[0]
+        for sender in range(1, 7):
+            digest = b"a" * 32 if sender <= 3 else b"b" * 32
+            node.step(0, signed(Commit(height=1, view=0, digest=digest, sender=sender), reg, sender))
+        assert node.observations == []
+        node.apply_membership(tuple(range(7)), (), 1)
+        for _ in range(2):
+            repeat = signed(Commit(height=1, view=0, digest=b"a" * 32, sender=1), reg, 1)
+            assert node.step(0, repeat) is consensus.IDLE
+        assert [entry[:3] for entry in node.observations] == [("quorum_conflict", 0, 1)] * 2
 
     def test_commit_from_member_that_left_ignored(self):
         replicas, reg = make_committee(5)
@@ -554,6 +580,23 @@ class TestPbftRound:
         assert pump.counts["PbftPrepare"] == 9
         assert pump.counts["Commit"] == 12
         assert pump.counts["Reply"] == 4
+
+    def test_backup_prepared_before_the_pre_prepare_commits_on_it(self):
+        # Two echoes overtake the pre-prepare: they count at once and ask
+        # nothing, and the pre-prepare's step sends the prepare and the commit.
+        replicas, reg = make_group(4)
+        batch = (make_request(reg),)
+        pre_prepare = signed(
+            PrePrepare(height=1, view=0, timestamp=0, batch=batch,
+                       digest=batch_digest_of(batch), sender=0),
+            reg, 0,
+        )
+        backup = replicas[3]
+        for sender in (1, 2):
+            echo = PbftPrepare(height=1, view=0, digest=pre_prepare.digest, sender=sender)
+            assert backup.step(0, signed(echo, reg, sender)) is consensus.IDLE
+        result = backup.step(0, pre_prepare)
+        assert [type(message) for _, message in result.sends] == [PbftPrepare, Commit]
 
     def test_three_phase_costs_more_than_two_phase(self):
         replicas, reg = make_committee(4)

@@ -63,6 +63,52 @@ class TestOrdering:
         assert [m.sender for _, _, m in deliveries] == [0, 2]
         assert deliveries[0][1] == deliveries[1][1] == 2_000
 
+    def test_same_instant_refills_match_the_oracle(self):
+        # With no latency and no jitter every relay, and every 0-delay timer,
+        # lands on the instant being drained: some join its list, and a
+        # timer chain outlasts the rest, so its links land on an instant
+        # whose list has emptied. Deferred sends share instants with timers.
+        seed, reg = b"same-instant", make_registry(4)
+
+        def wire(net, log):
+            def on_deliver(target, now, event):
+                if isinstance(event, tuple):  # a timer's tick: ("chain", links left)
+                    log.append((now, target, event))
+                    if event[1]:
+                        net.schedule_timer(target, 0, ("chain", event[1] - 1))
+                    else:
+                        net.send(target, [(target + 1) % 4], make_commit(reg, target, height=9))
+                    return
+                log.append((now, target, event.sender, event.height))
+                if event.height < 2:
+                    others = [node for node in range(4) if node != target]
+                    net.send(target, others, make_commit(reg, target, height=event.height + 1))
+                elif event.sender == 1:
+                    net.schedule_timer(target, 0, ("chain", target))
+                    net.schedule_timer(target, 1_000 - now % 1_000, ("chain", 0))
+
+            net.on_deliver = on_deliver
+            for at_us in (0, 1_000, 2_000):
+                net.schedule_send(at_us, 0, [1, 2, 3], make_commit(reg, 0, height=0))
+
+        runs = []
+        for net in (
+            Simulation(seed, NetworkModel(base_latency_us=0, jitter_us=0)),
+            NaiveNetwork(seed, reg, base_latency_us=0, jitter_us=0),
+        ):
+            log = []
+            wire(net, log)
+            net.run_until(1_000, stop=lambda: len(log) >= 60)  # cut mid-instant
+            cut = (net.now, len(log), net.in_flight())
+            net.run_until(1_000)
+            deadline = (net.now, len(log), net.in_flight())
+            drain(net)
+            runs.append((cut, deadline, log))
+        assert runs[0] == runs[1]
+        (cut_now, _, cut_in_flight), _, log = runs[0]
+        assert cut_now == 0 and cut_in_flight > 0
+        assert {entry[0] for entry in log} == {0, 1_000, 2_000, 3_000}
+
     def test_timer_fires_at_deadline(self):
         sim, _, _ = make_sim()
         fired = []
@@ -348,9 +394,9 @@ class TestEventCount:
         runner.run()
         sim = runner.sim
         left = {"timer": 0, "send": 0}
-        for _, _, item in sim._heap:
-            if item[0] in left:
-                left[item[0]] += 1
+        for event in sim._queued():
+            if event[0] in left:
+                left[event[0]] += 1
         fired = {kind: scheduled[kind] - left[kind] for kind in scheduled}
         assert fired["timer"] > 0 and fired["send"] > 0 and sim.counters.delivered > 0
         assert calls[0] == sim.counters.delivered + fired["timer"] + fired["send"]
