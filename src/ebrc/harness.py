@@ -554,11 +554,13 @@ CSV_METRICS = (
 
 
 def metrics_csv(reports: Sequence[MetricsReport]) -> str:
-    """One row per (protocol, node_count, seed, metric)."""
+    """One row per (name, protocol, node_count, seed, metric): the scenario
+    name tells apart runs that differ in any other setting."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["protocol", "node_count", "seed", "metric", "value"])
+    writer.writerow(["name", "protocol", "node_count", "seed", "metric", "value"])
     for report in reports:
+        key = [report.name, report.protocol, report.node_count, report.seed]
         for metric in CSV_METRICS:
             value = getattr(report, metric)
             if value is None:
@@ -569,19 +571,9 @@ def metrics_csv(reports: Sequence[MetricsReport]) -> str:
                 rendered = repr(value)
             else:
                 rendered = str(value)
-            writer.writerow(
-                [report.protocol, report.node_count, report.seed, metric, rendered]
-            )
+            writer.writerow([*key, metric, rendered])
         for tag in sorted(report.messages_by_tag):
-            writer.writerow(
-                [
-                    report.protocol,
-                    report.node_count,
-                    report.seed,
-                    f"messages_{tag}",
-                    str(report.messages_by_tag[tag]),
-                ]
-            )
+            writer.writerow([*key, f"messages_{tag}", str(report.messages_by_tag[tag])])
     return buffer.getvalue()
 
 

@@ -586,12 +586,13 @@ class TestSerialization:
         report, _ = run_scenario_with_result(tiny_config())
         text = metrics_csv([report])
         lines = text.strip().split("\n")
-        assert lines[0] == "protocol,node_count,seed,metric,value"
-        metrics = {line.split(",")[3] for line in lines[1:]}
+        assert lines[0] == "name,protocol,node_count,seed,metric,value"
+        assert {line.split(",")[0] for line in lines[1:]} == {"tiny"}
+        metrics = {line.split(",")[4] for line in lines[1:]}
         assert {"tps", "mean_latency_ms", "total_messages"} <= metrics
         assert any(m.startswith("messages_") for m in metrics)
-        row = next(line for line in lines[1:] if line.split(",")[3] == "tps")
-        assert float(row.split(",")[4]) == report.tps
+        row = next(line for line in lines[1:] if line.split(",")[4] == "tps")
+        assert float(row.split(",")[5]) == report.tps
 
     def test_trace_csv_rows(self):
         report, result = run_scenario_with_result(tiny_config(rounds_per_epoch=1))
