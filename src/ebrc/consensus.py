@@ -842,20 +842,18 @@ class PbftReplica(_ReplicaBase):
         self._send_commit(now, result)
         return result
 
-    def _prepared(self) -> bool:
-        if self.proposal is None or self.proposal.view != self.view:
+    def _commit_due(self) -> bool:
+        """Whether this node is prepared and has not cast its commit."""
+        proposal = self.proposal
+        if proposal is None or proposal.view != self.view or self._voted(self.commit_tallies):
             return False
-        tally = self.prepare_tallies.get(self.view, {})
-        senders = tally.get(self.proposal.digest, set())
+        senders = self.prepare_tallies.get(self.view, {}).get(proposal.digest, set())
         # The primary never sends a prepare; it waits for 2f backup echoes.
         # Backups count their own echo, so the same threshold works for both.
         return len(senders) >= 2 * self.f
 
-    def _commit_due(self) -> bool:
-        """Whether this node is prepared and has not cast its commit."""
-        return not self._voted(self.commit_tallies) and self._prepared()
-
     def _send_commit(self, now: int, result: StepResult) -> None:
+        """Cast this node's commit, and commit the block if it completes a quorum."""
         self._cast(Commit, self.commit_tallies, result)
         self._commit(now, self._quorum(), result)
 
