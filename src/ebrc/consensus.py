@@ -28,6 +28,14 @@ mix votes for the same digest across a view change and double-commit under
 message loss; per-view tallies restore the standard intersection argument
 (two 2f+1 quorums among 3f+1 nodes share an honest voter, and an honest voter
 votes once per view).
+
+Votes are most of what a replica handles (PBFT's prepares and commits are
+all-to-all), and most complete nothing. A received vote is counted in place,
+and the sender set it joined decides at once whether it can: a Commit of the
+current view whose digest is the view's only one, with at most 2f senders,
+and a PBFT prepare of the current view for the current proposal with fewer
+than 2f, return ``IDLE`` without the quorum or prepared check, which would
+find nothing. Every other counted vote takes that check in full.
 """
 
 from __future__ import annotations
@@ -127,11 +135,6 @@ def check_quorum(tally: Dict[bytes, Set[int]], f: int) -> Optional[bytes]:
     return winners[0] if winners else None
 
 
-def _count(tallies: Dict[int, Dict[bytes, Set[int]]], vote) -> None:
-    """Record ``vote`` in per-view tallies: view -> digest -> senders."""
-    tallies.setdefault(vote.view, {}).setdefault(vote.digest, set()).add(vote.sender)
-
-
 @lru_cache(maxsize=16)
 def _member_set(committee: Tuple[int, ...]) -> FrozenSet[int]:
     """The committee as a set, for O(1) membership tests. Every replica is
@@ -189,9 +192,12 @@ class _ReplicaBase:
     (``_vote``) and routes messages to handlers by exact type
     (``_HANDLERS``). Every vote has one shape
     (height, view, digest, sender) and takes one path here: ``_cast`` sends
-    the node's own, ``_admit`` counts a peer's, and ``_on_commit`` serves
-    the Commit vote both protocols send. A step that asks nothing returns
-    ``IDLE``.
+    the node's own, ``_admit`` counts every vote, the node's own or a
+    peer's, and returns the sender set it joined (None when it does not
+    count), and ``_on_commit`` serves the Commit vote both protocols send.
+    A step that asks nothing returns ``IDLE``: a vote that does not count
+    or completes no quorum, a stale timer, an announce, a request that arms
+    no timer, and every message a gate rejects.
     """
 
     PROPOSAL: type
@@ -251,9 +257,11 @@ class _ReplicaBase:
 
     def _voted(self, tallies: Dict[int, Dict[bytes, Set[int]]]) -> bool:
         """Whether ``_cast`` has counted this node's own vote of the view."""
-        for senders in tallies.get(self.view, {}).values():
-            if self.node_id in senders:
-                return True
+        by_digest = tallies.get(self.view)
+        if by_digest:
+            for senders in by_digest.values():
+                if self.node_id in senders:
+                    return True
         return False
 
     # -- timers --
@@ -277,7 +285,7 @@ class _ReplicaBase:
 
     def _on_timer(self, now: int, tick: TimerTick) -> StepResult:
         if tick.height != self.height or tick.view != self.view:
-            return StepResult()  # stale timer
+            return IDLE  # stale timer
         if tick.kind == "batch":
             return self._propose(now)
         result = StepResult()
@@ -309,18 +317,19 @@ class _ReplicaBase:
         return True
 
     def _on_request(self, now: int, request: Request) -> StepResult:
-        result = StepResult()
         if self._accept_request(request):
+            result = StepResult()
             self._arm_for_pending(result)
-        return result
+            if result.timers:
+                return result
+        return IDLE
 
     def _propose(self, now: int) -> StepResult:
-        result = StepResult()
         if not self.is_leader or self._proposed():
-            return result
+            return IDLE
         batch = canonical_batch(self.request_buffer, self.block_tx_cap)
         if not batch:
-            return result
+            return IDLE
         self.proposal = signed(
             self.PROPOSAL(
                 height=self.height,
@@ -333,6 +342,7 @@ class _ReplicaBase:
             self.registry,
             self.node_id,
         )
+        result = StepResult()
         result.sends.append((self.peers, self.proposal))
         # The leader also expects the round to finish; arm its own watchdog.
         self._arm_once(result, "round", VIEW_TIMEOUT_US)
@@ -352,7 +362,6 @@ class _ReplicaBase:
         return digest_field == batch_digest_of(batch)
 
     def _on_proposal(self, now: int, proposal) -> StepResult:
-        result = StepResult()
         if (
             not self.is_member
             or proposal.height != self.height
@@ -361,7 +370,8 @@ class _ReplicaBase:
             or proposal.sender == self.node_id
             or not signature_ok(proposal, self.registry, proposal.sender)
         ):
-            return result
+            return IDLE
+        result = StepResult()
         if not self._validate_proposal_content(proposal.batch, proposal.digest):
             self._reject_proposal(proposal, result)
             return result
@@ -385,25 +395,43 @@ class _ReplicaBase:
             self.registry,
             self.node_id,
         )
-        _count(tallies, vote)
+        self._admit(vote, tallies)  # a member's own vote always counts
         result.sends.append((self.peers, vote))
 
-    def _admit(self, vote, tallies: Dict) -> bool:
-        """Count a received vote in ``tallies`` when this node votes, the vote
-        is for the current height and a committee member signed it; return
-        whether it counted."""
-        if (
+    def _admit(self, vote, tallies: Dict[int, Dict[bytes, Set[int]]]) -> Optional[Set[int]]:
+        """Count a vote in ``tallies`` (view -> digest -> senders) when this
+        node votes, the vote is for the current height and a committee member
+        signed it; return the sender set it joined, or None when it does not
+        count."""
+        if not (
             self.is_member
             and vote.height == self.height
             and vote.sender in self.members
             and signature_ok(vote, self.registry, vote.sender)
         ):
-            _count(tallies, vote)
-            return True
-        return False
+            return None
+        by_digest = tallies.get(vote.view)
+        if by_digest is None:
+            by_digest = tallies[vote.view] = {}
+        senders = by_digest.get(vote.digest)
+        if senders is None:
+            senders = by_digest[vote.digest] = set()
+        senders.add(vote.sender)
+        return senders
 
     def _on_commit(self, now: int, commit: Commit) -> StepResult:
-        winner = self._quorum() if self._admit(commit, self.commit_tallies) else None
+        senders = self._admit(commit, self.commit_tallies)
+        if senders is None:
+            return IDLE
+        # A vote of the current view, for the view's one digest, short of
+        # 2f+1: no quorum and no conflict, so _quorum() would return None.
+        if (
+            len(senders) <= 2 * self.f
+            and commit.view == self.view
+            and len(self.commit_tallies[commit.view]) == 1
+        ):
+            return IDLE
+        winner = self._quorum()
         if winner is None:
             return IDLE
         result = StepResult()
@@ -514,7 +542,6 @@ class _ReplicaBase:
         self._maybe_adopt_view(proposed_view, result)
 
     def _on_viewchange(self, now: int, vc: ViewChange) -> StepResult:
-        result = StepResult()
         if (
             not self.is_member
             or vc.height != self.height
@@ -522,7 +549,8 @@ class _ReplicaBase:
             or vc.reporter not in self.members
             or not signature_ok(vc, self.registry, vc.reporter)
         ):
-            return result
+            return IDLE
+        result = StepResult()
         senders = self.viewchange_tallies.setdefault((vc.height, vc.proposed_view), set())
         senders.add(vc.reporter)
         # Join a view change once f+1 peers vouch for it, even before our own
@@ -551,11 +579,11 @@ class _ReplicaBase:
     def _on_announce(self, now: int, event: BlockAnnounce) -> StepResult:
         """Fill a ledger hole from a round-end announce of the next block."""
         if not signature_ok(event, self.registry, event.sender) or event.height != self.height:
-            return StepResult()
+            return IDLE
         block = self._next_block(event.batch_digests, event.tx_count, ())
         if block.block_digest == event.block_digest:
             self._advance(block)
-        return StepResult()
+        return IDLE
 
     # Handlers every replica has; each subclass's table adds its own.
     _HANDLERS = {
@@ -668,14 +696,13 @@ class EbrcReplica(_ReplicaBase):
     # -- membership flows --
 
     def _on_exit_request(self, now: int, request: ExitRequest) -> StepResult:
-        result = StepResult()
         if not self.is_leader:
-            return result
+            return IDLE
         if request.node_id not in self.members:
-            return result
+            return IDLE
         if not signature_ok(request, self.registry, request.node_id):
             logger.debug("node %d: forged exit request rejected", self.node_id)
-            return result
+            return IDLE
         plan = djep.plan_removal(
             committee=self.committee,
             f=self.f,
@@ -685,7 +712,7 @@ class EbrcReplica(_ReplicaBase):
         )
         if plan.stalled:
             self.observations.append(("membership_stalled", request.node_id, self.height))
-            return result
+            return IDLE
         # Below the committee floor the exit names the candidate it waits on;
         # every member holds it until that candidate's join is due.
         commit = signed(
@@ -698,6 +725,7 @@ class EbrcReplica(_ReplicaBase):
             self.node_id,
         )
         self.membership.pending_exits[request.node_id] = commit
+        result = StepResult()
         result.sends.append((self.peers, commit))
         if plan.promote is not None:
             result.sends.append(self._invite(plan.promote, request.effective_height))
@@ -720,21 +748,20 @@ class EbrcReplica(_ReplicaBase):
         # master is not checked against the current one: the master rotates
         # every block, so an honest commit can arrive after the rotation.
         if not self.is_member or event.master_id not in self.members:
-            return StepResult()
+            return IDLE
         if not signature_ok(event, self.registry, event.master_id):
-            return StepResult()
+            return IDLE
         request = event.request
         if not signature_ok(request, self.registry, request.node_id):
-            return StepResult()
+            return IDLE
         self.membership.pending_exits[request.node_id] = event
-        return StepResult()
+        return IDLE
 
     def _on_change(self, now: int, event: ChangeNotice) -> StepResult:
-        result = StepResult()
         if event.candidate_id != self.node_id:
-            return result
+            return IDLE
         if not signature_ok(event, self.registry, event.master_id):
-            return result
+            return IDLE
         claim = self.table_reputation.get(self.node_id, 0.0)
         join = signed(
             JoinRequest(
@@ -745,15 +772,16 @@ class EbrcReplica(_ReplicaBase):
             self.registry,
             self.node_id,
         )
+        result = StepResult()
         result.sends.append((self.committee, join))
         return result
 
     def _on_join_request(self, now: int, event: JoinRequest) -> StepResult:
-        result = StepResult()
         if not self.is_member:
-            return result
+            return IDLE
         if not signature_ok(event, self.registry, event.node_id):
-            return result
+            return IDLE
+        result = StepResult()
         expected = self.table_reputation.get(event.node_id)
         if event.node_id not in self.candidates or expected is None or expected != event.reputation:
             result.sends.append(self._report(event.node_id, "reputation-mismatch"))
@@ -773,14 +801,14 @@ class EbrcReplica(_ReplicaBase):
     def _on_join_commit(self, now: int, event: JoinCommit) -> StepResult:
         # Only a member's confirmation counts toward the 2f+1.
         if event.candidate_id != self.node_id or event.sender not in self.members:
-            return StepResult()
+            return IDLE
         if not signature_ok(event, self.registry, event.sender):
-            return StepResult()
+            return IDLE
         membership = self.membership
         membership.join_confirms.add(event.sender)
         if len(membership.join_confirms) >= 2 * self.f + 1:
             membership.join_height = event.effective_height
-        return StepResult()
+        return IDLE
 
     # Replies and reports reach replicas but are tallied off-replica; they
     # fall through the table like any other unhandled type.
@@ -835,8 +863,21 @@ class PbftReplica(_ReplicaBase):
             self._send_commit(now, result)
 
     def _on_prepare(self, now: int, prepare: PbftPrepare) -> StepResult:
-        # Only the prepare that makes this node prepared asks anything.
-        if not self._admit(prepare, self.prepare_tallies) or not self._commit_due():
+        # Only the prepare that makes this node prepared asks anything. One of
+        # the current view for the current proposal, short of 2f, cannot:
+        # _commit_due() would return False.
+        senders = self._admit(prepare, self.prepare_tallies)
+        if senders is None:
+            return IDLE
+        proposal = self.proposal
+        if (
+            len(senders) < 2 * self.f
+            and prepare.view == self.view
+            and proposal is not None
+            and prepare.digest == proposal.digest
+        ):
+            return IDLE
+        if not self._commit_due():
             return IDLE
         result = StepResult()
         self._send_commit(now, result)
@@ -845,12 +886,13 @@ class PbftReplica(_ReplicaBase):
     def _commit_due(self) -> bool:
         """Whether this node is prepared and has not cast its commit."""
         proposal = self.proposal
-        if proposal is None or proposal.view != self.view or self._voted(self.commit_tallies):
+        if proposal is None or proposal.view != self.view:
             return False
-        senders = self.prepare_tallies.get(self.view, {}).get(proposal.digest, set())
+        by_digest = self.prepare_tallies.get(self.view)
+        prepares = len(by_digest.get(proposal.digest, ())) if by_digest else 0
         # The primary never sends a prepare; it waits for 2f backup echoes.
         # Backups count their own echo, so the same threshold works for both.
-        return len(senders) >= 2 * self.f
+        return prepares >= 2 * self.f and not self._voted(self.commit_tallies)
 
     def _send_commit(self, now: int, result: StepResult) -> None:
         """Cast this node's commit, and commit the block if it completes a quorum."""

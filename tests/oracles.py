@@ -12,9 +12,9 @@ import hashlib
 import heapq
 import math
 import random
-from typing import Dict, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ebrc.consensus import batch_digest_of
+from ebrc.consensus import QuorumConflict, batch_digest_of, check_quorum
 from ebrc.crypto import digest
 from ebrc.messages import Prepare, PrePrepare, signed
 
@@ -200,3 +200,137 @@ class NaiveNetwork:
 
     def in_flight(self) -> int:
         return sum(1 for _, _, event in self.events if event[0] == "deliver")
+
+
+def send_key(targets, message) -> tuple:
+    """A send as plain values: its targets, its type's name and the fields a
+    vote or a reply carries."""
+    name = type(message).__name__
+    if name == "Reply":
+        return tuple(targets), name, message.digest
+    return tuple(targets), name, message.height, message.view, message.digest, message.sender
+
+
+@dataclasses.dataclass
+class StepExpectation:
+    idle: bool = True  # the step returns the shared idle result
+    sends: List[tuple] = dataclasses.field(default_factory=list)  # send_key tuples, in order
+    observed: List[tuple] = dataclasses.field(default_factory=list)  # (kind, node, height)
+
+
+class NaiveVotePath:
+    """A replica's handling of votes and proposals, written from the protocol
+    rules, for comparison step by step.
+
+    Every vote the replica counts, its own included, is kept in one list of
+    (kind, height, view, digest, sender). Each step recounts the tally of the
+    replica's (height, view) from that whole list and asks ``check_quorum``
+    (a Commit: 2f+1 senders, two such digests are a quorum conflict) or the
+    prepared rule (PBFT: the proposal of the view plus 2f matching prepares,
+    and no commit of this node's in the view yet). A received vote counts when
+    the replica is a member, the vote is for its height, and a member signed
+    it. ``expect`` reads the committee, f, height, view and proposal the
+    stream left on the replica, before the step; it records the blocks it
+    expects committed in ``ledger`` (height -> (batch digests, committers))
+    and every observation in ``observed``.
+    """
+
+    def __init__(self, pbft: bool) -> None:
+        self.pbft = pbft
+        self.votes: List[Tuple[str, int, int, bytes, int]] = []
+        self.ledger: Dict[int, tuple] = {}
+        self.observed: List[tuple] = []
+
+    def _tally(self, kind: str, height: int, view: int) -> Dict[bytes, set]:
+        tally: Dict[bytes, set] = {}
+        for k, h, v, d, sender in self.votes:
+            if (k, h, v) == (kind, height, view):
+                tally.setdefault(d, set()).add(sender)
+        return tally
+
+    def _leader(self, replica, height: int, view: int) -> int:
+        committee = replica.committee
+        if self.pbft:
+            return committee[view % len(committee)]
+        return committee[(height + view) % (3 * replica.f + 1)]
+
+    def _cast(self, replica, kind: str, digest_: bytes, out: StepExpectation) -> None:
+        node = replica.node_id
+        self.votes.append((kind, replica.height, replica.view, digest_, node))
+        peers = tuple(p for p in replica.committee if p != node)
+        out.sends.append((peers, kind, replica.height, replica.view, digest_, node))
+
+    def _voted(self, replica, kind: str) -> bool:
+        tally = self._tally(kind, replica.height, replica.view)
+        return any(replica.node_id in senders for senders in tally.values())
+
+    def _commit_check(self, replica, proposal, out: StepExpectation) -> Optional[bytes]:
+        tally = self._tally("Commit", replica.height, replica.view)
+        try:
+            winner = check_quorum(tally, replica.f)
+        except QuorumConflict:
+            out.observed.append(("quorum_conflict", replica.node_id, replica.height))
+            return None
+        if winner is not None and proposal is not None and proposal.digest == winner:
+            batch = proposal.batch
+            self.ledger[replica.height] = (
+                tuple(r.digest for r in batch), tuple(sorted(tally[winner]))
+            )
+            for client in sorted({r.client_id for r in batch}):
+                out.sends.append(((client,), "Reply", winner))
+        return winner
+
+    def _prepared(self, replica, proposal) -> bool:
+        if proposal is None or proposal.view != replica.view:
+            return False
+        prepares = self._tally("PbftPrepare", replica.height, replica.view).get(proposal.digest, ())
+        return len(prepares) >= 2 * replica.f and not self._voted(replica, "Commit")
+
+    def _send_commit(self, replica, proposal, out: StepExpectation) -> None:
+        self._cast(replica, "Commit", proposal.digest, out)
+        self._commit_check(replica, proposal, out)
+
+    def expect(self, replica, event) -> StepExpectation:
+        out = StepExpectation()
+        kind = type(event).__name__
+        if kind in ("Commit", "PbftPrepare"):
+            sender = event.sender
+            if not (
+                replica.node_id in replica.committee
+                and event.height == replica.height
+                and sender in replica.committee
+                and replica.registry.verify(sender, event.signed_payload(), event.signature)
+            ):
+                return out
+            self.votes.append((kind, event.height, event.view, event.digest, sender))
+            if kind == "Commit":
+                out.idle = self._commit_check(replica, replica.proposal, out) is None
+            elif self._prepared(replica, replica.proposal):
+                out.idle = False
+                self._send_commit(replica, replica.proposal, out)
+        else:  # the leader's proposal
+            proposal = event
+            if (
+                replica.node_id not in replica.committee
+                or proposal.height != replica.height
+                or proposal.view != replica.view
+                or proposal.sender != self._leader(replica, replica.height, replica.view)
+                or proposal.sender == replica.node_id
+                or not replica.registry.verify(
+                    proposal.sender, proposal.signed_payload(), proposal.signature
+                )
+                or proposal.digest != batch_digest_of(proposal.batch)
+            ):
+                return out
+            out.idle = False
+            if not self.pbft:
+                if not self._voted(replica, "Commit"):
+                    self._cast(replica, "Commit", proposal.digest, out)
+                self._commit_check(replica, proposal, out)
+            else:
+                if not self._voted(replica, "PbftPrepare"):
+                    self._cast(replica, "PbftPrepare", proposal.digest, out)
+                if self._prepared(replica, proposal):
+                    self._send_commit(replica, proposal, out)
+        self.observed.extend(out.observed)
+        return out

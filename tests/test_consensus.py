@@ -4,7 +4,7 @@ import dataclasses
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebrc import consensus
@@ -38,11 +38,13 @@ from driver import (
     Pump,
     make_committee,
     make_group,
+    make_prepare,
     make_registry,
     make_request,
     per_recipient,
     view_changes,
 )
+from oracles import NaiveVotePath, send_key
 
 
 class TestSelectMaster:
@@ -219,7 +221,7 @@ class TestBadProposal:
             ),
             reg, 2,
         )
-        assert replicas[0].step(0, rogue).sends == []
+        assert not replicas[0].step(0, rogue).sends
 
     def test_stale_view_prepare_dropped(self):
         replicas, reg = make_committee(4)
@@ -232,7 +234,7 @@ class TestBadProposal:
             ),
             reg, 1,
         )
-        assert replicas[0].step(0, stale).sends == []
+        assert not replicas[0].step(0, stale).sends
 
     def test_forged_prepare_signature_dropped(self):
         replicas, reg = make_committee(4)
@@ -245,7 +247,7 @@ class TestBadProposal:
             ),
             reg, 2,  # signed with the wrong key
         )
-        assert replicas[0].step(0, forged).sends == []
+        assert not replicas[0].step(0, forged).sends
 
 
 class TestSilentMaster:
@@ -291,7 +293,7 @@ class TestSilentMaster:
         replicas, reg = make_committee(4)
         reg.register(77)
         vc = signed(ViewChange(height=1, proposed_view=1, reporter=77), reg, 77)
-        assert replicas[0].step(0, vc).sends == []
+        assert not replicas[0].step(0, vc).sends
         assert replicas[0].viewchange_tallies == {}
 
 
@@ -418,7 +420,7 @@ class TestRequestGates:
         replicas[0].step(0, req)
         before = dict(replicas[0].request_buffer)
         result = replicas[0].step(0, req)
-        assert result.sends == [] and result.timers == []
+        assert not result.sends and not result.timers
         assert replicas[0].request_buffer == before
 
     def test_non_member_buffers_request_without_sending(self):
@@ -430,9 +432,9 @@ class TestRequestGates:
         outsider.set_committee(range(4), [], 1, table_reputation={i: 0.5 for i in range(4)})
         req = make_request(reg)
         result = outsider.step(0, req)
-        assert result.sends == [] and result.timers == []
+        assert not result.sends and not result.timers
         assert list(outsider.request_buffer) == [req.digest]
-        assert outsider.step(0, req).sends == []
+        assert not outsider.step(0, req).sends
 
 
 class TestCommitGates:
@@ -495,6 +497,29 @@ class TestCommitGates:
             repeat = signed(Commit(height=1, view=0, digest=b"a" * 32, sender=1), reg, 1)
             assert node.step(0, repeat) is consensus.IDLE
         assert [entry[:3] for entry in node.observations] == [("quorum_conflict", 0, 1)] * 2
+        # A commit of another view checks the current view's tally too.
+        later = signed(Commit(height=1, view=1, digest=b"a" * 32, sender=1), reg, 1)
+        assert node.step(0, later) is consensus.IDLE
+        assert [entry[:3] for entry in node.observations] == [("quorum_conflict", 0, 1)] * 3
+
+    def test_the_2f_plus_1th_commit_commits(self):
+        # f=2. Node 0 counts its own commit on the proposal; the 2f-th
+        # commit asks nothing and the (2f+1)-th commits the block.
+        replicas, reg = make_committee(7)
+        node = replicas[0]
+        proposal = make_prepare(reg, sender=1)  # node 1 leads (height 1, view 0)
+        assert [m.sender for _, m in per_recipient(node.step(0, proposal), Commit)] == [0] * 6
+
+        def commit(sender):
+            vote = Commit(height=1, view=0, digest=proposal.digest, sender=sender)
+            return node.step(0, signed(vote, reg, sender))
+
+        for sender in (2, 3, 4):
+            assert commit(sender) is consensus.IDLE
+        result = commit(5)
+        assert [type(m) for _, m in result.sends] == [Reply]
+        assert node.ledger[1].committers == (0, 2, 3, 4, 5)
+        assert node.height == 2
 
     def test_commit_from_member_that_left_ignored(self):
         replicas, reg = make_committee(5)
@@ -598,6 +623,29 @@ class TestPbftRound:
         result = backup.step(0, pre_prepare)
         assert [type(message) for _, message in result.sends] == [PbftPrepare, Commit]
 
+    def test_the_2fth_prepare_sends_the_commit(self):
+        # f=2. A backup counts its own prepare on the pre-prepare; the
+        # (2f-1)-th prepare asks nothing and the 2f-th sends its commit.
+        replicas, reg = make_group(7)
+        backup = replicas[1]
+        batch = (make_request(reg),)
+        pre_prepare = signed(
+            PrePrepare(height=1, view=0, timestamp=0, batch=batch,
+                       digest=batch_digest_of(batch), sender=0),
+            reg, 0,
+        )
+        result = backup.step(0, pre_prepare)
+        assert [type(message) for _, message in result.sends] == [PbftPrepare]
+
+        def prepare(sender):
+            echo = PbftPrepare(height=1, view=0, digest=pre_prepare.digest, sender=sender)
+            return backup.step(0, signed(echo, reg, sender))
+
+        for sender in (2, 3):
+            assert prepare(sender) is consensus.IDLE
+        result = prepare(4)
+        assert [type(message) for _, message in result.sends] == [Commit]
+
     def test_three_phase_costs_more_than_two_phase(self):
         replicas, reg = make_committee(4)
         pump = Pump(replicas)
@@ -686,7 +734,7 @@ class TestPbftSharedPaths:
         _, reg, request, block = self.finished_round()
         laggard = self.laggard(reg, request)
         result = laggard.step(0, self.announce(reg, block))
-        assert result.sends == [] and result.timers == []
+        assert not result.sends and not result.timers
         assert laggard.ledger[1].block_digest == block.block_digest
         assert laggard.height == 2
         assert laggard.view == 0  # the PBFT view does not advance per block
@@ -714,7 +762,7 @@ class TestPbftSharedPaths:
         vc_a = signed(ViewChange(height=1, proposed_view=1, reporter=1), reg, 1)
         vc_b = signed(ViewChange(height=1, proposed_view=1, reporter=2), reg, 2)
         first = replicas[3].step(0, vc_a)
-        assert first.sends == []
+        assert not first.sends
         second = replicas[3].step(0, vc_b)
         own = per_recipient(second, ViewChange)
         assert len(own) == 3 and all(m.reporter == 3 for _, m in own)
@@ -730,7 +778,7 @@ class TestPbftSharedPaths:
         reg.register(77)
         vc = signed(ViewChange(height=1, proposed_view=1, reporter=77), reg, 77)
         result = replicas[0].step(0, vc)
-        assert result.sends == [] and result.timers == []
+        assert not result.sends and not result.timers
         assert replicas[0].viewchange_tallies == {}
 
     def test_stale_timer_tick_is_inert(self):
@@ -739,6 +787,122 @@ class TestPbftSharedPaths:
             for tick in (TimerTick("round", 1, 0), TimerTick("batch", 1, 0),
                          TimerTick("round", 2, 3)):
                 result = rep.step(TIMEOUT_US, tick)
-                assert result.sends == [] and result.timers == []
+                assert not result.sends and not result.timers
             assert (rep.height, rep.view, view_changes(rep)) == (2, 0, 0)
             assert rep.viewchange_tallies == {}
+
+
+
+# A vote stream step: a vote (kind, its height and view less the replica's,
+# which of the two batches' digests, sender, whether another node signed it),
+# the current leader's proposal (which batch, its view less the replica's) or
+# a membership change (the committee's first 7 or 6 nodes, f). ``_step``
+# decodes one drawn integer, one choice per digit, so that each choice is
+# about uniform (Hypothesis favours the first entries of a short list).
+_STEP_KINDS = ("vote",) * 6 + ("proposal", "membership")
+_OFFSETS = (0, 0, 0, 0, 1, -1)
+_MEMBERSHIPS = ((7, 2), (7, 1), (6, 1))
+
+
+def _step(n: int) -> tuple:
+    def take(choices):
+        nonlocal n
+        n, index = divmod(n, len(choices))
+        return choices[index]
+
+    kind = take(_STEP_KINDS)
+    if kind == "proposal":
+        return kind, take((0, 1)), take(_OFFSETS)
+    if kind == "membership":
+        return (kind, *take(_MEMBERSHIPS))
+    return (
+        take(("Commit", "PbftPrepare")), take(_OFFSETS), take(_OFFSETS),
+        take((0, 1)), take(range(9)), take((False,) * 9 + (True,)),
+    )
+
+
+_STREAM = st.lists(st.integers(0, 2**32 - 1).map(_step), min_size=30, max_size=100)
+_PREPARED_AT_F1 = [
+    ("proposal", 0, 0), ("PbftPrepare", 0, 0, 0, 2, False), ("PbftPrepare", 0, 0, 0, 3, False),
+    ("membership", 7, 1),
+]
+
+
+class TestVotePathAgainstOracle:
+    """Random vote streams into one replica of seven (nodes 7 and 8 are
+    registered outsiders), each step compared with ``oracles.NaiveVotePath``,
+    which recounts the whole tally: whether the step returned the idle
+    result, its sends, the blocks committed and the observations, a repeated
+    quorum conflict included. A membership change mid-stream can lower f from
+    2 to 1, and raise it back."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stream=_STREAM)
+    # Three commits each for two digests, f lowered to 1: a commit of
+    # another view must still observe view 0's two quorums.
+    @example(stream=[("Commit", 0, 0, 0, s, False) for s in (1, 2, 3)]
+             + [("Commit", 0, 0, 1, s, False) for s in (4, 5, 6)]
+             + [("membership", 7, 1), ("Commit", 0, 1, 0, 1, False)])
+    # A quorum with no proposal: a vote for the other digest still finds it.
+    @example(stream=[("Commit", 0, 0, 0, s, False) for s in range(1, 6)]
+             + [("Commit", 0, 0, 1, 6, False)])
+    # Three commits and the proposal at f=2, then f=1: the fourth commits.
+    @example(stream=[("Commit", 0, 0, 0, 1, False), ("Commit", 0, 0, 0, 2, False),
+                     ("proposal", 0, 0), ("membership", 7, 1), ("Commit", 0, 0, 0, 3, False)])
+    def test_ebrc_replica(self, stream):
+        replicas, reg = make_committee(7, registry=make_registry(9))
+        self.replay(replicas[0], reg, stream, pbft=False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stream=_STREAM)
+    # Three prepares with the pre-prepare at f=2, then f=1: the node is
+    # prepared, and the next prepare it counts sends its commit, whatever
+    # its view or digest.
+    @example(stream=_PREPARED_AT_F1 + [("PbftPrepare", 0, 1, 0, 4, False)])
+    @example(stream=_PREPARED_AT_F1 + [("PbftPrepare", 0, 0, 1, 4, False)])
+    # Two prepares at f=2, then f=1: the third, short of the old 2f, sends it.
+    @example(stream=_PREPARED_AT_F1[:2] + [("membership", 7, 1), ("PbftPrepare", 0, 0, 0, 3, False)])
+    def test_pbft_backup(self, stream):
+        replicas, reg = make_group(7, registry=make_registry(9))
+        self.replay(replicas[1], reg, stream, pbft=True)
+
+    def replay(self, replica, reg, stream, pbft):
+        batches = [(make_request(reg, payload),) for payload in (b"batch-a", b"batch-b")]
+        oracle = NaiveVotePath(pbft)
+        for step in stream:
+            if step[0] == "membership":
+                _, keep, f = step
+                if pbft:
+                    replica.f = f  # a PBFT group does not change; only its f moves
+                else:
+                    replica.apply_membership(tuple(range(keep)), (), f)
+                continue
+            event = self.event(replica, reg, step, batches, pbft)
+            expected = oracle.expect(replica, event)
+            result = replica.step(0, event)
+            assert (result is consensus.IDLE) == expected.idle
+            assert [send_key(targets, m) for targets, m in result.sends] == expected.sends
+            assert not result.timers
+            ledger = {h: (b.batch_digests, b.committers) for h, b in replica.ledger.items() if h}
+            assert ledger == oracle.ledger
+            assert [entry[:3] for entry in replica.observations] == oracle.observed
+
+    @staticmethod
+    def event(replica, reg, step, batches, pbft):
+        if step[0] == "proposal":
+            _, which, view_offset = step
+            batch = batches[which]
+            leader = replica.leader_id()
+            proposal = replica.PROPOSAL(
+                height=replica.height, view=max(0, replica.view + view_offset), timestamp=0,
+                batch=batch, digest=batch_digest_of(batch), sender=leader,
+            )
+            return signed(proposal, reg, leader)
+        kind, height_offset, view_offset, which, sender, forged = step
+        vote_type = PbftPrepare if pbft and kind == "PbftPrepare" else Commit
+        vote = vote_type(
+            height=max(0, replica.height + height_offset),
+            view=max(0, replica.view + view_offset),
+            digest=batch_digest_of(batches[which]), sender=sender,
+        )
+        return signed(vote, reg, (sender + 1) % 9 if forged else sender)

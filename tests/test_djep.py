@@ -172,19 +172,19 @@ class TestExitFlow:
     def test_exit_request_ignored_by_non_master(self):
         replicas, reg, pump = self.start()
         exit_req = signed(ExitRequest(node_id=4, effective_height=3), reg, 4)
-        assert replicas[2].step(0, exit_req).sends == []
+        assert not replicas[2].step(0, exit_req).sends
 
     def test_forged_exit_request_rejected(self):
         replicas, reg, pump = self.start()
         forged = signed(ExitRequest(node_id=4, effective_height=3), reg, 2)
-        assert replicas[1].step(0, forged).sends == []
+        assert not replicas[1].step(0, forged).sends
         assert replicas[1].membership.pending_exits == {}
 
     def test_outsider_exit_request_rejected(self):
         replicas, reg, pump = self.start()
         reg.register(9)
         outsider = signed(ExitRequest(node_id=9, effective_height=3), reg, 9)
-        assert replicas[1].step(0, outsider).sends == []
+        assert not replicas[1].step(0, outsider).sends
 
     def test_exit_commit_needs_master_signature(self):
         replicas, reg, pump = self.start()
@@ -349,7 +349,7 @@ class TestJoinValidation:
         notice = signed(
             ChangeNotice(candidate_id=8, effective_height=3, master_id=1), reg, 1
         )
-        assert replicas[2].step(0, notice).sends == []
+        assert not replicas[2].step(0, notice).sends
 
     def test_forged_change_notice_ignored(self):
         reputation = {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5, 8: 0.9}
@@ -360,7 +360,7 @@ class TestJoinValidation:
         forged = signed(
             ChangeNotice(candidate_id=8, effective_height=3, master_id=1), reg, 2
         )
-        assert candidate.step(0, forged).sends == []
+        assert not candidate.step(0, forged).sends
 
 
 class TestStalledExit:
@@ -368,5 +368,5 @@ class TestStalledExit:
         replicas, reg = make_committee(4, candidates=())
         exit_req = signed(ExitRequest(node_id=3, effective_height=3), reg, 3)
         result = replicas[1].step(0, exit_req)
-        assert result.sends == []
+        assert not result.sends
         assert ("membership_stalled", 3, 1) in replicas[1].observations
