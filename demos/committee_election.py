@@ -4,8 +4,8 @@ eligibility gate, and the consensus/candidate/spare split. Then poison half
 the nodes' records and watch the gate demote them."""
 
 from ebrc.consensus import select_master
-from ebrc.crypto import KeyRegistry, SimulatedVrf
-from ebrc.election import VRF_RANGE, form_committee
+from ebrc.crypto import VRF_RANGE, KeyRegistry, SimulatedVrf
+from ebrc.election import form_committee
 from ebrc.reputation import ConfirmedReport, Participation, new_record, update_behavior_table
 
 NODES = 20

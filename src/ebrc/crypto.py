@@ -10,10 +10,12 @@ proof are ``digest(secret, seed)`` under ``b"vrf-value"`` and ``b"vrf-proof"``.
 Each (secret, domain) pair is absorbed once into a cached state
 (``_keyed_state``), so signing and sortition copy that state and hash only
 the payload or the seed; the bytes are the same as hashing the secret every
-time. Each digest, signature and draw is one call that copies its cached
-state, absorbs the length-prefixed parts and finishes it; ``SimulatedVrf``
-does not go through ``digest``. A sortition draw computes its value alone:
-only a node that selects itself makes a proof.
+time. Each digest and signature is one call that copies its cached state,
+absorbs the length-prefixed parts and finishes it. A VRF draw
+(``SimulatedVrf.draw``) is one copy of a key's state, one update with the
+seed already framed (``frame``) and one finish; ``SimulatedVrf`` does not go
+through ``digest``. A sortition draw computes its value alone: only a node
+that selects itself makes a proof.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 DIGEST_SIZE = 32
 VRF_VALUE_BITS = 8 * DIGEST_SIZE
 #: Size of the sortition output space; self-selection compares value/VRF_RANGE
-#: against the configured threshold.
+#: against the configured threshold (``sortition_threshold``).
 VRF_RANGE = 1 << VRF_VALUE_BITS
 
 ZERO_HASH = b"\x00" * DIGEST_SIZE
@@ -66,6 +68,12 @@ def _keyed_state(secret_key: bytes, domain: bytes):
     the three keyed domains of 682 nodes; a run with more still gets the
     same bytes, absorbing the secret again on a miss."""
     return hasher((secret_key,), domain)
+
+
+def frame(part: bytes) -> bytes:
+    """``part`` as ``hasher`` absorbs it: its length as 4 big-endian bytes,
+    then the part. A caller that draws on one seed many times frames it once."""
+    return len(part).to_bytes(4, "big") + part
 
 
 def digest(*parts: bytes, domain: bytes = b"msg", prefix=None) -> bytes:
@@ -163,36 +171,55 @@ class VrfOutput:
 
 
 class SimulatedVrf:
-    """Keyed-digest VRF: value and proof are independent digests of (sk, seed),
-    each continued from the state that already holds the key (``_keyed_state``).
+    """Keyed-digest VRF: value and proof are independent digests of (sk, seed)
+    under ``b"vrf-value"`` and ``b"vrf-proof"``.
 
+    A draw (``draw``) is one copy of a key's state for one of the two
+    domains (``value_state``, ``proof_state``), one update with the seed
+    framed as ``hasher`` frames a part (``frame``), and one finish. ``value``,
+    ``proof``, ``verify`` and every batch of draws go through it: an
+    election or study frames each seed once and takes each key's state once,
+    and compares a value draw's bytes with ``sortition_threshold(omega)``.
     ``value`` and ``proof`` are separate so that a draw tests self-selection
     on the value alone and makes a proof only once selected; ``evaluate``
-    makes both. verify() recomputes both through the registry oracle; a
-    forged or mangled proof fails closed with (False, None).
+    makes both. verify() recomputes both through the registry oracle, on
+    every call; a forged or mangled proof fails closed with (False, None).
     """
 
     def __init__(self, registry: KeyRegistry) -> None:
         self._registry = registry
 
     @staticmethod
+    def value_state(secret_key: bytes):
+        """The state every value draw of ``secret_key`` copies."""
+        return _keyed_state(secret_key, b"vrf-value")
+
+    @staticmethod
+    def proof_state(secret_key: bytes):
+        """The state every proof draw of ``secret_key`` copies."""
+        return _keyed_state(secret_key, b"vrf-proof")
+
+    @staticmethod
+    def draw(state, framed_seed: bytes) -> bytes:
+        """``digest(seed, prefix=state)`` for ``framed_seed == frame(seed)``:
+        a value draw's bytes (big-endian) on a ``value_state``, a proof on a
+        ``proof_state``."""
+        h = state.copy()
+        h.update(framed_seed)
+        return h.digest()
+
+    @staticmethod
     def value(secret_key: bytes, seed: bytes) -> int:
-        """The draw a node compares against the sortition threshold:
-        ``digest(seed, prefix=_keyed_state(secret_key, b"vrf-value"))`` as an
-        integer, absorbed inline since sortition makes this call per node."""
-        h = _keyed_state(secret_key, b"vrf-value").copy()
-        h.update(len(seed).to_bytes(4, "big"))
-        h.update(seed)
-        return int.from_bytes(h.digest(), "big")
+        """The draw a node compares against the sortition threshold, as an
+        integer."""
+        return int.from_bytes(
+            SimulatedVrf.draw(SimulatedVrf.value_state(secret_key), frame(seed)), "big"
+        )
 
     @staticmethod
     def proof(secret_key: bytes, seed: bytes) -> bytes:
-        """The proof a node makes once its value selects it, absorbed inline
-        like ``value``."""
-        h = _keyed_state(secret_key, b"vrf-proof").copy()
-        h.update(len(seed).to_bytes(4, "big"))
-        h.update(seed)
-        return h.digest()
+        """The proof a node makes once its value selects it."""
+        return SimulatedVrf.draw(SimulatedVrf.proof_state(secret_key), frame(seed))
 
     def evaluate(self, secret_key: bytes, seed: bytes) -> VrfOutput:
         return VrfOutput(self.value(secret_key, seed), self.proof(secret_key, seed))
@@ -201,9 +228,18 @@ class SimulatedVrf:
         secret = self._registry.resolve_secret(public_key)
         if secret is None or not isinstance(proof, bytes):
             return False, None
-        if proof != self.proof(secret, seed):
+        framed = frame(seed)
+        if proof != self.draw(self.proof_state(secret), framed):
             return False, None
-        return True, self.value(secret, seed)
+        return True, int.from_bytes(self.draw(self.value_state(secret), framed), "big")
+
+
+def sortition_threshold(omega: float) -> bytes:
+    """The largest VRF value that ``omega`` selects, ``omega * VRF_RANGE``
+    rounded down and capped at ``VRF_RANGE - 1``, as the 32 bytes of a draw.
+    A value draw selects its node exactly when its bytes compare ``<=``
+    these, since equal-length big-endian bytes order as their integers do."""
+    return min(int(omega * VRF_RANGE), VRF_RANGE - 1).to_bytes(DIGEST_SIZE, "big")
 
 
 def derive_seed(previous_block_hash: bytes) -> bytes:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Set, Tuple
 
-from .crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, derive_seed
+from .crypto import KeyRegistry, SimulatedVrf, derive_seed, frame, sortition_threshold
 from .djep import committee_fault_budget
 from .reputation import BehaviorTable
 
@@ -96,7 +96,8 @@ def form_committee(
 
     Every node eligible at ``eligibility_percentile`` draws a VRF value on
     ``seed`` and self-selects when it falls below ``omega`` of the VRF range;
-    only a selectee makes a proof.
+    only a selectee makes a proof. The seed is framed once and each node's
+    states are taken once per election.
     Draws are re-verified through the registry; selectees whose proofs fail
     verification are excluded and reported (``corrupt_proofs`` is the
     simulation hook that mangles specific nodes' proofs). Raises
@@ -116,19 +117,21 @@ def form_committee(
             f"only {len(eligible)} eligible nodes; need at least {MIN_COMMITTEE}"
         )
 
-    threshold = omega * VRF_RANGE
+    threshold = sortition_threshold(omega)
+    framed = frame(seed)
+    draw = vrf.draw
     reports: List[Tuple[int, str]] = []
     verified: List[int] = []
     for node_id in sorted(eligible):
         secret = registry.secret_key(node_id)
-        value = vrf.value(secret, seed)
+        value = draw(vrf.value_state(secret), framed)
         if value > threshold:
             continue
-        proof = vrf.proof(secret, seed)
+        proof = draw(vrf.proof_state(secret), framed)
         if node_id in corrupt_proofs:
             proof = bytes([proof[0] ^ 0xFF]) + proof[1:]
         ok, verified_value = vrf.verify(registry.public_key(node_id), seed, proof)
-        if not ok or verified_value != value:
+        if not ok or verified_value != int.from_bytes(value, "big"):
             reports.append((node_id, "invalid-sortition-proof"))
             continue
         verified.append(node_id)

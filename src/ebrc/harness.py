@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .config import ScenarioConfig
-from .crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, digest, pack
+from .crypto import KeyRegistry, SimulatedVrf, digest, frame, hasher, pack, sortition_threshold
 from .djep import committee_fault_budget
 from .election import MIN_COMMITTEE, ElectionFailed, elect_committee
 from .reputation import ConfirmedReport, Participation
@@ -498,7 +498,9 @@ def empty_committee_probability(
 ) -> dict:
     """Monte Carlo frequency of a sortition selecting nobody, using the real
     draw machinery, against the analytic (1 - omega)**n. A trial reads each
-    node's VRF value only: it counts selections and publishes no proof."""
+    node's VRF value only: it counts selections and publishes no proof. Each
+    node's value state is taken once per study and each trial seed framed
+    once."""
     if node_count < 1:
         raise ValueError("node_count must be >= 1")
     if not 0.0 < omega <= 1.0:
@@ -507,14 +509,18 @@ def empty_committee_probability(
         raise ValueError("trials must be >= 1")
     registry = KeyRegistry(digest(pack(seed), domain=b"empty-committee-keys"))
     secrets = [registry.register(node).secret_key for node in range(node_count)]
-    vrf = SimulatedVrf(registry)
-    threshold = int(omega * VRF_RANGE)
+    states = [SimulatedVrf.value_state(sk) for sk in secrets]
+    draw = SimulatedVrf.draw
+    threshold = sortition_threshold(omega)
     base = digest(pack(seed), domain=b"empty-committee-trials")
+    # Trial seed: digest(base, trial.to_bytes(8, "big"), domain=b"trial"),
+    # with base absorbed once.
+    trial_prefix = hasher((base,), domain=b"trial")
     empty = 0
     for trial in range(trials):
-        trial_seed = digest(base, trial.to_bytes(8, "big"), domain=b"trial")
-        for sk in secrets:
-            if vrf.value(sk, trial_seed) <= threshold:
+        framed = frame(digest(trial.to_bytes(8, "big"), prefix=trial_prefix))
+        for state in states:
+            if draw(state, framed) <= threshold:
                 break
         else:
             empty += 1

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from . import djep, reputation
 from .config import ScenarioConfig
 from .consensus import EbrcReplica, PbftReplica, batch_digest_of, tx_digest
-from .crypto import KeyRegistry, SimulatedVrf, derive_seed, digest, pack
+from .crypto import KeyRegistry, SimulatedVrf, derive_seed, digest, frame, pack
 from .election import elect_committee
 from .messages import (
     MEMBERSHIP_TYPES,
@@ -266,7 +266,9 @@ class ScenarioRunner:
             return
         if not signature_ok(message, self.registry, message.sender):
             return
-        senders = self._reply_senders.setdefault(message.digest, set())
+        senders = self._reply_senders.get(message.digest)
+        if senders is None:
+            senders = self._reply_senders[message.digest] = set()
         senders.add(message.sender)
         if self._client_done_at is None and len(senders) >= self._roster.f + 1:
             self._client_done_at = now
@@ -338,7 +340,7 @@ class ScenarioRunner:
         # Connectivity announcements: every verified selectee (and every
         # proof-corrupting impostor) broadcasts its draw during the connect
         # window before rounds begin.
-        vrf = SimulatedVrf(self.registry)
+        framed = frame(seed)
         announcers = sorted(
             set(assignment.consensus_nodes)
             | set(assignment.candidates)
@@ -346,7 +348,8 @@ class ScenarioRunner:
             | {accused for accused, _ in proof_reports}
         )
         for node in announcers:
-            proof = vrf.proof(self.registry.secret_key(node), seed)
+            secret = self.registry.secret_key(node)
+            proof = SimulatedVrf.draw(SimulatedVrf.proof_state(secret), framed)
             connect = signed(
                 VrfConnect(
                     epoch=epoch,

@@ -129,7 +129,10 @@ class Counters:
         self.sent += count
         self.per_tag[tag] = self.per_tag.get(tag, 0) + count
         self.per_round[round_index] = self.per_round.get(round_index, 0) + count
-        self.round_senders.setdefault(round_index, set()).add(sender)
+        senders = self.round_senders.get(round_index)
+        if senders is None:
+            senders = self.round_senders[round_index] = set()
+        senders.add(sender)
 
     def conserved(self, in_flight: int) -> bool:
         """Every sent message was delivered, dropped or is still in flight."""

@@ -15,7 +15,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ebrc.consensus import QuorumConflict, batch_digest_of, check_quorum
-from ebrc.crypto import digest
+from ebrc.crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, digest, pack
 from ebrc.messages import Prepare, PrePrepare, signed
 
 
@@ -108,6 +108,72 @@ def rank_by_reputation(table) -> list:
 def rank_by_growth(table) -> list:
     """Node ids by descending growth rate, ties toward the lower id."""
     return sorted(table, key=lambda node: (-table[node].growth_rate, node))
+
+
+def _naive_top_slice(table, key, keep: int) -> set:
+    """Ids whose key value ties or beats the keep-th best value."""
+    if keep <= 0:
+        return set()
+    values = sorted((key(table[node]) for node in table), reverse=True)
+    boundary = values[min(keep, len(values)) - 1]
+    return {node for node in table if key(table[node]) >= boundary}
+
+
+def naive_form_committee(table, seed: bytes, registry, *, omega, eligibility_percentile,
+                         consensus_percentile, corrupt_proofs=frozenset()):
+    """One election by the definition, or None where it fails: every node in
+    the top ``eligibility_percentile`` by reputation and by growth draws in
+    full with ``SimulatedVrf.evaluate``, a draw at most ``omega`` of the VRF
+    range selects its node, and each selectee's proof (flipped in its first
+    byte for a ``corrupt_proofs`` node) goes to ``SimulatedVrf.verify``.
+    Returns ``((consensus, candidates, spares, f), reports)``."""
+    cutoff = lambda count, percentile: int(math.floor(count * percentile + 1e-9))  # noqa: E731
+    keep = cutoff(len(table), eligibility_percentile)
+    eligible = _naive_top_slice(table, lambda r: r.reputation, keep) & _naive_top_slice(
+        table, lambda r: r.growth_rate, keep
+    )
+    if len(eligible) < 4:
+        return None
+    vrf = SimulatedVrf(registry)
+    reports, verified = [], []
+    for node in sorted(eligible):
+        out = vrf.evaluate(registry.secret_key(node), seed)
+        if out.value > omega * VRF_RANGE:
+            continue
+        proof = out.proof
+        if node in corrupt_proofs:
+            proof = bytes([proof[0] ^ 0xFF]) + proof[1:]
+        ok, value = vrf.verify(registry.public_key(node), seed, proof)
+        if ok and value == out.value:
+            verified.append(node)
+        else:
+            reports.append((node, "invalid-sortition-proof"))
+    if len(verified) < 4:
+        return None
+    ranked = sorted(verified, key=lambda node: (-table[node].reputation, node))
+    n_cons = min(len(ranked), max(4, cutoff(len(ranked), consensus_percentile)))
+    n_elig = max(n_cons, cutoff(len(ranked), eligibility_percentile))
+    consensus = tuple(ranked[:n_cons])
+    return (consensus, tuple(ranked[n_cons:n_elig]), tuple(ranked[n_elig:]),
+            (len(consensus) - 1) // 3), reports
+
+
+def naive_empty_committee_count(node_count: int, omega: float, trials: int, seed: int) -> int:
+    """Trials of ``harness.empty_committee_probability`` in which no node
+    self-selects: trial t draws every node in full with
+    ``SimulatedVrf.evaluate`` on ``digest(base, t.to_bytes(8, "big"),
+    domain=b"trial")``, with the study's keys and ``base`` derived from
+    ``seed`` as that function derives them."""
+    registry = KeyRegistry(digest(pack(seed), domain=b"empty-committee-keys"))
+    secrets = [registry.register(node).secret_key for node in range(node_count)]
+    vrf = SimulatedVrf(registry)
+    base = digest(pack(seed), domain=b"empty-committee-trials")
+    empty = 0
+    for trial in range(trials):
+        trial_seed = digest(base, trial.to_bytes(8, "big"), domain=b"trial")
+        if all(vrf.evaluate(sk, trial_seed).value > omega * VRF_RANGE for sk in secrets):
+            empty += 1
+    return empty
 
 
 class NaiveNetwork:

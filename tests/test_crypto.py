@@ -18,8 +18,10 @@ from ebrc.crypto import (
     _keyed_state,
     derive_seed,
     digest,
+    frame,
     hasher,
     pack,
+    sortition_threshold,
 )
 from ebrc.messages import Commit, signature_ok, signed
 from oracles import blake2b_digest
@@ -229,6 +231,39 @@ class TestAgainstOracle:
         value = int.from_bytes(blake2b_digest(secret, seed, domain=b"vrf-value"), "big")
         assert SimulatedVrf.value(secret, seed) == value
         assert SimulatedVrf.proof(secret, seed) == blake2b_digest(secret, seed, domain=b"vrf-proof")
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(secret=SECRETS, seed=SEEDS)
+    def test_draw_on_a_framed_seed(self, secret, seed):
+        framed = frame(seed)
+        assert framed == len(seed).to_bytes(4, "big") + seed
+        value = SimulatedVrf.draw(SimulatedVrf.value_state(secret), framed)
+        proof = SimulatedVrf.draw(SimulatedVrf.proof_state(secret), framed)
+        assert value == blake2b_digest(secret, seed, domain=b"vrf-value")
+        assert proof == blake2b_digest(secret, seed, domain=b"vrf-proof")
+
+
+class TestSortitionThreshold:
+    """A value draw's bytes compared with the threshold select exactly the
+    draws whose integer is at most ``omega * VRF_RANGE``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(omega=st.floats(0.0, 1.0, exclude_min=True), data=st.data())
+    def test_bytes_compare_as_values(self, omega, data):
+        near = int(omega * VRF_RANGE)
+        value = data.draw(
+            st.one_of(
+                st.integers(0, VRF_RANGE - 1),
+                st.integers(max(0, near - 2), min(VRF_RANGE - 1, near + 2)),
+            )
+        )
+        threshold = sortition_threshold(omega)
+        assert len(threshold) == DIGEST_SIZE
+        assert (value.to_bytes(DIGEST_SIZE, "big") <= threshold) == (value <= omega * VRF_RANGE)
+
+    def test_full_range_selects_every_value(self):
+        assert sortition_threshold(1.0) == b"\xff" * DIGEST_SIZE
 
 
 class TestKeyedStateCache:

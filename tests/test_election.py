@@ -18,7 +18,7 @@ from ebrc.election import (
     form_committee,
 )
 from ebrc.reputation import new_record, update_behavior_table
-from oracles import rank_by_growth, rank_by_reputation
+from oracles import naive_form_committee, rank_by_growth, rank_by_reputation
 
 
 def make_registry(n: int) -> KeyRegistry:
@@ -133,14 +133,19 @@ class TestFormCommittee:
         return base
 
     def test_proof_made_only_on_selection(self, monkeypatch):
-        # Counts the proofs nodes make; verify's recomputation is not one.
-        proofs, checking = [], []
-        proof, verify = SimulatedVrf.proof, SimulatedVrf.verify
+        # Counts the proofs nodes make: draws outside verify that return some
+        # node's proof. verify's recomputation is not one.
+        reg = make_registry(20)
+        table = equal_table(20)
+        proofs = {SimulatedVrf.proof(reg.secret_key(node), GENESIS_SEED) for node in range(20)}
+        made, checking = [], []
+        draw, verify = SimulatedVrf.draw, SimulatedVrf.verify
 
-        def counting(secret_key, seed):
+        def counting(state, framed_seed):
+            out = draw(state, framed_seed)
             if not checking:
-                proofs.append(secret_key)
-            return proof(secret_key, seed)
+                made.append(out)
+            return out
 
         def checked(self, *args):
             checking.append(True)
@@ -149,16 +154,41 @@ class TestFormCommittee:
             finally:
                 checking.pop()
 
-        monkeypatch.setattr(SimulatedVrf, "proof", staticmethod(counting))
+        monkeypatch.setattr(SimulatedVrf, "draw", staticmethod(counting))
         monkeypatch.setattr(SimulatedVrf, "verify", checked)
-        reg = make_registry(20)
-        table = equal_table(20)
         assignment, reports = form_committee(
             table, GENESIS_SEED, reg, **self.config(omega=0.4), corrupt_proofs={0, 1, 2}
         )
         verified = assignment.consensus_nodes + assignment.candidates + assignment.spares
         assert reports, "a corrupt_proofs node must self-select for the check to count it"
-        assert len(proofs) == len(verified) + len(reports) < 20
+        assert len(made) == 20 + len(verified) + len(reports)
+        assert sum(out in proofs for out in made) == len(verified) + len(reports) < 20
+
+    @pytest.mark.parametrize("omega", [0.4, 0.7, 1.0])
+    def test_verify_called_once_per_selectee(self, monkeypatch, omega):
+        # Every selectee's proof is checked in full, once; a node whose value
+        # leaves it out is never checked. A memo or a skipped check fails here.
+        checked_keys = []
+        verify = SimulatedVrf.verify
+
+        def recording(self, public_key, seed, proof):
+            checked_keys.append(public_key)
+            return verify(self, public_key, seed, proof)
+
+        monkeypatch.setattr(SimulatedVrf, "verify", recording)
+        reg = make_registry(20)
+        table = equal_table(20)
+        threshold = omega * VRF_RANGE
+        selectees = [
+            node for node in range(20)
+            if SimulatedVrf.value(reg.secret_key(node), GENESIS_SEED) <= threshold
+        ]
+        assignment, reports = form_committee(
+            table, GENESIS_SEED, reg, **self.config(omega=omega), corrupt_proofs={1, 2}
+        )
+        assert checked_keys == [reg.public_key(node) for node in selectees]
+        verified = assignment.consensus_nodes + assignment.candidates + assignment.spares
+        assert sorted(verified + tuple(node for node, _ in reports)) == selectees
 
     def test_partition_at_full_selection(self):
         # 20 equal nodes, everyone selected: 10 consensus, 7 candidates,
@@ -385,3 +415,48 @@ class TestFormCommittee:
         assignment, _ = form_committee(table, GENESIS_SEED, reg, **self.config())
         assert 6 not in assignment.consensus_nodes
         assert 7 not in assignment.consensus_nodes
+
+
+# Election seeds are 32 bytes; the kernel's framing must hold for any length.
+ELECTION_SEEDS = st.sampled_from([0, 1, 32, 300]).flatmap(
+    lambda size: st.binary(min_size=size, max_size=size)
+)
+
+
+class TestAgainstNaiveKernel:
+    """``form_committee`` against ``oracles.naive_form_committee``, which
+    draws every eligible node in full through ``SimulatedVrf.evaluate`` and
+    frames the seed afresh on each draw."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(
+            st.tuples(st.sampled_from([0.1, 0.5, 0.9, 1.0]), st.sampled_from([-0.2, 0.0, 0.5])),
+            min_size=8,
+            max_size=30,
+        ),
+        omega=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+        eligibility=st.one_of(st.just(1.0), st.floats(0.3, 1.0)),
+        consensus=st.floats(0.05, 1.0),
+        seed=ELECTION_SEEDS,
+        data=st.data(),
+    )
+    def test_assignment_and_reports(self, values, omega, eligibility, consensus, seed, data):
+        n = len(values)
+        table = table_with_scores([r for r, _ in values], [g for _, g in values])
+        corrupt = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=max(1, n // 3)))
+        options = dict(
+            omega=omega,
+            eligibility_percentile=eligibility,
+            consensus_percentile=min(consensus, eligibility),
+            corrupt_proofs=corrupt,
+        )
+        reg = make_registry(n)
+        expected = naive_form_committee(table, seed, reg, **options)
+        if expected is None:
+            with pytest.raises(ElectionFailed):
+                form_committee(table, seed, reg, **options)
+            return
+        assignment, reports = form_committee(table, seed, reg, **options)
+        got = (assignment.consensus_nodes, assignment.candidates, assignment.spares, assignment.f)
+        assert (got, reports) == expected

@@ -47,7 +47,7 @@ from ebrc.runner import GENESIS_DEPOSIT, ScenarioRunner, initial_table
 from ebrc.simnet import RECEIVER_ROW_FIELDS, Simulation, TraceRecord, receiver_rows
 
 from driver import trace_rows
-from oracles import CONSENSUS_TAGS, chi_square_uniform
+from oracles import CONSENSUS_TAGS, chi_square_uniform, naive_empty_committee_count
 
 FAST = NetworkConfig(base_latency_ms=2.0, jitter_ms=1.0, drop_rate=0.0)
 
@@ -687,17 +687,29 @@ class TestEmptyCommittee:
             empty_committee_probability(node_count, omega, 200)
 
     def test_trials_make_no_proof(self, monkeypatch):
+        # Every proof draws on a key's proof state, so none is taken.
         proofs = []
-        original = SimulatedVrf.proof
+        original = SimulatedVrf.proof_state
 
-        def counting(secret_key, seed):
+        def counting(secret_key):
             proofs.append(secret_key)
-            return original(secret_key, seed)
+            return original(secret_key)
 
-        monkeypatch.setattr(SimulatedVrf, "proof", staticmethod(counting))
+        monkeypatch.setattr(SimulatedVrf, "proof_state", staticmethod(counting))
         report = empty_committee_probability(10, 0.4, 500)
         assert report["trials"] == 500
         assert proofs == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        node_count=st.integers(1, 12),
+        omega=st.floats(0.01, 1.0),
+        trials=st.integers(1, 120),
+        seed=st.integers(0, 2**64),
+    )
+    def test_empty_count_matches_naive_trials(self, node_count, omega, trials, seed):
+        report = empty_committee_probability(node_count, omega, trials, seed)
+        assert report["empty_count"] == naive_empty_committee_count(node_count, omega, trials, seed)
 
 
 class TestCli:
