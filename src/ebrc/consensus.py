@@ -23,15 +23,16 @@ once with an ExitCommit to every member, naming the candidate a ChangeNotice
 invites when the floor needs one; the candidate alone counts the members'
 confirmations of its join.
 
-Quorum bookkeeping is keyed per view. A vote tally that ignored views could
-mix votes for the same digest across a view change and double-commit under
-message loss; per-view tallies restore the standard intersection argument
-(two 2f+1 quorums among 3f+1 nodes share an honest voter, and an honest voter
-votes once per view).
+Quorum bookkeeping is keyed per view and keeps the signed votes, and a
+committed ``Block`` carries its quorum's votes as its ``cert``. A vote tally
+that ignored views could mix votes for the same digest across a view change
+and double-commit under message loss; per-view tallies restore the standard
+intersection argument (two 2f+1 quorums among 3f+1 nodes share an honest
+voter, and an honest voter votes once per view).
 
 Votes are most of what a replica handles (PBFT's prepares and commits are
 all-to-all), and most complete nothing. A received vote is counted in place,
-and the sender set it joined decides at once whether it can: a Commit of the
+and the votes it joined decide at once whether it can: a Commit of the
 current view whose digest is the view's only one, with at most 2f senders,
 and a PBFT prepare of the current view for the current proposal with fewer
 than 2f, return ``IDLE`` without the quorum or prepared check, which would
@@ -43,7 +44,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .crypto import ZERO_HASH, digest
 from .messages import (
@@ -90,12 +91,12 @@ class Block:
     batch_digests: Tuple[bytes, ...]
     tx_count: int
     block_digest: bytes
-    committers: Tuple[int, ...]
+    cert: Tuple[Commit, ...]  # in sender order; () at genesis and for an announced block
 
 
 def block_digest_of(previous_hash: bytes, height: int, batch_digests: Sequence[bytes]) -> bytes:
-    # View and committer set are deliberately excluded: honest replicas can
-    # record different views/committers for the same block, and the election
+    # View and cert are deliberately excluded: honest replicas can record
+    # different views and certs for the same block, and the election
     # seed chain needs a network-uniform hash.
     return digest(previous_hash, height.to_bytes(8, "big"), *batch_digests, domain=b"block")
 
@@ -107,7 +108,7 @@ GENESIS_BLOCK = Block(
     batch_digests=(),
     tx_count=0,
     block_digest=ZERO_HASH,
-    committers=(),
+    cert=(),
 )
 
 
@@ -122,7 +123,7 @@ def select_master(height: int, view: int, f: int) -> int:
     return (height + view) % (3 * f + 1)
 
 
-def check_quorum(tally: Dict[bytes, Set[int]], f: int) -> Optional[bytes]:
+def check_quorum(tally: Dict[bytes, Collection[int]], f: int) -> Optional[bytes]:
     """Digest backed by >= 2f+1 distinct senders, or None.
 
     Raises QuorumConflict when two digests qualify simultaneously, which is
@@ -193,8 +194,9 @@ class _ReplicaBase:
     (``_HANDLERS``). Every vote has one shape
     (height, view, digest, sender) and takes one path here: ``_cast`` sends
     the node's own, ``_admit`` counts every vote, the node's own or a
-    peer's, and returns the sender set it joined (None when it does not
-    count), and ``_on_commit`` serves the Commit vote both protocols send.
+    peer's, and returns the sender -> vote dict it joined (None when it does
+    not count), ``_on_commit`` and ``_send_commit`` serve the Commit vote both
+    protocols send, and ``_commit`` makes a quorum's votes the block's cert.
     A step that asks nothing returns ``IDLE``: a vote that does not count
     or completes no quorum, a stale timer, an announce, a request that arms
     no timer, and every message a gate rejects.
@@ -233,7 +235,7 @@ class _ReplicaBase:
         self.observations: List[Tuple] = []
 
         self.proposal = None
-        self.commit_tallies: Dict[int, Dict[bytes, Set[int]]] = {}
+        self.commit_tallies: Dict[int, Dict[bytes, Dict[int, Commit]]] = {}
         self.viewchange_tallies: Dict[Tuple[int, int], Set[int]] = {}
 
     # -- roles --
@@ -255,12 +257,12 @@ class _ReplicaBase:
         proposal = self.proposal
         return proposal is not None and proposal.sender == self.node_id and proposal.view == self.view
 
-    def _voted(self, tallies: Dict[int, Dict[bytes, Set[int]]]) -> bool:
+    def _voted(self, tallies: Dict) -> bool:
         """Whether ``_cast`` has counted this node's own vote of the view."""
         by_digest = tallies.get(self.view)
         if by_digest:
-            for senders in by_digest.values():
-                if self.node_id in senders:
+            for votes in by_digest.values():
+                if self.node_id in votes:
                     return True
         return False
 
@@ -398,11 +400,11 @@ class _ReplicaBase:
         self._admit(vote, tallies)  # a member's own vote always counts
         result.sends.append((self.peers, vote))
 
-    def _admit(self, vote, tallies: Dict[int, Dict[bytes, Set[int]]]) -> Optional[Set[int]]:
-        """Count a vote in ``tallies`` (view -> digest -> senders) when this
-        node votes, the vote is for the current height and a committee member
-        signed it; return the sender set it joined, or None when it does not
-        count."""
+    def _admit(self, vote, tallies: Dict) -> Optional[Dict[int, object]]:
+        """Count a vote in ``tallies`` (view -> digest -> sender -> vote) when
+        this node votes, the vote is for the current height and a committee
+        member signed it; return the sender -> vote dict it joined, or None
+        when it does not count."""
         if not (
             self.is_member
             and vote.height == self.height
@@ -413,20 +415,20 @@ class _ReplicaBase:
         by_digest = tallies.get(vote.view)
         if by_digest is None:
             by_digest = tallies[vote.view] = {}
-        senders = by_digest.get(vote.digest)
-        if senders is None:
-            senders = by_digest[vote.digest] = set()
-        senders.add(vote.sender)
-        return senders
+        votes = by_digest.get(vote.digest)
+        if votes is None:
+            votes = by_digest[vote.digest] = {}
+        votes[vote.sender] = vote
+        return votes
 
     def _on_commit(self, now: int, commit: Commit) -> StepResult:
-        senders = self._admit(commit, self.commit_tallies)
-        if senders is None:
+        votes = self._admit(commit, self.commit_tallies)
+        if votes is None:
             return IDLE
         # A vote of the current view, for the view's one digest, short of
         # 2f+1: no quorum and no conflict, so _quorum() would return None.
         if (
-            len(senders) <= 2 * self.f
+            len(votes) <= 2 * self.f
             and commit.view == self.view
             and len(self.commit_tallies[commit.view]) == 1
         ):
@@ -438,11 +440,17 @@ class _ReplicaBase:
         self._commit(now, winner, result)
         return result
 
+    def _send_commit(self, now: int, result: StepResult) -> None:
+        """Cast this node's commit unless it has; commit on a quorum."""
+        if not self._voted(self.commit_tallies):
+            self._cast(Commit, self.commit_tallies, result)
+        self._commit(now, self._quorum(), result)
+
     # -- commit and advance --
 
-    def _next_block(self, batch_digests: Sequence[bytes], tx_count: int, committers: Tuple[int, ...]) -> Block:
+    def _next_block(self, batch_digests: Sequence[bytes], tx_count: int, cert: Tuple[Commit, ...]) -> Block:
         # The digest covers chain position and contents only; view and
-        # committers are this node's own record.
+        # cert are this node's own record.
         previous = self.ledger[self.height - 1].block_digest
         return Block(
             height=self.height,
@@ -451,7 +459,7 @@ class _ReplicaBase:
             batch_digests=tuple(batch_digests),
             tx_count=tx_count,
             block_digest=block_digest_of(previous, self.height, batch_digests),
-            committers=committers,
+            cert=cert,
         )
 
     def adopt_block(self, block: Block) -> None:
@@ -470,16 +478,14 @@ class _ReplicaBase:
 
     def _advance(self, block: Block) -> None:
         """Adopt the block; a member also steps the view and resets the round.
-        Tallies and armed timers of finished heights are pruned."""
+        Every view-change tally and armed timer was of the old height."""
         self.adopt_block(block)
         if self.is_member:
             if self.VIEW_PER_BLOCK:
                 self.view += 1
             self._reset_round()
-        self.viewchange_tallies = {
-            key: senders for key, senders in self.viewchange_tallies.items() if key[0] >= self.height
-        }
-        self.timer_armed = {key for key in self.timer_armed if key[1] >= self.height}
+        self.viewchange_tallies.clear()
+        self.timer_armed.clear()
 
     def _reply(
         self, batch: Tuple[Request, ...], batch_digest: bytes, now: int, result: StepResult
@@ -519,8 +525,9 @@ class _ReplicaBase:
         if winner is None or self.proposal is None or self.proposal.digest != winner:
             return  # no quorum, or a quorum without the matching proposal payload
         batch = self.proposal.batch
-        committers = tuple(sorted(self.commit_tallies[self.view][winner]))
-        self._advance(self._next_block([r.digest for r in batch], len(batch), committers))
+        votes = self.commit_tallies[self.view][winner]
+        cert = tuple(votes[sender] for sender in sorted(votes))
+        self._advance(self._next_block([r.digest for r in batch], len(batch), cert))
         self._reply(batch, winner, now, result)
         self._arm_for_pending(result)
 
@@ -688,10 +695,7 @@ class EbrcReplica(_ReplicaBase):
         result.sends.append(self._report(proposal.sender, "invalid-proposal"))
         super()._reject_proposal(proposal, result)
 
-    def _vote(self, now: int, result: StepResult) -> None:
-        if not self._voted(self.commit_tallies):
-            self._cast(Commit, self.commit_tallies, result)
-        self._commit(now, self._quorum(), result)
+    _vote = _ReplicaBase._send_commit
 
     # -- membership flows --
 
@@ -841,7 +845,7 @@ class PbftReplica(_ReplicaBase):
         super().__init__(node_id, registry, **settings)
         self._install(group)
         self.f = djep.committee_fault_budget(len(self.committee))
-        self.prepare_tallies: Dict[int, Dict[bytes, Set[int]]] = {}
+        self.prepare_tallies: Dict[int, Dict[bytes, Dict[int, PbftPrepare]]] = {}
 
     def leader_id(self) -> int:
         return self.committee[self.view % len(self.committee)]
@@ -866,12 +870,12 @@ class PbftReplica(_ReplicaBase):
         # Only the prepare that makes this node prepared asks anything. One of
         # the current view for the current proposal, short of 2f, cannot:
         # _commit_due() would return False.
-        senders = self._admit(prepare, self.prepare_tallies)
-        if senders is None:
+        votes = self._admit(prepare, self.prepare_tallies)
+        if votes is None:
             return IDLE
         proposal = self.proposal
         if (
-            len(senders) < 2 * self.f
+            len(votes) < 2 * self.f
             and prepare.view == self.view
             and proposal is not None
             and prepare.digest == proposal.digest
@@ -893,11 +897,6 @@ class PbftReplica(_ReplicaBase):
         # The primary never sends a prepare; it waits for 2f backup echoes.
         # Backups count their own echo, so the same threshold works for both.
         return prepares >= 2 * self.f and not self._voted(self.commit_tallies)
-
-    def _send_commit(self, now: int, result: StepResult) -> None:
-        """Cast this node's commit, and commit the block if it completes a quorum."""
-        self._cast(Commit, self.commit_tallies, result)
-        self._commit(now, self._quorum(), result)
 
     _HANDLERS = {
         **_ReplicaBase._HANDLERS,

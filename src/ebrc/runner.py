@@ -421,7 +421,7 @@ class ScenarioRunner:
                     "view": block.view,
                     "digest": block.block_digest.hex(),
                     "tx_count": block.tx_count,
-                    "committers": list(block.committers),
+                    "committers": [vote.sender for vote in block.cert],
                 }
             )
             self._after_commit()

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ebrc.consensus import QuorumConflict, batch_digest_of, check_quorum
 from ebrc.crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, digest, pack
-from ebrc.messages import Prepare, PrePrepare, signed
+from ebrc.messages import Commit, PbftPrepare, Prepare, PrePrepare, signed
 
 
 def blake2b_digest(*parts: bytes, domain: bytes = b"msg") -> bytes:
@@ -288,30 +288,33 @@ class NaiveVotePath:
     """A replica's handling of votes and proposals, written from the protocol
     rules, for comparison step by step.
 
-    Every vote the replica counts, its own included, is kept in one list of
-    (kind, height, view, digest, sender). Each step recounts the tally of the
-    replica's (height, view) from that whole list and asks ``check_quorum``
-    (a Commit: 2f+1 senders, two such digests are a quorum conflict) or the
-    prepared rule (PBFT: the proposal of the view plus 2f matching prepares,
-    and no commit of this node's in the view yet). A received vote counts when
-    the replica is a member, the vote is for its height, and a member signed
-    it. ``expect`` reads the committee, f, height, view and proposal the
-    stream left on the replica, before the step; it records the blocks it
-    expects committed in ``ledger`` (height -> (batch digests, committers))
-    and every observation in ``observed``.
+    Every signed vote the replica counts, its own included, is kept in one
+    list; the oracle signs the replica's own votes itself, and signatures are
+    deterministic. Each step recounts the tally of the replica's (height,
+    view) from that whole list, each sender's latest vote per digest, and
+    asks ``check_quorum`` (a Commit: 2f+1 senders, two such digests are a
+    quorum conflict) or the prepared rule (PBFT: the proposal of the view
+    plus 2f matching prepares, and no commit of this node's in the view yet).
+    A received vote counts when the replica is a member, the vote is for its
+    height, and a member signed it. ``expect`` reads the committee, f,
+    height, view and proposal the stream left on the replica, before the
+    step; it records the blocks it expects committed in ``ledger`` (height ->
+    (batch digests, committers)), their quorums' votes in sender order in
+    ``certs`` (height -> votes) and every observation in ``observed``.
     """
 
     def __init__(self, pbft: bool) -> None:
         self.pbft = pbft
-        self.votes: List[Tuple[str, int, int, bytes, int]] = []
+        self.votes: List = []  # Commit and PbftPrepare objects, in count order
         self.ledger: Dict[int, tuple] = {}
+        self.certs: Dict[int, tuple] = {}
         self.observed: List[tuple] = []
 
-    def _tally(self, kind: str, height: int, view: int) -> Dict[bytes, set]:
-        tally: Dict[bytes, set] = {}
-        for k, h, v, d, sender in self.votes:
-            if (k, h, v) == (kind, height, view):
-                tally.setdefault(d, set()).add(sender)
+    def _tally(self, kind: str, height: int, view: int) -> Dict[bytes, dict]:
+        tally: Dict[bytes, dict] = {}
+        for vote in self.votes:
+            if (type(vote).__name__, vote.height, vote.view) == (kind, height, view):
+                tally.setdefault(vote.digest, {})[vote.sender] = vote
         return tally
 
     def _leader(self, replica, height: int, view: int) -> int:
@@ -322,7 +325,9 @@ class NaiveVotePath:
 
     def _cast(self, replica, kind: str, digest_: bytes, out: StepExpectation) -> None:
         node = replica.node_id
-        self.votes.append((kind, replica.height, replica.view, digest_, node))
+        vote_type = Commit if kind == "Commit" else PbftPrepare
+        vote = vote_type(height=replica.height, view=replica.view, digest=digest_, sender=node)
+        self.votes.append(signed(vote, replica.registry, node))
         peers = tuple(p for p in replica.committee if p != node)
         out.sends.append((peers, kind, replica.height, replica.view, digest_, node))
 
@@ -339,9 +344,9 @@ class NaiveVotePath:
             return None
         if winner is not None and proposal is not None and proposal.digest == winner:
             batch = proposal.batch
-            self.ledger[replica.height] = (
-                tuple(r.digest for r in batch), tuple(sorted(tally[winner]))
-            )
+            senders = sorted(tally[winner])
+            self.ledger[replica.height] = (tuple(r.digest for r in batch), tuple(senders))
+            self.certs[replica.height] = tuple(tally[winner][s] for s in senders)
             for client in sorted({r.client_id for r in batch}):
                 out.sends.append(((client,), "Reply", winner))
         return winner
@@ -368,7 +373,7 @@ class NaiveVotePath:
                 and replica.registry.verify(sender, event.signed_payload(), event.signature)
             ):
                 return out
-            self.votes.append((kind, event.height, event.view, event.digest, sender))
+            self.votes.append(event)
             if kind == "Commit":
                 out.idle = self._commit_check(replica, replica.proposal, out) is None
             elif self._prepared(replica, replica.proposal):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ebrc import consensus
+from ebrc import consensus, crypto, presets
 from ebrc.consensus import (
     EbrcReplica,
     QuorumConflict,
@@ -30,6 +30,7 @@ from ebrc.messages import (
     ViewChange,
     signed,
 )
+from ebrc.runner import ScenarioRunner
 
 from driver import (
     BATCH_US,
@@ -358,7 +359,7 @@ class TestAnnounceAdoption:
         committed = replicas[0].ledger[1]
         fake = committed.__class__(
             height=1, view=9, previous_hash=committed.previous_hash,
-            batch_digests=(), tx_count=0, block_digest=b"\x11" * 32, committers=(),
+            batch_digests=(), tx_count=0, block_digest=b"\x11" * 32, cert=(),
         )
         replicas[0].adopt_block(fake)
         assert replicas[0].ledger[1] == committed
@@ -452,7 +453,7 @@ class TestCommitGates:
         commit = signed(Commit(height=1, view=0, digest=b"d" * 32, sender=2), reg, 2)
         for replica in (ebrc[0], pbft[0]):
             replica.step(0, commit)
-            assert replica.commit_tallies == {0: {b"d" * 32: {2}}}
+            assert replica.commit_tallies == {0: {b"d" * 32: {2: commit}}}
 
     def test_quorum_without_proposal_does_not_commit(self):
         # 2f+1 votes for a digest the node never saw proposed must not
@@ -518,7 +519,7 @@ class TestCommitGates:
             assert commit(sender) is consensus.IDLE
         result = commit(5)
         assert [type(m) for _, m in result.sends] == [Reply]
-        assert node.ledger[1].committers == (0, 2, 3, 4, 5)
+        assert [vote.sender for vote in node.ledger[1].cert] == [0, 2, 3, 4, 5]
         assert node.height == 2
 
     def test_commit_from_member_that_left_ignored(self):
@@ -536,6 +537,49 @@ class TestCommitGates:
         for replicas in (ebrc, pbft):
             assert replicas[0].members == frozenset(range(7))
             assert all(r.members is replicas[0].members for r in replicas.values())
+
+
+class TestCert:
+    """A committed block carries its quorum: 2f+1 signed commits for its
+    height, view and batch, one per committee member, in sender order."""
+
+    # The first lossy, partitioned case of test_divergence.py: its honest
+    # ledgers diverge, yet each block is still committed on a real quorum.
+    LOSSY = (presets.comparison_pair(4, byzantine=False, seed=41, rounds=4)[0], (34.0, 42.0, (3,)))
+
+    @pytest.mark.parametrize(
+        "config, window",
+        [(presets.comparison_pair(7, byzantine=False)[p], None) for p in (0, 1)] + [LOSSY],
+        ids=["ebrc-n7", "pbft-n7", "ebrc-n4-lossy"],
+    )
+    def test_every_committed_block_carries_a_verified_quorum(self, config, window):
+        if window is not None:
+            network = dataclasses.replace(config.network, drop_rate=0.05, partitions=(window,))
+            config = dataclasses.replace(config, network=network)
+        runner = ScenarioRunner(config)
+        result = runner.run()
+        assert result.safety_violation == (window is not None)
+        held, certified = set(), set()
+        for node in runner.honest_ids:
+            replica = runner.replicas[node]
+            for height, block in replica.ledger.items():
+                if height:
+                    held.add((height, block.block_digest))
+                if not block.cert:
+                    continue  # genesis, or a block adopted from an announce
+                certified.add((height, block.block_digest))
+                senders = [vote.sender for vote in block.cert]
+                assert senders == sorted(set(senders))
+                assert len(senders) >= 2 * replica.f + 1
+                assert set(senders) <= set(replica.committee)
+                batch = crypto.digest(*block.batch_digests, domain=b"batch")
+                for vote in block.cert:
+                    assert type(vote) is Commit
+                    assert (vote.height, vote.view, vote.digest) == (height, block.view, batch)
+                    payload = vote.signed_payload()
+                    assert runner.registry.verify(vote.sender, payload, vote.signature)
+        # Every block an honest replica holds, one of them committed on a cert.
+        assert held and certified == held
 
 
 class TestMultiRoundRotation:
@@ -883,8 +927,12 @@ class TestVotePathAgainstOracle:
             assert (result is consensus.IDLE) == expected.idle
             assert [send_key(targets, m) for targets, m in result.sends] == expected.sends
             assert not result.timers
-            ledger = {h: (b.batch_digests, b.committers) for h, b in replica.ledger.items() if h}
+            blocks = {h: b for h, b in replica.ledger.items() if h}
+            ledger = {
+                h: (b.batch_digests, tuple(v.sender for v in b.cert)) for h, b in blocks.items()
+            }
             assert ledger == oracle.ledger
+            assert {h: b.cert for h, b in blocks.items()} == oracle.certs
             assert [entry[:3] for entry in replica.observations] == oracle.observed
 
     @staticmethod
