@@ -18,7 +18,7 @@ Layers, bottom up:
   floor, removal planning, candidate promotion) and the membership state
   each replica carries.
 - ``simnet``: discrete-event network with latency, jitter, drops,
-  partitions, a lazy node's slower deliveries, and a full message trace.
+  partitions, a per-send latency factor, and a full message trace.
 - ``config``: the scenario schema, its JSON round-trip and validation.
   Knobs that no scenario varies are constants of the modules that use them.
 - ``presets``: the shipped scenario files, each the only copy of its

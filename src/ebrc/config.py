@@ -27,8 +27,8 @@ class ConfigError(ValueError):
 
 
 PROTOCOLS = ("ebrc", "pbft")
-# A faulty node's behaviour: the runner rewrites its sends, except that the
-# network runs ``lazy`` and the election ``corrupt_proof``.
+# A faulty node's behaviour: the runner rewrites its sends (``lazy`` slows
+# them), but ``corrupt_proof`` acts in the election, which only EBRC holds.
 BYZANTINE_BEHAVIORS = ("silent", "equivocate", "corrupt_digest", "corrupt_proof", "lazy")
 
 
@@ -137,6 +137,8 @@ class ScenarioConfig:
             raise ConfigError("exits: membership changes are EBRC-only; pbft has a fixed group")
         if self.protocol == "pbft" and self.replace_faulty:
             raise ConfigError("replace_faulty: membership changes are EBRC-only; pbft has a fixed group")
+        if self.protocol == "pbft" and self.byzantine.behavior == "corrupt_proof":
+            raise ConfigError("byzantine.behavior: corrupt_proof is EBRC-only; pbft has no election")
         for i, script in enumerate(self.exits):
             script.validate(f"exits[{i}]", self.epochs * self.rounds_per_epoch)
             if script.node_id not in all_ids:

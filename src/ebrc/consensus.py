@@ -289,7 +289,7 @@ class _ReplicaBase:
         if tick.height != self.height or tick.view != self.view:
             return IDLE  # stale timer
         if tick.kind == "batch":
-            return self._propose(now)
+            return self._propose()
         result = StepResult()
         self._start_view_change(self.view + 1, result)
         return result
@@ -326,7 +326,7 @@ class _ReplicaBase:
                 return result
         return IDLE
 
-    def _propose(self, now: int) -> StepResult:
+    def _propose(self) -> StepResult:
         if not self.is_leader or self._proposed():
             return IDLE
         batch = canonical_batch(self.request_buffer, self.block_tx_cap)
@@ -336,7 +336,6 @@ class _ReplicaBase:
             self.PROPOSAL(
                 height=self.height,
                 view=self.view,
-                timestamp=now,
                 batch=batch,
                 digest=batch_digest_of(batch),
                 sender=self.node_id,
@@ -348,7 +347,7 @@ class _ReplicaBase:
         result.sends.append((self.peers, self.proposal))
         # The leader also expects the round to finish; arm its own watchdog.
         self._arm_once(result, "round", VIEW_TIMEOUT_US)
-        self._vote(now, result)
+        self._vote(result)
         return result
 
     def _validate_proposal_content(self, batch: Tuple[Request, ...], digest_field: bytes) -> bool:
@@ -378,7 +377,7 @@ class _ReplicaBase:
             self._reject_proposal(proposal, result)
             return result
         self.proposal = proposal
-        self._vote(now, result)
+        self._vote(result)
         return result
 
     def _reject_proposal(self, proposal, result: StepResult) -> None:
@@ -437,14 +436,14 @@ class _ReplicaBase:
         if winner is None:
             return IDLE
         result = StepResult()
-        self._commit(now, winner, result)
+        self._commit(winner, result)
         return result
 
-    def _send_commit(self, now: int, result: StepResult) -> None:
+    def _send_commit(self, result: StepResult) -> None:
         """Cast this node's commit unless it has; commit on a quorum."""
         if not self._voted(self.commit_tallies):
             self._cast(Commit, self.commit_tallies, result)
-        self._commit(now, self._quorum(), result)
+        self._commit(self._quorum(), result)
 
     # -- commit and advance --
 
@@ -487,23 +486,10 @@ class _ReplicaBase:
         self.viewchange_tallies.clear()
         self.timer_armed.clear()
 
-    def _reply(
-        self, batch: Tuple[Request, ...], batch_digest: bytes, now: int, result: StepResult
-    ) -> None:
+    def _reply(self, batch: Tuple[Request, ...], batch_digest: bytes, result: StepResult) -> None:
         """Send each client with a request in the committed batch one Reply."""
+        reply = signed(Reply(digest=batch_digest, sender=self.node_id), self.registry, self.node_id)
         for client_id in sorted({r.client_id for r in batch}):
-            reply = signed(
-                Reply(
-                    client_id=client_id,
-                    timestamp=now,
-                    digest=batch_digest,
-                    committee_size=len(self.committee),
-                    valid=True,
-                    sender=self.node_id,
-                ),
-                self.registry,
-                self.node_id,
-            )
             result.sends.append(((client_id,), reply))
 
     def _quorum(self) -> Optional[bytes]:
@@ -519,7 +505,7 @@ class _ReplicaBase:
             self.observations.append(("quorum_conflict", self.node_id, self.height, str(exc)))
             return None
 
-    def _commit(self, now: int, winner: Optional[bytes], result: StepResult) -> None:
+    def _commit(self, winner: Optional[bytes], result: StepResult) -> None:
         """Commit the current proposal if ``winner``, the digest a quorum
         backs, is its digest."""
         if winner is None or self.proposal is None or self.proposal.digest != winner:
@@ -528,7 +514,7 @@ class _ReplicaBase:
         votes = self.commit_tallies[self.view][winner]
         cert = tuple(votes[sender] for sender in sorted(votes))
         self._advance(self._next_block([r.digest for r in batch], len(batch), cert))
-        self._reply(batch, winner, now, result)
+        self._reply(batch, winner, result)
         self._arm_for_pending(result)
 
     # -- view change --
@@ -858,13 +844,13 @@ class PbftReplica(_ReplicaBase):
         super()._reset_round()
         self.prepare_tallies.clear()
 
-    def _vote(self, now: int, result: StepResult) -> None:
+    def _vote(self, result: StepResult) -> None:
         # Backups echo the pre-prepare; the primary's own pre-prepare stands
         # in for its prepare.
         if not self.is_leader and not self._voted(self.prepare_tallies):
             self._cast(PbftPrepare, self.prepare_tallies, result)
         if self._commit_due():
-            self._send_commit(now, result)
+            self._send_commit(result)
 
     def _on_prepare(self, now: int, prepare: PbftPrepare) -> StepResult:
         # Only the prepare that makes this node prepared asks anything. One of
@@ -884,7 +870,7 @@ class PbftReplica(_ReplicaBase):
         if not self._commit_due():
             return IDLE
         result = StepResult()
-        self._send_commit(now, result)
+        self._send_commit(result)
         return result
 
     def _commit_due(self) -> bool:

@@ -134,7 +134,6 @@ class Prepare(Message):
     TAG: ClassVar[str] = "prepare"
     height: int
     view: int
-    timestamp: int
     batch: Tuple[Request, ...]
     digest: bytes
     sender: int
@@ -158,11 +157,7 @@ class Reply(Message):
     """Per-replica confirmation to the client (f+1 matching confirms a tx)."""
 
     TAG: ClassVar[str] = "reply"
-    client_id: int
-    timestamp: int
     digest: bytes
-    committee_size: int
-    valid: bool
     sender: int
     signature: bytes = b""
 
@@ -228,7 +223,6 @@ class PrePrepare(Message):
     TAG: ClassVar[str] = "preprepare"
     height: int
     view: int
-    timestamp: int
     batch: Tuple[Request, ...]
     digest: bytes
     sender: int

@@ -52,6 +52,8 @@ PAYLOAD_BYTES = 64
 # Every node's deposit at genesis.
 GENESIS_DEPOSIT = 100.0
 
+LAZY_LATENCY_FACTOR = 4.0  # a lazy node's deliveries take this many times as long
+
 _PROPOSALS, _VOTES = (Prepare, PrePrepare), (Commit, PbftPrepare)
 
 
@@ -155,8 +157,7 @@ class ScenarioRunner:
             ),
         )
         self.byz_ids: Set[int] = set(config.byzantine.node_ids)
-        lazy = self.byz_ids if config.byzantine.behavior == "lazy" else ()
-        self.sim = Simulation(self.run_seed, self.network, lazy)
+        self.sim = Simulation(self.run_seed, self.network)
 
         cap = config.block_tx_cap
         # The one protocol seam. EBRC runs a committee lifecycle: an election
@@ -213,15 +214,19 @@ class ScenarioRunner:
     # -- event plumbing --
 
     def _send(self, sender: int, targets: Sequence[int], message) -> None:
-        """Send on a node's behalf, through ``byzantine_sends`` if it is faulty.
-        Only the epoch's connectivity proofs skip this: every node wants a seat."""
+        """Send on a node's behalf, rewritten if it is faulty: a lazy node's
+        deliveries take LAZY_LATENCY_FACTOR as long, other faults go through
+        ``byzantine_sends``. Only ``_elect``'s connectivity proofs skip this:
+        a node attacking the consensus phase still wants a committee seat."""
         sim = self.sim
         if sender not in self.byz_ids:
             sim.send(sender, targets, message)
             return
-        sends = byzantine_sends(
-            self.config.byzantine.behavior, sender, targets, message, self.registry
-        )
+        behavior = self.config.byzantine.behavior
+        if behavior == "lazy":
+            sim.send(sender, targets, message, LAZY_LATENCY_FACTOR)
+            return
+        sends = byzantine_sends(behavior, sender, targets, message, self.registry)
         if not sends:
             # Nothing went out: the sender must not count as active.
             sim.counters.suppressed += len(targets)
@@ -262,7 +267,7 @@ class ScenarioRunner:
         self._report_tally.setdefault(key, set()).add(message.reporter)
 
     def _client_receive(self, now: int, message) -> None:
-        if not isinstance(message, Reply) or not message.valid:
+        if not isinstance(message, Reply):
             return
         if not signature_ok(message, self.registry, message.sender):
             return
@@ -383,6 +388,7 @@ class ScenarioRunner:
     def _run_round(self, round_index: int) -> None:
         config = self.config
         self.sim.round_index = round_index
+        first_send = len(self.sim.trace)
         target_height = self._next_height()
         committee_at_start = self._roster.committee
 
@@ -413,7 +419,7 @@ class ScenarioRunner:
         # its incompletion recorded, and the outcome tally must see that.
         self._drain_observations()
         if holder is not None:
-            self._note_round_outcomes(committee_at_start, round_index, block)
+            self._note_round_outcomes(committee_at_start, first_send, block)
             self.result.committed_rounds += 1
             self.result.blocks.append(
                 {
@@ -508,8 +514,9 @@ class ScenarioRunner:
         settle = self.network.base_latency_us + self.network.jitter_us + 500
         self.sim.run_until(self.sim.now + settle)
 
-    def _note_round_outcomes(self, committee: Sequence[int], round_index: int, block) -> None:
-        senders = self.sim.counters.round_senders.get(round_index, set())
+    def _note_round_outcomes(self, committee: Sequence[int], first_send: int, block) -> None:
+        """A member with no trace record from ``first_send`` on failed the round."""
+        senders = {record.sender for record in self.sim.trace[first_send:]}
         ousted = self._ousted.get(block.height, ())
         for member in committee:
             if member in ousted:

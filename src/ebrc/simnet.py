@@ -21,9 +21,10 @@ reaches, not one per message, and events still come out in key order. Two
 runs with the same seed and the same replica logic replay the exact same
 event sequence.
 
-The network carries what it is given. A faulty node's misbehaviour is
-the runner's rewrite of its sends (``runner.byzantine_sends``); the network
-models only links, drops, partitions and a lazy node's slower deliveries.
+The network carries what it is given and models links alone: latency,
+jitter, drops and partitions. A faulty node's misbehaviour is the runner's
+rewrite of its sends (``runner._send``); a lazy node's sends pass ``send`` a
+``latency_factor``.
 """
 
 from __future__ import annotations
@@ -42,17 +43,13 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
 # simnet.digest is unused here; perfbench/test_perfbench.py checks that its tracer rebinds it.
 from .crypto import digest, hasher  # noqa: F401
-from .messages import VrfConnect
 
 _FIRST_DRAWS = 16  # draws a stream holds at first use; a target takes at most two
-
-LAZY_LATENCY_FACTOR = 4.0  # a lazy node's deliveries take this many times as long
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,17 +119,12 @@ class Counters:
     suppressed: int = 0
     per_tag: Dict[str, int] = field(default_factory=dict)
     per_round: Dict[int, int] = field(default_factory=dict)
-    round_senders: Dict[int, Set[int]] = field(default_factory=dict)
 
-    def note_sent(self, tag: str, round_index: int, sender: int, count: int) -> None:
+    def note_sent(self, tag: str, round_index: int, count: int) -> None:
         """Record one send that puts ``count`` messages on the wire."""
         self.sent += count
         self.per_tag[tag] = self.per_tag.get(tag, 0) + count
         self.per_round[round_index] = self.per_round.get(round_index, 0) + count
-        senders = self.round_senders.get(round_index)
-        if senders is None:
-            senders = self.round_senders[round_index] = set()
-        senders.add(sender)
 
     def conserved(self, in_flight: int) -> bool:
         """Every sent message was delivered, dropped or is still in flight."""
@@ -171,9 +163,8 @@ class Simulation:
     starts a new list once the list is done.
     """
 
-    def __init__(self, run_seed: bytes, network: NetworkModel, lazy: Iterable[int] = ()) -> None:
+    def __init__(self, run_seed: bytes, network: NetworkModel) -> None:
         self.network = network
-        self.lazy = frozenset(lazy)  # nodes whose deliveries take LAZY_LATENCY_FACTOR as long
         self.now = 0
         self.counters = Counters()
         self.trace: List[TraceRecord] = []  # one record per send on the wire
@@ -206,15 +197,14 @@ class Simulation:
         """Defer a send to a future instant (client traffic injection)."""
         self._schedule(max(at_us, self.now), ("send", sender, tuple(targets), message))
 
-    def send(self, sender: int, targets: Sequence[int], message) -> None:
+    def send(
+        self, sender: int, targets: Sequence[int], message, latency_factor: float = 1.0
+    ) -> None:
+        """Put ``message`` on each target's link, its latency times ``latency_factor``."""
         if not targets:
             return
         round_index = self.round_index
         tag = getattr(type(message), "TAG", type(message).__name__.lower())
-        # A lazy node's connectivity proofs are not delayed: a node attacking
-        # the consensus phase still wants a committee seat.
-        slow = sender in self.lazy and not isinstance(message, VrfConnect)
-        latency_factor = LAZY_LATENCY_FACTOR if slow else 1.0
         targets = tuple(targets)
         if sender in targets:
             raise ValueError("self-delivery is not modeled")
@@ -260,7 +250,7 @@ class Simulation:
                 heappush(heap, at_us)
             events.append(("deliver", target, message))
         self.counters.dropped += len(dropped)
-        self.counters.note_sent(tag, round_index, sender, len(targets))
+        self.counters.note_sent(tag, round_index, len(targets))
         self.trace.append(
             TraceRecord(
                 now, sender, targets, tag, _digest_prefix(message), round_index, tuple(dropped)

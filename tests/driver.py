@@ -49,7 +49,7 @@ def make_request(registry, payload=b"tx-1", ts=10, client=CLIENT) -> Request:
 def make_prepare(registry, payloads=(b"a", b"b"), sender=0) -> Prepare:
     batch = tuple(make_request(registry, p, ts=10 + i) for i, p in enumerate(payloads))
     prepare = Prepare(
-        height=1, view=0, timestamp=0,
+        height=1, view=0,
         batch=batch, digest=batch_digest_of(batch), sender=sender,
     )
     return signed(prepare, registry, sender)
@@ -68,11 +68,11 @@ def make_connect(registry, sender=0) -> VrfConnect:
     return signed(connect, registry, sender)
 
 
-def make_sim(seed=b"simnet-tests", *, network=None, lazy=(), registry=None):
+def make_sim(seed=b"simnet-tests", *, network=None, registry=None):
     """A simulation over four nodes, with the list its deliveries land in."""
     registry = registry or make_registry(4)
     network = network or NetworkModel(base_latency_us=2_000, jitter_us=0, drop_rate=0.0)
-    sim = Simulation(seed, network, lazy)
+    sim = Simulation(seed, network)
     deliveries = []
     sim.on_deliver = lambda target, now, message: deliveries.append((target, now, message))
     return sim, deliveries, registry

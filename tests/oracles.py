@@ -186,21 +186,21 @@ class NaiveNetwork:
     link partitioned at the send instant drops the message and draws nothing.
     Otherwise the link draws once for a drop when ``drop_rate`` > 0 and, if
     the message survives, once for jitter when ``jitter_us`` > 0. The latency
-    is ``int((base_latency_us + draw * jitter_us) * factor)``, with the
-    sender's ``lazy`` factor or 1. An ``equivocators`` sender of a proposal of
-    two or more requests sends to its targets in sorted order, alternating
-    the proposal and a re-signed copy whose batch lacks the last request.
+    is ``int((base_latency_us + draw * jitter_us) * latency_factor)``, the
+    factor 1 for a deferred send. An ``equivocators`` sender of a proposal
+    of two or more requests sends to its targets in sorted order,
+    alternating the proposal and a re-signed copy whose batch lacks the last
+    request.
     """
 
     def __init__(self, run_seed: bytes, registry, *, base_latency_us: int, jitter_us: int,
-                 drop_rate: float = 0.0, partitions=(), lazy=None, equivocators=()) -> None:
+                 drop_rate: float = 0.0, partitions=(), equivocators=()) -> None:
         self.run_seed = run_seed
         self.registry = registry
         self.base_latency_us = base_latency_us
         self.jitter_us = jitter_us
         self.drop_rate = drop_rate
         self.partitions = partitions
-        self.lazy = dict(lazy or {})
         self.equivocators = set(equivocators)
         self.now = 0
         self.events = []
@@ -225,7 +225,7 @@ class NaiveNetwork:
     def schedule_send(self, at_us: int, sender: int, targets, message) -> None:
         self._add(max(at_us, self.now), ("send", sender, list(targets), message))
 
-    def send(self, sender: int, targets, message) -> None:
+    def send(self, sender: int, targets, message, latency_factor: float = 1.0) -> None:
         messages = [message]
         if (sender in self.equivocators and isinstance(message, (Prepare, PrePrepare))
                 and len(message.batch) > 1):
@@ -244,7 +244,7 @@ class NaiveNetwork:
             latency = float(self.base_latency_us)
             if self.jitter_us > 0:
                 latency += rng.random() * self.jitter_us
-            at_us = self.now + int(latency * self.lazy.get(sender, 1.0))
+            at_us = self.now + int(latency * latency_factor)
             self._add(at_us, ("deliver", target, messages[i % len(messages)]))
 
     def step_one(self) -> bool:

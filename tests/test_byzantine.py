@@ -146,6 +146,30 @@ class TestCorruptProof:
         assert deliveries[0][2] == prepare
 
 
+class TestLazy:
+    def test_connectivity_proof_not_delayed(self):
+        # The runner slows every send made on a lazy node's behalf, and
+        # _elect sends the epoch's connectivity proofs past that rewrite.
+        config = presets.safety_preset(7, "lazy", 1)
+        lazy = set(config.byzantine.node_ids)
+        runner = ScenarioRunner(config)
+        send, factors = runner.sim.send, {}
+
+        def spy(sender, targets, message, latency_factor=1.0):
+            key = (sender in lazy, isinstance(message, VrfConnect))
+            factors.setdefault(key, set()).add(latency_factor)
+            send(sender, targets, message, latency_factor)
+
+        runner.sim.send = spy
+        runner.run()
+        assert factors == {
+            (True, False): {4.0},
+            (True, True): {1.0},
+            (False, False): {1.0},
+            (False, True): {1.0},
+        }
+
+
 class TestCounters:
     def test_suppressed_sender_not_active_and_split_send_counted_per_target(self):
         # A silent member's send leaves no trace in the round's senders;
@@ -155,7 +179,7 @@ class TestCounters:
         faulty_send(sim, reg, "silent", (0,))(0, [1, 2, 3], make_commit(reg))
         faulty_send(sim, reg, "equivocate", (1,))(1, [0, 2, 3], make_prepare(reg, sender=1))
         drain(sim)
-        assert sim.counters.round_senders == {3: {1}}
+        assert {(r.round_index, r.sender) for r in sim.trace} == {(3, 1)}
         assert sim.counters.per_tag == {"prepare": 3}
         assert (sim.counters.sent, sim.counters.suppressed) == (3, 3)
         assert len({r.digest_prefix for r in trace_rows(sim.trace)}) == 2
@@ -288,17 +312,22 @@ class TestDeliveryOrderOracle:
         log.append(("drained", net.now, net.in_flight()))
         return log
 
+    def lazy(self, send, other):
+        """``other``, but the lazy node's sends go through ``send`` at four
+        times the latency, as the runner makes them."""
+        return lambda s, t, m: send(s, t, m, 4.0) if s == self.LAZY else other(s, t, m)
+
     def compare(self, seed, base_latency_us, jitter_us, drop_rate=0.0, partitions=()):
         reg = make_registry(6)
         network = NetworkModel(base_latency_us, jitter_us, drop_rate, partitions)
-        sim = Simulation(seed, network, lazy={self.LAZY})
+        sim = Simulation(seed, network)
         oracle = NaiveNetwork(
             seed, reg, base_latency_us=base_latency_us, jitter_us=jitter_us,
-            drop_rate=drop_rate, partitions=partitions,
-            lazy={self.LAZY: 4.0}, equivocators={self.EQUIVOCATOR},
+            drop_rate=drop_rate, partitions=partitions, equivocators={self.EQUIVOCATOR},
         )
-        log = self.script(sim, reg, faulty_send(sim, reg, "equivocate", (self.EQUIVOCATOR,)))
-        assert log == self.script(oracle, reg, oracle.send)
+        equivocating = faulty_send(sim, reg, "equivocate", (self.EQUIVOCATOR,))
+        log = self.script(sim, reg, self.lazy(sim.send, equivocating))
+        assert log == self.script(oracle, reg, self.lazy(oracle.send, oracle.send))
         assert sim.conservation_ok()
         return log, sim
 

@@ -106,6 +106,14 @@ class TestValidation:
             valid(protocol="pbft", node_count=7, **overrides).validate()
         valid(protocol="ebrc", node_count=7, **overrides).validate()
 
+    def test_corrupt_proof_is_ebrc_only(self):
+        # PBFT holds no election, so a proof-corrupting node would act as an
+        # honest one and the run would read as fault-free.
+        byzantine = ByzantineConfig(node_ids=(5, 6), behavior="corrupt_proof")
+        with pytest.raises(ConfigError, match="byzantine.behavior: .*EBRC-only; pbft has no election"):
+            valid(protocol="pbft", node_count=7, byzantine=byzantine).validate()
+        valid(protocol="ebrc", node_count=7, byzantine=byzantine).validate()
+
     @pytest.mark.parametrize(
         "field, value",
         [("exits", [{"round_index": 1, "node_id": 3}]), ("replace_faulty", True)],

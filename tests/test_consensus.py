@@ -197,7 +197,7 @@ class TestBadProposal:
         replicas[0].step(0, request)
         bad = signed(
             Prepare(
-                height=1, view=0, timestamp=0,
+                height=1, view=0,
                 batch=(request,), digest=tx_digest(b"other"), sender=1,
             ),
             reg, 1,
@@ -217,7 +217,7 @@ class TestBadProposal:
         replicas[0].step(0, request)
         rogue = signed(
             Prepare(
-                height=1, view=0, timestamp=0,
+                height=1, view=0,
                 batch=(request,), digest=batch_digest_of((request,)), sender=2,
             ),
             reg, 2,
@@ -230,7 +230,7 @@ class TestBadProposal:
         replicas[0].step(0, request)
         stale = signed(
             Prepare(
-                height=1, view=5, timestamp=0,
+                height=1, view=5,
                 batch=(request,), digest=batch_digest_of((request,)), sender=1,
             ),
             reg, 1,
@@ -243,7 +243,7 @@ class TestBadProposal:
         replicas[0].step(0, request)
         forged = signed(
             Prepare(
-                height=1, view=0, timestamp=0,
+                height=1, view=0,
                 batch=(request,), digest=batch_digest_of((request,)), sender=1,
             ),
             reg, 2,  # signed with the wrong key
@@ -467,11 +467,7 @@ class TestCommitGates:
 
     def test_reply_event_is_inert(self):
         replicas, reg = make_committee(4)
-        reply = signed(
-            Reply(client_id=CLIENT, timestamp=0, digest=b"d" * 32,
-                  committee_size=4, valid=True, sender=2),
-            reg, 2,
-        )
+        reply = signed(Reply(digest=b"d" * 32, sender=2), reg, 2)
         result = replicas[0].step(0, reply)
         assert not result.sends and not result.timers
 
@@ -656,7 +652,7 @@ class TestPbftRound:
         replicas, reg = make_group(4)
         batch = (make_request(reg),)
         pre_prepare = signed(
-            PrePrepare(height=1, view=0, timestamp=0, batch=batch,
+            PrePrepare(height=1, view=0, batch=batch,
                        digest=batch_digest_of(batch), sender=0),
             reg, 0,
         )
@@ -674,7 +670,7 @@ class TestPbftRound:
         backup = replicas[1]
         batch = (make_request(reg),)
         pre_prepare = signed(
-            PrePrepare(height=1, view=0, timestamp=0, batch=batch,
+            PrePrepare(height=1, view=0, batch=batch,
                        digest=batch_digest_of(batch), sender=0),
             reg, 0,
         )
@@ -942,7 +938,7 @@ class TestVotePathAgainstOracle:
             batch = batches[which]
             leader = replica.leader_id()
             proposal = replica.PROPOSAL(
-                height=replica.height, view=max(0, replica.view + view_offset), timestamp=0,
+                height=replica.height, view=max(0, replica.view + view_offset),
                 batch=batch, digest=batch_digest_of(batch), sender=leader,
             )
             return signed(proposal, reg, leader)

@@ -236,7 +236,7 @@ def test_one_ulp_reputation_claim_is_bound(registry):
 def test_trimmed_proposal_batch_is_bound(registry):
     batch = (_request(registry, 1), _request(registry, 2))
     proposal = signed(
-        Prepare(height=1, view=0, timestamp=3, batch=batch, digest=b"d" * 32, sender=SIGNER),
+        Prepare(height=1, view=0, batch=batch, digest=b"d" * 32, sender=SIGNER),
         registry,
         SIGNER,
     )

@@ -1,4 +1,4 @@
-"""Deterministic network: ordering, drops, partitions, lazy senders.
+"""Deterministic network: ordering, drops, partitions, slowed sends.
 
 What a faulty node sends is the runner's concern; see ``test_byzantine.py``.
 """
@@ -25,7 +25,6 @@ from driver import (
     drain,
     fan_out,
     make_commit,
-    make_connect,
     make_prepare,
     make_registry,
     make_sim,
@@ -442,19 +441,13 @@ class TestDropLogging:
 
 class TestLazy:
     def test_latency_multiplied(self):
-        sim, deliveries, reg = make_sim(lazy={0})
-        sim.send(0, [1], make_commit(reg))
+        sim, deliveries, reg = make_sim()
+        sim.send(0, [1], make_commit(reg), latency_factor=4.0)
         sim.send(2, [1], make_commit(reg, sender=2))
         drain(sim)
         by_sender = {m.sender: now for _, now, m in deliveries}
         assert by_sender[2] == 2_000
         assert by_sender[0] == 8_000
-
-    def test_connectivity_proof_not_delayed(self):
-        sim, deliveries, reg = make_sim(lazy={0})
-        sim.send(0, [1], make_connect(reg))
-        drain(sim)
-        assert deliveries[0][1] == 2_000
 
 
 class TestCounters:
@@ -466,7 +459,7 @@ class TestCounters:
         drain(sim)
         assert sim.counters.per_tag["commit"] == 2
         assert sim.counters.per_tag["prepare"] == 1
-        assert sim.counters.round_senders[7] == {0, 1}
+        assert {(r.round_index, r.sender) for r in sim.trace} == {(7, 0), (7, 1)}
         assert sim.counters.per_round == {7: 3}
         assert all(r.round_index == 7 for r in trace_rows(sim.trace))
 
@@ -532,9 +525,9 @@ class TestFanOut:
 
 
 def test_simnet_imports_no_protocol_code():
-    # The network carries what it is given: it knows no proposal, vote or
-    # consensus rule. Only a lazy node's connectivity proofs, which it does
-    # not slow, name a message class.
+    # The network carries what it is given: it knows no message class,
+    # proposal, vote or consensus rule, and of the package it uses only the
+    # hashing in crypto.
     tree = ast.parse(Path(simnet.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
@@ -543,7 +536,8 @@ def test_simnet_imports_no_protocol_code():
             imported.update((module, alias.name) for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update((alias.name, None) for alias in node.names)
-    assert not {m for m, _ in imported if m.lstrip(".") in ("consensus", "ebrc.consensus")}
-    assert {name for m, name in imported if m.lstrip(".") in ("messages", "ebrc.messages")} == {
-        "VrfConnect"
+    assert not {m for m, _ in imported if m.lstrip(".") in ("messages", "ebrc.messages")}
+    package = {
+        m.lstrip(".").removeprefix("ebrc.") for m, _ in imported if m.startswith((".", "ebrc"))
     }
+    assert package == {"crypto"}
