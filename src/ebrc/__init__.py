@@ -25,8 +25,7 @@ Layers, bottom up:
   preset, and the builders of the paired scenarios a sweep varies by size.
 - ``runner``: scenario orchestration (epochs, rounds, load injection,
   elections, membership churn, the rewrite of a faulty node's sends)
-  producing a structured result, and the genesis behavior table and
-  election settings of a scenario.
+  producing a structured result, and the genesis behavior table.
 - ``harness``: metrics, reports and their text forms, protocol comparison,
   fairness studies; ``cli`` exposes it as the ``ebrc`` command and writes
   the files.

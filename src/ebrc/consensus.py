@@ -87,11 +87,13 @@ class TimerTick:
 class Block:
     height: int
     view: int
-    previous_hash: bytes
     batch_digests: Tuple[bytes, ...]
-    tx_count: int
-    block_digest: bytes
+    block_digest: bytes  # commits to the parent's digest (block_digest_of)
     cert: Tuple[Commit, ...]  # in sender order; () at genesis and for an announced block
+
+    @property
+    def tx_count(self) -> int:
+        return len(self.batch_digests)
 
 
 def block_digest_of(previous_hash: bytes, height: int, batch_digests: Sequence[bytes]) -> bytes:
@@ -101,15 +103,7 @@ def block_digest_of(previous_hash: bytes, height: int, batch_digests: Sequence[b
     return digest(previous_hash, height.to_bytes(8, "big"), *batch_digests, domain=b"block")
 
 
-GENESIS_BLOCK = Block(
-    height=0,
-    view=0,
-    previous_hash=ZERO_HASH,
-    batch_digests=(),
-    tx_count=0,
-    block_digest=ZERO_HASH,
-    cert=(),
-)
+GENESIS_BLOCK = Block(height=0, view=0, batch_digests=(), block_digest=ZERO_HASH, cert=())
 
 
 class QuorumConflict(Exception):
@@ -220,23 +214,24 @@ class _ReplicaBase:
         self.members: FrozenSet[int] = frozenset()  # _member_set(committee)
         self.is_member = False  # whether this node votes: it is in the committee
         self.peers: Tuple[int, ...] = ()  # the committee minus this node: a broadcast's targets
-        self.f = 0
+        self.f = 0  # committee_fault_budget(len(committee)), set by _install
         self.height = 1  # next block height to commit; genesis occupies 0
         self.view = 0
         self.ledger: Dict[int, Block] = {0: GENESIS_BLOCK}
         self.request_buffer: Dict[bytes, Request] = {}
         self.seen_requests: Set[bytes] = set()
-        # One armed watchdog/batch timer per (kind, height, view); without
-        # this, every buffered request would arm its own timer and each
-        # expiry would fire a redundant view-change volley.
-        self.timer_armed: Set[Tuple[str, int, int]] = set()
+        # One armed watchdog/batch timer per (kind, view) of the current
+        # height; without this, every buffered request would arm its own
+        # timer and each expiry would fire a redundant view-change volley.
+        self.timer_armed: Set[Tuple[str, int]] = set()
         # Observations drained by the orchestrator at round boundaries:
         # ("incompletion", node, height) / ("quorum_conflict", ...) / ...
         self.observations: List[Tuple] = []
 
         self.proposal = None
         self.commit_tallies: Dict[int, Dict[bytes, Dict[int, Commit]]] = {}
-        self.viewchange_tallies: Dict[Tuple[int, int], Set[int]] = {}
+        # The reporters of each proposed view at the current height.
+        self.viewchange_tallies: Dict[int, Set[int]] = {}
 
     # -- roles --
 
@@ -246,11 +241,12 @@ class _ReplicaBase:
 
     def _install(self, committee: Sequence[int]) -> None:
         """Set the committee and what derives from it: the member set, this
-        node's membership and the peers every broadcast goes to."""
+        node's membership, the peers every broadcast goes to and f."""
         self.committee = tuple(committee)
         self.members = _member_set(self.committee)
         self.is_member = self.node_id in self.members
         self.peers = tuple(peer for peer in self.committee if peer != self.node_id)
+        self.f = djep.committee_fault_budget(len(self.committee))
 
     def _proposed(self) -> bool:
         """Whether this node has proposed in the current view."""
@@ -269,7 +265,7 @@ class _ReplicaBase:
     # -- timers --
 
     def _arm_once(self, result: StepResult, kind: str, delay_us: int) -> None:
-        key = (kind, self.height, self.view)
+        key = (kind, self.view)
         if key in self.timer_armed:
             return
         self.timer_armed.add(key)
@@ -447,16 +443,14 @@ class _ReplicaBase:
 
     # -- commit and advance --
 
-    def _next_block(self, batch_digests: Sequence[bytes], tx_count: int, cert: Tuple[Commit, ...]) -> Block:
+    def _next_block(self, batch_digests: Sequence[bytes], cert: Tuple[Commit, ...]) -> Block:
         # The digest covers chain position and contents only; view and
         # cert are this node's own record.
         previous = self.ledger[self.height - 1].block_digest
         return Block(
             height=self.height,
             view=self.view,
-            previous_hash=previous,
             batch_digests=tuple(batch_digests),
-            tx_count=tx_count,
             block_digest=block_digest_of(previous, self.height, batch_digests),
             cert=cert,
         )
@@ -513,23 +507,22 @@ class _ReplicaBase:
         batch = self.proposal.batch
         votes = self.commit_tallies[self.view][winner]
         cert = tuple(votes[sender] for sender in sorted(votes))
-        self._advance(self._next_block([r.digest for r in batch], len(batch), cert))
+        self._advance(self._next_block([r.digest for r in batch], cert))
         self._reply(batch, winner, result)
         self._arm_for_pending(result)
 
     # -- view change --
 
     def _start_view_change(self, proposed_view: int, result: StepResult) -> None:
-        # A repeated call for the same key re-broadcasts: the only caller
+        # A repeated call for the same view re-broadcasts: the only caller
         # that can repeat is the watchdog chain (one tick per timeout
         # window), so under message loss this is the retry path.
-        key = (self.height, proposed_view)
         vc = signed(
             ViewChange(height=self.height, proposed_view=proposed_view, reporter=self.node_id),
             self.registry,
             self.node_id,
         )
-        self.viewchange_tallies.setdefault(key, set()).add(self.node_id)
+        self.viewchange_tallies.setdefault(proposed_view, set()).add(self.node_id)
         result.sends.append((self.peers, vc))
         result.timers.append((VIEW_TIMEOUT_US, TimerTick("round", self.height, self.view)))
         self._maybe_adopt_view(proposed_view, result)
@@ -544,7 +537,7 @@ class _ReplicaBase:
         ):
             return IDLE
         result = StepResult()
-        senders = self.viewchange_tallies.setdefault((vc.height, vc.proposed_view), set())
+        senders = self.viewchange_tallies.setdefault(vc.proposed_view, set())
         senders.add(vc.reporter)
         # Join a view change once f+1 peers vouch for it, even before our own
         # timer fires; prevents straggler deadlock.
@@ -554,7 +547,7 @@ class _ReplicaBase:
         return result
 
     def _maybe_adopt_view(self, proposed_view: int, result: StepResult) -> None:
-        senders = self.viewchange_tallies.get((self.height, proposed_view), set())
+        senders = self.viewchange_tallies.get(proposed_view, set())
         if len(senders) < 2 * self.f + 1 or proposed_view <= self.view:
             return
         self.observations.append(("incompletion", self.leader_id(), self.height))
@@ -573,7 +566,7 @@ class _ReplicaBase:
         """Fill a ledger hole from a round-end announce of the next block."""
         if not signature_ok(event, self.registry, event.sender) or event.height != self.height:
             return IDLE
-        block = self._next_block(event.batch_digests, event.tx_count, ())
+        block = self._next_block(event.batch_digests, ())
         if block.block_digest == event.block_digest:
             self._advance(block)
         return IDLE
@@ -615,15 +608,15 @@ class EbrcReplica(_ReplicaBase):
         self,
         committee: Sequence[int],
         candidates: Sequence[int],
-        f: int,
         *,
         table_reputation: Dict[int, float],
     ) -> StepResult:
-        """Install a new epoch's committee; views restart at 0."""
+        """Install a new epoch's committee, its candidates and the epoch's
+        reputations, which the replica only reads (every replica holds the
+        one dict); f follows the committee and views restart at 0."""
         self._install(committee)
         self.candidates = tuple(candidates)
-        self.f = f
-        self.table_reputation = dict(table_reputation)
+        self.table_reputation = table_reputation
         self.view = 0
         self._reset_round()
         self.viewchange_tallies.clear()
@@ -637,11 +630,11 @@ class EbrcReplica(_ReplicaBase):
         self,
         committee: Sequence[int],
         candidates: Sequence[int],
-        f: int,
         *,
         view_hint: Optional[int] = None,
     ) -> None:
-        """Mid-epoch committee update (exit/join/replacement), same view chain.
+        """Mid-epoch committee update (exit/join/replacement), same view chain;
+        f follows the new committee.
 
         A node entering the committee has never tracked the members' view
         chain; ``view_hint`` hands it the current view so its commits count.
@@ -651,7 +644,6 @@ class EbrcReplica(_ReplicaBase):
         joining = self.node_id in committee and not self.is_member
         self._install(committee)
         self.candidates = tuple(candidates)
-        self.f = f
         if joining:
             self.membership = djep.MembershipState()
             if view_hint is not None:
@@ -830,7 +822,6 @@ class PbftReplica(_ReplicaBase):
     def __init__(self, node_id, registry, *, group: Sequence[int], **settings) -> None:
         super().__init__(node_id, registry, **settings)
         self._install(group)
-        self.f = djep.committee_fault_budget(len(self.committee))
         self.prepare_tallies: Dict[int, Dict[bytes, Dict[int, PbftPrepare]]] = {}
 
     def leader_id(self) -> int:

@@ -30,24 +30,25 @@ class ElectionFailed(Exception):
 
 @dataclass(frozen=True, slots=True)
 class CommitteeAssignment:
-    """Result of one election: the committee and its derived parameters.
+    """Result of one election: three disjoint groups of verified selectees.
 
     ``consensus_nodes`` is ordered by descending reputation (ties by node id);
     master selection (``consensus.select_master``) indexes into this order.
-    ``f`` is floor((m-1)/3) of the consensus-node count.
+    ``f``, floor((m-1)/3) of the consensus-node count m, is computed, not
+    stored.
     """
 
     consensus_nodes: Tuple[int, ...]
     candidates: Tuple[int, ...]
     spares: Tuple[int, ...]
-    f: int
+
+    @property
+    def f(self) -> int:
+        return committee_fault_budget(len(self.consensus_nodes))
 
     def validate(self) -> None:
-        m = len(self.consensus_nodes)
-        if m < MIN_COMMITTEE:
+        if len(self.consensus_nodes) < MIN_COMMITTEE:
             raise ValueError("consensus-node set smaller than the minimum committee")
-        if self.f != committee_fault_budget(m):
-            raise ValueError("f inconsistent with committee size")
         groups = (set(self.consensus_nodes), set(self.candidates), set(self.spares))
         if sum(len(g) for g in groups) != len(set().union(*groups)):
             raise ValueError("committee partitions overlap")
@@ -148,15 +149,10 @@ def form_committee(
     n_cons = min(n_sel, max(MIN_COMMITTEE, _cutoff(n_sel, consensus_percentile)))
     n_elig = max(n_cons, _cutoff(n_sel, eligibility_percentile))
 
-    consensus = tuple(verified[:n_cons])
-    candidates = tuple(verified[n_cons:n_elig])
-    spares = tuple(verified[n_elig:])
-    f = committee_fault_budget(len(consensus))
     assignment = CommitteeAssignment(
-        consensus_nodes=consensus,
-        candidates=candidates,
-        spares=spares,
-        f=f,
+        consensus_nodes=tuple(verified[:n_cons]),
+        candidates=tuple(verified[n_cons:n_elig]),
+        spares=tuple(verified[n_elig:]),
     )
     assignment.validate()
     return assignment, reports

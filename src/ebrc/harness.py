@@ -237,9 +237,9 @@ def build_report(result: RunResult) -> MetricsReport:
     p95_latency = _percentile_95(latencies) if latencies else None
     committee_size = config.node_count
     fault_budget = committee_fault_budget(config.node_count)
-    if result.election_log:
-        committee_size = len(result.election_log[0]["consensus_nodes"])
-        fault_budget = result.election_log[0]["f"]
+    if result.elections:
+        committee_size = len(result.elections[0].consensus_nodes)
+        fault_budget = result.elections[0].f
     return MetricsReport(
         schema_version=SCHEMA_VERSION,
         name=config.name,

@@ -197,7 +197,6 @@ class BlockAnnounce(Message):
     height: int
     block_digest: bytes
     batch_digests: Tuple[bytes, ...]
-    tx_count: int
     sender: int
     signature: bytes = b""
 

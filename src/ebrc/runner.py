@@ -19,7 +19,7 @@ from . import djep, reputation
 from .config import ScenarioConfig
 from .consensus import EbrcReplica, PbftReplica, batch_digest_of, tx_digest
 from .crypto import KeyRegistry, SimulatedVrf, derive_seed, digest, frame, pack
-from .election import elect_committee
+from .election import CommitteeAssignment, elect_committee
 from .messages import (
     MEMBERSHIP_TYPES,
     BlockAnnounce,
@@ -121,7 +121,7 @@ class RunResult:
     counters: Counters = field(default_factory=Counters)
     trace: List[TraceRecord] = field(default_factory=list)  # one record per send
     in_flight: int = 0  # deliveries still queued at run end
-    election_log: List[dict] = field(default_factory=list)
+    elections: List[CommitteeAssignment] = field(default_factory=list)  # one per epoch
     election_counts: Dict[int, int] = field(default_factory=dict)
     membership_log: List[dict] = field(default_factory=list)
     membership_flows: List[dict] = field(default_factory=list)
@@ -177,8 +177,8 @@ class ScenarioRunner:
                 for n in self.node_ids
             }
             self._open_epoch = self._after_commit = self._close_epoch = self._record = _skip
-        # The runner installs each committee, its candidates and f in every
-        # replica at once, so any one replica holds them for all.
+        # The runner installs each committee and its candidates in every
+        # replica at once, so any one replica holds them, and f, for all.
         self._roster = self.replicas[0]
 
         self.honest_ids = [n for n in self.node_ids if n not in self.byz_ids]
@@ -309,10 +309,8 @@ class ScenarioRunner:
 
     def _elect(self, epoch: int) -> None:
         config = self.config
-        corrupt: Set[int] = set()
-        if config.byzantine.behavior == "corrupt_proof":
-            corrupt = set(config.byzantine.node_ids)
-        assignment, proof_reports, seed, retries = elect_committee(
+        corrupt = self.byz_ids if config.byzantine.behavior == "corrupt_proof" else set()
+        assignment, proof_reports, seed, _ = elect_committee(
             self.table,
             derive_seed(self._tip_block().block_digest),
             self.registry,
@@ -327,30 +325,20 @@ class ScenarioRunner:
             # without needing a reporter quorum.
             self._convict(accused, kind, epoch=epoch, reporters=[])
 
-        for node in list(assignment.consensus_nodes) + list(assignment.candidates):
+        for node in assignment.consensus_nodes + assignment.candidates:
             self.result.election_counts[node] += 1
-        self.result.election_log.append(
-            {
-                "epoch": epoch,
-                "retries": retries,
-                "seed": seed.hex(),
-                "consensus_nodes": list(assignment.consensus_nodes),
-                "candidates": list(assignment.candidates),
-                "spares": list(assignment.spares),
-                "f": assignment.f,
-                "proof_reports": [list(r) for r in proof_reports],
-            }
-        )
+        self.result.elections.append(assignment)
 
         # Connectivity announcements: every verified selectee (and every
         # proof-corrupting impostor) broadcasts its draw during the connect
-        # window before rounds begin.
+        # window before rounds begin. The groups and the impostors are
+        # disjoint, so joining them lists each node once.
         framed = frame(seed)
         announcers = sorted(
-            set(assignment.consensus_nodes)
-            | set(assignment.candidates)
-            | set(assignment.spares)
-            | {accused for accused, _ in proof_reports}
+            assignment.consensus_nodes
+            + assignment.candidates
+            + assignment.spares
+            + tuple(accused for accused, _ in proof_reports)
         )
         for node in announcers:
             secret = self.registry.secret_key(node)
@@ -373,7 +361,6 @@ class ScenarioRunner:
             step = self.replicas[node].set_committee(
                 assignment.consensus_nodes,
                 assignment.candidates,
-                assignment.f,
                 table_reputation=table_reputation,
             )
             self._dispatch(node, step)
@@ -502,7 +489,6 @@ class ScenarioRunner:
                     height=height,
                     block_digest=block.block_digest,
                     batch_digests=block.batch_digests,
-                    tx_count=block.tx_count,
                     sender=holder,
                 ),
                 self.registry,
@@ -692,9 +678,8 @@ class ScenarioRunner:
             return
 
         joins.sort()
-        f = djep.committee_fault_budget(len(committee))
         for replica in self.replicas.values():
-            replica.apply_membership(committee, candidates, f, view_hint=self._view_hint)
+            replica.apply_membership(committee, candidates, view_hint=self._view_hint)
             replica.membership.clear_applied(removed + joins)
         changes = [("replace" if n in forced else "exit", n) for n in removed]
         for kind, node in changes + [("join", n) for n in joins]:

@@ -124,12 +124,11 @@ def fan_out(seed, network, sends, behavior=None):
 
 def make_committee(m: int, registry=None, candidates=(), reputation=None):
     registry = registry or make_registry(m)
-    f = (m - 1) // 3
     table = reputation or {i: 0.5 for i in range(m)}
     replicas = {}
     for node in range(m):
         rep = EbrcReplica(node, registry, block_tx_cap=3)
-        rep.set_committee(range(m), candidates, f, table_reputation=table)
+        rep.set_committee(range(m), candidates, table_reputation=table)
         replicas[node] = rep
     return replicas, registry
 

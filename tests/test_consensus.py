@@ -13,6 +13,7 @@ from ebrc.consensus import (
     QuorumConflict,
     TimerTick,
     batch_digest_of,
+    block_digest_of,
     canonical_batch,
     check_quorum,
     select_master,
@@ -162,7 +163,9 @@ class TestRoundWalkthrough:
         block = replicas[0].ledger[1]
         assert block.batch_digests == (request.digest,)
         assert block.tx_count == 1
-        assert block.previous_hash == replicas[0].ledger[0].block_digest
+        assert block.block_digest == block_digest_of(
+            replicas[0].ledger[0].block_digest, 1, block.batch_digests
+        )
 
     def test_height_and_view_both_advance(self):
         # Master rotation depends on history: view does not reset per round,
@@ -311,7 +314,7 @@ class TestAnnounceAdoption:
 
     def outsider(self, reg, m=4):
         rep = EbrcReplica(9, reg, block_tx_cap=3)
-        rep.set_committee(range(m), [], 1, table_reputation={i: 0.5 for i in range(m)})
+        rep.set_committee(range(m), [], table_reputation={i: 0.5 for i in range(m)})
         return rep
 
     def test_outsider_adopts_announced_block(self):
@@ -320,7 +323,7 @@ class TestAnnounceAdoption:
         announce = signed(
             BlockAnnounce(
                 height=1, block_digest=block.block_digest,
-                batch_digests=block.batch_digests, tx_count=block.tx_count, sender=0,
+                batch_digests=block.batch_digests, sender=0,
             ),
             reg, 0,
         )
@@ -334,7 +337,7 @@ class TestAnnounceAdoption:
         announce = signed(
             BlockAnnounce(
                 height=1, block_digest=b"\x00" * 32,
-                batch_digests=block.batch_digests, tx_count=block.tx_count, sender=0,
+                batch_digests=block.batch_digests, sender=0,
             ),
             reg, 0,
         )
@@ -347,7 +350,7 @@ class TestAnnounceAdoption:
         announce = signed(
             BlockAnnounce(
                 height=5, block_digest=block.block_digest,
-                batch_digests=block.batch_digests, tx_count=block.tx_count, sender=0,
+                batch_digests=block.batch_digests, sender=0,
             ),
             reg, 0,
         )
@@ -358,8 +361,7 @@ class TestAnnounceAdoption:
         replicas, _, block = self.finished_round()
         committed = replicas[0].ledger[1]
         fake = committed.__class__(
-            height=1, view=9, previous_hash=committed.previous_hash,
-            batch_digests=(), tx_count=0, block_digest=b"\x11" * 32, cert=(),
+            height=1, view=9, batch_digests=(), block_digest=b"\x11" * 32, cert=(),
         )
         replicas[0].adopt_block(fake)
         assert replicas[0].ledger[1] == committed
@@ -430,7 +432,7 @@ class TestRequestGates:
         replicas, reg = make_committee(4)
         reg.register(9)
         outsider = EbrcReplica(9, reg, block_tx_cap=3)
-        outsider.set_committee(range(4), [], 1, table_reputation={i: 0.5 for i in range(4)})
+        outsider.set_committee(range(4), [], table_reputation={i: 0.5 for i in range(4)})
         req = make_request(reg)
         result = outsider.step(0, req)
         assert not result.sends and not result.timers
@@ -489,7 +491,8 @@ class TestCommitGates:
             digest = b"a" * 32 if sender <= 3 else b"b" * 32
             node.step(0, signed(Commit(height=1, view=0, digest=digest, sender=sender), reg, sender))
         assert node.observations == []
-        node.apply_membership(tuple(range(7)), (), 1)
+        node.apply_membership(tuple(range(7)), ())
+        node.f = 1
         for _ in range(2):
             repeat = signed(Commit(height=1, view=0, digest=b"a" * 32, sender=1), reg, 1)
             assert node.step(0, repeat) is consensus.IDLE
@@ -521,7 +524,7 @@ class TestCommitGates:
     def test_commit_from_member_that_left_ignored(self):
         replicas, reg = make_committee(5)
         for replica in replicas.values():
-            replica.apply_membership((0, 1, 2, 3), (), 1)
+            replica.apply_membership((0, 1, 2, 3), ())
         commit = signed(Commit(height=1, view=0, digest=b"d" * 32, sender=4), reg, 4)
         replicas[0].step(0, commit)
         assert replicas[0].commit_tallies == {}
@@ -597,19 +600,21 @@ class TestMultiRoundRotation:
             assert rep.height == 5
             assert sorted(rep.ledger) == [0, 1, 2, 3, 4]
 
-    def test_ledger_chains_previous_hashes(self):
-        replicas, reg = make_committee(4)
-        pump = Pump(replicas)
-        for round_index in range(3):
-            request = make_request(reg, payload=b"c-%d" % round_index, ts=10 + round_index)
-            master = replicas[0].leader_id()
-            for node, rep in replicas.items():
-                pump.absorb(node, rep.step(0, request))
-            pump.fire(master, "batch", now=BATCH_US)
-            pump.deliver_all(now=BATCH_US)
-        ledger = replicas[2].ledger
-        for height in (1, 2, 3):
-            assert ledger[height].previous_hash == ledger[height - 1].block_digest
+
+@pytest.mark.parametrize("name", presets.names())
+def test_every_ledger_chains_block_digests(name):
+    # A block's digest commits to its parent's: at the end of each shipped
+    # preset's run, every block on every replica, announced ones included,
+    # recomputes from the block below it.
+    runner = ScenarioRunner(presets.load(name))
+    runner.run()
+    for node, replica in runner.replicas.items():
+        ledger = replica.ledger
+        assert sorted(ledger) == list(range(len(ledger)))
+        for height in sorted(ledger)[1:]:
+            block = ledger[height]
+            expected = block_digest_of(ledger[height - 1].block_digest, height, block.batch_digests)
+            assert block.block_digest == expected, (node, height)
 
 
 class TestPbftRound:
@@ -765,7 +770,7 @@ class TestPbftSharedPaths:
     def announce(self, reg, block, **overrides):
         fields = dict(
             height=1, block_digest=block.block_digest,
-            batch_digests=block.batch_digests, tx_count=block.tx_count, sender=0,
+            batch_digests=block.batch_digests, sender=0,
         )
         fields.update(overrides)
         return signed(BlockAnnounce(**fields), reg, 0)
@@ -912,10 +917,9 @@ class TestVotePathAgainstOracle:
         for step in stream:
             if step[0] == "membership":
                 _, keep, f = step
-                if pbft:
-                    replica.f = f  # a PBFT group does not change; only its f moves
-                else:
-                    replica.apply_membership(tuple(range(keep)), (), f)
+                if not pbft:  # a PBFT group does not change; only its f moves
+                    replica.apply_membership(tuple(range(keep)), ())
+                replica.f = f
                 continue
             event = self.event(replica, reg, step, batches, pbft)
             expected = oracle.expect(replica, event)

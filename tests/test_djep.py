@@ -237,7 +237,7 @@ class TestExitWithPromotion:
         for cand in (7, 8):
             reg.register(cand)
             rep = EbrcReplica(cand, reg, block_tx_cap=3)
-            rep.set_committee(range(4), (7, 8), 1, table_reputation=reputation)
+            rep.set_committee(range(4), (7, 8), table_reputation=reputation)
             replicas[cand] = rep
         assert replicas[1].is_leader
         return replicas, reg, Pump(replicas)
@@ -287,7 +287,7 @@ class TestExitWithPromotion:
     def test_joined_candidate_drops_its_join_record(self):
         # A stale join height would bring the node back in after a later removal.
         replicas, pump = self.run_flow()
-        replicas[8].apply_membership((8, 0, 1, 2), (7,), 1, view_hint=0)
+        replicas[8].apply_membership((8, 0, 1, 2), (7,), view_hint=0)
         assert replicas[8].is_member and replicas[8].membership == MembershipState()
 
 
@@ -295,7 +295,7 @@ class TestJoinConfirmations:
     def test_only_members_confirm_a_join(self):
         replicas, reg = make_committee(4, candidates=(7, 8))
         candidate = EbrcReplica(8, reg, block_tx_cap=3)
-        candidate.set_committee(range(4), (7, 8), 1, table_reputation={i: 0.5 for i in range(4)})
+        candidate.set_committee(range(4), (7, 8), table_reputation={i: 0.5 for i in range(4)})
         for sender in (7, 9, 0):
             reg.register(sender)
             confirm = signed(JoinCommit(candidate_id=8, effective_height=3, sender=sender), reg, sender)
@@ -356,7 +356,7 @@ class TestJoinValidation:
         replicas, reg = make_committee(4, candidates=(8,), reputation=reputation)
         reg.register(8)
         candidate = EbrcReplica(8, reg, block_tx_cap=3)
-        candidate.set_committee(range(4), (8,), 1, table_reputation=reputation)
+        candidate.set_committee(range(4), (8,), table_reputation=reputation)
         forged = signed(
             ChangeNotice(candidate_id=8, effective_height=3, master_id=1), reg, 2
         )

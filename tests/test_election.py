@@ -342,7 +342,6 @@ class TestFormCommittee:
             consensus_nodes=(0, 1, 2, 3),
             candidates=(3,),
             spares=(),
-            f=1,
         )
         with pytest.raises(ValueError):
             bad.validate()

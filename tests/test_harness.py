@@ -309,7 +309,7 @@ class TestRunnerAccountability:
         ebrc, _ = presets.comparison_pair(10, byzantine=False)
         config = dataclasses.replace(ebrc, exits=(ExitScript(round_index=1, node_id=7),))
         report, result = run_scenario_with_result(config)
-        assert 7 in result.election_log[0]["candidates"]
+        assert 7 in result.elections[0].candidates
         assert report.membership_flows == []
         assert report.notes == [
             "scripted exit of node 7 after round 1 skipped: not a consensus node"
@@ -391,9 +391,9 @@ class TestMembershipFloor:
         sizes = []
         apply_membership = EbrcReplica.apply_membership
 
-        def recording(replica, committee, candidates, f, **kwargs):
+        def recording(replica, committee, candidates, **kwargs):
             sizes.append((len(replica.committee), replica.f, len(committee)))
-            return apply_membership(replica, committee, candidates, f, **kwargs)
+            return apply_membership(replica, committee, candidates, **kwargs)
 
         monkeypatch.setattr(EbrcReplica, "apply_membership", recording)
         ScenarioRunner(dataclasses.replace(floor_variant(name, variant), seed=seed)).run()
