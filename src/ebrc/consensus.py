@@ -687,7 +687,6 @@ class EbrcReplica(_ReplicaBase):
             return IDLE
         plan = djep.plan_removal(
             committee=self.committee,
-            f=self.f,
             candidates=self.candidates,
             reputation=self.table_reputation,
             leaver=request.node_id,

@@ -25,9 +25,10 @@ def committee_fault_budget(size: int) -> int:
     return (size - 1) // 3
 
 
-def exit_preserves_floor(size: int, f: int) -> bool:
-    """True when one departure keeps the committee at 3f+1 or better."""
-    return size - 1 >= 3 * f + 1
+def exit_preserves_floor(size: int) -> bool:
+    """True when one departure keeps the committee at 3f+1 or better, f the
+    fault budget of ``size`` members."""
+    return size - 1 >= 3 * committee_fault_budget(size) + 1
 
 
 def promotion_candidate(candidates: Sequence[int], reputation: Dict[int, float]) -> Optional[int]:
@@ -60,7 +61,6 @@ class RemovalPlan:
 def plan_removal(
     *,
     committee: Sequence[int],
-    f: int,
     candidates: Sequence[int],
     reputation: Dict[int, float],
     leaver: int,
@@ -74,7 +74,7 @@ def plan_removal(
     """
     if leaver not in committee:
         return RemovalPlan(remove=False, promote=None, stalled=False)
-    if exit_preserves_floor(len(committee), f):
+    if exit_preserves_floor(len(committee)):
         return RemovalPlan(remove=True, promote=None, stalled=False)
     candidate = promotion_candidate(candidates, reputation)
     if candidate is None:

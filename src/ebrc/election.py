@@ -163,19 +163,19 @@ def elect_committee(
     seed: bytes,
     registry: KeyRegistry,
     **options,
-) -> Tuple[CommitteeAssignment, List[Tuple[int, str]], bytes, int]:
+) -> Tuple[CommitteeAssignment, List[Tuple[int, str]], bytes]:
     """Run ``form_committee``, re-deriving the seed after each ElectionFailed.
 
-    Returns (assignment, misbehavior reports, the seed that succeeded, the
-    number of retries). ``options`` (the election settings and
-    ``corrupt_proofs``) go to ``form_committee`` unchanged. The
-    last ElectionFailed propagates after MAX_ELECTION_RETRIES + 1 failures.
+    Returns (assignment, misbehavior reports, the seed that succeeded).
+    ``options`` (the election settings and ``corrupt_proofs``) go to
+    ``form_committee`` unchanged. The last ElectionFailed propagates after
+    MAX_ELECTION_RETRIES + 1 failures.
     """
     retries = 0
     while True:
         try:
             assignment, reports = form_committee(table, seed, registry, **options)
-            return assignment, reports, seed, retries
+            return assignment, reports, seed
         except ElectionFailed:
             retries += 1
             if retries > MAX_ELECTION_RETRIES:

@@ -229,9 +229,17 @@ class MetricsReport:
 
 
 def build_report(result: RunResult) -> MetricsReport:
+    """The run's report. Each count is derived here from the one record that
+    holds it: messages from the trace, round outcomes and latencies from the
+    round records, seats from the elections."""
     config = result.config
-    counters = result.counters
-    latencies = list(result.latency_samples_ms)
+    counts = count_messages(result.trace)
+    latencies = [r.latency_ms for r in result.rounds if r.latency_ms is not None]
+    committed_rounds = result.committed_rounds
+    seats = {node: 0 for node in range(config.node_count)}
+    for assignment in result.elections:
+        for node in assignment.consensus_nodes + assignment.candidates:
+            seats[node] += 1
     mean_latency = _mean(latencies) if latencies else None
     median_latency = statistics.median(latencies) if latencies else None
     p95_latency = _percentile_95(latencies) if latencies else None
@@ -250,18 +258,18 @@ def build_report(result: RunResult) -> MetricsReport:
         seed=config.seed,
         epochs=config.epochs,
         rounds_per_epoch=config.rounds_per_epoch,
-        committed_rounds=result.committed_rounds,
-        aborted_rounds=result.aborted_rounds,
+        committed_rounds=committed_rounds,
+        aborted_rounds=len(result.rounds) - committed_rounds,
         latency_ms=latencies,
         mean_latency_ms=mean_latency,
         median_latency_ms=median_latency,
         p95_latency_ms=p95_latency,
         tps=result.tps,
         duration_ms=result.duration_ms,
-        total_messages=counters.sent,
-        messages_by_tag=dict(sorted(counters.per_tag.items())),
-        messages_by_round=dict(sorted(counters.per_round.items())),
-        election_counts=dict(sorted(result.election_counts.items())),
+        total_messages=counts.total,
+        messages_by_tag=dict(sorted(counts.by_tag.items())),
+        messages_by_round=dict(sorted(counts.by_round.items())),
+        election_counts=seats,
         view_changes_total=result.view_changes_total,
         max_view_changes_per_height=result.max_view_changes_per_height,
         membership_events=list(result.membership_log),
@@ -276,12 +284,14 @@ def build_report(result: RunResult) -> MetricsReport:
 
 
 class ConsistencyError(RuntimeError):
-    """Raised when trace-derived metrics disagree with live counters."""
+    """Raised when a report or a run's trace disagrees with the live counters
+    or with a recomputation from the run's records."""
 
 
 def verify_consistency(report: MetricsReport, result: RunResult) -> None:
-    """Two-path check: metrics recomputed from the raw trace/blocks must
-    match the values accumulated during the run."""
+    """Two-path check. The live counters must conserve messages and agree
+    with the trace; the report's message total, throughput and latencies
+    must match a recomputation from the trace, blocks and round records."""
     counters = result.counters
     if not counters.conserved(result.in_flight):
         raise ConsistencyError(
@@ -293,14 +303,14 @@ def verify_consistency(report: MetricsReport, result: RunResult) -> None:
         raise ConsistencyError(
             f"trace messages {counts.total} != sent counter {counters.sent}"
         )
-    if counts.by_tag != counters.per_tag:
-        raise ConsistencyError("per-tag counts from trace disagree with counters")
-    if counts.by_round != counters.per_round:
-        raise ConsistencyError("per-round counts from trace disagree with counters")
     if counts.not_dropped != counters.delivered + result.in_flight:
         raise ConsistencyError(
             f"not-dropped messages {counts.not_dropped} != delivered counter "
             f"{counters.delivered} + in flight {result.in_flight}"
+        )
+    if report.total_messages != counts.total:
+        raise ConsistencyError(
+            f"report total {report.total_messages} != trace messages {counts.total}"
         )
     committed_tx = sum(b["tx_count"] for b in result.blocks)
     if result.duration_ms > 0:
@@ -440,7 +450,7 @@ def fairness_experiment(
     for epoch in range(epochs):
         epoch_seed = digest(base, epoch.to_bytes(8, "big"), domain=b"fairness-epoch")
         try:
-            assignment, _, _, _ = elect_committee(
+            assignment, _, _ = elect_committee(
                 table,
                 epoch_seed,
                 registry,

@@ -100,38 +100,40 @@ def initial_table(
 
 @dataclass(slots=True)
 class RoundRecord:
-    round_index: int
-    height: int
     committed: bool
-    latency_ms: Optional[float]
-    view_changes: int
-    tx_count: int
+    latency_ms: Optional[float]  # None unless the client saw f+1 matching replies
 
 
 @dataclass(slots=True)
 class RunResult:
+    """What a run leaves behind, each fact once; ``harness.build_report``
+    derives the report's counts from it."""
+
     config: ScenarioConfig
     blocks: List[dict] = field(default_factory=list)
-    rounds: List[RoundRecord] = field(default_factory=list)
-    committed_rounds: int = 0
-    aborted_rounds: int = 0
+    rounds: List[RoundRecord] = field(default_factory=list)  # one per round, in order
     duration_ms: float = 0.0
     tps: Optional[float] = None
-    latency_samples_ms: List[float] = field(default_factory=list)
     counters: Counters = field(default_factory=Counters)
     trace: List[TraceRecord] = field(default_factory=list)  # one record per send
     in_flight: int = 0  # deliveries still queued at run end
     elections: List[CommitteeAssignment] = field(default_factory=list)  # one per epoch
-    election_counts: Dict[int, int] = field(default_factory=dict)
     membership_log: List[dict] = field(default_factory=list)
     membership_flows: List[dict] = field(default_factory=list)
     confirmed_reports: List[dict] = field(default_factory=list)
     view_changes_total: int = 0
     max_view_changes_per_height: int = 0
-    safety_violation: bool = False
     safety_details: List[str] = field(default_factory=list)
     stalled_memberships: List[dict] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
+
+    @property
+    def committed_rounds(self) -> int:
+        return sum(r.committed for r in self.rounds)
+
+    @property
+    def safety_violation(self) -> bool:
+        return bool(self.safety_details)
 
 
 class ScenarioRunner:
@@ -185,7 +187,6 @@ class ScenarioRunner:
         self.table = initial_table(config.node_count)
 
         self.result = RunResult(config=config)
-        self.result.election_counts = {n: 0 for n in self.node_ids}
 
         # Per-round client state: the senders of each reply digest, and when
         # f+1 of them first agreed.
@@ -310,7 +311,7 @@ class ScenarioRunner:
     def _elect(self, epoch: int) -> None:
         config = self.config
         corrupt = self.byz_ids if config.byzantine.behavior == "corrupt_proof" else set()
-        assignment, proof_reports, seed, _ = elect_committee(
+        assignment, proof_reports, seed = elect_committee(
             self.table,
             derive_seed(self._tip_block().block_digest),
             self.registry,
@@ -325,8 +326,6 @@ class ScenarioRunner:
             # without needing a reporter quorum.
             self._convict(accused, kind, epoch=epoch, reporters=[])
 
-        for node in assignment.consensus_nodes + assignment.candidates:
-            self.result.election_counts[node] += 1
         self.result.elections.append(assignment)
 
         # Connectivity announcements: every verified selectee (and every
@@ -392,14 +391,11 @@ class ScenarioRunner:
         holder = self._committed_holder(target_height)
 
         latency_ms: Optional[float] = None
-        tx_count = 0
         if holder is not None:
             block = self.replicas[holder].ledger[target_height]
-            tx_count = block.tx_count
             done = self._client_done_at
             if done is not None:
                 latency_ms = (done - submit_us) / US_PER_MS
-                self.result.latency_samples_ms.append(latency_ms)
                 self._last_completion_us = done
             self._announce(holder, target_height)
         # Drain first: a member ousted by a view change this round already has
@@ -407,7 +403,6 @@ class ScenarioRunner:
         self._drain_observations()
         if holder is not None:
             self._note_round_outcomes(committee_at_start, first_send, block)
-            self.result.committed_rounds += 1
             self.result.blocks.append(
                 {
                     "height": block.height,
@@ -420,20 +415,10 @@ class ScenarioRunner:
             self._after_commit()
             self._inject_scripted_exits(round_index)
         else:
-            self.result.aborted_rounds += 1
             for script in config.exits:
                 if script.round_index == round_index:
                     self._skip_exit(script, f"round {round_index} did not commit")
-        self.result.rounds.append(
-            RoundRecord(
-                round_index=round_index,
-                height=target_height,
-                committed=holder is not None,
-                latency_ms=latency_ms,
-                view_changes=len(self._ousted.get(target_height, ())),
-                tx_count=tx_count,
-            )
-        )
+        self.result.rounds.append(RoundRecord(committed=holder is not None, latency_ms=latency_ms))
 
     def _inject_load(self, round_index: int, submit_us: int) -> None:
         config = self.config
@@ -527,7 +512,6 @@ class ScenarioRunner:
             for entry in observations:
                 kind = entry[0]
                 if kind == "quorum_conflict":
-                    self.result.safety_violation = True
                     self.result.safety_details.append(
                         f"node {entry[1]} height {entry[2]}: {entry[3]}"
                     )
@@ -617,8 +601,9 @@ class ScenarioRunner:
         return self._roster.committee[0]
 
     def _membership_message_count(self) -> int:
-        per_tag = self.sim.counters.per_tag
-        return sum(per_tag.get(cls.TAG, 0) for cls in MEMBERSHIP_TYPES)
+        """Messages sent so far under the membership tags, read from the trace."""
+        tags = {cls.TAG for cls in MEMBERSHIP_TYPES}
+        return sum(len(r.targets) for r in self.sim.trace if r.tag in tags)
 
     def _apply_membership_transitions(self) -> None:
         """Apply every transition due at the next height, in one pass.
@@ -657,7 +642,6 @@ class ScenarioRunner:
             promotable = [c for c in candidates if c not in invited] if leaver in forced else ()
             plan = djep.plan_removal(
                 committee=committee,
-                f=djep.committee_fault_budget(len(committee)),
                 candidates=promotable,
                 reputation=table_reputation,
                 leaver=leaver,
@@ -733,7 +717,6 @@ class ScenarioRunner:
                 if previous is None:
                     digests[height] = block.block_digest
                 elif previous != block.block_digest:
-                    self.result.safety_violation = True
                     self.result.safety_details.append(
                         f"ledger divergence at height {height}: node {node}"
                     )

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from typing import (
@@ -113,18 +113,13 @@ def receiver_rows(trace: Iterable[TraceRecord]) -> Iterator[Tuple]:
 
 @dataclass(slots=True)
 class Counters:
+    """Live message totals. The counts by tag and by round come from the
+    trace alone (``harness.count_messages``)."""
+
     sent: int = 0
     delivered: int = 0
     dropped: int = 0
     suppressed: int = 0
-    per_tag: Dict[str, int] = field(default_factory=dict)
-    per_round: Dict[int, int] = field(default_factory=dict)
-
-    def note_sent(self, tag: str, round_index: int, count: int) -> None:
-        """Record one send that puts ``count`` messages on the wire."""
-        self.sent += count
-        self.per_tag[tag] = self.per_tag.get(tag, 0) + count
-        self.per_round[round_index] = self.per_round.get(round_index, 0) + count
 
     def conserved(self, in_flight: int) -> bool:
         """Every sent message was delivered, dropped or is still in flight."""
@@ -171,7 +166,7 @@ class Simulation:
         # The one event hook: ``on_deliver(target, now, event)`` takes each
         # delivered message and each fired timer's tick.
         self.on_deliver: Callable[[int, int, object], None] = lambda target, now, event: None
-        # The round in progress, which each send's counters and trace row carry.
+        # The round in progress, which each send's trace record carries.
         self.round_index = 0
         self._heap: List[int] = []  # pending instants, each once
         self._due: Dict[int, List[Tuple]] = {}  # instant -> its events in scheduling order
@@ -203,7 +198,6 @@ class Simulation:
         """Put ``message`` on each target's link, its latency times ``latency_factor``."""
         if not targets:
             return
-        round_index = self.round_index
         tag = getattr(type(message), "TAG", type(message).__name__.lower())
         targets = tuple(targets)
         if sender in targets:
@@ -249,11 +243,12 @@ class Simulation:
                 events = due[at_us] = []
                 heappush(heap, at_us)
             events.append(("deliver", target, message))
+        self.counters.sent += len(targets)
         self.counters.dropped += len(dropped)
-        self.counters.note_sent(tag, round_index, len(targets))
         self.trace.append(
             TraceRecord(
-                now, sender, targets, tag, _digest_prefix(message), round_index, tuple(dropped)
+                now, sender, targets, tag, _digest_prefix(message), self.round_index,
+                tuple(dropped),
             )
         )
 

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ebrc.consensus import QuorumConflict, batch_digest_of, check_quorum
 from ebrc.crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, digest, pack
 from ebrc.messages import Commit, PbftPrepare, Prepare, PrePrepare, signed
+from ebrc.simnet import receiver_rows
 
 
 def blake2b_digest(*parts: bytes, domain: bytes = b"msg") -> bytes:
@@ -65,6 +66,17 @@ def growth_rate(r_now: float, r_then: float, rounds: int) -> float:
 # replies to clients, elections, membership, and block announces are traced
 # and counted under their own tags.
 CONSENSUS_TAGS = ("preprepare", "prepare", "commit", "reply")
+
+
+def naive_message_counts(trace) -> Tuple[int, Dict[str, int], Dict[int, int]]:
+    """A trace's messages recounted one receiver row at a time: the total,
+    the count per tag and the count per round."""
+    total, by_tag, by_round = 0, {}, {}
+    for _, _, _, tag, _, round_index, _ in receiver_rows(trace):
+        total += 1
+        by_tag[tag] = by_tag.get(tag, 0) + 1
+        by_round[round_index] = by_round.get(round_index, 0) + 1
+    return total, by_tag, by_round
 
 
 def ebrc_message_law(m: int) -> int:

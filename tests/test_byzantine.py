@@ -180,7 +180,7 @@ class TestCounters:
         faulty_send(sim, reg, "equivocate", (1,))(1, [0, 2, 3], make_prepare(reg, sender=1))
         drain(sim)
         assert {(r.round_index, r.sender) for r in sim.trace} == {(3, 1)}
-        assert sim.counters.per_tag == {"prepare": 3}
+        assert count_messages(sim.trace).by_tag == {"prepare": 3}
         assert (sim.counters.sent, sim.counters.suppressed) == (3, 3)
         assert len({r.digest_prefix for r in trace_rows(sim.trace)}) == 2
 
@@ -263,8 +263,8 @@ class TestFanOut:
             counts = count_messages(sim.trace)
             counters = sim.counters
             assert counts.total == counters.sent == sum(len(r.targets) for r in sim.trace)
-            assert counts.by_tag == counters.per_tag
-            assert counts.by_round == counters.per_round
+            assert counts.by_tag == {"prepare": 5}
+            assert counts.by_round == {3: 5}
             assert counts.not_dropped == counters.delivered  # drained: none in flight
 
 

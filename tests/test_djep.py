@@ -40,10 +40,10 @@ class TestFaultBudget:
     def test_floor_check(self):
         # f is the budget held before the exit: 5 members tolerating 1 fault
         # can lose one (4 = 3f+1 remains); 4 members cannot.
-        assert exit_preserves_floor(5, 1)
-        assert not exit_preserves_floor(4, 1)
-        assert exit_preserves_floor(8, 2)
-        assert not exit_preserves_floor(7, 2)
+        assert exit_preserves_floor(5)
+        assert not exit_preserves_floor(4)
+        assert exit_preserves_floor(8)
+        assert not exit_preserves_floor(7)
 
 
 class TestRemovalPlan:
@@ -70,7 +70,7 @@ class TestRemovalPlan:
     def test_plan(self, committee, candidates, leaver, expected):
         remove, promote, stalled = expected
         plan = plan_removal(
-            committee=committee, f=1, candidates=candidates,
+            committee=committee, candidates=candidates,
             reputation=self.reputation, leaver=leaver,
         )
         assert plan == RemovalPlan(remove=remove, promote=promote, stalled=stalled)

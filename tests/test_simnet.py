@@ -457,10 +457,11 @@ class TestCounters:
         sim.send(0, [1, 2], make_commit(reg))
         sim.send(1, [2], make_prepare(reg, sender=1))
         drain(sim)
-        assert sim.counters.per_tag["commit"] == 2
-        assert sim.counters.per_tag["prepare"] == 1
+        counts = count_messages(sim.trace)
+        assert counts.by_tag["commit"] == 2
+        assert counts.by_tag["prepare"] == 1
         assert {(r.round_index, r.sender) for r in sim.trace} == {(7, 0), (7, 1)}
-        assert sim.counters.per_round == {7: 3}
+        assert counts.by_round == {7: 3}
         assert all(r.round_index == 7 for r in trace_rows(sim.trace))
 
 class TestFanOut:
@@ -518,8 +519,8 @@ class TestFanOut:
         counts = count_messages(lossy.trace)
         counters = lossy.counters
         assert counts.total == counters.sent == sum(len(r.targets) for r in lossy.trace)
-        assert counts.by_tag == counters.per_tag
-        assert counts.by_round == counters.per_round
+        assert counts.by_tag == {"commit": 20}
+        assert counts.by_round == {3: 20}
         assert counts.not_dropped == counters.delivered  # drained: none in flight
         assert lossy.counters.dropped == 5
 
