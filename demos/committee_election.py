@@ -5,7 +5,7 @@ the nodes' records and watch the gate demote them."""
 
 from ebrc.consensus import select_master
 from ebrc.crypto import VRF_RANGE, KeyRegistry, SimulatedVrf
-from ebrc.election import form_committee
+from ebrc.election import eligible_nodes, form_committee
 from ebrc.reputation import ConfirmedReport, Participation, new_record, update_behavior_table
 
 NODES = 20
@@ -17,7 +17,8 @@ table = {node: new_record(node, deposit=100.0) for node in range(NODES)}
 table = update_behavior_table(table, [Participation(node_id=n) for n in range(NODES)])
 
 OMEGA = 0.7
-settings = dict(omega=OMEGA, eligibility_percentile=0.85, consensus_percentile=0.5)
+GATE = 0.85
+settings = dict(omega=OMEGA, eligibility_percentile=GATE, consensus_percentile=0.5)
 epoch_seed = b"demo-epoch-1"
 
 vrf = SimulatedVrf(registry)
@@ -27,7 +28,7 @@ for node in range(NODES):
     mark = "<- self-selects" if draw <= OMEGA else ""
     print(f"  node {node:2d}  {draw:.3f}  {mark}")
 
-committee, reports = form_committee(table, epoch_seed, registry, **settings)
+committee, reports = form_committee(eligible_nodes(table, GATE), epoch_seed, registry, **settings)
 print()
 print("consensus nodes:", sorted(committee.consensus_nodes))
 print("candidates:     ", sorted(committee.candidates))
@@ -42,7 +43,9 @@ print("misbehavior reports:", reports)
 poison = [ConfirmedReport(node_id=n) for n in range(1, NODES, 2) for _ in range(3)]
 poisoned_table = update_behavior_table(table, poison)
 
-poisoned_committee, _ = form_committee(poisoned_table, epoch_seed, registry, **settings)
+poisoned_committee, _ = form_committee(
+    eligible_nodes(poisoned_table, GATE), epoch_seed, registry, **settings
+)
 print()
 print("after poisoning the odd ids:")
 print("consensus nodes:", sorted(poisoned_committee.consensus_nodes))

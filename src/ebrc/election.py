@@ -1,11 +1,12 @@
 """Committee election: reputation gating plus verifiable random sortition.
 
-Eligibility is a double ranking gate (a node must sit in the top slice by
-reputation AND by growth rate). Eligible nodes draw from the VRF against the
-epoch seed and self-select when value / 2**256 <= omega. The
-verified selectees are ranked by reputation and split into consensus nodes,
-candidate consensus nodes, and inactive spares. Rank ties always break toward
-the lower node id so the whole pipeline is deterministic.
+``eligible_nodes`` ranks an epoch's behavior table once: the double gate
+keeps the nodes in the top slice by reputation AND by growth rate, by
+descending reputation. ``form_committee`` draws each seed over that ranking:
+eligible nodes self-select when their VRF value / 2**256 <= omega, and the
+verified selectees, in rank order, are split into consensus nodes, candidate
+consensus nodes, and inactive spares. Rank ties always break toward the
+lower node id so the whole pipeline is deterministic.
 """
 
 from __future__ import annotations
@@ -59,32 +60,31 @@ def _cutoff(count: int, percentile: float) -> int:
     return int(math.floor(count * percentile + 1e-9))
 
 
-def _top_slice(table: BehaviorTable, key, keep: int) -> Set[int]:
-    """Ids whose key value ties or beats the value at the keep-th rank.
+def eligible_nodes(table: BehaviorTable, eligibility_percentile: float) -> List[int]:
+    """Ids in the top slice of BOTH rankings, by descending reputation.
 
-    The cut is by value, not by rank, so nodes tied with the boundary are all
-    admitted: with identical scores a rank cut would exclude nodes purely by
-    id, which no protocol rule justifies.
+    Each slice is cut by value, not by rank, so nodes tied with the keep-th
+    value are all admitted: with identical scores a rank cut would exclude
+    nodes purely by id, which no protocol rule justifies.
     """
-    if keep <= 0:
-        return set()
-    if keep >= len(table):
-        return set(table)
-    values = {node_id: key(record) for node_id, record in table.items()}
-    boundary = sorted(values.values(), reverse=True)[keep - 1]
-    return {node_id for node_id, value in values.items() if value >= boundary}
-
-
-def eligible_nodes(table: BehaviorTable, eligibility_percentile: float) -> Set[int]:
-    """Nodes inside the top slice of BOTH rankings."""
     keep = _cutoff(len(table), eligibility_percentile)
-    by_reputation = _top_slice(table, lambda record: record.reputation, keep)
-    by_growth = _top_slice(table, lambda record: record.growth_rate, keep)
-    return by_reputation & by_growth
+    if keep <= 0:
+        return []
+    ranked = sorted(
+        (-record.reputation_history[-1], node_id, record.growth_history[-1])
+        for node_id, record in table.items()
+    )
+    reputation_cut = ranked[keep - 1][0]
+    growth_cut = sorted((row[2] for row in ranked), reverse=True)[keep - 1]
+    return [
+        node_id
+        for negated, node_id, growth in ranked
+        if negated <= reputation_cut and growth >= growth_cut
+    ]
 
 
 def form_committee(
-    table: BehaviorTable,
+    eligible: List[int],
     seed: bytes,
     registry: KeyRegistry,
     *,
@@ -95,10 +95,11 @@ def form_committee(
 ) -> Tuple[CommitteeAssignment, List[Tuple[int, str]]]:
     """Run one election and return (assignment, misbehavior reports).
 
-    Every node eligible at ``eligibility_percentile`` draws a VRF value on
+    Each node of ``eligible`` (``eligible_nodes`` at the same
+    ``eligibility_percentile``), in rank order, draws a VRF value on
     ``seed`` and self-selects when it falls below ``omega`` of the VRF range;
     only a selectee makes a proof. The seed is framed once and each node's
-    states are taken once per election.
+    states are taken once per election. Reports are in id order.
     Draws are re-verified through the registry; selectees whose proofs fail
     verification are excluded and reported (``corrupt_proofs`` is the
     simulation hook that mangles specific nodes' proofs). Raises
@@ -112,7 +113,6 @@ def form_committee(
         raise ValueError("need 0 < consensus_percentile <= eligibility_percentile <= 1")
     vrf = SimulatedVrf(registry)
 
-    eligible = eligible_nodes(table, eligibility_percentile)
     if len(eligible) < MIN_COMMITTEE:
         raise ElectionFailed(
             f"only {len(eligible)} eligible nodes; need at least {MIN_COMMITTEE}"
@@ -123,7 +123,7 @@ def form_committee(
     draw = vrf.draw
     reports: List[Tuple[int, str]] = []
     verified: List[int] = []
-    for node_id in sorted(eligible):
+    for node_id in eligible:
         secret = registry.secret_key(node_id)
         value = draw(vrf.value_state(secret), framed)
         if value > threshold:
@@ -142,7 +142,7 @@ def form_committee(
             f"{len(verified)} verified selectees; need at least {MIN_COMMITTEE}"
         )
 
-    verified.sort(key=lambda nid: (-table[nid].reputation, nid))
+    reports.sort()
     n_sel = len(verified)
     # The consensus slice is floored at 4 members: master selection and the
     # 2f+1 quorum rule presuppose a real committee.
@@ -159,12 +159,12 @@ def form_committee(
 
 
 def elect_committee(
-    table: BehaviorTable,
+    eligible: List[int],
     seed: bytes,
     registry: KeyRegistry,
     **options,
 ) -> Tuple[CommitteeAssignment, List[Tuple[int, str]], bytes]:
-    """Run ``form_committee``, re-deriving the seed after each ElectionFailed.
+    """Run ``form_committee`` on one ranking, re-deriving the seed after each ElectionFailed.
 
     Returns (assignment, misbehavior reports, the seed that succeeded).
     ``options`` (the election settings and ``corrupt_proofs``) go to
@@ -174,7 +174,7 @@ def elect_committee(
     retries = 0
     while True:
         try:
-            assignment, reports = form_committee(table, seed, registry, **options)
+            assignment, reports = form_committee(eligible, seed, registry, **options)
             return assignment, reports, seed
         except ElectionFailed:
             retries += 1

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .config import ScenarioConfig
 from .crypto import KeyRegistry, SimulatedVrf, digest, frame, hasher, pack, sortition_threshold
 from .djep import committee_fault_budget
-from .election import MIN_COMMITTEE, ElectionFailed, elect_committee
+from .election import MIN_COMMITTEE, ElectionFailed, elect_committee, eligible_nodes
 from .reputation import ConfirmedReport, Participation
 from .runner import RunResult, ScenarioRunner, initial_table
 from .simnet import RECEIVER_ROW_FIELDS, TraceRecord, receiver_rows
@@ -441,7 +441,7 @@ def fairness_experiment(
     poisoned = range(1, node_count, 2) if poison_odd else ()
     events = [Participation(node) for node in poisoned for _ in range(7)]
     events += [ConfirmedReport(node) for node in poisoned for _ in range(3)]
-    table = initial_table(node_count, events)
+    eligible = eligible_nodes(initial_table(node_count, events), eligibility_percentile)
 
     membership_counts = {node: 0 for node in range(node_count)}
     consensus_counts = {node: 0 for node in range(node_count)}
@@ -451,7 +451,7 @@ def fairness_experiment(
         epoch_seed = digest(base, epoch.to_bytes(8, "big"), domain=b"fairness-epoch")
         try:
             assignment, _, _ = elect_committee(
-                table,
+                eligible,
                 epoch_seed,
                 registry,
                 omega=omega,

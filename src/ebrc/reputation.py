@@ -64,7 +64,8 @@ class BehaviorRecord:
     """Ledgered behavior of one node, the sole input to its reputation.
 
     ``reputation_history`` and ``growth_history`` start seeded with the
-    join-time values and gain one entry per table update.
+    join-time values and gain one entry per table update; the last entry of
+    each is the node's current score and growth rate.
     """
 
     node_id: int
@@ -90,10 +91,6 @@ class BehaviorRecord:
     @property
     def reputation(self) -> float:
         return self.reputation_history[-1]
-
-    @property
-    def growth_rate(self) -> float:
-        return self.growth_history[-1]
 
     def copy(self) -> "BehaviorRecord":
         return replace(

@@ -19,7 +19,7 @@ from . import djep, reputation
 from .config import ScenarioConfig
 from .consensus import EbrcReplica, PbftReplica, batch_digest_of, tx_digest
 from .crypto import KeyRegistry, SimulatedVrf, derive_seed, digest, frame, pack
-from .election import CommitteeAssignment, elect_committee
+from .election import CommitteeAssignment, elect_committee, eligible_nodes
 from .messages import (
     MEMBERSHIP_TYPES,
     BlockAnnounce,
@@ -312,7 +312,7 @@ class ScenarioRunner:
         config = self.config
         corrupt = self.byz_ids if config.byzantine.behavior == "corrupt_proof" else set()
         assignment, proof_reports, seed = elect_committee(
-            self.table,
+            eligible_nodes(self.table, config.eligibility_percentile),
             derive_seed(self._tip_block().block_digest),
             self.registry,
             omega=config.omega,

@@ -119,7 +119,7 @@ def rank_by_reputation(table) -> list:
 
 def rank_by_growth(table) -> list:
     """Node ids by descending growth rate, ties toward the lower id."""
-    return sorted(table, key=lambda node: (-table[node].growth_rate, node))
+    return sorted(table, key=lambda node: (-table[node].growth_history[-1], node))
 
 
 def _naive_top_slice(table, key, keep: int) -> set:
@@ -142,7 +142,7 @@ def naive_form_committee(table, seed: bytes, registry, *, omega, eligibility_per
     cutoff = lambda count, percentile: int(math.floor(count * percentile + 1e-9))  # noqa: E731
     keep = cutoff(len(table), eligibility_percentile)
     eligible = _naive_top_slice(table, lambda r: r.reputation, keep) & _naive_top_slice(
-        table, lambda r: r.growth_rate, keep
+        table, lambda r: r.growth_history[-1], keep
     )
     if len(eligible) < 4:
         return None

@@ -1,12 +1,13 @@
 """Committee election: eligibility gating, sortition, partition, verification."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebrc import election
+from ebrc import election, harness, presets, runner
 from ebrc.crypto import GENESIS_SEED, KeyRegistry, SimulatedVrf, VRF_RANGE, derive_seed
 from ebrc.election import (
     MAX_ELECTION_RETRIES,
@@ -43,6 +44,12 @@ def table_with_scores(scores, growths=None):
     return table
 
 
+def form_over(table, seed, reg, **options):
+    """``form_committee`` over ``eligible_nodes``' ranking of ``table``."""
+    eligible = eligible_nodes(table, options["eligibility_percentile"])
+    return form_committee(eligible, seed, reg, **options)
+
+
 class TestEligibility:
     def test_top_ranked_node_eligible(self):
         scores = [1.0 - i * 0.01 for i in range(20)]
@@ -77,7 +84,7 @@ class TestEligibility:
         # The election orders its consensus nodes the same way.
         config = dict(omega=1.0, eligibility_percentile=1.0, consensus_percentile=1.0)
         mixed = table_with_scores([0.3, 0.9, 0.9, 0.7])
-        assignment, _ = form_committee(mixed, GENESIS_SEED, reg, **config)
+        assignment, _ = form_over(mixed, GENESIS_SEED, reg, **config)
         assert list(assignment.consensus_nodes) == rank_by_reputation(mixed) == [1, 2, 3, 0]
 
     def test_cutoff_float_artifact(self):
@@ -93,7 +100,7 @@ class TestEligibility:
         assert len(eligible_nodes(table, 0.85)) == 20
         scores = [0.9] * 18 + [0.2, 0.2]
         tied = table_with_scores(scores)
-        assert eligible_nodes(tied, 0.85) == set(range(18))
+        assert eligible_nodes(tied, 0.85) == list(range(18))
 
     @given(
         st.lists(
@@ -105,8 +112,8 @@ class TestEligibility:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_ranked_value_cut(self, scores, percentile):
-        # The slice reads each key once and never sorts ids; it must admit
-        # exactly what a cut at the keep-th entry of the full ranking admits.
+        # The gate must admit exactly what a cut at the keep-th entry of each
+        # full ranking admits, listed in reputation order.
         table = table_with_scores([r for r, _ in scores], [g for _, g in scores])
         keep = math.floor(len(table) * percentile + 1e-9)
 
@@ -117,9 +124,11 @@ class TestEligibility:
             return {node for node in ranked if key(table[node]) >= boundary}
 
         expected = value_cut(rank_by_reputation(table), lambda r: r.reputation) & value_cut(
-            rank_by_growth(table), lambda r: r.growth_rate
+            rank_by_growth(table), lambda r: r.growth_history[-1]
         )
-        assert eligible_nodes(table, percentile) == expected
+        assert eligible_nodes(table, percentile) == [
+            node for node in rank_by_reputation(table) if node in expected
+        ]
 
 
 class TestFormCommittee:
@@ -156,7 +165,7 @@ class TestFormCommittee:
 
         monkeypatch.setattr(SimulatedVrf, "draw", staticmethod(counting))
         monkeypatch.setattr(SimulatedVrf, "verify", checked)
-        assignment, reports = form_committee(
+        assignment, reports = form_over(
             table, GENESIS_SEED, reg, **self.config(omega=0.4), corrupt_proofs={0, 1, 2}
         )
         verified = assignment.consensus_nodes + assignment.candidates + assignment.spares
@@ -183,7 +192,7 @@ class TestFormCommittee:
             node for node in range(20)
             if SimulatedVrf.value(reg.secret_key(node), GENESIS_SEED) <= threshold
         ]
-        assignment, reports = form_committee(
+        assignment, reports = form_over(
             table, GENESIS_SEED, reg, **self.config(omega=omega), corrupt_proofs={1, 2}
         )
         assert checked_keys == [reg.public_key(node) for node in selectees]
@@ -200,7 +209,7 @@ class TestFormCommittee:
             eligibility_percentile=1.0,
             consensus_percentile=0.5,
         )
-        assignment, reports = form_committee(table, GENESIS_SEED, reg, **config_all)
+        assignment, reports = form_over(table, GENESIS_SEED, reg, **config_all)
         assert reports == []
         assert len(assignment.consensus_nodes) == 10
         assert assignment.consensus_nodes == tuple(range(10))
@@ -215,7 +224,7 @@ class TestFormCommittee:
         reg = make_registry(20)
         table = equal_table(20)
         config = self.config(eligibility_percentile=0.85, consensus_percentile=0.5)
-        assignment, _ = form_committee(table, GENESIS_SEED, reg, **config)
+        assignment, _ = form_over(table, GENESIS_SEED, reg, **config)
         assert len(assignment.consensus_nodes) == 10
         assert len(assignment.candidates) == 7
         assert len(assignment.spares) == 3
@@ -227,7 +236,7 @@ class TestFormCommittee:
         scores = [1.0 - i * 0.01 for i in range(20)]
         table = table_with_scores(scores)
         config = self.config(eligibility_percentile=0.85, consensus_percentile=0.5)
-        assignment, _ = form_committee(table, GENESIS_SEED, reg, **config)
+        assignment, _ = form_over(table, GENESIS_SEED, reg, **config)
         assert len(assignment.consensus_nodes) == 8
         assert len(assignment.candidates) == 6
         assert len(assignment.spares) == 3
@@ -235,7 +244,7 @@ class TestFormCommittee:
     def test_partition_disjoint_and_complete(self):
         reg = make_registry(20)
         table = equal_table(20)
-        assignment, _ = form_committee(table, GENESIS_SEED, reg, **self.config())
+        assignment, _ = form_over(table, GENESIS_SEED, reg, **self.config())
         groups = (
             set(assignment.consensus_nodes),
             set(assignment.candidates),
@@ -247,15 +256,15 @@ class TestFormCommittee:
         reg = make_registry(8)
         scores = [0.5, 0.9, 0.4, 0.8, 0.7, 0.6, 0.95, 0.55]
         table = table_with_scores(scores)
-        assignment, _ = form_committee(table, GENESIS_SEED, reg, **self.config())
+        assignment, _ = form_over(table, GENESIS_SEED, reg, **self.config())
         ranked = sorted(range(8), key=lambda i: (-scores[i], i))
         assert list(assignment.consensus_nodes) == ranked[: len(assignment.consensus_nodes)]
 
     def test_deterministic(self):
         reg = make_registry(12)
         table = equal_table(12)
-        a, _ = form_committee(table, GENESIS_SEED, reg, **self.config())
-        b, _ = form_committee(table, GENESIS_SEED, reg, **self.config())
+        a, _ = form_over(table, GENESIS_SEED, reg, **self.config())
+        b, _ = form_over(table, GENESIS_SEED, reg, **self.config())
         assert a == b
 
     def test_seed_changes_selection(self):
@@ -266,7 +275,7 @@ class TestFormCommittee:
         seed = GENESIS_SEED
         for _ in range(6):
             try:
-                assignment, _ = form_committee(table, seed, reg, **config)
+                assignment, _ = form_over(table, seed, reg, **config)
                 results.add(assignment.consensus_nodes)
             except ElectionFailed:
                 pass
@@ -276,7 +285,7 @@ class TestFormCommittee:
     def test_corrupt_proof_excluded_and_reported(self):
         reg = make_registry(8)
         table = equal_table(8)
-        assignment, reports = form_committee(
+        assignment, reports = form_over(
             table, GENESIS_SEED, reg, **self.config(), corrupt_proofs={3}
         )
         assert (3, "invalid-sortition-proof") in reports
@@ -287,7 +296,7 @@ class TestFormCommittee:
         reg = make_registry(4)
         table = equal_table(4)
         with pytest.raises(ElectionFailed):
-            form_committee(
+            form_over(
                 table, GENESIS_SEED, reg, **self.config(), corrupt_proofs={0, 1, 2, 3}
             )
 
@@ -295,7 +304,7 @@ class TestFormCommittee:
         reg = make_registry(3)
         table = equal_table(3)
         with pytest.raises(ElectionFailed):
-            form_committee(table, GENESIS_SEED, reg, **self.config())
+            form_over(table, GENESIS_SEED, reg, **self.config())
 
     def test_elect_committee_retries_with_derived_seeds(self):
         reg = make_registry(8)
@@ -304,13 +313,15 @@ class TestFormCommittee:
         seed, failures = GENESIS_SEED, 0
         while True:
             try:
-                expected, _ = form_committee(table, seed, reg, **config)
+                expected, _ = form_over(table, seed, reg, **config)
                 break
             except ElectionFailed:
                 failures += 1
                 seed = derive_seed(seed)
         assert failures >= 1
-        assignment, reports, final_seed = elect_committee(table, GENESIS_SEED, reg, **config)
+        assignment, reports, final_seed = elect_committee(
+            eligible_nodes(table, config["eligibility_percentile"]), GENESIS_SEED, reg, **config
+        )
         assert (assignment, reports, final_seed) == (expected, [], seed)
 
     def test_elect_committee_gives_up_after_max_retries(self, monkeypatch):
@@ -318,20 +329,20 @@ class TestFormCommittee:
         table = equal_table(3)
         seeds = []
 
-        def counting(table, seed, registry, **options):
+        def counting(eligible, seed, registry, **options):
             seeds.append(seed)
-            return form_committee(table, seed, registry, **options)
+            return form_committee(eligible, seed, registry, **options)
 
         monkeypatch.setattr(election, "form_committee", counting)
         with pytest.raises(ElectionFailed):
-            elect_committee(table, GENESIS_SEED, reg, **self.config())
+            elect_committee(eligible_nodes(table, 1.0), GENESIS_SEED, reg, **self.config())
         assert len(seeds) == MAX_ELECTION_RETRIES + 1
         assert all(b == derive_seed(a) for a, b in zip(seeds, seeds[1:]))
 
     def test_fault_budget_formula(self):
         reg = make_registry(20)
         table = equal_table(20)
-        assignment, _ = form_committee(table, GENESIS_SEED, reg, **self.config())
+        assignment, _ = form_over(table, GENESIS_SEED, reg, **self.config())
         m = len(assignment.consensus_nodes)
         assert assignment.f == (m - 1) // 3
 
@@ -348,12 +359,12 @@ class TestFormCommittee:
         reg = make_registry(8)
         table = equal_table(8)
         with pytest.raises(ValueError, match="omega"):
-            form_committee(
+            form_over(
                 table, GENESIS_SEED, reg,
                 omega=0.0, eligibility_percentile=0.85, consensus_percentile=0.5,
             )
         with pytest.raises(ValueError):
-            form_committee(
+            form_over(
                 table, GENESIS_SEED, reg,
                 omega=0.4, eligibility_percentile=0.5, consensus_percentile=0.9,
             )
@@ -373,7 +384,7 @@ class TestFormCommittee:
             eligibility_percentile=1.0,
             consensus_percentile=0.5,
         )
-        assignment, _ = form_committee(table, GENESIS_SEED, reg, **config)
+        assignment, _ = form_over(table, GENESIS_SEED, reg, **config)
         members = assignment.consensus_nodes
         # Reputation-descending order with id ties.
         keys = [(-table[node].reputation, node) for node in members]
@@ -393,7 +404,7 @@ class TestFormCommittee:
         )
         seed = GENESIS_SEED
         for _ in range(10):
-            assignment, _ = form_committee(table, seed, reg, **config)
+            assignment, _ = form_over(table, seed, reg, **config)
             for low_node in (17, 18, 19):
                 assert low_node not in assignment.consensus_nodes + assignment.candidates
                 assert low_node not in assignment.spares
@@ -409,7 +420,7 @@ class TestFormCommittee:
         events = [Participation(i) for i in range(8) for _ in range(10)]
         events += [ConfirmedReport(6), ConfirmedReport(6), ConfirmedReport(7)]
         table = update_behavior_table(table, events)
-        assignment, _ = form_committee(table, GENESIS_SEED, reg, **self.config())
+        assignment, _ = form_over(table, GENESIS_SEED, reg, **self.config())
         assert 6 not in assignment.consensus_nodes
         assert 7 not in assignment.consensus_nodes
 
@@ -421,9 +432,12 @@ ELECTION_SEEDS = st.sampled_from([0, 1, 32, 300]).flatmap(
 
 
 class TestAgainstNaiveKernel:
-    """``form_committee`` against ``oracles.naive_form_committee``, which
-    draws every eligible node in full through ``SimulatedVrf.evaluate`` and
-    frames the seed afresh on each draw."""
+    """``form_committee`` over ``eligible_nodes``' ranking against
+    ``oracles.naive_form_committee``, which gates the table itself, draws
+    every eligible node in id order and in full through
+    ``SimulatedVrf.evaluate``, frames the seed afresh on each draw and sorts
+    the selectees afterwards. The table's insertion order is drawn too, so
+    neither the ranking nor the reports may lean on dict order."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -441,6 +455,7 @@ class TestAgainstNaiveKernel:
     def test_assignment_and_reports(self, values, omega, eligibility, consensus, seed, data):
         n = len(values)
         table = table_with_scores([r for r, _ in values], [g for _, g in values])
+        table = {node: table[node] for node in data.draw(st.permutations(range(n)))}
         corrupt = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=max(1, n // 3)))
         options = dict(
             omega=omega,
@@ -452,8 +467,45 @@ class TestAgainstNaiveKernel:
         expected = naive_form_committee(table, seed, reg, **options)
         if expected is None:
             with pytest.raises(ElectionFailed):
-                form_committee(table, seed, reg, **options)
+                form_over(table, seed, reg, **options)
             return
-        assignment, reports = form_committee(table, seed, reg, **options)
+        assignment, reports = form_over(table, seed, reg, **options)
         got = (assignment.consensus_nodes, assignment.candidates, assignment.spares, assignment.f)
         assert (got, reports) == expected
+
+
+class TestRankOnce:
+    """Each caller ranks a table once and draws every attempt over that
+    ranking: a study's one table once per study, a run's table once per
+    epoch. Ranking is counted through the name each caller binds."""
+
+    @staticmethod
+    def count(monkeypatch, module):
+        ranks, attempts = [], []
+
+        def ranking(table, eligibility_percentile):
+            ranks.append(eligibility_percentile)
+            return eligible_nodes(table, eligibility_percentile)
+
+        def attempt(eligible, seed, registry, **options):
+            attempts.append(seed)
+            return form_committee(eligible, seed, registry, **options)
+
+        monkeypatch.setattr(module, "eligible_nodes", ranking)
+        monkeypatch.setattr(election, "form_committee", attempt)
+        return ranks, attempts
+
+    def test_fairness_study_ranks_once(self, monkeypatch):
+        ranks, attempts = self.count(monkeypatch, harness)
+        harness.fairness_experiment(20, 50, poison_odd=True, seed=1)
+        assert ranks == [0.85]
+        assert len(attempts) > 50
+
+    def test_run_ranks_once_per_epoch(self, monkeypatch):
+        # A low omega makes elections retry, so attempts outnumber epochs.
+        config = dataclasses.replace(presets.load("churn_exit_m11"), omega=0.3)
+        ranks, attempts = self.count(monkeypatch, runner)
+        result = runner.ScenarioRunner(config).run()
+        assert config.epochs == 2
+        assert len(ranks) == len(result.elections) == config.epochs
+        assert len(attempts) > config.epochs

@@ -259,7 +259,7 @@ class TestBehaviorTable:
     def test_new_node_initialization(self):
         rec = new_record(7, 50.0)
         assert rec.reputation == INITIAL_REPUTATION == 0.5
-        assert rec.growth_rate == INITIAL_GROWTH_RATE == 0.5
+        assert rec.growth_history[-1] == INITIAL_GROWTH_RATE == 0.5
 
     def test_empty_events_extend_histories(self):
         table = self.table()
@@ -318,7 +318,8 @@ class TestBehaviorTable:
         a = update_behavior_table(self.table(), events)
         b = update_behavior_table(self.table(), events)
         assert all(
-            a[i].reputation == b[i].reputation and a[i].growth_rate == b[i].growth_rate
+            a[i].reputation == b[i].reputation
+            and a[i].growth_history[-1] == b[i].growth_history[-1]
             for i in a
         )
 
