@@ -3,10 +3,11 @@ protocol (EBRC) alongside a classic three-phase PBFT baseline.
 
 Layers, bottom up:
 
-- ``crypto``: hash-based simulated signatures and a verifiable random
+- ``crypto``: keyed-hash digests, a key registry and a verifiable random
   function with deterministic, seed-stable outputs.
-- ``messages``: the wire messages, all signed by one rule: the class name
-  and every field but ``signature``, in field order.
+- ``messages``: the wire messages and their ideal signatures: ``signed()``
+  attaches a memo of the signer, and a check passes only on that very
+  object.
 - ``reputation``: weighted behavior scoring (deposit share, incomplete
   rate, evil rate, latency-only activity, transaction-size h-index; the two
   fault rates enter only through their complements) and its update rules.

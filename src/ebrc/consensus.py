@@ -296,7 +296,7 @@ class _ReplicaBase:
         """The digest matches the payload and the client signed the request.
 
         A broadcast request is one object at every replica, so a matching
-        digest is memoized on it, like a good signature (see ``messages``).
+        digest is memoized on it, as its signature is (see ``messages``).
         """
         if not getattr(request, "_digest_ok", False):
             if request.digest != tx_digest(request.payload):

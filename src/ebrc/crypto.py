@@ -4,18 +4,20 @@ Every primitive here is keyed BLAKE2b: cheap, reproducible, and verifiable
 through a trusted in-simulation registry rather than real public-key math.
 That is intentional: runs must replay bit-for-bit. The elections use
 ``SimulatedVrf`` directly; a production VRF would replace that class.
+Messages are signed without bytes, by the memo ``messages.signed`` attaches
+(an ideal signature); ``KeyRegistry.sign`` and ``verify`` sign and check
+bytes, and no run calls them.
 
-A signature is ``digest(secret, payload, domain=b"sig")``, a VRF value and
-proof are ``digest(secret, seed)`` under ``b"vrf-value"`` and ``b"vrf-proof"``.
-Each (secret, domain) pair is absorbed once into a cached state
-(``_keyed_state``), so signing and sortition copy that state and hash only
-the payload or the seed; the bytes are the same as hashing the secret every
-time. Each digest and signature is one call that copies its cached state,
-absorbs the length-prefixed parts and finishes it. A VRF draw
-(``SimulatedVrf.draw``) is one copy of a key's state, one update with the
-seed already framed (``frame``) and one finish; ``SimulatedVrf`` does not go
-through ``digest``. A sortition draw computes its value alone: only a node
-that selects itself makes a proof.
+A VRF value and proof are ``digest(secret, seed)`` under ``b"vrf-value"`` and
+``b"vrf-proof"``, a byte signature ``digest(secret, payload)`` under
+``b"sig"``. Each (secret, domain) pair is absorbed once into a cached state
+(``_keyed_state``), so sortition copies that state and hashes only the seed;
+the bytes are the same as hashing the secret every time. A digest is one call
+that copies its cached state, absorbs the length-prefixed parts and finishes
+it. A VRF draw (``SimulatedVrf.draw``) is one copy of a key's state, one
+update with the seed already framed (``frame``) and one finish;
+``SimulatedVrf`` does not go through ``digest``. A sortition draw computes its
+value alone: only a node that selects itself makes a proof.
 """
 
 from __future__ import annotations
@@ -87,27 +89,13 @@ def digest(*parts: bytes, domain: bytes = b"msg", prefix=None) -> bytes:
     return h.digest()
 
 
-def pack(*parts) -> bytes:
-    """Canonical byte encoding of mixed int/str/bytes/bool fields.
-
-    Used to build signing payloads; unambiguous because every element is
-    length-prefixed by the digest routine downstream.
-    """
-    out = []
-    for part in parts:
-        if isinstance(part, bytes):
-            out.append(part)
-        elif isinstance(part, bool):
-            out.append(b"\x01" if part else b"\x00")
-        elif isinstance(part, int):
-            out.append(part.to_bytes(16, "big", signed=True))
-        elif isinstance(part, str):
-            out.append(part.encode("utf-8"))
-        elif isinstance(part, (tuple, list)):
-            out.append(pack(*part))
-        else:
-            raise TypeError(f"cannot pack {type(part).__name__}")
-    return digest(*out, domain=b"pack")
+def pack(seed: int) -> bytes:
+    """The canonical bytes of an integer seed: the seed as 16 signed
+    big-endian bytes, digested under ``b"pack"``. Anything else, a bool
+    included, raises ``TypeError``."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise TypeError(f"cannot pack {type(seed).__name__}")
+    return digest(seed.to_bytes(16, "big", signed=True), domain=b"pack")
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,8 +111,11 @@ class KeyRegistry:
     math; the simulation instead resolves the secret key for a public key
     through this registry. Only verification helpers consult the secret side.
 
-    ``sign`` and ``verify`` continue the state that already holds the
-    signer's secret (``_keyed_state``) instead of hashing it again.
+    Messages are signed by ``messages.signed``'s memo, not through this
+    class. ``sign`` and ``verify`` make and check signature bytes, continuing
+    the state that already holds the signer's secret (``_keyed_state``); no
+    run calls them, and they stay only because the benchmark's counters name
+    them.
     """
 
     def __init__(self, seed: bytes) -> None:

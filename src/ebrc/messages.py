@@ -6,29 +6,17 @@ per-tag counting. The runner's rewrite of a faulty node's sends
 key, so signature checks pass and misbehavior must be caught by content
 checks or quorum math, mirroring real deployments.
 
-One signing rule covers every message: ``signed_payload()`` packs the class
-name, then every dataclass field but ``signature``, in field order. A nested
-message enters as its own payload, a tuple element by element and a float as
-``float.hex()``, so no field is left unbound and two classes with equal field
-values (``Prepare`` and ``PrePrepare``, ``Commit`` and ``PbftPrepare``) sign
-different bytes.
-
-A broadcast hands the same frozen object to every receiver, so each message
-carries a signature memo: a slot outside the dataclass fields, left out of
-``==``, ``hash``, ``repr`` and ``asdict``. It holds ``(registry, signer_id)``
-and is set only by ``signed()`` or by a successful ``signature_ok()``. A
-``dataclasses.replace`` copy is a new object and starts without it, so any
-changed field, forged sender or copied signature is checked in full. The memo
-answers only for the very registry object and signer it records; any other
-check takes the full ``KeyRegistry.verify`` path.
-
-Most signatures are never read: a receiver's check is answered by the memo.
-So ``signed()`` makes none. The signature is made on its first read, from the
-memo, as ``registry.sign(signer_id, message.signed_payload())``, and kept.
-Every read goes through the ``signature`` attribute (a full check, ``==``,
-``hash``, ``repr``, ``asdict``, ``copy``, ``pickle``, ``dataclasses.replace``,
-a field that copies it), so each sees the bytes an eager signature would have
-had.
+A signature is ideal, as in Canetti's signature functionality F_SIG: no
+message carries signature bytes. ``signed()`` returns a field-for-field copy
+whose memo, a slot outside the dataclass fields, records ``(registry,
+signer_id)``; the memo is left out of ``==``, ``hash``, ``repr``, ``asdict``
+and the state that ``copy`` and ``pickle`` carry. ``signature_ok()`` is the
+memo test alone: it holds only for the very registry object and signer the
+memo records. Any other object has no memo and fails closed: a
+``dataclasses.replace`` copy (with a changed field, a forged sender or no
+change at all), a copy or pickle round trip, a twin class built from equal
+field values. A signed message carried inside another (``ExitCommit.request``)
+travels by reference and keeps its memo.
 
 A second slot, ``_digest_ok``, follows the same rule for a ``Request``'s
 digest: a replica sets it to True only once the digest matched the payload,
@@ -42,80 +30,14 @@ from functools import cache
 from operator import attrgetter
 from typing import Callable, ClassVar, Tuple
 
-from .crypto import pack
-
 
 class Message:
     """Base of every wire message; its slots are the signature and digest memos."""
 
     __slots__ = ("_verified_by", "_digest_ok")
 
-    def signed_payload(self) -> bytes:
-        """The bytes the sender signs: the class name and every field but
-        ``signature``, in field order."""
-        cls = type(self)
-        return pack(cls.__name__, *[_signable(value) for value in _unsigned_fields(cls)(self)])
 
-
-# What ``signed()`` puts in the ``signature`` slot until the first read; no
-# read returns it.
-_UNSIGNED = object()
-
-
-class _LazySignature:
-    """The ``signature`` attribute of a message class: its slot, except that
-    a read of ``_UNSIGNED`` makes the signature the memo names and stores it.
-    The memo is still the one ``signed()`` set then: ``signature_ok`` reads
-    the signature before it replaces the memo."""
-
-    __slots__ = ("_slot",)
-
-    def __init__(self, slot) -> None:
-        self._slot = slot
-
-    def __get__(self, message, owner=None):
-        value = self._slot.__get__(message, owner)
-        if value is _UNSIGNED:
-            registry, signer_id = message._verified_by
-            value = registry.sign(signer_id, message.signed_payload())
-            self._slot.__set__(message, value)
-        return value
-
-    def __set__(self, message, value) -> None:
-        self._slot.__set__(message, value)
-
-
-def _message(cls: type) -> type:
-    """A frozen, slotted dataclass whose signature is made on first read."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.signature = _LazySignature(vars(cls)["signature"])
-    return cls
-
-
-@cache
-def _unsigned_fields(cls: type) -> Callable[["Message"], Tuple]:
-    """A getter of every field value of ``cls`` but ``signature``, in field
-    order. ``signature`` is the last field, so ``cls(*values, signature)``
-    builds a signed message; every class has at least two other fields, so
-    the getter returns a tuple."""
-    *names, last = (f.name for f in fields(cls))
-    if last != "signature":
-        raise TypeError(f"{cls.__name__}: signature must be the last field")
-    return attrgetter(*names)
-
-
-def _signable(value):
-    """A field value in a form ``pack`` accepts."""
-    if isinstance(value, Message):
-        return value.signed_payload()
-    if isinstance(value, tuple):
-        return tuple(_signable(item) for item in value)
-    if isinstance(value, float):
-        return value.hex()
-    return value
-
-
-@_message
+@dataclass(frozen=True, slots=True)
 class Request(Message):
     """Client transaction submission, sent to every committee member."""
 
@@ -124,10 +46,9 @@ class Request(Message):
     payload: bytes
     digest: bytes
     client_id: int
-    signature: bytes = b""
 
 
-@_message
+@dataclass(frozen=True, slots=True)
 class Prepare(Message):
     """Master proposal carrying the transaction batch (two-phase protocol)."""
 
@@ -137,10 +58,9 @@ class Prepare(Message):
     batch: Tuple[Request, ...]
     digest: bytes
     sender: int
-    signature: bytes = b""
 
 
-@_message
+@dataclass(frozen=True, slots=True)
 class Commit(Message):
     """Commit vote of both protocols; a block commits on 2f+1 matching commits."""
 
@@ -149,20 +69,18 @@ class Commit(Message):
     view: int
     digest: bytes
     sender: int
-    signature: bytes = b""
 
 
-@_message
+@dataclass(frozen=True, slots=True)
 class Reply(Message):
     """Per-replica confirmation to the client (f+1 matching confirms a tx)."""
 
     TAG: ClassVar[str] = "reply"
     digest: bytes
     sender: int
-    signature: bytes = b""
 
 
-@_message
+@dataclass(frozen=True, slots=True)
 class ViewChange(Message):
     """Vote to depose the current master; adopted at 2f+1 distinct reporters.
 
@@ -174,10 +92,9 @@ class ViewChange(Message):
     height: int
     proposed_view: int
     reporter: int
-    signature: bytes = b""
 
 
-@_message
+@dataclass(frozen=True, slots=True)
 class Report(Message):
     """Accusation with evidence kind; confirmed at f+1 distinct reporters."""
 
@@ -186,10 +103,9 @@ class Report(Message):
     evidence_kind: str
     height: int
     reporter: int
-    signature: bytes = b""
 
 
-@_message
+@dataclass(frozen=True, slots=True)
 class BlockAnnounce(Message):
     """Round-end dissemination of a committed block to the whole network."""
 
@@ -198,10 +114,9 @@ class BlockAnnounce(Message):
     block_digest: bytes
     batch_digests: Tuple[bytes, ...]
     sender: int
-    signature: bytes = b""
 
 
-@_message
+@dataclass(frozen=True, slots=True)
 class VrfConnect(Message):
     """Selectee's sortition announcement (public key + proof) for an epoch."""
 
@@ -210,12 +125,11 @@ class VrfConnect(Message):
     node_id: int
     public_key: bytes
     proof: bytes
-    signature: bytes = b""
 
 
 # --- Classic three-phase baseline ---
 
-@_message
+@dataclass(frozen=True, slots=True)
 class PrePrepare(Message):
     """Primary's proposal in the three-phase baseline."""
 
@@ -225,10 +139,9 @@ class PrePrepare(Message):
     batch: Tuple[Request, ...]
     digest: bytes
     sender: int
-    signature: bytes = b""
 
 
-@_message
+@dataclass(frozen=True, slots=True)
 class PbftPrepare(Message):
     """Backup's echo of the pre-prepare (digest only)."""
 
@@ -237,22 +150,20 @@ class PbftPrepare(Message):
     view: int
     digest: bytes
     sender: int
-    signature: bytes = b""
 
 
 # --- Membership (dynamic join/exit) ---
 
-@_message
+@dataclass(frozen=True, slots=True)
 class ExitRequest(Message):
     """Member announces departure effective at ``effective_height``."""
 
     TAG: ClassVar[str] = "erequest"
     node_id: int
     effective_height: int
-    signature: bytes = b""
 
 
-@_message
+@dataclass(frozen=True, slots=True)
 class ExitCommit(Message):
     """The master's commitment to a member's exit, sent to every member as
     soon as the master accepts the leaver's signed request, which it
@@ -262,12 +173,11 @@ class ExitCommit(Message):
 
     TAG: ClassVar[str] = "exit_commit"
     request: ExitRequest
-    candidate: Tuple[int, ...]  # pack takes no None
+    candidate: Tuple[int, ...]
     master_id: int
-    signature: bytes = b""  # master's signature
 
 
-@_message
+@dataclass(frozen=True, slots=True)
 class ChangeNotice(Message):
     """Master invites the best candidate to join the consensus set."""
 
@@ -275,10 +185,9 @@ class ChangeNotice(Message):
     candidate_id: int
     effective_height: int
     master_id: int
-    signature: bytes = b""
 
 
-@_message
+@dataclass(frozen=True, slots=True)
 class JoinRequest(Message):
     """Candidate's upgrade request carrying its claimed reputation."""
 
@@ -286,10 +195,9 @@ class JoinRequest(Message):
     node_id: int
     reputation: float
     effective_height: int
-    signature: bytes = b""
 
 
-@_message
+@dataclass(frozen=True, slots=True)
 class JoinCommit(Message):
     """Member's confirmation that the candidate may join."""
 
@@ -297,36 +205,31 @@ class JoinCommit(Message):
     candidate_id: int
     effective_height: int
     sender: int
-    signature: bytes = b""
 
 
 # The DJEP exit/join messages: the runner counts and times membership flows by them.
 MEMBERSHIP_TYPES = frozenset({ExitRequest, ExitCommit, ChangeNotice, JoinRequest, JoinCommit})
 
 
-def signed(message, registry, signer_id: int):
-    """Return a copy of ``message`` signed by ``signer_id``.
+@cache
+def _field_values(cls: type) -> Callable[[Message], Tuple]:
+    """A getter of every field value of ``cls``, in field order; every class
+    has at least two fields, so the getter returns a tuple."""
+    return attrgetter(*(f.name for f in fields(cls)))
 
-    The copy's memo records the signer, and its signature is made on the
-    first read of ``.signature``: a message whose checks the memo answers is
-    never hashed for it.
-    """
+
+def signed(message, registry, signer_id: int):
+    """Return a copy of ``message`` signed by ``signer_id``: equal to it, and
+    carrying the memo ``(registry, signer_id)``. ``message`` itself is left
+    as it was."""
     cls = type(message)
-    copy = cls(*_unsigned_fields(cls)(message), _UNSIGNED)
+    copy = cls(*_field_values(cls)(message))
     object.__setattr__(copy, "_verified_by", (registry, signer_id))
     return copy
 
 
 def signature_ok(message, registry, signer_id: int) -> bool:
-    """True if ``message.signature`` is ``signer_id``'s signature of its payload.
-
-    Answered from the memo when ``registry`` and ``signer_id`` are the ones it
-    records; otherwise verified in full, and a success is memoized.
-    """
+    """True if ``message`` is the very object ``signed()`` made with
+    ``registry`` and ``signer_id``."""
     memo = getattr(message, "_verified_by", None)
-    if memo is not None and memo[0] is registry and memo[1] == signer_id:
-        return True
-    if not registry.verify(signer_id, message.signed_payload(), message.signature):
-        return False
-    object.__setattr__(message, "_verified_by", (registry, signer_id))
-    return True
+    return memo is not None and memo[0] is registry and memo[1] == signer_id

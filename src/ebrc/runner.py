@@ -79,10 +79,10 @@ def byzantine_sends(
         return []
     if behavior == "corrupt_digest" and isinstance(message, _PROPOSALS + _VOTES):
         bad = bytes([message.digest[0] ^ 0xFF]) + message.digest[1:]
-        return [(targets, signed(replace(message, digest=bad, signature=b""), registry, sender))]
+        return [(targets, signed(replace(message, digest=bad), registry, sender))]
     if behavior == "equivocate" and isinstance(message, _PROPOSALS) and len(message.batch) > 1:
         batch = message.batch[:-1]
-        variant = replace(message, batch=batch, digest=batch_digest_of(batch), signature=b"")
+        variant = replace(message, batch=batch, digest=batch_digest_of(batch))
         pair = (message, signed(variant, registry, sender))
         return [((target,), pair[i % 2]) for i, target in enumerate(sorted(targets))]
     return [(targets, message)]

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ebrc.consensus import QuorumConflict, batch_digest_of, check_quorum
 from ebrc.crypto import VRF_RANGE, KeyRegistry, SimulatedVrf, digest, pack
-from ebrc.messages import Commit, PbftPrepare, Prepare, PrePrepare, signed
+from ebrc.messages import Commit, PbftPrepare, Prepare, PrePrepare, signature_ok, signed
 from ebrc.simnet import receiver_rows
 
 
@@ -242,8 +242,7 @@ class NaiveNetwork:
         if (sender in self.equivocators and isinstance(message, (Prepare, PrePrepare))
                 and len(message.batch) > 1):
             shorter = message.batch[:-1]
-            copy = dataclasses.replace(message, batch=shorter, digest=batch_digest_of(shorter),
-                                       signature=b"")
+            copy = dataclasses.replace(message, batch=shorter, digest=batch_digest_of(shorter))
             messages.append(signed(copy, self.registry, sender))
             targets = sorted(targets)
         for i, target in enumerate(targets):
@@ -301,10 +300,10 @@ class NaiveVotePath:
     rules, for comparison step by step.
 
     Every signed vote the replica counts, its own included, is kept in one
-    list; the oracle signs the replica's own votes itself, and signatures are
-    deterministic. Each step recounts the tally of the replica's (height,
-    view) from that whole list, each sender's latest vote per digest, and
-    asks ``check_quorum`` (a Commit: 2f+1 senders, two such digests are a
+    list; the oracle signs the replica's own votes itself, and votes compare
+    equal by their fields alone. Each step recounts the tally of the
+    replica's (height, view) from that whole list, each sender's latest vote
+    per digest, and asks ``check_quorum`` (a Commit: 2f+1 senders, two such digests are a
     quorum conflict) or the prepared rule (PBFT: the proposal of the view
     plus 2f matching prepares, and no commit of this node's in the view yet).
     A received vote counts when the replica is a member, the vote is for its
@@ -382,7 +381,7 @@ class NaiveVotePath:
                 replica.node_id in replica.committee
                 and event.height == replica.height
                 and sender in replica.committee
-                and replica.registry.verify(sender, event.signed_payload(), event.signature)
+                and signature_ok(event, replica.registry, sender)
             ):
                 return out
             self.votes.append(event)
@@ -399,9 +398,7 @@ class NaiveVotePath:
                 or proposal.view != replica.view
                 or proposal.sender != self._leader(replica, replica.height, replica.view)
                 or proposal.sender == replica.node_id
-                or not replica.registry.verify(
-                    proposal.sender, proposal.signed_payload(), proposal.signature
-                )
+                or not signature_ok(proposal, replica.registry, proposal.sender)
                 or proposal.digest != batch_digest_of(proposal.batch)
             ):
                 return out

@@ -29,6 +29,7 @@ from ebrc.messages import (
     Reply,
     Request,
     ViewChange,
+    signature_ok,
     signed,
 )
 from ebrc.runner import ScenarioRunner
@@ -410,9 +411,10 @@ class TestRequestGates:
     def test_bad_signature_dropped(self):
         replicas, reg = make_committee(4)
         req = make_request(reg)
+        # Equal fields, built by hand: no memo, so no signature.
         forged = req.__class__(
             timestamp=req.timestamp, payload=req.payload,
-            digest=req.digest, client_id=req.client_id, signature=b"junk",
+            digest=req.digest, client_id=req.client_id,
         )
         replicas[0].step(0, forged)
         assert replicas[0].request_buffer == {}
@@ -575,8 +577,7 @@ class TestCert:
                 for vote in block.cert:
                     assert type(vote) is Commit
                     assert (vote.height, vote.view, vote.digest) == (height, block.view, batch)
-                    payload = vote.signed_payload()
-                    assert runner.registry.verify(vote.sender, payload, vote.signature)
+                    assert signature_ok(vote, runner.registry, vote.sender)
         # Every block an honest replica holds, one of them committed on a cert.
         assert held and certified == held
 

@@ -1,4 +1,7 @@
-"""The one signing rule: a signature binds every field of every message."""
+"""Ideal signatures: a check passes only on the very object ``signed()`` made.
+
+Test names from the byte-signature model are kept; each now checks the memo
+(a ``signed()`` copy passes, any other object fails closed)."""
 
 import copy
 import dataclasses
@@ -44,16 +47,22 @@ def registry():
 
 
 @pytest.fixture
-def sign_calls(monkeypatch):
-    """The signer of each ``KeyRegistry.sign`` call, in call order."""
+def byte_calls(monkeypatch):
+    """``(method, owner)`` of each ``KeyRegistry.sign`` and ``verify`` call, in
+    call order: the byte signatures that signing messages never makes."""
     calls = []
-    sign = KeyRegistry.sign
+    sign, verify = KeyRegistry.sign, KeyRegistry.verify
 
-    def counted(self, owner_id, payload):
-        calls.append(owner_id)
+    def counted_sign(self, owner_id, payload):
+        calls.append(("sign", owner_id))
         return sign(self, owner_id, payload)
 
-    monkeypatch.setattr(KeyRegistry, "sign", counted)
+    def counted_verify(self, owner_id, payload, signature):
+        calls.append(("verify", owner_id))
+        return verify(self, owner_id, payload, signature)
+
+    monkeypatch.setattr(KeyRegistry, "sign", counted_sign)
+    monkeypatch.setattr(KeyRegistry, "verify", counted_verify)
     return calls
 
 
@@ -113,7 +122,7 @@ def _changed(tp, value, registry):
 
 def _fields(cls):
     hints = typing.get_type_hints(cls)
-    return [(f.name, hints[f.name]) for f in dataclasses.fields(cls) if f.name != "signature"]
+    return [(f.name, hints[f.name]) for f in dataclasses.fields(cls)]
 
 
 def _unsigned_sample(cls, registry):
@@ -127,46 +136,47 @@ def _signed_sample(cls, registry):
 def test_every_message_class_is_covered():
     assert len(MESSAGE_CLASSES) == 15
     for cls in MESSAGE_CLASSES:
-        assert "signature" in {f.name for f in dataclasses.fields(cls)}, cls.__name__
-        # One rule: no class states its own payload.
-        assert "signed_payload" not in vars(cls), cls.__name__
+        # A plain frozen, slotted dataclass with no signature field.
+        assert "signature" not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
+        assert cls.__dataclass_params__.frozen, cls.__name__
+        assert "__slots__" in vars(cls), cls.__name__
 
 
 @pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda cls: cls.__name__)
 def test_signed_equals_a_replace_with_the_signature(cls, registry):
-    message = cls(**{name: _sample(tp, registry) for name, tp in _fields(cls)})
-    expected = dataclasses.replace(
-        message, signature=registry.sign(SIGNER, message.signed_payload())
-    )
+    message = _unsigned_sample(cls, registry)
     copy = signed(message, registry, SIGNER)
     assert type(copy) is cls
-    assert copy == expected
-    assert message.signature == b""
+    assert copy == dataclasses.replace(message) and copy is not message
+    assert signature_ok(copy, registry, SIGNER)
+    # signed() leaves its argument without a memo.
+    assert not signature_ok(message, registry, SIGNER)
 
 
 @pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda cls: cls.__name__)
 def test_changing_any_field_breaks_the_signature(cls, registry):
     message = _signed_sample(cls, registry)
-    assert signature_ok(dataclasses.replace(message), registry, SIGNER)
+    assert signature_ok(message, registry, SIGNER)
+    # A replace copy is a new object: unchanged, it fails closed too.
+    assert not signature_ok(dataclasses.replace(message), registry, SIGNER)
     for name, tp in _fields(cls):
         forged = dataclasses.replace(message, **{name: _changed(tp, getattr(message, name), registry)})
-        assert forged.signature == message.signature
         assert not signature_ok(forged, registry, SIGNER), f"{cls.__name__}.{name} is not signed"
 
 
 @pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda cls: cls.__name__)
-def test_signature_is_made_once_on_first_read(cls, registry, sign_calls):
+def test_signature_is_made_once_on_first_read(cls, registry, byte_calls):
+    # signed() makes the signature, as a memo, and no bytes; every later
+    # check reads that memo and nothing else.
     message = _unsigned_sample(cls, registry)
-    eager = registry.sign(SIGNER, message.signed_payload())
-    sign_calls.clear()
-    lazy = signed(message, registry, SIGNER)
-    assert sign_calls == []
-    assert lazy.signature == eager and sign_calls == [SIGNER]
-    assert lazy.signature == eager and sign_calls == [SIGNER]
+    byte_calls.clear()
+    copy = signed(message, registry, SIGNER)
+    assert all(signature_ok(copy, registry, SIGNER) for _ in range(3))
+    assert byte_calls == []
 
 
-# Each reads the signature of a fresh signed copy first; ``replace`` copies
-# it, ``eq`` compares the message itself.
+# Each observes a fresh signed copy and the unsigned message: the memo is
+# invisible to all of them.
 OBSERVERS = {
     "repr": repr,
     "asdict": dataclasses.asdict,
@@ -178,19 +188,28 @@ OBSERVERS = {
     "hash": hash,
 }
 
+# Observers that return a new message: a copy by any route fails closed.
+COPIES = ("copy", "deepcopy", "pickle", "replace")
+
 
 @pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_observer_sees_the_eager_signature(cls, registry):
     message = _unsigned_sample(cls, registry)
-    eager = dataclasses.replace(message, signature=registry.sign(SIGNER, message.signed_payload()))
     for name, observe in OBSERVERS.items():
-        assert observe(signed(message, registry, SIGNER)) == observe(eager), name
+        assert observe(signed(message, registry, SIGNER)) == observe(message), name
+    for name in COPIES:
+        copied = OBSERVERS[name](signed(message, registry, SIGNER))
+        assert copied == message, name
+        assert not signature_ok(copied, registry, SIGNER), name
 
 
 @pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda cls: cls.__name__)
 def test_unread_signature_fails_another_signer_and_a_changed_copy(cls, registry):
     message = _unsigned_sample(cls, registry)
     assert not signature_ok(signed(message, registry, SIGNER), registry, OTHER)
+    other = KeyRegistry(seed=b"test-messages")
+    other.register(SIGNER)
+    assert not signature_ok(signed(message, registry, SIGNER), other, SIGNER)
     name, tp = _fields(cls)[0]
     forged = dataclasses.replace(
         signed(message, registry, SIGNER), **{name: _changed(tp, getattr(message, name), registry)}
@@ -198,12 +217,12 @@ def test_unread_signature_fails_another_signer_and_a_changed_copy(cls, registry)
     assert not signature_ok(forged, registry, SIGNER)
 
 
-def test_clean_runs_make_no_signature(sign_calls):
-    # Every check in a fault-free run is answered by the memo, so no
-    # signature is ever read, and none is made.
+def test_clean_runs_make_no_signature(byte_calls):
+    # Every check in a run is the memo test: no byte signature is made or
+    # checked.
     for config in presets.comparison_pair(7, byzantine=False, seed=1):
         assert ScenarioRunner(config).run().committed_rounds
-    assert sign_calls == []
+    assert byte_calls == []
 
 
 def test_classes_with_equal_fields_sign_differently(registry):
@@ -216,14 +235,14 @@ def test_classes_with_equal_fields_sign_differently(registry):
     for first, second in twins:
         message = _signed_sample(first, registry)
         twin = second(**{f.name: getattr(message, f.name) for f in dataclasses.fields(first)})
-        assert twin.signature == message.signature
+        assert twin != message
         assert not signature_ok(twin, registry, SIGNER)
 
 
 @pytest.mark.parametrize("cls", [Commit, PbftPrepare], ids=lambda cls: cls.__name__)
 def test_every_vote_has_one_shape(cls):
     names = [f.name for f in dataclasses.fields(cls)]
-    assert names == ["height", "view", "digest", "sender", "signature"]
+    assert names == ["height", "view", "digest", "sender"]
 
 
 def test_one_ulp_reputation_claim_is_bound(registry):
