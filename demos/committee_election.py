@@ -24,7 +24,7 @@ epoch_seed = b"demo-epoch-1"
 vrf = SimulatedVrf(registry)
 print(f"sortition at omega = {OMEGA}: normalized VRF draw per node")
 for node in range(NODES):
-    draw = vrf.value(registry.secret_key(node), epoch_seed) / VRF_RANGE
+    draw = vrf.value(registry.key_pair(node).secret_key, epoch_seed) / VRF_RANGE
     mark = "<- self-selects" if draw <= OMEGA else ""
     print(f"  node {node:2d}  {draw:.3f}  {mark}")
 

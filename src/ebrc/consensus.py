@@ -699,7 +699,7 @@ class EbrcReplica(_ReplicaBase):
         commit = signed(
             ExitCommit(
                 request=request,
-                candidate=() if plan.promote is None else (plan.promote,),
+                candidate=plan.promote,
                 master_id=self.node_id,
             ),
             self.registry,

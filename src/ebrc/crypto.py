@@ -10,19 +10,20 @@ bytes, and no run calls them.
 
 A VRF value and proof are ``digest(secret, seed)`` under ``b"vrf-value"`` and
 ``b"vrf-proof"``, a byte signature ``digest(secret, payload)`` under
-``b"sig"``. Each (secret, domain) pair is absorbed once into a cached state
-(``_keyed_state``), so sortition copies that state and hashes only the seed;
-the bytes are the same as hashing the secret every time. A digest is one call
-that copies its cached state, absorbs the length-prefixed parts and finishes
-it. A VRF draw (``SimulatedVrf.draw``) is one copy of a key's state, one
-update with the seed already framed (``frame``) and one finish;
-``SimulatedVrf`` does not go through ``digest``. A sortition draw computes its
-value alone: only a node that selects itself makes a proof.
+``b"sig"``. ``KeyRegistry.register`` absorbs each secret once into the value
+and proof states its ``KeyPair`` holds and no draw updates, so sortition
+copies a state and hashes only the seed; the bytes are the same as hashing
+the secret every time. A digest is one call that copies its domain's state,
+absorbs the length-prefixed parts and finishes it. A VRF draw
+(``SimulatedVrf.draw``) is one copy of a pair's state, one update with the
+seed already framed (``frame``) and one finish; ``SimulatedVrf`` does not go
+through ``digest``. A sortition draw computes its value alone: only a node
+that selects itself makes a proof.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from hashlib import blake2b
 from typing import Optional, Sequence, Tuple
@@ -63,15 +64,6 @@ def hasher(parts: Sequence[bytes], domain: bytes = b"msg", prefix=None):
     return h
 
 
-@lru_cache(maxsize=2048)
-def _keyed_state(secret_key: bytes, domain: bytes):
-    """``hasher((secret_key,), domain)``, shared like ``_domain_state``: the
-    prefix of every signature and VRF hash under that key. 2048 states cover
-    the three keyed domains of 682 nodes; a run with more still gets the
-    same bytes, absorbing the secret again on a miss."""
-    return hasher((secret_key,), domain)
-
-
 def frame(part: bytes) -> bytes:
     """``part`` as ``hasher`` absorbs it: its length as 4 big-endian bytes,
     then the part. A caller that draws on one seed many times frames it once."""
@@ -100,8 +92,14 @@ def pack(seed: int) -> bytes:
 
 @dataclass(frozen=True, slots=True)
 class KeyPair:
+    """An owner's keys and the VRF value and proof states of its secret,
+    taken by ``KeyRegistry.register`` and never updated; the states take no
+    part in equality or repr."""
+
     public_key: bytes
     secret_key: bytes
+    value_state: object = field(compare=False, repr=False)
+    proof_state: object = field(compare=False, repr=False)
 
 
 class KeyRegistry:
@@ -109,48 +107,49 @@ class KeyRegistry:
 
     Real deployments verify signatures and sortition proofs with public-key
     math; the simulation instead resolves the secret key for a public key
-    through this registry. Only verification helpers consult the secret side.
+    through this registry. Only verification helpers consult the secret side:
+    ``resolve`` finds a public key's pair, with its VRF states, in one lookup.
 
     Messages are signed by ``messages.signed``'s memo, not through this
-    class. ``sign`` and ``verify`` make and check signature bytes, continuing
-    the state that already holds the signer's secret (``_keyed_state``); no
-    run calls them, and they stay only because the benchmark's counters name
-    them.
+    class. ``sign`` and ``verify`` make and check signature bytes, absorbing
+    the signer's secret on each call; no run calls them, and they stay only
+    because the benchmark's counters name them.
     """
 
     def __init__(self, seed: bytes) -> None:
         self._seed = seed
         self._by_owner: dict[int, KeyPair] = {}
-        self._secret_for: dict[bytes, bytes] = {}
+        self._by_public: dict[bytes, KeyPair] = {}
 
     def register(self, owner_id: int) -> KeyPair:
         """Derive ``owner_id``'s keys from the seed and record them; a repeat
         call derives the same keys."""
         secret = digest(self._seed, owner_id.to_bytes(8, "big", signed=True), domain=b"sk")
         public = digest(secret, domain=b"pk")
-        pair = KeyPair(public, secret)
+        states = SimulatedVrf.value_state(secret), SimulatedVrf.proof_state(secret)
+        pair = KeyPair(public, secret, *states)
         self._by_owner[owner_id] = pair
-        self._secret_for[public] = secret
+        self._by_public[public] = pair
         return pair
 
     def public_key(self, owner_id: int) -> bytes:
         return self._by_owner[owner_id].public_key
 
-    def secret_key(self, owner_id: int) -> bytes:
-        return self._by_owner[owner_id].secret_key
+    def key_pair(self, owner_id: int) -> KeyPair:
+        return self._by_owner[owner_id]
 
-    def resolve_secret(self, public_key: bytes) -> Optional[bytes]:
+    def resolve(self, public_key: bytes) -> Optional[KeyPair]:
         """Trusted-oracle lookup; returns None for unknown keys."""
-        return self._secret_for.get(public_key)
+        return self._by_public.get(public_key)
 
     def sign(self, owner_id: int, payload: bytes) -> bytes:
-        return digest(payload, prefix=_keyed_state(self.secret_key(owner_id), b"sig"))
+        return digest(self.key_pair(owner_id).secret_key, payload, domain=b"sig")
 
     def verify(self, owner_id: int, payload: bytes, signature: bytes) -> bool:
         pair = self._by_owner.get(owner_id)
         if pair is None or not isinstance(signature, bytes):
             return False
-        return signature == digest(payload, prefix=_keyed_state(pair.secret_key, b"sig"))
+        return signature == digest(pair.secret_key, payload, domain=b"sig")
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,15 +165,16 @@ class SimulatedVrf:
     under ``b"vrf-value"`` and ``b"vrf-proof"``.
 
     A draw (``draw``) is one copy of a key's state for one of the two
-    domains (``value_state``, ``proof_state``), one update with the seed
-    framed as ``hasher`` frames a part (``frame``), and one finish. ``value``,
-    ``proof``, ``verify`` and every batch of draws go through it: an
-    election or study frames each seed once and takes each key's state once,
-    and compares a value draw's bytes with ``sortition_threshold(omega)``.
-    ``value`` and ``proof`` are separate so that a draw tests self-selection
-    on the value alone and makes a proof only once selected; ``evaluate``
-    makes both. verify() recomputes both through the registry oracle, on
-    every call; a forged or mangled proof fails closed with (False, None).
+    domains, one update with the seed framed as ``hasher`` frames a part
+    (``frame``), and one finish. An election or study frames each seed once,
+    draws on the states a ``KeyPair`` took at registration through
+    ``value_state`` and ``proof_state``, and compares a value draw's bytes
+    with ``sortition_threshold(omega)``; only the one-off ``value`` and
+    ``proof`` derive a state per draw. They are separate so that a draw tests
+    self-selection on the value alone and makes a proof only once selected;
+    ``evaluate`` makes both. verify() recomputes both on the pair the
+    registry oracle resolves, on every call; a forged or mangled proof fails
+    closed with (False, None).
     """
 
     def __init__(self, registry: KeyRegistry) -> None:
@@ -182,13 +182,13 @@ class SimulatedVrf:
 
     @staticmethod
     def value_state(secret_key: bytes):
-        """The state every value draw of ``secret_key`` copies."""
-        return _keyed_state(secret_key, b"vrf-value")
+        """The state a value draw of ``secret_key`` copies."""
+        return hasher((secret_key,), b"vrf-value")
 
     @staticmethod
     def proof_state(secret_key: bytes):
-        """The state every proof draw of ``secret_key`` copies."""
-        return _keyed_state(secret_key, b"vrf-proof")
+        """The state a proof draw of ``secret_key`` copies."""
+        return hasher((secret_key,), b"vrf-proof")
 
     @staticmethod
     def draw(state, framed_seed: bytes) -> bytes:
@@ -216,13 +216,13 @@ class SimulatedVrf:
         return VrfOutput(self.value(secret_key, seed), self.proof(secret_key, seed))
 
     def verify(self, public_key: bytes, seed: bytes, proof: bytes) -> Tuple[bool, Optional[int]]:
-        secret = self._registry.resolve_secret(public_key)
-        if secret is None or not isinstance(proof, bytes):
+        pair = self._registry.resolve(public_key)
+        if pair is None or not isinstance(proof, bytes):
             return False, None
         framed = frame(seed)
-        if proof != self.draw(self.proof_state(secret), framed):
+        if proof != self.draw(pair.proof_state, framed):
             return False, None
-        return True, int.from_bytes(self.draw(self.value_state(secret), framed), "big")
+        return True, int.from_bytes(self.draw(pair.value_state, framed), "big")
 
 
 def sortition_threshold(omega: float) -> bytes:

@@ -107,7 +107,7 @@ class MembershipState:
 
     def invited(self) -> Set[int]:
         """The candidates the pending exits wait on."""
-        return {c for commit in self.pending_exits.values() for c in commit.candidate}
+        return {c.candidate for c in self.pending_exits.values() if c.candidate is not None}
 
     def clear_applied(self, nodes: Sequence[int]) -> None:
         for n in nodes:

@@ -98,8 +98,8 @@ def form_committee(
     Each node of ``eligible`` (``eligible_nodes`` at the same
     ``eligibility_percentile``), in rank order, draws a VRF value on
     ``seed`` and self-selects when it falls below ``omega`` of the VRF range;
-    only a selectee makes a proof. The seed is framed once and each node's
-    states are taken once per election. Reports are in id order.
+    only a selectee makes a proof. The seed is framed once and each draw
+    copies a state of the node's registered key pair. Reports are in id order.
     Draws are re-verified through the registry; selectees whose proofs fail
     verification are excluded and reported (``corrupt_proofs`` is the
     simulation hook that mangles specific nodes' proofs). Raises
@@ -124,14 +124,14 @@ def form_committee(
     reports: List[Tuple[int, str]] = []
     verified: List[int] = []
     for node_id in eligible:
-        secret = registry.secret_key(node_id)
-        value = draw(vrf.value_state(secret), framed)
+        pair = registry.key_pair(node_id)
+        value = draw(pair.value_state, framed)
         if value > threshold:
             continue
-        proof = draw(vrf.proof_state(secret), framed)
+        proof = draw(pair.proof_state, framed)
         if node_id in corrupt_proofs:
             proof = bytes([proof[0] ^ 0xFF]) + proof[1:]
-        ok, verified_value = vrf.verify(registry.public_key(node_id), seed, proof)
+        ok, verified_value = vrf.verify(pair.public_key, seed, proof)
         if not ok or verified_value != int.from_bytes(value, "big"):
             reports.append((node_id, "invalid-sortition-proof"))
             continue

@@ -509,8 +509,8 @@ def empty_committee_probability(
     """Monte Carlo frequency of a sortition selecting nobody, using the real
     draw machinery, against the analytic (1 - omega)**n. A trial reads each
     node's VRF value only: it counts selections and publishes no proof. Each
-    node's value state is taken once per study and each trial seed framed
-    once."""
+    draw copies the value state of a node's registered key pair, and each
+    trial seed is framed once."""
     if node_count < 1:
         raise ValueError("node_count must be >= 1")
     if not 0.0 < omega <= 1.0:
@@ -518,8 +518,7 @@ def empty_committee_probability(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     registry = KeyRegistry(digest(pack(seed), domain=b"empty-committee-keys"))
-    secrets = [registry.register(node).secret_key for node in range(node_count)]
-    states = [SimulatedVrf.value_state(sk) for sk in secrets]
+    states = [registry.register(node).value_state for node in range(node_count)]
     draw = SimulatedVrf.draw
     threshold = sortition_threshold(omega)
     base = digest(pack(seed), domain=b"empty-committee-trials")

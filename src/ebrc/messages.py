@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import cache
 from operator import attrgetter
-from typing import Callable, ClassVar, Tuple
+from typing import Callable, ClassVar, Optional, Tuple
 
 
 class Message:
@@ -168,12 +168,12 @@ class ExitCommit(Message):
     """The master's commitment to a member's exit, sent to every member as
     soon as the master accepts the leaver's signed request, which it
     carries. ``candidate`` names the one candidate, invited by a
-    ChangeNotice, that the exit waits on; it is empty when the exit keeps
+    ChangeNotice, that the exit waits on; it is None when the exit keeps
     the 3f+1 floor."""
 
     TAG: ClassVar[str] = "exit_commit"
     request: ExitRequest
-    candidate: Tuple[int, ...]
+    candidate: Optional[int]
     master_id: int
 
 

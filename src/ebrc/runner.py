@@ -340,8 +340,7 @@ class ScenarioRunner:
             + tuple(accused for accused, _ in proof_reports)
         )
         for node in announcers:
-            secret = self.registry.secret_key(node)
-            proof = SimulatedVrf.draw(SimulatedVrf.proof_state(secret), framed)
+            proof = SimulatedVrf.draw(self.registry.key_pair(node).proof_state, framed)
             connect = signed(
                 VrfConnect(
                     epoch=epoch,

@@ -149,7 +149,7 @@ def naive_form_committee(table, seed: bytes, registry, *, omega, eligibility_per
     vrf = SimulatedVrf(registry)
     reports, verified = [], []
     for node in sorted(eligible):
-        out = vrf.evaluate(registry.secret_key(node), seed)
+        out = vrf.evaluate(registry.key_pair(node).secret_key, seed)
         if out.value > omega * VRF_RANGE:
             continue
         proof = out.proof

@@ -15,7 +15,6 @@ from ebrc.crypto import (
     KeyRegistry,
     SimulatedVrf,
     VrfOutput,
-    _keyed_state,
     derive_seed,
     digest,
     frame,
@@ -94,31 +93,31 @@ class TestSignatures:
 class TestVrf:
     def test_deterministic(self, registry):
         vrf = SimulatedVrf(registry)
-        a = vrf.evaluate(registry.secret_key(0), b"seed")
-        b = vrf.evaluate(registry.secret_key(0), b"seed")
+        a = vrf.evaluate(registry.key_pair(0).secret_key, b"seed")
+        b = vrf.evaluate(registry.key_pair(0).secret_key, b"seed")
         assert a == b
 
     def test_roundtrip_verifies(self, registry):
         vrf = SimulatedVrf(registry)
-        out = vrf.evaluate(registry.secret_key(1), b"seed")
+        out = vrf.evaluate(registry.key_pair(1).secret_key, b"seed")
         ok, value = vrf.verify(registry.public_key(1), b"seed", out.proof)
         assert ok and value == out.value
 
     def test_wrong_key_fails(self, registry):
         vrf = SimulatedVrf(registry)
-        out = vrf.evaluate(registry.secret_key(1), b"seed")
+        out = vrf.evaluate(registry.key_pair(1).secret_key, b"seed")
         ok, value = vrf.verify(registry.public_key(2), b"seed", out.proof)
         assert not ok and value is None
 
     def test_wrong_seed_fails(self, registry):
         vrf = SimulatedVrf(registry)
-        out = vrf.evaluate(registry.secret_key(1), b"seed")
+        out = vrf.evaluate(registry.key_pair(1).secret_key, b"seed")
         ok, _ = vrf.verify(registry.public_key(1), b"other-seed", out.proof)
         assert not ok
 
     def test_mangled_proof_fails(self, registry):
         vrf = SimulatedVrf(registry)
-        out = vrf.evaluate(registry.secret_key(1), b"seed")
+        out = vrf.evaluate(registry.key_pair(1).secret_key, b"seed")
         bad = bytes([out.proof[0] ^ 0xFF]) + out.proof[1:]
         ok, value = vrf.verify(registry.public_key(1), b"seed", bad)
         assert not ok and value is None
@@ -130,14 +129,14 @@ class TestVrf:
 
     def test_value_in_range(self, registry):
         vrf = SimulatedVrf(registry)
-        out = vrf.evaluate(registry.secret_key(0), b"seed")
+        out = vrf.evaluate(registry.key_pair(0).secret_key, b"seed")
         assert 0 <= out.value < VRF_RANGE
 
     def test_uniformity_monte_carlo(self, registry):
         # Fraction of draws below 0.4 * range should be 0.4 +- 0.02 over 1e4
         # seeds (binomial standard error ~0.005).
         vrf = SimulatedVrf(registry)
-        sk = registry.secret_key(0)
+        sk = registry.key_pair(0).secret_key
         rng = random.Random(12345)
         threshold = int(0.4 * VRF_RANGE)
         hits = sum(
@@ -153,17 +152,18 @@ class TestVrf:
         values = set()
         for node in range(1000):
             reg.register(node)
-            values.add(vrf.evaluate(reg.secret_key(node), b"shared-seed").value)
+            values.add(vrf.evaluate(reg.key_pair(node).secret_key, b"shared-seed").value)
         assert len(values) == 1000
 
 
 class TestKeyedStates:
-    """Signatures and VRF draws continue a state that already holds the
-    secret; their bytes must equal hashing the secret in full."""
+    """VRF draws continue the states a key pair took at registration, and
+    signatures absorb the secret on each call; their bytes must equal hashing
+    the secret in full."""
 
     @pytest.mark.parametrize("owner", [0, 3])
     def test_signature_known_answer(self, registry, owner):
-        secret = registry.secret_key(owner)
+        secret = registry.key_pair(owner).secret_key
         sig = registry.sign(owner, b"payload")
         assert sig == digest(secret, b"payload", domain=b"sig")
         assert registry.verify(owner, b"payload", sig)
@@ -173,23 +173,45 @@ class TestKeyedStates:
     @pytest.mark.parametrize("owner", [0, 3])
     def test_vrf_known_answer(self, registry, owner):
         vrf = SimulatedVrf(registry)
-        secret = registry.secret_key(owner)
+        pair = registry.key_pair(owner)
+        secret = pair.secret_key
         value = int.from_bytes(digest(secret, b"seed", domain=b"vrf-value"), "big")
         proof = digest(secret, b"seed", domain=b"vrf-proof")
         assert vrf.value(secret, b"seed") == value
         assert vrf.proof(secret, b"seed") == proof
         assert vrf.evaluate(secret, b"seed") == VrfOutput(value, proof)
+        assert int.from_bytes(vrf.draw(pair.value_state, frame(b"seed")), "big") == value
+        assert vrf.draw(pair.proof_state, frame(b"seed")) == proof
 
     def test_secret_the_registry_does_not_hold(self, registry):
         vrf = SimulatedVrf(registry)
         other = KeyRegistry(seed=b"another-registry")
         secret = other.register(0).secret_key
-        assert registry.resolve_secret(other.public_key(0)) is None
+        assert registry.resolve(other.public_key(0)) is None
         assert vrf.value(secret, b"seed") == int.from_bytes(
             digest(secret, b"seed", domain=b"vrf-value"), "big"
         )
         assert vrf.proof(secret, b"seed") == digest(secret, b"seed", domain=b"vrf-proof")
         assert SimulatedVrf(other).value(secret, b"seed") == vrf.value(secret, b"seed")
+
+    def test_known_answers_over_700_owners(self):
+        # 700 owners need 2,100 keyed states (value, proof, signature), more
+        # than a shared cache of 2,048 would hold. Each draw copies its own
+        # pair's state and leaves it as registration took it, so the second
+        # draw gives the same bytes.
+        registry = KeyRegistry(b"seven-hundred")
+        pairs = [registry.register(owner) for owner in range(700)]
+        framed = frame(b"seed")
+        for owner, pair in enumerate(pairs):
+            secret = pair.secret_key
+            assert registry.key_pair(owner) is pair
+            assert registry.resolve(pair.public_key) is pair
+            for _ in range(2):
+                value = SimulatedVrf.draw(pair.value_state, framed)
+                proof = SimulatedVrf.draw(pair.proof_state, framed)
+                assert value == digest(secret, b"seed", domain=b"vrf-value")
+                assert proof == digest(secret, b"seed", domain=b"vrf-proof")
+            assert registry.sign(owner, b"payload") == digest(secret, b"payload", domain=b"sig")
 
 
 PARTS = st.lists(st.binary(max_size=80), max_size=4)
@@ -235,14 +257,15 @@ class TestAgainstOracle:
 
 
     @settings(max_examples=300, deadline=None)
-    @given(secret=SECRETS, seed=SEEDS)
-    def test_draw_on_a_framed_seed(self, secret, seed):
+    @given(registry_seed=SEEDS, owner=st.integers(-(2**63), 2**63 - 1), seed=SEEDS)
+    def test_draw_on_a_framed_seed(self, registry_seed, owner, seed):
+        pair = KeyRegistry(registry_seed).register(owner)
         framed = frame(seed)
         assert framed == len(seed).to_bytes(4, "big") + seed
-        value = SimulatedVrf.draw(SimulatedVrf.value_state(secret), framed)
-        proof = SimulatedVrf.draw(SimulatedVrf.proof_state(secret), framed)
-        assert value == blake2b_digest(secret, seed, domain=b"vrf-value")
-        assert proof == blake2b_digest(secret, seed, domain=b"vrf-proof")
+        value = SimulatedVrf.draw(pair.value_state, framed)
+        proof = SimulatedVrf.draw(pair.proof_state, framed)
+        assert value == blake2b_digest(pair.secret_key, seed, domain=b"vrf-value")
+        assert proof == blake2b_digest(pair.secret_key, seed, domain=b"vrf-proof")
 
 
 class TestSortitionThreshold:
@@ -265,46 +288,6 @@ class TestSortitionThreshold:
 
     def test_full_range_selects_every_value(self):
         assert sortition_threshold(1.0) == b"\xff" * DIGEST_SIZE
-
-
-class TestKeyedStateCache:
-    """A miss in ``_keyed_state`` absorbs the secret again: the bytes are the
-    same whether the state was cached, never cached, or evicted."""
-
-    @staticmethod
-    def hashes(registry, owner):
-        secret = registry.secret_key(owner)
-        return (
-            registry.sign(owner, b"payload"),
-            SimulatedVrf.value(secret, b"seed"),
-            SimulatedVrf.proof(secret, b"seed"),
-        )
-
-    def test_cold_warm_and_evicted_states_agree(self):
-        registry = KeyRegistry(b"eviction")
-        for owner in range(700):
-            registry.register(owner)
-        secret = registry.secret_key(0)
-        expected = (
-            blake2b_digest(secret, b"payload", domain=b"sig"),
-            int.from_bytes(blake2b_digest(secret, b"seed", domain=b"vrf-value"), "big"),
-            blake2b_digest(secret, b"seed", domain=b"vrf-proof"),
-        )
-
-        _keyed_state.cache_clear()
-        assert self.hashes(registry, 0) == expected
-        assert _keyed_state.cache_info().misses == 3
-
-        assert self.hashes(registry, 0) == expected
-        assert _keyed_state.cache_info().hits == 3
-
-        # 699 more owners in three domains each: 2,097 new states push the
-        # cache past its 2,048 and evict owner 0's, the least recently used.
-        for owner in range(1, 700):
-            self.hashes(registry, owner)
-        misses = _keyed_state.cache_info().misses
-        assert self.hashes(registry, 0) == expected
-        assert _keyed_state.cache_info().misses == misses + 3
 
 
 class TestSeedDerivation:

@@ -117,7 +117,7 @@ class TestMessageBudget:
             assert exit_messages(m) + join_messages(m) == 3 * m + 1
 
 
-def exit_commit(leaver, height, candidate=()):
+def exit_commit(leaver, height, candidate=None):
     return ExitCommit(request=ExitRequest(node_id=leaver, effective_height=height),
                       candidate=candidate, master_id=1)
 
@@ -130,7 +130,7 @@ class TestMembershipState:
 
     def test_invited_are_the_candidates_exits_name(self):
         state = MembershipState()
-        state.pending_exits = {4: exit_commit(4, 10, (7,)), 5: exit_commit(5, 10)}
+        state.pending_exits = {4: exit_commit(4, 10, 7), 5: exit_commit(5, 10)}
         assert state.invited() == {7}
 
     def test_join_due_once_its_height_is_reached(self):
@@ -141,7 +141,7 @@ class TestMembershipState:
 
     def test_clear_applied_drops_all_tracking(self):
         state = MembershipState()
-        state.pending_exits[4] = exit_commit(4, 10, (7,))
+        state.pending_exits[4] = exit_commit(4, 10, 7)
         state.clear_applied([4, 7])
         assert state.pending_exits == {} and state.invited() == set()
 
@@ -167,7 +167,7 @@ class TestExitFlow:
         assert sum(pump.counts.values()) == exit_messages(5)
         for rep in replicas.values():
             commit = rep.membership.pending_exits[4]
-            assert (commit.request.effective_height, commit.candidate) == (3, ())
+            assert (commit.request.effective_height, commit.candidate) == (3, None)
 
     def test_exit_request_ignored_by_non_master(self):
         replicas, reg, pump = self.start()
@@ -203,7 +203,7 @@ class TestExitFlow:
             signed(ExitRequest(node_id=0, effective_height=3), reg, 2),
             dataclasses.replace(genuine, effective_height=4),
         ):
-            fake = signed(ExitCommit(request=request, candidate=(), master_id=2), reg, 2)
+            fake = signed(ExitCommit(request=request, candidate=None, master_id=2), reg, 2)
             replicas[3].step(0, fake)
             assert replicas[3].membership.pending_exits == {}
 
@@ -214,7 +214,7 @@ class TestExitFlow:
 
         def commit(master):
             return signed(
-                ExitCommit(request=request, candidate=(), master_id=master),
+                ExitCommit(request=request, candidate=None, master_id=master),
                 reg,
                 master,
             )
@@ -269,7 +269,7 @@ class TestExitWithPromotion:
         result = replicas[1].step(0, exit_req)
         (peers, commit), (invitee, notice) = result.sends
         assert peers == (0, 2, 3) and isinstance(commit, ExitCommit)
-        assert commit.request is exit_req and commit.candidate == (8,)
+        assert commit.request is exit_req and commit.candidate == 8
         assert invitee == (8,) and isinstance(notice, ChangeNotice) and notice.candidate_id == 8
         # Every member holds the exit and its invitee before the candidate
         # answers; the join state is the candidate's alone.

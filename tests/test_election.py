@@ -146,7 +146,9 @@ class TestFormCommittee:
         # node's proof. verify's recomputation is not one.
         reg = make_registry(20)
         table = equal_table(20)
-        proofs = {SimulatedVrf.proof(reg.secret_key(node), GENESIS_SEED) for node in range(20)}
+        proofs = {
+            SimulatedVrf.proof(reg.key_pair(node).secret_key, GENESIS_SEED) for node in range(20)
+        }
         made, checking = [], []
         draw, verify = SimulatedVrf.draw, SimulatedVrf.verify
 
@@ -190,7 +192,7 @@ class TestFormCommittee:
         threshold = omega * VRF_RANGE
         selectees = [
             node for node in range(20)
-            if SimulatedVrf.value(reg.secret_key(node), GENESIS_SEED) <= threshold
+            if SimulatedVrf.value(reg.key_pair(node).secret_key, GENESIS_SEED) <= threshold
         ]
         assignment, reports = form_over(
             table, GENESIS_SEED, reg, **self.config(omega=omega), corrupt_proofs={1, 2}

@@ -25,7 +25,7 @@ from ebrc import harness, presets
 from ebrc.cli import main
 from ebrc.config import ByzantineConfig, ExitScript, NetworkConfig, ScenarioConfig, save_scenario
 from ebrc.consensus import EbrcReplica
-from ebrc.crypto import SimulatedVrf
+from ebrc.crypto import KeyRegistry, SimulatedVrf
 from ebrc.messages import JoinRequest
 from ebrc.harness import (
     ConsistencyError,
@@ -718,18 +718,27 @@ class TestEmptyCommittee:
             empty_committee_probability(node_count, omega, 200)
 
     def test_trials_make_no_proof(self, monkeypatch):
-        # Every proof draws on a key's proof state, so none is taken.
-        proofs = []
-        original = SimulatedVrf.proof_state
+        # Registering takes every key's proof state, so count the draws on a
+        # proof state instead: the pair's own or one derived anew, which
+        # holds the same bytes.
+        pairs, drawn = [], []
+        register, draw = KeyRegistry.register, SimulatedVrf.draw
 
-        def counting(secret_key):
-            proofs.append(secret_key)
-            return original(secret_key)
+        def registering(self, owner_id):
+            pairs.append(register(self, owner_id))
+            return pairs[-1]
 
-        monkeypatch.setattr(SimulatedVrf, "proof_state", staticmethod(counting))
+        def counting(state, framed_seed):
+            drawn.append(state)
+            return draw(state, framed_seed)
+
+        monkeypatch.setattr(KeyRegistry, "register", registering)
+        monkeypatch.setattr(SimulatedVrf, "draw", staticmethod(counting))
         report = empty_committee_probability(10, 0.4, 500)
         assert report["trials"] == 500
-        assert proofs == []
+        assert len(pairs) == 10 and drawn
+        proof_states = {pair.proof_state.digest() for pair in pairs}
+        assert sum(state.digest() in proof_states for state in drawn) == 0
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -94,11 +94,14 @@ def _sample(tp, registry):
         item = typing.get_args(tp)[0]
         first = _sample(item, registry)
         return (first, _changed(item, first, registry))
+    if typing.get_origin(tp) is typing.Union:  # Optional[X]: a value of X
+        return _sample(typing.get_args(tp)[0], registry)
     raise AssertionError(f"no sample for {tp}")
 
 
 def _changed(tp, value, registry):
-    """The least change of ``value``: one ulp, one more, or the last item dropped."""
+    """The least change of ``value``: one ulp, one more, the last item or an
+    optional value dropped."""
     if tp is bool:
         return not value
     if tp is int:
@@ -117,6 +120,8 @@ def _changed(tp, value, registry):
         )
     if typing.get_origin(tp) is tuple:
         return value[:-1]
+    if typing.get_origin(tp) is typing.Union:  # Optional[X]: the value dropped
+        return None
     raise AssertionError(f"no change for {tp}")
 
 
