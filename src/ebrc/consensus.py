@@ -844,19 +844,20 @@ class PbftReplica(_ReplicaBase):
 
     def _on_prepare(self, now: int, prepare: PbftPrepare) -> StepResult:
         # Only the prepare that makes this node prepared asks anything. One of
-        # the current view for the current proposal, short of 2f, cannot:
-        # _commit_due() would return False.
+        # the current view for the current proposal cannot when it is short of
+        # 2f, nor once this node's commit on the proposal is counted (the step
+        # that first held the proposal and 2f prepares cast it): _commit_due()
+        # would return False.
         votes = self._admit(prepare, self.prepare_tallies)
         if votes is None:
             return IDLE
         proposal = self.proposal
-        if (
-            len(votes) < 2 * self.f
-            and prepare.view == self.view
-            and proposal is not None
-            and prepare.digest == proposal.digest
-        ):
-            return IDLE
+        if prepare.view == self.view and proposal is not None and prepare.digest == proposal.digest:
+            if len(votes) < 2 * self.f:
+                return IDLE
+            commits = self.commit_tallies.get(self.view)
+            if commits and self.node_id in commits.get(proposal.digest, ()):
+                return IDLE
         if not self._commit_due():
             return IDLE
         result = StepResult()

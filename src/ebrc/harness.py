@@ -13,7 +13,7 @@ import json
 import math
 import statistics
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .config import ScenarioConfig
@@ -221,7 +221,9 @@ class MetricsReport:
     notes: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        raw = asdict(self)
+        """The report's fields by name, for JSON. The values are the report's
+        own lists and dicts, not copies."""
+        raw = {item.name: getattr(self, item.name) for item in fields(self)}
         # JSON object keys must be strings; keep them sortable.
         raw["messages_by_round"] = {str(k): v for k, v in self.messages_by_round.items()}
         raw["election_counts"] = {str(k): v for k, v in self.election_counts.items()}

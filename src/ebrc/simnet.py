@@ -12,14 +12,17 @@ skips the draws the stream holds and appends as many again, so a stream
 doubles and no link keeps a 2.5 KB Mersenne Twister state. Paired runs of
 one seed (EBRC and PBFT, clean and Byzantine, each n of a sweep) seed each
 link once between them, and the last seed's streams outlive its runs until
-a run of another seed replaces them. Every event has a key
+a run of another seed replaces them. The streams and the cursors are
+lists indexed by sender, then by target id, grown when a send names a
+higher id than they hold. Every event has a key
 (instant, scheduling order). The queue holds each pending instant once, on
 a heap of plain ints, and beside it the instant's events in the order they
-were scheduled; a send appends each delivery it does not drop to its
-instant's list. So a broadcast costs one heap push per new instant it
-reaches, not one per message, and events still come out in key order. Two
-runs with the same seed and the same replica logic replay the exact same
-event sequence.
+were scheduled, flat, three slots apiece (kind, node, payload); a send
+appends each delivery it does not drop to its instant's list. So a
+broadcast costs one heap push per new instant it reaches, not one per
+message, queues no object per message, and events still come out in key
+order. Two runs with the same seed and the same replica logic replay the
+exact same event sequence.
 
 The network carries what it is given and models links alone: latency,
 jitter, drops and partitions. A faulty node's misbehaviour is the runner's
@@ -127,14 +130,15 @@ class Counters:
 
 
 @lru_cache(maxsize=1)
-def _link_streams(run_seed: bytes) -> Tuple[object, Dict[int, Dict[int, array]]]:
+def _link_streams(run_seed: bytes) -> Tuple[object, List[List[Optional[array]]]]:
     """The link seed prefix of ``run_seed`` and the streams of its links so
-    far (sender -> target -> draws), shared by every simulation of the seed.
+    far, shared by every simulation of the seed: ``streams[sender][target]``
+    is the link's draws, or None while no run of the seed has seeded it.
     A simulation holds on to its seed's pair, so a run of another seed
     evicting it changes no draw: the next simulation of the seed starts
     its streams afresh. The last seed's streams outlive its simulations;
     ``_link_streams.cache_clear()`` frees them."""
-    return hasher((run_seed,), b"link"), {}
+    return hasher((run_seed,), b"link"), []
 
 
 def _digest_prefix(message) -> str:
@@ -149,13 +153,16 @@ class Simulation:
 
     ``_heap`` holds each instant with pending events once, as a plain int,
     and ``_due[instant]`` holds that instant's events in scheduling order,
-    each a tuple led by its kind: ``("deliver", target, message)``,
-    ``("timer", target, tick)`` or ``("send", sender, targets, message)``.
-    Nothing is scheduled before the present, so only the earliest instant's
-    list is ever taken from: ``_taken`` counts the events taken from it,
-    and the instant leaves both when its last event is taken. An event
-    scheduled for the instant being drained joins the end of its list, or
-    starts a new list once the list is done.
+    flat, three slots apiece (kind, node, payload): ``"deliver", target,
+    message``, ``"timer", target, tick`` or ``"send", sender, (targets,
+    message)``. Nothing is scheduled before the present, so only the
+    earliest instant's list is ever taken from: ``_taken`` counts the slots
+    taken from it, and the instant leaves both when its last event is
+    taken. An event scheduled for the instant being drained joins the end
+    of its list, or starts a new list once the list is done.
+
+    ``_cursors[sender][target]`` is the next draw of the link's stream that
+    this simulation takes; a sender's cursors are as long as its streams.
     """
 
     def __init__(self, run_seed: bytes, network: NetworkModel) -> None:
@@ -169,28 +176,28 @@ class Simulation:
         # The round in progress, which each send's trace record carries.
         self.round_index = 0
         self._heap: List[int] = []  # pending instants, each once
-        self._due: Dict[int, List[Tuple]] = {}  # instant -> its events in scheduling order
-        self._taken = 0  # events taken from the earliest instant's list
+        self._due: Dict[int, list] = {}  # instant -> its events' slots in scheduling order
+        self._taken = 0  # slots taken from the earliest instant's list
         # Every link seed starts with the same domain and run seed; the
         # streams are the seed's, and the cursors this run's own.
         self._link_seed_prefix, self._streams = _link_streams(run_seed)
-        self._cursors: Dict[int, Dict[int, int]] = {}  # sender -> target -> next draw
+        self._cursors: List[List[int]] = []  # sender -> target -> next draw
 
     # -- scheduling --
 
-    def _schedule(self, at_us: int, event: Tuple) -> None:
+    def _schedule(self, at_us: int, kind: str, node: int, payload) -> None:
         events = self._due.get(at_us)
         if events is None:
             events = self._due[at_us] = []
             heappush(self._heap, at_us)
-        events.append(event)
+        events += kind, node, payload
 
     def schedule_timer(self, target: int, delay_us: int, tick) -> None:
-        self._schedule(self.now + max(0, delay_us), ("timer", target, tick))
+        self._schedule(self.now + max(0, delay_us), "timer", target, tick)
 
     def schedule_send(self, at_us: int, sender: int, targets: Sequence[int], message) -> None:
         """Defer a send to a future instant (client traffic injection)."""
-        self._schedule(max(at_us, self.now), ("send", sender, tuple(targets), message))
+        self._schedule(max(at_us, self.now), "send", sender, (tuple(targets), message))
 
     def send(
         self, sender: int, targets: Sequence[int], message, latency_factor: float = 1.0
@@ -208,17 +215,12 @@ class Simulation:
         network = self.network
         partitions, drop_rate = network.partitions, network.drop_rate
         base_latency, jitter_us = float(network.base_latency_us), network.jitter_us
-        streams = self._streams.get(sender)
-        if streams is None:
-            streams = self._streams[sender] = {}
-        cursors = self._cursors.get(sender)
-        if cursors is None:
-            cursors = self._cursors[sender] = {}
+        streams, cursors = self._links(sender, max(targets))
         heap, due = self._heap, self._due
         dropped = []
         for target in targets:
-            at = cursors.get(target, 0)
-            draws = streams.get(target)
+            at = cursors[target]
+            draws = streams[target]
             if draws is None or len(draws) < at + 2:  # a target takes at most two
                 draws = self._next_draws(sender, target, draws)
             if partitions and network.partitioned(now, sender, target):
@@ -242,7 +244,7 @@ class Simulation:
             if events is None:
                 events = due[at_us] = []
                 heappush(heap, at_us)
-            events.append(("deliver", target, message))
+            events += "deliver", target, message
         self.counters.sent += len(targets)
         self.counters.dropped += len(dropped)
         self.trace.append(
@@ -251,6 +253,20 @@ class Simulation:
                 tuple(dropped),
             )
         )
+
+    def _links(self, sender: int, top: int) -> Tuple[List[Optional[array]], List[int]]:
+        """The sender's streams and this simulation's cursors on them, by
+        target, each grown to hold target ``top``: the streams with None,
+        the cursors with 0 to the streams' length."""
+        for lists in (self._streams, self._cursors):
+            if len(lists) <= sender:
+                lists.extend([] for _ in range(sender + 1 - len(lists)))
+        streams, cursors = self._streams[sender], self._cursors[sender]
+        if len(streams) <= top:
+            streams.extend([None] * (top + 1 - len(streams)))
+        if len(cursors) < len(streams):
+            cursors.extend([0] * (len(streams) - len(cursors)))
+        return streams, cursors
 
     def link_seed(self, sender: int, target: int) -> bytes:
         """Seed of the link's random stream:
@@ -295,22 +311,21 @@ class Simulation:
         due = self._due
         events = due[now]
         taken = self._taken
-        event = events[taken]
-        taken += 1
+        kind, node, payload = events[taken], events[taken + 1], events[taken + 2]
+        taken += 3
         # Take the event off the queue before its callback schedules more.
         if taken == len(events):
             heappop(heap)
             del due[now]
             taken = 0
         self._taken = taken
-        kind = event[0]
         if kind == "deliver":
             self.counters.delivered += 1
-            self.on_deliver(event[1], now, event[2])
+            self.on_deliver(node, now, payload)
         elif kind == "timer":
-            self.on_deliver(event[1], now, event[2])
+            self.on_deliver(node, now, payload)
         else:
-            self.send(event[1], event[2], event[3])
+            self.send(node, *payload)
         return True
 
     def run_until(self, deadline_us: int, stop: Optional[Callable[[], bool]] = None) -> None:
@@ -322,10 +337,11 @@ class Simulation:
             step()
 
     def _queued(self) -> Iterator[Tuple]:
-        """Every event not yet taken."""
+        """Every event not yet taken, as a (kind, node, payload) tuple."""
         earliest = self._heap[0] if self._heap else None
         for at_us, events in self._due.items():
-            yield from events[self._taken :] if at_us == earliest else events
+            slots = iter(events[self._taken :] if at_us == earliest else events)
+            yield from zip(slots, slots, slots)
 
     def in_flight(self) -> int:
         """Deliveries still queued."""

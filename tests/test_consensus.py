@@ -692,6 +692,33 @@ class TestPbftRound:
         result = prepare(4)
         assert [type(message) for _, message in result.sends] == [Commit]
 
+    def test_prepares_past_the_commit_ask_nothing(self, monkeypatch):
+        # f=2. Once the 2f-th prepare has sent the backup's commit, each
+        # remaining prepare returns IDLE without asking _commit_due().
+        replicas, reg = make_group(7)
+        backup = replicas[1]
+        batch = (make_request(reg),)
+        pre_prepare = signed(
+            PrePrepare(height=1, view=0, batch=batch,
+                       digest=batch_digest_of(batch), sender=0),
+            reg, 0,
+        )
+        backup.step(0, pre_prepare)
+
+        def prepare(sender):
+            echo = PbftPrepare(height=1, view=0, digest=pre_prepare.digest, sender=sender)
+            return backup.step(0, signed(echo, reg, sender))
+
+        sends = [prepare(sender).sends for sender in (2, 3, 4)]
+        assert [[type(message) for _, message in s] for s in sends] == [[], [], [Commit]]
+
+        def asked(replica):
+            raise AssertionError("_commit_due() asked")
+
+        monkeypatch.setattr(consensus.PbftReplica, "_commit_due", asked)
+        for sender in (5, 6):
+            assert prepare(sender) is consensus.IDLE
+
     def test_three_phase_costs_more_than_two_phase(self):
         replicas, reg = make_committee(4)
         pump = Pump(replicas)

@@ -252,8 +252,9 @@ def held_streams(run_seed: bytes) -> dict:
     _, streams = simnet._link_streams(run_seed)
     return {
         (sender, target): list(draws)
-        for sender, links in streams.items()
-        for target, draws in links.items()
+        for sender, links in enumerate(streams)
+        for target, draws in enumerate(links)
+        if draws is not None
     }
 
 
@@ -329,6 +330,37 @@ class TestSharedStreams:
         for (sender, target), draws in after.items():
             rng = random.Random(int.from_bytes(sim.link_seed(sender, target), "big"))
             assert draws == [rng.random() for _ in draws]
+
+    @pytest.mark.parametrize("protocol", [0, 1], ids=["ebrc", "pbft"])
+    def test_lists_grow_once_and_stay_longer_than_needed(self, monkeypatch, protocol):
+        # One seed at n=4, then n=31, then n=4 again: the streams grow to the
+        # highest id named once and keep that length, and the last run's
+        # cursors take the streams' length. No run's bytes depend on it.
+        configs = [presets.comparison_pair(n, byzantine=False)[protocol] for n in (4, 31, 4)]
+        cold = []
+        for config in configs:
+            simnet._link_streams.cache_clear()
+            cold.append(report_and_trace(config))
+        sims = []
+        init = Simulation.__init__
+
+        def tracked(sim, *args):
+            init(sim, *args)
+            sims.append(sim)
+
+        monkeypatch.setattr(Simulation, "__init__", tracked)
+        simnet._link_streams.cache_clear()
+        lengths = []
+        for config, expected in zip(configs, cold):
+            assert report_and_trace(config) == expected
+            _, streams = simnet._link_streams(run_seed_of(config))
+            lengths.append([len(links) for links in streams])
+        small, grown, again = lengths
+        assert len(small) == 5 and max(small) == 5  # nodes 0-3 and the client, 4
+        assert len(grown) == 32 and max(grown) == 32
+        assert again == grown
+        cursors = sims[-1]._cursors
+        assert [len(links) for links in cursors] == [32] * 5  # 5 would do
 
     def test_simulations_stepped_alternately_match_the_oracle(self):
         # Two runs of one seed share the streams of links 0->1 and 0->2 and
