@@ -2,7 +2,9 @@
 
 Every primitive here is keyed BLAKE2b: cheap, reproducible, and verifiable
 through a trusted in-simulation registry rather than real public-key math.
-That is intentional: runs must replay bit-for-bit. The elections use
+That is intentional: runs must replay bit-for-bit. The one exception is the
+network's link draws, which read a SHAKE-128 output of any length
+(``hasher(..., xof=True)``). The elections use
 ``SimulatedVrf`` directly; a production VRF would replace that class.
 Messages are signed without bytes, by the memo ``messages.signed`` attaches
 (an ideal signature); ``KeyRegistry.sign`` and ``verify`` sign and check
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from hashlib import blake2b
+from hashlib import blake2b, shake_128
 from typing import Optional, Sequence, Tuple
 
 DIGEST_SIZE = 32
@@ -38,17 +40,17 @@ ZERO_HASH = b"\x00" * DIGEST_SIZE
 
 
 @lru_cache(maxsize=64)
-def _domain_state(domain: bytes):
-    """A state with the length-prefixed ``domain`` absorbed. Every caller
-    shares it, so ``hasher`` copies it and never updates it; a copy costs
-    less than a new state."""
-    h = blake2b(digest_size=DIGEST_SIZE)
+def _domain_state(domain: bytes, xof: bool = False):
+    """A state with the length-prefixed ``domain`` absorbed: BLAKE2b, or
+    SHAKE-128 when ``xof``. Every caller shares it, so ``hasher`` copies it
+    and never updates it; a copy costs less than a new state."""
+    h = shake_128() if xof else blake2b(digest_size=DIGEST_SIZE)
     h.update(len(domain).to_bytes(2, "big"))
     h.update(domain)
     return h
 
 
-def hasher(parts: Sequence[bytes], domain: bytes = b"msg", prefix=None):
+def hasher(parts: Sequence[bytes], domain: bytes = b"msg", prefix=None, xof: bool = False):
     """The BLAKE2b state that ``digest`` finishes: ``domain``, then each of
     ``parts``, every one length-prefixed.
 
@@ -56,8 +58,12 @@ def hasher(parts: Sequence[bytes], domain: bytes = b"msg", prefix=None):
     ``parts`` instead (``domain`` is then already in it, and ``prefix`` is
     left as it was). Inputs that share their leading parts absorb those once:
     ``digest(*tail, prefix=hasher(head, domain=d)) == digest(*head, *tail, domain=d)``.
+
+    With ``xof`` the state is SHAKE-128's, framed the same way, and its
+    ``digest(length)`` takes any length: a longer output starts with a
+    shorter one.
     """
-    h = (_domain_state(domain) if prefix is None else prefix).copy()
+    h = (_domain_state(domain, xof) if prefix is None else prefix).copy()
     for part in parts:
         h.update(len(part).to_bytes(4, "big"))
         h.update(part)

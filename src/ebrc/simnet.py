@@ -1,20 +1,13 @@
 """Deterministic discrete-event message network.
 
-Single integer microsecond clock and per-link latency/drop randomness
-derived from the run seed and the link endpoints. Each directed link draws
-from the stream of ``random.Random(int.from_bytes(link_seed, "big"))``.
-Every simulation of one run seed shares its links' streams: a module-level
-cache holds the streams of the most recent run seed, one seed at a time,
-each an array of the draws taken so far in stream order, and a simulation
-keeps only an integer cursor per link. A stream starts with 16 draws. When
-a cursor comes within two draws of its end, the generator is seeded again,
-skips the draws the stream holds and appends as many again, so a stream
-doubles and no link keeps a 2.5 KB Mersenne Twister state. Paired runs of
-one seed (EBRC and PBFT, clean and Byzantine, each n of a sweep) seed each
-link once between them, and the last seed's streams outlive its runs until
-a run of another seed replaces them. The streams and the cursors are
-lists indexed by sender, then by target id, grown when a send names a
-higher id than they hold. Every event has a key
+Single integer microsecond clock and per-message latency/drop randomness
+that is a pure function of the run seed, the link and the message's place
+on it. The messages on each directed link (sender, target) that no
+partition cut are numbered k = 0, 1, 2, ...; the k-th takes a drop draw
+and a jitter draw from the hash of (run seed, sender, target, k) (see
+``Simulation._block``). A simulation keeps only its own per-link counts
+and the hash outputs it has read, and nothing outlives a run, so a run's
+draws do not depend on what ran before it. Every event has a key
 (instant, scheduling order). The queue holds each pending instant once, on
 a heap of plain ints, and beside it the instant's events in the order they
 were scheduled, flat, three slots apiece (kind, node, payload); a send
@@ -32,10 +25,10 @@ rewrite of its sends (``runner._send``); a lazy node's sends pass ``send`` a
 
 from __future__ import annotations
 
-import random
+import sys
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from heapq import heappop, heappush
 from typing import (
     Callable,
@@ -52,7 +45,8 @@ from typing import (
 # simnet.digest is unused here; perfbench/test_perfbench.py checks that its tracer rebinds it.
 from .crypto import digest, hasher  # noqa: F401
 
-_FIRST_DRAWS = 16  # draws a stream holds at first use; a target takes at most two
+_WORD_RANGE = float(1 << 32)  # a draw is a 32-bit word over this
+_BIG_ENDIAN_HOST = sys.byteorder == "big"  # draw words are little-endian
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,18 +123,6 @@ class Counters:
         return self.sent == self.delivered + self.dropped + in_flight
 
 
-@lru_cache(maxsize=1)
-def _link_streams(run_seed: bytes) -> Tuple[object, List[List[Optional[array]]]]:
-    """The link seed prefix of ``run_seed`` and the streams of its links so
-    far, shared by every simulation of the seed: ``streams[sender][target]``
-    is the link's draws, or None while no run of the seed has seeded it.
-    A simulation holds on to its seed's pair, so a run of another seed
-    evicting it changes no draw: the next simulation of the seed starts
-    its streams afresh. The last seed's streams outlive its simulations;
-    ``_link_streams.cache_clear()`` frees them."""
-    return hasher((run_seed,), b"link"), []
-
-
 def _digest_prefix(message) -> str:
     value = getattr(message, "digest", None)
     if isinstance(value, bytes):
@@ -161,8 +143,9 @@ class Simulation:
     taken. An event scheduled for the instant being drained joins the end
     of its list, or starts a new list once the list is done.
 
-    ``_cursors[sender][target]`` is the next draw of the link's stream that
-    this simulation takes; a sender's cursors are as long as its streams.
+    ``_sent[sender][target]`` counts the messages on the link that no
+    partition cut, so it is the next message's k; ``_blocks[sender]`` holds
+    the words of each of the sender's blocks read so far (``_block``).
     """
 
     def __init__(self, run_seed: bytes, network: NetworkModel) -> None:
@@ -178,10 +161,10 @@ class Simulation:
         self._heap: List[int] = []  # pending instants, each once
         self._due: Dict[int, list] = {}  # instant -> its events' slots in scheduling order
         self._taken = 0  # slots taken from the earliest instant's list
-        # Every link seed starts with the same domain and run seed; the
-        # streams are the seed's, and the cursors this run's own.
-        self._link_seed_prefix, self._streams = _link_streams(run_seed)
-        self._cursors: List[List[int]] = []  # sender -> target -> next draw
+        # Every link block's hash starts with the same domain and run seed.
+        self._link_prefix = hasher((run_seed,), b"link", xof=True)
+        self._sent: Dict[int, List[int]] = defaultdict(list)  # sender -> target -> k
+        self._blocks: Dict[int, Dict[int, array]] = defaultdict(dict)  # sender -> block -> words
 
     # -- scheduling --
 
@@ -209,36 +192,35 @@ class Simulation:
         targets = tuple(targets)
         if sender in targets:
             raise ValueError("self-delivery is not modeled")
-        # Each link draws from its own stream: the drop draw (when the link is
-        # not partitioned), then the jitter draw (when the message survives).
         now = self.now
         network = self.network
-        partitions, drop_rate = network.partitions, network.drop_rate
-        base_latency, jitter_us = float(network.base_latency_us), network.jitter_us
-        streams, cursors = self._links(sender, max(targets))
+        partitions = network.partitions
+        # Words below this drop: a word w is the draw w / 2**32.
+        drop_below = network.drop_rate * _WORD_RANGE
+        base_latency, jitter_scale = float(network.base_latency_us), network.jitter_us / _WORD_RANGE
+        top = max(targets)
+        counts, blocks = self._sent[sender], self._blocks[sender]
+        if len(counts) <= top:
+            counts.extend([0] * (top + 1 - len(counts)))
         heap, due = self._heap, self._due
         dropped = []
+        block = -1  # the block ``words`` holds, up to ``top``; a broadcast's links mostly share one
         for target in targets:
-            at = cursors[target]
-            draws = streams[target]
-            if draws is None or len(draws) < at + 2:  # a target takes at most two
-                draws = self._next_draws(sender, target, draws)
             if partitions and network.partitioned(now, sender, target):
                 dropped.append(target)
                 continue
-            if drop_rate > 0.0:
-                drop_draw = draws[at]
-                at += 1
-                if drop_draw < drop_rate:
-                    cursors[target] = at
-                    dropped.append(target)
-                    continue
-            latency = base_latency
-            if jitter_us:
-                latency += draws[at] * jitter_us
-                at += 1
-            cursors[target] = at
-            at_us = now + int(latency * latency_factor)
+            k = counts[target]
+            counts[target] = k + 1
+            if k >> 3 != block:
+                block = k >> 3
+                words = blocks.get(block)
+                if words is None or len(words) <= top << 4:
+                    words = blocks[block] = self._block(sender, block, top)
+            at = target << 4 | (k & 7) << 1
+            if drop_below and words[at] < drop_below:
+                dropped.append(target)
+                continue
+            at_us = now + int((base_latency + words[at + 1] * jitter_scale) * latency_factor)
             # _schedule, inlined: this loop runs once per message.
             events = due.get(at_us)
             if events is None:
@@ -254,51 +236,20 @@ class Simulation:
             )
         )
 
-    def _links(self, sender: int, top: int) -> Tuple[List[Optional[array]], List[int]]:
-        """The sender's streams and this simulation's cursors on them, by
-        target, each grown to hold target ``top``: the streams with None,
-        the cursors with 0 to the streams' length."""
-        for lists in (self._streams, self._cursors):
-            if len(lists) <= sender:
-                lists.extend([] for _ in range(sender + 1 - len(lists)))
-        streams, cursors = self._streams[sender], self._cursors[sender]
-        if len(streams) <= top:
-            streams.extend([None] * (top + 1 - len(streams)))
-        if len(cursors) < len(streams):
-            cursors.extend([0] * (len(streams) - len(cursors)))
-        return streams, cursors
-
-    def link_seed(self, sender: int, target: int) -> bytes:
-        """Seed of the link's random stream:
-        ``digest(run_seed, sender, target, domain=b"link")``, with both ids
-        as 8 big-endian bytes. The stream is that of
-        ``random.Random(int.from_bytes(seed, "big")).random()``, which the
-        run seed's simulations share (see ``_next_draws``). It is finished
-        from the seed's hasher state, not through ``digest``: a run seeds
-        only the links no earlier run of its seed seeded, while ``digest``'s
-        calls count the same protocol hashing on every run of a seed."""
-        ids = (sender.to_bytes(8, "big"), target.to_bytes(8, "big"))
-        return hasher(ids, prefix=self._link_seed_prefix).digest()
-
-    def _next_draws(self, sender: int, target: int, draws: Optional[array]) -> array:
-        """The link's stream, grown: its first 16 draws when the run seed's
-        streams hold none of it (``draws`` is None), else ``draws`` with as
-        many draws again appended in place. A stream doubles, so a link
-        seeds a logarithmic number of times in the draws it takes, and the
-        draws before a simulation's cursor never change.
-        """
-        rng = random.Random(int.from_bytes(self.link_seed(sender, target), "big"))
-        if draws is None:
-            draws = self._streams[sender][target] = array("d")
-            count = _FIRST_DRAWS
-        else:
-            count = len(draws)
-            # Skip the draws held: random() takes two 32-bit words, as does
-            # each 64 bits of getrandbits.
-            rng.getrandbits(64 * count)
-        draw = rng.random
-        draws.extend([draw() for _ in range(count)])
-        return draws
+    def _block(self, sender: int, block: int, top: int) -> array:
+        """The draws of messages ``8 * block`` to ``8 * block + 7`` on the
+        sender's links to targets 0 to ``top``: the first ``64 * (top + 1)``
+        bytes of the SHAKE-128 output over the run seed, the sender and the
+        block, both ids as 8 big-endian bytes (``hasher(..., xof=True)``
+        under ``b"link"``). Target t's eight messages hold the 64 bytes from
+        ``64 * t``, two little-endian 32-bit words apiece: the drop word,
+        then the jitter word. A longer output starts with a shorter one, so no
+        draw depends on how many targets the output covers."""
+        ids = (sender.to_bytes(8, "big"), block.to_bytes(8, "big"))
+        words = array("I", hasher(ids, prefix=self._link_prefix).digest((top + 1) << 6))
+        if _BIG_ENDIAN_HOST:
+            words.byteswap()
+        return words
 
     # -- execution --
 

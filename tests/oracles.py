@@ -11,7 +11,6 @@ import dataclasses
 import hashlib
 import heapq
 import math
-import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ebrc.consensus import QuorumConflict, batch_digest_of, check_quorum
@@ -29,6 +28,23 @@ def blake2b_digest(*parts: bytes, domain: bytes = b"msg") -> bytes:
     for part in parts:
         message += len(part).to_bytes(4, "big") + part
     return hashlib.blake2b(message, digest_size=32).digest()
+
+
+def link_draws(run_seed: bytes, sender: int, target: int, k: int) -> Tuple[float, float]:
+    """The drop and jitter draws of the k-th message on link (sender, target)
+    that no partition cut, from their definition: one SHAKE-128 output over
+    the domain ``b"link"`` and the parts run seed, sender and ``k // 8``,
+    framed as ``blake2b_digest`` frames them, ids as 8 big-endian bytes. The
+    message's 8 bytes start at ``64 * target + 8 * (k % 8)``: two
+    little-endian 32-bit words, each drawn as word / 2**32. Only the bytes up
+    to the message's are taken."""
+    message = len(b"link").to_bytes(2, "big") + b"link"
+    for part in (run_seed, sender.to_bytes(8, "big"), (k // 8).to_bytes(8, "big")):
+        message += len(part).to_bytes(4, "big") + part
+    at = 64 * target + 8 * (k % 8)
+    words = hashlib.shake_128(message).digest(at + 8)[at:]
+    return (int.from_bytes(words[:4], "little") / 2**32,
+            int.from_bytes(words[4:], "little") / 2**32)
 
 
 def brute_force_h_index(history: Sequence[int]) -> int:
@@ -192,17 +208,15 @@ class NaiveNetwork:
     """Reference event loop for ``simnet.Simulation``: one heap entry per
     delivery, timer and deferred send, keyed (time, insertion number).
 
-    Written from the network model's definition. Each directed link draws
-    from its own ``random.Random``, seeded with the big-endian integer of
-    ``digest(run_seed, sender, target, domain=b"link")``, ids as 8 bytes. A
-    link partitioned at the send instant drops the message and draws nothing.
-    Otherwise the link draws once for a drop when ``drop_rate`` > 0 and, if
-    the message survives, once for jitter when ``jitter_us`` > 0. The latency
-    is ``int((base_latency_us + draw * jitter_us) * latency_factor)``, the
-    factor 1 for a deferred send. An ``equivocators`` sender of a proposal
-    of two or more requests sends to its targets in sorted order,
-    alternating the proposal and a re-signed copy whose batch lacks the last
-    request.
+    Written from the network model's definition. A link partitioned at the
+    send instant drops the message and does not count it. Otherwise the
+    message is the link's k-th counted one, and ``link_draws`` gives its
+    drop and jitter draws: it drops when the drop draw is below
+    ``drop_rate``, else its latency is ``int((base_latency_us + jitter draw *
+    jitter_us) * latency_factor)``, the factor 1 for a deferred send. An
+    ``equivocators`` sender of a proposal of two or more requests sends to
+    its targets in sorted order, alternating the proposal and a re-signed
+    copy whose batch lacks the last request.
     """
 
     def __init__(self, run_seed: bytes, registry, *, base_latency_us: int, jitter_us: int,
@@ -217,19 +231,12 @@ class NaiveNetwork:
         self.now = 0
         self.events = []
         self.inserted = 0
-        self.rngs = {}
+        self.counted = {}  # (sender, target) -> messages counted so far
         self.on_deliver = lambda target, now, event: None
 
     def _add(self, at_us, event) -> None:
         heapq.heappush(self.events, (at_us, self.inserted, event))
         self.inserted += 1
-
-    def _rng(self, sender: int, target: int) -> random.Random:
-        if (sender, target) not in self.rngs:
-            seed = digest(self.run_seed, sender.to_bytes(8, "big"), target.to_bytes(8, "big"),
-                          domain=b"link")
-            self.rngs[sender, target] = random.Random(int.from_bytes(seed, "big"))
-        return self.rngs[sender, target]
 
     def schedule_timer(self, target: int, delay_us: int, tick) -> None:
         self._add(self.now + max(0, delay_us), ("timer", target, tick))
@@ -246,15 +253,15 @@ class NaiveNetwork:
             messages.append(signed(copy, self.registry, sender))
             targets = sorted(targets)
         for i, target in enumerate(targets):
-            rng = self._rng(sender, target)
             if any(start <= self.now < end and (sender in nodes or target in nodes)
                    for start, end, nodes in self.partitions):
                 continue
-            if self.drop_rate > 0 and rng.random() < self.drop_rate:
+            k = self.counted.get((sender, target), 0)
+            self.counted[sender, target] = k + 1
+            drop, jitter = link_draws(self.run_seed, sender, target, k)
+            if drop < self.drop_rate:
                 continue
-            latency = float(self.base_latency_us)
-            if self.jitter_us > 0:
-                latency += rng.random() * self.jitter_us
+            latency = self.base_latency_us + jitter * self.jitter_us
             at_us = self.now + int(latency * latency_factor)
             self._add(at_us, ("deliver", target, messages[i % len(messages)]))
 

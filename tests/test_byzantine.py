@@ -209,11 +209,11 @@ class TestFanOut:
             (0, 5, "prepare", "169f6f1d", 3, True),
         ]
         assert deliveries == [
-            (1, 2414, "prepare", "169f6f1d"),
-            (3, 2496, "prepare", "169f6f1d"),
-            (2, 2505, "prepare", "fd62c4d1"),
-            (5, 2564, "prepare", "169f6f1d"),
-            (4, 2699, "prepare", "fd62c4d1"),
+            (3, 2032, "prepare", "169f6f1d"),
+            (1, 2162, "prepare", "169f6f1d"),
+            (4, 2194, "prepare", "fd62c4d1"),
+            (2, 2195, "prepare", "fd62c4d1"),
+            (5, 2257, "prepare", "169f6f1d"),
         ]
 
     def test_corrupt_digest_broadcast(self):
@@ -228,16 +228,16 @@ class TestFanOut:
             (1_000, t, "commit", "ff010203", 3, True) for t in FAN_OUT
         ]
         assert deliveries == [
-            (1, 2414, "prepare", "e99f6f1d"),
-            (3, 2496, "prepare", "e99f6f1d"),
-            (2, 2505, "prepare", "e99f6f1d"),
-            (5, 2564, "prepare", "e99f6f1d"),
-            (4, 2699, "prepare", "e99f6f1d"),
-            (3, 3039, "commit", "ff010203"),
-            (4, 3171, "commit", "ff010203"),
-            (1, 3428, "commit", "ff010203"),
-            (2, 3681, "commit", "ff010203"),
-            (5, 3700, "commit", "ff010203"),
+            (3, 2032, "prepare", "e99f6f1d"),
+            (1, 2162, "prepare", "e99f6f1d"),
+            (4, 2194, "prepare", "e99f6f1d"),
+            (2, 2195, "prepare", "e99f6f1d"),
+            (5, 2257, "prepare", "e99f6f1d"),
+            (3, 3294, "commit", "ff010203"),
+            (2, 3365, "commit", "ff010203"),
+            (4, 3575, "commit", "ff010203"),
+            (1, 3688, "commit", "ff010203"),
+            (5, 3948, "commit", "ff010203"),
         ]
 
     def test_one_record_per_send(self):

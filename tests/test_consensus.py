@@ -546,7 +546,7 @@ class TestCert:
 
     # The first lossy, partitioned case of test_divergence.py: its honest
     # ledgers diverge, yet each block is still committed on a real quorum.
-    LOSSY = (presets.comparison_pair(4, byzantine=False, seed=41, rounds=4)[0], (34.0, 42.0, (3,)))
+    LOSSY = (presets.comparison_pair(4, byzantine=False, seed=83, rounds=4)[0], (34.8, 44.1, (2,)))
 
     @pytest.mark.parametrize(
         "config, window",

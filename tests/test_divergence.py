@@ -18,12 +18,12 @@ EBRC, PBFT = 0, 1  # index of each protocol's config in a comparison_pair
 
 # (protocol, node_count, seed, partition window (start_ms, end_ms, nodes))
 CASES = [
-    (EBRC, 4, 41, (34.0, 42.0, (3,))),
-    (EBRC, 4, 16, (26.0, 38.0, (2,))),
-    (EBRC, 7, 79, (40.8, 55.1, (1,))),
-    (PBFT, 13, 10, (13.0, 24.5, (12,))),
-    (PBFT, 4, 52, (53.9, 63.1, (0,))),
-    (PBFT, 7, 19, (6.2, 11.7, (4,))),
+    (EBRC, 4, 83, (34.8, 44.1, (2,))),
+    (EBRC, 4, 195, (13.7, 19.4, (0,))),
+    (EBRC, 7, 81, (33.3, 46.8, (1,))),
+    (PBFT, 13, 210, (22.2, 31.2, (10,))),
+    (PBFT, 4, 34, (1.3, 9.6, (2,))),
+    (PBFT, 7, 158, (51.4, 58.9, (5,))),
 ]
 
 

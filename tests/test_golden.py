@@ -40,9 +40,9 @@ SWEEP_SHA256 = dict(
 
 FORCED_REPLACEMENT_SHA256 = {
     # churn_join_m7 logs replace 6 + join 7 at height 2.
-    "churn_join_m7_silent_6": "26b33f1b6240d303fb91cdff31d3fd4f99b78ce344db1f4ba5712f4794a4910a",
+    "churn_join_m7_silent_6": "4a9b90c1ecc4cdde7d55e3a049797fc1988a7bf91dc9c10ecbf53ba9f837d4d4",
     # churn_join_m7 logs replace 3 + join 7 at height 3, after one view change.
-    "churn_join_m7_equivocate_3": "9dc0e326d7e36b0f126b7a8be4302eaea778c44a702aaf320a3a305ac7428de6",
+    "churn_join_m7_equivocate_3": "890c635c3290fecaba8d6a5aeca5665d05c2c3435c92b1fa4c030676e17cc29d",
     # safety_silent_m7 has no candidates: every forced removal stalls.
     "safety_silent_m7": SWEEP_SHA256["safety_silent_m7 replace_faulty seed=1"],
 }
@@ -112,7 +112,7 @@ SEND_COUNTS = {
     "law_pbft_n4": (15, 40),
     "churn_join_m7": (179, 750),
     # An equivocating proposal goes out as one single-target send per target.
-    "safety_equivocate_m7": (182, 810),
+    "safety_equivocate_m7": (183, 816),
 }
 
 # A proposal, a vote or a ViewChange goes out as one send to the whole

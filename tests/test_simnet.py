@@ -5,15 +5,12 @@ What a faulty node sends is the runner's concern; see ``test_byzantine.py``.
 
 import ast
 import dataclasses
-import random
-import sys
 from pathlib import Path
 
 import pytest
 
-from ebrc import crypto, harness, presets, simnet
+from ebrc import harness, presets, simnet
 from ebrc.config import NetworkConfig
-from ebrc.crypto import digest, pack
 from ebrc.runner import ScenarioRunner
 from ebrc.simnet import NetworkModel, Simulation
 
@@ -30,7 +27,7 @@ from driver import (
     make_sim,
     trace_rows,
 )
-from oracles import NaiveNetwork
+from oracles import NaiveNetwork, link_draws
 
 
 class TestModelValidation:
@@ -182,80 +179,60 @@ class TestConservation:
         assert sim.conservation_ok()
 
 
-class TestLinkSeeds:
-    def test_link_seed_is_the_link_digest(self):
-        for run_seed in (b"", b"simnet-tests", bytes(range(32))):
-            sim, _, _ = make_sim(run_seed)
-            for sender, target in ((0, 1), (1, 0), (3, 100), (2**40, 7)):
-                expected = digest(
-                    run_seed, sender.to_bytes(8, "big"), target.to_bytes(8, "big"), domain=b"link"
-                )
-                assert sim.link_seed(sender, target) == expected
+class TestLinkDraws:
+    @pytest.mark.parametrize("drop_rate", [0.0, 0.5], ids=["no-drops", "half-drops"])
+    def test_known_answers_for_a_links_kth_draws(self, drop_rate):
+        # ``link_draws`` computes the k-th counted message's drop and jitter
+        # draws with hashlib alone; three of them pinned as 32-bit words.
+        seed = b"link-draws"
+        assert [link_draws(seed, 0, 9, k) for k in (0, 8, 19)] == [
+            (3664380670 / 2**32, 2492641508 / 2**32),
+            (3394317953 / 2**32, 2709723471 / 2**32),
+            (236671369 / 2**32, 3644503515 / 2**32),
+        ]
+        # Node 0 sends to 9, above the four nodes the registry holds, and to
+        # 1 and 2 every 10 ms; node 2 is cut off for sends 3 to 5, which its
+        # link does not count. With no base latency and 2**32 us of jitter a
+        # message lands exactly its jitter word after its send.
+        reg, sends = make_registry(4), 20  # k reaches a third block of eight
+        window = (30_000, 60_000, frozenset({2}))
+        sim = Simulation(seed, NetworkModel(0, 2**32, drop_rate, (window,)))
+        arrivals = []
+        sim.on_deliver = lambda target, now, message: arrivals.append(
+            (message.height, target, now))
+        for i in range(sends):
+            sim.schedule_send(i * 10_000, 0, [9, 1, 2], make_commit(reg, height=i))
+        drain(sim)
+        expected, counted = [], {9: 0, 1: 0, 2: 0}
+        for i in range(sends):
+            for target in (9, 1, 2):
+                if target == 2 and 3 <= i <= 5:
+                    continue
+                drop, jitter = link_draws(seed, 0, target, counted[target])
+                counted[target] += 1
+                if drop >= drop_rate:
+                    expected.append((i, target, i * 10_000 + int(jitter * 2**32)))
+        assert sorted(arrivals) == sorted(expected)
+        random_drops = sim.counters.dropped - 3  # beside the window's three
+        assert random_drops == 0 if drop_rate == 0 else 0 < random_drops < 3 * sends - 3
 
-
-class TestLinkStreams:
-    """A link keeps blocks of its stream, not a generator; the draws must be
-    those of ``random.Random(int.from_bytes(link_seed, "big"))``."""
-
-    @pytest.mark.parametrize(
-        "base_latency_us, jitter_us, drop_rate, partitions, sends",
-        [
-            # Partitioned sends draw nothing; the others draw for a drop, then jitter.
-            (2_000, 1_000, 0.2, ((30_000, 45_000, frozenset({1})),), 200),
-            # No drops and 2**53 µs of jitter: random() is k / 2**53, so each
-            # delivery lands exactly k µs after its send and shows its draw.
-            (0, 2**53, 0.0, (), 300),
-        ],
-        ids=["drops-and-partition", "exact-draws"],
-    )
-    def test_refills_match_the_oracle(
-        self, monkeypatch, base_latency_us, jitter_us, drop_rate, partitions, sends
-    ):
-        refills = []
-        next_draws = Simulation._next_draws
-
-        def counted(sim, sender, target, draws):
-            if draws is not None:
-                refills.append((sender, target))
-            return next_draws(sim, sender, target, draws)
-
-        monkeypatch.setattr(Simulation, "_next_draws", counted)
-        simnet._link_streams.cache_clear()  # the seed's streams start cold in each case
-        seed, reg = b"link-refills", make_registry(2)
-        network = NetworkModel(base_latency_us, jitter_us, drop_rate, partitions)
-        oracle = NaiveNetwork(seed, reg, base_latency_us=base_latency_us, jitter_us=jitter_us,
-                              drop_rate=drop_rate, partitions=partitions)
-        logs = []
-        for net in (Simulation(seed, network), oracle):
-            log = []
-            net.on_deliver = lambda target, now, message, log=log: log.append(
-                (now, target, message.height))
-            for sequence in range(sends):
-                net.schedule_send(sequence * 300, 0, [1], make_commit(reg, height=sequence))
-            drain(net)
-            logs.append(log)
-        assert logs[0] == logs[1]
-        if drop_rate:
-            assert 0 < len(logs[0]) < 0.75 * sends  # drops and the partition took their share
-        else:
-            assert len(logs[0]) == sends
-        assert len(refills) >= 3 and set(refills) == {(0, 1)}
-
-
-def run_seed_of(config) -> bytes:
-    return digest(pack(config.seed), domain=b"run-seed")
-
-
-def held_streams(run_seed: bytes) -> dict:
-    """Copies of the streams held for ``run_seed``, by link. Call it while
-    that seed is the cache's; for any other, it starts the seed afresh."""
-    _, streams = simnet._link_streams(run_seed)
-    return {
-        (sender, target): list(draws)
-        for sender, links in enumerate(streams)
-        for target, draws in enumerate(links)
-        if draws is not None
-    }
+    def test_bytes_do_not_depend_on_the_runs_before(self):
+        # One process runs the same configs in two orders: two seeds, two
+        # sizes of one seed, both protocols, lossy and clean. Nothing a run
+        # leaves behind may change another run's report or trace.
+        lossy = dataclasses.replace(
+            presets.load("safety_silent_m7"), network=NetworkConfig(drop_rate=0.05)
+        )
+        configs = [
+            lossy,
+            dataclasses.replace(lossy, seed=lossy.seed + 1),
+            *presets.comparison_pair(4, byzantine=False),
+            presets.comparison_pair(13, byzantine=False)[1],
+        ]
+        first = [report_and_trace(config) for config in configs]
+        again = [report_and_trace(config) for config in reversed(configs)]
+        assert first == again[::-1]
+        assert len(set(first)) == len(configs)
 
 
 def report_and_trace(config) -> str:
@@ -264,135 +241,6 @@ def report_and_trace(config) -> str:
     return harness.report_json(
         {"schema_version": harness.SCHEMA_VERSION, "reports": [report.to_dict()]}
     ) + harness.trace_csv(result.trace)
-
-
-class TestSharedStreams:
-    """Every simulation of one run seed reads the seed's streams, grown by
-    whichever run needed more draws first; a run's draws must not depend on
-    what earlier runs left in them."""
-
-    # Lossy, so that links draw for drops as well as for jitter.
-    CONFIG = dataclasses.replace(
-        presets.load("safety_silent_m7"), network=NetworkConfig(drop_rate=0.05)
-    )
-    LONGER = dataclasses.replace(CONFIG, rounds_per_epoch=3 * CONFIG.rounds_per_epoch)
-    RUN_SEED = run_seed_of(CONFIG)
-
-    def test_bytes_do_not_depend_on_what_the_streams_hold(self):
-        simnet._link_streams.cache_clear()
-        cold = report_and_trace(self.CONFIG)
-        cold_draws = sum(map(len, held_streams(self.RUN_SEED).values()))
-
-        simnet._link_streams.cache_clear()
-        report_and_trace(self.LONGER)
-        grown = held_streams(self.RUN_SEED)
-        assert sum(map(len, grown.values())) > cold_draws
-        assert report_and_trace(self.CONFIG) == cold
-        assert held_streams(self.RUN_SEED) == grown  # the shorter run appended nothing
-
-        report_and_trace(dataclasses.replace(self.CONFIG, seed=self.CONFIG.seed + 1))
-        misses = simnet._link_streams.cache_info().misses
-        assert report_and_trace(self.CONFIG) == cold
-        assert simnet._link_streams.cache_info().misses == misses + 1  # started afresh
-
-    def test_digest_calls_do_not_depend_on_what_the_streams_hold(self, monkeypatch):
-        # The benchmark counts crypto.digest calls as deterministic for a
-        # seed, so seeding links, which a warm seed skips, must not call it.
-        calls = [0]
-        original = crypto.digest
-
-        def counted(*parts, **kwargs):
-            calls[0] += 1
-            return original(*parts, **kwargs)
-
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("ebrc") and getattr(module, "digest", None) is original:
-                monkeypatch.setattr(module, "digest", counted)
-        counts = []
-        for clear in (True, False):  # cold, then every link already seeded
-            if clear:
-                simnet._link_streams.cache_clear()
-            calls[0] = 0
-            report_and_trace(self.CONFIG)
-            counts.append(calls[0])
-        assert counts[0] == counts[1] > 0
-
-    def test_a_run_only_appends_to_the_streams(self):
-        simnet._link_streams.cache_clear()
-        report_and_trace(self.CONFIG)
-        before = held_streams(self.RUN_SEED)
-        report_and_trace(self.LONGER)
-        after = held_streams(self.RUN_SEED)
-        assert any(len(after[link]) > len(draws) for link, draws in before.items())
-        assert all(after[link][: len(draws)] == draws for link, draws in before.items())
-        # And each stream is its link generator's, bit for bit.
-        sim = Simulation(self.RUN_SEED, NetworkModel())
-        for (sender, target), draws in after.items():
-            rng = random.Random(int.from_bytes(sim.link_seed(sender, target), "big"))
-            assert draws == [rng.random() for _ in draws]
-
-    @pytest.mark.parametrize("protocol", [0, 1], ids=["ebrc", "pbft"])
-    def test_lists_grow_once_and_stay_longer_than_needed(self, monkeypatch, protocol):
-        # One seed at n=4, then n=31, then n=4 again: the streams grow to the
-        # highest id named once and keep that length, and the last run's
-        # cursors take the streams' length. No run's bytes depend on it.
-        configs = [presets.comparison_pair(n, byzantine=False)[protocol] for n in (4, 31, 4)]
-        cold = []
-        for config in configs:
-            simnet._link_streams.cache_clear()
-            cold.append(report_and_trace(config))
-        sims = []
-        init = Simulation.__init__
-
-        def tracked(sim, *args):
-            init(sim, *args)
-            sims.append(sim)
-
-        monkeypatch.setattr(Simulation, "__init__", tracked)
-        simnet._link_streams.cache_clear()
-        lengths = []
-        for config, expected in zip(configs, cold):
-            assert report_and_trace(config) == expected
-            _, streams = simnet._link_streams(run_seed_of(config))
-            lengths.append([len(links) for links in streams])
-        small, grown, again = lengths
-        assert len(small) == 5 and max(small) == 5  # nodes 0-3 and the client, 4
-        assert len(grown) == 32 and max(grown) == 32
-        assert again == grown
-        cursors = sims[-1]._cursors
-        assert [len(links) for links in cursors] == [32] * 5  # 5 would do
-
-    def test_simulations_stepped_alternately_match_the_oracle(self):
-        # Two runs of one seed share the streams of links 0->1 and 0->2 and
-        # grow them in turn; each must deliver what its own oracle delivers.
-        simnet._link_streams.cache_clear()
-        seed, reg = b"shared-streams", make_registry(3)
-        model = dict(base_latency_us=2_000, jitter_us=1_000, drop_rate=0.2)
-        schedules = (
-            [(k * 500, [1, 2]) for k in range(120)],
-            [(k * 300, [1]) for k in range(200)] + [(k * 700, [2]) for k in range(40)],
-        )
-        logs = []
-        for net_pair in (
-            [Simulation(seed, NetworkModel(**model)) for _ in schedules],
-            [NaiveNetwork(seed, reg, **model) for _ in schedules],
-        ):
-            pair_logs = []
-            for net, schedule in zip(net_pair, schedules):
-                log = []
-                net.on_deliver = lambda target, now, message, log=log: log.append(
-                    (now, target, message.height))
-                for sequence, (at_us, targets) in enumerate(schedule):
-                    net.schedule_send(at_us, 0, targets, make_commit(reg, height=sequence))
-                pair_logs.append(log)
-            busy = list(net_pair)
-            while busy:  # one event of each in turn
-                busy = [net for net in busy if net.step_one()]
-            logs.append(pair_logs)
-        sims_logs, oracle_logs = logs
-        assert sims_logs == oracle_logs
-        assert all(log for log in sims_logs)
-        assert len(held_streams(seed)[0, 1]) > 2 * simnet._FIRST_DRAWS  # grown while shared
 
 
 class TestEventCount:
@@ -510,32 +358,32 @@ class TestFanOut:
         return [(i * 5_000, counting_commit(reg)) for i in range(4)]
 
     def test_lossy_network_with_partition_window(self):
-        # Node 3 is cut off for the first 12 ms; the 5% drops hit the links
-        # to 4 (third send) and to 1 (fourth send). A partitioned link draws
-        # nothing from its RNG, so node 3's first delivery time depends on it.
+        # Node 3 is cut off for the first 12 ms, and a partitioned link does
+        # not count its messages: the fourth send is link 0->3's message
+        # k = 0, and its drop draw is under 5%. No other draw drops.
         _, rows, deliveries = fan_out(b"fan-out-3", self.LOSSY, self.four_commits)
-        dropped = {(0, 3), (5_000, 3), (10_000, 4), (10_000, 3), (15_000, 1)}
         assert rows == [
-            (at, t, "commit", "00010203", 3, (at, t) not in dropped)
+            (at, t, "commit", "00010203", 3, t != 3)
             for at in (0, 5_000, 10_000, 15_000)
             for t in FAN_OUT
         ]
         assert deliveries == [
-            (2, 2404, "commit", "00010203"),
-            (1, 2436, "commit", "00010203"),
-            (4, 2589, "commit", "00010203"),
-            (5, 2618, "commit", "00010203"),
-            (4, 7063, "commit", "00010203"),
-            (1, 7089, "commit", "00010203"),
-            (2, 7724, "commit", "00010203"),
-            (5, 7829, "commit", "00010203"),
-            (1, 12089, "commit", "00010203"),
-            (2, 12608, "commit", "00010203"),
-            (5, 12838, "commit", "00010203"),
-            (3, 17307, "commit", "00010203"),
-            (4, 17437, "commit", "00010203"),
-            (5, 17638, "commit", "00010203"),
-            (2, 17709, "commit", "00010203"),
+            (5, 2140, "commit", "00010203"),
+            (2, 2649, "commit", "00010203"),
+            (4, 2922, "commit", "00010203"),
+            (1, 2975, "commit", "00010203"),
+            (5, 7200, "commit", "00010203"),
+            (4, 7269, "commit", "00010203"),
+            (2, 7384, "commit", "00010203"),
+            (1, 7394, "commit", "00010203"),
+            (2, 12042, "commit", "00010203"),
+            (5, 12204, "commit", "00010203"),
+            (4, 12490, "commit", "00010203"),
+            (1, 12971, "commit", "00010203"),
+            (4, 17032, "commit", "00010203"),
+            (1, 17295, "commit", "00010203"),
+            (2, 17722, "commit", "00010203"),
+            (5, 17746, "commit", "00010203"),
         ]
 
     def test_one_record_per_send(self):
@@ -543,10 +391,7 @@ class TestFanOut:
         # order, and the dropped targets in that order.
         lossy, _, _ = fan_out(b"fan-out-3", self.LOSSY, self.four_commits)
         assert [(r.time_us, r.targets, r.digest_prefix, r.dropped) for r in lossy.trace] == [
-            (0, (5, 1, 4, 2, 3), "00010203", (3,)),
-            (5_000, (5, 1, 4, 2, 3), "00010203", (3,)),
-            (10_000, (5, 1, 4, 2, 3), "00010203", (4, 3)),
-            (15_000, (5, 1, 4, 2, 3), "00010203", (1,)),
+            (at, (5, 1, 4, 2, 3), "00010203", (3,)) for at in (0, 5_000, 10_000, 15_000)
         ]
         counts = count_messages(lossy.trace)
         counters = lossy.counters
@@ -554,7 +399,7 @@ class TestFanOut:
         assert counts.by_tag == {"commit": 20}
         assert counts.by_round == {3: 20}
         assert counts.not_dropped == counters.delivered  # drained: none in flight
-        assert lossy.counters.dropped == 5
+        assert lossy.counters.dropped == 4
 
 
 def test_simnet_imports_no_protocol_code():
