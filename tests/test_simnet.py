@@ -5,11 +5,12 @@ What a faulty node sends is the runner's concern; see ``test_byzantine.py``.
 
 import ast
 import dataclasses
+import sys
 from pathlib import Path
 
 import pytest
 
-from ebrc import harness, presets, simnet
+from ebrc import crypto, harness, presets, simnet
 from ebrc.config import NetworkConfig
 from ebrc.runner import ScenarioRunner
 from ebrc.simnet import NetworkModel, Simulation
@@ -241,6 +242,177 @@ def report_and_trace(config) -> str:
     return harness.report_json(
         {"schema_version": harness.SCHEMA_VERSION, "reports": [report.to_dict()]}
     ) + harness.trace_csv(result.trace)
+
+
+def count_block_reads(monkeypatch) -> list:
+    """Patch ``Simulation._block`` to log each read as (sender, block)."""
+    reads = []
+    block = Simulation._block
+
+    def counted(sim, sender, index, top):
+        reads.append((sender, index))
+        return block(sim, sender, index, top)
+
+    monkeypatch.setattr(Simulation, "_block", counted)
+    return reads
+
+
+class TestLinkStreams:
+    """A link's stream is read a block of eight messages at a time; its draws
+    must be those of ``link_draws``, and each block is read once."""
+
+    @pytest.mark.parametrize(
+        "base_latency_us, jitter_us, drop_rate, partitions, sends",
+        [
+            # Partitioned sends draw nothing; the others draw for a drop, then jitter.
+            (2_000, 1_000, 0.2, ((30_000, 45_000, frozenset({1})),), 200),
+            # No drops and 2**32 µs of jitter: each delivery lands exactly its
+            # jitter word after its send and shows its draw.
+            (0, 2**32, 0.0, (), 300),
+        ],
+        ids=["drops-and-partition", "exact-draws"],
+    )
+    def test_refills_match_the_oracle(
+        self, monkeypatch, base_latency_us, jitter_us, drop_rate, partitions, sends
+    ):
+        reads = count_block_reads(monkeypatch)
+        seed, reg = b"link-refills", make_registry(2)
+        network = NetworkModel(base_latency_us, jitter_us, drop_rate, partitions)
+        oracle = NaiveNetwork(seed, reg, base_latency_us=base_latency_us, jitter_us=jitter_us,
+                              drop_rate=drop_rate, partitions=partitions)
+        sim = Simulation(seed, network)
+        logs = []
+        for net in (sim, oracle):
+            log = []
+            net.on_deliver = lambda target, now, message, log=log: log.append(
+                (now, target, message.height))
+            for sequence in range(sends):
+                net.schedule_send(sequence * 300, 0, [1], make_commit(reg, height=sequence))
+            drain(net)
+            logs.append(log)
+        assert logs[0] == logs[1]
+        if drop_rate:
+            assert 0 < len(logs[0]) < 0.75 * sends  # drops and the partition took their share
+        else:
+            assert len(logs[0]) == sends
+        counted = sim.counters.sent - (sends - sim._sent[0][1])  # less the partitioned sends
+        assert counted == sim._sent[0][1]
+        assert reads == [(0, block) for block in range(-(-counted // 8))]
+
+
+class TestSharedStreams:
+    """Every simulation of one run seed reads the same link streams, each
+    from its own blocks; a run's draws must not depend on what other runs of
+    the seed read before it or beside it."""
+
+    # Lossy, so that links draw for drops as well as for jitter.
+    CONFIG = dataclasses.replace(
+        presets.load("safety_silent_m7"), network=NetworkConfig(drop_rate=0.05)
+    )
+    LONGER = dataclasses.replace(CONFIG, rounds_per_epoch=3 * CONFIG.rounds_per_epoch)
+
+    @staticmethod
+    def blocks_read(monkeypatch, config) -> dict:
+        """The words of each block the run of ``config`` read, by (sender, block)."""
+        sims = []
+        init = Simulation.__init__
+
+        def tracked(sim, *args):
+            init(sim, *args)
+            sims.append(sim)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Simulation, "__init__", tracked)
+            report_and_trace(config)
+        (sim,) = sims
+        return {
+            (sender, index): list(words)
+            for sender, blocks in sim._blocks.items()
+            for index, words in blocks.items()
+        }
+
+    def test_digest_calls_do_not_depend_on_what_the_streams_hold(self, monkeypatch):
+        # The benchmark counts crypto.digest calls as deterministic for a
+        # seed, so reading a link's blocks must not call it, and neither may
+        # anything a run of the seed before it left behind.
+        calls = [0]
+        original = crypto.digest
+
+        def counted(*parts, **kwargs):
+            calls[0] += 1
+            return original(*parts, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("ebrc") and getattr(module, "digest", None) is original:
+                monkeypatch.setattr(module, "digest", counted)
+        counts = []
+        for config in (self.CONFIG, self.LONGER, self.CONFIG):
+            calls[0] = 0
+            report_and_trace(config)
+            counts.append(calls[0])
+        assert counts[0] == counts[2] > 0
+        assert counts[1] > counts[0]
+
+    def test_a_run_only_appends_to_the_streams(self, monkeypatch):
+        # A longer run of the seed reads more of the same streams: every
+        # block both runs read starts with the shorter run's words.
+        before = self.blocks_read(monkeypatch, self.CONFIG)
+        after = self.blocks_read(monkeypatch, self.LONGER)
+        assert len(after) > len(before)
+        shared = before.keys() & after.keys()
+        assert shared
+        for key in shared:
+            shorter, longer = sorted((before[key], after[key]), key=len)
+            assert longer[: len(shorter)] == shorter
+        # And each block holds its links' draws, bit for bit.
+        run_seed = crypto.digest(crypto.pack(self.CONFIG.seed), domain=b"run-seed")
+        for (sender, index), words in sorted(after.items())[:6]:
+            for target in range(len(words) // 16):
+                for k in range(8 * index, 8 * index + 8):
+                    at = 16 * target + 2 * (k % 8)
+                    assert (words[at] / 2**32, words[at + 1] / 2**32) == link_draws(
+                        run_seed, sender, target, k)
+
+    def test_simulations_stepped_alternately_match_the_oracle(self, monkeypatch):
+        # Two runs of one seed read the streams of links 0->1 and 0->2 in
+        # turn; each must deliver what its own oracle delivers.
+        reads = count_block_reads(monkeypatch)
+        seed, reg = b"shared-streams", make_registry(3)
+        model = dict(base_latency_us=2_000, jitter_us=1_000, drop_rate=0.2)
+        schedules = (
+            [(k * 500, [1, 2]) for k in range(120)],
+            [(k * 300, [1]) for k in range(200)] + [(k * 700, [2]) for k in range(40)],
+        )
+        logs = []
+        for net_pair in (
+            [Simulation(seed, NetworkModel(**model)) for _ in schedules],
+            [NaiveNetwork(seed, reg, **model) for _ in schedules],
+        ):
+            pair_logs = []
+            for net, schedule in zip(net_pair, schedules):
+                log = []
+                net.on_deliver = lambda target, now, message, log=log: log.append(
+                    (now, target, message.height))
+                for sequence, (at_us, targets) in enumerate(schedule):
+                    net.schedule_send(at_us, 0, targets, make_commit(reg, height=sequence))
+                pair_logs.append(log)
+            busy = list(net_pair)
+            while busy:  # one event of each in turn
+                busy = [net for net in busy if net.step_one()]
+            logs.append(pair_logs)
+        sims_logs, oracle_logs = logs
+        assert sims_logs == oracle_logs
+        assert all(log for log in sims_logs)
+        # Each read the blocks it reads when run alone: none read for the other.
+        alternated = sorted(reads)
+        del reads[:]
+        for schedule in schedules:
+            sim = Simulation(seed, NetworkModel(**model))
+            for sequence, (at_us, targets) in enumerate(schedule):
+                sim.schedule_send(at_us, 0, targets, make_commit(reg, height=sequence))
+            drain(sim)
+        assert alternated == sorted(reads)
+        assert alternated.count((0, 0)) == 3  # the second run widens block 0 to reach node 2
 
 
 class TestEventCount:
