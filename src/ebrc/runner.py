@@ -144,10 +144,13 @@ class ScenarioRunner:
         # paired comparison with the same seed sees identical link conditions.
         self.run_seed = digest(pack(config.seed), domain=b"run-seed")
         self.registry = KeyRegistry(digest(self.run_seed, domain=b"keys"))
-        self.node_ids = list(range(config.node_count))
+        # A tuple, so that every PBFT replica's _install keeps this one as its group.
+        self.node_ids = tuple(range(config.node_count))
         self.client_id = config.node_count  # the one client follows the nodes
-        for node in self.node_ids + [self.client_id]:
-            self.registry.register(node)
+        # Only EBRC's nodes enter sortition, so only their keys take VRF states.
+        for node in self.node_ids:
+            self.registry.register(node, draws=config.protocol == "ebrc")
+        self.registry.register(self.client_id, draws=False)
 
         self.network = NetworkModel(
             base_latency_us=_ms_to_us(config.network.base_latency_ms),

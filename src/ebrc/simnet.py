@@ -6,12 +6,13 @@ on it. The messages on each directed link (sender, target) that no
 partition cut are numbered k = 0, 1, 2, ...; the k-th takes a drop draw
 and a jitter draw from the hash of (run seed, sender, target, k) (see
 ``Simulation._block``). A simulation keeps only its own per-link counts
-and the hash outputs it has read, and nothing outlives a run, so a run's
-draws do not depend on what ran before it. Every event has a key
-(instant, scheduling order). The queue holds each pending instant once, on
-a heap of plain ints, and beside it the instant's events in the order they
-were scheduled, flat, three slots apiece (kind, node, payload); a send
-appends each delivery it does not drop to its instant's list. So a
+and, of the hash outputs it has read, the words it can use: every jitter
+word, and the drop words only when the network drops. Nothing outlives a
+run, so a run's draws do not depend on what ran before it. Every event has
+a key (instant, scheduling order). The queue holds each pending instant
+once, on a heap of plain ints, and beside it the instant's events in the
+order they were scheduled, flat, three slots apiece (kind, node, payload);
+a send appends each delivery it does not drop to its instant's list. So a
 broadcast costs one heap push per new instant it reaches, not one per
 message, queues no object per message, and events still come out in key
 order. Two runs with the same seed and the same replica logic replay the
@@ -144,8 +145,10 @@ class Simulation:
     of its list, or starts a new list once the list is done.
 
     ``_sent[sender][target]`` counts the messages on the link that no
-    partition cut, so it is the next message's k; ``_blocks[sender]`` holds
-    the words of each of the sender's blocks read so far (``_block``).
+    partition cut, so it is the next message's k; ``_blocks[sender][block]``
+    holds the (drop words, jitter words) pair of each of the sender's blocks
+    read so far, the drop words only on a lossy network (``_block``). Blocks
+    stay until the simulation goes.
     """
 
     def __init__(self, run_seed: bytes, network: NetworkModel) -> None:
@@ -164,7 +167,8 @@ class Simulation:
         # Every link block's hash starts with the same domain and run seed.
         self._link_prefix = hasher((run_seed,), b"link", xof=True)
         self._sent: Dict[int, List[int]] = defaultdict(list)  # sender -> target -> k
-        self._blocks: Dict[int, Dict[int, array]] = defaultdict(dict)  # sender -> block -> words
+        # sender -> block -> (drop words or None, jitter words)
+        self._blocks: Dict[int, Dict[int, Tuple[Optional[array], array]]] = defaultdict(dict)
 
     # -- scheduling --
 
@@ -204,7 +208,7 @@ class Simulation:
             counts.extend([0] * (top + 1 - len(counts)))
         heap, due = self._heap, self._due
         dropped = []
-        block = -1  # the block ``words`` holds, up to ``top``; a broadcast's links mostly share one
+        block = -1  # the block ``drops`` and ``jitters`` hold; a broadcast's links mostly share one
         for target in targets:
             if partitions and network.partitioned(now, sender, target):
                 dropped.append(target)
@@ -213,14 +217,15 @@ class Simulation:
             counts[target] = k + 1
             if k >> 3 != block:
                 block = k >> 3
-                words = blocks.get(block)
-                if words is None or len(words) <= top << 4:
-                    words = blocks[block] = self._block(sender, block, top)
-            at = target << 4 | (k & 7) << 1
-            if drop_below and words[at] < drop_below:
+                pair = blocks.get(block)
+                if pair is None or len(pair[1]) <= top << 3:
+                    pair = blocks[block] = self._block(sender, block, top)
+                drops, jitters = pair
+            at = target << 3 | k & 7
+            if drop_below and drops[at] < drop_below:
                 dropped.append(target)
                 continue
-            at_us = now + int((base_latency + words[at + 1] * jitter_scale) * latency_factor)
+            at_us = now + int((base_latency + jitters[at] * jitter_scale) * latency_factor)
             # _schedule, inlined: this loop runs once per message.
             events = due.get(at_us)
             if events is None:
@@ -236,20 +241,25 @@ class Simulation:
             )
         )
 
-    def _block(self, sender: int, block: int, top: int) -> array:
-        """The draws of messages ``8 * block`` to ``8 * block + 7`` on the
-        sender's links to targets 0 to ``top``: the first ``64 * (top + 1)``
-        bytes of the SHAKE-128 output over the run seed, the sender and the
-        block, both ids as 8 big-endian bytes (``hasher(..., xof=True)``
-        under ``b"link"``). Target t's eight messages hold the 64 bytes from
-        ``64 * t``, two little-endian 32-bit words apiece: the drop word,
-        then the jitter word. A longer output starts with a shorter one, so no
-        draw depends on how many targets the output covers."""
+    def _block(self, sender: int, block: int, top: int) -> Tuple[Optional[array], array]:
+        """The drop and jitter words of messages ``8 * block`` to ``8 * block
+        + 7`` on the sender's links to targets 0 to ``top``, read from the
+        first ``64 * (top + 1)`` bytes of the SHAKE-128 output over the run
+        seed, the sender and the block, both ids as 8 big-endian bytes
+        (``hasher(..., xof=True)`` under ``b"link"``). Target t's eight
+        messages take the 64 bytes from ``64 * t``, two little-endian 32-bit
+        words apiece: the drop word, then the jitter word. A longer output
+        starts with a shorter one, so no draw depends on how many targets the
+        output covers.
+
+        Both arrays hold message k of target t at ``8 * t + k % 8``. The drop
+        words are kept only on a lossy network, since a drop-free run reads
+        none; there the pair is ``(None, jitters)``."""
         ids = (sender.to_bytes(8, "big"), block.to_bytes(8, "big"))
         words = array("I", hasher(ids, prefix=self._link_prefix).digest((top + 1) << 6))
         if _BIG_ENDIAN_HOST:
             words.byteswap()
-        return words
+        return (words[0::2] if self.network.drop_rate else None), words[1::2]
 
     # -- execution --
 

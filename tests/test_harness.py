@@ -26,7 +26,7 @@ from ebrc.cli import main
 from ebrc.config import ByzantineConfig, ExitScript, NetworkConfig, ScenarioConfig, save_scenario
 from ebrc.consensus import EbrcReplica
 from ebrc.crypto import KeyRegistry, SimulatedVrf
-from ebrc.messages import JoinRequest
+from ebrc.messages import ExitRequest, JoinRequest
 from ebrc.harness import (
     ConsistencyError,
     compare_reports,
@@ -534,6 +534,34 @@ class TestMembershipFloor:
         report, _ = run_scenario_with_result(dataclasses.replace(config, network=network))
         assert [flow["node"] for flow in report.membership_flows] == [7]
         assert report.notes == ["scripted exit of node 7 (effective height 4) never applied"]
+
+    def test_master_processes_its_own_exit(self, monkeypatch):
+        # Which node a script names changes nothing before its round, so a
+        # first run finds the master at the exit round and a second scripts
+        # that node's exit: its ExitRequest takes no wire hop, and the exit
+        # still applies.
+        config = presets.load("churn_exit_m11")
+        (script,) = config.exits
+        masters = []
+        inject = ScenarioRunner._inject_scripted_exits
+
+        def injecting(runner, round_index):
+            if round_index == script.round_index:
+                masters.append(runner._current_master())
+            inject(runner, round_index)
+
+        monkeypatch.setattr(ScenarioRunner, "_inject_scripted_exits", injecting)
+        ScenarioRunner(config).run()
+        (master,) = masters
+        assert master != script.node_id
+        exit_script = dataclasses.replace(script, node_id=master)
+        result = ScenarioRunner(dataclasses.replace(config, exits=(exit_script,))).run()
+        assert masters == [master, master]
+        assert not any(record.tag == ExitRequest.TAG for record in result.trace)
+        (flow,) = result.membership_flows
+        assert flow["node"] == master and "applied_at_us" in flow
+        assert ("exit", master) in [(e["kind"], e["node"]) for e in result.membership_log]
+        assert result.notes == []
 
 
 class TestRunnerLifetime:

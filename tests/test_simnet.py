@@ -300,6 +300,40 @@ class TestLinkStreams:
         assert reads == [(0, block) for block in range(-(-counted // 8))]
 
 
+class TestBlockLayout:
+    @pytest.mark.parametrize("drop_rate", [0.0, 0.3], ids=["drop-free", "lossy"])
+    def test_a_block_holds_the_words_a_run_reads(self, drop_rate):
+        # A block of sender s holds, for each target 0 to the highest s has
+        # reached, eight jitter words, and as many drop words only when the
+        # network drops: a drop-free run never reads a drop word.
+        seed, reg = b"block-layout", make_registry(6)
+        sim = Simulation(seed, NetworkModel(drop_rate=drop_rate))
+        # Each sender's links reach a third block; target 5, sent to from the
+        # eleventh send, widens sender 0's blocks 0 and 1, read up to target 3.
+        for i in range(20):
+            commit = make_commit(reg, height=i)
+            sim.schedule_send(i * 1_000, 0, [3, 1] if i < 10 else [3, 1, 5], commit)
+            sim.schedule_send(i * 1_000, 4, [2], commit)
+        drain(sim)
+        tops = {0: 5, 4: 2}
+        assert {sender: sorted(blocks) for sender, blocks in sim._blocks.items()} == {
+            0: [0, 1, 2], 4: [0, 1, 2]}
+        for sender, blocks in sim._blocks.items():
+            top = tops[sender]
+            for index, (drops, jitters) in blocks.items():
+                assert len(jitters) == 8 * (top + 1)
+                if drop_rate:
+                    assert len(drops) == len(jitters)
+                else:
+                    assert drops is None
+                for target in range(top + 1):
+                    for k in range(8 * index, 8 * index + 8):
+                        drop, jitter = link_draws(seed, sender, target, k)
+                        at = 8 * target + k % 8
+                        assert jitters[at] == jitter * 2**32
+                        assert drop_rate == 0 or drops[at] == drop * 2**32
+
+
 class TestSharedStreams:
     """Every simulation of one run seed reads the same link streams, each
     from its own blocks; a run's draws must not depend on what other runs of
@@ -313,7 +347,8 @@ class TestSharedStreams:
 
     @staticmethod
     def blocks_read(monkeypatch, config) -> dict:
-        """The words of each block the run of ``config`` read, by (sender, block)."""
+        """The (drop words, jitter words) of each block the run of ``config``
+        read, by (sender, block)."""
         sims = []
         init = Simulation.__init__
 
@@ -326,9 +361,9 @@ class TestSharedStreams:
             report_and_trace(config)
         (sim,) = sims
         return {
-            (sender, index): list(words)
+            (sender, index): (list(drops), list(jitters))
             for sender, blocks in sim._blocks.items()
-            for index, words in blocks.items()
+            for index, (drops, jitters) in blocks.items()
         }
 
     def test_digest_calls_do_not_depend_on_what_the_streams_hold(self, monkeypatch):
@@ -362,15 +397,17 @@ class TestSharedStreams:
         shared = before.keys() & after.keys()
         assert shared
         for key in shared:
-            shorter, longer = sorted((before[key], after[key]), key=len)
-            assert longer[: len(shorter)] == shorter
+            for words in zip(before[key], after[key]):  # drop words, then jitter words
+                shorter, longer = sorted(words, key=len)
+                assert longer[: len(shorter)] == shorter
         # And each block holds its links' draws, bit for bit.
         run_seed = crypto.digest(crypto.pack(self.CONFIG.seed), domain=b"run-seed")
-        for (sender, index), words in sorted(after.items())[:6]:
-            for target in range(len(words) // 16):
+        for (sender, index), (drops, jitters) in sorted(after.items())[:6]:
+            assert len(drops) == len(jitters)
+            for target in range(len(jitters) // 8):
                 for k in range(8 * index, 8 * index + 8):
-                    at = 16 * target + 2 * (k % 8)
-                    assert (words[at] / 2**32, words[at + 1] / 2**32) == link_draws(
+                    at = 8 * target + k % 8
+                    assert (drops[at] / 2**32, jitters[at] / 2**32) == link_draws(
                         run_seed, sender, target, k)
 
     def test_simulations_stepped_alternately_match_the_oracle(self, monkeypatch):
