@@ -99,8 +99,8 @@ def pack(seed: int) -> bytes:
 @dataclass(frozen=True, slots=True)
 class KeyPair:
     """An owner's keys and the VRF value and proof states of its secret,
-    taken by ``KeyRegistry.register`` and never updated, or None for a key
-    that never draws; the states take no part in equality or repr."""
+    taken by ``KeyRegistry.register`` and never updated; the states take no
+    part in equality or repr."""
 
     public_key: bytes
     secret_key: bytes
@@ -127,18 +127,12 @@ class KeyRegistry:
         self._by_owner: dict[int, KeyPair] = {}
         self._by_public: dict[bytes, KeyPair] = {}
 
-    def register(self, owner_id: int, *, draws: bool = True) -> KeyPair:
+    def register(self, owner_id: int) -> KeyPair:
         """Derive ``owner_id``'s keys from the seed and record them; a repeat
-        call derives the same keys. Only a key that ``draws`` takes VRF
-        states; one that never enters sortition (a client, a PBFT replica)
-        holds None for both, and its proofs fail to verify."""
+        call derives the same keys."""
         secret = digest(self._seed, owner_id.to_bytes(8, "big", signed=True), domain=b"sk")
         public = digest(secret, domain=b"pk")
-        states = (
-            (SimulatedVrf.value_state(secret), SimulatedVrf.proof_state(secret))
-            if draws
-            else (None, None)
-        )
+        states = SimulatedVrf.value_state(secret), SimulatedVrf.proof_state(secret)
         pair = KeyPair(public, secret, *states)
         self._by_owner[owner_id] = pair
         self._by_public[public] = pair
@@ -185,9 +179,8 @@ class SimulatedVrf:
     ``proof`` derive a state per draw. They are separate so that a draw tests
     self-selection on the value alone and makes a proof only once selected;
     ``evaluate`` makes both. verify() recomputes both on the pair the
-    registry oracle resolves, on every call; a forged or mangled proof, or
-    any proof for a key registered without states, fails closed with (False,
-    None).
+    registry oracle resolves, on every call; a forged or mangled proof fails
+    closed with (False, None).
     """
 
     def __init__(self, registry: KeyRegistry) -> None:
@@ -230,7 +223,7 @@ class SimulatedVrf:
 
     def verify(self, public_key: bytes, seed: bytes, proof: bytes) -> Tuple[bool, Optional[int]]:
         pair = self._registry.resolve(public_key)
-        if pair is None or pair.proof_state is None or not isinstance(proof, bytes):
+        if pair is None or not isinstance(proof, bytes):
             return False, None
         framed = frame(seed)
         if proof != self.draw(pair.proof_state, framed):

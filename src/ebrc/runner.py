@@ -147,10 +147,8 @@ class ScenarioRunner:
         # A tuple, so that every PBFT replica's _install keeps this one as its group.
         self.node_ids = tuple(range(config.node_count))
         self.client_id = config.node_count  # the one client follows the nodes
-        # Only EBRC's nodes enter sortition, so only their keys take VRF states.
-        for node in self.node_ids:
-            self.registry.register(node, draws=config.protocol == "ebrc")
-        self.registry.register(self.client_id, draws=False)
+        for node in self.node_ids + (self.client_id,):
+            self.registry.register(node)
 
         self.network = NetworkModel(
             base_latency_us=_ms_to_us(config.network.base_latency_ms),

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebrc import presets
 from ebrc.crypto import (
     DIGEST_SIZE,
     GENESIS_SEED,
@@ -24,7 +23,6 @@ from ebrc.crypto import (
     sortition_threshold,
 )
 from ebrc.messages import Commit, signature_ok, signed
-from ebrc.runner import ScenarioRunner
 from oracles import blake2b_digest
 
 
@@ -195,32 +193,6 @@ class TestKeyedStates:
         )
         assert vrf.proof(secret, b"seed") == digest(secret, b"seed", domain=b"vrf-proof")
         assert SimulatedVrf(other).value(secret, b"seed") == vrf.value(secret, b"seed")
-
-    def test_a_key_that_never_draws_fails_closed(self, registry):
-        # A key registered without VRF states has the same keys; any proof
-        # for it, even the one its own secret makes, fails to verify.
-        vrf = SimulatedVrf(registry)
-        pair = registry.register(9, draws=False)
-        assert pair == KeyRegistry(seed=b"test-registry").register(9)
-        assert pair.value_state is None and pair.proof_state is None
-        assert registry.resolve(pair.public_key) is pair
-        proof = vrf.proof(pair.secret_key, b"seed")
-        assert vrf.verify(pair.public_key, b"seed", proof) == (False, None)
-
-    def test_only_ebrc_nodes_take_states(self):
-        # Only EBRC's nodes enter sortition: the client's key and every key of
-        # a PBFT run hold no VRF states, and a PBFT run never asks for one.
-        for config in presets.comparison_pair(4, byzantine=False):
-            runner = ScenarioRunner(config)
-            result = runner.run()
-            assert result.committed_rounds > 0
-            holders = {
-                owner
-                for owner, pair in runner.registry._by_owner.items()
-                if pair.value_state is not None or pair.proof_state is not None
-            }
-            assert holders == (set(runner.node_ids) if config.protocol == "ebrc" else set())
-            assert runner.client_id in runner.registry._by_owner
 
     def test_known_answers_over_700_owners(self):
         # 700 owners need 2,100 keyed states (value, proof, signature), more
