@@ -24,11 +24,13 @@ invites when the floor needs one; the candidate alone counts the members'
 confirmations of its join.
 
 Quorum bookkeeping is keyed per view and keeps the signed votes, and a
-committed ``Block`` carries its quorum's votes as its ``cert``. A vote tally
-that ignored views could mix votes for the same digest across a view change
-and double-commit under message loss; per-view tallies restore the standard
-intersection argument (two 2f+1 quorums among 3f+1 nodes share an honest
-voter, and an honest voter votes once per view).
+committed ``Block`` carries its quorum's votes as its ``cert``. The tally of
+one (view, digest) is a ``_Votes``: the counted votes in arrival order, plus
+a byte per node id that marks each sender counted, so that a repeated vote
+counts once. A vote tally that ignored views could mix votes for the same
+digest across a view change and double-commit under message loss; per-view
+tallies restore the standard intersection argument (two 2f+1 quorums among
+3f+1 nodes share an honest voter, and an honest voter votes once per view).
 
 Votes are most of what a replica handles (PBFT's prepares and commits are
 all-to-all), and most complete nothing. A received vote is counted in place,
@@ -44,6 +46,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .crypto import ZERO_HASH, digest
@@ -117,8 +120,9 @@ def select_master(height: int, view: int, f: int) -> int:
     return (height + view) % (3 * f + 1)
 
 
-def check_quorum(tally: Dict[bytes, Collection[int]], f: int) -> Optional[bytes]:
-    """Digest backed by >= 2f+1 distinct senders, or None.
+def check_quorum(tally: Dict[bytes, Collection], f: int) -> Optional[bytes]:
+    """Digest backed by >= 2f+1 distinct senders, or None. ``tally`` maps
+    each digest to its senders, or to its counted votes, one per sender.
 
     Raises QuorumConflict when two digests qualify simultaneously, which is
     impossible within the f fault budget and is surfaced as a safety fault.
@@ -176,6 +180,19 @@ IDLE = StepResult()
 IDLE.sends = IDLE.timers = ()
 
 
+class _Votes(list):
+    """The votes counted for one (view, digest), in arrival order, one per
+    sender: ``mark[sender]`` is 1 once that sender's vote is in. A vote costs
+    a list slot and a mark byte, where a sender -> vote dict entry costs
+    about 45 bytes. ``_admit`` opens a tally, only while its node is a
+    member, with a mark one past every member id, so the mark always covers
+    the node's own id; it grows the mark for a member that joined later.
+    There is no ``__init__``: a Python-level one doubles the cost of opening
+    a tally, which shows in small committees, where a tally gets few votes."""
+
+    __slots__ = ("mark",)
+
+
 class _ReplicaBase:
     """The replica core both protocols share.
 
@@ -188,9 +205,10 @@ class _ReplicaBase:
     (``_HANDLERS``). Every vote has one shape
     (height, view, digest, sender) and takes one path here: ``_cast`` sends
     the node's own, ``_admit`` counts every vote, the node's own or a
-    peer's, and returns the sender -> vote dict it joined (None when it does
-    not count), ``_on_commit`` and ``_send_commit`` serve the Commit vote both
-    protocols send, and ``_commit`` makes a quorum's votes the block's cert.
+    peer's, once per sender, and returns the ``_Votes`` it joined (None when
+    it does not count), ``_on_commit`` and ``_send_commit`` serve the Commit
+    vote both protocols send, and ``_commit`` makes a quorum's votes, in
+    sender order, the block's cert.
     A step that asks nothing returns ``IDLE``: a vote that does not count
     or completes no quorum, a stale timer, an announce, a request that arms
     no timer, and every message a gate rejects.
@@ -215,6 +233,7 @@ class _ReplicaBase:
         self.is_member = False  # whether this node votes: it is in the committee
         self.peers: Tuple[int, ...] = ()  # the committee minus this node: a broadcast's targets
         self.f = 0  # committee_fault_budget(len(committee)), set by _install
+        self.mark_size = 0  # the highest member id + 1: a new tally's mark length
         self.height = 1  # next block height to commit; genesis occupies 0
         self.view = 0
         self.ledger: Dict[int, Block] = {0: GENESIS_BLOCK}
@@ -229,7 +248,7 @@ class _ReplicaBase:
         self.observations: List[Tuple] = []
 
         self.proposal = None
-        self.commit_tallies: Dict[int, Dict[bytes, Dict[int, Commit]]] = {}
+        self.commit_tallies: Dict[int, Dict[bytes, _Votes]] = {}
         # The reporters of each proposed view at the current height.
         self.viewchange_tallies: Dict[int, Set[int]] = {}
 
@@ -247,6 +266,7 @@ class _ReplicaBase:
         self.is_member = self.node_id in self.members
         self.peers = tuple(peer for peer in self.committee if peer != self.node_id)
         self.f = djep.committee_fault_budget(len(self.committee))
+        self.mark_size = max(self.committee, default=-1) + 1
 
     def _proposed(self) -> bool:
         """Whether this node has proposed in the current view."""
@@ -258,7 +278,7 @@ class _ReplicaBase:
         by_digest = tallies.get(self.view)
         if by_digest:
             for votes in by_digest.values():
-                if self.node_id in votes:
+                if votes.mark[self.node_id]:
                     return True
         return False
 
@@ -395,16 +415,18 @@ class _ReplicaBase:
         self._admit(vote, tallies)  # a member's own vote always counts
         result.sends.append((self.peers, vote))
 
-    def _admit(self, vote, tallies: Dict) -> Optional[Dict[int, object]]:
-        """Count a vote in ``tallies`` (view -> digest -> sender -> vote) when
-        this node votes, the vote is for the current height and a committee
-        member signed it; return the sender -> vote dict it joined, or None
-        when it does not count."""
+    def _admit(self, vote, tallies: Dict) -> Optional[_Votes]:
+        """Count a vote in ``tallies`` (view -> digest -> ``_Votes``) when this
+        node votes, the vote is for the current height and a committee member
+        signed it; return the ``_Votes`` it joined, or None when it does not
+        count. A vote whose sender is already counted there is not appended
+        again: it has the same fields as the one counted."""
+        sender = vote.sender
         if not (
             self.is_member
             and vote.height == self.height
-            and vote.sender in self.members
-            and signature_ok(vote, self.registry, vote.sender)
+            and sender in self.members
+            and signature_ok(vote, self.registry, sender)
         ):
             return None
         by_digest = tallies.get(vote.view)
@@ -412,8 +434,15 @@ class _ReplicaBase:
             by_digest = tallies[vote.view] = {}
         votes = by_digest.get(vote.digest)
         if votes is None:
-            votes = by_digest[vote.digest] = {}
-        votes[vote.sender] = vote
+            votes = by_digest[vote.digest] = _Votes()
+            votes.mark = bytearray(self.mark_size)
+        mark = votes.mark
+        if sender >= len(mark):  # a member that joined after the tally opened
+            mark.extend(bytes(sender + 1 - len(mark)))
+        elif mark[sender]:
+            return votes
+        mark[sender] = 1
+        votes.append(vote)
         return votes
 
     def _on_commit(self, now: int, commit: Commit) -> StepResult:
@@ -505,8 +534,7 @@ class _ReplicaBase:
         if winner is None or self.proposal is None or self.proposal.digest != winner:
             return  # no quorum, or a quorum without the matching proposal payload
         batch = self.proposal.batch
-        votes = self.commit_tallies[self.view][winner]
-        cert = tuple(votes[sender] for sender in sorted(votes))
+        cert = tuple(sorted(self.commit_tallies[self.view][winner], key=attrgetter("sender")))
         self._advance(self._next_block([r.digest for r in batch], cert))
         self._reply(batch, winner, result)
         self._arm_for_pending(result)
@@ -821,7 +849,7 @@ class PbftReplica(_ReplicaBase):
     def __init__(self, node_id, registry, *, group: Sequence[int], **settings) -> None:
         super().__init__(node_id, registry, **settings)
         self._install(group)
-        self.prepare_tallies: Dict[int, Dict[bytes, Dict[int, PbftPrepare]]] = {}
+        self.prepare_tallies: Dict[int, Dict[bytes, _Votes]] = {}
 
     def leader_id(self) -> int:
         return self.committee[self.view % len(self.committee)]
@@ -856,7 +884,8 @@ class PbftReplica(_ReplicaBase):
             if len(votes) < 2 * self.f:
                 return IDLE
             commits = self.commit_tallies.get(self.view)
-            if commits and self.node_id in commits.get(proposal.digest, ()):
+            own = commits.get(proposal.digest) if commits else None
+            if own is not None and own.mark[self.node_id]:
                 return IDLE
         if not self._commit_due():
             return IDLE

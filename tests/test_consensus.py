@@ -457,7 +457,7 @@ class TestCommitGates:
         commit = signed(Commit(height=1, view=0, digest=b"d" * 32, sender=2), reg, 2)
         for replica in (ebrc[0], pbft[0]):
             replica.step(0, commit)
-            assert replica.commit_tallies == {0: {b"d" * 32: {2: commit}}}
+            assert replica.commit_tallies == {0: {b"d" * 32: [commit]}}
 
     def test_quorum_without_proposal_does_not_commit(self):
         # 2f+1 votes for a digest the node never saw proposed must not
@@ -538,6 +538,56 @@ class TestCommitGates:
         for replicas in (ebrc, pbft):
             assert replicas[0].members == frozenset(range(7))
             assert all(r.members is replicas[0].members for r in replicas.values())
+
+
+class TestTallyMarks:
+    """A tally marks each counted sender by node id: a member that joins
+    mid-view above every id the open tally was sized for still counts, and
+    a vote that is delivered again counts once."""
+
+    @staticmethod
+    def commit(reg, digest, sender):
+        return signed(Commit(height=1, view=0, digest=digest, sender=sender), reg, sender)
+
+    def test_a_member_that_joins_mid_view_has_its_peer_vote_counted(self):
+        replicas, reg = make_committee(4, registry=make_registry(6))
+        node = replicas[0]
+        proposal = make_prepare(reg, sender=1)  # node 1 leads (height 1, view 0)
+        node.step(0, proposal)  # node 0 counts its own commit
+        assert node.step(0, self.commit(reg, proposal.digest, 2)) is consensus.IDLE
+        node.apply_membership((0, 1, 2, 3, 5), ())  # f stays 1: three commits are a quorum
+        result = node.step(0, self.commit(reg, proposal.digest, 5))
+        assert [type(m) for _, m in result.sends] == [Reply]
+        assert [vote.sender for vote in node.ledger[1].cert] == [0, 2, 5]
+
+    def test_a_joined_members_own_vote_is_counted(self):
+        _, reg = make_committee(4, registry=make_registry(6))
+        joiner = EbrcReplica(5, reg, block_tx_cap=3)
+        joiner.set_committee(range(4), (5,), table_reputation={i: 0.5 for i in range(6)})
+        joiner.apply_membership((0, 1, 2, 3, 5), (), view_hint=0)
+        proposal = make_prepare(reg, sender=1)
+        assert joiner.step(0, self.commit(reg, proposal.digest, 2)) is consensus.IDLE
+        assert not joiner._voted(joiner.commit_tallies)
+        sent = per_recipient(joiner.step(0, proposal), Commit)
+        assert [(target, m.sender) for target, m in sent] == [(0, 5), (1, 5), (2, 5), (3, 5)]
+        assert [vote.sender for vote in joiner.commit_tallies[0][proposal.digest]] == [2, 5]
+        assert joiner._voted(joiner.commit_tallies)
+
+    def test_a_redelivered_vote_counts_once(self):
+        replicas, reg = make_committee(7)  # f=2: five commits are a quorum
+        node = replicas[0]
+        proposal = make_prepare(reg, sender=1)
+        node.step(0, proposal)
+        votes = {s: self.commit(reg, proposal.digest, s) for s in (2, 3, 4, 5)}
+        for sender in (2, 3, 4):
+            assert node.step(0, votes[sender]) is consensus.IDLE
+        tally = node.commit_tallies[0][proposal.digest]
+        for _ in range(2):
+            assert node.step(0, votes[2]) is consensus.IDLE
+            assert len(tally) == 4
+        result = node.step(0, votes[5])
+        assert [type(m) for _, m in result.sends] == [Reply]
+        assert node.ledger[1].cert == (tally[0], *(votes[s] for s in (2, 3, 4, 5)))
 
 
 class TestCert:
@@ -868,11 +918,13 @@ class TestPbftSharedPaths:
 
 # A vote stream step: a vote (kind, its height and view less the replica's,
 # which of the two batches' digests, sender, whether another node signed it),
-# the current leader's proposal (which batch, its view less the replica's) or
-# a membership change (the committee's first 7 or 6 nodes, f). ``_step``
-# decodes one drawn integer, one choice per digit, so that each choice is
-# about uniform (Hypothesis favours the first entries of a short list).
-_STEP_KINDS = ("vote",) * 6 + ("proposal", "membership")
+# the current leader's proposal (which batch, its view less the replica's), a
+# membership change (the committee's first 7 or 6 nodes, f), a join of the
+# node one above every member, or a re-delivery of a vote already counted
+# (which one, counted from the latest). ``_step`` decodes one drawn integer,
+# one choice per digit, so that each choice is about uniform (Hypothesis
+# favours the first entries of a short list).
+_STEP_KINDS = ("vote",) * 6 + ("proposal", "membership", "join", "redeliver")
 _OFFSETS = (0, 0, 0, 0, 1, -1)
 _MEMBERSHIPS = ((7, 2), (7, 1), (6, 1))
 
@@ -888,6 +940,10 @@ def _step(n: int) -> tuple:
         return kind, take((0, 1)), take(_OFFSETS)
     if kind == "membership":
         return (kind, *take(_MEMBERSHIPS))
+    if kind == "join":
+        return (kind,)
+    if kind == "redeliver":
+        return kind, take(range(8))
     return (
         take(("Commit", "PbftPrepare")), take(_OFFSETS), take(_OFFSETS),
         take((0, 1)), take(range(9)), take((False,) * 9 + (True,)),
@@ -907,7 +963,9 @@ class TestVotePathAgainstOracle:
     which recounts the whole tally: whether the step returned the idle
     result, its sends, the blocks committed and the observations, a repeated
     quorum conflict included. A membership change mid-stream can lower f from
-    2 to 1, and raise it back."""
+    2 to 1, and raise it back. An EBRC join adds a member above every id
+    while the view's tallies stay open, and f follows the committee; a
+    re-delivered vote must count once."""
 
     @settings(max_examples=150, deadline=None)
     @given(stream=_STREAM)
@@ -916,6 +974,11 @@ class TestVotePathAgainstOracle:
     @example(stream=[("Commit", 0, 0, 0, s, False) for s in (1, 2, 3)]
              + [("Commit", 0, 0, 1, s, False) for s in (4, 5, 6)]
              + [("membership", 7, 1), ("Commit", 0, 1, 0, 1, False)])
+    # Four commits with the proposal, then node 7 joins: its commit, the
+    # fifth, commits the block on a tally opened before it was a member.
+    @example(stream=[("proposal", 0, 0)]
+             + [("Commit", 0, 0, 0, s, False) for s in (1, 2, 3)]
+             + [("join",), ("Commit", 0, 0, 0, 7, False)])
     # A quorum with no proposal: a vote for the other digest still finds it.
     @example(stream=[("Commit", 0, 0, 0, s, False) for s in range(1, 6)]
              + [("Commit", 0, 0, 1, 6, False)])
@@ -935,6 +998,10 @@ class TestVotePathAgainstOracle:
     @example(stream=_PREPARED_AT_F1 + [("PbftPrepare", 0, 0, 1, 4, False)])
     # Two prepares at f=2, then f=1: the third, short of the old 2f, sends it.
     @example(stream=_PREPARED_AT_F1[:2] + [("membership", 7, 1), ("PbftPrepare", 0, 0, 0, 3, False)])
+    # Node 2's prepare delivered three times is one prepare: the node is
+    # prepared only at the fourth distinct one, node 4's.
+    @example(stream=_PREPARED_AT_F1[:2] + [("redeliver", 0)] * 2
+             + [("PbftPrepare", 0, 0, 0, s, False) for s in (3, 4)])
     def test_pbft_backup(self, stream):
         replicas, reg = make_group(7, registry=make_registry(9))
         self.replay(replicas[1], reg, stream, pbft=True)
@@ -949,7 +1016,17 @@ class TestVotePathAgainstOracle:
                     replica.apply_membership(tuple(range(keep)), ())
                 replica.f = f
                 continue
-            event = self.event(replica, reg, step, batches, pbft)
+            if step[0] == "join":
+                top = max(replica.committee)
+                if not pbft and top < 8:
+                    replica.apply_membership(replica.committee + (top + 1,), ())
+                continue
+            if step[0] == "redeliver":
+                if not oracle.votes:
+                    continue
+                event = oracle.votes[-1 - step[1] % len(oracle.votes)]
+            else:
+                event = self.event(replica, reg, step, batches, pbft)
             expected = oracle.expect(replica, event)
             result = replica.step(0, event)
             assert (result is consensus.IDLE) == expected.idle
