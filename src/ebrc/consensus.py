@@ -43,7 +43,6 @@ find nothing. Every other counted vote takes that check in full.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
@@ -69,8 +68,6 @@ from .messages import (
     signature_ok,
 )
 from . import djep
-
-logger = logging.getLogger(__name__)
 
 # A leader's batch window and a member's view timeout.
 BATCH_WINDOW_US = 2_000
@@ -328,7 +325,6 @@ class _ReplicaBase:
         if request.digest in self.seen_requests:
             return False
         if not self._request_ok(request):
-            logger.debug("node %d: request with wrong digest or signature dropped", self.node_id)
             return False
         self.seen_requests.add(request.digest)
         self.request_buffer[request.digest] = request
@@ -711,7 +707,6 @@ class EbrcReplica(_ReplicaBase):
         if request.node_id not in self.members:
             return IDLE
         if not signature_ok(request, self.registry, request.node_id):
-            logger.debug("node %d: forged exit request rejected", self.node_id)
             return IDLE
         plan = djep.plan_removal(
             committee=self.committee,

@@ -21,12 +21,9 @@ genesis; a DepositSlash alongside a confirmed report is what moves them.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Sequence, Union
-
-logger = logging.getLogger(__name__)
 
 # === CONSTANTS ===
 
@@ -257,15 +254,15 @@ def update_behavior_table(
     """Apply one epoch's events and recompute every node's score and growth.
 
     Pure: the input table is never mutated. Events naming unknown nodes are
-    rejected and logged, not raised, so one malformed report cannot poison an
-    epoch update. Histories always gain exactly one entry per node.
+    skipped, not raised, so one malformed report cannot poison an epoch
+    update; an event whose type is not a ``BehaviorEvent`` raises
+    ``TypeError``. Histories always gain exactly one entry per node.
     """
     updated: BehaviorTable = {node_id: record.copy() for node_id, record in table.items()}
 
     for event in events:
         record = updated.get(event.node_id)
         if record is None:
-            logger.warning("behavior event for unknown node %s rejected: %r", event.node_id, event)
             continue
         if isinstance(event, Participation):
             record.consensus_participations += 1
@@ -282,7 +279,7 @@ def update_behavior_table(
         elif isinstance(event, ActivitySample):
             record.latency_level = latency_level_for(event.mean_latency_ms)
         else:
-            logger.warning("unknown behavior event type rejected: %r", event)
+            raise TypeError(f"unknown behavior event type: {event!r}")
 
     total_deposit = sum(record.deposit for record in updated.values())
     epoch_max_h = max((h_index(r.tx_size_history) for r in updated.values()), default=0)

@@ -116,15 +116,18 @@ class TestFairnessStats:
 
 class TestStdlibStatistics:
     """The report's statistics are plain Python; numpy and scipy, which
-    computed them before, serve here as oracles only."""
+    computed them before, serve here as oracles only. Nor does the package
+    log: importing logging (with string and traceback) costs each process
+    about 0.6 MB of peak RSS."""
 
-    def test_import_loads_neither_numpy_nor_scipy(self):
+    def test_import_loads_no_numpy_scipy_or_logging(self):
         src = str(Path(ebrc.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
             "import sys, ebrc, ebrc.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'scipy', 'logging')))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -313,6 +313,15 @@ class TestBehaviorTable:
         updated = update_behavior_table(self.table(), [Participation(99)])
         assert 99 not in updated
 
+    def test_unknown_event_type_raises(self):
+        # A known node, so the event passes the node check and reaches the
+        # type dispatch.
+        class Misspelled:
+            node_id = 0
+
+        with pytest.raises(TypeError, match="unknown behavior event type"):
+            update_behavior_table(self.table(), [Misspelled()])
+
     def test_deterministic(self):
         events = [Participation(0)] * 3 + [ConfirmedReport(2), DepositSlash(1)]
         a = update_behavior_table(self.table(), events)
